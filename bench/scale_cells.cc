@@ -103,8 +103,10 @@ buildWorkload(std::size_t functions, double rps_per_fn, sim::Tick duration,
     const auto &zoo = models::ModelZoo::shared();
     ScaleWorkload w;
     w.horizon = duration + 5 * sim::kTicksPerSec;
+    // 1-second bins: the default 1-minute bin would stretch a 20-30 s
+    // series to 60 s and run past the 5 s drain.
     workload::RateSeries series =
-        workload::constantRate(rps_per_fn, duration);
+        workload::constantRate(rps_per_fn, duration, sim::kTicksPerSec);
     for (std::size_t f = 0; f < functions; ++f) {
         w.models.push_back(zoo.all()[f % zoo.all().size()].name);
         // Traces are materialized ONCE per point and injected into every
@@ -185,8 +187,10 @@ buildSkewWorkload(std::size_t functions, std::size_t hotspots,
     ScaleWorkload w;
     w.horizon = duration + 5 * sim::kTicksPerSec;
     w.hotspots = hotspots;
-    workload::RateSeries bg = workload::constantRate(rps_bg, duration);
-    workload::RateSeries hot = workload::constantRate(rps_hot, duration);
+    workload::RateSeries bg =
+        workload::constantRate(rps_bg, duration, sim::kTicksPerSec);
+    workload::RateSeries hot =
+        workload::constantRate(rps_hot, duration, sim::kTicksPerSec);
     for (std::size_t f = 0; f < functions; ++f) {
         w.models.push_back(zoo.all()[f % zoo.all().size()].name);
         sim::Rng rng(sim::hashCombine(seed, f));

@@ -160,20 +160,6 @@ class CapacityIndex
     bool consistentWith(const std::vector<Server> &servers) const;
 
   private:
-    /** Strict weak order on resource vectors (class key). */
-    struct KeyLess
-    {
-        bool
-        operator()(const Resources &a, const Resources &b) const
-        {
-            if (a.cpuMillicores != b.cpuMillicores)
-                return a.cpuMillicores < b.cpuMillicores;
-            if (a.gpuSmPercent != b.gpuSmPercent)
-                return a.gpuSmPercent < b.gpuSmPercent;
-            return a.memoryMb < b.memoryMb;
-        }
-    };
-
     struct ClassEntry
     {
         std::set<ServerId> members;
@@ -191,7 +177,7 @@ class CapacityIndex
      *  domains are disabled). */
     void eraseDomainMember(ClassEntry &entry, ServerId id);
 
-    std::map<Resources, ClassEntry, KeyLess> classes_;
+    std::map<Resources, ClassEntry, ResourcesLess> classes_;
     std::size_t serverCount_ = 0;
     /** Rack domain per server id; empty == domains disabled. */
     std::vector<DomainId> rackOf_;

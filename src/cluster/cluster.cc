@@ -1,5 +1,7 @@
 #include "cluster/cluster.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace infless::cluster {
@@ -9,7 +11,8 @@ Cluster::Cluster(std::size_t num_servers, const Resources &capacity)
     sim::simAssert(num_servers > 0, "cluster needs at least one server");
     servers_.reserve(num_servers);
     for (std::size_t i = 0; i < num_servers; ++i)
-        servers_.emplace_back(static_cast<ServerId>(i), capacity);
+        fileCapacity(
+            servers_.emplace_back(static_cast<ServerId>(i), capacity));
     index_.rebuild(servers_);
 }
 
@@ -19,8 +22,15 @@ Cluster::Cluster(const std::vector<Resources> &capacities)
                    "cluster needs at least one server");
     servers_.reserve(capacities.size());
     for (std::size_t i = 0; i < capacities.size(); ++i)
-        servers_.emplace_back(static_cast<ServerId>(i), capacities[i]);
+        fileCapacity(
+            servers_.emplace_back(static_cast<ServerId>(i), capacities[i]));
     index_.rebuild(servers_);
+}
+
+void
+Cluster::fileCapacity(const Server &s)
+{
+    byCapacity_[s.capacity()].push_back(s.id());
 }
 
 std::vector<Resources>
@@ -33,12 +43,29 @@ Cluster::capacities() const
     return result;
 }
 
+std::vector<Resources>
+Cluster::probeCapacities(std::size_t per_capacity) const
+{
+    std::vector<ServerId> ids;
+    for (const auto &[capacity, members] : byCapacity_) {
+        std::size_t n = std::min(per_capacity, members.size());
+        ids.insert(ids.end(), members.begin(),
+                   members.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    std::sort(ids.begin(), ids.end());
+    std::vector<Resources> result;
+    result.reserve(ids.size());
+    for (ServerId id : ids)
+        result.push_back(servers_[static_cast<std::size_t>(id)].capacity());
+    return result;
+}
+
 std::size_t
 Cluster::liveServers() const
 {
     std::size_t live = 0;
-    for (const auto &s : servers_)
-        live += s.isRetired() ? 0 : 1;
+    for (const auto &[capacity, members] : byCapacity_)
+        live += members.size();
     return live;
 }
 
@@ -80,38 +107,16 @@ Cluster::totalAvailable() const
     return total;
 }
 
-Resources
-Cluster::totalAllocated() const
-{
-    Resources total;
-    for (const auto &s : servers_) {
-        if (!s.isRetired())
-            total += s.allocated();
-    }
-    return total;
-}
-
 double
 Cluster::fragmentRatio(double beta) const
 {
+    // Ascending id order, as a full-fleet scan would add them: the
+    // average is bit-identical to one.
     double sum = 0.0;
-    std::size_t active = 0;
-    for (const auto &s : servers_) {
-        if (!s.isActive())
-            continue;
-        sum += s.fragmentRatio(beta);
-        ++active;
-    }
-    return active == 0 ? 0.0 : sum / static_cast<double>(active);
-}
-
-std::size_t
-Cluster::activeServers() const
-{
-    std::size_t active = 0;
-    for (const auto &s : servers_)
-        active += s.isActive() ? 1 : 0;
-    return active;
+    for (ServerId id : active_)
+        sum += servers_[static_cast<std::size_t>(id)].fragmentRatio(beta);
+    return active_.empty() ? 0.0
+                           : sum / static_cast<double>(active_.size());
 }
 
 bool
@@ -122,6 +127,9 @@ Cluster::allocate(ServerId id, const Resources &req)
     if (!s.allocate(req))
         return false;
     index_.update(id, before, s.available());
+    allocated_ += req;
+    if (s.allocationCount() == 1)
+        active_.insert(id);
     return true;
 }
 
@@ -131,6 +139,9 @@ Cluster::release(ServerId id, const Resources &req)
     Server &s = serverMut(id);
     Resources before = s.available();
     s.release(req);
+    allocated_ -= req;
+    if (s.allocationCount() == 0)
+        active_.erase(id);
     // Down and quarantined servers are unfiled from the index; their
     // availability is re-filed wholesale when they rejoin the pool.
     if (filed(s))
@@ -141,7 +152,7 @@ ServerId
 Cluster::addServer(const Resources &capacity)
 {
     auto id = static_cast<ServerId>(servers_.size());
-    servers_.emplace_back(id, capacity);
+    fileCapacity(servers_.emplace_back(id, capacity));
     index_.add(id, servers_.back().available());
     return id;
 }
@@ -156,6 +167,14 @@ Cluster::removeServer(ServerId id)
                    "cannot release a busy server ", id);
     if (filed(s))
         index_.remove(id, s.available());
+    // An idle server normally holds nothing; subtracting what the full
+    // sum would have counted keeps allocated_ exact regardless.
+    allocated_ -= s.allocated();
+    auto cls = byCapacity_.find(s.capacity());
+    std::vector<ServerId> &ids = cls->second;
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
+    if (ids.empty())
+        byCapacity_.erase(cls);
     s.markRetired();
     return s.capacity();
 }

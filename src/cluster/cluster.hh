@@ -7,6 +7,8 @@
 #define INFLESS_CLUSTER_CLUSTER_HH
 
 #include <cstddef>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "cluster/capacity_index.hh"
@@ -45,6 +47,14 @@ class Cluster
      *  alignment without re-counting departed machines. */
     std::vector<Resources> capacities() const;
 
+    /**
+     * A compact stand-in for capacities() when probing placements on an
+     * empty copy of the fleet: for every distinct capacity, the
+     * @p per_capacity lowest-id live servers of that capacity, merged in
+     * id order. O(classes x per_capacity), independent of fleet size.
+     */
+    std::vector<Resources> probeCapacities(std::size_t per_capacity) const;
+
     std::size_t size() const { return servers_.size(); }
 
     /** Servers that still belong to this cluster (not retired). */
@@ -67,18 +77,19 @@ class Cluster
     /** Sum of all unallocated resources. */
     Resources totalAvailable() const;
 
-    /** Sum of all allocated resources. */
-    Resources totalAllocated() const;
+    /** Sum of all allocated resources. O(1): a running total kept by
+     *  allocate(), release() and removeServer(). */
+    Resources totalAllocated() const { return allocated_; }
 
     /**
      * Average unallocated fraction over *active* servers (Fig. 17b's
      * resource fragment ratio). Idle servers are excluded: they are spare
-     * capacity, not fragmentation.
+     * capacity, not fragmentation. O(active servers), summed in id order.
      */
     double fragmentRatio(double beta = kDefaultBeta) const;
 
     /** Number of servers with at least one allocation. */
-    std::size_t activeServers() const;
+    std::size_t activeServers() const { return active_.size(); }
 
     /** Allocate @p req on the given server; false if it does not fit
      *  (always false while the server is down). */
@@ -195,8 +206,17 @@ class Cluster
         return !s.isDown() && !s.isRetired() && !s.isQuarantined();
     }
 
+    /** Account a new member in byCapacity_ (ids arrive ascending). */
+    void fileCapacity(const Server &s);
+
     std::vector<Server> servers_;
     CapacityIndex index_;
+    /** Exact sum of live allocations (retired servers excluded). */
+    Resources allocated_;
+    /** Ids of servers with at least one allocation, ascending. */
+    std::set<ServerId> active_;
+    /** Live (not retired) server ids per capacity, ascending. */
+    std::map<Resources, std::vector<ServerId>, ResourcesLess> byCapacity_;
     /** Per-server failure domain; empty until the first assignment. */
     std::vector<FailureDomain> domains_;
 };

@@ -10,9 +10,16 @@ std::string
 InstanceConfig::str() const
 {
     std::ostringstream os;
-    os << "(b=" << batchSize << ", cpu=" << resources.cpuMillicores
-       << "mc, gpu=" << resources.gpuSmPercent << "%)";
+    os << *this;
     return os.str();
+}
+
+std::ostream &
+operator<<(std::ostream &os, const InstanceConfig &c)
+{
+    return os << "(b=" << c.batchSize
+              << ", cpu=" << c.resources.cpuMillicores
+              << "mc, gpu=" << c.resources.gpuSmPercent << "%)";
 }
 
 const char *
@@ -57,8 +64,7 @@ Instance::startBatch(sim::Tick now, int batch_fill)
     sim::simAssert(state_ == InstanceState::Idle,
                    "startBatch from state ", instanceStateName(state_));
     sim::simAssert(batch_fill >= 1 && batch_fill <= config_.batchSize,
-                   "batch fill ", batch_fill, " out of range for ",
-                   config_.str());
+                   "batch fill ", batch_fill, " out of range for ", config_);
     idleTicksAccum_ += now - stateSince_;
     state_ = InstanceState::Busy;
     stateSince_ = now;

@@ -11,6 +11,7 @@
 #define INFLESS_CLUSTER_INSTANCE_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "cluster/resources.hh"
@@ -36,6 +37,9 @@ struct InstanceConfig
     /** Render as "(b=4, cpu=2000mc, gpu=10%)". */
     std::string str() const;
 };
+
+/** Stream the str() rendering (lazy assertion messages). */
+std::ostream &operator<<(std::ostream &os, const InstanceConfig &c);
 
 /** Lifecycle states of an instance. */
 enum class InstanceState

@@ -21,7 +21,7 @@ Resources::operator-=(const Resources &o)
     cpuMillicores -= o.cpuMillicores;
     gpuSmPercent -= o.gpuSmPercent;
     memoryMb -= o.memoryMb;
-    sim::simAssert(isValid(), "resource subtraction went negative: ", str());
+    sim::simAssert(isValid(), "resource subtraction went negative: ", *this);
     return *this;
 }
 
@@ -29,9 +29,15 @@ std::string
 Resources::str() const
 {
     std::ostringstream os;
-    os << "cpu=" << cpuMillicores << "mc gpu=" << gpuSmPercent
-       << "% mem=" << memoryMb << "MB";
+    os << *this;
     return os.str();
+}
+
+std::ostream &
+operator<<(std::ostream &os, const Resources &r)
+{
+    return os << "cpu=" << r.cpuMillicores << "mc gpu=" << r.gpuSmPercent
+              << "% mem=" << r.memoryMb << "MB";
 }
 
 } // namespace infless::cluster

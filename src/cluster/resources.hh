@@ -12,6 +12,7 @@
 #define INFLESS_CLUSTER_RESOURCES_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 namespace infless::cluster {
@@ -84,6 +85,25 @@ struct Resources
     /** Render as "cpu=2000mc gpu=10% mem=4096MB". */
     std::string str() const;
 };
+
+/** Strict weak order on resource vectors: (cpu, gpu, memory)
+ *  lexicographic. Keys the capacity index and per-capacity lists. */
+struct ResourcesLess
+{
+    bool
+    operator()(const Resources &a, const Resources &b) const
+    {
+        if (a.cpuMillicores != b.cpuMillicores)
+            return a.cpuMillicores < b.cpuMillicores;
+        if (a.gpuSmPercent != b.gpuSmPercent)
+            return a.gpuSmPercent < b.gpuSmPercent;
+        return a.memoryMb < b.memoryMb;
+    }
+};
+
+/** Stream the str() rendering without building a string, so assertion
+ *  messages can take a Resources and format it only on failure. */
+std::ostream &operator<<(std::ostream &os, const Resources &r);
 
 /**
  * Default CPU<->GPU conversion factor.

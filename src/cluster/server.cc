@@ -24,7 +24,7 @@ bool
 Server::allocate(const Resources &req)
 {
     sim::simAssert(req.isValid() && !req.isZero(),
-                   "invalid allocation request: ", req.str());
+                   "invalid allocation request: ", req);
     if (!canFit(req))
         return false;
     available_ -= req;
@@ -38,7 +38,7 @@ Server::release(const Resources &req)
 {
     Resources restored = available_ + req;
     sim::simAssert(restored.fitsIn(capacity_),
-                   "over-release on server ", id_, ": ", req.str());
+                   "over-release on server ", id_, ": ", req);
     sim::simAssert(allocationCount_ > 0,
                    "release with no live allocations on server ", id_);
     available_ = restored;

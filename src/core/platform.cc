@@ -1871,10 +1871,10 @@ Platform::maybeReconfigure(FunctionId fn, double measured)
 
     // What would Algorithm 1 provision for the measured rate on an empty
     // cluster? (The old fleet may occupy most of the machines, so the
-    // ideal is evaluated on a scratch clone.)
-    cluster::Cluster scratch(cluster_.capacities());
-    auto ideal = scheduler_.schedule(*f.model, measured, f.spec.sloTicks,
-                                     f.spec.maxBatch, scratch);
+    // ideal is evaluated on an empty copy.)
+    auto ideal = scheduler_.scheduleOnEmpty(*f.model, measured,
+                                            f.spec.sloTicks,
+                                            f.spec.maxBatch, cluster_);
     double ideal_cost = 0.0;
     double ideal_up = 0.0;
     for (const auto &plan : ideal) {

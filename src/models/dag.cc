@@ -13,6 +13,7 @@ Dag::addNode(const OpNode &node)
     nodes_.push_back(node);
     succ_.emplace_back();
     pred_.emplace_back();
+    topo_.clear();
     return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -26,6 +27,7 @@ Dag::addEdge(NodeId from, NodeId to)
     sim::simAssert(from != to, "self edge on node ", from);
     succ_[static_cast<std::size_t>(from)].push_back(to);
     pred_[static_cast<std::size_t>(to)].push_back(from);
+    topo_.clear();
 }
 
 const OpNode &
@@ -47,6 +49,8 @@ Dag::successors(NodeId id) const
 std::vector<NodeId>
 Dag::topoOrder() const
 {
+    if (topo_.size() == size())
+        return topo_;
     std::vector<int> indegree(size(), 0);
     for (std::size_t v = 0; v < size(); ++v)
         indegree[v] = static_cast<int>(pred_[v].size());
@@ -101,9 +105,13 @@ Dag::criticalPath(const NodeWeight &weight) const
 {
     if (empty())
         return 0.0;
+    // The cached order when finalize() has run; a fresh one otherwise.
+    std::vector<NodeId> fresh;
+    const std::vector<NodeId> &order =
+        topo_.size() == size() ? topo_ : (fresh = topoOrder());
     std::vector<double> finish(size(), 0.0);
     double best = 0.0;
-    for (NodeId v : topoOrder()) {
+    for (NodeId v : order) {
         auto vi = static_cast<std::size_t>(v);
         double start = 0.0;
         for (NodeId p : pred_[vi])

@@ -32,11 +32,20 @@ class Dag
     /** Weight function mapping a node to a scalar (e.g. execution time). */
     using NodeWeight = std::function<double(const OpNode &)>;
 
-    /** Add a node; returns its id. */
+    /** Add a node; returns its id. Drops the cached order. */
     NodeId addNode(const OpNode &node);
 
-    /** Add a dependency edge @p from -> @p to. Panics on bad ids. */
+    /** Add a dependency edge @p from -> @p to. Panics on bad ids. Drops
+     *  the cached order. */
     void addEdge(NodeId from, NodeId to);
+
+    /**
+     * Compute and cache the topological order, so criticalPath() (run on
+     * every COP composition) stops rebuilding it. DagBuilder::build()
+     * calls this; the cache is plain state, safe to read from many
+     * threads. Panics if the graph has a cycle.
+     */
+    void finalize() { topo_ = topoOrder(); }
 
     std::size_t size() const { return nodes_.size(); }
     bool empty() const { return nodes_.empty(); }
@@ -49,6 +58,7 @@ class Dag
 
     /**
      * Topological order of all nodes; panics if the graph has a cycle.
+     * Served from the cache after finalize().
      */
     std::vector<NodeId> topoOrder() const;
 
@@ -91,6 +101,8 @@ class Dag
     std::vector<OpNode> nodes_;
     std::vector<std::vector<NodeId>> succ_;
     std::vector<std::vector<NodeId>> pred_;
+    /** Order cached by finalize(); valid while it covers every node. */
+    std::vector<NodeId> topo_;
 };
 
 /**
@@ -114,8 +126,13 @@ class DagBuilder
     NodeId parallel(const std::vector<std::vector<OpNode>> &branches,
                     const OpNode &join);
 
-    /** Take the finished graph. */
-    Dag build() { return std::move(dag_); }
+    /** Take the finished graph, its topological order cached. */
+    Dag
+    build()
+    {
+        dag_.finalize();
+        return std::move(dag_);
+    }
 
     Dag &dag() { return dag_; }
 

@@ -41,7 +41,14 @@ TEST(ResourcesTest, SubtractionBelowZeroPanics)
 {
     Resources a{100, 0, 0};
     Resources b{200, 0, 0};
-    EXPECT_THROW(a -= b, PanicError);
+    // The message is formatted only on failure, with str()'s rendering.
+    try {
+        a -= b;
+        FAIL() << "subtraction below zero did not panic";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "panic: resource subtraction went negative: "
+                               "cpu=-100mc gpu=0% mem=0MB");
+    }
 }
 
 TEST(ResourcesTest, FitsInIsComponentWise)

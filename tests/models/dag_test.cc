@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "models/dag.hh"
 #include "sim/logging.hh"
 
@@ -12,6 +14,7 @@ namespace {
 
 using infless::models::Dag;
 using infless::models::DagBuilder;
+using infless::models::NodeId;
 using infless::models::OpKind;
 using infless::models::OpNode;
 using infless::sim::PanicError;
@@ -83,6 +86,24 @@ TEST(DagTest, CycleDetection)
     EXPECT_TRUE(dag.isAcyclic());
     dag.addEdge(b, a);
     EXPECT_FALSE(dag.isAcyclic());
+    EXPECT_THROW(dag.topoOrder(), PanicError);
+}
+
+TEST(DagTest, EditsAfterBuildDropTheCachedOrder)
+{
+    DagBuilder b;
+    b.chain(node(1.0));
+    b.chain(node(2.0));
+    Dag dag = b.build();
+    EXPECT_EQ(dag.topoOrder(), (std::vector<NodeId>{0, 1}));
+    auto weight = [](const OpNode &n) { return n.gflopsPerSample; };
+    auto tail = dag.addNode(node(4.0));
+    EXPECT_DOUBLE_EQ(dag.criticalPath(weight), 4.0); // not yet connected
+    dag.addEdge(1, tail);
+    EXPECT_DOUBLE_EQ(dag.criticalPath(weight), 7.0);
+    dag.finalize();
+    EXPECT_EQ(dag.topoOrder(), (std::vector<NodeId>{0, 1, tail}));
+    dag.addEdge(tail, 0);
     EXPECT_THROW(dag.topoOrder(), PanicError);
 }
 
