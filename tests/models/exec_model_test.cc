@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "cluster/resources.hh"
@@ -181,9 +182,13 @@ TEST(ExecModelTest, TrueTicksIsPositive)
     }
 }
 
-/** Parameterized sweep: monotonicity of latency in batchsize. */
+/**
+ * Parameterized sweep: monotonicity of latency in batchsize. The model
+ * name is a std::string so the listed parameter is its text, not a
+ * per-process pointer value.
+ */
 class ExecBatchMonotonicity
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 
