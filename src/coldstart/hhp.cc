@@ -7,7 +7,7 @@ namespace infless::coldstart {
 
 HybridHistogramPolicy::HybridHistogramPolicy(HhpParams params)
     : params_(params),
-      hist_(params.trackedDuration, params.binWidth, params.range)
+      hist_({params.trackedDuration}, params.binWidth, params.range)
 {
 }
 

@@ -2,28 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/logging.hh"
 
 namespace infless::coldstart {
 
-IdleTimeHistogram::IdleTimeHistogram(sim::Tick window, sim::Tick bin_width,
-                                     sim::Tick range)
-    : window_(window), binWidth_(bin_width), range_(range)
+IdleTimeHistogram::IdleTimeHistogram(std::vector<sim::Tick> windows,
+                                     sim::Tick bin_width, sim::Tick range)
+    : binWidth_(bin_width), range_(range)
 {
-    sim::simAssert(window > 0 && bin_width > 0 && range > 0,
+    sim::simAssert(!windows.empty(), "histogram needs at least one window");
+    sim::simAssert(bin_width > 0 && range > 0,
                    "histogram parameters must be positive");
     // One overflow bin past the range.
-    bins_.assign(static_cast<std::size_t>(range / bin_width) + 2, 0);
+    auto bins = static_cast<std::size_t>(range / bin_width) + 2;
+    sim::simAssert(bins - 1 <= std::numeric_limits<std::uint16_t>::max(),
+                   "histogram bin count must fit in uint16: ", bins);
+    for (sim::Tick horizon : windows) {
+        sim::simAssert(horizon > 0, "histogram parameters must be positive");
+        windows_.push_back(
+            Window{horizon, 0, std::vector<std::int64_t>(bins, 0), 0});
+    }
 }
 
-std::size_t
+const IdleTimeHistogram::Window &
+IdleTimeHistogram::at(std::size_t w) const
+{
+    sim::simAssert(w < windows_.size(), "no histogram window ", w);
+    return windows_[w];
+}
+
+std::uint16_t
 IdleTimeHistogram::binOf(sim::Tick gap) const
 {
     if (gap < 0)
         gap = 0;
     auto bin = static_cast<std::size_t>(gap / binWidth_);
-    return std::min(bin, bins_.size() - 1);
+    return static_cast<std::uint16_t>(
+        std::min(bin, windows_.front().bins.size() - 1));
 }
 
 void
@@ -38,68 +55,97 @@ void
 IdleTimeHistogram::addSample(sim::Tick gap, sim::Tick now)
 {
     evict(now);
-    std::size_t bin = binOf(gap);
-    samples_.push_back(Sample{now, bin});
-    ++bins_[bin];
-    ++total_;
+    std::uint16_t bin = binOf(gap);
+    observedAt_.push_back(now);
+    binLog_.push_back(bin);
+    for (Window &win : windows_) {
+        ++win.bins[bin];
+        ++win.total;
+    }
 }
 
 void
 IdleTimeHistogram::evict(sim::Tick now)
 {
-    sim::Tick cutoff = now - window_;
-    while (!samples_.empty() && samples_.front().observedAt < cutoff) {
-        --bins_[samples_.front().bin];
-        --total_;
-        samples_.pop_front();
+    const std::uint64_t end = logBase_ + observedAt_.size();
+    std::uint64_t slowest = end;
+    for (Window &win : windows_) {
+        sim::Tick cutoff = now - win.horizon;
+        while (win.cursor < end &&
+               observedAt_[win.cursor - logBase_] < cutoff) {
+            --win.bins[binLog_[win.cursor - logBase_]];
+            --win.total;
+            ++win.cursor;
+        }
+        slowest = std::min(slowest, win.cursor);
     }
-}
-
-double
-IdleTimeHistogram::overflowFraction() const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(bins_.back()) /
-           static_cast<double>(total_);
+    // Entries every window has passed are dead.
+    while (logBase_ < slowest) {
+        observedAt_.pop_front();
+        binLog_.pop_front();
+        ++logBase_;
+    }
 }
 
 std::size_t
-IdleTimeHistogram::percentileBin(double p) const
+IdleTimeHistogram::count(std::size_t w) const
 {
-    sim::simAssert(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    auto target = static_cast<std::int64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(total_)));
-    target = std::max<std::int64_t>(1, target);
-    std::int64_t seen = 0;
-    for (std::size_t bin = 0; bin < bins_.size(); ++bin) {
-        seen += bins_[bin];
-        if (seen >= target)
-            return bin;
-    }
-    return bins_.size() - 1;
+    return static_cast<std::size_t>(at(w).total);
 }
 
 sim::Tick
-IdleTimeHistogram::percentile(double p) const
+IdleTimeHistogram::window(std::size_t w) const
+{
+    return at(w).horizon;
+}
+
+double
+IdleTimeHistogram::overflowFraction(std::size_t w) const
+{
+    const Window &win = at(w);
+    if (win.total == 0)
+        return 0.0;
+    return static_cast<double>(win.bins.back()) /
+           static_cast<double>(win.total);
+}
+
+std::size_t
+IdleTimeHistogram::percentileBin(const Window &win, double p) const
+{
+    auto target = static_cast<std::int64_t>(
+        std::ceil(p / 100.0 * static_cast<double>(win.total)));
+    target = std::max<std::int64_t>(1, target);
+    std::int64_t seen = 0;
+    for (std::size_t bin = 0; bin < win.bins.size(); ++bin) {
+        seen += win.bins[bin];
+        if (seen >= target)
+            return bin;
+    }
+    return win.bins.size() - 1;
+}
+
+sim::Tick
+IdleTimeHistogram::percentile(double p, std::size_t w) const
 {
     sim::simAssert(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    if (total_ == 0)
+    const Window &win = at(w);
+    if (win.total == 0)
         return 0;
-    std::size_t bin = percentileBin(p);
-    if (bin == bins_.size() - 1)
+    std::size_t bin = percentileBin(win, p);
+    if (bin == win.bins.size() - 1)
         return range_; // overflow reports as the cap
     return static_cast<sim::Tick>(bin + 1) * binWidth_;
 }
 
 sim::Tick
-IdleTimeHistogram::percentileLower(double p) const
+IdleTimeHistogram::percentileLower(double p, std::size_t w) const
 {
     sim::simAssert(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    if (total_ == 0)
+    const Window &win = at(w);
+    if (win.total == 0)
         return 0;
-    std::size_t bin = percentileBin(p);
-    if (bin == bins_.size() - 1)
+    std::size_t bin = percentileBin(win, p);
+    if (bin == win.bins.size() - 1)
         return range_;
     return static_cast<sim::Tick>(bin) * binWidth_;
 }

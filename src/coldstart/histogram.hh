@@ -3,8 +3,8 @@
  * Sliding-window idle-time histogram.
  *
  * The histogram policies (HHP, LSTH) characterize a function's idle-time
- * distribution over a tracked duration. Samples older than the window are
- * evicted, so the histogram follows the workload.
+ * distribution over one or more tracked durations. Samples older than a
+ * window are evicted from it, so each window follows the workload.
  */
 
 #ifndef INFLESS_COLDSTART_HISTOGRAM_HH
@@ -19,20 +19,28 @@
 namespace infless::coldstart {
 
 /**
- * Fixed-bin histogram of idle gaps with time-based sample eviction.
+ * Fixed-bin histograms of idle gaps over several retention windows that
+ * share one sample log.
+ *
+ * Every window sees the same samples; it differs only in how long it
+ * keeps them. The log stores each sample once, as (observedAt, bin) in
+ * two parallel deques (10 bytes per sample), and is trimmed behind the
+ * slowest window. Each window keeps a cursor to its oldest retained
+ * sample plus its own bin counts, so every query answers exactly what a
+ * separate single-window histogram would.
  */
 class IdleTimeHistogram
 {
   public:
     /**
-     * @param window Retention horizon: samples older than now-window are
-     *        dropped (HHP's "tracked duration", e.g. 4 h; LSTH uses 1 h
-     *        and 24 h).
+     * @param windows Retention horizons, one per window: a window drops
+     *        samples observed before now-window (HHP's "tracked
+     *        duration", e.g. 4 h; LSTH uses 1 h and 24 h).
      * @param bin_width Histogram granularity (1 minute, as in HHP).
      * @param range Largest representable idle time; larger gaps land in
      *        the overflow bin.
      */
-    explicit IdleTimeHistogram(sim::Tick window,
+    explicit IdleTimeHistogram(std::vector<sim::Tick> windows,
                                sim::Tick bin_width = sim::kTicksPerMin,
                                sim::Tick range = 4 * sim::kTicksPerHour);
 
@@ -45,50 +53,61 @@ class IdleTimeHistogram
     /** Insert an explicit idle-gap sample observed at @p now. */
     void addSample(sim::Tick gap, sim::Tick now);
 
-    /** Drop samples observed before @p now - window. */
+    /** Drop, from every window, samples observed before now - window. */
     void evict(sim::Tick now);
 
-    /** Number of retained samples. */
-    std::size_t count() const { return samples_.size(); }
+    /** Number of samples window @p w retains. */
+    std::size_t count(std::size_t w = 0) const;
 
-    /** Fraction of retained samples in the overflow bin. */
-    double overflowFraction() const;
+    /** Fraction of window @p w's samples in the overflow bin. */
+    double overflowFraction(std::size_t w = 0) const;
 
     /**
-     * Idle-time percentile in ticks (p in [0, 100]), reported as the
-     * *upper* edge of the containing bin — conservative for keep-alive
-     * tails (keep a little longer). Overflow samples report as the range
-     * cap. Returns 0 when empty.
+     * Idle-time percentile of window @p w in ticks (p in [0, 100]),
+     * reported as the *upper* edge of the containing bin — conservative
+     * for keep-alive tails (keep a little longer). Overflow samples
+     * report as the range cap. Returns 0 when empty.
      */
-    sim::Tick percentile(double p) const;
+    sim::Tick percentile(double p, std::size_t w = 0) const;
 
     /**
      * Like percentile(), but reported as the *lower* edge of the
      * containing bin — conservative for pre-warming heads (load a little
      * earlier).
      */
-    sim::Tick percentileLower(double p) const;
+    sim::Tick percentileLower(double p, std::size_t w = 0) const;
 
-    sim::Tick window() const { return window_; }
+    /** Retention horizon of window @p w. */
+    sim::Tick window(std::size_t w = 0) const;
     sim::Tick range() const { return range_; }
 
+    /** Samples held in the shared log (those the slowest window keeps). */
+    std::size_t logSize() const { return observedAt_.size(); }
+
   private:
-    struct Sample
+    struct Window
     {
-        sim::Tick observedAt;
-        std::size_t bin;
+        sim::Tick horizon;
+        /** Log position (counted from the first sample ever) of the
+         *  oldest sample this window retains. */
+        std::uint64_t cursor = 0;
+        std::vector<std::int64_t> bins;
+        std::int64_t total = 0;
     };
 
-    std::size_t binOf(sim::Tick gap) const;
-    std::size_t percentileBin(double p) const;
+    const Window &at(std::size_t w) const;
+    std::uint16_t binOf(sim::Tick gap) const;
+    std::size_t percentileBin(const Window &win, double p) const;
 
-    sim::Tick window_;
     sim::Tick binWidth_;
     sim::Tick range_;
     sim::Tick lastInvocation_ = -1;
-    std::deque<Sample> samples_;
-    std::vector<std::int64_t> bins_;
-    std::int64_t total_ = 0;
+    std::vector<Window> windows_;
+    /** The shared sample log, oldest first. */
+    std::deque<sim::Tick> observedAt_;
+    std::deque<std::uint16_t> binLog_;
+    /** Log position of observedAt_.front(). */
+    std::uint64_t logBase_ = 0;
 };
 
 } // namespace infless::coldstart

@@ -9,8 +9,8 @@ namespace infless::coldstart {
 
 LsthPolicy::LsthPolicy(LsthParams params)
     : params_(params),
-      shortHist_(params.shortDuration, params.binWidth, params.range),
-      longHist_(params.longDuration, params.binWidth, params.range)
+      hist_({params.shortDuration, params.longDuration}, params.binWidth,
+            params.range)
 {
     sim::simAssert(params.gamma >= 0.0 && params.gamma <= 1.0,
                    "gamma must lie in [0, 1]");
@@ -21,17 +21,15 @@ LsthPolicy::LsthPolicy(LsthParams params)
 void
 LsthPolicy::recordInvocation(sim::Tick now)
 {
-    shortHist_.recordInvocation(now);
-    longHist_.recordInvocation(now);
+    hist_.recordInvocation(now);
 }
 
 KeepAliveDecision
 LsthPolicy::decide(sim::Tick now) const
 {
-    shortHist_.evict(now);
-    longHist_.evict(now);
-    bool short_ok = shortHist_.count() >= params_.minSamples;
-    bool long_ok = longHist_.count() >= params_.minSamples;
+    hist_.evict(now);
+    bool short_ok = hist_.count(kShort) >= params_.minSamples;
+    bool long_ok = hist_.count(kLong) >= params_.minSamples;
     if (!short_ok && !long_ok)
         return KeepAliveDecision{0, params_.fallbackKeepAlive};
 
@@ -48,10 +46,10 @@ LsthPolicy::decide(sim::Tick now) const
     };
 
     sim::Tick head =
-        blend(longHist_.percentileLower(params_.headPercentile),
-              shortHist_.percentileLower(params_.headPercentile));
-    sim::Tick tail = blend(longHist_.percentile(params_.tailPercentile),
-                           shortHist_.percentile(params_.tailPercentile));
+        blend(hist_.percentileLower(params_.headPercentile, kLong),
+              hist_.percentileLower(params_.headPercentile, kShort));
+    sim::Tick tail = blend(hist_.percentile(params_.tailPercentile, kLong),
+                           hist_.percentile(params_.tailPercentile, kShort));
     return HybridHistogramPolicy::windowsFrom(head, tail, params_.margin);
 }
 

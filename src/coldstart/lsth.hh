@@ -8,7 +8,8 @@
  * them: long durations react slowly to bursts and waste resources when
  * the rate collapses; short durations miss the periodicity and raise the
  * cold-start rate. LSTH keeps two histograms — short (1 h) and long
- * (24 h) — and blends their heads and tails with a weight gamma:
+ * (24 h), two windows over one shared sample log — and blends their
+ * heads and tails with a weight gamma:
  *
  *   pre-warm   = gamma * L_prewarm   + (1 - gamma) * S_prewarm
  *   keep-alive = gamma * L_keepalive + (1 - gamma) * S_keepalive
@@ -60,16 +61,19 @@ class LsthPolicy : public KeepAlivePolicy
     KeepAliveDecision decide(sim::Tick now) const override;
     std::string name() const override;
 
-    const IdleTimeHistogram &shortHistogram() const { return shortHist_; }
-    const IdleTimeHistogram &longHistogram() const { return longHist_; }
+    /** Window indices into histogram(). */
+    static constexpr std::size_t kShort = 0;
+    static constexpr std::size_t kLong = 1;
+
+    /** Both horizons over one shared sample log (kShort, kLong). */
+    const IdleTimeHistogram &histogram() const { return hist_; }
 
     static PolicyFactory factory(LsthParams params = {});
 
   private:
     LsthParams params_;
     /** Mutable: decide() lazily evicts samples older than each window. */
-    mutable IdleTimeHistogram shortHist_;
-    mutable IdleTimeHistogram longHist_;
+    mutable IdleTimeHistogram hist_;
 };
 
 } // namespace infless::coldstart

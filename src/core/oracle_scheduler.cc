@@ -39,8 +39,8 @@ struct Search
     bool exact = true;
 
     double bestCost = std::numeric_limits<double>::max();
-    std::vector<int> bestCounts;
-    std::vector<int> counts;
+    std::vector<int> bestCounts{};
+    std::vector<int> counts{};
 
     void
     dfs(std::size_t idx, double cost, double up, double low)

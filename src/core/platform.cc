@@ -353,14 +353,13 @@ Platform::onArrival(FunctionId fn)
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
 
-    auto request = static_cast<RequestIndex>(requests_.size());
     RequestRecord record;
     record.function = fn;
     record.arrival = now;
     record.rootArrival = now;
     record.chain = f.chain;
     record.stage = f.stage;
-    requests_.push_back(record);
+    RequestIndex request = requests_.add(record);
 
     if (f.chain != kNoChain && f.stage == 0) {
         chains_[static_cast<std::size_t>(f.chain)].metrics.recordArrival(
@@ -427,17 +426,20 @@ Platform::routeRequest(FunctionId fn, RequestIndex request)
             }
             return kNone;
         }
-        std::vector<double> weights, served;
-        std::vector<bool> eligible;
-        weights.reserve(f.live.size());
+        // Member scratch: filled and consumed here with no call in
+        // between that could route, so reuse never aliases.
+        pickWeights_.clear();
+        pickServed_.clear();
+        pickEligible_.clear();
         for (std::size_t idx : f.live) {
             const InstanceRuntime &rt = instances_[idx];
-            weights.push_back(rt.targetRate > 0.0 ? rt.targetRate
-                                                  : rt.bounds.up);
-            served.push_back(rt.servedInEpoch);
-            eligible.push_back(is_eligible(rt));
+            pickWeights_.push_back(rt.targetRate > 0.0 ? rt.targetRate
+                                                       : rt.bounds.up);
+            pickServed_.push_back(rt.servedInEpoch);
+            pickEligible_.push_back(is_eligible(rt));
         }
-        std::size_t local = pickWeighted(weights, served, eligible);
+        std::size_t local =
+            pickWeighted(pickWeights_, pickServed_, pickEligible_);
         return local == kNone ? kNone : f.live[local];
     };
 
@@ -456,9 +458,7 @@ Platform::routeRequest(FunctionId fn, RequestIndex request)
         // deadline) to seat this one.
         if (opts_.overload.queue.evictOldest && tryEvictInto(fn, request))
             return;
-        const RequestRecord &record =
-            requests_[static_cast<std::size_t>(request)];
-        if (record.retried) {
+        if (requests_[request].retried) {
             // Already lost to a crash once: burn another retry instead
             // of dropping into a cluster that is still restoring
             // capacity. Budget exhaustion inside failoverRequest yields
@@ -598,7 +598,7 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
                           sim::Tick started, sim::Tick exec_time)
 {
     const InstanceRuntime &rt = instances_[idx];
-    RequestRecord &record = requests_[static_cast<std::size_t>(request)];
+    RequestRecord &record = requests_[request];
     FunctionState &f = functionState(record.function);
 
     sim::Tick cold = 0;
@@ -693,26 +693,26 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
         total_.recordFailover();
     }
 
-    if (record.chain != kNoChain) {
-        record.coldAccum += cold;
-        record.queueAccum += queue_time;
-        record.execAccum += exec_time;
-        record.batchAccum += batch_wait;
-        advanceChain(request, sim_.now());
+    if (record.chain == kNoChain) {
+        requests_.retire(request);
+        return;
     }
+    record.coldAccum += cold;
+    record.queueAccum += queue_time;
+    record.execAccum += exec_time;
+    record.batchAccum += batch_wait;
+    advanceChain(request, sim_.now());
 }
 
 void
 Platform::advanceChain(RequestIndex request, sim::Tick now)
 {
-    const RequestRecord &record =
-        requests_[static_cast<std::size_t>(request)];
+    const RequestRecord &record = requests_[request];
     ChainState &chain = chains_[static_cast<std::size_t>(record.chain)];
 
     auto next_stage = static_cast<std::size_t>(record.stage) + 1;
     if (next_stage < chain.stages.size()) {
         FunctionId next_fn = chain.stages[next_stage];
-        auto next = static_cast<RequestIndex>(requests_.size());
         RequestRecord forwarded;
         forwarded.function = next_fn;
         forwarded.arrival = now;
@@ -723,7 +723,8 @@ Platform::advanceChain(RequestIndex request, sim::Tick now)
         forwarded.queueAccum = record.queueAccum;
         forwarded.execAccum = record.execAccum;
         forwarded.batchAccum = record.batchAccum;
-        requests_.push_back(forwarded);
+        RequestIndex next = requests_.add(forwarded);
+        requests_.retire(request); // `record` is dead from here on
         ingestRequest(next_fn, next);
         return;
     }
@@ -731,6 +732,7 @@ Platform::advanceChain(RequestIndex request, sim::Tick now)
     metrics::LatencyBreakdown parts{record.coldAccum, record.queueAccum,
                                     record.execAccum, record.batchAccum};
     chain.metrics.recordCompletion(now, parts, chain.spec.sloTicks);
+    requests_.retire(request);
 }
 
 void
@@ -1001,7 +1003,7 @@ Platform::dropRequestInternal(FunctionState &f, RequestIndex request,
 {
     f.metrics.recordDrop(now);
     total_.recordDrop(now);
-    RequestRecord &record = requests_[static_cast<std::size_t>(request)];
+    RequestRecord &record = requests_[request];
     if (record.limiterHeld) {
         // A drop of an admitted request is the limiter's congestion
         // signal: free the slot and decrease multiplicatively (subject
@@ -1040,6 +1042,8 @@ Platform::dropRequestInternal(FunctionState &f, RequestIndex request,
         chains_[static_cast<std::size_t>(record.chain)].metrics.recordDrop(
             now);
     }
+    // Every drop, shed, eviction and exhausted failover ends here.
+    requests_.retire(request);
 }
 
 void
@@ -1047,7 +1051,7 @@ Platform::failoverRequest(FunctionId fn, RequestIndex request)
 {
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
-    RequestRecord &rec = requests_[static_cast<std::size_t>(request)];
+    RequestRecord &rec = requests_[request];
     const faults::RetryPolicy &rp = opts_.retry;
     if (!rp.retriesEnabled() || rec.retries >= rp.maxAttempts - 1) {
         dropRequest(f, request, now);
@@ -1146,8 +1150,7 @@ Platform::admitRequest(FunctionId fn, RequestIndex request)
         // Retries and re-routes of an already-admitted request keep
         // their slot (limiterHeld), so the gate is idempotent per
         // request and conservation of the counter is exact.
-        RequestRecord &record =
-            requests_[static_cast<std::size_t>(request)];
+        RequestRecord &record = requests_[request];
         if (!record.limiterHeld) {
             if (!f.limiter.strategy.tryAcquire(f.limiter.limit.limit())) {
                 if (!f.limiter.limit.warmedUp()) {
@@ -1230,8 +1233,7 @@ void
 Platform::shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
                       ShedCause cause)
 {
-    const RequestRecord &record =
-        requests_[static_cast<std::size_t>(request)];
+    const RequestRecord &record = requests_[request];
     switch (cause) {
       case ShedCause::Breaker:
         f.metrics.recordBreakerShed(now);
@@ -1419,6 +1421,7 @@ bool
 Platform::auditConservation(std::string *diagnostic) const
 {
     bool ok = true;
+    std::int64_t total_in_flight = 0;
     for (std::size_t fi = 0; fi < functions_.size(); ++fi) {
         const FunctionState &f = functions_[fi];
         std::int64_t queued = 0;
@@ -1430,6 +1433,7 @@ Platform::auditConservation(std::string *diagnostic) const
         }
         std::int64_t in_flight =
             queued + executing + f.pendingRetries + f.pendingIngress;
+        total_in_flight += in_flight;
         std::int64_t arrivals = f.metrics.arrivals();
         std::int64_t settled =
             f.metrics.completions() + f.metrics.drops();
@@ -1448,6 +1452,15 @@ Platform::auditConservation(std::string *diagnostic) const
                 std::to_string(f.pendingRetries) + ", ingress-wait=" +
                 std::to_string(f.pendingIngress) + ") leak=" +
                 std::to_string(arrivals - settled - in_flight) + "\n";
+        }
+    }
+    if (requests_.live() != total_in_flight) {
+        ok = false;
+        if (diagnostic) {
+            *diagnostic += "request table: live records=" +
+                           std::to_string(requests_.live()) +
+                           " in-flight=" + std::to_string(total_in_flight) +
+                           "\n";
         }
     }
     return ok;

@@ -31,6 +31,7 @@
 #include "coldstart/policy.hh"
 #include "core/batch_queue.hh"
 #include "core/dispatcher.hh"
+#include "core/request_table.hh"
 #include "core/scheduler.hh"
 #include "core/types.hh"
 #include "faults/fault_injector.hh"
@@ -270,6 +271,12 @@ class Platform
      */
     std::int64_t inFlightRequests() const;
 
+    /**
+     * Request records held: one per in-flight request, since a record
+     * retires when its request completes or drops. Zero after a drain.
+     */
+    std::int64_t liveRequestRecords() const { return requests_.live(); }
+
     /** Scheduling passes (Algorithm 1 invocations) run so far. */
     std::uint64_t schedulerDecisions() const
     {
@@ -461,12 +468,14 @@ class Platform
      * Request conservation: for every function,
      * arrivals == completions + drops + in-flight, where in-flight spans
      * live queues, executing batches, retry backoffs and the ingress
-     * delay stage. Checked automatically after every run() (unless the
-     * event engine truncated); public for tests.
+     * delay stage. The request table must also hold exactly one live
+     * record per in-flight request (records retire at completion or
+     * drop). Checked automatically after every run() (unless the event
+     * engine truncated); public for tests.
      *
      * @param diagnostic When non-null, receives one line per leaking
-     *        function on failure.
-     * @return true when every function balances.
+     *        function (and one for a record-count mismatch) on failure.
+     * @return true when every function and the request table balance.
      */
     bool auditConservation(std::string *diagnostic = nullptr) const;
 
@@ -507,7 +516,7 @@ class Platform
         FunctionId fn = kNoFunction;
         /** Requests of the batch currently executing (failed over when a
          *  crash kills the instance mid-batch). */
-        std::vector<RequestIndex> inFlight;
+        std::vector<RequestIndex> inFlight{};
         /** Bumped when the instance is crash-killed: the non-cancellable
          *  batch-completion event compares it and dead-letters itself. */
         std::uint32_t liveEpoch = 0;
@@ -623,7 +632,8 @@ class Platform
     void onArrival(FunctionId fn);
     /** Shared arrival path: account the request and route it. */
     void ingestRequest(FunctionId fn, RequestIndex request);
-    /** Move a finished chain request to its next stage (or finish it). */
+    /** Move a finished chain request to its next stage (or finish it);
+     *  retires the finished stage's record either way. */
     void advanceChain(RequestIndex request, sim::Tick now);
     void routeRequest(FunctionId fn, RequestIndex request);
     void tryStartBatch(std::size_t idx);
@@ -745,8 +755,13 @@ class Platform
     std::vector<FunctionState> functions_;
     std::vector<ChainState> chains_;
     std::vector<InstanceRuntime> instances_;
-    std::vector<RequestRecord> requests_;
+    /** Records of requests not yet completed or dropped. */
+    RequestTable requests_;
     std::vector<TraceFeed> feeds_;
+    /** routeRequest's pickWeighted inputs, reused across requests. */
+    std::vector<double> pickWeights_;
+    std::vector<double> pickServed_;
+    std::vector<bool> pickEligible_;
 
     metrics::RunMetrics total_;
     metrics::TimeWeightedMean fragRatio_;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/time.hh"
 
@@ -71,8 +72,8 @@ struct ChainSpec
 };
 
 /**
- * Per-request bookkeeping kept by the platform from arrival to
- * completion.
+ * Per-request bookkeeping kept by the platform from arrival to its
+ * terminal point (completion or drop), in a RequestTable.
  */
 struct RequestRecord
 {
@@ -103,7 +104,13 @@ struct RequestRecord
      * crash retries re-entering routing never double-acquire.
      */
     bool limiterHeld = false;
+    /** Set once the request reached its terminal point (RequestTable);
+     *  sits in the tail padding, so the record stays 72 bytes. */
+    bool retired = false;
 };
+
+static_assert(sizeof(RequestRecord) == 72,
+              "RequestRecord grew past 72 bytes");
 
 } // namespace infless::core
 

@@ -25,8 +25,9 @@ TEST(CellPartition, CoversEveryServerExactlyOnce)
             EXPECT_EQ(slices.back().end, servers);
             std::size_t total = 0;
             for (std::size_t c = 0; c < cells; ++c) {
-                if (c > 0)
+                if (c > 0) {
                     EXPECT_EQ(slices[c].begin, slices[c - 1].end);
+                }
                 total += slices[c].size();
             }
             EXPECT_EQ(total, servers);

@@ -71,8 +71,9 @@ TEST(HeterogeneousClusterTest, GpuConfigsLandOnGpuServers)
         sched.schedule(resnet, 500.0, msToTicks(200), 32, cluster);
     ASSERT_FALSE(plans.empty());
     for (const auto &plan : plans) {
-        if (plan.config.resources.gpuSmPercent > 0)
+        if (plan.config.resources.gpuSmPercent > 0) {
             EXPECT_LT(plan.server, 2) << "GPU config on CPU-only server";
+        }
     }
 }
 

@@ -18,7 +18,7 @@ using infless::sim::Tick;
 
 TEST(HistogramTest, EmptyHistogramReportsZero)
 {
-    IdleTimeHistogram h(kTicksPerHour);
+    IdleTimeHistogram h({kTicksPerHour});
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.percentile(50), 0);
     EXPECT_DOUBLE_EQ(h.overflowFraction(), 0.0);
@@ -26,7 +26,7 @@ TEST(HistogramTest, EmptyHistogramReportsZero)
 
 TEST(HistogramTest, RecordInvocationDerivesGaps)
 {
-    IdleTimeHistogram h(kTicksPerHour);
+    IdleTimeHistogram h({kTicksPerHour});
     h.recordInvocation(0);
     EXPECT_EQ(h.count(), 0u); // first invocation has no gap
     h.recordInvocation(5 * kTicksPerMin);
@@ -37,7 +37,7 @@ TEST(HistogramTest, RecordInvocationDerivesGaps)
 
 TEST(HistogramTest, PercentilesUseBinUpperEdges)
 {
-    IdleTimeHistogram h(kTicksPerHour);
+    IdleTimeHistogram h({kTicksPerHour});
     // Gaps of 0.5, 1.5, 2.5 ... 9.5 minutes.
     for (int i = 0; i < 10; ++i) {
         h.addSample(i * kTicksPerMin + kTicksPerMin / 2,
@@ -50,7 +50,7 @@ TEST(HistogramTest, PercentilesUseBinUpperEdges)
 
 TEST(HistogramTest, PercentileMonotoneInP)
 {
-    IdleTimeHistogram h(kTicksPerHour);
+    IdleTimeHistogram h({kTicksPerHour});
     for (int i = 1; i <= 100; ++i)
         h.addSample(i * kTicksPerMin / 3, i);
     Tick prev = 0;
@@ -63,7 +63,7 @@ TEST(HistogramTest, PercentileMonotoneInP)
 
 TEST(HistogramTest, WindowEvictsOldSamples)
 {
-    IdleTimeHistogram h(kTicksPerHour);
+    IdleTimeHistogram h({kTicksPerHour});
     h.addSample(kTicksPerMin, 0);
     h.addSample(2 * kTicksPerMin, 30 * kTicksPerMin);
     EXPECT_EQ(h.count(), 2u);
@@ -76,7 +76,7 @@ TEST(HistogramTest, WindowEvictsOldSamples)
 
 TEST(HistogramTest, OverflowSamplesLandInOverflowBin)
 {
-    IdleTimeHistogram h(24 * kTicksPerHour, kTicksPerMin,
+    IdleTimeHistogram h({24 * kTicksPerHour}, kTicksPerMin,
                         4 * kTicksPerHour);
     h.addSample(10 * kTicksPerHour, 0); // beyond the 4h range
     h.addSample(kTicksPerMin, 1);
@@ -87,7 +87,7 @@ TEST(HistogramTest, OverflowSamplesLandInOverflowBin)
 
 TEST(HistogramTest, NegativeGapClampsToZeroBin)
 {
-    IdleTimeHistogram h(kTicksPerHour);
+    IdleTimeHistogram h({kTicksPerHour});
     h.addSample(-5, 0);
     EXPECT_EQ(h.count(), 1u);
     EXPECT_EQ(h.percentile(100), kTicksPerMin); // first bin upper edge
@@ -95,14 +95,14 @@ TEST(HistogramTest, NegativeGapClampsToZeroBin)
 
 TEST(HistogramTest, BadPercentilePanics)
 {
-    IdleTimeHistogram h(kTicksPerHour);
+    IdleTimeHistogram h({kTicksPerHour});
     EXPECT_THROW(h.percentile(-1), infless::sim::PanicError);
     EXPECT_THROW(h.percentile(101), infless::sim::PanicError);
 }
 
 TEST(HistogramTest, EvictionKeepsBinCountsConsistent)
 {
-    IdleTimeHistogram h(10 * kTicksPerMin);
+    IdleTimeHistogram h({10 * kTicksPerMin});
     for (int i = 0; i < 50; ++i)
         h.addSample(kTicksPerMin, i * kTicksPerMin);
     // Window is 10 minutes: at observation time 49 min, only samples
@@ -110,6 +110,58 @@ TEST(HistogramTest, EvictionKeepsBinCountsConsistent)
     EXPECT_LE(h.count(), 11u);
     // All surviving samples are 1-minute gaps (bin upper edge: 2 min).
     EXPECT_EQ(h.percentile(100), 2 * kTicksPerMin);
+}
+
+TEST(HistogramTest, WindowsEvictIndependently)
+{
+    // Windows listed out of order: the log must trim behind the slowest
+    // (24 h) whatever its position.
+    IdleTimeHistogram h({24 * kTicksPerHour, kTicksPerHour});
+    EXPECT_EQ(h.window(1), kTicksPerHour);
+    h.addSample(kTicksPerMin, 0);
+    h.addSample(30 * kTicksPerMin, 90 * kTicksPerMin);
+    h.evict(2 * kTicksPerHour);
+    EXPECT_EQ(h.count(0), 2u);
+    EXPECT_EQ(h.count(1), 1u);
+    EXPECT_EQ(h.percentile(100, 0), 31 * kTicksPerMin);
+    EXPECT_EQ(h.percentileLower(0, 1), 30 * kTicksPerMin);
+    EXPECT_EQ(h.logSize(), 2u);
+    h.evict(25 * kTicksPerHour);
+    EXPECT_EQ(h.count(0), 1u);
+    EXPECT_EQ(h.count(1), 0u);
+    EXPECT_EQ(h.logSize(), 1u);
+    h.evict(48 * kTicksPerHour);
+    EXPECT_EQ(h.count(0), 0u);
+    EXPECT_EQ(h.logSize(), 0u);
+    EXPECT_EQ(h.percentile(50, 0), 0);
+}
+
+TEST(HistogramTest, LogHoldsOnlyWhatTheSlowestWindowKeeps)
+{
+    IdleTimeHistogram h({kTicksPerHour, 4 * kTicksPerHour});
+    for (int i = 0; i <= 24 * 60; ++i)
+        h.recordInvocation(i * kTicksPerMin);
+    // The 4 h window keeps 241 one-minute samples; nothing older stays.
+    EXPECT_EQ(h.count(1), 241u);
+    EXPECT_EQ(h.count(0), 61u);
+    EXPECT_EQ(h.logSize(), h.count(1));
+}
+
+TEST(HistogramTest, BinCountMustFitUint16)
+{
+    // Bins 0..65535 (the last is the overflow bin) still fit.
+    EXPECT_NO_THROW(IdleTimeHistogram({kTicksPerHour}, 1, 65534));
+    EXPECT_THROW(IdleTimeHistogram({kTicksPerHour}, 1, 65535),
+                 infless::sim::PanicError);
+}
+
+TEST(HistogramTest, BadWindowsPanic)
+{
+    EXPECT_THROW(IdleTimeHistogram({}), infless::sim::PanicError);
+    EXPECT_THROW(IdleTimeHistogram({kTicksPerHour, 0}),
+                 infless::sim::PanicError);
+    IdleTimeHistogram h({kTicksPerHour});
+    EXPECT_THROW(h.count(1), infless::sim::PanicError);
 }
 
 } // namespace

@@ -168,9 +168,10 @@ TEST(LsthTest, UsesLongOnlyWhenShortIsEmpty)
         t += 10 * kTicksPerMin;
         policy.recordInvocation(t);
     }
-    // Decide 2 hours later: short histogram evicted, long one alive.
-    policy.shortHistogram();
+    // Decide 2 hours later: short window evicted, long one alive.
     auto d = policy.decide(t + 2 * kTicksPerHour);
+    EXPECT_EQ(policy.histogram().count(LsthPolicy::kShort), 0u);
+    EXPECT_EQ(policy.histogram().count(LsthPolicy::kLong), 19u);
     EXPECT_TRUE(d.covers(10 * kTicksPerMin));
 }
 

@@ -111,8 +111,9 @@ TEST_P(PolicySweep, EvaluationIsInternallyConsistent)
     EXPECT_EQ(eval.invocations,
               static_cast<std::int64_t>(trace.size()));
     EXPECT_LE(eval.coldStarts, eval.invocations);
-    if (eval.invocations > 0)
+    if (eval.invocations > 0) {
         EXPECT_GE(eval.coldStarts, 1); // the first is always cold
+    }
     EXPECT_GE(eval.wastedWarmTicks, 0);
     // Warm-idle time can exceed the trace only through post-miss
     // keep-alive windows; cap it generously.

@@ -176,8 +176,9 @@ TEST(PlatformObsTest, FractionalSamplingTracesSubsetConsistently)
     // Every recorded request must itself be sampled (no leakage), and
     // strictly fewer than all arrivals can be traced.
     for (const SpanRecord &rec : tracer.snapshot()) {
-        if (rec.request >= 0)
+        if (rec.request >= 0) {
             EXPECT_TRUE(tracer.sampled(rec.request));
+        }
     }
     EXPECT_LT(tracer.recorded(),
               static_cast<std::uint64_t>(p.totalMetrics().arrivals()) * 4);

@@ -35,7 +35,8 @@ runInjector(std::uint64_t seed, const FaultProfile &profile,
     Recorded rec;
     injector.start(FaultInjector::Hooks{
         [&](ServerId id) { rec.crashes.emplace_back(sim.now(), id); },
-        [&](ServerId id) { rec.recoveries.emplace_back(sim.now(), id); }});
+        [&](ServerId id) { rec.recoveries.emplace_back(sim.now(), id); },
+        {}, {}});
     sim.runUntil(until);
     return rec;
 }
@@ -206,7 +207,8 @@ TEST(FaultInjectorTest, AddServerMatchesFromBirthSchedule)
     Recorded rec;
     injector.start(FaultInjector::Hooks{
         [&](ServerId id) { rec.crashes.emplace_back(sim.now(), id); },
-        [&](ServerId id) { rec.recoveries.emplace_back(sim.now(), id); }});
+        [&](ServerId id) { rec.recoveries.emplace_back(sim.now(), id); },
+        {}, {}});
     injector.addServer(4);
     sim.runUntil(until);
     EXPECT_EQ(born.crashes, rec.crashes);
@@ -257,8 +259,9 @@ TEST(DomainOutageTest, StochasticStreamDeterministicAndSequential)
         EXPECT_LT(a[i].zone, 4);
         EXPECT_GT(a[i].repairAt, a[i].at);
         // Outages never overlap: the next one starts after the repair.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(a[i].at, a[i - 1].repairAt);
+        }
         EXPECT_LE(a[i].at, profile.crashHorizon);
     }
     EXPECT_NE(collect(43).front().at, a.front().at);

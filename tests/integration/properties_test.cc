@@ -92,8 +92,9 @@ TEST_P(PlatformProperties, InvariantsHoldThroughoutARun)
     EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
 
     // Resource conservation: nothing allocated without live instances.
-    if (platform->liveInstanceCount() == 0)
+    if (platform->liveInstanceCount() == 0) {
         EXPECT_TRUE(platform->cluster().totalAllocated().isZero());
+    }
 
     // No server ever exceeded capacity (release() panics otherwise, so
     // this is a belt-and-braces check on availability bounds).
