@@ -10,7 +10,7 @@ CapacityIndex::rebuild(const std::vector<Server> &servers)
     classes_.clear();
     serverCount_ = 0;
     for (const auto &s : servers) {
-        if (!s.isDown() && !s.isRetired() && !s.isQuarantined())
+        if (!s.isDown() && !s.isQuarantined())
             insert(s.id(), s.available());
     }
 }
@@ -148,7 +148,7 @@ CapacityIndex::consistentWith(const std::vector<Server> &servers) const
             if (id < 0 || static_cast<std::size_t>(id) >= servers.size())
                 return false;
             const Server &s = servers[static_cast<std::size_t>(id)];
-            if (s.isDown() || s.isRetired() || s.isQuarantined() ||
+            if (s.isDown() || s.isQuarantined() ||
                 !(s.available() == avail))
                 return false;
             ++filed;
@@ -172,11 +172,11 @@ CapacityIndex::consistentWith(const std::vector<Server> &servers) const
             return false;
         }
     }
-    // Down, retired and quarantined servers are unfiled: classes
-    // partition the *up, still-member, admitted* servers only.
+    // Down and quarantined servers are unfiled: classes partition the
+    // *up, admitted* servers only.
     std::size_t up = 0;
     for (const auto &s : servers)
-        up += (s.isDown() || s.isRetired() || s.isQuarantined()) ? 0 : 1;
+        up += (s.isDown() || s.isQuarantined()) ? 0 : 1;
     return filed == up && serverCount_ == up;
 }
 

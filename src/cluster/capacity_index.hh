@@ -111,7 +111,7 @@ class CapacityIndex
      *
      * @param filed_avail The server's current availability if it is
      *        presently filed in the index (so its bucket can move), or
-     *        nullptr if it is unfiled (down/retired/quarantined).
+     *        nullptr if it is unfiled (down/quarantined).
      */
     void assignDomain(ServerId id, DomainId rack,
                       const Resources *filed_avail);

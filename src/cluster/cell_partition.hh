@@ -4,12 +4,9 @@
  *
  * A cell is a set of server ids that one Platform instance owns
  * exclusively: its own CapacityIndex, event queue and metrics shard.
- * Construction still hands out contiguous near-equal slices (cells=1
- * covers exactly the flat cluster), but ownership is *dynamic*: the
- * CellMembership map tracks which cell owns each global server id and
- * which local id the owning cell filed it under, so servers can migrate
- * between cells at window barriers without any contiguous-range
- * arithmetic baked into lookups.
+ * Cells are contiguous near-equal slices fixed for the whole run
+ * (cells=1 covers exactly the flat cluster), so global id g lives in
+ * the slice containing it under local id g - slice.begin.
  */
 
 #ifndef INFLESS_CLUSTER_CELL_PARTITION_HH
@@ -18,14 +15,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
-
-#include "cluster/server.hh"
-#include "sim/logging.hh"
 
 namespace infless::cluster {
 
-/** Half-open server-id range [begin, end) seeding one cell. */
+/** Half-open server-id range [begin, end) owned by one cell. */
 struct CellSlice
 {
     std::size_t begin = 0;
@@ -73,165 +68,21 @@ partitionServers(std::size_t num_servers, std::size_t cells)
 }
 
 /**
- * Dynamic global-server-id <-> (cell, local id) mapping.
- *
- * Starts from the contiguous partitionServers() layout and is updated by
- * migrate() whenever a server moves between cells. Lookups are O(1)
- * array reads; per-cell member lists are kept sorted by global id so
- * donor scans and any iteration over a cell's servers are deterministic
- * regardless of migration history.
- *
- * Local ids only ever grow in the receiving cell (the cell's Platform
- * appends an adopted server to its Cluster); the donor's old local slot
- * is retired and maps to kNoServer.
+ * Where global server @p global lives in a partitionServers() layout:
+ * (cell, local id), found by binary search over the slice ends. Throws
+ * std::out_of_range for an id past the last slice.
  */
-class CellMembership
+inline std::pair<std::size_t, std::size_t>
+locateServer(const std::vector<CellSlice> &slices, std::size_t global)
 {
-  public:
-    CellMembership(std::size_t num_servers, std::size_t cells)
-    {
-        auto slices = partitionServers(num_servers, cells);
-        cellOf_.resize(num_servers);
-        localOf_.resize(num_servers);
-        members_.resize(slices.size());
-        localToGlobal_.resize(slices.size());
-        for (std::size_t c = 0; c < slices.size(); ++c) {
-            members_[c].reserve(slices[c].size());
-            localToGlobal_[c].reserve(slices[c].size());
-            for (std::size_t g = slices[c].begin; g < slices[c].end; ++g) {
-                cellOf_[g] = c;
-                localOf_[g] =
-                    static_cast<ServerId>(g - slices[c].begin);
-                members_[c].push_back(static_cast<ServerId>(g));
-                localToGlobal_[c].push_back(static_cast<ServerId>(g));
-            }
-        }
-    }
-
-    std::size_t cellCount() const { return members_.size(); }
-    std::size_t totalServers() const { return cellOf_.size(); }
-
-    /** Cell currently owning global server @p global. */
-    std::size_t
-    cellOf(ServerId global) const
-    {
-        checkGlobal(global);
-        return cellOf_[static_cast<std::size_t>(global)];
-    }
-
-    /** Local id the owning cell filed @p global under. */
-    ServerId
-    localId(ServerId global) const
-    {
-        checkGlobal(global);
-        return localOf_[static_cast<std::size_t>(global)];
-    }
-
-    /** Global id behind (cell, local); kNoServer for retired slots. */
-    ServerId
-    globalId(std::size_t cell, ServerId local) const
-    {
-        sim::simAssert(cell < members_.size(), "bad cell ", cell);
-        const auto &l2g = localToGlobal_[cell];
-        sim::simAssert(local >= 0 &&
-                           static_cast<std::size_t>(local) < l2g.size(),
-                       "bad local id ", local);
-        return l2g[static_cast<std::size_t>(local)];
-    }
-
-    /** Global ids owned by @p cell, ascending. */
-    const std::vector<ServerId> &
-    members(std::size_t cell) const
-    {
-        sim::simAssert(cell < members_.size(), "bad cell ", cell);
-        return members_[cell];
-    }
-
-    /** Servers currently owned by @p cell. */
-    std::size_t size(std::size_t cell) const
-    {
-        return members(cell).size();
-    }
-
-    /**
-     * Re-home @p global to @p to_cell under the local id @p new_local the
-     * receiving cell assigned. The donor's old local slot becomes a
-     * retired tombstone (globalId() returns kNoServer for it).
-     */
-    void
-    migrate(ServerId global, std::size_t to_cell, ServerId new_local)
-    {
-        checkGlobal(global);
-        sim::simAssert(to_cell < members_.size(), "bad cell ", to_cell);
-        auto g = static_cast<std::size_t>(global);
-        std::size_t from = cellOf_[g];
-        sim::simAssert(from != to_cell, "migrate to the owning cell");
-        // Validate the append before touching anything so a rejected
-        // migrate leaves the map untouched.
-        sim::simAssert(static_cast<std::size_t>(new_local) ==
-                           localToGlobal_[to_cell].size(),
-                       "adopted local id must append");
-
-        // Unfile from the donor: tombstone the local slot, drop the
-        // (sorted) member entry.
-        localToGlobal_[from][static_cast<std::size_t>(localOf_[g])] =
-            kNoServer;
-        auto &src = members_[from];
-        auto it = std::lower_bound(src.begin(), src.end(), global);
-        sim::simAssert(it != src.end() && *it == global,
-                       "membership lost server ", global);
-        src.erase(it);
-
-        // File under the receiver. The receiving platform appends, so
-        // new_local extends its local id space by exactly one.
-        localToGlobal_[to_cell].push_back(global);
-        auto &dst = members_[to_cell];
-        dst.insert(std::lower_bound(dst.begin(), dst.end(), global),
-                   global);
-        cellOf_[g] = to_cell;
-        localOf_[g] = new_local;
-    }
-
-    /**
-     * Exhaustive invariant check: every global id is owned by exactly
-     * one cell, member lists are sorted and consistent with the O(1)
-     * maps, and tombstones point nowhere. For tests.
-     */
-    bool
-    consistent() const
-    {
-        std::size_t seen = 0;
-        for (std::size_t c = 0; c < members_.size(); ++c) {
-            ServerId prev = kNoServer;
-            for (ServerId g : members_[c]) {
-                if (g <= prev)
-                    return false;
-                prev = g;
-                auto gi = static_cast<std::size_t>(g);
-                if (gi >= cellOf_.size() || cellOf_[gi] != c)
-                    return false;
-                if (globalId(c, localOf_[gi]) != g)
-                    return false;
-                ++seen;
-            }
-        }
-        return seen == cellOf_.size();
-    }
-
-  private:
-    void
-    checkGlobal(ServerId global) const
-    {
-        sim::simAssert(global >= 0 && static_cast<std::size_t>(global) <
-                                          cellOf_.size(),
-                       "bad global server id ", global);
-    }
-
-    std::vector<std::size_t> cellOf_;
-    std::vector<ServerId> localOf_;
-    std::vector<std::vector<ServerId>> members_;
-    std::vector<std::vector<ServerId>> localToGlobal_;
-};
+    auto it = std::partition_point(
+        slices.begin(), slices.end(),
+        [global](const CellSlice &s) { return s.end <= global; });
+    if (it == slices.end())
+        throw std::out_of_range("locateServer: id past the last slice");
+    return {static_cast<std::size_t>(it - slices.begin()),
+            global - it->begin};
+}
 
 } // namespace infless::cluster
 

@@ -21,15 +21,6 @@ CellRouter::refresh(const std::vector<CellDigest> &digests)
     std::fill(routed_.begin(), routed_.end(), 0);
 }
 
-void
-CellRouter::invalidate(std::size_t cell)
-{
-    if (cell >= digests_.size())
-        throw std::invalid_argument("CellRouter::invalidate: bad cell");
-    digests_[cell] = CellDigest{};
-    routed_[cell] = 0;
-}
-
 double
 CellRouter::score(std::size_t cell) const
 {

@@ -80,16 +80,6 @@ class CellRouter
     }
 
     /**
-     * Drop the stale view of one cell ahead of a refresh: a migration
-     * just changed its capacity, so the routed-since-refresh correction
-     * (counted against the *old* digest) no longer means anything. The
-     * digest's availability is zeroed alongside so a score() query
-     * between invalidate() and refresh() never credits departed
-     * capacity.
-     */
-    void invalidate(std::size_t cell);
-
-    /**
      * Load score used to compare candidates: outstanding work (queue
      * depth at the barrier, plus what this router already sent since,
      * plus drop pressure) per unit of weighted free capacity. Lower is

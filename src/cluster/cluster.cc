@@ -39,7 +39,7 @@ Cluster::capacities() const
     std::vector<Resources> result;
     result.reserve(servers_.size());
     for (const auto &s : servers_)
-        result.push_back(s.isRetired() ? Resources{} : s.capacity());
+        result.push_back(s.capacity());
     return result;
 }
 
@@ -58,15 +58,6 @@ Cluster::probeCapacities(std::size_t per_capacity) const
     for (ServerId id : ids)
         result.push_back(servers_[static_cast<std::size_t>(id)].capacity());
     return result;
-}
-
-std::size_t
-Cluster::liveServers() const
-{
-    std::size_t live = 0;
-    for (const auto &[capacity, members] : byCapacity_)
-        live += members.size();
-    return live;
 }
 
 Server &
@@ -89,10 +80,8 @@ Resources
 Cluster::totalCapacity() const
 {
     Resources total;
-    for (const auto &s : servers_) {
-        if (!s.isRetired())
-            total += s.capacity();
-    }
+    for (const auto &s : servers_)
+        total += s.capacity();
     return total;
 }
 
@@ -100,10 +89,8 @@ Resources
 Cluster::totalAvailable() const
 {
     Resources total;
-    for (const auto &s : servers_) {
-        if (!s.isRetired())
-            total += s.available();
-    }
+    for (const auto &s : servers_)
+        total += s.available();
     return total;
 }
 
@@ -146,37 +133,6 @@ Cluster::release(ServerId id, const Resources &req)
     // availability is re-filed wholesale when they rejoin the pool.
     if (filed(s))
         index_.update(id, before, s.available());
-}
-
-ServerId
-Cluster::addServer(const Resources &capacity)
-{
-    auto id = static_cast<ServerId>(servers_.size());
-    fileCapacity(servers_.emplace_back(id, capacity));
-    index_.add(id, servers_.back().available());
-    return id;
-}
-
-Resources
-Cluster::removeServer(ServerId id)
-{
-    Server &s = serverMut(id);
-    sim::simAssert(!s.isRetired(), "server ", id, " already retired");
-    sim::simAssert(!s.isDown(), "cannot release a crashed server ", id);
-    sim::simAssert(s.allocationCount() == 0,
-                   "cannot release a busy server ", id);
-    if (filed(s))
-        index_.remove(id, s.available());
-    // An idle server normally holds nothing; subtracting what the full
-    // sum would have counted keeps allocated_ exact regardless.
-    allocated_ -= s.allocated();
-    auto cls = byCapacity_.find(s.capacity());
-    std::vector<ServerId> &ids = cls->second;
-    ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
-    if (ids.empty())
-        byCapacity_.erase(cls);
-    s.markRetired();
-    return s.capacity();
 }
 
 void
@@ -230,7 +186,6 @@ Cluster::quarantineServer(ServerId id)
     Server &s = serverMut(id);
     if (s.isQuarantined())
         return;
-    sim::simAssert(!s.isRetired(), "cannot quarantine retired server ", id);
     if (filed(s))
         index_.remove(id, s.available());
     s.markQuarantined();

@@ -42,23 +42,18 @@ class Cluster
      */
     explicit Cluster(const std::vector<Resources> &capacities);
 
-    /** Per-server capacities, in server-id order. Retired servers report
-     *  zero capacity so scratch clusters built from this vector keep id
-     *  alignment without re-counting departed machines. */
+    /** Per-server capacities, in server-id order. */
     std::vector<Resources> capacities() const;
 
     /**
      * A compact stand-in for capacities() when probing placements on an
      * empty copy of the fleet: for every distinct capacity, the
-     * @p per_capacity lowest-id live servers of that capacity, merged in
+     * @p per_capacity lowest-id servers of that capacity, merged in
      * id order. O(classes x per_capacity), independent of fleet size.
      */
     std::vector<Resources> probeCapacities(std::size_t per_capacity) const;
 
     std::size_t size() const { return servers_.size(); }
-
-    /** Servers that still belong to this cluster (not retired). */
-    std::size_t liveServers() const;
 
     const Server &server(ServerId id) const;
 
@@ -78,7 +73,7 @@ class Cluster
     Resources totalAvailable() const;
 
     /** Sum of all allocated resources. O(1): a running total kept by
-     *  allocate(), release() and removeServer(). */
+     *  allocate() and release(). */
     Resources totalAllocated() const { return allocated_; }
 
     /**
@@ -99,28 +94,6 @@ class Cluster
      *  server: the platform returns crashed instances' resources before
      *  the machine recovers. */
     void release(ServerId id, const Resources &req);
-
-    // Membership (cell rebalancing) -----------------------------------------
-
-    /**
-     * Adopt a machine migrated in from another cell: append a fresh
-     * server of the given capacity and file it into the capacity index.
-     * Ids are append-only, so every existing id stays valid.
-     *
-     * @return The id assigned to the adopted server.
-     */
-    ServerId addServer(const Resources &capacity);
-
-    /**
-     * Release a machine to another cell. The server must be idle (no
-     * allocations), up, and not already retired — migration of busy
-     * servers is the caller's job via drain-then-release. The server
-     * becomes a permanent tombstone: it leaves the capacity index,
-     * reports zero capacity, and canFit() refuses forever.
-     *
-     * @return The capacity the departing machine takes with it.
-     */
-    Resources removeServer(ServerId id);
 
     // Failure state ---------------------------------------------------------
 
@@ -146,8 +119,7 @@ class Cluster
      * Assign the (zone, rack) a server physically lives in. The rack is
      * forwarded to the capacity index so domain-bucketed placement
      * queries (forEachClassDomain) see it. Domains are a property of the
-     * *machine*, keyed off its global id by the caller — a server
-     * adopted into another cell keeps its physical rack.
+     * *machine*, keyed off its global id by the caller.
      */
     void setServerDomain(ServerId id, const FailureDomain &domain);
 
@@ -203,7 +175,7 @@ class Cluster
     static bool
     filed(const Server &s)
     {
-        return !s.isDown() && !s.isRetired() && !s.isQuarantined();
+        return !s.isDown() && !s.isQuarantined();
     }
 
     /** Account a new member in byCapacity_ (ids arrive ascending). */
@@ -211,11 +183,11 @@ class Cluster
 
     std::vector<Server> servers_;
     CapacityIndex index_;
-    /** Exact sum of live allocations (retired servers excluded). */
+    /** Exact sum of allocations. */
     Resources allocated_;
     /** Ids of servers with at least one allocation, ascending. */
     std::set<ServerId> active_;
-    /** Live (not retired) server ids per capacity, ascending. */
+    /** Server ids per capacity, ascending. */
     std::map<Resources, std::vector<ServerId>, ResourcesLess> byCapacity_;
     /** Per-server failure domain; empty until the first assignment. */
     std::vector<FailureDomain> domains_;

@@ -63,28 +63,12 @@ class Server
     Resources allocated() const { return capacity_ - available_; }
 
     /** Whether @p req fits in the unallocated remainder (false while the
-     *  server is down, retired, or quarantined: none hosts anything new). */
+     *  server is down or quarantined: neither hosts anything new). */
     bool
     canFit(const Resources &req) const
     {
-        return !down_ && !retired_ && !quarantined_ &&
-               req.fitsIn(available_);
+        return !down_ && !quarantined_ && req.fitsIn(available_);
     }
-
-    // Membership state ------------------------------------------------------
-
-    /**
-     * Whether the server left this cluster (migrated to another cell).
-     *
-     * A retired server is a tombstone: its id stays valid so ids never
-     * shift, but it holds no capacity, never files into the capacity
-     * index, and canFit() refuses. Retirement is permanent — the server
-     * now lives, under a new id, in some other Cluster.
-     */
-    bool isRetired() const { return retired_; }
-
-    /** Tombstone the server. Use Cluster::removeServer(), never this. */
-    void markRetired() { retired_ = true; }
 
     // Failure state ---------------------------------------------------------
 
@@ -161,7 +145,6 @@ class Server
     Resources available_;
     int allocationCount_ = 0;
     bool down_ = false;
-    bool retired_ = false;
     bool quarantined_ = false;
     /** NaN == "no cached value" (never compares equal to any beta). */
     mutable double weightedBeta_ = std::numeric_limits<double>::quiet_NaN();

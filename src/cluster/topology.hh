@@ -6,8 +6,7 @@
  * zone loses cooling — and placement that ignores the topology stacks a
  * function's instances into one blast radius. TopologyConfig assigns
  * every server a (zone, rack) FailureDomain as a pure function of its
- * *global* id, so the assignment survives cell migrations (PR 8): a
- * server adopted by another cell keeps the physical rack it lives in.
+ * *global* id, so every cell of a sharded fleet agrees on it.
  */
 
 #ifndef INFLESS_CLUSTER_TOPOLOGY_HH
@@ -49,9 +48,7 @@ struct FailureDomain
  * Servers are laid out in contiguous blocks of @p rackSize, assigned to
  * racks round-robin: rack(s) = (s / rackSize) mod (zones * racksPerZone).
  * Contiguous blocks make the assignment legible in traces, and the
- * modulo wrap keeps every rack populated however large the fleet grows
- * (adopted servers with fresh ids land in existing racks, never in
- * phantom new ones).
+ * modulo wrap keeps every rack populated however large the fleet is.
  */
 struct TopologyConfig
 {

@@ -1469,8 +1469,6 @@ Platform::auditConservation(std::string *diagnostic) const
 void
 Platform::injectServerCrash(cluster::ServerId id)
 {
-    if (cluster_.server(id).isRetired())
-        return; // migrated away: the new owning cell fields the fault
     if (cluster_.server(id).isDown())
         return; // double crash: already down
     sim::Tick now = sim_.now();
@@ -1496,8 +1494,6 @@ Platform::injectServerCrash(cluster::ServerId id)
 void
 Platform::injectServerRecovery(cluster::ServerId id)
 {
-    if (cluster_.server(id).isRetired())
-        return; // migrated away
     if (!cluster_.server(id).isDown())
         return; // never crashed, or recovered already
     sim::Tick now = sim_.now();
@@ -1515,16 +1511,15 @@ double
 Platform::clusterAvailability() const
 {
     sim::Tick until = std::max(endTime_, sim_.now());
-    std::size_t live = cluster_.liveServers();
-    if (until <= 0 || live == 0)
+    if (until <= 0)
         return 1.0;
     sim::Tick down = serverDownAccum_;
     for (sim::Tick since : serverDownSince_) {
         if (since != sim::kTickNever && since < until)
             down += until - since;
     }
-    double total =
-        static_cast<double>(until) * static_cast<double>(live);
+    double total = static_cast<double>(until) *
+                   static_cast<double>(cluster_.size());
     return 1.0 - static_cast<double>(down) / total;
 }
 
@@ -1532,7 +1527,7 @@ void
 Platform::injectDomainOutage(cluster::DomainId zone)
 {
     noteDomainOutage(zone, sim_.now());
-    // injectServerCrash is idempotent and skips retired servers itself.
+    // injectServerCrash is idempotent.
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
         auto id = static_cast<cluster::ServerId>(s);
         if (cluster_.serverDomain(id).zone == zone)
@@ -1598,11 +1593,10 @@ Platform::healthTick()
 {
     sim::Tick now = sim_.now();
     auto eligible = [this](cluster::ServerId id) {
-        const cluster::Server &s = cluster_.server(id);
-        return !s.isDown() && !s.isRetired();
+        return !cluster_.serverDown(id);
     };
     health::OutlierEjector::Actions acts =
-        health_->evaluate(now, eligible, cluster_.liveServers());
+        health_->evaluate(now, eligible, cluster_.size());
     for (cluster::ServerId id : acts.readmit) {
         cluster_.liftQuarantine(id);
         total_.recordHealthReadmission();
@@ -1610,8 +1604,8 @@ Platform::healthTick()
     }
     for (cluster::ServerId id : acts.eject) {
         cluster_.quarantineServer(id);
-        // Drain-first, like rebalancing donors: what the server hosts
-        // finishes or re-routes; only new placements are refused.
+        // Drain-first: what the server hosts finishes or re-routes; only
+        // new placements are refused.
         drainServer(id);
         total_.recordHealthEjection();
         if (grayMultiplier(id) > 1.0) {
@@ -1621,37 +1615,6 @@ Platform::healthTick()
         }
         emitClusterEvent(obs::SpanKind::HealthEjection, id, now);
     }
-}
-
-bool
-Platform::serverIdle(cluster::ServerId id) const
-{
-    const cluster::Server &s = cluster_.server(id);
-    return !s.isRetired() && !s.isDown() && !s.isQuarantined() &&
-           s.allocationCount() == 0;
-}
-
-cluster::ServerId
-Platform::adoptServer(const cluster::Resources &capacity)
-{
-    cluster::ServerId id = cluster_.addServer(capacity);
-    serverDownSince_.push_back(sim::kTickNever);
-    if (!grayMult_.empty())
-        grayMult_.push_back(1.0); // caller re-derives from the global id
-    if (health_)
-        health_->ensureServers(cluster_.size());
-    if (faults_)
-        faults_->addServer(id);
-    total_.recordCellMigration();
-    emitClusterEvent(obs::SpanKind::CellMigration, id, sim_.now());
-    return id;
-}
-
-cluster::Resources
-Platform::releaseServer(cluster::ServerId id)
-{
-    sim::simAssert(serverIdle(id), "released server must be idle: ", id);
-    return cluster_.removeServer(id);
 }
 
 void

@@ -113,7 +113,7 @@ struct PlatformOptions
     /**
      * Failure-domain topology (zone/rack per server; disabled by
      * default). Assignment is a pure function of the GLOBAL server id,
-     * so a server keeps its domain across cell migrations. Enabling the
+     * so every cell of a sharded fleet agrees on it. Enabling the
      * topology alone changes no placement — only spreadWeight > 0 or
      * domain-outage faults consume it.
      */
@@ -334,7 +334,7 @@ class Platform
     // Failure domains / gray failures ---------------------------------------
 
     /**
-     * Crash every non-retired server of @p zone at once (a correlated
+     * Crash every server of @p zone at once (a correlated
      * failure-domain outage): one DomainOutage trace instant + flight
      * trigger, then the ordinary injectServerCrash path per member.
      * Usable directly from tests; the seeded domain-outage fault stream
@@ -364,7 +364,7 @@ class Platform
      * (Re)assign the failure domain of local server @p local_id from a
      * GLOBAL fleet id. The flat constructor already did this with
      * local == global; ShardedPlatform re-assigns with true global ids
-     * after construction and after each migration.
+     * after construction.
      */
     void assignServerDomain(cluster::ServerId local_id,
                             cluster::ServerId global_id);
@@ -393,47 +393,11 @@ class Platform
         return cluster_.quarantinedServers();
     }
 
-    // Cell membership (sharded rebalancing) ---------------------------------
-
-    /**
-     * Whether server @p id could migrate to another cell right now: up,
-     * not retired, not quarantined, and hosting nothing. No allocations
-     * implies no live
-     * instances — every instance holds an allocation from launch to
-     * reap — so an idle server owns no queues, no in-flight batches and
-     * no pending per-instance timers.
-     */
-    bool serverIdle(cluster::ServerId id) const;
-
-    /**
-     * Adopt a machine migrated in from another cell: it joins the
-     * cluster, the capacity index, the availability accounting — and the
-     * fault injector's coverage — under a fresh local id (append-only —
-     * existing ids never shift).
-     *
-     * Each server's crash substream is keyed on its id, so adopting a
-     * server extends injected-fault coverage to it without perturbing
-     * any existing server's fault schedule.
-     *
-     * @return The local id assigned to the adopted server.
-     */
-    cluster::ServerId adoptServer(const cluster::Resources &capacity);
-
-    /**
-     * Release an idle machine to another cell. The server must satisfy
-     * serverIdle(); it becomes a permanent tombstone here (out of the
-     * capacity index, zero capacity, canFit() refuses) while its
-     * capacity moves to the receiving cell via adoptServer().
-     *
-     * @return The departing machine's capacity.
-     */
-    cluster::Resources releaseServer(cluster::ServerId id);
-
     /**
      * Put every live instance on @p id on the reconfiguration drain path
-     * (fast-reap grace timer) so the server empties and can be released
-     * at a later barrier. Queued work is still served or re-routed by
-     * the existing drain machinery — nothing is dropped up front.
+     * (fast-reap grace timer) so the server empties; health ejection
+     * uses it. Queued work is still served or re-routed by the existing
+     * drain machinery — nothing is dropped up front.
      */
     void drainServer(cluster::ServerId id);
 
@@ -713,7 +677,7 @@ class Platform
                   sim::Tick start, sim::Tick duration);
     /** Emit a function-level instant (breaker/brownout transitions). */
     void emitFunctionEvent(obs::SpanKind kind, FunctionId fn, sim::Tick at);
-    /** Emit a cluster-level instant (crash/recovery/migration). */
+    /** Emit a cluster-level instant (crash, recovery, ejection, ...). */
     void emitClusterEvent(obs::SpanKind kind, std::int32_t server,
                           sim::Tick at);
 

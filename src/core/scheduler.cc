@@ -341,11 +341,9 @@ GreedyScheduler::scheduleOnEmpty(const models::ModelInfo &model,
     std::vector<LaunchPlan> plans;
     for (std::size_t cap = 32;; cap *= 2) {
         std::vector<cluster::Resources> caps = fleet.probeCapacities(cap);
-        if (caps.empty())
-            break; // every server retired: nothing can be placed
         cluster::Cluster scratch(caps);
         plans = schedule(model, residual_rps, slo, max_batch, scratch);
-        if (plans.size() < cap || caps.size() == fleet.liveServers())
+        if (plans.size() < cap || caps.size() == fleet.size())
             break;
     }
     return plans;

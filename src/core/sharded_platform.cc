@@ -21,14 +21,13 @@ ShardedPlatform::ShardedPlatform(std::size_t num_servers,
                                  PlatformOptions opts, CellOptions cell_opts)
     : numServers_(num_servers), cellOpts_(cell_opts),
       beta_(opts.scheduler.beta),
-      membership_(num_servers, cell_opts.cells),
-      rebalancer_(cell_opts.rebalance),
+      slices_(cluster::partitionServers(num_servers, cell_opts.cells)),
       workloadRng_(sim::hashCombine(opts.seed, kWorkloadSeedKey))
 {
     sim::simAssert(cellOpts_.windowTicks > 0, "window must be positive");
     // partitionServers clamps cells > servers to one server per cell;
-    // everything below sizes off the membership map, not the request.
-    std::size_t cells = membership_.cellCount();
+    // everything below sizes off the slices, not the request.
+    std::size_t cells = slices_.size();
     cells_.reserve(cells);
     for (std::size_t c = 0; c < cells; ++c) {
         PlatformOptions cell_opts_c = opts;
@@ -44,29 +43,25 @@ ShardedPlatform::ShardedPlatform(std::size_t num_servers,
             cell_opts_c.faults.domainOutageAt = sim::kTickNever;
         }
         cells_.push_back(std::make_unique<Platform>(
-            membership_.size(c), std::move(cell_opts_c)));
+            slices_[c].size(), std::move(cell_opts_c)));
     }
     topology_ = opts.topology;
     if (!delegated() &&
         (opts.topology.enabled() || opts.faults.grayEnabled())) {
-        if (opts.faults.grayEnabled()) {
-            grayByGlobal_.resize(numServers_, 1.0);
-            for (std::size_t g = 0; g < numServers_; ++g)
-                grayByGlobal_[g] = faults::grayExecMultiplier(
-                    opts.faults, opts.seed,
-                    static_cast<cluster::ServerId>(g));
-        }
         // Each cell self-assigned domains and gray multipliers from its
         // LOCAL ids and per-cell seed; both are global-id properties, so
         // re-derive them from the root view.
         for (std::size_t c = 0; c < cells; ++c) {
-            for (cluster::ServerId g : membership_.members(c)) {
-                cluster::ServerId local = membership_.localId(g);
-                cells_[c]->assignServerDomain(local, g);
-                if (!grayByGlobal_.empty())
+            for (std::size_t g = slices_[c].begin; g < slices_[c].end;
+                 ++g) {
+                auto global = static_cast<cluster::ServerId>(g);
+                auto local =
+                    static_cast<cluster::ServerId>(g - slices_[c].begin);
+                cells_[c]->assignServerDomain(local, global);
+                if (opts.faults.grayEnabled())
                     cells_[c]->setGrayMultiplier(
-                        local,
-                        grayByGlobal_[static_cast<std::size_t>(g)]);
+                        local, faults::grayExecMultiplier(
+                                   opts.faults, opts.seed, global));
             }
         }
     }
@@ -79,7 +74,6 @@ ShardedPlatform::ShardedPlatform(std::size_t num_servers,
         cells, sim::hashCombine(opts.seed, kRouterSeedKey));
     lastDropStat_.assign(cells, 0);
     routedTotal_.assign(cells, 0);
-    lastEvents_.assign(cells, 0);
     if (!delegated()) {
         std::size_t threads = cellOpts_.threads != 0
                                   ? cellOpts_.threads
@@ -130,16 +124,6 @@ ShardedPlatform::injectRateSeries(FunctionId fn,
 }
 
 void
-ShardedPlatform::pinFunction(FunctionId fn, std::size_t cell)
-{
-    if (delegated())
-        return; // one cell: everything is already "pinned"
-    sim::simAssert(cell < cells_.size(), "pin to nonexistent cell ",
-                   cell);
-    pins_[fn] = cell;
-}
-
-void
 ShardedPlatform::run(sim::Tick until)
 {
     endTime_ = until;
@@ -166,6 +150,7 @@ ShardedPlatform::run(sim::Tick until)
 void
 ShardedPlatform::scheduleServerCrash(cluster::ServerId id, sim::Tick at)
 {
+    checkServer(id);
     if (delegated()) {
         Platform *p = cells_[0].get();
         p->simulation().at(std::max(at, p->simulation().now()),
@@ -178,6 +163,7 @@ ShardedPlatform::scheduleServerCrash(cluster::ServerId id, sim::Tick at)
 void
 ShardedPlatform::scheduleServerRecovery(cluster::ServerId id, sim::Tick at)
 {
+    checkServer(id);
     if (delegated()) {
         Platform *p = cells_[0].get();
         p->simulation().at(std::max(at, p->simulation().now()),
@@ -187,13 +173,13 @@ ShardedPlatform::scheduleServerRecovery(cluster::ServerId id, sim::Tick at)
     faultCommands_.push_back(FaultCommand{id, at, false});
 }
 
-std::pair<std::size_t, cluster::ServerId>
-ShardedPlatform::locate(cluster::ServerId global) const
+void
+ShardedPlatform::checkServer(cluster::ServerId id) const
 {
-    // The membership map tracks migrations, so commands queued against a
-    // global id land in whichever cell owns the server *now*.
-    return {membership_.cellOf(global), membership_.localId(global)};
+    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < numServers_,
+                   "bad global server id ", id);
 }
+
 
 // ---------------------------------------------------------------------------
 // Barrier work (serial, cell order — the determinism anchor)
@@ -202,106 +188,10 @@ ShardedPlatform::locate(cluster::ServerId global) const
 void
 ShardedPlatform::barrier(sim::Tick window_end, sim::Tick until)
 {
-    // Rebalance first so the digest refresh, fault lookups and routing
-    // all see post-migration ownership. With rebalancing disabled,
-    // applyRebalance returns without touching anything and the barrier
-    // is byte-identical to the static-partition control plane.
-    applyRebalance();
     refreshRouter();
     expandDomainOutages(cursor_);
     applyFaultCommands(cursor_);
     routeArrivals(window_end, until);
-}
-
-void
-ShardedPlatform::applyRebalance()
-{
-    if (!cellOpts_.rebalance.enabled)
-        return;
-    // Load signals are deterministic window aggregates — events executed,
-    // queue depth, in-flight, live instances — never wall clock, so the
-    // plan is identical at every worker-thread count.
-    std::vector<cluster::CellLoad> loads(cells_.size());
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-        const Platform &p = *cells_[c];
-        std::uint64_t events = p.simulation().events().executed();
-        loads[c].eventsDelta = events - lastEvents_[c];
-        lastEvents_[c] = events;
-        loads[c].queueDepth = p.queuedRequests();
-        loads[c].inFlight = p.inFlightRequests();
-        loads[c].liveInstances = p.liveInstanceCount();
-        loads[c].servers = membership_.size(c);
-    }
-    auto orders = rebalancer_.plan(loads);
-    imbalanceHistory_.push_back(rebalancer_.lastImbalance());
-    std::int64_t applied = 0;
-    for (const auto &order : orders)
-        applied += static_cast<std::int64_t>(applyMigration(order));
-    migrationHistory_.push_back(applied);
-    migrationsTotal_ += applied;
-    if (applied > 0)
-        mergedDirty_ = true;
-}
-
-std::size_t
-ShardedPlatform::applyMigration(const cluster::MigrationOrder &order)
-{
-    Platform &donor = *cells_[order.from];
-    Platform &receiver = *cells_[order.to];
-
-    // Snapshot the donor's members: migrate() edits the list in place.
-    const std::vector<cluster::ServerId> members =
-        membership_.members(order.from);
-
-    // Idle servers move immediately — no allocations means no instances,
-    // queues, in-flight batches or timers, so the hand-off is a pure
-    // capacity transfer. Ascending global id keeps selection
-    // deterministic.
-    std::size_t moved = 0;
-    for (cluster::ServerId g : members) {
-        if (moved == order.count)
-            break;
-        cluster::ServerId local = membership_.localId(g);
-        if (!donor.serverIdle(local))
-            continue;
-        cluster::Resources cap = donor.releaseServer(local);
-        cluster::ServerId new_local = receiver.adoptServer(cap);
-        // Domain and gray affliction are properties of the MACHINE,
-        // keyed by its global id: they follow it across cells.
-        receiver.assignServerDomain(new_local, g);
-        if (!grayByGlobal_.empty())
-            receiver.setGrayMultiplier(
-                new_local, grayByGlobal_[static_cast<std::size_t>(g)]);
-        membership_.migrate(g, order.to, new_local);
-        ++moved;
-    }
-
-    // Shortfall: drain-and-move. Put the first still-busy servers on the
-    // fast-reap drain path now; once empty they qualify as idle donors
-    // at a later barrier (if the imbalance persists).
-    if (moved < order.count) {
-        std::size_t need = order.count - moved;
-        for (cluster::ServerId g : members) {
-            if (need == 0)
-                break;
-            if (membership_.cellOf(g) != order.from)
-                continue; // migrated above
-            cluster::ServerId local = membership_.localId(g);
-            const cluster::Server &s = donor.cluster().server(local);
-            if (s.isDown() || s.isRetired() || s.allocationCount() == 0)
-                continue;
-            donor.drainServer(local);
-            --need;
-        }
-    }
-
-    if (moved > 0) {
-        // Both cells' digests (and the routed-since-refresh correction
-        // counted against them) describe pre-migration capacity.
-        router_->invalidate(order.from);
-        router_->invalidate(order.to);
-    }
-    return moved;
 }
 
 void
@@ -355,14 +245,8 @@ ShardedPlatform::routeArrivals(sim::Tick window_end, sim::Tick until)
     std::vector<std::map<FunctionId, std::vector<sim::Tick>>> routed(
         cells_.size());
     for (const auto &[tick, feed_idx] : window_arrivals) {
-        FunctionId fn = pending_[feed_idx].fn;
-        // Pinned functions bypass the router (and draw no router
-        // randomness): affinity traffic goes where it must, and only
-        // rebalancing can bring capacity to it.
-        auto pin = pins_.find(fn);
-        std::size_t cell =
-            pin != pins_.end() ? pin->second : router_->route();
-        routed[cell][fn].push_back(tick);
+        std::size_t cell = router_->route();
+        routed[cell][pending_[feed_idx].fn].push_back(tick);
         ++routedTotal_[cell];
     }
     for (std::size_t c = 0; c < cells_.size(); ++c)
@@ -427,11 +311,13 @@ ShardedPlatform::applyFaultCommands(sim::Tick barrier_tick)
             faultCommands_[keep++] = cmd;
             continue;
         }
-        auto [cell, local] = locate(cmd.server);
+        auto [cell, local] = cluster::locateServer(
+            slices_, static_cast<std::size_t>(cmd.server));
+        auto id = static_cast<cluster::ServerId>(local);
         if (cmd.down)
-            cells_[cell]->injectServerCrash(local);
+            cells_[cell]->injectServerCrash(id);
         else
-            cells_[cell]->injectServerRecovery(local);
+            cells_[cell]->injectServerRecovery(id);
     }
     faultCommands_.resize(keep);
 }

@@ -12,17 +12,13 @@
  *
  * Time synchronization is conservative: cells advance in lockstep
  * windows, and everything that crosses a cell boundary — router digest
- * refreshes, newly routed arrivals, queued crash/recovery commands,
- * server migrations between cells (CellRebalancer) — is exchanged only
- * at the window barriers. Within a window each cell touches nothing but
- * its own state, so the cells run concurrently on a WorkerPool and the
- * run is byte-identical for every thread count.
+ * refreshes, newly routed arrivals, queued crash/recovery commands — is
+ * exchanged only at the window barriers. Within a window each cell
+ * touches nothing but its own state, so the cells run concurrently on a
+ * WorkerPool and the run is byte-identical for every thread count.
  *
- * The partition seeds contiguous, but it is not frozen: when one cell
- * runs persistently hot (skewed/pinned traffic the router cannot
- * steer), the rebalancer migrates idle servers from the coldest cells
- * into the straggler at barriers, bounded per window, with the
- * CellMembership map keeping global ids stable throughout.
+ * The partition is static: each cell owns the same contiguous slice of
+ * global server ids for the whole run.
  *
  * Determinism contract:
  *  - cells=1 delegates every call to the inner flat Platform (traces
@@ -37,12 +33,10 @@
 #define INFLESS_CORE_SHARDED_PLATFORM_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "cluster/cell_partition.hh"
-#include "cluster/cell_rebalancer.hh"
 #include "cluster/cell_router.hh"
 #include "core/platform.hh"
 #include "sim/worker_pool.hh"
@@ -65,13 +59,6 @@ struct CellOptions
      *  (INFLESS_CELL_THREADS, else hardware concurrency), clamped to
      *  the cell count. */
     std::size_t threads = 0;
-    /**
-     * Slow-timescale server migration between cells (off by default;
-     * disabled is byte-identical to not having the subsystem). Decisions
-     * consume only deterministic per-window load signals, so enabling it
-     * keeps runs byte-identical across worker-thread counts.
-     */
-    cluster::RebalanceConfig rebalance;
 };
 
 /**
@@ -108,21 +95,11 @@ class ShardedPlatform
                           const workload::RateSeries &series);
 
     /**
-     * Pin a function's arrivals to one cell: they bypass the
-     * power-of-two-choices router entirely. Models affinity traffic
-     * (data locality, regulatory placement, sticky sessions) that the
-     * router cannot steer — the workload class only rebalancing, not
-     * routing, can absorb. No-op with a single cell.
-     */
-    void pinFunction(FunctionId fn, std::size_t cell);
-
-    /**
      * Advance the whole cluster to an absolute tick.
      *
-     * Multi-cell: loops lockstep windows — apply any rebalance plan,
-     * refresh router digests, apply queued fault commands, route the
-     * window's arrivals, then run every cell to the window end on the
-     * worker pool.
+     * Multi-cell: loops lockstep windows — refresh router digests, apply
+     * queued fault commands, route the window's arrivals, then run every
+     * cell to the window end on the worker pool.
      */
     void run(sim::Tick until);
 
@@ -132,11 +109,13 @@ class ShardedPlatform
      * Queue a crash of global server @p id at tick @p at; applied at
      * the first window barrier at or after @p at (conservative sync —
      * never mid-window). Commands beyond the current run() horizon
-     * stay queued for the next run().
+     * stay queued for the next run(). Panics unless
+     * 0 <= @p id < totalServers().
      */
     void scheduleServerCrash(cluster::ServerId id, sim::Tick at);
 
-    /** Queue a recovery of global server @p id at tick @p at. */
+    /** Queue a recovery of global server @p id at tick @p at (same id
+     *  check as scheduleServerCrash). */
     void scheduleServerRecovery(cluster::ServerId id, sim::Tick at);
 
     // Introspection --------------------------------------------------------
@@ -144,40 +123,6 @@ class ShardedPlatform
     std::size_t cellCount() const { return cells_.size(); }
     const Platform &cell(std::size_t i) const { return *cells_[i]; }
     const cluster::CellRouter &router() const { return *router_; }
-
-    /** The dynamic global-id <-> (cell, local) ownership map. */
-    const cluster::CellMembership &membership() const
-    {
-        return membership_;
-    }
-
-    /** Servers cell @p i currently owns. */
-    std::size_t cellServers(std::size_t i) const
-    {
-        return membership_.size(i);
-    }
-
-    /** The straggler detector (state + lifetime order count). */
-    const cluster::CellRebalancer &rebalancer() const
-    {
-        return rebalancer_;
-    }
-
-    /** Servers actually migrated over the run (executed, not ordered —
-     *  drain-deferred moves count once they happen). */
-    std::int64_t cellMigrations() const { return migrationsTotal_; }
-
-    /** Imbalance ratio observed at each rebalance barrier, in order. */
-    const std::vector<double> &imbalanceHistory() const
-    {
-        return imbalanceHistory_;
-    }
-
-    /** Servers migrated at each rebalance barrier, in order. */
-    const std::vector<std::int64_t> &migrationHistory() const
-    {
-        return migrationHistory_;
-    }
 
     std::size_t totalServers() const { return numServers_; }
     sim::Tick endTime() const { return endTime_; }
@@ -252,16 +197,11 @@ class ShardedPlatform
 
     bool delegated() const { return cells_.size() == 1; }
 
-    /** Map a global server id to (cell, local id). */
-    std::pair<std::size_t, cluster::ServerId>
-    locate(cluster::ServerId global) const;
+    /** Panic unless @p id names a server of this fleet. */
+    void checkServer(cluster::ServerId id) const;
 
-    /** Serial barrier work: rebalance, digests, fault commands,
-     *  routing. */
+    /** Serial barrier work: digests, fault commands, routing. */
     void barrier(sim::Tick window_end, sim::Tick until);
-    void applyRebalance();
-    /** Execute one migration order; returns servers actually moved. */
-    std::size_t applyMigration(const cluster::MigrationOrder &order);
     void refreshRouter();
     void routeArrivals(sim::Tick window_end, sim::Tick until);
     void applyFaultCommands(sim::Tick barrier_tick);
@@ -274,8 +214,7 @@ class ShardedPlatform
     std::size_t numServers_ = 0;
     CellOptions cellOpts_;
     double beta_;
-    cluster::CellMembership membership_;
-    cluster::CellRebalancer rebalancer_;
+    std::vector<cluster::CellSlice> slices_;
     std::vector<std::unique_ptr<Platform>> cells_;
     std::unique_ptr<cluster::CellRouter> router_;
     std::unique_ptr<sim::WorkerPool> pool_;
@@ -284,8 +223,7 @@ class ShardedPlatform
 
     std::vector<PendingFeed> pending_;
     std::vector<FaultCommand> faultCommands_;
-    /** Fleet topology, for expanding zone outages to member servers and
-     *  re-deriving domains from global ids after migrations. */
+    /** Fleet topology, for expanding zone outages to member servers. */
     cluster::TopologyConfig topology_;
     /**
      * Root-seeded correlated-outage schedule (multi-cell only). The
@@ -295,20 +233,9 @@ class ShardedPlatform
      */
     std::unique_ptr<faults::DomainOutageStream> domainStream_;
     faults::DomainOutageEvent pendingOutage_;
-    /** Gray exec multiplier per GLOBAL id (empty = gray disabled);
-     *  reapplied to the receiving cell after every migration. */
-    std::vector<double> grayByGlobal_;
-    /** Pinned functions: fn -> cell (arrivals bypass the router). */
-    std::map<FunctionId, std::size_t> pins_;
     /** drops+sheds baseline per cell for the digest's pressure delta. */
     std::vector<std::int64_t> lastDropStat_;
     std::vector<std::int64_t> routedTotal_;
-    /** events-executed baseline per cell for the load signal's delta. */
-    std::vector<std::uint64_t> lastEvents_;
-    /** Servers moved over the run, and the per-barrier series. */
-    std::int64_t migrationsTotal_ = 0;
-    std::vector<double> imbalanceHistory_;
-    std::vector<std::int64_t> migrationHistory_;
 
     sim::Tick cursor_ = 0;
     sim::Tick endTime_ = 0;

@@ -89,7 +89,7 @@ class DomainOutageStream
  * exec-time multiplier (1.0 for healthy servers). Pure function of
  * (profile, seed, global id) — schedules nothing, draws from no shared
  * stream — so enabling it perturbs no other stochastic component, and
- * a migrated server keeps its affliction.
+ * every cell of a sharded fleet agrees on it.
  */
 double grayExecMultiplier(const FaultProfile &profile, std::uint64_t seed,
                           cluster::ServerId global_id);

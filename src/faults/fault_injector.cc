@@ -53,25 +53,12 @@ void
 FaultInjector::start(Hooks hooks)
 {
     hooks_ = std::move(hooks);
-    started_ = true;
     if (domainStream_)
         scheduleNextDomainOutage();
     if (!profile_.crashesEnabled())
         return;
     for (std::size_t s = 0; s < serverRng_.size(); ++s)
         scheduleCrash(s);
-}
-
-void
-FaultInjector::addServer(cluster::ServerId id)
-{
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) ==
-                                  serverRng_.size(),
-                   "fault surface must grow contiguously (got server ",
-                   id, ", expected ", serverRng_.size(), ")");
-    serverRng_.push_back(serverStream(static_cast<std::uint64_t>(id)));
-    if (started_ && profile_.crashesEnabled())
-        scheduleCrash(static_cast<std::size_t>(id));
 }
 
 void

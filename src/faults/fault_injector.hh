@@ -173,16 +173,6 @@ class FaultInjector
     /** Install hooks and schedule the initial per-server crash events. */
     void start(Hooks hooks);
 
-    /**
-     * Extend the fault surface to a server adopted after construction
-     * (cell migration / fleet growth). The new server gets its own
-     * crash stream keyed by its id — existing servers' schedules are
-     * untouched, because every per-server stream is seeded from the id,
-     * never from draw order. Ids must arrive contiguously (they are
-     * append-only in Cluster).
-     */
-    void addServer(cluster::ServerId id);
-
     const FaultProfile &profile() const { return profile_; }
 
     bool enabled() const { return profile_.enabled(); }
@@ -218,7 +208,6 @@ class FaultInjector
     FaultProfile profile_;
     Hooks hooks_;
     std::uint64_t seed_;
-    bool started_ = false;
 
     /** Per-server crash/repair timing streams (each seeded from the
      *  server *id*, so one server's history — or the fleet growing —

@@ -11,7 +11,7 @@
  * into per-server accumulators; a periodic evaluation smooths the ratio
  * with an EMA, compares each server against the fleet median, and
  * quarantines statistical outliers out of CapacityIndex candidacy
- * (drain-first, like rebalancing donors — in-flight work finishes).
+ * (drain-first — in-flight work finishes).
  *
  * Safety valves, both Envoy-inspired: a max-ejection-fraction guard (a
  * fleet-wide slowdown must not eject everything and amplify the
@@ -110,7 +110,7 @@ class OutlierEjector
      * probations.
      *
      * @param eligible Whether a server may be ejected right now (the
-     *        platform excludes down/retired servers — crashed machines
+     *        platform excludes down servers — crashed machines
      *        are already out of the pool).
      */
     Actions evaluate(

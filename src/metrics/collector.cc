@@ -158,12 +158,6 @@ RunMetrics::recordLimiterBackoff()
 }
 
 void
-RunMetrics::recordCellMigration()
-{
-    ++cellMigrations_;
-}
-
-void
 RunMetrics::recordHealthEjection()
 {
     ++healthEjections_;
@@ -320,7 +314,6 @@ RunMetrics::mergeCounters(const RunMetrics &other)
     brownoutExits_ += other.brownoutExits_;
     limiterSheds_ += other.limiterSheds_;
     limiterBackoffs_ += other.limiterBackoffs_;
-    cellMigrations_ += other.cellMigrations_;
     healthEjections_ += other.healthEjections_;
     healthReadmissions_ += other.healthReadmissions_;
     grayDetections_ += other.grayDetections_;

@@ -117,11 +117,6 @@ class RunMetrics
     /** The adaptive limiter backed its limit off (timeout/drop signal). */
     void recordLimiterBackoff();
 
-    // Sharded control plane -----------------------------------------------
-
-    /** A server migrated between cells at a window barrier. */
-    void recordCellMigration();
-
     // Health / failure domains --------------------------------------------
 
     /** The outlier ejector quarantined a degraded server. */
@@ -168,7 +163,6 @@ class RunMetrics
     std::int64_t brownoutExits() const { return brownoutExits_; }
     std::int64_t limiterSheds() const { return limiterSheds_; }
     std::int64_t limiterBackoffs() const { return limiterBackoffs_; }
-    std::int64_t cellMigrations() const { return cellMigrations_; }
     std::int64_t healthEjections() const { return healthEjections_; }
     std::int64_t healthReadmissions() const { return healthReadmissions_; }
     std::int64_t grayDetections() const { return grayDetections_; }
@@ -264,7 +258,6 @@ class RunMetrics
     std::int64_t brownoutExits_ = 0;
     std::int64_t limiterSheds_ = 0;
     std::int64_t limiterBackoffs_ = 0;
-    std::int64_t cellMigrations_ = 0;
     std::int64_t healthEjections_ = 0;
     std::int64_t healthReadmissions_ = 0;
     std::int64_t grayDetections_ = 0;

@@ -174,9 +174,6 @@ TelemetryRegistry::addRunMetrics(const metrics::RunMetrics &m)
     counter("limiter_backoffs_total",
             static_cast<double>(m.limiterBackoffs()),
             "Adaptive-limit multiplicative decreases (timeout/drop)");
-    counter("cell_migrations_total",
-            static_cast<double>(m.cellMigrations()),
-            "Servers migrated between cells at window barriers");
     counter("health_ejections_total",
             static_cast<double>(m.healthEjections()),
             "Servers quarantined by the outlier ejector");

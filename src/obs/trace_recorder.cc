@@ -47,8 +47,6 @@ spanKindName(SpanKind kind)
         return "brownout_exit";
       case SpanKind::LimiterShed:
         return "limiter_shed";
-      case SpanKind::CellMigration:
-        return "cell_migration";
       case SpanKind::BatchWait:
         return "batch_wait";
       case SpanKind::FlightDump:
@@ -213,7 +211,6 @@ isClusterEvent(SpanKind kind)
 {
     return kind == SpanKind::ServerCrash ||
            kind == SpanKind::ServerRecovery ||
-           kind == SpanKind::CellMigration ||
            kind == SpanKind::HealthEjection ||
            kind == SpanKind::HealthReadmission ||
            kind == SpanKind::DomainOutage ||

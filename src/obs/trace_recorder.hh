@@ -53,7 +53,6 @@ enum class SpanKind : std::uint8_t
     BrownoutEnter,   ///< function entered degraded mode (instant)
     BrownoutExit,    ///< function left degraded mode (instant)
     LimiterShed,     ///< adaptive limiter shed the request (instant)
-    CellMigration,   ///< server migrated between cells (cluster instant)
     BatchWait,       ///< waiting for the running batch to drain (span)
     FlightDump,      ///< flight recorder dumped at this instant (marker)
     HealthEjection,  ///< outlier ejector quarantined a server (instant)

@@ -1,110 +1,43 @@
 /**
  * @file
- * Unit tests for the dynamic CellMembership map.
+ * Unit tests for locating global server ids in the static cell layout.
  */
 
 #include "cluster/cell_partition.hh"
 
 #include <gtest/gtest.h>
 
-#include "sim/logging.hh"
+#include <stdexcept>
 
 namespace infless::cluster {
 namespace {
 
-using infless::sim::PanicError;
-
-TEST(CellMembership, InitialLayoutMatchesContiguousPartition)
+TEST(CellPartition, LocateMatchesContiguousPartition)
 {
-    CellMembership m(10, 3);
+    // 10 servers / 3 cells: [0,4), [4,7), [7,10).
     auto slices = partitionServers(10, 3);
-    ASSERT_EQ(m.cellCount(), slices.size());
-    EXPECT_EQ(m.totalServers(), 10u);
+    ASSERT_EQ(slices.size(), 3u);
     for (std::size_t c = 0; c < slices.size(); ++c) {
-        EXPECT_EQ(m.size(c), slices[c].size());
         for (std::size_t g = slices[c].begin; g < slices[c].end; ++g) {
-            auto gid = static_cast<ServerId>(g);
-            EXPECT_EQ(m.cellOf(gid), c);
-            EXPECT_EQ(m.localId(gid),
-                      static_cast<ServerId>(g - slices[c].begin));
-            EXPECT_EQ(m.globalId(c, m.localId(gid)), gid);
+            auto [cell, local] = locateServer(slices, g);
+            EXPECT_EQ(cell, c) << "server " << g;
+            EXPECT_EQ(local, g - slices[c].begin) << "server " << g;
         }
     }
-    EXPECT_TRUE(m.consistent());
+    EXPECT_THROW(locateServer(slices, 10), std::out_of_range);
 }
 
-TEST(CellMembership, ClampsLikePartitionServers)
+TEST(CellPartition, LocateClampsLikePartitionServers)
 {
     // 3 servers across 4 requested cells: one server per cell.
-    CellMembership m(3, 4);
-    EXPECT_EQ(m.cellCount(), 3u);
-    for (std::size_t c = 0; c < 3; ++c)
-        EXPECT_EQ(m.size(c), 1u);
-    EXPECT_TRUE(m.consistent());
-}
-
-TEST(CellMembership, MigrateMovesAndTombstonesDonorSlot)
-{
-    // 10 servers / 3 cells: cell 0 = [0,4), cell 1 = [4,7), cell 2 = [7,10).
-    CellMembership m(10, 3);
-    // Receiver appends, so the new local id is cell 2's next slot (3).
-    m.migrate(0, 2, 3);
-
-    EXPECT_EQ(m.cellOf(0), 2u);
-    EXPECT_EQ(m.localId(0), 3);
-    EXPECT_EQ(m.globalId(2, 3), 0);
-    // The donor's old slot is a tombstone, not reused.
-    EXPECT_EQ(m.globalId(0, 0), kNoServer);
-    EXPECT_EQ(m.size(0), 3u);
-    EXPECT_EQ(m.size(2), 4u);
-    // Member lists stay sorted by global id.
-    EXPECT_EQ(m.members(2).front(), 0);
-    EXPECT_EQ(m.members(0).front(), 1);
-    EXPECT_TRUE(m.consistent());
-}
-
-TEST(CellMembership, MigrationChainStaysConsistent)
-{
-    CellMembership m(12, 4);
-    // Bounce servers around, always appending at the receiver.
-    std::vector<ServerId> next_local = {3, 3, 3, 3};
-    auto move = [&](ServerId g, std::size_t to) {
-        m.migrate(g, to, next_local[to]++);
-        ASSERT_TRUE(m.consistent()) << "after moving " << g;
-    };
-    move(0, 1);
-    move(0, 2); // moves on again from its new home
-    move(5, 0);
-    move(11, 0);
-    move(7, 3);
-    // Every server is still reachable through the O(1) maps.
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < m.cellCount(); ++c) {
-        for (ServerId g : m.members(c)) {
-            EXPECT_EQ(m.cellOf(g), c);
-            EXPECT_EQ(m.globalId(c, m.localId(g)), g);
-            ++total;
-        }
+    auto slices = partitionServers(3, 4);
+    ASSERT_EQ(slices.size(), 3u);
+    for (std::size_t g = 0; g < 3; ++g) {
+        auto [cell, local] = locateServer(slices, g);
+        EXPECT_EQ(cell, g);
+        EXPECT_EQ(local, 0u);
     }
-    EXPECT_EQ(total, 12u);
-    EXPECT_EQ(m.size(0), 4u); // lost 0, gained 5 and 11
-    EXPECT_EQ(m.size(2), 3u); // gained 0, lost 7
-}
-
-TEST(CellMembership, MigrateRejectsBadMoves)
-{
-    CellMembership m(8, 2);
-    // Moving to the cell that already owns the server is a logic error.
-    EXPECT_THROW(m.migrate(0, 0, 4), PanicError);
-    // The receiver's local id must append (next slot is 4, not 9).
-    EXPECT_THROW(m.migrate(0, 1, 9), PanicError);
-    // Unknown global ids and cells are rejected.
-    EXPECT_THROW(m.migrate(8, 1, 4), PanicError);
-    EXPECT_THROW(m.migrate(0, 2, 0), PanicError);
-    EXPECT_THROW(m.cellOf(-1), PanicError);
-    EXPECT_THROW(m.globalId(0, 4), PanicError);
-    // Nothing above mutated state.
-    EXPECT_TRUE(m.consistent());
+    EXPECT_THROW(locateServer(slices, 3), std::out_of_range);
 }
 
 } // namespace

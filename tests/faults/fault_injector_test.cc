@@ -194,27 +194,6 @@ TEST(FaultInjectorTest, FleetSizeDoesNotShiftExistingSchedules)
     EXPECT_GT(big.crashes.size(), small.crashes.size());
 }
 
-// An adopted server (cell migration / fleet growth) gets the same
-// id-keyed stream it would have had from construction: adding it at
-// t=0 reproduces the from-birth schedule exactly.
-TEST(FaultInjectorTest, AddServerMatchesFromBirthSchedule)
-{
-    Tick until = 600 * kTicksPerSec;
-    Recorded born = runInjector(11, crashyProfile(), 5, until);
-
-    Simulation sim(11);
-    FaultInjector injector(sim, crashyProfile(), 11, 4);
-    Recorded rec;
-    injector.start(FaultInjector::Hooks{
-        [&](ServerId id) { rec.crashes.emplace_back(sim.now(), id); },
-        [&](ServerId id) { rec.recoveries.emplace_back(sim.now(), id); },
-        {}, {}});
-    injector.addServer(4);
-    sim.runUntil(until);
-    EXPECT_EQ(born.crashes, rec.crashes);
-    EXPECT_EQ(born.recoveries, rec.recoveries);
-}
-
 TEST(DomainOutageTest, ScriptedOutageIsExact)
 {
     FaultProfile profile;
