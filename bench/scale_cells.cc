@@ -12,8 +12,14 @@
  * writes the series to BENCH_scale.json. On boxes with fewer than 8
  * hardware threads the speedup gate is reported as not applicable (the
  * barriers and routing are pure overhead without parallel cells) while
- * the throughput numbers are still emitted. `--smoke` runs the 10k
- * points only, shortened for CI.
+ * the throughput numbers are still emitted.
+ *
+ * Each point also reports its SLO-goodput (completions minus SLO
+ * violations per simulated second). The cells gate compares the sharded
+ * run against the flat one at the largest point: live instances within
+ * 1.5x of flat, SLO-goodput no lower than flat, and wall time no longer
+ * than flat. `--smoke` runs the 10k point only, shortened for CI, so
+ * there the gate is evaluated at 10k; `gate_servers` names the point.
  */
 
 #include <algorithm>
@@ -57,6 +63,7 @@ struct PointResult
     std::int64_t arrivals = 0;
     std::int64_t completions = 0;
     std::int64_t drops = 0;
+    std::int64_t sloViolations = 0;
     int liveInstances = 0;
 
     double eventsPerSec() const
@@ -67,6 +74,11 @@ struct PointResult
     {
         return wallSec > 0.0 ? static_cast<double>(decisions) / wallSec
                              : 0.0;
+    }
+    double sloGoodput() const
+    {
+        return static_cast<double>(completions - sloViolations) /
+               durationSec;
     }
 };
 
@@ -139,6 +151,7 @@ runPoint(std::size_t servers, std::size_t cells, const ScaleWorkload &w)
     r.arrivals = m.arrivals();
     r.completions = m.completions();
     r.drops = m.drops();
+    r.sloViolations = m.sloViolations();
     r.liveInstances = platform.liveInstanceCount();
     return r;
 }
@@ -152,7 +165,9 @@ printPoint(const PointResult &r)
               << fmt(r.decisionsPerSec(), 1) << " decisions/s  ("
               << r.events << " events in " << fmt(r.wallSec, 2)
               << " s wall, " << r.completions << "/" << r.arrivals
-              << " completed, " << r.drops << " dropped)\n";
+              << " completed, " << r.drops << " dropped, "
+              << r.liveInstances << " live, " << fmt(r.sloGoodput(), 1)
+              << " SLO-goodput rps)\n";
 }
 
 void
@@ -173,6 +188,8 @@ emitPoint(std::ostream &out, const PointResult &r, bool last)
         << "      \"arrivals\": " << r.arrivals << ",\n"
         << "      \"completions\": " << r.completions << ",\n"
         << "      \"drops\": " << r.drops << ",\n"
+        << "      \"slo_violations\": " << r.sloViolations << ",\n"
+        << "      \"slo_goodput\": " << r.sloGoodput() << ",\n"
         << "      \"live_instances\": " << r.liveInstances << "\n"
         << "    }" << (last ? "\n" : ",\n");
 }
@@ -216,6 +233,11 @@ main(int argc, char **argv)
     bool arrivals_match = true;
     double speedup_10k = 0.0;
     double speedup_100k = 0.0;
+    // The cells gate, at the last (largest) point.
+    std::size_t gate_servers = 0;
+    bool gate_live = false;
+    bool gate_goodput = false;
+    bool gate_wall = false;
     for (const Scale &s : scales) {
         ScaleWorkload w =
             buildWorkload(s.functions, s.rpsPerFn, s.duration, s.servers);
@@ -235,7 +257,16 @@ main(int argc, char **argv)
             speedup_100k = speedup;
         points.push_back(flat);
         points.push_back(sharded);
+        gate_servers = s.servers;
+        gate_live = sharded.liveInstances <= 1.5 * flat.liveInstances;
+        gate_goodput = sharded.sloGoodput() >= flat.sloGoodput();
+        gate_wall = sharded.wallSec <= flat.wallSec;
+        std::cout << "    cells gate: live instances "
+                  << (gate_live ? "pass" : "FAIL") << ", SLO-goodput "
+                  << (gate_goodput ? "pass" : "FAIL") << ", wall "
+                  << (gate_wall ? "pass" : "FAIL") << "\n";
     }
+    auto boolean = [](bool b) { return b ? "true" : "false"; };
 
     // The >= 3x bar only binds where the cells can actually run in
     // parallel; a 1-2 core box measures barrier overhead, not scaling.
@@ -255,6 +286,13 @@ main(int argc, char **argv)
         << "  \"speedup_gate_applicable\": "
         << (gate_applicable ? "true" : "false") << ",\n"
         << "  \"speedup_gate_pass\": " << (gate_pass ? "true" : "false")
+        << ",\n"
+        << "  \"gate_servers\": " << gate_servers << ",\n"
+        << "  \"gate_live_instances_within_1_5x_flat\": "
+        << boolean(gate_live) << ",\n"
+        << "  \"gate_slo_goodput_not_below_flat\": "
+        << boolean(gate_goodput) << ",\n"
+        << "  \"gate_wall_not_above_flat\": " << boolean(gate_wall)
         << ",\n"
         << "  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i)

@@ -226,8 +226,13 @@ void
 Platform::scheduleNextArrival(std::size_t feed_idx)
 {
     TraceFeed &feed = feeds_[feed_idx];
-    if (feed.cursor >= feed.trace.size())
+    if (feed.cursor >= feed.trace.size()) {
+        // Release the replayed ticks; the slot stays because scheduled
+        // arrival lambdas address feeds by index.
+        feed.trace = workload::ArrivalTrace();
+        feed.cursor = 0;
         return;
+    }
     sim::Tick when = feed.trace.arrivals()[feed.cursor];
     sim_.atFixed(std::max(when, sim_.now()), [this, feed_idx] {
         TraceFeed &f = feeds_[feed_idx];
@@ -335,6 +340,21 @@ Platform::inFlightRequests() const
         total += f.pendingRetries + f.pendingIngress;
     }
     return total;
+}
+
+std::size_t
+Platform::heldArrivalTicks() const
+{
+    std::size_t total = 0;
+    for (const TraceFeed &feed : feeds_)
+        total += feed.trace.arrivals().capacity();
+    return total;
+}
+
+std::int64_t
+Platform::scaleOutMisses(FunctionId fn) const
+{
+    return const_cast<Platform *>(this)->functionState(fn).scaleOutMisses;
 }
 
 std::int64_t
@@ -1120,7 +1140,9 @@ Platform::maybeReactiveScaleOut(FunctionId fn)
     auto plans = planScaleOut(f, residual);
     for (const auto &plan : plans)
         launchInstance(fn, plan, false);
-    if (!plans.empty())
+    if (plans.empty())
+        ++f.scaleOutMisses;
+    else
         refreshTargets(f);
     return true;
 }
@@ -1792,10 +1814,12 @@ Platform::scalerTick()
             auto plans = planScaleOut(f, claim);
             for (const auto &plan : plans)
                 launchInstance(static_cast<FunctionId>(fi), plan, false);
-            if (plans.empty() && reconfigures()) {
+            if (plans.empty()) {
+                ++f.scaleOutMisses;
                 // Nothing fits next to the current fleet: replacing it
                 // with better configurations may be the only way to grow.
-                maybeReconfigure(static_cast<FunctionId>(fi), measured);
+                if (reconfigures())
+                    maybeReconfigure(static_cast<FunctionId>(fi), measured);
             }
         } else if (assess.action == Action::ScaleIn && activeScaleIn()) {
             auto drains =

@@ -277,11 +277,24 @@ class Platform
      */
     std::int64_t liveRequestRecords() const { return requests_.live(); }
 
+    /**
+     * Arrival ticks held by injected traces not yet fully replayed: a
+     * trace's storage is released once its last arrival fires.
+     */
+    std::size_t heldArrivalTicks() const;
+
     /** Scheduling passes (Algorithm 1 invocations) run so far. */
     std::uint64_t schedulerDecisions() const
     {
         return scheduler_.decisions();
     }
+
+    /**
+     * Scale-out attempts for @p fn (scaler tick or reactive) in which
+     * the scheduler found room for nothing — the cell-router's signal
+     * that this platform is out of capacity for the function.
+     */
+    std::int64_t scaleOutMisses(FunctionId fn) const;
 
     /** Instances ever launched. */
     std::int64_t totalLaunches() const;
@@ -508,6 +521,8 @@ class Platform
         sim::Tick reconfigHold = 0;
         /** Current fleet generation. */
         std::int64_t generation = 0;
+        /** Scale-out attempts in which the scheduler placed nothing. */
+        std::int64_t scaleOutMisses = 0;
         metrics::RunMetrics metrics;
         cluster::Resources allocated;
         std::vector<ConfigUsage> usage;

@@ -1,7 +1,6 @@
 #include "core/sharded_platform.hh"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -72,6 +71,7 @@ ShardedPlatform::ShardedPlatform(std::size_t num_servers,
     }
     router_ = std::make_unique<cluster::CellRouter>(
         cells, sim::hashCombine(opts.seed, kRouterSeedKey));
+    digests_.resize(cells);
     lastDropStat_.assign(cells, 0);
     routedTotal_.assign(cells, 0);
     if (!delegated()) {
@@ -197,22 +197,33 @@ ShardedPlatform::barrier(sim::Tick window_end, sim::Tick until)
 void
 ShardedPlatform::refreshRouter()
 {
-    std::vector<cluster::CellDigest> digests(cells_.size());
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
+    std::size_t cells = cells_.size();
+    std::size_t fns = functionCount();
+    lastMisses_.resize(fns * cells, 0);
+    for (std::size_t c = 0; c < cells; ++c) {
         const Platform &p = *cells_[c];
-        cluster::CellDigest &d = digests[c];
+        cluster::CellDigest &d = digests_[c];
         d.weightedAvail = p.cluster().totalAvailable().weighted(beta_);
         d.queueDepth = p.queuedRequests();
-        // Drop pressure: rejections since the previous barrier. Routing
-        // away from a shedding cell is the cross-cell face of reactive
-        // scale-out — spillover lands where capacity remains.
+        // Drop pressure: rejections since the previous barrier. It only
+        // steers the choice inside a home set; it never grows one, since
+        // a healthy cell drops a few percent of a burst while it scales.
         const metrics::RunMetrics &m = p.totalMetrics();
         std::int64_t drop_stat =
             m.drops() + m.sheds() + m.breakerSheds() + m.limiterSheds();
         d.dropPressure = drop_stat - lastDropStat_[c];
         lastDropStat_[c] = drop_stat;
+        // Scale-out misses since the previous barrier: the cell tried to
+        // grow the function and found no room.
+        d.scaleOutMisses.resize(fns);
+        for (std::size_t fn = 0; fn < fns; ++fn) {
+            std::int64_t misses =
+                p.scaleOutMisses(static_cast<FunctionId>(fn));
+            d.scaleOutMisses[fn] = misses - lastMisses_[fn * cells + c];
+            lastMisses_[fn * cells + c] = misses;
+        }
     }
-    router_->refresh(digests);
+    router_->refresh(digests_);
 }
 
 void
@@ -223,36 +234,46 @@ ShardedPlatform::routeArrivals(sim::Tick window_end, sim::Tick until)
     // half-open so a boundary arrival is injected into the window that
     // executes it.
     bool final_window = window_end == until;
-    std::vector<std::pair<sim::Tick, std::size_t>> window_arrivals;
+    windowArrivals_.clear();
     for (std::size_t f = 0; f < pending_.size(); ++f) {
         PendingFeed &feed = pending_[f];
         const auto &ticks = feed.trace.arrivals();
         while (feed.cursor < ticks.size() &&
                (ticks[feed.cursor] < window_end ||
                 (final_window && ticks[feed.cursor] == window_end))) {
-            window_arrivals.emplace_back(ticks[feed.cursor], f);
+            windowArrivals_.emplace_back(ticks[feed.cursor], f);
             ++feed.cursor;
         }
     }
-    if (window_arrivals.empty())
+    if (windowArrivals_.empty())
         return;
     // Global arrival order; ties keep feed-injection order (the pairs
     // were pushed feed-major and stable_sort preserves that).
-    std::stable_sort(window_arrivals.begin(), window_arrivals.end(),
+    std::stable_sort(windowArrivals_.begin(), windowArrivals_.end(),
                      [](const auto &a, const auto &b) {
                          return a.first < b.first;
                      });
-    std::vector<std::map<FunctionId, std::vector<sim::Tick>>> routed(
-        cells_.size());
-    for (const auto &[tick, feed_idx] : window_arrivals) {
-        std::size_t cell = router_->route();
-        routed[cell][pending_[feed_idx].fn].push_back(tick);
+    // One buffer per (function, cell), function-major so deploying more
+    // functions only appends; cleared buffers keep their capacity.
+    std::size_t cells = cells_.size();
+    std::size_t fns = functionCount();
+    routedBuf_.resize(fns * cells);
+    for (const auto &[tick, feed_idx] : windowArrivals_) {
+        auto fn = static_cast<std::size_t>(pending_[feed_idx].fn);
+        std::size_t cell = router_->route(fn);
+        routedBuf_[fn * cells + cell].push_back(tick);
         ++routedTotal_[cell];
     }
-    for (std::size_t c = 0; c < cells_.size(); ++c)
-        for (auto &[fn, ticks] : routed[c])
-            cells_[c]->injectTrace(
-                fn, workload::ArrivalTrace(std::move(ticks)));
+    for (std::size_t c = 0; c < cells; ++c) {
+        for (std::size_t fn = 0; fn < fns; ++fn) {
+            std::vector<sim::Tick> &ticks = routedBuf_[fn * cells + c];
+            if (ticks.empty())
+                continue;
+            cells_[c]->injectTrace(static_cast<FunctionId>(fn),
+                                   workload::ArrivalTrace(ticks));
+            ticks.clear();
+        }
+    }
     // Fully consumed feeds are dead weight; drop them front-compacted so
     // feed order (the tie-break) is preserved.
     std::size_t keep = 0;

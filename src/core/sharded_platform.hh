@@ -7,8 +7,9 @@
  * 100k servers that queue is the bottleneck. ShardedPlatform splits the
  * fleet into independent *cells* — each a full Platform over a
  * contiguous server slice with its own CapacityIndex, EventQueue and
- * metrics shard — fronted by a power-of-two-choices router over
- * per-cell load digests.
+ * metrics shard — fronted by a router that sends each function to its
+ * home cells (cluster::CellRouter), so one cell's scheduler batches and
+ * scales a function until that cell runs out of room for it.
  *
  * Time synchronization is conservative: cells advance in lockstep
  * windows, and everything that crosses a cell boundary — router digest
@@ -34,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cell_partition.hh"
@@ -97,9 +99,10 @@ class ShardedPlatform
     /**
      * Advance the whole cluster to an absolute tick.
      *
-     * Multi-cell: loops lockstep windows — refresh router digests, apply
-     * queued fault commands, route the window's arrivals, then run every
-     * cell to the window end on the worker pool.
+     * Multi-cell: loops lockstep windows — refresh router digests (which
+     * may grow home sets), apply queued fault commands, route the
+     * window's arrivals to home cells, then run every cell to the window
+     * end on the worker pool.
      */
     void run(sim::Tick until);
 
@@ -233,9 +236,17 @@ class ShardedPlatform
      */
     std::unique_ptr<faults::DomainOutageStream> domainStream_;
     faults::DomainOutageEvent pendingOutage_;
+    /** Router digests, one per cell, refilled at every barrier. */
+    std::vector<cluster::CellDigest> digests_;
     /** drops+sheds baseline per cell for the digest's pressure delta. */
     std::vector<std::int64_t> lastDropStat_;
+    /** Scale-out-miss baseline per (function, cell), function-major. */
+    std::vector<std::int64_t> lastMisses_;
     std::vector<std::int64_t> routedTotal_;
+    /** The window's (tick, pending feed) arrivals, reused per barrier. */
+    std::vector<std::pair<sim::Tick, std::size_t>> windowArrivals_;
+    /** Routed ticks per (function, cell), function-major, reused. */
+    std::vector<std::vector<sim::Tick>> routedBuf_;
 
     sim::Tick cursor_ = 0;
     sim::Tick endTime_ = 0;

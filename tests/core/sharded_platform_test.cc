@@ -161,7 +161,16 @@ TEST(ShardedPlatform, MultiCellConservesRequests)
     EXPECT_LE(platform.inFlightRequests(), 5);
 }
 
-TEST(ShardedPlatform, RouterSpreadsLoadOverCells)
+std::int64_t
+routedSum(const ShardedPlatform &platform)
+{
+    std::int64_t total = 0;
+    for (std::size_t c = 0; c < platform.cellCount(); ++c)
+        total += platform.routedTo(c);
+    return total;
+}
+
+TEST(ShardedPlatform, HomeCellOwnsFunctionWhenRoomy)
 {
     PlatformOptions opts;
     opts.seed = 5;
@@ -169,14 +178,89 @@ TEST(ShardedPlatform, RouterSpreadsLoadOverCells)
     cells.cells = 4;
     ShardedPlatform platform(16, opts, cells);
     driveWorkload(platform);
-    std::int64_t total = 0;
-    for (std::size_t c = 0; c < platform.cellCount(); ++c) {
-        // No cell starves: p2c over fresh digests keeps the spread
-        // within a factor of a few of uniform.
-        EXPECT_GT(platform.routedTo(c), 0);
-        total += platform.routedTo(c);
+    for (int fn = 0; fn < 2; ++fn) {
+        // Light load never exhausts a cell, so the home set stays one
+        // cell and that cell sees every arrival of the function.
+        std::size_t home = platform.router().rankedCell(fn, 0);
+        EXPECT_EQ(platform.router().homeSize(fn), 1u);
+        EXPECT_GT(platform.cell(home).functionMetrics(fn).arrivals(), 0);
+        for (std::size_t c = 0; c < platform.cellCount(); ++c) {
+            if (c != home) {
+                EXPECT_EQ(platform.cell(c).functionMetrics(fn).arrivals(), 0)
+                    << "fn " << fn << " leaked into cell " << c;
+            }
+        }
     }
-    EXPECT_EQ(total, platform.totalMetrics().arrivals());
+    EXPECT_EQ(routedSum(platform), platform.totalMetrics().arrivals());
+}
+
+TEST(ShardedPlatform, SpillsPastHomeOnScaleOutMiss)
+{
+    // One server per cell and three heavy functions far past what one
+    // server holds: home cells run out of room and report misses.
+    PlatformOptions opts;
+    opts.seed = 43;
+    CellOptions cells;
+    cells.cells = 4;
+    ShardedPlatform platform(4, opts, cells);
+    const char *models[] = {"Bert-v1", "ResNet-50", "VGGNet"};
+    for (const char *model : models) {
+        auto fn = platform.deploy(spec(model, model));
+        platform.injectTrace(fn, uniformArrivals(2'000.0, 10 * kTicksPerSec));
+    }
+    platform.run(15 * kTicksPerSec);
+
+    std::int64_t misses = 0;
+    bool spilled = false;
+    for (int fn = 0; fn < 3; ++fn) {
+        for (std::size_t c = 0; c < platform.cellCount(); ++c)
+            misses += platform.cell(c).scaleOutMisses(fn);
+        if (platform.router().homeSize(fn) < 2)
+            continue;
+        std::size_t next = platform.router().rankedCell(fn, 1);
+        spilled = spilled ||
+                  platform.cell(next).functionMetrics(fn).arrivals() > 0;
+    }
+    EXPECT_GT(misses, 0);
+    EXPECT_TRUE(spilled) << "no function reached its next-ranked cell";
+
+    const RunMetrics &m = platform.totalMetrics();
+    EXPECT_EQ(routedSum(platform), m.arrivals());
+    EXPECT_EQ(m.completions() + m.drops() + platform.inFlightRequests(),
+              m.arrivals());
+}
+
+TEST(ShardedPlatform, CellsReleaseReplayedArrivals)
+{
+    // A flat platform keeps an injected trace until its last arrival
+    // fires, then frees it.
+    PlatformOptions opts;
+    opts.seed = 47;
+    Platform flat(8, opts);
+    auto fn = flat.deploy(spec("resnet", "ResNet-50"));
+    auto trace = uniformArrivals(50.0, 10 * kTicksPerSec);
+    std::size_t injected = trace.size();
+    flat.injectTrace(fn, std::move(trace));
+    flat.run(5 * kTicksPerSec);
+    EXPECT_GE(flat.heldArrivalTicks(), injected);
+    flat.run(15 * kTicksPerSec);
+    EXPECT_EQ(flat.heldArrivalTicks(), 0u);
+
+    // Cells receive one trace per (window, function) and replay each
+    // within its window, so between windows they hold no arrivals at
+    // all, however long the run.
+    CellOptions cells;
+    cells.cells = 4;
+    ShardedPlatform sharded(16, opts, cells);
+    auto sfn = sharded.deploy(spec("resnet", "ResNet-50"));
+    sharded.injectTrace(sfn, uniformArrivals(200.0, 20 * kTicksPerSec));
+    for (Tick t = kTicksPerSec; t <= 25 * kTicksPerSec; t += kTicksPerSec) {
+        sharded.run(t);
+        for (std::size_t c = 0; c < sharded.cellCount(); ++c)
+            ASSERT_EQ(sharded.cell(c).heldArrivalTicks(), 0u)
+                << "cell " << c << " at " << t;
+    }
+    EXPECT_GT(sharded.totalMetrics().arrivals(), 3'000);
 }
 
 TEST(ShardedPlatform, MultiCellArrivalsMatchFlatForSameTrace)
@@ -610,8 +694,10 @@ TEST(ShardedPlatform, MultiCellGoldenDigest)
     // Multi-cell outputs pinned bit for bit: the chaos run covers
     // topology spread, a zone outage straddling cells, gray servers and
     // health ejection; the skewed run covers routing under uneven load.
-    EXPECT_EQ(bitDigest(chaosRun(1)), 0x94bbd48f6408799aULL);
-    EXPECT_EQ(bitDigest(skewedTrafficRun()), 0x1cab0b91a08a563bULL);
+    // Pinned on home-cell routing (the spread-everything po2 router
+    // gave 0x94bbd48f6408799a and 0x1cab0b91a08a563b).
+    EXPECT_EQ(bitDigest(chaosRun(1)), 0x8c89a4b1e79cb99bULL);
+    EXPECT_EQ(bitDigest(skewedTrafficRun()), 0x5c68a1661a24d54fULL);
 }
 
 } // namespace
