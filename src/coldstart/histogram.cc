@@ -10,7 +10,8 @@ namespace infless::coldstart {
 
 IdleTimeHistogram::IdleTimeHistogram(std::vector<sim::Tick> windows,
                                      sim::Tick bin_width, sim::Tick range)
-    : binWidth_(bin_width), range_(range)
+    : binWidth_(bin_width), range_(range),
+      log_(std::max<std::size_t>(1, windows.size()), /*tagged=*/true)
 {
     sim::simAssert(!windows.empty(), "histogram needs at least one window");
     sim::simAssert(bin_width > 0 && range > 0,
@@ -22,7 +23,7 @@ IdleTimeHistogram::IdleTimeHistogram(std::vector<sim::Tick> windows,
     for (sim::Tick horizon : windows) {
         sim::simAssert(horizon > 0, "histogram parameters must be positive");
         windows_.push_back(
-            Window{horizon, 0, std::vector<std::int64_t>(bins, 0), 0});
+            Window{horizon, std::vector<std::int64_t>(bins, 0), 0});
     }
 }
 
@@ -56,8 +57,7 @@ IdleTimeHistogram::addSample(sim::Tick gap, sim::Tick now)
 {
     evict(now);
     std::uint16_t bin = binOf(gap);
-    observedAt_.push_back(now);
-    binLog_.push_back(bin);
+    log_.push(now, bin);
     for (Window &win : windows_) {
         ++win.bins[bin];
         ++win.total;
@@ -67,24 +67,27 @@ IdleTimeHistogram::addSample(sim::Tick gap, sim::Tick now)
 void
 IdleTimeHistogram::evict(sim::Tick now)
 {
-    const std::uint64_t end = logBase_ + observedAt_.size();
-    std::uint64_t slowest = end;
-    for (Window &win : windows_) {
+    for (std::size_t w = 0; w < windows_.size(); ++w) {
+        Window &win = windows_[w];
         sim::Tick cutoff = now - win.horizon;
-        while (win.cursor < end &&
-               observedAt_[win.cursor - logBase_] < cutoff) {
-            --win.bins[binLog_[win.cursor - logBase_]];
+        while (!log_.done(w)) {
+            sim::TickLog::Record sample = log_.peek(w);
+            if (sample.tick >= cutoff)
+                break;
+            --win.bins[sample.tag];
             --win.total;
-            ++win.cursor;
+            log_.take(w);
         }
-        slowest = std::min(slowest, win.cursor);
     }
-    // Entries every window has passed are dead.
-    while (logBase_ < slowest) {
-        observedAt_.pop_front();
-        binLog_.pop_front();
-        ++logBase_;
-    }
+}
+
+std::size_t
+IdleTimeHistogram::logSize() const
+{
+    std::uint64_t held = 0;
+    for (std::size_t w = 0; w < windows_.size(); ++w)
+        held = std::max(held, log_.unread(w));
+    return static_cast<std::size_t>(held);
 }
 
 std::size_t

@@ -11,9 +11,9 @@
 #define INFLESS_COLDSTART_HISTOGRAM_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "sim/tick_log.hh"
 #include "sim/time.hh"
 
 namespace infless::coldstart {
@@ -23,11 +23,12 @@ namespace infless::coldstart {
  * share one sample log.
  *
  * Every window sees the same samples; it differs only in how long it
- * keeps them. The log stores each sample once, as (observedAt, bin) in
- * two parallel deques (10 bytes per sample), and is trimmed behind the
- * slowest window. Each window keeps a cursor to its oldest retained
- * sample plus its own bin counts, so every query answers exactly what a
- * separate single-window histogram would.
+ * keeps them. The log stores each sample once, as a sim::TickLog record
+ * (observedAt delta, bin): about 3 bytes per sample at production rates.
+ * Each window reads the log through its own cursor, which stops at its
+ * oldest retained sample, and keeps its own bin counts, so every query
+ * answers exactly what a separate single-window histogram would. Log
+ * chunks every window has passed are freed.
  */
 class IdleTimeHistogram
 {
@@ -82,15 +83,15 @@ class IdleTimeHistogram
     sim::Tick range() const { return range_; }
 
     /** Samples held in the shared log (those the slowest window keeps). */
-    std::size_t logSize() const { return observedAt_.size(); }
+    std::size_t logSize() const;
+
+    /** Bytes of log storage held. */
+    std::size_t heldBytes() const { return log_.heldBytes(); }
 
   private:
     struct Window
     {
         sim::Tick horizon;
-        /** Log position (counted from the first sample ever) of the
-         *  oldest sample this window retains. */
-        std::uint64_t cursor = 0;
         std::vector<std::int64_t> bins;
         std::int64_t total = 0;
     };
@@ -103,11 +104,8 @@ class IdleTimeHistogram
     sim::Tick range_;
     sim::Tick lastInvocation_ = -1;
     std::vector<Window> windows_;
-    /** The shared sample log, oldest first. */
-    std::deque<sim::Tick> observedAt_;
-    std::deque<std::uint16_t> binLog_;
-    /** Log position of observedAt_.front(). */
-    std::uint64_t logBase_ = 0;
+    /** The shared sample log; cursor w is window w's oldest sample. */
+    sim::TickLog log_;
 };
 
 } // namespace infless::coldstart

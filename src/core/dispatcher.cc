@@ -1,7 +1,6 @@
 #include "core/dispatcher.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/logging.hh"
 
@@ -76,43 +75,6 @@ targetRates(const std::vector<InstanceRateInfo> &infos, double measured_rps)
     for (const auto &info : infos)
         rates.push_back(info.rUp - fraction * (info.rUp - info.rLow));
     return rates;
-}
-
-std::size_t
-pickWeighted(const std::vector<double> &weights,
-             const std::vector<double> &served,
-             const std::vector<bool> &eligible)
-{
-    sim::simAssert(weights.size() == served.size() &&
-                       weights.size() == eligible.size(),
-                   "weighted pick arity mismatch");
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    double best_ratio = std::numeric_limits<double>::max();
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        if (!eligible[i] || weights[i] <= 0.0)
-            continue;
-        double ratio = (served[i] + 1.0) / weights[i];
-        if (ratio < best_ratio) {
-            best_ratio = ratio;
-            best = i;
-        }
-    }
-    if (best != std::numeric_limits<std::size_t>::max())
-        return best;
-    // Last resort: every eligible instance has a zero target rate (e.g.
-    // the rate estimator reads 0 rps right after a lull or a mass
-    // failover). Round-robin over the eligible set by least-served
-    // rather than dropping the request on the floor.
-    double least_served = std::numeric_limits<double>::max();
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        if (!eligible[i])
-            continue;
-        if (served[i] < least_served) {
-            least_served = served[i];
-            best = i;
-        }
-    }
-    return best;
 }
 
 } // namespace infless::core

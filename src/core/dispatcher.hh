@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "sim/time.hh"
@@ -82,18 +83,44 @@ std::vector<double> targetRates(const std::vector<InstanceRateInfo> &infos,
                                 double measured_rps);
 
 /**
- * Weighted-round-robin pick: the index minimizing served/weight, i.e. the
- * instance furthest behind its target share. Entries with weight <= 0 or
- * eligible[i] == false are skipped. When every eligible entry has a
- * non-positive weight (all target rates zero), falls back to the
- * least-served eligible entry instead of failing, so a momentary
- * all-zero rate plan cannot silently drop traffic.
- *
- * @return Index into @p weights, or SIZE_MAX when nothing is eligible.
+ * Weighted-round-robin pick over candidates offered one at a time: the
+ * one minimizing (served + 1) / weight, i.e. the instance furthest behind
+ * its target share. Candidates with weight <= 0 only take part in the
+ * fallback: when no offered candidate has a positive weight (all target
+ * rates zero), the least-served one wins instead of failing, so a
+ * momentary all-zero rate plan cannot silently drop traffic. Ties go to
+ * the candidate offered first.
  */
-std::size_t pickWeighted(const std::vector<double> &weights,
-                         const std::vector<double> &served,
-                         const std::vector<bool> &eligible);
+class WeightedPick
+{
+  public:
+    static constexpr std::size_t kNone =
+        std::numeric_limits<std::size_t>::max();
+
+    void offer(std::size_t id, double weight, double served)
+    {
+        if (weight > 0.0) {
+            double ratio = (served + 1.0) / weight;
+            if (ratio < bestRatio_) {
+                bestRatio_ = ratio;
+                best_ = id;
+            }
+        }
+        if (served < leastServed_) {
+            leastServed_ = served;
+            least_ = id;
+        }
+    }
+
+    /** The winning candidate's id, or kNone when none was offered. */
+    std::size_t pick() const { return best_ != kNone ? best_ : least_; }
+
+  private:
+    std::size_t best_ = kNone;
+    double bestRatio_ = std::numeric_limits<double>::max();
+    std::size_t least_ = kNone;
+    double leastServed_ = std::numeric_limits<double>::max();
+};
 
 } // namespace infless::core
 

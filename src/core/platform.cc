@@ -210,8 +210,16 @@ void
 Platform::injectTrace(FunctionId fn, workload::ArrivalTrace trace)
 {
     functionState(fn); // validate the id
-    feeds_.push_back(TraceFeed{fn, std::move(trace), 0});
-    scheduleNextArrival(feeds_.size() - 1);
+    std::size_t idx = feeds_.size();
+    if (freeFeeds_.empty()) {
+        feeds_.push_back(TraceFeed{fn, sim::TickLog()});
+    } else {
+        idx = freeFeeds_.back();
+        freeFeeds_.pop_back();
+        feeds_[idx] = TraceFeed{fn, sim::TickLog()};
+    }
+    feeds_[idx].ticks.append(trace.arrivals());
+    scheduleNextArrival(idx);
 }
 
 void
@@ -226,18 +234,16 @@ void
 Platform::scheduleNextArrival(std::size_t feed_idx)
 {
     TraceFeed &feed = feeds_[feed_idx];
-    if (feed.cursor >= feed.trace.size()) {
-        // Release the replayed ticks; the slot stays because scheduled
-        // arrival lambdas address feeds by index.
-        feed.trace = workload::ArrivalTrace();
-        feed.cursor = 0;
+    if (feed.ticks.done(0)) {
+        // Replayed (its chunks went with the last read). No scheduled
+        // arrival addresses this slot any more, so the next injected
+        // trace may take it.
+        freeFeeds_.push_back(feed_idx);
         return;
     }
-    sim::Tick when = feed.trace.arrivals()[feed.cursor];
+    sim::Tick when = feed.ticks.take(0).tick;
     sim_.atFixed(std::max(when, sim_.now()), [this, feed_idx] {
-        TraceFeed &f = feeds_[feed_idx];
-        ++f.cursor;
-        onArrival(f.fn);
+        onArrival(feeds_[feed_idx].fn);
         scheduleNextArrival(feed_idx);
     });
 }
@@ -343,11 +349,11 @@ Platform::inFlightRequests() const
 }
 
 std::size_t
-Platform::heldArrivalTicks() const
+Platform::heldArrivalBytes() const
 {
     std::size_t total = 0;
     for (const TraceFeed &feed : feeds_)
-        total += feed.trace.arrivals().capacity();
+        total += feed.ticks.heldBytes();
     return total;
 }
 
@@ -413,66 +419,77 @@ Platform::ingestRequest(FunctionId fn, RequestIndex request)
     }
 }
 
+Platform::LiveScan
+Platform::scanLive(const FunctionState &f, bool admission) const
+{
+    sim::Tick now = sim_.now();
+    bool pack = packRouting();
+    bool one_to_one = oneToOne();
+    LiveScan scan;
+    for (std::size_t idx : f.live) {
+        const InstanceRuntime &rt = instances_[idx];
+        if (!rt.queue.hasRoom())
+            continue;
+        if (admission) {
+            // Predicted sojourn: cold-start remainder + batches queued
+            // ahead + its own batch. Draining instances still serve
+            // queued work (routing falls back to them during
+            // make-before-break reconfigs), so they count as capacity
+            // here; excluding them sheds a full reconfig wave.
+            scan.anyRoom = true;
+            sim::Tick ready =
+                rt.warmAt == sim::kTickNever
+                    ? std::max<sim::Tick>(0, rt.warmExpectedAt - now)
+                    : 0;
+            auto per_batch = static_cast<sim::Tick>(
+                std::max(1, rt.queue.batchSize()));
+            sim::Tick batches_ahead =
+                static_cast<sim::Tick>(rt.queue.size()) / per_batch +
+                (rt.inst.state() == cluster::InstanceState::Busy ? 1 : 0);
+            scan.admitBest =
+                std::min(scan.admitBest,
+                         ready + (batches_ahead + 1) * rt.execPredicted);
+        }
+        if (one_to_one && (!rt.queue.empty() ||
+                           rt.inst.state() == cluster::InstanceState::Busy))
+            continue;
+        WeightedPick &pick = rt.draining ? scan.draining : scan.serving;
+        if (pack) {
+            // Equal weights and no history: the first eligible instance
+            // in live order wins.
+            pick.offer(idx, 1.0, 0.0);
+        } else {
+            pick.offer(idx,
+                       rt.targetRate > 0.0 ? rt.targetRate : rt.bounds.up,
+                       rt.servedInEpoch);
+        }
+    }
+    return scan;
+}
+
 void
 Platform::routeRequest(FunctionId fn, RequestIndex request)
 {
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
 
-    // Overload gate: the circuit breaker and the deadline-aware
-    // admission predicate both shed at ingress (no-op when disabled).
+    // Overload gates: the circuit breaker and the adaptive limiter shed
+    // at ingress before any instance is looked at; static admission
+    // reads the same pass over live instances that routing does.
     if (!admitRequest(fn, request))
+        return;
+    bool admission = opts_.overload.admissionMode() ==
+                     overload::AdmissionMode::Static;
+    LiveScan scan = scanLive(f, admission);
+    if (admission && !admitStatic(fn, request, scan))
         return;
 
     // Draining instances stop receiving traffic, but serve as a fallback
     // while replacements are still cold-starting (make-before-break).
-    auto pick = [&](bool include_draining) -> std::size_t {
-        constexpr auto kNone = std::numeric_limits<std::size_t>::max();
-        auto is_eligible = [&](const InstanceRuntime &rt) {
-            if (rt.draining && !include_draining)
-                return false;
-            if (!rt.queue.hasRoom())
-                return false;
-            if (oneToOne()) {
-                return rt.queue.empty() &&
-                       rt.inst.state() != cluster::InstanceState::Busy;
-            }
-            return true;
-        };
-        if (packRouting()) {
-            for (std::size_t idx : f.live) {
-                if (is_eligible(instances_[idx]))
-                    return idx;
-            }
-            return kNone;
-        }
-        // Member scratch: filled and consumed here with no call in
-        // between that could route, so reuse never aliases.
-        pickWeights_.clear();
-        pickServed_.clear();
-        pickEligible_.clear();
-        for (std::size_t idx : f.live) {
-            const InstanceRuntime &rt = instances_[idx];
-            pickWeights_.push_back(rt.targetRate > 0.0 ? rt.targetRate
-                                                       : rt.bounds.up);
-            pickServed_.push_back(rt.servedInEpoch);
-            pickEligible_.push_back(is_eligible(rt));
-        }
-        std::size_t local =
-            pickWeighted(pickWeights_, pickServed_, pickEligible_);
-        return local == kNone ? kNone : f.live[local];
-    };
-
-    std::size_t idx = pick(false);
-    if (idx == std::numeric_limits<std::size_t>::max())
-        idx = pick(true);
-    if (idx == std::numeric_limits<std::size_t>::max() &&
-        maybeReactiveScaleOut(fn)) {
-        idx = pick(false);
-        if (idx == std::numeric_limits<std::size_t>::max())
-            idx = pick(true);
-    }
-    if (idx == std::numeric_limits<std::size_t>::max()) {
+    std::size_t idx = scan.pick();
+    if (idx == WeightedPick::kNone && maybeReactiveScaleOut(fn))
+        idx = scanLive(f, false).pick();
+    if (idx == WeightedPick::kNone) {
         // Last resort before giving up: evict the oldest *doomed*
         // queued request fleet-wide (one already past its submission
         // deadline) to seat this one.
@@ -1152,7 +1169,7 @@ Platform::admitRequest(FunctionId fn, RequestIndex request)
 {
     const overload::OverloadConfig &oc = opts_.overload;
     overload::AdmissionMode mode = oc.admissionMode();
-    if (!oc.breaker.enabled && mode == overload::AdmissionMode::None)
+    if (!oc.breaker.enabled && mode != overload::AdmissionMode::Adaptive)
         return true;
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
@@ -1198,49 +1215,29 @@ Platform::admitRequest(FunctionId fn, RequestIndex request)
         return true;
     }
 
-    if (mode == overload::AdmissionMode::Static) {
-        // Predicted sojourn of the best-placed instance with room:
-        // cold-start remainder + batches queued ahead + its own batch.
-        sim::Tick best = sim::kTickNever;
-        bool any_room = false;
-        // Draining instances still serve queued work (routing falls back
-        // to them during make-before-break reconfigs), so they count as
-        // capacity here; excluding them sheds a full reconfig wave.
-        for (std::size_t idx : f.live) {
-            const InstanceRuntime &rt = instances_[idx];
-            if (!rt.queue.hasRoom())
-                continue;
-            any_room = true;
-            sim::Tick ready =
-                rt.warmAt == sim::kTickNever
-                    ? std::max<sim::Tick>(0, rt.warmExpectedAt - now)
-                    : 0;
-            auto per_batch = static_cast<sim::Tick>(
-                std::max(1, rt.queue.batchSize()));
-            sim::Tick batches_ahead =
-                static_cast<sim::Tick>(rt.queue.size()) / per_batch +
-                (rt.inst.state() == cluster::InstanceState::Busy ? 1 : 0);
-            sim::Tick predicted =
-                ready + (batches_ahead + 1) * rt.execPredicted;
-            best = std::min(best, predicted);
-        }
-        if (any_room) {
-            double slack = static_cast<double>(effectiveSlo(f)) *
-                           oc.admission.slackFactor;
-            if (static_cast<double>(best) > slack) {
-                shedRequest(f, request, now, ShedCause::Admission);
-                // A capacity-driven shed is also a scale-out signal:
-                // without this, shedding starves the reactive path in
-                // routeRequest and the fleet only grows on scaler
-                // ticks, so a cold burst stays unservable for longer.
-                maybeReactiveScaleOut(fn);
-                return false;
-            }
-        }
-        // No instance with room: fall through to the routing path, which
-        // can still scale out reactively or evict.
-    }
     return true;
+}
+
+bool
+Platform::admitStatic(FunctionId fn, RequestIndex request,
+                      const LiveScan &scan)
+{
+    // No instance with room: fall through to the routing path, which
+    // can still scale out reactively or evict.
+    if (!scan.anyRoom)
+        return true;
+    FunctionState &f = functionState(fn);
+    double slack = static_cast<double>(effectiveSlo(f)) *
+                   opts_.overload.admission.slackFactor;
+    if (static_cast<double>(scan.admitBest) <= slack)
+        return true;
+    shedRequest(f, request, sim_.now(), ShedCause::Admission);
+    // A capacity-driven shed is also a scale-out signal: without this,
+    // shedding starves the reactive path in routeRequest and the fleet
+    // only grows on scaler ticks, so a cold burst stays unservable for
+    // longer.
+    maybeReactiveScaleOut(fn);
+    return false;
 }
 
 void

@@ -48,6 +48,7 @@
 #include "profiler/cop.hh"
 #include "profiler/op_profile_db.hh"
 #include "sim/simulation.hh"
+#include "sim/tick_log.hh"
 #include "workload/trace.hh"
 
 namespace infless::core {
@@ -278,10 +279,12 @@ class Platform
     std::int64_t liveRequestRecords() const { return requests_.live(); }
 
     /**
-     * Arrival ticks held by injected traces not yet fully replayed: a
-     * trace's storage is released once its last arrival fires.
+     * Bytes held by injected traces not yet replayed. A trace is kept
+     * delta-encoded, and each chunk of it is freed once replay has read
+     * past it, so this shrinks as arrivals fire and is 0 once every
+     * injected arrival has been scheduled.
      */
-    std::size_t heldArrivalTicks() const;
+    std::size_t heldArrivalBytes() const;
 
     /** Scheduling passes (Algorithm 1 invocations) run so far. */
     std::uint64_t schedulerDecisions() const
@@ -673,8 +676,35 @@ class Platform
         Limiter    ///< adaptive concurrency limit
     };
 
-    /** Breaker + admission/limiter gate at ingress; false = shed. */
+    /** One pass over a function's live instances with queue room. */
+    struct LiveScan
+    {
+        /** Weighted pick among non-draining eligible instances. */
+        WeightedPick serving;
+        /** The same among draining ones: the make-before-break
+         *  fallback. */
+        WeightedPick draining;
+        /** Static admission: whether any instance has room, and the
+         *  best predicted sojourn among those (when asked for). */
+        bool anyRoom = false;
+        sim::Tick admitBest = sim::kTickNever;
+
+        /** Routing target: serving first, then draining; kNone when
+         *  nothing is eligible. */
+        std::size_t pick() const
+        {
+            std::size_t idx = serving.pick();
+            return idx != WeightedPick::kNone ? idx : draining.pick();
+        }
+    };
+    /** Scan @p f's live instances for routing, and for static admission
+     *  when @p admission. */
+    LiveScan scanLive(const FunctionState &f, bool admission) const;
+    /** Breaker + adaptive limiter gate at ingress; false = shed. */
     bool admitRequest(FunctionId fn, RequestIndex request);
+    /** Static admission predicate over @p scan; false = shed. */
+    bool admitStatic(FunctionId fn, RequestIndex request,
+                     const LiveScan &scan);
     /** Account one shed and drop the request. */
     void shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
                      ShedCause cause);
@@ -710,12 +740,11 @@ class Platform
      *  disabled path: scheduler never sees a context). */
     SpreadContext *spreadArg(SpreadContext &ctx) const;
 
-    /** One injected trace and its replay cursor. */
+    /** One injected trace, read by its replay cursor. */
     struct TraceFeed
     {
         FunctionId fn;
-        workload::ArrivalTrace trace;
-        std::size_t cursor = 0;
+        sim::TickLog ticks;
     };
     void scheduleNextArrival(std::size_t feed_idx);
 
@@ -737,10 +766,8 @@ class Platform
     /** Records of requests not yet completed or dropped. */
     RequestTable requests_;
     std::vector<TraceFeed> feeds_;
-    /** routeRequest's pickWeighted inputs, reused across requests. */
-    std::vector<double> pickWeights_;
-    std::vector<double> pickServed_;
-    std::vector<bool> pickEligible_;
+    /** Slots of fully replayed feeds, reused by the next injection. */
+    std::vector<std::size_t> freeFeeds_;
 
     metrics::RunMetrics total_;
     metrics::TimeWeightedMean fragRatio_;

@@ -107,7 +107,8 @@ ShardedPlatform::injectTrace(FunctionId fn, workload::ArrivalTrace trace)
         cells_[0]->injectTrace(fn, std::move(trace));
         return;
     }
-    pending_.push_back(PendingFeed{fn, std::move(trace), 0});
+    pending_.push_back(PendingFeed{fn, sim::TickLog()});
+    pending_.back().ticks.append(trace.arrivals());
 }
 
 void
@@ -236,13 +237,13 @@ ShardedPlatform::routeArrivals(sim::Tick window_end, sim::Tick until)
     bool final_window = window_end == until;
     windowArrivals_.clear();
     for (std::size_t f = 0; f < pending_.size(); ++f) {
-        PendingFeed &feed = pending_[f];
-        const auto &ticks = feed.trace.arrivals();
-        while (feed.cursor < ticks.size() &&
-               (ticks[feed.cursor] < window_end ||
-                (final_window && ticks[feed.cursor] == window_end))) {
-            windowArrivals_.emplace_back(ticks[feed.cursor], f);
-            ++feed.cursor;
+        sim::TickLog &ticks = pending_[f].ticks;
+        while (!ticks.done(0)) {
+            sim::Tick tick = ticks.peek(0).tick;
+            if (tick > window_end || (tick == window_end && !final_window))
+                break;
+            windowArrivals_.emplace_back(tick, f);
+            ticks.take(0);
         }
     }
     if (windowArrivals_.empty())
@@ -278,7 +279,7 @@ ShardedPlatform::routeArrivals(sim::Tick window_end, sim::Tick until)
     // feed order (the tie-break) is preserved.
     std::size_t keep = 0;
     for (std::size_t f = 0; f < pending_.size(); ++f) {
-        if (pending_[f].cursor >= pending_[f].trace.size())
+        if (pending_[f].ticks.done(0))
             continue;
         if (keep != f)
             pending_[keep] = std::move(pending_[f]);

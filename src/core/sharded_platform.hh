@@ -41,6 +41,7 @@
 #include "cluster/cell_partition.hh"
 #include "cluster/cell_router.hh"
 #include "core/platform.hh"
+#include "sim/tick_log.hh"
 #include "sim/worker_pool.hh"
 
 namespace infless::core {
@@ -182,12 +183,12 @@ class ShardedPlatform
     std::int64_t routedTo(std::size_t i) const { return routedTotal_[i]; }
 
   private:
-    /** One injected trace awaiting routing (multi-cell only). */
+    /** One injected trace awaiting routing (multi-cell only), read by
+     *  its routing cursor. */
     struct PendingFeed
     {
         FunctionId fn;
-        workload::ArrivalTrace trace;
-        std::size_t cursor = 0;
+        sim::TickLog ticks;
     };
 
     /** A queued cross-cell fault command. */

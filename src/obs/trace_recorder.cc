@@ -128,7 +128,8 @@ TraceRecorder::append(const SpanRecord &rec)
         return;
     }
     ring_[head_] = rec;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_)
+        head_ = 0;
     ++overwritten_;
 }
 

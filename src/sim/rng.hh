@@ -12,6 +12,7 @@
 #define INFLESS_SIM_RNG_HH
 
 #include <cstdint>
+#include <mutex>
 #include <random>
 
 namespace infless::sim {
@@ -100,6 +101,12 @@ class Rng
     {
         if (mean <= 0.0)
             return 0;
+        // std::poisson_distribution calls std::lgamma, which writes
+        // libm's global signgam; serialize draws across threads (sweeps
+        // materialize workloads on worker threads). The lock changes no
+        // drawn value.
+        static std::mutex lgamma_mutex;
+        std::lock_guard<std::mutex> lock(lgamma_mutex);
         return std::poisson_distribution<std::int64_t>(mean)(engine_);
     }
 

@@ -15,10 +15,10 @@ namespace {
 
 using infless::core::assessScaling;
 using infless::core::InstanceRateInfo;
-using infless::core::pickWeighted;
 using infless::core::RateEstimator;
 using infless::core::ScalingAssessment;
 using infless::core::targetRates;
+using infless::core::WeightedPick;
 using infless::sim::kTicksPerSec;
 
 using Action = ScalingAssessment::Action;
@@ -130,31 +130,32 @@ TEST(TargetRatesTest, RatesStayWithinBoundsWhenOverloaded)
 
 TEST(PickWeightedTest, PrefersLeastLoadedRelativeToWeight)
 {
-    std::vector<double> weights = {80.0, 40.0};
-    std::vector<double> served = {10.0, 10.0};
-    std::vector<bool> eligible = {true, true};
     // Instance 0 has twice the weight, so at equal served it wins.
-    EXPECT_EQ(pickWeighted(weights, served, eligible), 0u);
-    served[0] = 30.0;
+    WeightedPick even;
+    even.offer(0, 80.0, 10.0);
+    even.offer(1, 40.0, 10.0);
+    EXPECT_EQ(even.pick(), 0u);
     // (31)/80 = 0.3875 vs (11)/40 = 0.275 -> instance 1 now.
-    EXPECT_EQ(pickWeighted(weights, served, eligible), 1u);
+    WeightedPick ahead;
+    ahead.offer(0, 80.0, 30.0);
+    ahead.offer(1, 40.0, 10.0);
+    EXPECT_EQ(ahead.pick(), 1u);
 }
 
 TEST(PickWeightedTest, SkipsIneligibleAndZeroWeight)
 {
-    std::vector<double> weights = {80.0, 0.0, 40.0};
-    std::vector<double> served = {0.0, 0.0, 0.0};
-    std::vector<bool> eligible = {false, true, true};
-    EXPECT_EQ(pickWeighted(weights, served, eligible), 2u);
+    // Instance 0 is ineligible, so it is never offered; the zero-weight
+    // instance 1 loses to any positive weight.
+    WeightedPick pick;
+    pick.offer(1, 0.0, 0.0);
+    pick.offer(2, 40.0, 0.0);
+    EXPECT_EQ(pick.pick(), 2u);
 }
 
 TEST(PickWeightedTest, NothingEligibleReturnsSentinel)
 {
-    std::vector<double> weights = {80.0};
-    std::vector<double> served = {0.0};
-    std::vector<bool> eligible = {false};
-    EXPECT_EQ(pickWeighted(weights, served, eligible),
-              std::numeric_limits<std::size_t>::max());
+    EXPECT_EQ(WeightedPick().pick(), std::numeric_limits<std::size_t>::max());
+    EXPECT_EQ(WeightedPick::kNone, std::numeric_limits<std::size_t>::max());
 }
 
 TEST(PickWeightedTest, AllZeroWeightsFallBackToLeastServed)
@@ -162,18 +163,35 @@ TEST(PickWeightedTest, AllZeroWeightsFallBackToLeastServed)
     // Every eligible instance at target rate zero (e.g. the estimator
     // reads 0 rps right after a lull) must still route: least-served
     // round-robin, not a silent drop.
-    std::vector<double> weights = {0.0, 0.0, 0.0};
-    std::vector<double> served = {5.0, 2.0, 9.0};
-    std::vector<bool> eligible = {true, true, true};
-    EXPECT_EQ(pickWeighted(weights, served, eligible), 1u);
+    WeightedPick all;
+    all.offer(0, 0.0, 5.0);
+    all.offer(1, 0.0, 2.0);
+    all.offer(2, 0.0, 9.0);
+    EXPECT_EQ(all.pick(), 1u);
 
-    // Ineligible entries stay excluded from the fallback.
-    eligible[1] = false;
-    EXPECT_EQ(pickWeighted(weights, served, eligible), 0u);
+    // Ineligible entries (not offered) stay out of the fallback.
+    WeightedPick without_1;
+    without_1.offer(0, 0.0, 5.0);
+    without_1.offer(2, 0.0, 9.0);
+    EXPECT_EQ(without_1.pick(), 0u);
 
     // A positive-weight entry still wins outright over the fallback.
-    weights[2] = 10.0;
-    EXPECT_EQ(pickWeighted(weights, served, eligible), 2u);
+    WeightedPick weighted;
+    weighted.offer(0, 0.0, 5.0);
+    weighted.offer(2, 10.0, 9.0);
+    EXPECT_EQ(weighted.pick(), 2u);
+}
+
+TEST(PickWeightedTest, TiesGoToTheFirstOffered)
+{
+    WeightedPick ratio;
+    ratio.offer(7, 20.0, 1.0);
+    ratio.offer(3, 40.0, 3.0);
+    EXPECT_EQ(ratio.pick(), 7u);
+    WeightedPick least;
+    least.offer(7, 0.0, 4.0);
+    least.offer(3, 0.0, 4.0);
+    EXPECT_EQ(least.pick(), 7u);
 }
 
 TEST(PickWeightedTest, LongRunShareMatchesWeights)
@@ -181,10 +199,11 @@ TEST(PickWeightedTest, LongRunShareMatchesWeights)
     // Simulate 1200 picks; shares should track weights 3:2:1.
     std::vector<double> weights = {30.0, 20.0, 10.0};
     std::vector<double> served = {0.0, 0.0, 0.0};
-    std::vector<bool> eligible = {true, true, true};
     for (int i = 0; i < 1200; ++i) {
-        auto pick = pickWeighted(weights, served, eligible);
-        served[pick] += 1.0;
+        WeightedPick pick;
+        for (std::size_t j = 0; j < weights.size(); ++j)
+            pick.offer(j, weights[j], served[j]);
+        served[pick.pick()] += 1.0;
     }
     EXPECT_NEAR(served[0], 600.0, 2.0);
     EXPECT_NEAR(served[1], 400.0, 2.0);

@@ -19,6 +19,7 @@
 #include "core/sharded_platform.hh"
 #include "obs/slo_monitor.hh"
 #include "sim/logging.hh"
+#include "sim/tick_log.hh"
 #include "workload/generators.hh"
 
 namespace {
@@ -232,19 +233,21 @@ TEST(ShardedPlatform, SpillsPastHomeOnScaleOutMiss)
 
 TEST(ShardedPlatform, CellsReleaseReplayedArrivals)
 {
-    // A flat platform keeps an injected trace until its last arrival
-    // fires, then frees it.
+    // A flat platform keeps an injected trace delta-encoded in chunks
+    // and frees each chunk once replay has read past it, so the storage
+    // it holds shrinks as arrivals fire and is gone after the last one.
     PlatformOptions opts;
     opts.seed = 47;
     Platform flat(8, opts);
     auto fn = flat.deploy(spec("resnet", "ResNet-50"));
-    auto trace = uniformArrivals(50.0, 10 * kTicksPerSec);
-    std::size_t injected = trace.size();
-    flat.injectTrace(fn, std::move(trace));
-    flat.run(5 * kTicksPerSec);
-    EXPECT_GE(flat.heldArrivalTicks(), injected);
-    flat.run(15 * kTicksPerSec);
-    EXPECT_EQ(flat.heldArrivalTicks(), 0u);
+    flat.injectTrace(fn, uniformArrivals(2000.0, 20 * kTicksPerSec));
+    std::size_t injected = flat.heldArrivalBytes();
+    EXPECT_GE(injected, 16 * infless::sim::TickLog::kChunkBytes);
+    flat.run(10 * kTicksPerSec);
+    EXPECT_LE(flat.heldArrivalBytes(), injected * 6 / 10);
+    EXPECT_GT(flat.heldArrivalBytes(), 0u);
+    flat.run(25 * kTicksPerSec);
+    EXPECT_EQ(flat.heldArrivalBytes(), 0u);
 
     // Cells receive one trace per (window, function) and replay each
     // within its window, so between windows they hold no arrivals at
@@ -257,7 +260,7 @@ TEST(ShardedPlatform, CellsReleaseReplayedArrivals)
     for (Tick t = kTicksPerSec; t <= 25 * kTicksPerSec; t += kTicksPerSec) {
         sharded.run(t);
         for (std::size_t c = 0; c < sharded.cellCount(); ++c)
-            ASSERT_EQ(sharded.cell(c).heldArrivalTicks(), 0u)
+            ASSERT_EQ(sharded.cell(c).heldArrivalBytes(), 0u)
                 << "cell " << c << " at " << t;
     }
     EXPECT_GT(sharded.totalMetrics().arrivals(), 3'000);
