@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 
 #include "core/platform.hh"
@@ -358,6 +360,48 @@ TEST(PlatformOverloadTest, FaithfulProfileErrorConfigIsBitIdentical)
     Platform faithful(2, std::move(opts));
     runBurst(faithful);
     EXPECT_EQ(metricTuple(plain), metricTuple(faithful));
+}
+
+/** FNV-1a over the bit patterns of a metricTuple's fields, each widened
+ *  to double. */
+template <typename Tuple>
+std::uint64_t
+tupleDigest(std::uint64_t h, const Tuple &tuple)
+{
+    std::apply(
+        [&h](const auto &...field) {
+            for (double v : {static_cast<double>(field)...}) {
+                auto bits = std::bit_cast<std::uint64_t>(v);
+                for (int i = 0; i < 8; ++i) {
+                    h ^= (bits >> (8 * i)) & 0xFF;
+                    h *= 0x100000001b3ULL;
+                }
+            }
+        },
+        tuple);
+    return h;
+}
+
+TEST(PlatformOverloadTest, StaticAndFullStackGoldenDigest)
+{
+    // No gate, static admission and the full stack past full-cluster
+    // capacity, each with an accurate and a 1.5x pessimistic profiler:
+    // every output pinned bit for bit.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (double error : {1.0, 1.5}) {
+        OverloadConfig admission;
+        admission.admission.enabled = true;
+        for (const OverloadConfig &overload :
+             {OverloadConfig{}, admission, OverloadConfig::fullStack()}) {
+            PlatformOptions opts;
+            opts.overload = overload;
+            opts.faults.profileError.factor = error;
+            Platform p(2, std::move(opts));
+            runBurst(p, 8000.0);
+            h = tupleDigest(h, metricTuple(p));
+        }
+    }
+    EXPECT_EQ(h, 0xae60135b5dfac524ULL);
 }
 
 TEST(PlatformOverloadTest, MispredictedProfileShiftsControlDecisions)
