@@ -167,8 +167,6 @@ runScenario(core::Platform &platform,
     result.breakerCloses = m.breakerCloses();
     result.brownoutEntries = m.brownoutEntries();
     result.brownoutExits = m.brownoutExits();
-    result.limiterSheds = m.limiterSheds();
-    result.limiterBackoffs = m.limiterBackoffs();
     result.availability = platform.clusterAvailability();
     result.meanRestoreSec = sim::ticksToSec(m.meanRestoreTicks());
     result.truncated = platform.simulation().events().truncated();

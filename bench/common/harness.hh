@@ -105,8 +105,6 @@ struct ScenarioResult
     std::int64_t breakerCloses = 0;
     std::int64_t brownoutEntries = 0;
     std::int64_t brownoutExits = 0;
-    std::int64_t limiterSheds = 0;
-    std::int64_t limiterBackoffs = 0;
 
     // Run health -----------------------------------------------------------
     /** Whether the event engine hit its safety cap (results suspect). */

@@ -1,10 +1,9 @@
 /**
  * @file
  * Overload-burst bench: goodput under a periodic burst train whose peaks
- * reach half to four times the calibrated capacity, comparing admission
- * modes — no gate, static (feedforward, profile-driven) admission, the
- * full PR-5 stack, and the adaptive (feedback, gradient) concurrency
- * limiter — with the profiler both accurate and lying.
+ * reach half to four times the calibrated capacity, comparing defenses
+ * — no gate, static (feedforward, profile-driven) admission, and the
+ * full stack — with the profiler both accurate and lying.
  *
  * Not a paper figure: the paper's stress test (Fig. 11) stops at the
  * throughput knee, but production gateways get pushed past it — and in
@@ -14,26 +13,22 @@
  * a cold fleet: a storm of cold-start SLO violations and over-submission
  * drops, repeated every cycle. Static admission sheds the unservable
  * head of each burst at ingress — but it trusts the profiled latency
- * surface. The mispredicted rows re-run the knee point with a
- * pessimistic profiler (every prediction scaled 1.5x high): all
- * feedforward consumers now see phantom congestion — admission sheds at
- * two-thirds of its calibrated queue depth and batch deadlines shrink —
- * while the gradient limiter never reads a prediction and keeps gating
- * on observed RTT alone. The acceptance gate requires adaptive
- * SLO-goodput >= static's under that injected profile error: feedback
- * control must hold the line a lying model cannot move. Each row
- * self-checks request conservation.
+ * surface. The mispredicted rows re-run the gate point with a
+ * pessimistic profiler (every prediction scaled 1.5x high), no gate vs
+ * static admission: every feedforward consumer now sees phantom
+ * congestion — admission sheds at two-thirds of its calibrated queue
+ * depth and batch deadlines shrink. The acceptance gate requires the
+ * full stack's SLO-goodput at 2x load to hold at least the undefended
+ * one's (graceful degradation). Each row self-checks request
+ * conservation.
  *
  * Emits BENCH_overload.json plus a per-second shed/drop/breaker-state
  * timeline (overload_timeline.csv) of one full-stack run at the highest
- * multiplier and a limiter-state timeline
- * (overload_adaptive_timeline.csv) of an adaptive run under the lying
- * profiler. `--smoke` shrinks the sweep for CI. `--trace` additionally
- * records those runs' request lifecycles into Perfetto-loadable
- * overload_trace.json / overload_adaptive_trace.json.
+ * multiplier. `--smoke` shrinks the sweep for CI. `--trace` additionally
+ * records that run's request lifecycles into Perfetto-loadable
+ * overload_trace.json.
  */
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -58,8 +53,7 @@ enum class Defense
 {
     None,
     Admission,
-    Full,
-    Adaptive
+    Full
 };
 
 const char *
@@ -72,14 +66,12 @@ defenseName(Defense d)
         return "admission";
       case Defense::Full:
         return "full";
-      case Defense::Adaptive:
-        return "adaptive";
     }
     return "?";
 }
 
-/** Admission-mode label of a defense (the feedforward-vs-feedback axis;
- *  the full stack gates with static admission). */
+/** Admission label of a defense (the full stack gates with static
+ *  admission). */
 const char *
 modeName(Defense d)
 {
@@ -89,8 +81,6 @@ modeName(Defense d)
       case Defense::Admission:
       case Defense::Full:
         return "static";
-      case Defense::Adaptive:
-        return "adaptive";
     }
     return "?";
 }
@@ -108,14 +98,6 @@ defenseConfig(Defense d)
       }
       case Defense::Full:
         return overload::OverloadConfig::fullStack();
-      case Defense::Adaptive: {
-        // The pure feedback gate: no profile-driven admission, no
-        // breaker — whatever the limiter cannot prove servable from
-        // observed RTT is shed at ingress.
-        overload::OverloadConfig cfg;
-        cfg.mode = overload::AdmissionMode::Adaptive;
-        return cfg;
-      }
     }
     return {};
 }
@@ -142,16 +124,15 @@ struct SweepConfig
      * consumer sees phantom congestion — static admission's shed
      * threshold drops to 1/1.5 of its calibrated queue depth, batch
      * deadlines shrink, and the scheduler provisions against inflated
-     * service times — while the feedback limiter, which never reads a
-     * prediction, keeps gating on observed RTT alone.
+     * service times.
      */
     double profileErrorFactor = 1.5;
-    /** Multiplier at which the mispredicted 3-way comparison runs (the
-     *  gate point: twice the capacity knee). */
+    /** Multiplier at which the mispredicted none-vs-static comparison
+     *  runs (the gate point: twice the capacity knee). */
     double errorMultiplier = 2.0;
     std::vector<double> multipliers = {0.5, 1.0, 1.5, 2.0, 3.0, 4.0};
     std::vector<Defense> defenses = {Defense::None, Defense::Admission,
-                                     Defense::Full, Defense::Adaptive};
+                                     Defense::Full};
 };
 
 /** Periodic burst train in 1s bins (the default bin is a whole minute,
@@ -186,10 +167,6 @@ struct SweepPoint
     /** Completions inside the degraded (2x) SLO, per second. */
     double degradedGoodputRps = 0.0;
     double p99Ms = 0.0;
-    /** Limiter state at run end (adaptive rows; zero otherwise). */
-    double limitFinal = 0.0;
-    double limitMinRttMs = 0.0;
-    double limitGradient = 0.0;
     bool consistent = false;
 };
 
@@ -226,13 +203,6 @@ runPoint(const SweepConfig &cfg, Defense defense, double multiplier,
         static_cast<double>(m.completions()) *
         (1.0 - m.latency().fractionAbove(degraded_slo)) / run_sec;
     point.p99Ms = sim::ticksToSec(m.latency().percentile(99.0)) * 1e3;
-    if (defense == Defense::Adaptive) {
-        core::OverloadSnapshot snap = platform->overloadSnapshot(0);
-        point.limitFinal = snap.limit;
-        point.limitMinRttMs =
-            sim::ticksToSec(snap.limiterMinRtt) * 1e3;
-        point.limitGradient = snap.limiterGradient;
-    }
     point.consistent = point.result.completions + point.result.drops ==
                        point.result.arrivals;
     return point;
@@ -328,103 +298,6 @@ runDemo(const SweepConfig &cfg, double capacity_rps, bool with_trace)
         // survives the harness's last-writer-wins telemetry file.
         obs::TelemetryRegistry telemetry =
             buildTelemetry(*platform, "overload_burst");
-        telemetry.addTimeline(sampler);
-        writeTelemetryFiles(telemetry);
-    }
-    return point;
-}
-
-/**
- * Adaptive demo: the gradient limiter on the same undersized fixture,
- * under the lying profiler, so the limiter visibly engages — the limit
- * grows out of warmup against the backlog drain, then backs off through
- * each burst's SLO violations (growth frozen per cooldown) until it
- * binds and sheds, and re-grows in the troughs. Emits the limiter state
- * series (limit, in-flight, minRTT, gradient, sheds, backoffs) per
- * second.
- */
-SweepPoint
-runAdaptiveDemo(const SweepConfig &cfg, double capacity_rps,
-                bool with_trace)
-{
-    // The limiter needs several burst/trough cycles to warm up, back
-    // off to the binding point, and shed: floor the demo at six bursts
-    // even under --smoke (a serial 2-server run, so the CI cost is
-    // small), or the trace would have no limiter_shed instants.
-    SweepConfig demo_cfg = cfg;
-    demo_cfg.duration =
-        std::max(demo_cfg.duration, 60 * sim::kTicksPerSec);
-    double multiplier = cfg.multipliers.back();
-    core::PlatformOptions opts;
-    opts.overload.mode = overload::AdmissionMode::Adaptive;
-    // The demo fixture is chronically starved, the configuration the
-    // growth freeze exists for: without it the healthy majority regrows
-    // every backoff cut and the limit never descends below the queue's
-    // in-flight ceiling, so the limiter would never visibly shed.
-    opts.overload.adaptive.growthFreeze = true;
-    opts.faults.profileError.factor = cfg.profileErrorFactor;
-    if (with_trace) {
-        opts.obs.trace.sampleRate = 1.0;
-        opts.obs.trace.capacity = std::size_t{1} << 17;
-    }
-    auto platform = makeSystem(SystemKind::Infless, kDemoServers,
-                               std::move(opts));
-
-    std::vector<WorkloadSpec> workloads(1);
-    workloads[0].model = cfg.model;
-    workloads[0].slo = cfg.slo;
-    workloads[0].series = burstTrain(demo_cfg, multiplier, capacity_rps);
-
-    metrics::TimelineSampler sampler(platform->simulation(),
-                                     sim::kTicksPerSec);
-    const auto &m = platform->totalMetrics();
-    sampler.track("limit", [&p = *platform] {
-        return p.overloadSnapshot(0).limit;
-    });
-    sampler.track("limiter_inflight", [&p = *platform] {
-        return static_cast<double>(
-            p.overloadSnapshot(0).limiterInFlight);
-    });
-    sampler.track("limiter_min_rtt_ms", [&p = *platform] {
-        return sim::ticksToSec(p.overloadSnapshot(0).limiterMinRtt) * 1e3;
-    });
-    sampler.track("limiter_gradient", [&p = *platform] {
-        return p.overloadSnapshot(0).limiterGradient;
-    });
-    sampler.trackCounter("limiter_sheds", [&m] {
-        return static_cast<double>(m.limiterSheds());
-    });
-    sampler.trackCounter("limiter_backoffs", [&m] {
-        return static_cast<double>(m.limiterBackoffs());
-    });
-
-    SweepPoint point;
-    point.defense = Defense::Adaptive;
-    point.multiplier = multiplier;
-    point.profileError = cfg.profileErrorFactor;
-    point.result = runScenario(*platform, workloads, cfg.grace);
-    point.consistent = point.result.completions + point.result.drops ==
-                       point.result.arrivals;
-    core::OverloadSnapshot snap = platform->overloadSnapshot(0);
-    point.limitFinal = snap.limit;
-    point.limitMinRttMs = sim::ticksToSec(snap.limiterMinRtt) * 1e3;
-    point.limitGradient = snap.limiterGradient;
-
-    sampler.stop();
-    {
-        std::ofstream csv("overload_adaptive_timeline.csv");
-        sampler.writeCsv(csv);
-    }
-    if (with_trace) {
-        std::ofstream ofs("overload_adaptive_trace.json");
-        platform->tracer().writeChromeTrace(ofs);
-    }
-    if (telemetryEnabled()) {
-        // The limiter state series ride this snapshot; the SLO health
-        // demo overwrites the files afterwards, but the limiter *counter*
-        // names survive (addRunMetrics emits them for every run).
-        obs::TelemetryRegistry telemetry =
-            buildTelemetry(*platform, "overload_burst_adaptive");
         telemetry.addTimeline(sampler);
         writeTelemetryFiles(telemetry);
     }
@@ -561,11 +434,6 @@ writeRow(std::ofstream &out, const SweepPoint &p, const char *defense)
         << ", \"drops\": " << r.drops
         << ", \"sheds\": " << r.sheds
         << ", \"breaker_sheds\": " << r.breakerSheds
-        << ", \"limiter_sheds\": " << r.limiterSheds
-        << ", \"limiter_backoffs\": " << r.limiterBackoffs
-        << ", \"limit_final\": " << p.limitFinal
-        << ", \"limit_min_rtt_ms\": " << p.limitMinRttMs
-        << ", \"limit_gradient\": " << p.limitGradient
         << ", \"queue_evictions\": " << r.queueEvictions
         << ", \"retry_budget_exhausted\": " << r.retryBudgetExhausted
         << ", \"breaker_opens\": " << r.breakerOpens
@@ -579,17 +447,15 @@ struct GateSummary
 {
     double none2x = 0.0;
     double full2x = 0.0;
+    double noneErr = 0.0;
     double staticErr = 0.0;
-    double adaptiveErr = 0.0;
     bool graceful() const { return full2x >= none2x; }
-    bool feedbackRobust() const { return adaptiveErr >= staticErr; }
 };
 
 void
 writeBenchJson(const SweepConfig &cfg, double capacity_rps,
                const std::vector<SweepPoint> &points,
-               const SweepPoint &demo, const SweepPoint &adaptive_demo,
-               const SloDemo &slo_demo, const GateSummary &gate,
+               const SweepPoint &demo, const SloDemo &slo_demo, const GateSummary &gate,
                const std::string &path)
 {
     std::ofstream out(path);
@@ -612,8 +478,6 @@ writeBenchJson(const SweepConfig &cfg, double capacity_rps,
         out << ",\n";
     }
     writeRow(out, demo, "demo");
-    out << ",\n";
-    writeRow(out, adaptive_demo, "demo_adaptive");
     out << ",\n";
     writeRow(out, slo_demo.point, "demo_slo_health");
     out << "\n  ],\n"
@@ -639,14 +503,11 @@ writeBenchJson(const SweepConfig &cfg, double capacity_rps,
         << (slo_demo.dumpCoincides ? "true" : "false") << ",\n"
         << "  \"goodput_2x_none\": " << gate.none2x << ",\n"
         << "  \"goodput_2x_full\": " << gate.full2x << ",\n"
+        << "  \"goodput_2x_none_mispredicted\": " << gate.noneErr << ",\n"
         << "  \"goodput_2x_static_mispredicted\": " << gate.staticErr
         << ",\n"
-        << "  \"goodput_2x_adaptive_mispredicted\": " << gate.adaptiveErr
-        << ",\n"
         << "  \"graceful\": " << (gate.graceful() ? "true" : "false")
-        << ",\n"
-        << "  \"feedback_robust\": "
-        << (gate.feedbackRobust() ? "true" : "false") << "\n"
+        << "\n"
         << "}\n";
 }
 
@@ -699,11 +560,10 @@ main(int argc, char **argv)
     for (double mult : cfg.multipliers)
         for (Defense defense : cfg.defenses)
             cells.push_back({defense, mult, 1.0});
-    // The mispredicted 3-way: none/static/adaptive at the gate point
-    // under the lying profiler. The full stack is omitted — its breaker
-    // confounds the feedforward-vs-feedback comparison.
-    for (Defense defense :
-         {Defense::None, Defense::Admission, Defense::Adaptive}) {
+    // The mispredicted pair: none and static at the gate point under
+    // the lying profiler. The full stack is omitted — its breaker
+    // confounds what the lying surface does to admission.
+    for (Defense defense : {Defense::None, Defense::Admission}) {
         cells.push_back(
             {defense, cfg.errorMultiplier, cfg.profileErrorFactor});
     }
@@ -718,7 +578,6 @@ main(int argc, char **argv)
     // runs last: its telemetry (live burn rates, alert counter) and its
     // alert-frozen flight_trace.json are the files' final writers.
     SweepPoint demo = runDemo(cfg, capacity, trace);
-    SweepPoint adaptive_demo = runAdaptiveDemo(cfg, capacity, trace);
     SloDemo slo_demo = runSloHealthDemo(cfg, capacity);
 
     TextTable table({"defense", "load", "profiler", "offered", "goodput",
@@ -733,13 +592,11 @@ main(int argc, char **argv)
              fmt(p.result.offeredRps, 0), fmt(p.goodputRps, 0),
              fmt(p.degradedGoodputRps, 0), fmt(p.p99Ms, 1),
              fmtPercent(p.result.sloViolationRate),
-             std::to_string(p.result.sheds + p.result.breakerSheds +
-                            p.result.limiterSheds),
+             std::to_string(p.result.sheds + p.result.breakerSheds),
              p.consistent ? "yes" : "NO"});
     }
-    all_consistent = all_consistent && demo.consistent &&
-                     adaptive_demo.consistent &&
-                     slo_demo.point.consistent;
+    all_consistent =
+        all_consistent && demo.consistent && slo_demo.point.consistent;
     table.print(std::cout);
 
     auto goodput_at = [&points](Defense defense, double mult,
@@ -755,23 +612,19 @@ main(int argc, char **argv)
     // at least the undefended goodput (graceful degradation).
     gate.none2x = goodput_at(Defense::None, 2.0, 1.0);
     gate.full2x = goodput_at(Defense::Full, 2.0, 1.0);
-    // Acceptance signal 2: under the lying profiler the feedback gate
-    // must hold at least the feedforward gate's SLO-goodput.
+    // Reported, not gated: what the lying profiler does to static
+    // admission against no gate at all.
+    gate.noneErr = goodput_at(Defense::None, cfg.errorMultiplier,
+                              cfg.profileErrorFactor);
     gate.staticErr = goodput_at(Defense::Admission, cfg.errorMultiplier,
                                 cfg.profileErrorFactor);
-    gate.adaptiveErr = goodput_at(Defense::Adaptive, cfg.errorMultiplier,
-                                  cfg.profileErrorFactor);
     std::cout << "  goodput at 2x load: undefended " << fmt(gate.none2x, 0)
               << " RPS vs full stack " << fmt(gate.full2x, 0) << " RPS ("
               << (gate.graceful() ? "graceful" : "NOT graceful") << ")\n";
     std::cout << "  goodput at " << fmt(cfg.errorMultiplier, 1)
               << "x load, lying profiler (x" << fmt(cfg.profileErrorFactor, 3)
-              << "): static " << fmt(gate.staticErr, 0)
-              << " RPS vs adaptive " << fmt(gate.adaptiveErr, 0)
-              << " RPS ("
-              << (gate.feedbackRobust() ? "feedback robust"
-                                        : "NOT feedback robust")
-              << ")\n";
+              << "): undefended " << fmt(gate.noneErr, 0)
+              << " RPS vs static " << fmt(gate.staticErr, 0) << " RPS\n";
 
     std::cout << "  SLO health demo at " << fmt(cfg.errorMultiplier, 1)
               << "x knee: fast-burn "
@@ -787,24 +640,16 @@ main(int argc, char **argv)
                                          : "DOES NOT coincide")
               << "\n";
 
-    writeBenchJson(cfg, capacity, points, demo, adaptive_demo, slo_demo,
-                   gate, "BENCH_overload.json");
+    writeBenchJson(cfg, capacity, points, demo, slo_demo, gate,
+                   "BENCH_overload.json");
     std::cout << "  (rows written to BENCH_overload.json; shed/breaker "
                  "timeline of the full-stack demo run in "
-                 "overload_timeline.csv; limiter state series of the "
-                 "adaptive demo in overload_adaptive_timeline.csv; "
-                 "alert-frozen span ring in flight_trace.json)\n";
+                 "overload_timeline.csv; alert-frozen span ring in "
+                 "flight_trace.json)\n";
 
     if (!all_consistent) {
         std::cerr << "ERROR: request conservation violated "
                      "(completions + drops != arrivals)\n";
-        return 1;
-    }
-    if (!gate.feedbackRobust()) {
-        std::cerr << "ERROR: adaptive limiter lost to static admission "
-                     "under profile error ("
-                  << gate.adaptiveErr << " < " << gate.staticErr
-                  << " RPS)\n";
         return 1;
     }
     if (!slo_demo.fastFired || slo_demo.dumpSpans == 0 ||

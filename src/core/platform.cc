@@ -11,6 +11,15 @@
 
 namespace infless::core {
 
+namespace {
+
+/** Dispatcher blend constant (§3.2; the paper uses 0.8). */
+constexpr double kAlpha = 0.8;
+/** Auto-scaling engine period. */
+constexpr sim::Tick kScalerPeriod = sim::kTicksPerSec;
+
+} // namespace
+
 Platform::Platform(std::size_t num_servers, PlatformOptions opts)
     : Platform(cluster::Cluster(num_servers), std::move(opts))
 {
@@ -42,7 +51,7 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
     }
     prof_.setEnabled(opts_.obs.profiling);
     scheduler_.setProfiler(&prof_);
-    scalerHandle_ = sim_.every(opts_.scalerPeriod, [this] { scalerTick(); });
+    scalerHandle_ = sim_.every(kScalerPeriod, [this] { scalerTick(); });
 
     if (opts_.faults.profileError.enabled()) {
         // Mispredicted-profile fault: distort the latency surface the
@@ -77,7 +86,7 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
         health_ = std::make_unique<health::OutlierEjector>(opts_.health);
         health_->ensureServers(cluster_.size());
         healthHandle_ =
-            sim_.every(opts_.health.evalPeriod, [this] { healthTick(); });
+            sim_.every(health::kHealthEvalPeriod, [this] { healthTick(); });
     }
     if (opts_.faults.enabled()) {
         faults_ = std::make_unique<faults::FaultInjector>(
@@ -97,7 +106,9 @@ FunctionId
 Platform::deploy(const FunctionSpec &spec)
 {
     sim::simAssert(spec.maxBatch >= 1, "maxBatch must be >= 1");
-    FunctionState state(opts_.rateWindow, opts_.overload);
+    // Arrival-rate estimation window.
+    constexpr sim::Tick kRateWindow = 2 * sim::kTicksPerSec;
+    FunctionState state(kRateWindow, opts_.overload);
     state.spec = spec;
     state.model = &zoo_.get(spec.model);
     state.spec.maxBatch = std::min(spec.maxBatch, state.model->maxBatch);
@@ -473,13 +484,12 @@ Platform::routeRequest(FunctionId fn, RequestIndex request)
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
 
-    // Overload gates: the circuit breaker and the adaptive limiter shed
-    // at ingress before any instance is looked at; static admission
-    // reads the same pass over live instances that routing does.
+    // Overload gates: the circuit breaker sheds at ingress before any
+    // instance is looked at; static admission reads the same pass over
+    // live instances that routing does.
     if (!admitRequest(fn, request))
         return;
-    bool admission = opts_.overload.admissionMode() ==
-                     overload::AdmissionMode::Static;
+    bool admission = opts_.overload.admission.enabled;
     LiveScan scan = scanLive(f, admission);
     if (admission && !admitStatic(fn, request, scan))
         return;
@@ -666,10 +676,8 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
     }
 
     const overload::OverloadConfig &oc = opts_.overload;
-    bool adaptive =
-        oc.admissionMode() == overload::AdmissionMode::Adaptive;
     if (oc.breaker.enabled || oc.brownout.enabled ||
-        oc.retryBudget.enabled || adaptive) {
+        oc.retryBudget.enabled) {
         // Health feedback is judged against the *effective* SLO and only
         // on the serving path (queue + exec): while brownout holds the
         // degraded envelope, completions inside it must count as
@@ -690,17 +698,6 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
         }
         if (oc.retryBudget.enabled)
             f.retryBudget.onSuccess();
-        if (adaptive && record.limiterHeld) {
-            // The limiter samples the same serving latency the breaker
-            // judges: cold-start waits are provisioning, not queueing
-            // pressure the limit should choke on.
-            releaseLimiter(f, record);
-            if (f.limiter.limit.onSample(sim_.now(), serving, violated,
-                                         f.limiter.strategy.inFlight())) {
-                f.metrics.recordLimiterBackoff();
-                total_.recordLimiterBackoff();
-            }
-        }
     }
 
     if (tracer_.wants(request) || flight_.enabled()) {
@@ -1040,20 +1037,7 @@ Platform::dropRequestInternal(FunctionState &f, RequestIndex request,
 {
     f.metrics.recordDrop(now);
     total_.recordDrop(now);
-    RequestRecord &record = requests_[request];
-    if (record.limiterHeld) {
-        // A drop of an admitted request is the limiter's congestion
-        // signal: free the slot and decrease multiplicatively (subject
-        // to the backoff cooldown, so one lost batch is one signal).
-        // Drops while cold capacity is warming bypass the decrease just
-        // as they bypass the breaker: provisioning, not congestion.
-        releaseLimiter(f, record);
-        if (feed_health && !coldCapacityPending(f) &&
-            f.limiter.limit.onDrop(now)) {
-            f.metrics.recordLimiterBackoff();
-            total_.recordLimiterBackoff();
-        }
-    }
+    const RequestRecord &record = requests_[request];
     if (feed_health) {
         // A drop of an admitted request is a failure signal; sheds come
         // through with feed_health off so an open breaker's own rejects
@@ -1145,11 +1129,15 @@ Platform::coldCapacityPending(const FunctionState &f) const
 bool
 Platform::maybeReactiveScaleOut(FunctionId fn)
 {
+    // Minimum spacing between reactive (arrival-triggered) scale-outs of
+    // one function. Bounds the instance storm while a cold fleet warms
+    // up; requests that cannot be routed meanwhile are dropped, as a
+    // saturated gateway would.
+    constexpr sim::Tick kReactiveBackoff = 250 * sim::kTicksPerMs;
     // Reactive scale-out: the scaler tick has not caught up yet.
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
-    if (now < f.reconfigHold ||
-        now - f.lastReactive < opts_.reactiveBackoff)
+    if (now < f.reconfigHold || now - f.lastReactive < kReactiveBackoff)
         return false;
     f.lastReactive = now;
     double measured = f.rate.rps(now);
@@ -1167,55 +1155,15 @@ Platform::maybeReactiveScaleOut(FunctionId fn)
 bool
 Platform::admitRequest(FunctionId fn, RequestIndex request)
 {
-    const overload::OverloadConfig &oc = opts_.overload;
-    overload::AdmissionMode mode = oc.admissionMode();
-    if (!oc.breaker.enabled && mode != overload::AdmissionMode::Adaptive)
+    if (!opts_.overload.breaker.enabled)
         return true;
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
-
-    if (oc.breaker.enabled) {
-        bool allowed = f.breaker.allow(now, request);
-        noteBreakerTransitions(fn, now);
-        if (!allowed) {
-            shedRequest(f, request, now, ShedCause::Breaker);
-            return false;
-        }
-    }
-
-    if (mode == overload::AdmissionMode::Adaptive) {
-        // Feedback gate: one in-flight slot per admitted request,
-        // against a limit learned purely from observed latencies.
-        // Retries and re-routes of an already-admitted request keep
-        // their slot (limiterHeld), so the gate is idempotent per
-        // request and conservation of the counter is exact.
-        RequestRecord &record = requests_[request];
-        if (!record.limiterHeld) {
-            if (!f.limiter.strategy.tryAcquire(f.limiter.limit.limit())) {
-                if (!f.limiter.limit.warmedUp()) {
-                    // The estimator has not consumed its warmup quota of
-                    // samples yet, so the limit is a prior, not feedback
-                    // — rejecting on it would shed the very load the
-                    // first fleet is being built for (the same doctrine
-                    // as the breaker's drop bypass: cold starts are
-                    // provisioning, not congestion). Admit without a
-                    // slot — slot-holders keep feeding the estimator,
-                    // and once it has evidence the gate enforces.
-                    return true;
-                }
-                shedRequest(f, request, now, ShedCause::Limiter);
-                // Like a capacity-driven static shed, a limiter reject
-                // is a scale-out signal: demand exceeds what the
-                // current fleet serves within SLO.
-                maybeReactiveScaleOut(fn);
-                return false;
-            }
-            record.limiterHeld = true;
-        }
-        return true;
-    }
-
-    return true;
+    bool allowed = f.breaker.allow(now, request);
+    noteBreakerTransitions(fn, now);
+    if (!allowed)
+        shedRequest(f, request, now, ShedCause::Breaker);
+    return allowed;
 }
 
 bool
@@ -1241,14 +1189,6 @@ Platform::admitStatic(FunctionId fn, RequestIndex request,
 }
 
 void
-Platform::releaseLimiter(FunctionState &f, RequestRecord &record)
-{
-    sim::simAssert(record.limiterHeld, "limiter slot double-release");
-    record.limiterHeld = false;
-    f.limiter.strategy.release();
-}
-
-void
 Platform::shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
                       ShedCause cause)
 {
@@ -1257,10 +1197,6 @@ Platform::shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
       case ShedCause::Breaker:
         f.metrics.recordBreakerShed(now);
         total_.recordBreakerShed(now);
-        break;
-      case ShedCause::Limiter:
-        f.metrics.recordLimiterShed(now);
-        total_.recordLimiterShed(now);
         break;
       case ShedCause::Admission:
         f.metrics.recordShed(now);
@@ -1273,9 +1209,8 @@ Platform::shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
         f.brownout.record(now, true);
         noteBrownoutTransition(record.function, now);
     }
-    emitSpan(cause == ShedCause::Limiter ? obs::SpanKind::LimiterShed
-                                         : obs::SpanKind::Shed,
-             request, record.function, -1, -1, now, 0);
+    emitSpan(obs::SpanKind::Shed, request, record.function, -1, -1, now,
+             0);
     dropRequestInternal(f, request, now, false);
 }
 
@@ -1427,12 +1362,6 @@ Platform::overloadSnapshot(FunctionId fn) const
     snap.breakerSheds = f.metrics.breakerSheds();
     snap.queueEvictions = f.metrics.queueEvictions();
     snap.retryBudgetExhausted = f.metrics.retryBudgetExhausted();
-    snap.limit = f.limiter.limit.limit();
-    snap.limiterInFlight = f.limiter.strategy.inFlight();
-    snap.limiterMinRtt = f.limiter.limit.minRtt();
-    snap.limiterGradient = f.limiter.limit.gradient();
-    snap.limiterSheds = f.metrics.limiterSheds();
-    snap.limiterBackoffs = f.metrics.limiterBackoffs();
     return snap;
 }
 
@@ -1499,15 +1428,20 @@ Platform::injectServerCrash(cluster::ServerId id)
     // span so the dump contains it).
     flight_.trigger(obs::FlightTrigger::ServerCrash, now);
 
-    std::vector<std::size_t> victims;
-    for (std::size_t idx = 0; idx < instances_.size(); ++idx) {
-        const InstanceRuntime &rt = instances_[idx];
-        if (rt.inst.serverId() == id &&
-            rt.inst.state() != cluster::InstanceState::Reaped)
-            victims.push_back(idx);
-    }
-    for (std::size_t idx : victims)
+    for (std::size_t idx : liveInstancesOn(id))
         killInstance(idx);
+}
+
+std::vector<std::size_t>
+Platform::liveInstancesOn(cluster::ServerId id) const
+{
+    std::vector<std::size_t> found;
+    for (const FunctionState &f : functions_)
+        for (std::size_t idx : f.live)
+            if (instances_[idx].inst.serverId() == id)
+                found.push_back(idx);
+    std::sort(found.begin(), found.end());
+    return found;
 }
 
 void
@@ -1639,11 +1573,8 @@ Platform::healthTick()
 void
 Platform::drainServer(cluster::ServerId id)
 {
-    for (std::size_t idx = 0; idx < instances_.size(); ++idx) {
+    for (std::size_t idx : liveInstancesOn(id)) {
         InstanceRuntime &rt = instances_[idx];
-        if (rt.inst.serverId() != id ||
-            rt.inst.state() == cluster::InstanceState::Reaped)
-            continue;
         rt.draining = true;
         rt.fastReap = true;
         armExpiry(idx);
@@ -1754,7 +1685,7 @@ Platform::scalerTick()
     std::size_t offset =
         functions_.empty()
             ? 0
-            : static_cast<std::size_t>(now / opts_.scalerPeriod) %
+            : static_cast<std::size_t>(now / kScalerPeriod) %
                   functions_.size();
     for (std::size_t i = 0; i < functions_.size(); ++i) {
         std::size_t fi = (i + offset) % functions_.size();
@@ -1798,7 +1729,7 @@ Platform::scalerTick()
         }
 
         ScalingAssessment assess =
-            assessScaling(measured, r_max, r_min, opts_.alpha);
+            assessScaling(measured, r_max, r_min, kAlpha);
         using Action = ScalingAssessment::Action;
         if (assess.action == Action::ScaleOut &&
             assess.residualRps > 0.01) {
@@ -1820,7 +1751,7 @@ Platform::scalerTick()
             }
         } else if (assess.action == Action::ScaleIn && activeScaleIn()) {
             auto drains =
-                chooseDrains(infos, costs, measured, opts_.alpha);
+                chooseDrains(infos, costs, measured, kAlpha);
             for (std::size_t local : drains) {
                 InstanceRuntime &rt = instances_[mapping[local]];
                 // The keep-alive policy owns the pre-warmed pool: an
@@ -1844,9 +1775,15 @@ Platform::scalerTick()
 void
 Platform::maybeReconfigure(FunctionId fn, double measured)
 {
+    // Minimum spacing between fleet reconfiguration attempts.
+    constexpr sim::Tick kReconfigPeriod = 5 * sim::kTicksPerSec;
+    // Relative cost advantage (weighted resources per unit of r_up) a
+    // fresh Algorithm 1 plan must show before the running fleet is
+    // replaced. Guards against oscillation.
+    constexpr double kReconfigGain = 0.10;
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
-    if (measured <= 1.0 || now - f.lastReconfig < opts_.reconfigPeriod)
+    if (measured <= 1.0 || now - f.lastReconfig < kReconfigPeriod)
         return;
     f.lastReconfig = now;
 
@@ -1885,7 +1822,7 @@ Platform::maybeReconfigure(FunctionId fn, double measured)
     bool worthwhile = ideal_up >= measured * 0.95 && ideal_usable > 0.0 &&
                       ideal_cost / ideal_usable <
                           (cur_cost / cur_usable) *
-                              (1.0 - opts_.reconfigGain);
+                              (1.0 - kReconfigGain);
     if (!worthwhile)
         return;
 

@@ -56,8 +56,6 @@ namespace infless::core {
 /** Everything tunable about a platform run. */
 struct PlatformOptions
 {
-    /** Dispatcher blend constant (§3.2; the paper uses 0.8). */
-    double alpha = 0.8;
     /** Scheduler configuration (grid, beta, ablation flags). */
     SchedulerConfig scheduler;
     /** COP predictor configuration (safety offset; OP ablations). */
@@ -68,25 +66,6 @@ struct PlatformOptions
     cluster::ColdStartParams coldStart;
     /** Per-function keep-alive policy factory (default: LSTH). */
     coldstart::PolicyFactory keepAlive;
-    /** Auto-scaling engine period. */
-    sim::Tick scalerPeriod = sim::kTicksPerSec;
-    /** Arrival-rate estimation window. */
-    sim::Tick rateWindow = 2 * sim::kTicksPerSec;
-    /** Minimum spacing between fleet reconfiguration attempts. */
-    sim::Tick reconfigPeriod = 5 * sim::kTicksPerSec;
-    /**
-     * Minimum spacing between reactive (arrival-triggered) scale-outs of
-     * one function. Bounds the instance storm while a cold fleet warms
-     * up; requests that cannot be routed meanwhile are dropped, as a
-     * saturated gateway would.
-     */
-    sim::Tick reactiveBackoff = 250 * sim::kTicksPerMs;
-    /**
-     * Relative cost advantage (weighted resources per unit of r_up) a
-     * fresh Algorithm 1 plan must show before the running fleet is
-     * replaced. Guards against oscillation.
-     */
-    double reconfigGain = 0.10;
     /** Root random seed. */
     std::uint64_t seed = 1;
     /**
@@ -162,16 +141,6 @@ struct OverloadSnapshot
     std::int64_t breakerSheds = 0;
     std::int64_t queueEvictions = 0;
     std::int64_t retryBudgetExhausted = 0;
-    // Adaptive limiter state series (AdmissionMode::Adaptive) ----------
-    /** Current concurrency limit estimate. */
-    double limit = 0.0;
-    /** Requests currently holding limiter slots. */
-    std::int64_t limiterInFlight = 0;
-    /** minRTT baseline (ticks) and last clamped gradient. */
-    sim::Tick limiterMinRtt = 0;
-    double limiterGradient = 1.0;
-    std::int64_t limiterSheds = 0;
-    std::int64_t limiterBackoffs = 0;
 };
 
 /**
@@ -536,9 +505,6 @@ class Platform
         overload::CircuitBreaker breaker;
         overload::RetryBudget retryBudget;
         overload::BrownoutController brownout;
-        /** Adaptive concurrency limiter (AdmissionMode::Adaptive);
-         *  inert — never acquired from — in the other modes. */
-        overload::AdaptiveLimiter limiter;
         /** Breaker transition-log entries already surfaced to
          *  metrics/traces (a count, so multi-step transitions within one
          *  event are all seen). */
@@ -554,8 +520,7 @@ class Platform
         FunctionState(sim::Tick rate_window,
                       const overload::OverloadConfig &oc)
             : rate(rate_window), breaker(oc.breaker),
-              retryBudget(oc.retryBudget), brownout(oc.brownout),
-              limiter(oc.adaptive)
+              retryBudget(oc.retryBudget), brownout(oc.brownout)
         {
         }
     };
@@ -637,6 +602,10 @@ class Platform
     void reapInstance(std::size_t idx);
     /** Crash-kill an instance: fail over its queue and in-flight batch. */
     void killInstance(std::size_t idx);
+    /** Indices of the live instances on server @p id, ascending: found
+     *  through the functions' live lists, so the cost tracks the live
+     *  fleet, not every instance the run ever launched. */
+    std::vector<std::size_t> liveInstancesOn(cluster::ServerId id) const;
     void armTimeout(std::size_t idx);
     void armExpiry(std::size_t idx);
     void maybePrewarm(FunctionId fn);
@@ -672,8 +641,7 @@ class Platform
     enum class ShedCause : std::uint8_t
     {
         Admission, ///< static feedforward predicate
-        Breaker,   ///< open/half-open circuit breaker
-        Limiter    ///< adaptive concurrency limit
+        Breaker    ///< open/half-open circuit breaker
     };
 
     /** One pass over a function's live instances with queue room. */
@@ -700,7 +668,7 @@ class Platform
     /** Scan @p f's live instances for routing, and for static admission
      *  when @p admission. */
     LiveScan scanLive(const FunctionState &f, bool admission) const;
-    /** Breaker + adaptive limiter gate at ingress; false = shed. */
+    /** Circuit-breaker gate at ingress; false = shed. */
     bool admitRequest(FunctionId fn, RequestIndex request);
     /** Static admission predicate over @p scan; false = shed. */
     bool admitStatic(FunctionId fn, RequestIndex request,
@@ -708,8 +676,6 @@ class Platform
     /** Account one shed and drop the request. */
     void shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
                      ShedCause cause);
-    /** Release the limiter slot a request holds (terminal paths). */
-    void releaseLimiter(FunctionState &f, RequestRecord &record);
     /** Evict the oldest queued request fleet-wide to seat @p request;
      *  false when eviction is off or no queue has anything to evict. */
     bool tryEvictInto(FunctionId fn, RequestIndex request);

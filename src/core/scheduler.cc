@@ -21,9 +21,13 @@ GreedyScheduler::GreedyScheduler(const profiler::CopPredictor &predictor,
 std::int64_t
 GreedyScheduler::instanceMemoryMb(const models::ModelInfo &model) const
 {
+    // Model memory inflation factor (weights + activation workspace).
+    constexpr double kModelMemoryFactor = 1.25;
+    // Fixed per-instance memory overhead beyond the model itself, MiB.
+    constexpr std::int64_t kRuntimeMemoryMb = 300;
     return static_cast<std::int64_t>(
-               std::ceil(model.sizeMb * config_.modelMemoryFactor)) +
-           config_.runtimeMemoryMb;
+               std::ceil(model.sizeMb * kModelMemoryFactor)) +
+           kRuntimeMemoryMb;
 }
 
 namespace {

@@ -39,10 +39,6 @@ struct SchedulerConfig
     std::vector<std::int64_t> gpuChoices = {0, 5, 10, 20, 30, 50};
     /** CPU<->GPU conversion factor (Eq. 2/10). */
     double beta = cluster::kDefaultBeta;
-    /** Fixed per-instance memory overhead beyond the model itself, MiB. */
-    std::int64_t runtimeMemoryMb = 300;
-    /** Model memory inflation factor (weights + activation workspace). */
-    double modelMemoryFactor = 1.25;
     /**
      * Fig. 11's RS ablation: when set, ignore the e_ij efficiency metric
      * and pick the configuration with the maximum throughput, placed

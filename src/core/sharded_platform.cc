@@ -210,8 +210,7 @@ ShardedPlatform::refreshRouter()
         // steers the choice inside a home set; it never grows one, since
         // a healthy cell drops a few percent of a burst while it scales.
         const metrics::RunMetrics &m = p.totalMetrics();
-        std::int64_t drop_stat =
-            m.drops() + m.sheds() + m.breakerSheds() + m.limiterSheds();
+        std::int64_t drop_stat = m.drops() + m.sheds() + m.breakerSheds();
         d.dropPressure = drop_stat - lastDropStat_[c];
         lastDropStat_[c] = drop_stat;
         // Scale-out misses since the previous barrier: the cell tried to
@@ -422,8 +421,6 @@ ShardedPlatform::overloadSnapshot(FunctionId fn) const
         return 0;
     };
     OverloadSnapshot snap;
-    snap.limiterMinRtt = sim::kTickNever;
-    double gradient_sum = 0.0;
     for (const auto &cell : cells_) {
         OverloadSnapshot s = cell->overloadSnapshot(fn);
         if (severity(s.breakerState) > severity(snap.breakerState))
@@ -434,19 +431,7 @@ ShardedPlatform::overloadSnapshot(FunctionId fn) const
         snap.breakerSheds += s.breakerSheds;
         snap.queueEvictions += s.queueEvictions;
         snap.retryBudgetExhausted += s.retryBudgetExhausted;
-        snap.limit += s.limit;
-        snap.limiterInFlight += s.limiterInFlight;
-        if (s.limiterMinRtt > 0)
-            snap.limiterMinRtt = std::min(snap.limiterMinRtt,
-                                          s.limiterMinRtt);
-        gradient_sum += s.limiterGradient;
-        snap.limiterSheds += s.limiterSheds;
-        snap.limiterBackoffs += s.limiterBackoffs;
     }
-    if (snap.limiterMinRtt == sim::kTickNever)
-        snap.limiterMinRtt = 0; // no cell has sampled yet
-    snap.limiterGradient =
-        gradient_sum / static_cast<double>(cells_.size());
     return snap;
 }
 

@@ -54,8 +54,9 @@ struct CellOptions
     /**
      * Lockstep window length = digest refresh epoch. Shorter windows
      * give the router a fresher view at the cost of more barriers; the
-     * default matches the reactive-scale-out backoff so spillover
-     * signals propagate within one backoff period.
+     * default matches the 250 ms reactive scale-out backoff in
+     * Platform::maybeReactiveScaleOut, so spillover signals propagate
+     * within one backoff period.
      */
     sim::Tick windowTicks = 250 * sim::kTicksPerMs;
     /** Worker threads for the per-cell engines; 0 = WorkerPool default
@@ -154,12 +155,9 @@ class ShardedPlatform
     const metrics::RunMetrics &functionMetrics(FunctionId fn) const;
 
     /**
-     * Cross-cell overload state of one function. Counters, retry tokens,
-     * the concurrency limit and the in-flight count sum over cells (the
-     * limits are per-function-per-cell, so the sum is the fleet-wide
-     * allowance); the minRTT baseline takes the min over cells that have
-     * sampled, the gradient the mean; the breaker state reports the most
-     * severe cell and brownout is active if any cell is degraded.
+     * Cross-cell overload state of one function. Counters and retry
+     * tokens sum over cells; the breaker state reports the most severe
+     * cell and brownout is active if any cell is degraded.
      * cells=1 delegates to the flat platform's snapshot.
      */
     OverloadSnapshot overloadSnapshot(FunctionId fn) const;

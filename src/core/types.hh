@@ -97,13 +97,6 @@ struct RequestRecord
     /** Whether the request was ever re-dispatched (failover accounting:
      *  set on retry, cleared when the completion is counted). */
     bool retried = false;
-    /**
-     * Whether this request holds a slot in its function's adaptive
-     * concurrency limiter. Set when the ingress gate acquires, cleared
-     * exactly once on the terminal paths (completion or drop), so
-     * crash retries re-entering routing never double-acquire.
-     */
-    bool limiterHeld = false;
     /** Set once the request reached its terminal point (RequestTable);
      *  sits in the tail padding, so the record stays 72 bytes. */
     bool retired = false;

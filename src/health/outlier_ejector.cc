@@ -7,13 +7,19 @@
 
 namespace infless::health {
 
+namespace {
+
+/** EMA smoothing applied to each evaluation window's mean ratio. */
+constexpr double kEmaAlpha = 0.3;
+/** Eject when the window success rate drops below this (with at least
+ *  minSamples outcomes in the window). */
+constexpr double kMinSuccessRate = 0.5;
+
+} // namespace
+
 OutlierEjector::OutlierEjector(HealthConfig config)
     : config_(config)
 {
-    sim::simAssert(config_.evalPeriod > 0,
-                   "health evaluation period must be positive");
-    sim::simAssert(config_.emaAlpha > 0.0 && config_.emaAlpha <= 1.0,
-                   "health EMA alpha out of (0,1]");
     sim::simAssert(config_.ratioThreshold >= 1.0,
                    "health ratio threshold must be >= 1");
     sim::simAssert(config_.maxEjectFraction >= 0.0 &&
@@ -70,9 +76,9 @@ OutlierEjector::evaluate(
     for (ServerStats &s : stats_) {
         if (s.ratioCount > 0) {
             double window = s.ratioSum / static_cast<double>(s.ratioCount);
-            s.ema = s.ema < 0.0 ? window
-                                : config_.emaAlpha * window +
-                                      (1.0 - config_.emaAlpha) * s.ema;
+            s.ema = s.ema < 0.0
+                        ? window
+                        : kEmaAlpha * window + (1.0 - kEmaAlpha) * s.ema;
         }
         s.ratioSum = 0.0;
         s.ratioCount = 0;
@@ -138,7 +144,7 @@ OutlierEjector::evaluate(
         if (outcomes >= config_.minSamples) {
             double rate = static_cast<double>(s.successes) /
                           static_cast<double>(outcomes);
-            if (rate < config_.minSuccessRate)
+            if (rate < kMinSuccessRate)
                 badness += 1.0 - rate;
         }
         if (badness > 0.0)

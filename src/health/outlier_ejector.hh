@@ -40,22 +40,18 @@
 
 namespace infless::health {
 
+/** Cadence at which the owner calls OutlierEjector::evaluate(). */
+inline constexpr sim::Tick kHealthEvalPeriod = 5 * sim::kTicksPerSec;
+
 /** Health-scoring and ejection tunables. */
 struct HealthConfig
 {
     /** Master switch; off = no sampling, no events, bit-identical runs. */
     bool enabled = false;
-    /** Evaluation cadence. */
-    sim::Tick evalPeriod = 5 * sim::kTicksPerSec;
-    /** EMA smoothing applied to each evaluation window's mean ratio. */
-    double emaAlpha = 0.3;
     /** Minimum lifetime exec samples before a server can be judged. */
     std::int64_t minSamples = 20;
     /** Eject when the EMA latency ratio exceeds median * this factor. */
     double ratioThreshold = 2.0;
-    /** Eject when the window success rate drops below this (with at
-     *  least minSamples outcomes in the window). */
-    double minSuccessRate = 0.5;
     /** Never quarantine more than this fraction of live servers. */
     double maxEjectFraction = 0.2;
     /** Quarantine duration before re-admission with fresh stats. */

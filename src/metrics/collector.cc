@@ -146,18 +146,6 @@ RunMetrics::recordBrownoutExit()
 }
 
 void
-RunMetrics::recordLimiterShed(sim::Tick)
-{
-    ++limiterSheds_;
-}
-
-void
-RunMetrics::recordLimiterBackoff()
-{
-    ++limiterBackoffs_;
-}
-
-void
 RunMetrics::recordHealthEjection()
 {
     ++healthEjections_;
@@ -312,8 +300,6 @@ RunMetrics::mergeCounters(const RunMetrics &other)
     breakerCloses_ += other.breakerCloses_;
     brownoutEntries_ += other.brownoutEntries_;
     brownoutExits_ += other.brownoutExits_;
-    limiterSheds_ += other.limiterSheds_;
-    limiterBackoffs_ += other.limiterBackoffs_;
     healthEjections_ += other.healthEjections_;
     healthReadmissions_ += other.healthReadmissions_;
     grayDetections_ += other.grayDetections_;

@@ -111,12 +111,6 @@ class RunMetrics
     /** A function left brownout mode. */
     void recordBrownoutExit();
 
-    /** The adaptive concurrency limiter shed a request at ingress. */
-    void recordLimiterShed(sim::Tick now);
-
-    /** The adaptive limiter backed its limit off (timeout/drop signal). */
-    void recordLimiterBackoff();
-
     // Health / failure domains --------------------------------------------
 
     /** The outlier ejector quarantined a degraded server. */
@@ -161,8 +155,11 @@ class RunMetrics
     std::int64_t breakerCloses() const { return breakerCloses_; }
     std::int64_t brownoutEntries() const { return brownoutEntries_; }
     std::int64_t brownoutExits() const { return brownoutExits_; }
-    std::int64_t limiterSheds() const { return limiterSheds_; }
-    std::int64_t limiterBackoffs() const { return limiterBackoffs_; }
+    /** Always 0: nothing sheds on a concurrency limit any more. Kept
+     *  only because benchmark/infless_bench.cc folds it into its output
+     *  digest and its `overload.sheds` metric; it goes when that file
+     *  stops reading it. */
+    std::int64_t limiterSheds() const { return 0; }
     std::int64_t healthEjections() const { return healthEjections_; }
     std::int64_t healthReadmissions() const { return healthReadmissions_; }
     std::int64_t grayDetections() const { return grayDetections_; }
@@ -256,8 +253,6 @@ class RunMetrics
     std::int64_t breakerCloses_ = 0;
     std::int64_t brownoutEntries_ = 0;
     std::int64_t brownoutExits_ = 0;
-    std::int64_t limiterSheds_ = 0;
-    std::int64_t limiterBackoffs_ = 0;
     std::int64_t healthEjections_ = 0;
     std::int64_t healthReadmissions_ = 0;
     std::int64_t grayDetections_ = 0;

@@ -169,11 +169,6 @@ TelemetryRegistry::addRunMetrics(const metrics::RunMetrics &m)
     counter("brownout_exits_total",
             static_cast<double>(m.brownoutExits()),
             "Functions leaving degraded (brownout) mode");
-    counter("limiter_sheds_total", static_cast<double>(m.limiterSheds()),
-            "Requests shed by the adaptive concurrency limiter");
-    counter("limiter_backoffs_total",
-            static_cast<double>(m.limiterBackoffs()),
-            "Adaptive-limit multiplicative decreases (timeout/drop)");
     counter("health_ejections_total",
             static_cast<double>(m.healthEjections()),
             "Servers quarantined by the outlier ejector");

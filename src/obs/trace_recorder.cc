@@ -45,8 +45,6 @@ spanKindName(SpanKind kind)
         return "brownout_enter";
       case SpanKind::BrownoutExit:
         return "brownout_exit";
-      case SpanKind::LimiterShed:
-        return "limiter_shed";
       case SpanKind::BatchWait:
         return "batch_wait";
       case SpanKind::FlightDump:

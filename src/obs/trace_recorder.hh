@@ -52,7 +52,6 @@ enum class SpanKind : std::uint8_t
     BreakerClose,    ///< breaker closed after probes (function instant)
     BrownoutEnter,   ///< function entered degraded mode (instant)
     BrownoutExit,    ///< function left degraded mode (instant)
-    LimiterShed,     ///< adaptive limiter shed the request (instant)
     BatchWait,       ///< waiting for the running batch to drain (span)
     FlightDump,      ///< flight recorder dumped at this instant (marker)
     HealthEjection,  ///< outlier ejector quarantined a server (instant)

@@ -12,9 +12,7 @@
 #define INFLESS_OVERLOAD_OVERLOAD_HH
 
 #include <cstddef>
-#include <cstdint>
 
-#include "overload/adaptive_limit.hh"
 #include "overload/brownout.hh"
 #include "overload/circuit_breaker.hh"
 #include "overload/retry_budget.hh"
@@ -22,38 +20,11 @@
 namespace infless::overload {
 
 /**
- * Ingress admission discipline.
- *
- *  - None: every request proceeds to routing.
- *  - Static: feedforward — shed when the *predicted* queue+exec sojourn
- *    (from the profiled latency surface) exceeds the SLO slack. Exact
- *    when the profile is faithful; inherits every profiler error.
- *  - Adaptive: feedback — a gradient concurrency limiter driven purely
- *    by observed completion latencies and drops (adaptive_limit.hh);
- *    survives a lying latency model at the cost of convergence time.
+ * Deadline-aware admission control at platform ingress: a feedforward
+ * gate that sheds when the *predicted* queue+exec sojourn (from the
+ * profiled latency surface) exceeds the SLO slack. Exact when the
+ * profile is faithful; inherits every profiler error.
  */
-enum class AdmissionMode : std::uint8_t
-{
-    None,
-    Static,
-    Adaptive
-};
-
-inline const char *
-admissionModeName(AdmissionMode mode)
-{
-    switch (mode) {
-      case AdmissionMode::None:
-        return "none";
-      case AdmissionMode::Static:
-        return "static";
-      case AdmissionMode::Adaptive:
-        return "adaptive";
-    }
-    return "?";
-}
-
-/** Deadline-aware admission control at platform ingress. */
 struct AdmissionConfig
 {
     bool enabled = false;
@@ -75,26 +46,11 @@ struct QueueConfig
 /** Aggregate switchboard carried by PlatformOptions. */
 struct OverloadConfig
 {
-    /** Ingress discipline selector. None defers to the legacy
-     *  `admission.enabled` switch (which maps to Static), so PR 5
-     *  configs keep their meaning. */
-    AdmissionMode mode = AdmissionMode::None;
     AdmissionConfig admission;
-    AdaptiveLimitConfig adaptive;
     QueueConfig queue;
     BreakerConfig breaker;
     RetryBudgetConfig retryBudget;
     BrownoutConfig brownout;
-
-    /** Effective ingress discipline after legacy-switch mapping. */
-    AdmissionMode
-    admissionMode() const
-    {
-        if (mode != AdmissionMode::None)
-            return mode;
-        return admission.enabled ? AdmissionMode::Static
-                                 : AdmissionMode::None;
-    }
 
     /** The full defense stack with default tuning (bench/tests). The
      *  depth cap stays at the legacy one-batch bound and brownout keeps

@@ -268,86 +268,6 @@ TEST(PlatformOverloadTest, SnapshotMirrorsFunctionCounters)
     EXPECT_EQ(snap.breakerState, BreakerState::Closed);
 }
 
-TEST(PlatformOverloadTest, UnbindableAdaptiveLimiterIsBitIdentical)
-{
-    Platform plain(2);
-    runBurst(plain);
-
-    // Adaptive mode with a limit pinned so high it can never bind: the
-    // gate admits everything, the estimator consumes samples, and the
-    // simulation must not notice — limiter bookkeeping is pure
-    // observation until the limit actually rejects a request.
-    PlatformOptions opts;
-    opts.overload.mode = infless::overload::AdmissionMode::Adaptive;
-    opts.overload.adaptive.minLimit = 1e9;
-    opts.overload.adaptive.maxLimit = 1e9;
-    opts.overload.adaptive.initialLimit = 1e9;
-    Platform inert(2, std::move(opts));
-    runBurst(inert);
-
-    EXPECT_EQ(metricTuple(plain), metricTuple(inert));
-    auto snap = inert.overloadSnapshot(0);
-    EXPECT_EQ(snap.limiterSheds, 0);
-    EXPECT_EQ(snap.limiterInFlight, 0); // every slot released at drain
-}
-
-TEST(PlatformOverloadTest, AdaptiveLimiterShedsUnderBurstAndConserves)
-{
-    PlatformOptions opts;
-    opts.overload.mode = infless::overload::AdmissionMode::Adaptive;
-    // The saturated-fixture configuration: with growth frozen per
-    // backoff cooldown the limit can actually descend to the binding
-    // point instead of being regrown by the healthy majority.
-    opts.overload.adaptive.growthFreeze = true;
-    Platform p(2, std::move(opts));
-    // Past full-cluster capacity: after the warmup quota the learned
-    // limit binds against the saturated fleet and the gate sheds.
-    runBurst(p, 8000.0);
-
-    const auto &m = p.totalMetrics();
-    auto snap = p.overloadSnapshot(0);
-    EXPECT_GT(snap.limiterSheds, 0);
-    EXPECT_GT(snap.limiterBackoffs, 0);
-    EXPECT_GT(snap.limit, 0.0);
-    EXPECT_GT(snap.limiterMinRtt, 0);
-    // Limiter sheds are drops: conservation holds with slots balanced.
-    EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
-    EXPECT_TRUE(p.auditConservation());
-    EXPECT_EQ(snap.limiterInFlight, 0); // all slots released at drain
-}
-
-TEST(PlatformOverloadTest, SnapshotMirrorsLimiterCounters)
-{
-    PlatformOptions opts;
-    opts.overload.mode = infless::overload::AdmissionMode::Adaptive;
-    Platform p(2, std::move(opts));
-    runBurst(p, 8000.0);
-
-    auto snap = p.overloadSnapshot(0);
-    const auto &fm = p.functionMetrics(0);
-    EXPECT_EQ(snap.limiterSheds, fm.limiterSheds());
-    EXPECT_EQ(snap.limiterBackoffs, fm.limiterBackoffs());
-    // One deployed function: totals agree with the per-function view.
-    EXPECT_EQ(p.totalMetrics().limiterSheds(), fm.limiterSheds());
-}
-
-TEST(PlatformOverloadTest, LimiterShedSpansReachTheTracer)
-{
-    PlatformOptions opts;
-    opts.obs.trace.sampleRate = 1.0;
-    opts.obs.trace.capacity = 1 << 18;
-    opts.overload.mode = infless::overload::AdmissionMode::Adaptive;
-    opts.overload.adaptive.growthFreeze = true; // make the limit bind
-    Platform p(2, std::move(opts));
-    runBurst(p, 8000.0);
-
-    int limiter_sheds = 0;
-    for (const SpanRecord &rec : p.tracer().snapshot())
-        if (rec.kind == SpanKind::LimiterShed)
-            ++limiter_sheds;
-    EXPECT_GT(limiter_sheds, 0);
-}
-
 TEST(PlatformOverloadTest, FaithfulProfileErrorConfigIsBitIdentical)
 {
     Platform plain(2);
@@ -421,33 +341,6 @@ TEST(PlatformOverloadTest, MispredictedProfileShiftsControlDecisions)
     EXPECT_NE(honest.totalMetrics().completions(), lm.completions());
     EXPECT_EQ(lm.completions() + lm.drops(), lm.arrivals());
     EXPECT_TRUE(lying.auditConservation());
-}
-
-TEST(PlatformOverloadTest, AdaptiveHoldsGoodputUnderLyingProfiler)
-{
-    // The robustness claim at platform scale: with the profiler lying
-    // 1.5x high, the feedback limiter must not cost more than a sliver
-    // of the goodput an undefended platform gets — its shed decisions
-    // never consult the lying surface. (The bench's 3-way gate makes
-    // the adaptive-vs-static comparison at the calibrated knee.)
-    PlatformOptions adaptive_opts;
-    adaptive_opts.overload.mode =
-        infless::overload::AdmissionMode::Adaptive;
-    adaptive_opts.faults.profileError.factor = 1.5;
-    Platform adaptive(2, std::move(adaptive_opts));
-    runBurst(adaptive, 8000.0);
-
-    PlatformOptions none_opts;
-    none_opts.faults.profileError.factor = 1.5;
-    Platform none(2, std::move(none_opts));
-    runBurst(none, 8000.0);
-
-    auto goodput = [](const Platform &p) {
-        const auto &m = p.totalMetrics();
-        return m.completions() - m.sloViolations();
-    };
-    EXPECT_GE(static_cast<double>(goodput(adaptive)),
-              0.98 * static_cast<double>(goodput(none)));
 }
 
 } // namespace

@@ -384,8 +384,8 @@ multiCellFingerprint(const PlatformOptions &opts)
 TEST(ShardedPlatform, ZeroOverloadConfigIsBitIdenticalMultiCell)
 {
     // The flat-platform inertness pin, repeated across cells: per-cell
-    // control-plane state (breakers, budgets, limiters) must not leak
-    // into any cell's event stream when tuned unreachable.
+    // control-plane state (breakers, budgets) must not leak into any
+    // cell's event stream when tuned unreachable.
     PlatformOptions plain;
     plain.seed = 7;
 
@@ -398,65 +398,6 @@ TEST(ShardedPlatform, ZeroOverloadConfigIsBitIdenticalMultiCell)
     inert.overload.brownout.enabled = true;
     inert.overload.brownout.enterThreshold = 1.5;
     EXPECT_EQ(multiCellFingerprint(plain), multiCellFingerprint(inert));
-
-    // And the adaptive variant: a limit pinned too high to ever bind.
-    PlatformOptions unbindable = plain;
-    unbindable.overload.mode =
-        infless::overload::AdmissionMode::Adaptive;
-    unbindable.overload.adaptive.minLimit = 1e9;
-    unbindable.overload.adaptive.maxLimit = 1e9;
-    unbindable.overload.adaptive.initialLimit = 1e9;
-    EXPECT_EQ(multiCellFingerprint(plain),
-              multiCellFingerprint(unbindable));
-}
-
-std::vector<double>
-adaptiveOverloadRun(std::size_t threads)
-{
-    PlatformOptions opts;
-    opts.seed = 31;
-    opts.overload.mode = infless::overload::AdmissionMode::Adaptive;
-    // Saturated-fixture configuration so the per-cell limits actually
-    // descend to the binding point and shed (see AdaptiveLimitConfig).
-    opts.overload.adaptive.growthFreeze = true;
-    CellOptions cells;
-    cells.cells = 2;
-    cells.threads = threads;
-    ShardedPlatform platform(8, opts, cells);
-    auto fn = platform.deploy(spec("resnet", "ResNet-50"));
-    // Far past what 8 servers across 2 cells absorb within SLO (the
-    // same saturation ratio the flat-platform limiter tests use):
-    // per-cell limiters learn, back off, and shed independently.
-    platform.injectTrace(fn,
-                         uniformArrivals(32'000.0, 20 * kTicksPerSec));
-    platform.run(kRunEnd);
-
-    auto fp = fingerprint(platform.totalMetrics(), kRunEnd);
-    auto snap = platform.overloadSnapshot(fn);
-    fp.push_back(static_cast<double>(snap.limiterSheds));
-    fp.push_back(static_cast<double>(snap.limiterBackoffs));
-    fp.push_back(snap.limit);
-    fp.push_back(static_cast<double>(snap.limiterMinRtt));
-
-    // The aggregated view must be consistent with its parts: counters
-    // sum across cells and match the merged run metrics.
-    const RunMetrics &m = platform.totalMetrics();
-    std::int64_t cell_sheds = 0;
-    for (std::size_t c = 0; c < 2; ++c)
-        cell_sheds += platform.cell(c).totalMetrics().limiterSheds();
-    EXPECT_EQ(snap.limiterSheds, cell_sheds);
-    EXPECT_EQ(snap.limiterSheds, m.limiterSheds());
-    EXPECT_GT(snap.limiterSheds, 0);
-    EXPECT_GT(snap.limiterBackoffs, 0);
-    EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
-    return fp;
-}
-
-TEST(ShardedPlatform, AdaptiveLimiterMergesAndStaysByteIdentical)
-{
-    auto serial = adaptiveOverloadRun(1);
-    EXPECT_EQ(serial, adaptiveOverloadRun(2));
-    EXPECT_EQ(serial, adaptiveOverloadRun(4));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ namespace {
 
 using infless::cluster::ServerId;
 using infless::health::HealthConfig;
+using infless::health::kHealthEvalPeriod;
 using infless::health::OutlierEjector;
 using infless::health::ServerHealth;
 using infless::sim::kTicksPerSec;
@@ -175,7 +176,7 @@ TEST(OutlierEjectorTest, ProbationReadmitsWithFreshStats)
         feed(ej, s, 20, 1.0);
     feed(ej, 3, 20, 6.0);
     acts = ej.evaluate(5 * kTicksPerSec + cfg.probation +
-                           cfg.evalPeriod,
+                           kHealthEvalPeriod,
                        kAnyone, 4);
     ASSERT_EQ(acts.eject.size(), 1u);
     EXPECT_EQ(ej.ejections(), 2);
