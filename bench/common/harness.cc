@@ -162,7 +162,6 @@ runScenario(core::Platform &platform,
     result.sheds = m.sheds();
     result.breakerSheds = m.breakerSheds();
     result.queueEvictions = m.queueEvictions();
-    result.retryBudgetExhausted = m.retryBudgetExhausted();
     result.breakerOpens = m.breakerOpens();
     result.breakerCloses = m.breakerCloses();
     result.brownoutEntries = m.brownoutEntries();

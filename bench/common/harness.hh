@@ -100,7 +100,6 @@ struct ScenarioResult
     std::int64_t sheds = 0;
     std::int64_t breakerSheds = 0;
     std::int64_t queueEvictions = 0;
-    std::int64_t retryBudgetExhausted = 0;
     std::int64_t breakerOpens = 0;
     std::int64_t breakerCloses = 0;
     std::int64_t brownoutEntries = 0;

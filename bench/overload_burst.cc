@@ -181,7 +181,7 @@ runPoint(const SweepConfig &cfg, Defense defense, double multiplier,
 
     core::PlatformOptions opts;
     opts.overload = defenseConfig(defense);
-    opts.faults.profileError.factor = profile_error;
+    opts.faults.profileErrorFactor = profile_error;
     auto platform = makeSystem(SystemKind::Infless, cfg.servers,
                                std::move(opts));
 
@@ -233,7 +233,6 @@ demoOptions(bool with_trace)
     opts.overload.breaker.minSamples = 10;
     opts.overload.breaker.openDuration = sim::kTicksPerSec;
     opts.overload.breaker.probeFraction = 0.2;
-    opts.overload.retryBudget.enabled = true;
     opts.overload.brownout.enabled = true;
     opts.overload.brownout.minSamples = 30;
     opts.overload.brownout.enterThreshold = 0.10;
@@ -435,7 +434,6 @@ writeRow(std::ofstream &out, const SweepPoint &p, const char *defense)
         << ", \"sheds\": " << r.sheds
         << ", \"breaker_sheds\": " << r.breakerSheds
         << ", \"queue_evictions\": " << r.queueEvictions
-        << ", \"retry_budget_exhausted\": " << r.retryBudgetExhausted
         << ", \"breaker_opens\": " << r.breakerOpens
         << ", \"brownout_entries\": " << r.brownoutEntries
         << ", \"truncated\": " << (r.truncated ? "true" : "false")

@@ -5,6 +5,13 @@
 
 namespace infless::coldstart {
 
+namespace {
+
+/** Max overflow fraction before declaring the histogram unrepresentative. */
+constexpr double kMaxOverflow = 0.5;
+
+} // namespace
+
 HybridHistogramPolicy::HybridHistogramPolicy(HhpParams params)
     : params_(params),
       hist_({params.trackedDuration}, params.binWidth, params.range)
@@ -35,16 +42,16 @@ HybridHistogramPolicy::decide(sim::Tick now) const
 {
     hist_.evict(now);
     bool representative = hist_.count() >= params_.minSamples &&
-                          hist_.overflowFraction() <= params_.maxOverflow;
+                          hist_.overflowFraction() <= kMaxOverflow;
     if (!representative) {
         // Conservative: keep warm continuously.
-        return KeepAliveDecision{0, params_.fallbackKeepAlive};
+        return KeepAliveDecision{0, kFallbackKeepAlive};
     }
     // Head from the lower bin edge (pre-warm early), tail from the upper
     // edge (keep alive late): conservative on both sides.
-    sim::Tick head = hist_.percentileLower(params_.headPercentile);
-    sim::Tick tail = hist_.percentile(params_.tailPercentile);
-    return windowsFrom(head, tail, params_.margin);
+    sim::Tick head = hist_.percentileLower(kHeadPercentile);
+    sim::Tick tail = hist_.percentile(kTailPercentile);
+    return windowsFrom(head, tail, kWindowMargin);
 }
 
 PolicyFactory

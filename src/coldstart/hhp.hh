@@ -18,6 +18,19 @@
 
 namespace infless::coldstart {
 
+// Histogram shape shared by HHP and LSTH ------------------------------------
+
+/** Histogram range; gaps beyond it overflow. */
+inline constexpr sim::Tick kHistogramRange = 4 * sim::kTicksPerHour;
+/** Head percentile driving the pre-warming window. */
+inline constexpr double kHeadPercentile = 5.0;
+/** Tail percentile driving the keep-alive window. */
+inline constexpr double kTailPercentile = 99.0;
+/** Fractional margin shrinking the head / extending the tail. */
+inline constexpr double kWindowMargin = 0.15;
+/** Conservative keep-alive used while the histograms are unrepresentative. */
+inline constexpr sim::Tick kFallbackKeepAlive = 4 * sim::kTicksPerHour;
+
 /** HHP tunables. */
 struct HhpParams
 {
@@ -26,19 +39,9 @@ struct HhpParams
     /** Histogram bin width. */
     sim::Tick binWidth = sim::kTicksPerMin;
     /** Histogram range; gaps beyond it overflow. */
-    sim::Tick range = 4 * sim::kTicksPerHour;
-    /** Head percentile driving the pre-warming window. */
-    double headPercentile = 5.0;
-    /** Tail percentile driving the keep-alive window. */
-    double tailPercentile = 99.0;
-    /** Fractional margin shrinking the head / extending the tail. */
-    double margin = 0.15;
+    sim::Tick range = kHistogramRange;
     /** Minimum samples before trusting the histogram. */
     std::size_t minSamples = 10;
-    /** Max overflow fraction before declaring it unrepresentative. */
-    double maxOverflow = 0.5;
-    /** Conservative keep-alive used while unrepresentative. */
-    sim::Tick fallbackKeepAlive = 4 * sim::kTicksPerHour;
 };
 
 /**

@@ -9,13 +9,11 @@ namespace infless::coldstart {
 
 LsthPolicy::LsthPolicy(LsthParams params)
     : params_(params),
-      hist_({params.shortDuration, params.longDuration}, params.binWidth,
-            params.range)
+      hist_({kShortDuration, kLongDuration}, params.binWidth,
+            kHistogramRange)
 {
     sim::simAssert(params.gamma >= 0.0 && params.gamma <= 1.0,
                    "gamma must lie in [0, 1]");
-    sim::simAssert(params.shortDuration < params.longDuration,
-                   "short duration must be below long duration");
 }
 
 void
@@ -31,7 +29,7 @@ LsthPolicy::decide(sim::Tick now) const
     bool short_ok = hist_.count(kShort) >= params_.minSamples;
     bool long_ok = hist_.count(kLong) >= params_.minSamples;
     if (!short_ok && !long_ok)
-        return KeepAliveDecision{0, params_.fallbackKeepAlive};
+        return KeepAliveDecision{0, kFallbackKeepAlive};
 
     double gamma = params_.gamma;
     if (!long_ok)
@@ -45,12 +43,11 @@ LsthPolicy::decide(sim::Tick now) const
             (1.0 - gamma) * static_cast<double>(s)));
     };
 
-    sim::Tick head =
-        blend(hist_.percentileLower(params_.headPercentile, kLong),
-              hist_.percentileLower(params_.headPercentile, kShort));
-    sim::Tick tail = blend(hist_.percentile(params_.tailPercentile, kLong),
-                           hist_.percentile(params_.tailPercentile, kShort));
-    return HybridHistogramPolicy::windowsFrom(head, tail, params_.margin);
+    sim::Tick head = blend(hist_.percentileLower(kHeadPercentile, kLong),
+                           hist_.percentileLower(kHeadPercentile, kShort));
+    sim::Tick tail = blend(hist_.percentile(kTailPercentile, kLong),
+                           hist_.percentile(kTailPercentile, kShort));
+    return HybridHistogramPolicy::windowsFrom(head, tail, kWindowMargin);
 }
 
 std::string

@@ -24,29 +24,15 @@
 
 namespace infless::coldstart {
 
-/** LSTH tunables. */
+/** LSTH tunables (the histogram shape is HHP's, see hhp.hh). */
 struct LsthParams
 {
-    /** Short-term tracked duration (STB horizon). */
-    sim::Tick shortDuration = sim::kTicksPerHour;
-    /** Long-term tracked duration (LTP horizon). */
-    sim::Tick longDuration = 24 * sim::kTicksPerHour;
     /** Blend weight toward the long-term histogram. */
     double gamma = 0.5;
     /** Histogram bin width. */
     sim::Tick binWidth = sim::kTicksPerMin;
-    /** Histogram range; gaps beyond it overflow. */
-    sim::Tick range = 4 * sim::kTicksPerHour;
-    /** Head percentile. */
-    double headPercentile = 5.0;
-    /** Tail percentile. */
-    double tailPercentile = 99.0;
-    /** Safety margin, as in HHP. */
-    double margin = 0.15;
     /** Minimum samples before trusting a histogram. */
     std::size_t minSamples = 10;
-    /** Conservative keep-alive while both histograms are cold. */
-    sim::Tick fallbackKeepAlive = 4 * sim::kTicksPerHour;
 };
 
 /**
@@ -64,6 +50,13 @@ class LsthPolicy : public KeepAlivePolicy
     /** Window indices into histogram(). */
     static constexpr std::size_t kShort = 0;
     static constexpr std::size_t kLong = 1;
+
+    /** Short-term tracked duration (STB horizon). */
+    static constexpr sim::Tick kShortDuration = sim::kTicksPerHour;
+    /** Long-term tracked duration (LTP horizon). */
+    static constexpr sim::Tick kLongDuration = 24 * sim::kTicksPerHour;
+    static_assert(kShortDuration < kLongDuration,
+                  "short duration must be below long duration");
 
     /** Both horizons over one shared sample log (kShort, kLong). */
     const IdleTimeHistogram &histogram() const { return hist_; }

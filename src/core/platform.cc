@@ -53,16 +53,10 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
     scheduler_.setProfiler(&prof_);
     scalerHandle_ = sim_.every(kScalerPeriod, [this] { scalerTick(); });
 
-    if (opts_.faults.profileError.enabled()) {
-        // Mispredicted-profile fault: distort the latency surface the
-        // controllers see. Execution pricing (execCache_ over exec_)
-        // never goes through the predictor, so ground truth is intact.
-        const faults::ProfileErrorConfig pe = opts_.faults.profileError;
-        const std::uint64_t seed = opts_.seed;
-        predictor_.setDistortion([pe, seed](std::uint64_t model_key) {
-            return faults::profileErrorMultiplier(pe, seed, model_key);
-        });
-    }
+    // Mispredicted-profile fault: distort the latency surface the
+    // controllers see. Execution pricing (execCache_ over exec_) never
+    // goes through the predictor, so ground truth is intact.
+    predictor_.setDistortion(opts_.faults.profileErrorFactor);
 
     serverDownSince_.assign(cluster_.size(), sim::kTickNever);
 
@@ -74,6 +68,11 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
             cluster_.setServerDomain(id, opts_.topology.domainOf(id));
         }
     }
+    sim::simAssert(opts_.faults.grayFraction >= 0.0 &&
+                       opts_.faults.grayFraction <= 1.0,
+                   "gray fraction out of [0,1]");
+    sim::simAssert(opts_.faults.grayFactor >= 1.0,
+                   "gray factor must be >= 1");
     if (opts_.faults.grayEnabled()) {
         grayMult_.resize(cluster_.size(), 1.0);
         for (std::size_t s = 0; s < cluster_.size(); ++s) {
@@ -508,8 +507,8 @@ Platform::routeRequest(FunctionId fn, RequestIndex request)
         if (requests_[request].retried) {
             // Already lost to a crash once: burn another retry instead
             // of dropping into a cluster that is still restoring
-            // capacity. Budget exhaustion inside failoverRequest yields
-            // the (single) drop.
+            // capacity. An exhausted RetryPolicy inside failoverRequest
+            // yields the (single) drop.
             failoverRequest(fn, request);
         } else {
             dropRequest(f, request, now);
@@ -555,7 +554,7 @@ Platform::startBatch(std::size_t idx)
         exec_, *f.model, fill, rt.inst.config().resources);
     // Health scoring judges actual exec against this healthy baseline
     // for the same model + config, so heterogeneous configs compare
-    // fairly and the gray/straggler surcharge is what stands out.
+    // fairly and the gray surcharge is what stands out.
     sim::Tick base_exec = exec_time;
     if (!grayMult_.empty()) {
         double mult = grayMultiplier(rt.inst.serverId());
@@ -564,8 +563,6 @@ Platform::startBatch(std::size_t idx)
                 std::llround(static_cast<double>(exec_time) * mult));
         }
     }
-    if (faults_)
-        exec_time = faults_->stretchExec(exec_time);
     if (health_)
         health_->recordExec(rt.inst.serverId(), base_exec, exec_time);
 
@@ -676,8 +673,7 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
     }
 
     const overload::OverloadConfig &oc = opts_.overload;
-    if (oc.breaker.enabled || oc.brownout.enabled ||
-        oc.retryBudget.enabled) {
+    if (oc.breaker.enabled || oc.brownout.enabled) {
         // Health feedback is judged against the *effective* SLO and only
         // on the serving path (queue + exec): while brownout holds the
         // degraded envelope, completions inside it must count as
@@ -696,8 +692,6 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
             f.brownout.record(sim_.now(), violated);
             noteBrownoutTransition(record.function, sim_.now());
         }
-        if (oc.retryBudget.enabled)
-            f.retryBudget.onSuccess();
     }
 
     if (tracer_.wants(request) || flight_.enabled()) {
@@ -1078,15 +1072,6 @@ Platform::failoverRequest(FunctionId fn, RequestIndex request)
         dropRequest(f, request, now);
         return;
     }
-    if (opts_.overload.retryBudget.enabled &&
-        !f.retryBudget.tryConsume()) {
-        // Budget dry: the function is not completing enough work to pay
-        // for re-dispatch. Fail fast instead of storming the cluster.
-        f.metrics.recordRetryBudgetExhausted();
-        total_.recordRetryBudgetExhausted();
-        dropRequest(f, request, now);
-        return;
-    }
     ++rec.retries;
     rec.retried = true;
     f.metrics.recordRetry(now);
@@ -1357,11 +1342,9 @@ Platform::overloadSnapshot(FunctionId fn) const
     OverloadSnapshot snap;
     snap.breakerState = f.breaker.state();
     snap.brownoutActive = f.brownout.active();
-    snap.retryTokens = f.retryBudget.tokens();
     snap.sheds = f.metrics.sheds();
     snap.breakerSheds = f.metrics.breakerSheds();
     snap.queueEvictions = f.metrics.queueEvictions();
-    snap.retryBudgetExhausted = f.metrics.retryBudgetExhausted();
     return snap;
 }
 
@@ -1535,10 +1518,12 @@ Platform::grayMultiplier(cluster::ServerId id) const
 void
 Platform::setGrayMultiplier(cluster::ServerId id, double mult)
 {
-    auto i = static_cast<std::size_t>(id);
-    if (grayMult_.size() <= i)
-        grayMult_.resize(i + 1, 1.0);
-    grayMult_[i] = mult;
+    sim::simAssert(id >= 0 &&
+                       static_cast<std::size_t>(id) < cluster_.size(),
+                   "gray multiplier for unknown server ", id);
+    sim::simAssert(mult >= 1.0, "gray multiplier must be >= 1");
+    grayMult_.resize(cluster_.size(), 1.0);
+    grayMult_[static_cast<std::size_t>(id)] = mult;
 }
 
 void

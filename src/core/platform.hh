@@ -136,11 +136,9 @@ struct OverloadSnapshot
 {
     overload::BreakerState breakerState = overload::BreakerState::Closed;
     bool brownoutActive = false;
-    double retryTokens = 0.0;
     std::int64_t sheds = 0;
     std::int64_t breakerSheds = 0;
     std::int64_t queueEvictions = 0;
-    std::int64_t retryBudgetExhausted = 0;
 };
 
 /**
@@ -361,7 +359,8 @@ class Platform
      */
     double grayMultiplier(cluster::ServerId id) const;
 
-    /** Override a server's gray multiplier (sharding / tests). */
+    /** Override a server's gray multiplier (sharding / tests); panics
+     *  unless 0 <= @p id < cluster().size() and @p mult >= 1. */
     void setGrayMultiplier(cluster::ServerId id, double mult);
 
     // Health / outlier ejection ---------------------------------------------
@@ -410,7 +409,7 @@ class Platform
 
     // Overload control plane ------------------------------------------------
 
-    /** Breaker/brownout/budget state of one function. */
+    /** Breaker/brownout state of one function. */
     OverloadSnapshot overloadSnapshot(FunctionId fn) const;
 
     /**
@@ -503,7 +502,6 @@ class Platform
 
         // Overload control plane -------------------------------------------
         overload::CircuitBreaker breaker;
-        overload::RetryBudget retryBudget;
         overload::BrownoutController brownout;
         /** Breaker transition-log entries already surfaced to
          *  metrics/traces (a count, so multi-step transitions within one
@@ -519,8 +517,7 @@ class Platform
 
         FunctionState(sim::Tick rate_window,
                       const overload::OverloadConfig &oc)
-            : rate(rate_window), breaker(oc.breaker),
-              retryBudget(oc.retryBudget), brownout(oc.brownout)
+            : rate(rate_window), breaker(oc.breaker), brownout(oc.brownout)
         {
         }
     };
@@ -623,7 +620,7 @@ class Platform
     void dropRequestInternal(FunctionState &f, RequestIndex request,
                              sim::Tick now, bool feed_health);
     /** Re-dispatch a failure-lost request per the retry policy, or drop
-     *  it when the budget is exhausted (exactly one drop per request). */
+     *  it once its attempts are used up (exactly one drop per request). */
     void failoverRequest(FunctionId fn, RequestIndex request);
 
     // Overload control plane --------------------------------------------------

@@ -426,11 +426,9 @@ ShardedPlatform::overloadSnapshot(FunctionId fn) const
         if (severity(s.breakerState) > severity(snap.breakerState))
             snap.breakerState = s.breakerState;
         snap.brownoutActive = snap.brownoutActive || s.brownoutActive;
-        snap.retryTokens += s.retryTokens;
         snap.sheds += s.sheds;
         snap.breakerSheds += s.breakerSheds;
         snap.queueEvictions += s.queueEvictions;
-        snap.retryBudgetExhausted += s.retryBudgetExhausted;
     }
     return snap;
 }

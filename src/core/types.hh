@@ -92,7 +92,7 @@ struct RequestRecord
     sim::Tick execAccum = 0;
     sim::Tick batchAccum = 0;
 
-    /** Re-dispatches already consumed after failures (retry budget). */
+    /** Re-dispatches already consumed after failures (RetryPolicy). */
     int retries = 0;
     /** Whether the request was ever re-dispatched (failover accounting:
      *  set on retry, cleared when the completion is counted). */

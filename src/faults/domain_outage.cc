@@ -12,8 +12,8 @@ namespace {
 // Substreams of the fault RNG family (base key kFaultStreamKey =
 // 0xFA17'AB1E'0000'0001 in fault_injector.cc): +3 drives the domain
 // outage schedule, +4 keys gray-failure membership. Both must stay
-// disjoint from the startup (+0), straggler (+1) and per-server crash
-// (+2) streams so enabling one class never shifts another.
+// disjoint from the startup (+0) and per-server crash (+2) streams
+// (+1 is retired) so enabling one class never shifts another.
 constexpr std::uint64_t kDomainOutageStreamKey = 0xFA17'AB1E'0000'0004ULL;
 constexpr std::uint64_t kGrayStreamKey = 0xFA17'AB1E'0000'0005ULL;
 

@@ -16,7 +16,7 @@
  *    slower by a lasting multiplier, without ever crashing. Membership
  *    is a pure function of (profile, seed, global server id): no events
  *    are scheduled and no stream is consumed, mirroring the
- *    mispredicted-profile fault (profile_error.hh).
+ *    mispredicted-profile fault (FaultProfile::profileErrorFactor).
  */
 
 #ifndef INFLESS_FAULTS_DOMAIN_OUTAGE_HH

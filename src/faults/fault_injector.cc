@@ -19,8 +19,7 @@ FaultInjector::FaultInjector(sim::Simulation &sim,
                              std::uint64_t seed, std::size_t num_servers,
                              std::size_t num_zones)
     : sim_(sim), profile_(profile), seed_(seed),
-      startupRng_(sim::hashCombine(seed, kFaultStreamKey)),
-      stragglerRng_(sim::hashCombine(seed, kFaultStreamKey + 1))
+      startupRng_(sim::hashCombine(seed, kFaultStreamKey))
 {
     sim::simAssert(!profile_.crashesEnabled() ||
                        profile_.serverMttrSec > 0.0,
@@ -28,11 +27,6 @@ FaultInjector::FaultInjector(sim::Simulation &sim,
     sim::simAssert(profile_.startupFailureProb >= 0.0 &&
                        profile_.startupFailureProb < 1.0 + 1e-12,
                    "startup failure probability out of [0,1]");
-    sim::simAssert(profile_.stragglerProb >= 0.0 &&
-                       profile_.stragglerProb <= 1.0,
-                   "straggler probability out of [0,1]");
-    sim::simAssert(profile_.stragglerFactor >= 1.0,
-                   "straggler factor must be >= 1");
     serverRng_.reserve(num_servers);
     for (std::size_t s = 0; s < num_servers; ++s)
         serverRng_.push_back(serverStream(s));
@@ -44,6 +38,8 @@ FaultInjector::FaultInjector(sim::Simulation &sim,
 sim::Rng
 FaultInjector::serverStream(std::uint64_t server) const
 {
+    // Key +1 is retired; +2 stays so existing crash schedules keep
+    // their seeds.
     return sim::Rng(
         sim::hashCombine(sim::hashCombine(seed_, kFaultStreamKey + 2),
                          server));
@@ -133,18 +129,6 @@ FaultInjector::startupFails()
     if (fails)
         ++startupFailures_;
     return fails;
-}
-
-sim::Tick
-FaultInjector::stretchExec(sim::Tick exec_time)
-{
-    if (!profile_.stragglersEnabled())
-        return exec_time;
-    if (!stragglerRng_.bernoulli(profile_.stragglerProb))
-        return exec_time;
-    ++stragglers_;
-    return static_cast<sim::Tick>(static_cast<double>(exec_time) *
-                                  profile_.stragglerFactor);
 }
 
 } // namespace infless::faults

@@ -4,7 +4,7 @@
  *
  * Real deployments of the paper's platform (OpenFaaS on Kubernetes) lose
  * nodes and containers continuously; this module reproduces that failure
- * surface inside the simulation. Three fault classes are modeled:
+ * surface inside the simulation. Two fault classes are modeled:
  *
  *  - **Server crash/recovery**: each server fails after an exponential
  *    MTBF draw and repairs after an exponential MTTR draw, forever (or
@@ -15,9 +15,6 @@
  *  - **Container startup failures**: each cold start aborts with
  *    probability `startupFailureProb` and re-enters the cold-start path,
  *    paying the full penalty again.
- *  - **Transient stragglers**: each batch execution is stretched by
- *    `stragglerFactor` with probability `stragglerProb` (a slow replica,
- *    noisy neighbor or thermal event).
  *
  * All randomness comes from a dedicated RNG stream derived directly from
  * the run seed — never from the simulation's root stream — so enabling or
@@ -38,7 +35,6 @@
 #include "cluster/server.hh"
 #include "cluster/topology.hh"
 #include "faults/domain_outage.hh"
-#include "faults/profile_error.hh"
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
 #include "sim/time.hh"
@@ -54,10 +50,6 @@ struct FaultProfile
     double serverMttrSec = 300.0;
     /** Probability one cold-start attempt aborts and must restart. */
     double startupFailureProb = 0.0;
-    /** Probability one batch execution is a straggler. */
-    double stragglerProb = 0.0;
-    /** Execution-time multiplier applied to straggler batches. */
-    double stragglerFactor = 1.0;
     /**
      * No new crashes after this tick (recoveries still complete). Bench
      * runs set this to the trace end so every lost request can finish
@@ -65,14 +57,15 @@ struct FaultProfile
      */
     sim::Tick crashHorizon = sim::kTickNever;
     /**
-     * Mispredicted-profile fault: seeded multiplicative error on the
-     * latency surface the controllers see (scheduler, dispatcher,
-     * static admission), never the one execution prices batches with.
-     * Unlike the event faults above it schedules nothing and draws no
-     * randomness, so it is deliberately excluded from enabled() — the
-     * platform wires it into the predictor directly.
+     * Mispredicted-profile fault: a lying profiler. Every latency the
+     * controllers see (scheduler, dispatcher, static admission) is
+     * multiplied by this factor; execution keeps pricing batches from
+     * the ground-truth surface (ExecModel::trueTicks). Values > 1 make
+     * the profiler pessimistic, < 1 optimistic; 1 is a faithful
+     * profiler. It schedules nothing and draws no randomness, so it is
+     * excluded from enabled() — the platform hands it to the predictor.
      */
-    ProfileErrorConfig profileError;
+    double profileErrorFactor = 1.0;
 
     // Correlated domain outages (require a topology with zones) -------------
 
@@ -95,9 +88,9 @@ struct FaultProfile
     /**
      * Gray-failure mode: each server is gray with this probability
      * (seeded by global id) and then serves EVERY batch grayFactor
-     * slower, for the whole run — distinct from the transient per-batch
-     * stragglers above. Like profileError this is a pure function of
-     * the seed: it schedules nothing and draws from no shared stream,
+     * slower, for the whole run. Like profileErrorFactor it needs no
+     * event: membership is a pure function of the seed, drawn from no
+     * shared stream,
      * so it is excluded from enabled() and wired directly by the
      * platform (grayExecMultiplier in domain_outage.hh).
      */
@@ -106,12 +99,6 @@ struct FaultProfile
     double grayFactor = 1.0;
 
     bool crashesEnabled() const { return serverMtbfSec > 0.0; }
-
-    bool
-    stragglersEnabled() const
-    {
-        return stragglerProb > 0.0 && stragglerFactor != 1.0;
-    }
 
     bool
     domainOutagesEnabled() const
@@ -131,13 +118,13 @@ struct FaultProfile
     enabled() const
     {
         return crashesEnabled() || startupFailureProb > 0.0 ||
-               stragglersEnabled() || domainOutagesEnabled();
+               domainOutagesEnabled();
     }
 };
 
 /**
  * Schedules failure events through the simulation's event queue and
- * answers per-launch/per-batch fault draws.
+ * answers per-launch fault draws.
  */
 class FaultInjector
 {
@@ -180,19 +167,11 @@ class FaultInjector
     /** Draw: does this cold-start attempt abort? */
     bool startupFails();
 
-    /**
-     * Draw the straggler stretch for one batch: returns @p exec_time
-     * multiplied by the straggler factor when the straggler draw hits,
-     * unchanged otherwise.
-     */
-    sim::Tick stretchExec(sim::Tick exec_time);
-
     // Accounting -----------------------------------------------------------
 
     std::int64_t crashesScheduled() const { return crashes_; }
     std::int64_t recoveriesScheduled() const { return recoveries_; }
     std::int64_t startupFailureDraws() const { return startupFailures_; }
-    std::int64_t stragglerDraws() const { return stragglers_; }
     std::int64_t domainOutagesScheduled() const { return domainOutages_; }
     std::int64_t domainRepairsScheduled() const { return domainRepairs_; }
 
@@ -214,14 +193,12 @@ class FaultInjector
      *  never shifts another's). */
     std::vector<sim::Rng> serverRng_;
     sim::Rng startupRng_;
-    sim::Rng stragglerRng_;
     /** Domain-outage schedule; null when disabled. */
     std::unique_ptr<DomainOutageStream> domainStream_;
 
     std::int64_t crashes_ = 0;
     std::int64_t recoveries_ = 0;
     std::int64_t startupFailures_ = 0;
-    std::int64_t stragglers_ = 0;
     std::int64_t domainOutages_ = 0;
     std::int64_t domainRepairs_ = 0;
 };

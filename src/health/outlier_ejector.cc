@@ -11,6 +11,8 @@ namespace {
 
 /** EMA smoothing applied to each evaluation window's mean ratio. */
 constexpr double kEmaAlpha = 0.3;
+/** Eject when the EMA latency ratio exceeds median * this factor. */
+constexpr double kRatioThreshold = 2.0;
 /** Eject when the window success rate drops below this (with at least
  *  minSamples outcomes in the window). */
 constexpr double kMinSuccessRate = 0.5;
@@ -20,8 +22,6 @@ constexpr double kMinSuccessRate = 0.5;
 OutlierEjector::OutlierEjector(HealthConfig config)
     : config_(config)
 {
-    sim::simAssert(config_.ratioThreshold >= 1.0,
-                   "health ratio threshold must be >= 1");
     sim::simAssert(config_.maxEjectFraction >= 0.0 &&
                        config_.maxEjectFraction < 1.0,
                    "max ejection fraction out of [0,1)");
@@ -138,7 +138,7 @@ OutlierEjector::evaluate(
             continue;
         double badness = 0.0;
         if (s.ema >= 0.0 && s.lifetimeSamples >= config_.minSamples &&
-            median > 0.0 && s.ema > config_.ratioThreshold * median)
+            median > 0.0 && s.ema > kRatioThreshold * median)
             badness = s.ema / median;
         std::int64_t outcomes = s.successes + s.failures;
         if (outcomes >= config_.minSamples) {

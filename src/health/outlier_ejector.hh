@@ -50,8 +50,6 @@ struct HealthConfig
     bool enabled = false;
     /** Minimum lifetime exec samples before a server can be judged. */
     std::int64_t minSamples = 20;
-    /** Eject when the EMA latency ratio exceeds median * this factor. */
-    double ratioThreshold = 2.0;
     /** Never quarantine more than this fraction of live servers. */
     double maxEjectFraction = 0.2;
     /** Quarantine duration before re-admission with fresh stats. */
@@ -80,7 +78,7 @@ class OutlierEjector
 
     /** Feed one batch execution: @p base_exec is the healthy predicted
      *  time for this model + instance config, @p actual_exec what the
-     *  simulation actually charged (gray multiplier, stragglers). */
+     *  simulation actually charged (gray multiplier included). */
     void recordExec(cluster::ServerId id, sim::Tick base_exec,
                     sim::Tick actual_exec);
 

@@ -116,12 +116,6 @@ RunMetrics::recordQueueEviction()
 }
 
 void
-RunMetrics::recordRetryBudgetExhausted()
-{
-    ++retryBudgetExhausted_;
-}
-
-void
 RunMetrics::recordBreakerOpen()
 {
     ++breakerOpens_;
@@ -295,7 +289,6 @@ RunMetrics::mergeCounters(const RunMetrics &other)
     sheds_ += other.sheds_;
     breakerSheds_ += other.breakerSheds_;
     queueEvictions_ += other.queueEvictions_;
-    retryBudgetExhausted_ += other.retryBudgetExhausted_;
     breakerOpens_ += other.breakerOpens_;
     breakerCloses_ += other.breakerCloses_;
     brownoutEntries_ += other.brownoutEntries_;

@@ -96,9 +96,6 @@ class RunMetrics
     /** The oldest queued request was evicted for a newcomer. */
     void recordQueueEviction();
 
-    /** A failover was denied because the retry budget ran dry. */
-    void recordRetryBudgetExhausted();
-
     /** A circuit breaker tripped open. */
     void recordBreakerOpen();
 
@@ -147,10 +144,6 @@ class RunMetrics
     std::int64_t sheds() const { return sheds_; }
     std::int64_t breakerSheds() const { return breakerSheds_; }
     std::int64_t queueEvictions() const { return queueEvictions_; }
-    std::int64_t retryBudgetExhausted() const
-    {
-        return retryBudgetExhausted_;
-    }
     std::int64_t breakerOpens() const { return breakerOpens_; }
     std::int64_t breakerCloses() const { return breakerCloses_; }
     std::int64_t brownoutEntries() const { return brownoutEntries_; }
@@ -248,7 +241,6 @@ class RunMetrics
     std::int64_t sheds_ = 0;
     std::int64_t breakerSheds_ = 0;
     std::int64_t queueEvictions_ = 0;
-    std::int64_t retryBudgetExhausted_ = 0;
     std::int64_t breakerOpens_ = 0;
     std::int64_t breakerCloses_ = 0;
     std::int64_t brownoutEntries_ = 0;

@@ -155,9 +155,6 @@ TelemetryRegistry::addRunMetrics(const metrics::RunMetrics &m)
     counter("queue_evictions_total",
             static_cast<double>(m.queueEvictions()),
             "Queued requests evicted to seat fresher arrivals");
-    counter("retry_budget_exhausted_total",
-            static_cast<double>(m.retryBudgetExhausted()),
-            "Retries denied by an empty retry budget");
     counter("breaker_opens_total", static_cast<double>(m.breakerOpens()),
             "Circuit breaker open transitions");
     counter("breaker_closes_total",

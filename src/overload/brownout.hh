@@ -14,6 +14,9 @@
 
 namespace infless::overload {
 
+/** Pressure fraction at/below which brownout may disengage. */
+inline constexpr double kBrownoutExitThreshold = 0.05;
+
 struct BrownoutConfig
 {
     bool enabled = false;
@@ -23,8 +26,6 @@ struct BrownoutConfig
     /** Pressure fraction (drops + sheds + violations over all
      *  outcomes) at/above which brownout engages. */
     double enterThreshold = 0.15;
-    /** Pressure fraction at/below which brownout may disengage. */
-    double exitThreshold = 0.05;
     /** Minimum outcomes in the window before entering. */
     int minSamples = 50;
     /** Minimum time browned-out before the exit test applies
@@ -76,7 +77,7 @@ class BrownoutController
             return;
         }
         if (now - enteredAt_ >= config_.minHold &&
-            window_.failureRate(now) <= config_.exitThreshold) {
+            window_.failureRate(now) <= kBrownoutExitThreshold) {
             active_ = false;
             ++exits_;
         }
@@ -92,7 +93,7 @@ class BrownoutController
     bool relaxing(sim::Tick now) const
     {
         return active_ &&
-               window_.failureRate(now) > config_.exitThreshold;
+               window_.failureRate(now) > kBrownoutExitThreshold;
     }
 
     /** Current SLO stretch: degraded multiplier while active, else 1. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Overload control plane configuration: deadline-aware admission,
- * bounded queues, circuit breakers, retry budgets, and brownout.
+ * bounded queues, circuit breakers, and brownout.
  *
  * Everything here is off by default; a default-constructed
  * OverloadConfig leaves the platform bit-identical to a build without
@@ -15,7 +15,6 @@
 
 #include "overload/brownout.hh"
 #include "overload/circuit_breaker.hh"
-#include "overload/retry_budget.hh"
 
 namespace infless::overload {
 
@@ -49,7 +48,6 @@ struct OverloadConfig
     AdmissionConfig admission;
     QueueConfig queue;
     BreakerConfig breaker;
-    RetryBudgetConfig retryBudget;
     BrownoutConfig brownout;
 
     /** The full defense stack with default tuning (bench/tests). The
@@ -65,7 +63,6 @@ struct OverloadConfig
         cfg.admission.enabled = true;
         cfg.queue.evictOldest = true;
         cfg.breaker.enabled = true;
-        cfg.retryBudget.enabled = true;
         cfg.brownout.enabled = true;
         cfg.brownout.degradedSloMultiplier = 1.0;
         return cfg;

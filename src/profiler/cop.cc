@@ -31,24 +31,10 @@ CopPredictor::prewarm(const models::ModelInfo &model,
 }
 
 void
-CopPredictor::setDistortion(
-    std::function<double(std::uint64_t)> multiplier)
+CopPredictor::setDistortion(double factor)
 {
-    distortion_ = std::move(multiplier);
-    distortionMemo_.clear();
-}
-
-double
-CopPredictor::distortionFor(const models::ModelInfo &model) const
-{
-    auto it = distortionMemo_.find(model.noiseKey);
-    if (it != distortionMemo_.end())
-        return it->second;
-    double mult = distortion_(model.noiseKey);
-    sim::simAssert(mult > 0.0,
-                   "profile distortion must stay positive");
-    distortionMemo_.emplace(model.noiseKey, mult);
-    return mult;
+    sim::simAssert(factor > 0.0, "profile distortion must be positive");
+    distortion_ = factor;
 }
 
 double
@@ -67,10 +53,8 @@ CopPredictor::rawMicros(const models::ModelInfo &model, int batch,
         });
     // The mispredicted-profile fault scales what the controllers see;
     // the memo keeps the faithful composition so the distortion can be
-    // swapped without re-pricing. No distortion installed = the exact
-    // code path (and bits) of a faithful profiler.
-    if (distortion_)
-        raw *= distortionFor(model);
+    // swapped without re-pricing. A factor of 1 leaves the bits exact.
+    raw *= distortion_;
     return raw;
 }
 

@@ -13,8 +13,6 @@
 #define INFLESS_PROFILER_COP_HH
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/resources.hh"
@@ -93,29 +91,18 @@ class CopPredictor
                            const cluster::Resources &res) const;
 
     /**
-     * Install a per-model multiplicative distortion of the profiled
-     * surface (the mispredicted-profile fault: a lying profiler).
-     * Every rawMicros/predict result is scaled by
-     * @p multiplier(model key); the ground-truth ExecModel is
-     * untouched, so only the controllers are deceived. Passing an
-     * empty function removes the distortion. The multiplier must be a
-     * pure function of the key (it is memoized per model).
+     * Scale every rawMicros/predict result by @p factor (the
+     * mispredicted-profile fault: a lying profiler). The ground-truth
+     * ExecModel is untouched, so only the controllers are deceived;
+     * 1.0 restores the faithful profiler.
      */
-    void setDistortion(
-        std::function<double(std::uint64_t)> multiplier);
-
-    /** Whether a distortion is installed. */
-    bool distorted() const { return static_cast<bool>(distortion_); }
+    void setDistortion(double factor);
 
   private:
-    double distortionFor(const models::ModelInfo &model) const;
-
     OpProfileDb &db_;
     CopOptions options_;
-    /** Mispredicted-profile fault hook (empty = faithful profiler). */
-    std::function<double(std::uint64_t)> distortion_;
-    /** Per-model multiplier memo (the hook may hash+exp per call). */
-    mutable std::unordered_map<std::uint64_t, double> distortionMemo_;
+    /** Mispredicted-profile factor (1 = faithful profiler). */
+    double distortion_ = 1.0;
     /** Memo of raw predictions over (model, b, c, g); the scheduler
      *  queries the same configurations thousands of times. Exact-keyed
      *  (no hash-collision aliasing) with a flat per-batch array. */

@@ -89,7 +89,7 @@ TEST(HhpTest, OverflowHeavyHistogramFallsBack)
     auto d = policy.decide(20 * kTicksPerHour);
     // Unrepresentative -> conservative always-warm.
     EXPECT_EQ(d.prewarmWindow, 0);
-    EXPECT_EQ(d.keepAliveWindow, params.fallbackKeepAlive);
+    EXPECT_EQ(d.keepAliveWindow, infless::coldstart::kFallbackKeepAlive);
 }
 
 TEST(LsthTest, GammaZeroFollowsShortHistogram)
@@ -98,7 +98,7 @@ TEST(LsthTest, GammaZeroFollowsShortHistogram)
     params.gamma = 0.0;
     LsthPolicy lsth(params);
     HhpParams hp;
-    hp.trackedDuration = params.shortDuration;
+    hp.trackedDuration = LsthPolicy::kShortDuration;
     HybridHistogramPolicy short_only(hp);
     // Feed both the same regular invocations within the short horizon.
     for (int i = 0; i <= 30; ++i) {

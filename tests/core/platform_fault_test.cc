@@ -12,6 +12,7 @@
 #include "faults/domain_outage.hh"
 #include "faults/retry_policy.hh"
 #include "obs/slo_monitor.hh"
+#include "sim/logging.hh"
 #include "workload/generators.hh"
 
 namespace {
@@ -224,7 +225,6 @@ TEST(PlatformFaultTest, ZeroRateProfileIsBitIdentical)
     PlatformOptions zeroed;
     zeroed.faults.serverMtbfSec = 0.0;
     zeroed.faults.startupFailureProb = 0.0;
-    zeroed.faults.stragglerProb = 0.0;
     zeroed.retry.maxAttempts = 5; // retry config alone must not matter
 
     EXPECT_EQ(run(defaults), run(zeroed));
@@ -262,6 +262,31 @@ TEST(PlatformDomainTest, ScriptedOutageCrashesAndRepairsWholeZone)
     const auto &m = p.totalMetrics();
     EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
     EXPECT_GT(m.completions(), 0);
+}
+
+TEST(PlatformDomainTest, SetGrayMultiplierRejectsUnknownServersAndSpeedups)
+{
+    Platform p(4);
+    p.setGrayMultiplier(3, 4.0);
+    EXPECT_EQ(p.grayMultiplier(3), 4.0);
+    EXPECT_EQ(p.grayMultiplier(0), 1.0);
+    EXPECT_THROW(p.setGrayMultiplier(-1, 2.0), infless::sim::PanicError);
+    EXPECT_THROW(p.setGrayMultiplier(4, 2.0), infless::sim::PanicError);
+    EXPECT_THROW(p.setGrayMultiplier(0, 0.5), infless::sim::PanicError);
+}
+
+TEST(PlatformDomainTest, GrayProfileOutOfRangePanics)
+{
+    auto build = [](double fraction, double factor) {
+        PlatformOptions opts;
+        opts.faults.grayFraction = fraction;
+        opts.faults.grayFactor = factor;
+        Platform p(2, std::move(opts));
+    };
+    EXPECT_NO_THROW(build(1.0, 1.0));
+    EXPECT_THROW(build(-0.1, 4.0), infless::sim::PanicError);
+    EXPECT_THROW(build(1.5, 4.0), infless::sim::PanicError);
+    EXPECT_THROW(build(0.5, 0.5), infless::sim::PanicError);
 }
 
 TEST(PlatformDomainTest, GrayServerIsDetectedEjectedAndReadmitted)
@@ -389,8 +414,6 @@ TEST(PlatformFaultTest, InjectorDrivenChaosConservesRequests)
     opts.faults.serverMtbfSec = 30.0;
     opts.faults.serverMttrSec = 10.0;
     opts.faults.startupFailureProb = 0.05;
-    opts.faults.stragglerProb = 0.05;
-    opts.faults.stragglerFactor = 2.0;
     // No crashes in the last stretch so retry chains can drain.
     opts.faults.crashHorizon = 2 * kTicksPerMin;
 

@@ -3,8 +3,8 @@
  * Overload control plane integration with the platform: the disabled
  * (and inert) configs leave every simulation output bit-identical,
  * admission control sheds under burst overload, bounded queues evict,
- * the breaker opens and recovers, brownout engages, the retry budget
- * caps failover storms, and request conservation holds throughout.
+ * the breaker opens and recovers, brownout engages, and request
+ * conservation holds throughout.
  */
 
 #include <gtest/gtest.h>
@@ -71,15 +71,14 @@ TEST(PlatformOverloadTest, ZeroOverloadConfigIsBitIdentical)
     runBurst(plain);
 
     // Inert settings: every subsystem switched on but tuned so it can
-    // never fire — unreachable thresholds, unbounded slack, a budget
-    // nothing draws on, the legacy queue bound. The simulation must not
-    // notice the control plane exists.
+    // never fire — unreachable thresholds, unbounded slack, the legacy
+    // queue bound. The simulation must not notice the control plane
+    // exists.
     PlatformOptions opts;
     opts.overload.admission.enabled = true;
     opts.overload.admission.slackFactor = 1e12;
     opts.overload.breaker.enabled = true;
     opts.overload.breaker.openThreshold = 1.5; // rate <= 1: unreachable
-    opts.overload.retryBudget.enabled = true;
     opts.overload.brownout.enabled = true;
     opts.overload.brownout.enterThreshold = 1.5;
     Platform inert(2, std::move(opts));
@@ -92,7 +91,6 @@ TEST(PlatformOverloadTest, ZeroOverloadConfigIsBitIdentical)
     EXPECT_EQ(snap.sheds, 0);
     EXPECT_EQ(snap.breakerSheds, 0);
     EXPECT_EQ(snap.queueEvictions, 0);
-    EXPECT_EQ(snap.retryBudgetExhausted, 0);
 }
 
 TEST(PlatformOverloadTest, DisabledConfigReportsNoOverloadActivity)
@@ -103,7 +101,6 @@ TEST(PlatformOverloadTest, DisabledConfigReportsNoOverloadActivity)
     EXPECT_EQ(m.sheds(), 0);
     EXPECT_EQ(m.breakerSheds(), 0);
     EXPECT_EQ(m.queueEvictions(), 0);
-    EXPECT_EQ(m.retryBudgetExhausted(), 0);
     EXPECT_EQ(m.breakerOpens(), 0);
     EXPECT_EQ(m.brownoutEntries(), 0);
 }
@@ -217,27 +214,6 @@ TEST(PlatformOverloadTest, BrownoutEngagesUnderSustainedPressure)
     EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
 }
 
-TEST(PlatformOverloadTest, RetryBudgetCapsFailoverStorm)
-{
-    PlatformOptions opts;
-    opts.overload.retryBudget.enabled = true;
-    opts.overload.retryBudget.burst = 0.0; // deny every failover
-    Platform p(2, std::move(opts));
-
-    auto fn = p.deploy(resnetSpec());
-    p.injectTrace(fn, uniformArrivals(200.0, 20 * kTicksPerSec));
-    p.run(10 * kTicksPerSec);
-    p.injectServerCrash(0);
-    p.run(30 * kTicksPerSec);
-
-    const auto &m = p.totalMetrics();
-    // The crash loses queued/in-flight requests; with an empty budget
-    // each failover is denied and dropped instead of re-dispatched.
-    EXPECT_GT(m.retryBudgetExhausted(), 0);
-    EXPECT_EQ(m.retries(), 0);
-    EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
-}
-
 TEST(PlatformOverloadTest, FullStackHoldsConservationUnderBurst)
 {
     PlatformOptions opts;
@@ -264,19 +240,17 @@ TEST(PlatformOverloadTest, SnapshotMirrorsFunctionCounters)
     EXPECT_EQ(snap.sheds, fm.sheds());
     EXPECT_EQ(snap.breakerSheds, fm.breakerSheds());
     EXPECT_EQ(snap.queueEvictions, fm.queueEvictions());
-    EXPECT_EQ(snap.retryBudgetExhausted, fm.retryBudgetExhausted());
     EXPECT_EQ(snap.breakerState, BreakerState::Closed);
 }
 
-TEST(PlatformOverloadTest, FaithfulProfileErrorConfigIsBitIdentical)
+TEST(PlatformOverloadTest, FaithfulProfileErrorFactorIsBitIdentical)
 {
     Platform plain(2);
     runBurst(plain);
 
-    // factor 1.0 + jitter 0: the fault is disabled and the platform
-    // must not even install the distortion hook.
+    // factor 1.0: a faithful profiler, bit-identical to the default.
     PlatformOptions opts;
-    opts.faults.profileError.factor = 1.0;
+    opts.faults.profileErrorFactor = 1.0;
     Platform faithful(2, std::move(opts));
     runBurst(faithful);
     EXPECT_EQ(metricTuple(plain), metricTuple(faithful));
@@ -315,13 +289,42 @@ TEST(PlatformOverloadTest, StaticAndFullStackGoldenDigest)
              {OverloadConfig{}, admission, OverloadConfig::fullStack()}) {
             PlatformOptions opts;
             opts.overload = overload;
-            opts.faults.profileError.factor = error;
+            opts.faults.profileErrorFactor = error;
             Platform p(2, std::move(opts));
             runBurst(p, 8000.0);
             h = tupleDigest(h, metricTuple(p));
         }
     }
     EXPECT_EQ(h, 0xae60135b5dfac524ULL);
+}
+
+TEST(PlatformOverloadTest, FullStackUnderCrashesGoldenDigest)
+{
+    // The full stack on a fleet that crashes: seeded MTBF crashes, the
+    // default RetryPolicy and a crash horizon so every retry chain
+    // settles. Failovers, sheds and every other output pinned bit for
+    // bit.
+    PlatformOptions opts;
+    opts.overload = OverloadConfig::fullStack();
+    opts.faults.serverMtbfSec = 15.0;
+    opts.faults.serverMttrSec = 5.0;
+    opts.faults.crashHorizon = 20 * kTicksPerSec;
+    Platform p(4, std::move(opts));
+    runBurst(p, 3000.0);
+
+    const auto &m = p.totalMetrics();
+    EXPECT_GT(m.serverCrashes(), 0);
+    EXPECT_GT(m.failovers(), 0);
+    EXPECT_GT(m.sheds(), 0);
+    EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
+    std::uint64_t h = tupleDigest(
+        0xcbf29ce484222325ULL,
+        std::tuple_cat(metricTuple(p),
+                       std::make_tuple(m.serverCrashes(), m.retries(),
+                                       m.failovers(), m.lostBatchRequests(),
+                                       m.sheds(), m.breakerSheds(),
+                                       m.queueEvictions())));
+    EXPECT_EQ(h, 0x8b0249247002cab2ULL);
 }
 
 TEST(PlatformOverloadTest, MispredictedProfileShiftsControlDecisions)
@@ -333,7 +336,7 @@ TEST(PlatformOverloadTest, MispredictedProfileShiftsControlDecisions)
     // what the dispatcher batches — outcomes must move while execution
     // ground truth (and conservation) stay intact.
     PlatformOptions opts;
-    opts.faults.profileError.factor = 1.5;
+    opts.faults.profileErrorFactor = 1.5;
     Platform lying(2, std::move(opts));
     runBurst(lying);
 

@@ -384,7 +384,7 @@ multiCellFingerprint(const PlatformOptions &opts)
 TEST(ShardedPlatform, ZeroOverloadConfigIsBitIdenticalMultiCell)
 {
     // The flat-platform inertness pin, repeated across cells: per-cell
-    // control-plane state (breakers, budgets) must not leak into any
+    // control-plane state (breakers, brownout) must not leak into any
     // cell's event stream when tuned unreachable.
     PlatformOptions plain;
     plain.seed = 7;
@@ -394,7 +394,6 @@ TEST(ShardedPlatform, ZeroOverloadConfigIsBitIdenticalMultiCell)
     inert.overload.admission.slackFactor = 1e12;
     inert.overload.breaker.enabled = true;
     inert.overload.breaker.openThreshold = 1.5;
-    inert.overload.retryBudget.enabled = true;
     inert.overload.brownout.enabled = true;
     inert.overload.brownout.enterThreshold = 1.5;
     EXPECT_EQ(multiCellFingerprint(plain), multiCellFingerprint(inert));

@@ -64,11 +64,6 @@ TEST(FaultProfileTest, EnabledFlags)
     startup.startupFailureProb = 0.1;
     EXPECT_TRUE(startup.enabled());
     EXPECT_FALSE(startup.crashesEnabled());
-
-    FaultProfile straggler;
-    straggler.stragglerProb = 0.1;
-    straggler.stragglerFactor = 2.0;
-    EXPECT_TRUE(straggler.enabled());
 }
 
 TEST(FaultInjectorTest, DisabledProfileSchedulesNothing)
@@ -148,15 +143,12 @@ TEST(FaultInjectorTest, FaultStreamDoesNotTouchSimulationRng)
             profile.serverMtbfSec = 20.0;
             profile.serverMttrSec = 5.0;
             profile.startupFailureProb = 0.5;
-            profile.stragglerProb = 0.5;
-            profile.stragglerFactor = 2.0;
             injector =
                 std::make_unique<FaultInjector>(sim, profile, 99, 4);
             injector->start({});
             // Consume fault draws too: they must come from the private
             // streams, not the root.
             injector->startupFails();
-            injector->stretchExec(1000);
             sim.runUntil(60 * kTicksPerSec);
         }
         std::vector<std::uint64_t> out;
@@ -303,13 +295,11 @@ TEST(GrayFailureTest, MultiplierIsSeededPerServerAndPure)
     EXPECT_EQ(infless::faults::grayExecMultiplier(off, 7, 3), 1.0);
 }
 
-TEST(FaultInjectorTest, StartupAndStragglerDraws)
+TEST(FaultInjectorTest, StartupFailureDraws)
 {
     Simulation sim(5);
     FaultProfile profile;
     profile.startupFailureProb = 0.5;
-    profile.stragglerProb = 0.5;
-    profile.stragglerFactor = 3.0;
     FaultInjector injector(sim, profile, 5, 2);
 
     int failures = 0;
@@ -318,15 +308,6 @@ TEST(FaultInjectorTest, StartupAndStragglerDraws)
     EXPECT_GT(failures, 50);
     EXPECT_LT(failures, 150);
     EXPECT_EQ(injector.startupFailureDraws(), failures);
-
-    int stretched = 0;
-    for (int i = 0; i < 200; ++i) {
-        Tick t = injector.stretchExec(1000);
-        EXPECT_TRUE(t == 1000 || t == 3000);
-        stretched += t == 3000 ? 1 : 0;
-    }
-    EXPECT_GT(stretched, 50);
-    EXPECT_LT(stretched, 150);
 }
 
 } // namespace

@@ -1,27 +1,24 @@
 /**
  * @file
- * Tests for the mispredicted-profile fault: the deterministic per-model
- * multiplier, its jitter bounds, and the predictor-side distortion —
- * controller-visible predictions scale while the memoized faithful
- * composition (and thus ground truth) stays intact.
+ * Tests for the mispredicted-profile fault: one scalar factor on the
+ * predictor — controller-visible predictions scale while the memoized
+ * faithful composition (and thus ground truth) stays intact.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "cluster/resources.hh"
-#include "faults/profile_error.hh"
+#include "faults/fault_injector.hh"
 #include "models/exec_model.hh"
 #include "models/model_zoo.hh"
 #include "profiler/cop.hh"
 #include "profiler/op_profile_db.hh"
+#include "sim/logging.hh"
 
 namespace {
 
 using infless::cluster::Resources;
-using infless::faults::ProfileErrorConfig;
-using infless::faults::profileErrorMultiplier;
+using infless::faults::FaultProfile;
 using infless::models::ExecModel;
 using infless::models::ModelZoo;
 using infless::profiler::CopPredictor;
@@ -29,49 +26,26 @@ using infless::profiler::OpProfileDb;
 
 TEST(ProfileErrorTest, DefaultIsDisabledAndExactlyUnity)
 {
-    ProfileErrorConfig cfg;
-    EXPECT_FALSE(cfg.enabled());
-    EXPECT_DOUBLE_EQ(profileErrorMultiplier(cfg, 42, 7), 1.0);
+    FaultProfile profile;
+    EXPECT_EQ(profile.profileErrorFactor, 1.0);
+    // The lie schedules no events: it never enables the injector.
+    profile.profileErrorFactor = 1.5;
+    EXPECT_FALSE(profile.enabled());
 }
 
 TEST(ProfileErrorTest, PureFactorIsExactForEveryModel)
 {
-    ProfileErrorConfig cfg;
-    cfg.factor = 1.5;
-    EXPECT_TRUE(cfg.enabled());
-    for (std::uint64_t key = 0; key < 8; ++key) {
-        EXPECT_DOUBLE_EQ(profileErrorMultiplier(cfg, 1, key), 1.5);
-        EXPECT_DOUBLE_EQ(profileErrorMultiplier(cfg, 99, key), 1.5);
+    ExecModel exec;
+    OpProfileDb db{exec};
+    CopPredictor faithful{db};
+    CopPredictor lying{db};
+    lying.setDistortion(1.5);
+    Resources res{2000, 10, 0};
+    for (const auto &model : ModelZoo::shared().all()) {
+        EXPECT_EQ(lying.rawMicros(model, 4, res),
+                  1.5 * faithful.rawMicros(model, 4, res))
+            << model.name;
     }
-}
-
-TEST(ProfileErrorTest, JitterIsBoundedAndDeterministic)
-{
-    ProfileErrorConfig cfg;
-    cfg.factor = 1.5;
-    cfg.jitter = 0.2;
-    double lo = 1.5 * std::exp(-0.2);
-    double hi = 1.5 * std::exp(0.2);
-    for (std::uint64_t key = 0; key < 32; ++key) {
-        double m = profileErrorMultiplier(cfg, 42, key);
-        EXPECT_GE(m, lo);
-        EXPECT_LE(m, hi);
-        // Pure hash: the same inputs always produce the same lie.
-        EXPECT_DOUBLE_EQ(m, profileErrorMultiplier(cfg, 42, key));
-    }
-}
-
-TEST(ProfileErrorTest, JitterSpreadsAcrossModelsAndSeeds)
-{
-    ProfileErrorConfig cfg;
-    cfg.factor = 1.0;
-    cfg.jitter = 0.3;
-    // Different models drift by different ratios under the same seed,
-    // and reseeding redraws the surface.
-    EXPECT_NE(profileErrorMultiplier(cfg, 42, 1),
-              profileErrorMultiplier(cfg, 42, 2));
-    EXPECT_NE(profileErrorMultiplier(cfg, 42, 1),
-              profileErrorMultiplier(cfg, 43, 1));
 }
 
 struct ProfileErrorPredictorFixture : ::testing::Test
@@ -90,7 +64,7 @@ TEST_F(ProfileErrorPredictorFixture, DistortionScalesPredictions)
     double faithful_pred =
         static_cast<double>(cop.predict(resnet, 4, res));
 
-    cop.setDistortion([](std::uint64_t) { return 1.5; });
+    cop.setDistortion(1.5);
     EXPECT_NEAR(cop.rawMicros(resnet, 4, res), 1.5 * faithful_raw,
                 1e-6 * faithful_raw);
     // The safety offset multiplies on top of the lie (predict() is
@@ -105,9 +79,9 @@ TEST_F(ProfileErrorPredictorFixture, MemoKeepsTheFaithfulComposition)
     // post-memo, so it takes effect immediately and swapping it back
     // restores the faithful bits without re-pricing.
     double faithful = cop.rawMicros(resnet, 8, res);
-    cop.setDistortion([](std::uint64_t) { return 2.0; });
+    cop.setDistortion(2.0);
     EXPECT_DOUBLE_EQ(cop.rawMicros(resnet, 8, res), 2.0 * faithful);
-    cop.setDistortion({});
+    cop.setDistortion(1.0);
     EXPECT_DOUBLE_EQ(cop.rawMicros(resnet, 8, res), faithful);
 }
 
@@ -118,10 +92,16 @@ TEST_F(ProfileErrorPredictorFixture, GroundTruthErrorReflectsTheLie)
     // relative error, proving execution truth is not distorted along
     // with the prediction.
     double honest = cop.predictionError(exec, resnet, 4, res);
-    cop.setDistortion([](std::uint64_t) { return 1.5; });
+    cop.setDistortion(1.5);
     double lying = cop.predictionError(exec, resnet, 4, res);
     EXPECT_GT(lying, honest);
     EXPECT_GT(lying, 0.3);
+}
+
+TEST_F(ProfileErrorPredictorFixture, NonPositiveFactorPanics)
+{
+    EXPECT_THROW(cop.setDistortion(0.0), infless::sim::PanicError);
+    EXPECT_THROW(cop.setDistortion(-1.5), infless::sim::PanicError);
 }
 
 } // namespace

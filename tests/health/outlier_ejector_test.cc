@@ -28,7 +28,6 @@ testConfig()
     HealthConfig cfg;
     cfg.enabled = true;
     cfg.minSamples = 10;
-    cfg.ratioThreshold = 2.0;
     cfg.maxEjectFraction = 0.25;
     cfg.probation = 60 * kTicksPerSec;
     return cfg;

@@ -23,7 +23,6 @@ testConfig()
     cfg.window = kTicksPerSec;
     cfg.windowBuckets = 4;
     cfg.enterThreshold = 0.2;
-    cfg.exitThreshold = 0.05;
     cfg.minSamples = 10;
     cfg.minHold = 2 * kTicksPerSec;
     cfg.degradedSloMultiplier = 2.0;

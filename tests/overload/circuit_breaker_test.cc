@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "overload/circuit_breaker.hh"
-#include "overload/retry_budget.hh"
 #include "sim/time.hh"
 
 namespace {
@@ -210,27 +209,6 @@ TEST(CircuitBreakerTest, FailedProbeCycleDoesNotWedge)
     EXPECT_EQ(b.transitions().back().to, BreakerState::Closed);
     // And it admits traffic again.
     EXPECT_TRUE(b.allow(t2 + 10, 3));
-}
-
-TEST(RetryBudgetWedgeTest, ExhaustedBudgetRecoversOnSuccesses)
-{
-    // An exhausted retry budget must not wedge recovery: first-attempt
-    // successes keep depositing, so once the incident passes the
-    // bucket refills and retries flow again.
-    infless::overload::RetryBudgetConfig cfg;
-    cfg.enabled = true;
-    cfg.burst = 2.0;
-    cfg.refillPerSuccess = 0.5;
-    infless::overload::RetryBudget budget(cfg);
-
-    while (budget.tryConsume()) {
-    }
-    EXPECT_FALSE(budget.tryConsume()); // exhausted
-    for (int i = 0; i < 4; ++i)
-        budget.onSuccess();
-    EXPECT_TRUE(budget.tryConsume());
-    EXPECT_TRUE(budget.tryConsume());
-    EXPECT_FALSE(budget.tryConsume()); // capped at burst again
 }
 
 TEST(CircuitBreakerTest, StateNames)
