@@ -3,13 +3,18 @@
  * Observability integration with the platform: tracing emits the
  * expected lifecycle spans and fault instants, sampling rate 0 and
  * profiling leave every simulation output bit-identical, and the
- * overhead profiler populates under load.
+ * overhead profiler populates under load. A golden digest pins the
+ * whole span stream, flight dump and alert log of a full-stack run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include "core/platform.hh"
 #include "obs/prof_scope.hh"
@@ -27,7 +32,9 @@ using infless::obs::FlightTrigger;
 using infless::obs::Phase;
 using infless::obs::SloAlert;
 using infless::obs::SpanKind;
+using infless::obs::spanKindName;
 using infless::obs::SpanRecord;
+using infless::overload::OverloadConfig;
 using infless::sim::kTicksPerMin;
 using infless::sim::kTicksPerSec;
 using infless::sim::msToTicks;
@@ -322,6 +329,100 @@ TEST(PlatformObsTest, ServerCrashTriggersTheFlightDump)
             has_crash = true;
     }
     EXPECT_TRUE(has_crash);
+}
+
+/** FNV-1a over 64-bit words, fed one field at a time. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    void mixInt(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+    void mixDouble(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+    void
+    mixSpans(const std::vector<SpanRecord> &spans)
+    {
+        mix(spans.size());
+        for (const SpanRecord &rec : spans) {
+            mixInt(rec.start);
+            mixInt(rec.duration);
+            mixInt(rec.request);
+            mixInt(rec.instance);
+            mixInt(rec.function);
+            mixInt(rec.server);
+            mix(static_cast<std::uint64_t>(rec.kind));
+        }
+    }
+};
+
+TEST(PlatformObsTest, SpanStreamGoldenDigest)
+{
+    // The full overload stack on a crashing flat fleet with every
+    // observer on: every span the tracer holds, the frozen flight dump
+    // and every SLO alert edge, pinned field for field. At this seed
+    // half the servers are gray, so admitted requests still violate and
+    // the breaker cycles open, half-open and closed.
+    PlatformOptions opts;
+    opts.overload = OverloadConfig::fullStack();
+    opts.seed = 7;
+    opts.faults.grayFraction = 0.5;
+    opts.faults.grayFactor = 3.0;
+    opts.faults.serverMtbfSec = 15.0;
+    opts.faults.serverMttrSec = 5.0;
+    opts.faults.crashHorizon = 20 * kTicksPerSec;
+    opts.obs.trace.sampleRate = 1.0;
+    opts.obs.trace.capacity = 1 << 19;
+    opts.obs.flight.enabled = true;
+    opts.obs.slo.enabled = true;
+    Platform p(6, std::move(opts));
+    auto fn = p.deploy(resnetSpec());
+    p.injectTrace(fn, uniformArrivals(2000.0, 20 * kTicksPerSec));
+    p.run(30 * kTicksPerSec);
+
+    std::vector<SpanRecord> spans = p.tracer().snapshot();
+    ASSERT_EQ(spans.size(), p.tracer().recorded()); // nothing overwritten
+    std::set<SpanKind> kinds;
+    for (const SpanRecord &rec : spans)
+        kinds.insert(rec.kind);
+    for (SpanKind kind :
+         {SpanKind::Arrival, SpanKind::ColdStart, SpanKind::Queue,
+          SpanKind::BatchWait, SpanKind::Exec, SpanKind::Complete,
+          SpanKind::Drop, SpanKind::Shed, SpanKind::Retry,
+          SpanKind::BreakerOpen, SpanKind::BreakerHalfOpen,
+          SpanKind::BreakerClose, SpanKind::BrownoutEnter,
+          SpanKind::BrownoutExit, SpanKind::ServerCrash,
+          SpanKind::ServerRecovery})
+        EXPECT_EQ(kinds.count(kind), 1u) << spanKindName(kind);
+
+    Fnv1a fnv;
+    fnv.mixSpans(spans);
+    const auto &flight = p.flightRecorder();
+    fnv.mix(static_cast<std::uint64_t>(flight.triggerCause()));
+    fnv.mixInt(flight.triggerAt());
+    fnv.mixSpans(flight.dump());
+    const auto &alerts = p.sloMonitor().alerts();
+    fnv.mix(alerts.size());
+    for (const SloAlert &alert : alerts) {
+        fnv.mixInt(alert.function);
+        fnv.mix(static_cast<std::uint64_t>(alert.kind));
+        fnv.mix(static_cast<std::uint64_t>(alert.edge));
+        fnv.mixInt(alert.at);
+        fnv.mixDouble(alert.burnRate);
+        fnv.mixDouble(alert.meanCold);
+        fnv.mixDouble(alert.meanQueue);
+        fnv.mixDouble(alert.meanBatch);
+        fnv.mixDouble(alert.meanExec);
+    }
+    EXPECT_TRUE(flight.triggered());
+    EXPECT_FALSE(alerts.empty());
+    EXPECT_EQ(fnv.h, 0xb4810eb9075d6144ULL);
 }
 
 } // namespace
