@@ -64,8 +64,6 @@ class BatchOtp : public core::Platform
     /** Whether placement uses the e_ij best-fit rule (BATCH+RS). */
     virtual bool bestFitPlacement() const { return false; }
 
-    const BatchOtpOptions &batchOptions() const { return batch_; }
-
   private:
     BatchOtpOptions batch_;
 };

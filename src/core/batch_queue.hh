@@ -41,7 +41,6 @@ class BatchQueue
                std::size_t depth_cap = 0);
 
     int batchSize() const { return batchSize_; }
-    sim::Tick maxWait() const { return maxWait_; }
 
     /** Effective depth bound (configured cap or one full batch). */
     std::size_t depthCap() const

@@ -114,8 +114,8 @@ class ShardedPlatform
      * Queue a crash of global server @p id at tick @p at; applied at
      * the first window barrier at or after @p at (conservative sync —
      * never mid-window). Commands beyond the current run() horizon
-     * stay queued for the next run(). Panics unless
-     * 0 <= @p id < totalServers().
+     * stay queued for the next run(). Panics unless @p id is a server
+     * of the fleet.
      */
     void scheduleServerCrash(cluster::ServerId id, sim::Tick at);
 
@@ -129,7 +129,6 @@ class ShardedPlatform
     const Platform &cell(std::size_t i) const { return *cells_[i]; }
     const cluster::CellRouter &router() const { return *router_; }
 
-    std::size_t totalServers() const { return numServers_; }
     sim::Tick endTime() const { return endTime_; }
     std::size_t functionCount() const { return cells_[0]->functionCount(); }
 

@@ -41,7 +41,6 @@ CircuitBreaker::probeSampled(std::int64_t request) const
 void
 CircuitBreaker::transitionTo(BreakerState next, sim::Tick now)
 {
-    transitions_.push_back({now, state_, next});
     state_ = next;
     if (next == BreakerState::Open) {
         openedAt_ = now;
@@ -70,11 +69,12 @@ CircuitBreaker::allow(sim::Tick now, std::int64_t request)
     return true;
 }
 
-void
+bool
 CircuitBreaker::record(sim::Tick now, bool failure)
 {
     if (!config_.enabled)
-        return;
+        return false;
+    BreakerState from = state_;
     window_.record(now, failure);
     if (state_ == BreakerState::HalfOpen) {
         if (failure) {
@@ -82,12 +82,12 @@ CircuitBreaker::record(sim::Tick now, bool failure)
         } else if (++halfOpenOk_ >= config_.halfOpenSuccesses) {
             transitionTo(BreakerState::Closed, now);
         }
-        return;
-    }
-    if (state_ == BreakerState::Closed &&
-        window_.samples(now) >= config_.minSamples &&
-        window_.failureRate(now) >= config_.openThreshold)
+    } else if (state_ == BreakerState::Closed &&
+               window_.samples(now) >= config_.minSamples &&
+               window_.failureRate(now) >= config_.openThreshold) {
         transitionTo(BreakerState::Open, now);
+    }
+    return state_ != from;
 }
 
 } // namespace infless::overload

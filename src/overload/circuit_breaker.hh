@@ -9,7 +9,6 @@
 #define INFLESS_OVERLOAD_CIRCUIT_BREAKER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "overload/rolling_rate.hh"
 #include "sim/time.hh"
@@ -43,14 +42,6 @@ struct BreakerConfig
     int halfOpenSuccesses = 5;
 };
 
-/** One state transition, for observability. */
-struct BreakerTransition
-{
-    sim::Tick at = 0;
-    BreakerState from = BreakerState::Closed;
-    BreakerState to = BreakerState::Closed;
-};
-
 /**
  * Deterministic circuit breaker. Outcomes of *admitted* requests
  * (completion within SLO = success, violation or drop = failure) feed
@@ -74,15 +65,12 @@ class CircuitBreaker
      */
     bool allow(sim::Tick now, std::int64_t request);
 
-    /** Feed the outcome of an admitted request. */
-    void record(sim::Tick now, bool failure);
+    /** Feed the outcome of an admitted request; true when it changed
+     *  the state. */
+    bool record(sim::Tick now, bool failure);
 
     BreakerState state() const { return state_; }
     sim::Tick openedAt() const { return openedAt_; }
-    const std::vector<BreakerTransition> &transitions() const
-    {
-        return transitions_;
-    }
 
   private:
     void transitionTo(BreakerState next, sim::Tick now);
@@ -93,7 +81,6 @@ class CircuitBreaker
     BreakerState state_ = BreakerState::Closed;
     sim::Tick openedAt_ = 0;
     int halfOpenOk_ = 0;
-    std::vector<BreakerTransition> transitions_;
 };
 
 } // namespace infless::overload

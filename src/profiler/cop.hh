@@ -73,9 +73,6 @@ class CopPredictor
                         const std::vector<std::int64_t> &gpu_choices,
                         std::int64_t memory_mb) const;
 
-    /** Number of memoized raw predictions. */
-    std::size_t memoSize() const { return memo_.size(); }
-
     /** Hit/miss counters of the prediction memo. */
     const models::LatencyCacheStats &cacheStats() const
     {

@@ -40,11 +40,11 @@ feed(BrownoutController &b, Tick start, int n, bool overloaded)
 TEST(BrownoutTest, DisabledNeverActivates)
 {
     BrownoutController b; // default config: disabled
-    feed(b, 0, 100, true);
-    b.update(kTicksPerSec);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_FALSE(b.record(i * 1000, true)); // never an edge
+    EXPECT_FALSE(b.update(kTicksPerSec));
     EXPECT_FALSE(b.active());
     EXPECT_DOUBLE_EQ(b.sloMultiplier(), 1.0);
-    EXPECT_EQ(b.entries(), 0);
 }
 
 TEST(BrownoutTest, StaysOutBelowMinSamples)
@@ -58,11 +58,11 @@ TEST(BrownoutTest, EntersUnderSustainedPressure)
 {
     BrownoutController b(testConfig());
     feed(b, 0, 8, false);
+    Tick t = feed(b, 8000, 1, true);
     EXPECT_FALSE(b.active());
-    feed(b, 8000, 2, true); // 20% of 10 samples: engages
+    EXPECT_TRUE(b.record(t, true)); // 20% of 10 samples: engages
     EXPECT_TRUE(b.active());
     EXPECT_DOUBLE_EQ(b.sloMultiplier(), 2.0);
-    EXPECT_EQ(b.entries(), 1);
 }
 
 TEST(BrownoutTest, HoldsThroughEarlyRecovery)
@@ -72,9 +72,8 @@ TEST(BrownoutTest, HoldsThroughEarlyRecovery)
     ASSERT_TRUE(b.active());
     // Clean traffic inside the hold: stays browned out (hysteresis).
     feed(b, t, 20, false);
-    b.update(t + kTicksPerSec);
+    EXPECT_FALSE(b.update(t + kTicksPerSec));
     EXPECT_TRUE(b.active());
-    EXPECT_EQ(b.exits(), 0);
 }
 
 TEST(BrownoutTest, ExitsAfterHoldWhenPressureClears)
@@ -83,10 +82,9 @@ TEST(BrownoutTest, ExitsAfterHoldWhenPressureClears)
     feed(b, 0, 10, true);
     ASSERT_TRUE(b.active());
     // Past the hold with an empty (fully aged-out) window: rate 0.
-    b.update(5 * kTicksPerSec);
+    EXPECT_TRUE(b.update(5 * kTicksPerSec));
     EXPECT_FALSE(b.active());
     EXPECT_DOUBLE_EQ(b.sloMultiplier(), 1.0);
-    EXPECT_EQ(b.exits(), 1);
 }
 
 TEST(BrownoutTest, RelaxesOnlyWhileWindowIsHot)
@@ -101,27 +99,28 @@ TEST(BrownoutTest, RelaxesOnlyWhileWindowIsHot)
     // stretch reverts with the pressure.
     t = kTicksPerSec + kTicksPerSec / 10;
     for (int i = 0; i < 40; ++i, t += 20 * 1000)
-        b.record(t, false);
+        EXPECT_FALSE(b.record(t, false));
     EXPECT_TRUE(b.active());
     EXPECT_FALSE(b.relaxing(t));
 
     // Pressure returns inside the hold: the stretch re-engages without
     // a new entry.
-    t = feed(b, t, 40, true);
+    for (int i = 0; i < 40; ++i, t += 1000)
+        EXPECT_FALSE(b.record(t, true));
     EXPECT_TRUE(b.active());
     EXPECT_TRUE(b.relaxing(t));
-    EXPECT_EQ(b.entries(), 1);
 }
 
 TEST(BrownoutTest, ReentersOnRenewedPressure)
 {
     BrownoutController b(testConfig());
     feed(b, 0, 10, true);
-    b.update(5 * kTicksPerSec);
+    ASSERT_TRUE(b.update(5 * kTicksPerSec));
     ASSERT_FALSE(b.active());
-    feed(b, 6 * kTicksPerSec, 10, true);
+    Tick t = feed(b, 6 * kTicksPerSec, 9, true);
+    EXPECT_FALSE(b.active());
+    EXPECT_TRUE(b.record(t, true)); // the second entry
     EXPECT_TRUE(b.active());
-    EXPECT_EQ(b.entries(), 2);
 }
 
 } // namespace
