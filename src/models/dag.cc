@@ -101,8 +101,10 @@ Dag::isAcyclic() const
 }
 
 double
-Dag::criticalPath(const NodeWeight &weight) const
+Dag::criticalPath(std::span<const double> weights) const
 {
+    sim::simAssert(weights.size() == size(), "critical path needs ",
+                   size(), " node weights, got ", weights.size());
     if (empty())
         return 0.0;
     // The cached order when finalize() has run; a fresh one otherwise.
@@ -116,10 +118,20 @@ Dag::criticalPath(const NodeWeight &weight) const
         double start = 0.0;
         for (NodeId p : pred_[vi])
             start = std::max(start, finish[static_cast<std::size_t>(p)]);
-        finish[vi] = start + weight(nodes_[vi]);
+        finish[vi] = start + weights[vi];
         best = std::max(best, finish[vi]);
     }
     return best;
+}
+
+double
+Dag::criticalPath(const NodeWeight &weight) const
+{
+    std::vector<double> weights;
+    weights.reserve(size());
+    for (const OpNode &n : nodes_)
+        weights.push_back(weight(n));
+    return criticalPath(weights);
 }
 
 double

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "models/operator.hh"
@@ -66,9 +67,13 @@ class Dag
     bool isAcyclic() const;
 
     /**
-     * Longest path under @p weight — the chain-sum / branch-max
-     * composition rule of COP.
+     * Longest path under per-node weights indexed by NodeId — the
+     * chain-sum / branch-max composition rule of COP. @p weights must
+     * hold one entry per node.
      */
+    double criticalPath(std::span<const double> weights) const;
+
+    /** criticalPath() with each node weighed by @p weight. */
     double criticalPath(const NodeWeight &weight) const;
 
     /** Sum of weights over all nodes (fully serialized execution). */

@@ -13,6 +13,7 @@
 #define INFLESS_PROFILER_COP_HH
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/resources.hh"
@@ -96,6 +97,28 @@ class CopPredictor
     void setDistortion(double factor);
 
   private:
+    /**
+     * A model's composition, compiled on its first memo miss: the
+     * distinct operator signatures its graph uses and, per node, the
+     * signature it reads and its own work ratio. A composition then
+     * looks each signature up once instead of each node.
+     */
+    struct OpPlan
+    {
+        std::vector<OpSignature> signatures;
+        /** Per node: index into signatures. */
+        std::vector<std::uint32_t> nodeSignature;
+        /** Per node: OpProfileDb::workRatio of the node. */
+        std::vector<double> nodeRatio;
+    };
+
+    /** The plan of @p model, built on first use. */
+    const OpPlan &planFor(const models::ModelInfo &model) const;
+
+    /** Compose a faithful raw estimate (a memo miss). */
+    double compose(const models::ModelInfo &model, int batch,
+                   const cluster::Resources &res) const;
+
     OpProfileDb &db_;
     CopOptions options_;
     /** Mispredicted-profile factor (1 = faithful profiler). */
@@ -104,6 +127,11 @@ class CopPredictor
      *  queries the same configurations thousands of times. Exact-keyed
      *  (no hash-collision aliasing) with a flat per-batch array. */
     mutable models::LatencyCache memo_;
+    /** Composition plans, keyed like memo_ by ModelInfo::noiseKey. */
+    mutable std::unordered_map<std::uint64_t, OpPlan> plans_;
+    /** Scratch of compose(): per-signature and per-node times. */
+    mutable std::vector<double> signatureMicros_;
+    mutable std::vector<double> weights_;
 };
 
 } // namespace infless::profiler

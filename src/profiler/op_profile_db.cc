@@ -79,40 +79,55 @@ OpProfileDb::snapBatch(int batch) const
     return best;
 }
 
+OpSignature
+OpProfileDb::signatureOf(const models::OpNode &op)
+{
+    return OpSignature{op.kind, gflopsBucket(op.gflopsPerSample)};
+}
+
+double
+OpProfileDb::workRatio(const models::OpNode &op)
+{
+    // Interpolate linearly in the work ratio, as a profile table would.
+    double bucket_work = bucketGflops(gflopsBucket(op.gflopsPerSample));
+    if (bucket_work <= 0.0 || op.gflopsPerSample <= 0.0)
+        return 1.0;
+    return op.gflopsPerSample / bucket_work;
+}
+
+double
+OpProfileDb::measuredMicros(OpSignature sig, int snapped_batch,
+                            const cluster::Resources &snapped)
+{
+    // Pack (kind, gbucket, b, cpu, gpu) into one word.
+    std::uint64_t packed = static_cast<std::uint64_t>(sig.kind);
+    packed = packed * 4096 +
+             static_cast<std::uint64_t>(sig.gflopsBucket + 2000);
+    packed = packed * 128 + static_cast<std::uint64_t>(snapped_batch);
+    packed = packed * 65536 +
+             static_cast<std::uint64_t>(snapped.cpuMillicores / 5);
+    packed = packed * 256 + static_cast<std::uint64_t>(snapped.gpuSmPercent);
+
+    Key key{packed};
+    auto it = cache_.find(key);
+    if (it != cache_.end())
+        return it->second;
+    // Memory does not shape operator latency here.
+    cluster::Resources probe_res{snapped.cpuMillicores, snapped.gpuSmPercent,
+                                 0};
+    models::OpNode probe{sig.kind, bucketGflops(sig.gflopsBucket)};
+    double measured = truth_.opMicros(probe, snapped_batch, probe_res);
+    cache_.emplace(key, measured);
+    return measured;
+}
+
 double
 OpProfileDb::lookupMicros(const models::OpNode &op, int batch,
                           const cluster::Resources &res)
 {
-    cluster::Resources snapped = snapResources(res);
-    snapped.memoryMb = 0; // memory does not shape operator latency here
-    int b = snapBatch(batch);
-    int gbucket = gflopsBucket(op.gflopsPerSample);
-
-    // Pack (kind, gbucket, b, cpu, gpu) into one word.
-    std::uint64_t packed = static_cast<std::uint64_t>(op.kind);
-    packed = packed * 4096 + static_cast<std::uint64_t>(gbucket + 2000);
-    packed = packed * 128 + static_cast<std::uint64_t>(b);
-    packed = packed * 65536 +
-             static_cast<std::uint64_t>(snapped.cpuMillicores / 5);
-    packed = packed * 256 + static_cast<std::uint64_t>(snapped.gpuSmPercent);
-    Key key{packed};
-
-    auto it = cache_.find(key);
-    double measured;
-    if (it != cache_.end()) {
-        measured = it->second;
-    } else {
-        models::OpNode probe{op.kind, bucketGflops(gbucket)};
-        measured = truth_.opMicros(probe, b, snapped);
-        cache_.emplace(key, measured);
-    }
-
-    // Interpolate linearly in the work ratio, as a profile table would.
-    double bucket_work = bucketGflops(gbucket);
-    if (bucket_work <= 0.0 || op.gflopsPerSample <= 0.0)
-        return measured;
-    double ratio = op.gflopsPerSample / bucket_work;
-    return measured * ratio;
+    return measuredMicros(signatureOf(op), snapBatch(batch),
+                          snapResources(res)) *
+           workRatio(op);
 }
 
 } // namespace infless::profiler

@@ -43,6 +43,19 @@ struct ProfileGrid
 };
 
 /**
+ * The identity a profile is filed under: an operator kind and its
+ * per-sample work quantized to a log-spaced bucket. Operator calls that
+ * share a signature share one measurement per grid point.
+ */
+struct OpSignature
+{
+    models::OpKind kind = models::OpKind::Identity;
+    int gflopsBucket = 0;
+
+    bool operator==(const OpSignature &) const = default;
+};
+
+/**
  * Memoized store of measured operator execution times.
  */
 class OpProfileDb
@@ -63,6 +76,24 @@ class OpProfileDb
      */
     double lookupMicros(const models::OpNode &op, int batch,
                         const cluster::Resources &res);
+
+    /**
+     * Measured (memoized) execution time of one signature at a point
+     * already on the grid (see snapBatch() and snapResources()); memory
+     * is ignored. The one place profiles are keyed and measured.
+     */
+    double measuredMicros(OpSignature sig, int snapped_batch,
+                          const cluster::Resources &snapped);
+
+    /** The signature @p op's profile is filed under. */
+    static OpSignature signatureOf(const models::OpNode &op);
+
+    /**
+     * Factor turning its signature's measurement into @p op's time: the
+     * node's work over its bucket's representative work, or exactly 1
+     * (unscaled) when either is non-positive.
+     */
+    static double workRatio(const models::OpNode &op);
 
     /** Snap a resource vector to the profiled grid. */
     cluster::Resources snapResources(const cluster::Resources &res) const;
