@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "models/dag.hh"
@@ -190,6 +191,78 @@ TEST(DagTest, DiamondGraphLongestPath)
     dag.addEdge(c, d);
     auto weight = [](const OpNode &n) { return n.gflopsPerSample; };
     EXPECT_DOUBLE_EQ(dag.criticalPath(weight), 12.0);
+}
+
+/** A weight whose bits depend on the node's kind and work. */
+double
+unevenWeight(const OpNode &n)
+{
+    return 0.1 * (static_cast<int>(n.kind) + 1) + n.gflopsPerSample / 3.0;
+}
+
+/** Node weights in NodeId order, for the span overload. */
+std::vector<double>
+weightsOf(const Dag &dag)
+{
+    std::vector<double> w;
+    for (const OpNode &n : dag.nodes())
+        w.push_back(unevenWeight(n));
+    return w;
+}
+
+TEST(DagTest, SpanAndNodeWeightAgreeOnBranchyDag)
+{
+    DagBuilder b;
+    b.chain(node(1.3, OpKind::Conv2D));
+    b.parallel({{node(0.7), node(2.9, OpKind::Relu)},
+                {node(3.1, OpKind::Conv2D)},
+                {}},
+               node(0.0, OpKind::ConcatV2));
+    b.chain(node(0.4, OpKind::BatchNorm));
+    b.parallel({{node(1.1, OpKind::Pooling), node(0.2)},
+                {node(5.0, OpKind::Attention)}},
+               node(0.3, OpKind::Sum));
+    Dag dag = b.build();
+    std::vector<double> w = weightsOf(dag);
+    double by_span = dag.criticalPath(w);
+    EXPECT_EQ(by_span, dag.criticalPath(unevenWeight));
+    EXPECT_GT(by_span, 0.0);
+}
+
+TEST(DagTest, SpanAndNodeWeightAgreeOnEmptyDag)
+{
+    Dag dag;
+    EXPECT_EQ(dag.criticalPath(std::span<const double>{}), 0.0);
+    EXPECT_EQ(dag.criticalPath(unevenWeight), 0.0);
+}
+
+TEST(DagTest, SpanAndNodeWeightAgreeOnUnfinalizedDag)
+{
+    // Built edge by edge, never finalized: both overloads take a fresh
+    // topological order.
+    Dag dag;
+    auto a = dag.addNode(node(1.7));
+    auto b = dag.addNode(node(4.1, OpKind::Conv2D));
+    auto c = dag.addNode(node(0.9, OpKind::Relu));
+    auto d = dag.addNode(node(2.2));
+    auto e = dag.addNode(node(0.6, OpKind::Sum));
+    dag.addEdge(c, e); // ids out of topological order
+    dag.addEdge(a, b);
+    dag.addEdge(a, c);
+    dag.addEdge(b, e);
+    dag.addEdge(d, e);
+    std::vector<double> w = weightsOf(dag);
+    EXPECT_EQ(dag.criticalPath(w), dag.criticalPath(unevenWeight));
+}
+
+TEST(DagTest, SpanOfWrongSizeRejected)
+{
+    DagBuilder b;
+    b.chain(node(1.0));
+    b.chain(node(2.0));
+    Dag dag = b.build();
+    std::vector<double> w{1.0};
+    EXPECT_THROW(dag.criticalPath(w), PanicError);
 }
 
 } // namespace
