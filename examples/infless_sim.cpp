@@ -76,10 +76,8 @@ makePlatform(const Options &opts)
     sim::fatal("unknown system: ", opts.system);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Options opts;
     for (int i = 1; i < argc; ++i) {
@@ -132,25 +130,24 @@ main(int argc, char **argv)
             platform->injectRateSeries(fn, series.truncated(horizon));
         }
     } else {
-        workload::AzureSynthParams params;
+        workload::TracePattern pattern;
         if (opts.pattern == "sporadic")
-            params.pattern = workload::TracePattern::Sporadic;
+            pattern = workload::TracePattern::Sporadic;
         else if (opts.pattern == "periodic")
-            params.pattern = workload::TracePattern::Periodic;
+            pattern = workload::TracePattern::Periodic;
         else if (opts.pattern == "bursty")
-            params.pattern = workload::TracePattern::Bursty;
+            pattern = workload::TracePattern::Bursty;
         else
             return usage();
-        params.meanRps = opts.meanRps;
-        params.days = 1.0;
-        params.seed = opts.seed;
         core::FunctionSpec spec;
         spec.name = opts.model + "-fn";
         spec.model = opts.model;
         spec.sloTicks = sim::msToTicks(opts.sloMs);
         auto fn = platform->deploy(spec);
         platform->injectRateSeries(
-            fn, workload::synthesizeTrace(params).truncated(horizon));
+            fn, workload::synthesizeTrace(pattern, opts.meanRps, 1.0,
+                                          opts.seed)
+                    .truncated(horizon));
     }
 
     metrics::TimelineSampler sampler(platform->simulation(),
@@ -194,4 +191,19 @@ main(int argc, char **argv)
         std::cout << "timeline written to " << opts.timeline << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad arguments and malformed trace files raise FatalError: report
+    // them and exit non-zero instead of aborting.
+    try {
+        return run(argc, argv);
+    } catch (const sim::FatalError &e) {
+        std::cerr << e.what() << "\n";
+        return 1;
+    }
 }

@@ -89,7 +89,8 @@ readAzureCsv(std::istream &is)
             try {
                 std::size_t used = 0;
                 double count = std::stod(cells[i], &used);
-                if (used != cells[i].size() || count < 0.0)
+                if (used != cells[i].size() || !std::isfinite(count) ||
+                    count < 0.0)
                     throw std::invalid_argument(cells[i]);
                 series.rps.push_back(count / 60.0);
             } catch (const std::exception &) {
@@ -97,7 +98,10 @@ readAzureCsv(std::istream &is)
                            row_number);
             }
         }
-        traces[cells[0]] = std::move(series);
+        if (!traces.emplace(cells[0], std::move(series)).second) {
+            sim::fatal("duplicate function '", cells[0], "' in row ",
+                       row_number);
+        }
     }
     return traces;
 }

@@ -42,8 +42,8 @@ void writeAzureCsv(const std::string &path, const TraceSet &traces);
  * Parse Azure-style per-minute invocation counts into rate series
  * (1-minute bins, counts/minute converted to RPS).
  *
- * Raises FatalError on malformed input (ragged rows, non-numeric
- * counts).
+ * Raises FatalError on malformed input (ragged rows, non-numeric,
+ * non-finite or negative counts, a function named in two rows).
  */
 TraceSet readAzureCsv(std::istream &is);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -85,7 +86,16 @@ TEST(TraceIoTest, RaggedRowsAreFatal)
 
 TEST(TraceIoTest, NonNumericCountsAreFatal)
 {
-    std::stringstream buffer("function,1\nfn,many\n");
+    for (const char *count : {"many", "nan", "inf", "-inf"}) {
+        std::stringstream buffer(std::string("function,1\nfn,") + count +
+                                 "\n");
+        EXPECT_THROW(readAzureCsv(buffer), FatalError) << count;
+    }
+}
+
+TEST(TraceIoTest, DuplicateFunctionRowsAreFatal)
+{
+    std::stringstream buffer("function,1,2\nfn,1,2\nfn,3,4\n");
     EXPECT_THROW(readAzureCsv(buffer), FatalError);
 }
 
