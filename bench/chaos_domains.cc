@@ -167,9 +167,8 @@ runPoint(const SweepConfig &cfg, Mode mode, bool outage,
 
     core::PlatformOptions opts =
         optionsFor(cfg, mode, outage, gray_fraction);
-    double eject_cap =
-        std::floor(opts.health.maxEjectFraction *
-                   static_cast<double>(cfg.servers));
+    double eject_cap = std::floor(health::kMaxEjectFraction *
+                                  static_cast<double>(cfg.servers));
     if (with_trace) {
         opts.obs.trace.sampleRate = 1.0;
         opts.obs.trace.capacity = std::size_t{1} << 17;
@@ -196,7 +195,7 @@ runPoint(const SweepConfig &cfg, Mode mode, bool outage,
     }
     // Sample the ejection-guard invariant alongside whatever timeline
     // cadence the row uses: the quarantine census must never exceed
-    // floor(maxEjectFraction x fleet) at any probe.
+    // floor(kMaxEjectFraction x fleet) at any probe.
     auto guard_probe = platform->simulation().every(
         sim::kTicksPerSec, [&p = *platform, &max_quarantined] {
             max_quarantined =
@@ -436,7 +435,7 @@ main(int argc, char **argv)
     }
     if (!all_guarded) {
         std::cerr << "ERROR: ejection guard exceeded "
-                     "(quarantined > maxEjectFraction x fleet)\n";
+                     "(quarantined > kMaxEjectFraction x fleet)\n";
         return 1;
     }
     if (gate_base == nullptr || gate_se == nullptr ||

@@ -44,10 +44,8 @@ policies()
     specs.push_back({"fixed (300s)", coldstart::FixedKeepAlive::factory()});
     specs.push_back({"HHP (4h)", coldstart::HybridHistogramPolicy::factory()});
     for (double gamma : {0.3, 0.5, 0.7}) {
-        coldstart::LsthParams params;
-        params.gamma = gamma;
         specs.push_back({"LSTH gamma=" + fmt(gamma, 1),
-                         coldstart::LsthPolicy::factory(params)});
+                         coldstart::LsthPolicy::factory(gamma)});
     }
     return specs;
 }

@@ -226,11 +226,10 @@ placeFunction(PlannerRig &rig, SystemKind kind,
         return rig.sched.schedule(model, demand, slo, 32, cluster);
       case SystemKind::Batch:
       case SystemKind::BatchRs: {
-          baselines::BatchOtpOptions defaults;
           core::CandidateConfig best;
           double best_value = -1.0;
-          for (int b : defaults.batchChoices) {
-              for (cluster::Resources res : defaults.configMenu) {
+          for (int b : baselines::BatchOtp::kBatchChoices) {
+              for (cluster::Resources res : baselines::BatchOtp::kConfigMenu) {
                   res.memoryMb = rig.sched.instanceMemoryMb(model);
                   sim::Tick t = rig.cop.predict(model, b, res);
                   if (!core::execFeasible(t, slo, b))

@@ -336,7 +336,6 @@ runSloHealthDemo(const SweepConfig &cfg, double capacity_rps)
 {
     core::PlatformOptions opts;
     opts.obs.slo.enabled = true;
-    opts.obs.slo.windowTicks = sim::kTicksPerSec;
     opts.obs.slo.errorBudget = 0.05;
     opts.obs.slo.fast = {8.0, 2};
     opts.obs.slo.slow = {2.0, 12};

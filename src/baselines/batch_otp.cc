@@ -11,19 +11,16 @@ namespace infless::baselines {
 namespace {
 
 core::PlatformOptions
-withFixedKeepAlive(core::PlatformOptions opts, sim::Tick keep_alive)
+withFixedKeepAlive(core::PlatformOptions opts)
 {
-    opts.keepAlive = coldstart::FixedKeepAlive::factory(keep_alive);
+    opts.keepAlive = coldstart::FixedKeepAlive::factory(BatchOtp::kKeepAlive);
     return opts;
 }
 
 } // namespace
 
-BatchOtp::BatchOtp(std::size_t num_servers, core::PlatformOptions opts,
-                   BatchOtpOptions batch)
-    : core::Platform(num_servers,
-                     withFixedKeepAlive(std::move(opts), batch.keepAlive)),
-      batch_(std::move(batch))
+BatchOtp::BatchOtp(std::size_t num_servers, core::PlatformOptions opts)
+    : core::Platform(num_servers, withFixedKeepAlive(std::move(opts)))
 {
 }
 
@@ -39,18 +36,17 @@ BatchOtp::planScaleOut(FunctionState &fn, double residual_rps)
     const core::CandidateConfig *chosen = nullptr;
     core::CandidateConfig best;
     double best_value = -1.0;
-    for (int b : batch_.batchChoices) {
+    for (int b : kBatchChoices) {
         if (b > fn.spec.maxBatch)
             continue;
-        for (cluster::Resources res : batch_.configMenu) {
+        for (cluster::Resources res : kConfigMenu) {
             res.memoryMb = scheduler().instanceMemoryMb(*fn.model);
             sim::Tick exec = predictor().predict(*fn.model, b, res);
             if (!core::execFeasible(exec, fn.spec.sloTicks, b))
                 continue;
             core::RpsBounds bounds =
                 core::rpsBounds(exec, fn.spec.sloTicks, b);
-            double value =
-                bounds.up / res.weighted(options().scheduler.beta);
+            double value = bounds.up / res.weighted(cluster::kDefaultBeta);
             if (value > best_value) {
                 best_value = value;
                 best.config = cluster::InstanceConfig{b, res};
@@ -64,8 +60,7 @@ BatchOtp::planScaleOut(FunctionState &fn, double residual_rps)
         return {};
 
     return core::uniformSchedule(*chosen, residual_rps, mutableCluster(),
-                                 bestFitPlacement(),
-                                 options().scheduler.beta,
+                                 bestFitPlacement(), cluster::kDefaultBeta,
                                  chosen->config.resources.memoryMb);
 }
 

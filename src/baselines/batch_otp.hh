@@ -14,33 +14,12 @@
 #ifndef INFLESS_BASELINES_BATCH_OTP_HH
 #define INFLESS_BASELINES_BATCH_OTP_HH
 
+#include <array>
 #include <vector>
 
 #include "core/platform.hh"
 
 namespace infless::baselines {
-
-/** BATCH knobs. */
-struct BatchOtpOptions
-{
-    /**
-     * Resource menu the OTP controller may pick from (CPU mc, GPU %).
-     * Like the original BATCH's memory-indexed Lambda profiles, the menu
-     * keeps a coarse proportional flavor: GPU share scales with the CPU
-     * grant rather than being tuned per model.
-     */
-    std::vector<cluster::Resources> configMenu = {
-        {1000, 5, 0},
-        {2000, 10, 0},
-        {3000, 20, 0},
-    };
-    /** Batchsizes the adaptive buffer supports. */
-    std::vector<int> batchChoices = {1, 2, 4, 8};
-    /** Extra per-request delay through the OTP buffer layer. */
-    sim::Tick otpDelay = 10 * sim::kTicksPerMs;
-    /** Fixed keep-alive window. */
-    sim::Tick keepAlive = 300 * sim::kTicksPerSec;
-};
 
 /**
  * The BATCH comparison system.
@@ -48,24 +27,38 @@ struct BatchOtpOptions
 class BatchOtp : public core::Platform
 {
   public:
-    BatchOtp(std::size_t num_servers, core::PlatformOptions opts = {},
-             BatchOtpOptions batch = {});
+    /**
+     * Resource menu the OTP controller may pick from (CPU mc, GPU %).
+     * Like the original BATCH's memory-indexed Lambda profiles, the menu
+     * keeps a coarse proportional flavor: GPU share scales with the CPU
+     * grant rather than being tuned per model.
+     */
+    static constexpr std::array<cluster::Resources, 3> kConfigMenu = {{
+        {1000, 5, 0},
+        {2000, 10, 0},
+        {3000, 20, 0},
+    }};
+    /** Batchsizes the adaptive buffer supports. */
+    static constexpr std::array<int, 4> kBatchChoices = {1, 2, 4, 8};
+    /** Extra per-request delay through the OTP buffer layer. */
+    static constexpr sim::Tick kOtpDelay = 10 * sim::kTicksPerMs;
+    /** Fixed keep-alive window. */
+    static constexpr sim::Tick kKeepAlive = 300 * sim::kTicksPerSec;
+
+    BatchOtp(std::size_t num_servers, core::PlatformOptions opts = {});
 
     std::string name() const override { return "BATCH"; }
 
   protected:
     std::vector<core::LaunchPlan> planScaleOut(FunctionState &fn,
                                                double residual_rps) override;
-    sim::Tick ingressDelay() const override { return batch_.otpDelay; }
+    sim::Tick ingressDelay() const override { return kOtpDelay; }
     bool activeScaleIn() const override { return false; }
     bool packRouting() const override { return true; }
     bool reconfigures() const override { return false; }
 
     /** Whether placement uses the e_ij best-fit rule (BATCH+RS). */
     virtual bool bestFitPlacement() const { return false; }
-
-  private:
-    BatchOtpOptions batch_;
 };
 
 } // namespace infless::baselines

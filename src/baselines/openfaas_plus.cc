@@ -9,27 +9,25 @@ namespace infless::baselines {
 namespace {
 
 core::PlatformOptions
-withFixedKeepAlive(core::PlatformOptions opts, sim::Tick keep_alive)
+withFixedKeepAlive(core::PlatformOptions opts)
 {
-    opts.keepAlive = coldstart::FixedKeepAlive::factory(keep_alive);
+    opts.keepAlive =
+        coldstart::FixedKeepAlive::factory(OpenFaasPlus::kKeepAlive);
     return opts;
 }
 
 } // namespace
 
 OpenFaasPlus::OpenFaasPlus(std::size_t num_servers,
-                           core::PlatformOptions opts,
-                           OpenFaasPlusOptions ofp)
-    : core::Platform(num_servers,
-                     withFixedKeepAlive(std::move(opts), ofp.keepAlive)),
-      ofp_(ofp)
+                           core::PlatformOptions opts)
+    : core::Platform(num_servers, withFixedKeepAlive(std::move(opts)))
 {
 }
 
 std::vector<core::LaunchPlan>
 OpenFaasPlus::planScaleOut(FunctionState &fn, double residual_rps)
 {
-    cluster::Resources res = ofp_.instanceResources;
+    cluster::Resources res = kInstanceResources;
     res.memoryMb = scheduler().instanceMemoryMb(*fn.model);
 
     core::CandidateConfig config;
@@ -42,8 +40,8 @@ OpenFaasPlus::planScaleOut(FunctionState &fn, double residual_rps)
     config.bounds.low = 0.0;
 
     return core::uniformSchedule(config, residual_rps, mutableCluster(),
-                                 /*best_fit=*/false,
-                                 options().scheduler.beta, res.memoryMb);
+                                 /*best_fit=*/false, cluster::kDefaultBeta,
+                                 res.memoryMb);
 }
 
 } // namespace infless::baselines

@@ -16,23 +16,18 @@
 
 namespace infless::baselines {
 
-/** OpenFaaS+ knobs. */
-struct OpenFaasPlusOptions
-{
-    /** The uniform per-instance allocation (paper: 2 cores, 10% SM). */
-    cluster::Resources instanceResources{2000, 10, 0};
-    /** Fixed keep-alive window. */
-    sim::Tick keepAlive = 300 * sim::kTicksPerSec;
-};
-
 /**
  * The OpenFaaS+ comparison system.
  */
 class OpenFaasPlus : public core::Platform
 {
   public:
-    OpenFaasPlus(std::size_t num_servers, core::PlatformOptions opts = {},
-                 OpenFaasPlusOptions ofp = {});
+    /** The uniform per-instance allocation (paper: 2 cores, 10% SM). */
+    static constexpr cluster::Resources kInstanceResources{2000, 10, 0};
+    /** Fixed keep-alive window. */
+    static constexpr sim::Tick kKeepAlive = 300 * sim::kTicksPerSec;
+
+    OpenFaasPlus(std::size_t num_servers, core::PlatformOptions opts = {});
 
     std::string name() const override { return "OpenFaaS+"; }
 
@@ -43,9 +38,6 @@ class OpenFaasPlus : public core::Platform
     bool activeScaleIn() const override { return false; }
     bool packRouting() const override { return true; }
     bool reconfigures() const override { return false; }
-
-  private:
-    OpenFaasPlusOptions ofp_;
 };
 
 } // namespace infless::baselines

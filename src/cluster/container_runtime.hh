@@ -6,7 +6,7 @@
  * the model and serving library; for large models the paper notes this can
  * exceed the query execution time itself (§3.5). The model here is:
  *
- *   t_cold = containerCreate + libraryInit + modelMb * loadPerMb
+ *   t_cold = kContainerCreate + kLibraryInit + modelMb * kLoadPerMb
  *
  * A pre-warmed container (image loaded ahead of time by the keep-alive
  * policy) skips all of it.
@@ -19,29 +19,12 @@
 
 namespace infless::cluster {
 
-/** Tunable parameters of the cold-start model. */
-struct ColdStartParams
-{
-    /** Container/pod creation (scheduler + containerd + cgroups). */
-    sim::Tick containerCreate = sim::msToTicks(900);
-    /** Serving-library initialization (TensorFlow Serving + CUDA ctx). */
-    sim::Tick libraryInit = sim::msToTicks(600);
-    /** Model weight load + warm-up per MiB of model size. */
-    sim::Tick loadPerMb = sim::msToTicks(6);
-};
-
-/**
- * Accelerated-startup parameters in the spirit of SOCK (Oakes et al.,
- * ATC'18) and Catalyzer (Du et al., ASPLOS'20), which 3.5 points to for
- * spikes LSTH cannot pre-warm: zygote-forked containers and
- * checkpoint-restored library state leave mostly the model load.
- */
-constexpr ColdStartParams
-acceleratedColdStartParams()
-{
-    return ColdStartParams{sim::msToTicks(30), sim::msToTicks(50),
-                           sim::msToTicks(3)};
-}
+/** Container/pod creation (scheduler + containerd + cgroups). */
+inline constexpr sim::Tick kContainerCreate = sim::msToTicks(900);
+/** Serving-library initialization (TensorFlow Serving + CUDA ctx). */
+inline constexpr sim::Tick kLibraryInit = sim::msToTicks(600);
+/** Model weight load + warm-up per MiB of model size. */
+inline constexpr sim::Tick kLoadPerMb = sim::msToTicks(6);
 
 /**
  * Computes startup latencies for instances.
@@ -49,22 +32,14 @@ acceleratedColdStartParams()
 class ContainerRuntime
 {
   public:
-    ContainerRuntime() = default;
-    explicit ContainerRuntime(const ColdStartParams &params)
-        : params_(params)
-    {
-    }
-
-    const ColdStartParams &params() const { return params_; }
-
     /**
      * Full cold-start latency for a model of @p model_mb MiB.
      */
     sim::Tick
     coldStartTicks(double model_mb) const
     {
-        return params_.containerCreate + params_.libraryInit +
-               static_cast<sim::Tick>(model_mb * params_.loadPerMb);
+        return kContainerCreate + kLibraryInit +
+               static_cast<sim::Tick>(model_mb * kLoadPerMb);
     }
 
     /**
@@ -72,9 +47,6 @@ class ContainerRuntime
      * and model: effectively instantaneous routing setup.
      */
     sim::Tick warmStartTicks() const { return sim::msToTicks(2); }
-
-  private:
-    ColdStartParams params_;
 };
 
 } // namespace infless::cluster

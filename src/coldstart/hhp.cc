@@ -5,16 +5,8 @@
 
 namespace infless::coldstart {
 
-namespace {
-
-/** Max overflow fraction before declaring the histogram unrepresentative. */
-constexpr double kMaxOverflow = 0.5;
-
-} // namespace
-
-HybridHistogramPolicy::HybridHistogramPolicy(HhpParams params)
-    : params_(params),
-      hist_({params.trackedDuration}, params.binWidth, params.range)
+HybridHistogramPolicy::HybridHistogramPolicy()
+    : hist_({kTrackedDuration}, kHistogramBinWidth, kHistogramRange)
 {
 }
 
@@ -41,9 +33,7 @@ KeepAliveDecision
 HybridHistogramPolicy::decide(sim::Tick now) const
 {
     hist_.evict(now);
-    bool representative = hist_.count() >= params_.minSamples &&
-                          hist_.overflowFraction() <= kMaxOverflow;
-    if (!representative) {
+    if (hist_.count() < kMinSamples) {
         // Conservative: keep warm continuously.
         return KeepAliveDecision{0, kFallbackKeepAlive};
     }
@@ -55,11 +45,9 @@ HybridHistogramPolicy::decide(sim::Tick now) const
 }
 
 PolicyFactory
-HybridHistogramPolicy::factory(HhpParams params)
+HybridHistogramPolicy::factory()
 {
-    return [params]() {
-        return std::make_unique<HybridHistogramPolicy>(params);
-    };
+    return [] { return std::make_unique<HybridHistogramPolicy>(); };
 }
 
 } // namespace infless::coldstart

@@ -2,16 +2,17 @@
  * @file
  * Hybrid Histogram Policy (HHP) — Shahrad et al., USENIX ATC'20.
  *
- * Tracks idle times over one configurable duration (4 h by default), and
- * derives the pre-warming window from the head (5th percentile) and the
- * keep-alive window from the tail (99th percentile) of the distribution,
- * each with a safety margin. Falls back to a conservative
- * always-keep-alive when the histogram is unrepresentative (too few
- * samples or too much overflow).
+ * Tracks idle times over one fixed duration (4 h), and derives the
+ * pre-warming window from the head (5th percentile) and the keep-alive
+ * window from the tail (99th percentile) of the distribution, each with
+ * a safety margin. Falls back to a conservative always-keep-alive while
+ * the histogram holds too few samples to be representative.
  */
 
 #ifndef INFLESS_COLDSTART_HHP_HH
 #define INFLESS_COLDSTART_HHP_HH
+
+#include <cstddef>
 
 #include "coldstart/histogram.hh"
 #include "coldstart/policy.hh"
@@ -22,6 +23,10 @@ namespace infless::coldstart {
 
 /** Histogram range; gaps beyond it overflow. */
 inline constexpr sim::Tick kHistogramRange = 4 * sim::kTicksPerHour;
+/** Histogram bin width. */
+inline constexpr sim::Tick kHistogramBinWidth = sim::kTicksPerMin;
+/** Minimum samples before a window's histogram is trusted. */
+inline constexpr std::size_t kMinSamples = 10;
 /** Head percentile driving the pre-warming window. */
 inline constexpr double kHeadPercentile = 5.0;
 /** Tail percentile driving the keep-alive window. */
@@ -31,26 +36,21 @@ inline constexpr double kWindowMargin = 0.15;
 /** Conservative keep-alive used while the histograms are unrepresentative. */
 inline constexpr sim::Tick kFallbackKeepAlive = 4 * sim::kTicksPerHour;
 
-/** HHP tunables. */
-struct HhpParams
-{
-    /** Tracked duration of the single histogram. */
-    sim::Tick trackedDuration = 4 * sim::kTicksPerHour;
-    /** Histogram bin width. */
-    sim::Tick binWidth = sim::kTicksPerMin;
-    /** Histogram range; gaps beyond it overflow. */
-    sim::Tick range = kHistogramRange;
-    /** Minimum samples before trusting the histogram. */
-    std::size_t minSamples = 10;
-};
-
 /**
  * The state-of-the-art policy INFless's LSTH improves upon.
  */
 class HybridHistogramPolicy : public KeepAlivePolicy
 {
   public:
-    explicit HybridHistogramPolicy(HhpParams params = {});
+    /** Tracked duration of the single histogram. */
+    static constexpr sim::Tick kTrackedDuration = 4 * sim::kTicksPerHour;
+    // A window no longer than the range holds at most one overflowing
+    // gap, so the sample floor alone decides when the histogram is
+    // representative.
+    static_assert(kTrackedDuration <= kHistogramRange,
+                  "tracked duration must not exceed the histogram range");
+
+    HybridHistogramPolicy();
 
     void recordInvocation(sim::Tick now) override;
     KeepAliveDecision decide(sim::Tick now) const override;
@@ -58,7 +58,7 @@ class HybridHistogramPolicy : public KeepAlivePolicy
 
     const IdleTimeHistogram &histogram() const { return hist_; }
 
-    static PolicyFactory factory(HhpParams params = {});
+    static PolicyFactory factory();
 
     /**
      * Shared window-derivation rule: shrink the head by the margin for the
@@ -68,7 +68,6 @@ class HybridHistogramPolicy : public KeepAlivePolicy
                                          double margin);
 
   private:
-    HhpParams params_;
     /** Mutable: decide() lazily evicts samples older than the window. */
     mutable IdleTimeHistogram hist_;
 };

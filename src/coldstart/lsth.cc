@@ -7,12 +7,12 @@
 
 namespace infless::coldstart {
 
-LsthPolicy::LsthPolicy(LsthParams params)
-    : params_(params),
-      hist_({kShortDuration, kLongDuration}, params.binWidth,
+LsthPolicy::LsthPolicy(double gamma)
+    : gamma_(gamma),
+      hist_({kShortDuration, kLongDuration}, kHistogramBinWidth,
             kHistogramRange)
 {
-    sim::simAssert(params.gamma >= 0.0 && params.gamma <= 1.0,
+    sim::simAssert(gamma >= 0.0 && gamma <= 1.0,
                    "gamma must lie in [0, 1]");
 }
 
@@ -26,12 +26,12 @@ KeepAliveDecision
 LsthPolicy::decide(sim::Tick now) const
 {
     hist_.evict(now);
-    bool short_ok = hist_.count(kShort) >= params_.minSamples;
-    bool long_ok = hist_.count(kLong) >= params_.minSamples;
+    bool short_ok = hist_.count(kShort) >= kMinSamples;
+    bool long_ok = hist_.count(kLong) >= kMinSamples;
     if (!short_ok && !long_ok)
         return KeepAliveDecision{0, kFallbackKeepAlive};
 
-    double gamma = params_.gamma;
+    double gamma = gamma_;
     if (!long_ok)
         gamma = 0.0; // trust only the short horizon
     else if (!short_ok)
@@ -54,14 +54,14 @@ std::string
 LsthPolicy::name() const
 {
     std::ostringstream os;
-    os << "lsth(gamma=" << params_.gamma << ")";
+    os << "lsth(gamma=" << gamma_ << ")";
     return os.str();
 }
 
 PolicyFactory
-LsthPolicy::factory(LsthParams params)
+LsthPolicy::factory(double gamma)
 {
-    return [params]() { return std::make_unique<LsthPolicy>(params); };
+    return [gamma]() { return std::make_unique<LsthPolicy>(gamma); };
 }
 
 } // namespace infless::coldstart

@@ -105,7 +105,7 @@ OracleScheduler::solve(const models::ModelInfo &model, double demand_rps,
             if (!cand.bounds.valid() || cand.bounds.up <= 0.0)
                 continue;
             items.push_back(Item{
-                cand, cand.config.resources.weighted(config_.beta),
+                cand, cand.config.resources.weighted(cluster::kDefaultBeta),
                 cand.bounds.up, cand.bounds.low});
         }
     }

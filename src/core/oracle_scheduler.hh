@@ -46,7 +46,7 @@ class OracleScheduler
   public:
     /**
      * @param predictor Latency predictor (shared with the greedy).
-     * @param config Grid and beta (shared with the greedy).
+     * @param config Grid (shared with the greedy).
      * @param max_nodes Search-node budget; beyond it the best incumbent
      *        is returned with exact = false.
      */

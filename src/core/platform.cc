@@ -17,8 +17,7 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
     : sim_(opts.seed), cluster_(std::move(machines)),
       zoo_(models::ModelZoo::shared()), exec_(opts.exec),
       profileDb_(exec_), predictor_(profileDb_, opts.cop),
-      scheduler_(predictor_, opts.scheduler), runtime_(opts.coldStart),
-      opts_(std::move(opts))
+      scheduler_(predictor_, opts.scheduler), opts_(std::move(opts))
 {
     if (!opts_.keepAlive)
         opts_.keepAlive = coldstart::LsthPolicy::factory();
@@ -70,7 +69,7 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
         }
     }
     if (opts_.health.enabled) {
-        health_ = std::make_unique<health::OutlierEjector>(opts_.health);
+        health_ = std::make_unique<health::OutlierEjector>();
         health_->ensureServers(cluster_.size());
         healthHandle_ =
             sim_.every(health::kHealthEvalPeriod, [this] { healthTick(); });

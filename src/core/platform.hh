@@ -56,14 +56,12 @@ namespace infless::core {
 /** Everything tunable about a platform run. */
 struct PlatformOptions
 {
-    /** Scheduler configuration (grid, beta, ablation flags). */
+    /** Scheduler configuration (grid, ablation flags). */
     SchedulerConfig scheduler;
     /** COP predictor configuration (safety offset; OP ablations). */
     profiler::CopOptions cop;
     /** Execution-surface parameters. */
     models::ExecParams exec;
-    /** Cold-start cost parameters. */
-    cluster::ColdStartParams coldStart;
     /** Per-function keep-alive policy factory (default: LSTH). */
     coldstart::PolicyFactory keepAlive;
     /** Root random seed. */

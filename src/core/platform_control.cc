@@ -149,7 +149,7 @@ Platform::scalerTick()
             infos.push_back(
                 InstanceRateInfo{rt.bounds.up, rt.bounds.low});
             costs.push_back(rt.inst.config().resources.weighted(
-                opts_.scheduler.beta));
+                cluster::kDefaultBeta));
             mapping.push_back(idx);
             r_max += rt.bounds.up;
             r_min += rt.bounds.low;
@@ -231,7 +231,7 @@ Platform::maybeReconfigure(FunctionId fn, double measured)
         if (rt.draining)
             continue;
         cur_cost += rt.inst.config().resources.weighted(
-            opts_.scheduler.beta);
+            cluster::kDefaultBeta);
         cur_up += rt.bounds.up;
         have_old = true;
     }
@@ -247,7 +247,7 @@ Platform::maybeReconfigure(FunctionId fn, double measured)
     double ideal_cost = 0.0;
     double ideal_up = 0.0;
     for (const auto &plan : ideal) {
-        ideal_cost += plan.config.resources.weighted(opts_.scheduler.beta);
+        ideal_cost += plan.config.resources.weighted(cluster::kDefaultBeta);
         ideal_up += plan.bounds.up;
     }
     // Compare cost per *usable* unit of rate: capacity beyond the
@@ -325,10 +325,10 @@ Platform::continueReconfigure(FunctionId fn, double measured)
                   const auto &rb = instances_[b];
                   double ea = ra.bounds.up /
                               ra.inst.config().resources.weighted(
-                                  opts_.scheduler.beta);
+                                  cluster::kDefaultBeta);
                   double eb = rb.bounds.up /
                               rb.inst.config().resources.weighted(
-                                  opts_.scheduler.beta);
+                                  cluster::kDefaultBeta);
                   return ea < eb;
               });
     double retired = 0.0;
@@ -384,7 +384,7 @@ Platform::recordAllocationChange()
 {
     sim::Tick now = sim_.now();
     total_.recordAllocation(now, cluster_.totalAllocated());
-    fragRatio_.update(now, cluster_.fragmentRatio(opts_.scheduler.beta));
+    fragRatio_.update(now, cluster_.fragmentRatio());
 }
 
 } // namespace infless::core

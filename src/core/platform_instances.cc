@@ -279,7 +279,7 @@ Platform::maybePrewarm(FunctionId fn)
         double best_cost = std::numeric_limits<double>::max();
         for (const auto &cand : candidates) {
             double cost = cand.config.resources.weighted(
-                opts_.scheduler.beta);
+                cluster::kDefaultBeta);
             if (cost < best_cost) {
                 best_cost = cost;
                 best = &cand;

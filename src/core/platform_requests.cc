@@ -512,9 +512,7 @@ Platform::admitStatic(FunctionId fn, RequestIndex request,
     if (!scan.anyRoom)
         return true;
     FunctionState &f = functionState(fn);
-    double slack = static_cast<double>(effectiveSlo(f)) *
-                   opts_.overload.admission.slackFactor;
-    if (static_cast<double>(scan.admitBest) <= slack)
+    if (scan.admitBest <= effectiveSlo(f))
         return true;
     shedRequest(f, request, sim_.now(), ShedCause::Admission);
     // A capacity-driven shed is also a scale-out signal: without this,

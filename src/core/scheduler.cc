@@ -15,7 +15,6 @@ GreedyScheduler::GreedyScheduler(const profiler::CopPredictor &predictor,
 {
     sim::simAssert(!config_.cpuChoices.empty(), "no CPU choices");
     sim::simAssert(!config_.gpuChoices.empty(), "no GPU choices");
-    sim::simAssert(config_.beta > 0.0, "beta must be positive");
 }
 
 std::int64_t
@@ -115,9 +114,9 @@ GreedyScheduler::efficiency(const CandidateConfig &candidate,
     const cluster::Resources &req = candidate.config.resources;
     if (!server.canFit(req))
         return -1.0;
-    return efficiencyFromAvail(candidate, req.weighted(config_.beta),
-                               server.weightedAvailable(config_.beta),
-                               norm, residual_rps);
+    return efficiencyFromAvail(
+        candidate, req.weighted(cluster::kDefaultBeta),
+        server.weightedAvailable(cluster::kDefaultBeta), norm, residual_rps);
 }
 
 namespace {
@@ -176,7 +175,8 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
                     entry.cand.config = cluster::InstanceConfig{b, res};
                     entry.cand.execPredicted = exec;
                     entry.cand.bounds = rpsBounds(exec, slo, b);
-                    entry.weightedCost = res.weighted(config_.beta);
+                    entry.weightedCost =
+                        res.weighted(cluster::kDefaultBeta);
                     entry.batchOrdinal = static_cast<int>(bi);
                     entry.gateKey =
                         b > 1 ? entry.cand.bounds.low : 0.0;
@@ -281,7 +281,7 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
                     // one evaluation per bucket reproduces the naive
                     // per-server scan exactly.
                     index.forEachClassDomain(
-                        config_.beta,
+                        cluster::kDefaultBeta,
                         [&](const cluster::Resources &avail,
                             double weighted_avail, cluster::DomainId,
                             cluster::ServerId min_id, std::size_t) {
@@ -296,7 +296,7 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
                         });
                 } else {
                     index.forEachClass(
-                        config_.beta,
+                        cluster::kDefaultBeta,
                         [&](const cluster::Resources &avail,
                             double weighted_avail,
                             cluster::ServerId min_id, std::size_t) {
@@ -406,7 +406,7 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
                 double usable = std::min(cand.bounds.up, residual_rps);
                 norm = std::max(norm,
                                 usable / cand.config.resources.weighted(
-                                             config_.beta));
+                                             cluster::kDefaultBeta));
             }
             // argmax e_ij over candidates x servers.
             const bool spread_on = spread != nullptr &&

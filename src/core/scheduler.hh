@@ -37,8 +37,6 @@ struct SchedulerConfig
     std::vector<std::int64_t> cpuChoices = {500, 1000, 2000, 4000};
     /** GPU allocation choices, SM percent (0 = CPU-only instance). */
     std::vector<std::int64_t> gpuChoices = {0, 5, 10, 20, 30, 50};
-    /** CPU<->GPU conversion factor (Eq. 2/10). */
-    double beta = cluster::kDefaultBeta;
     /**
      * Fig. 11's RS ablation: when set, ignore the e_ij efficiency metric
      * and pick the configuration with the maximum throughput, placed

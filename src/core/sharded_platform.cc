@@ -19,7 +19,6 @@ constexpr std::uint64_t kWorkloadSeedKey = 0x3AFE'57A7ULL;
 ShardedPlatform::ShardedPlatform(std::size_t num_servers,
                                  PlatformOptions opts, CellOptions cell_opts)
     : numServers_(num_servers), cellOpts_(cell_opts),
-      beta_(opts.scheduler.beta),
       slices_(cluster::partitionServers(num_servers, cell_opts.cells)),
       workloadRng_(sim::hashCombine(opts.seed, kWorkloadSeedKey))
 {
@@ -204,7 +203,8 @@ ShardedPlatform::refreshRouter()
     for (std::size_t c = 0; c < cells; ++c) {
         const Platform &p = *cells_[c];
         cluster::CellDigest &d = digests_[c];
-        d.weightedAvail = p.cluster().totalAvailable().weighted(beta_);
+        d.weightedAvail =
+            p.cluster().totalAvailable().weighted(cluster::kDefaultBeta);
         d.queueDepth = p.queuedRequests();
         // Drop pressure: rejections since the previous barrier. It only
         // steers the choice inside a home set; it never grows one, since

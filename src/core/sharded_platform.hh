@@ -214,7 +214,6 @@ class ShardedPlatform
 
     std::size_t numServers_ = 0;
     CellOptions cellOpts_;
-    double beta_;
     std::vector<cluster::CellSlice> slices_;
     std::vector<std::unique_ptr<Platform>> cells_;
     std::unique_ptr<cluster::CellRouter> router_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/logging.hh"
-
 namespace infless::health {
 
 namespace {
@@ -14,18 +12,10 @@ constexpr double kEmaAlpha = 0.3;
 /** Eject when the EMA latency ratio exceeds median * this factor. */
 constexpr double kRatioThreshold = 2.0;
 /** Eject when the window success rate drops below this (with at least
- *  minSamples outcomes in the window). */
+ *  kMinSamples outcomes in the window). */
 constexpr double kMinSuccessRate = 0.5;
 
 } // namespace
-
-OutlierEjector::OutlierEjector(HealthConfig config)
-    : config_(config)
-{
-    sim::simAssert(config_.maxEjectFraction >= 0.0 &&
-                       config_.maxEjectFraction < 1.0,
-                   "max ejection fraction out of [0,1)");
-}
 
 void
 OutlierEjector::ensureServers(std::size_t num_servers)
@@ -89,7 +79,7 @@ OutlierEjector::evaluate(
     for (std::size_t i = 0; i < stats_.size(); ++i) {
         ServerStats &s = stats_[i];
         if (s.state != ServerHealth::Ejected ||
-            now - s.ejectedAt < config_.probation)
+            now - s.ejectedAt < kProbation)
             continue;
         s = ServerStats{}; // Healthy, unobserved
         --ejected_;
@@ -137,11 +127,11 @@ OutlierEjector::evaluate(
         if (s.state != ServerHealth::Healthy || !eligible(id))
             continue;
         double badness = 0.0;
-        if (s.ema >= 0.0 && s.lifetimeSamples >= config_.minSamples &&
+        if (s.ema >= 0.0 && s.lifetimeSamples >= kMinSamples &&
             median > 0.0 && s.ema > kRatioThreshold * median)
             badness = s.ema / median;
         std::int64_t outcomes = s.successes + s.failures;
-        if (outcomes >= config_.minSamples) {
+        if (outcomes >= kMinSamples) {
             double rate = static_cast<double>(s.successes) /
                           static_cast<double>(outcomes);
             if (rate < kMinSuccessRate)
@@ -160,7 +150,7 @@ OutlierEjector::evaluate(
     // Max-ejection-fraction guard: a fleet-wide slowdown must never
     // quarantine the cluster out from under the workload.
     auto max_ejected = static_cast<std::size_t>(
-        std::floor(config_.maxEjectFraction *
+        std::floor(kMaxEjectFraction *
                    static_cast<double>(live_servers)));
     for (const Candidate &c : candidates) {
         if (ejected_ >= max_ejected)

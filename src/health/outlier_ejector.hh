@@ -43,17 +43,21 @@ namespace infless::health {
 /** Cadence at which the owner calls OutlierEjector::evaluate(). */
 inline constexpr sim::Tick kHealthEvalPeriod = 5 * sim::kTicksPerSec;
 
-/** Health-scoring and ejection tunables. */
+/** Minimum exec samples (lifetime) or window outcomes before a server
+ *  can be judged. */
+inline constexpr std::int64_t kMinSamples = 20;
+/** Never quarantine more than this fraction of live servers. */
+inline constexpr double kMaxEjectFraction = 0.2;
+static_assert(kMaxEjectFraction >= 0.0 && kMaxEjectFraction < 1.0,
+              "max ejection fraction out of [0,1)");
+/** Quarantine duration before re-admission with fresh stats. */
+inline constexpr sim::Tick kProbation = 60 * sim::kTicksPerSec;
+
+/** Health switch carried by PlatformOptions. */
 struct HealthConfig
 {
     /** Master switch; off = no sampling, no events, bit-identical runs. */
     bool enabled = false;
-    /** Minimum lifetime exec samples before a server can be judged. */
-    std::int64_t minSamples = 20;
-    /** Never quarantine more than this fraction of live servers. */
-    double maxEjectFraction = 0.2;
-    /** Quarantine duration before re-admission with fresh stats. */
-    sim::Tick probation = 60 * sim::kTicksPerSec;
 };
 
 /** Health lifecycle of one server. */
@@ -69,10 +73,6 @@ enum class ServerHealth
 class OutlierEjector
 {
   public:
-    explicit OutlierEjector(HealthConfig config);
-
-    const HealthConfig &config() const { return config_; }
-
     /** Grow the tracked fleet to @p num_servers (append-only ids). */
     void ensureServers(std::size_t num_servers);
 
@@ -141,7 +141,6 @@ class OutlierEjector
         sim::Tick ejectedAt = 0;
     };
 
-    HealthConfig config_;
     std::vector<ServerStats> stats_;
     std::size_t ejected_ = 0;
     std::int64_t ejections_ = 0;

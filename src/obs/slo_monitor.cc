@@ -8,6 +8,12 @@ namespace infless::obs {
 
 namespace {
 
+/** Consecutive below-threshold windows required to clear an alert. */
+constexpr int kClearWindows = 2;
+/** Minimum finished requests in a rule's span before it may fire
+ *  (idle functions never page). */
+constexpr std::int64_t kMinSamples = 20;
+
 /** Static empty row set for queries about unregistered functions. */
 const std::vector<WindowRow> &emptyRows()
 {
@@ -50,7 +56,6 @@ const char *alertEdgeName(AlertEdge edge)
 
 void SloHealthCore::configure(const SloMonitorConfig &config)
 {
-    sim::simAssert(config.windowTicks > 0, "SLO window must be positive");
     sim::simAssert(config.errorBudget > 0.0,
                    "SLO error budget must be positive");
     sim::simAssert(config.fast.windows > 0 && config.slow.windows > 0,
@@ -138,7 +143,7 @@ void SloHealthCore::closeWindow(std::int32_t fn, const WindowRow &row)
             ? (double(stored.violations + stored.drops) /
                double(stored.finished())) / config_.errorBudget
             : 0.0;
-    sim::Tick at = stored.start + config_.windowTicks;
+    sim::Tick at = stored.start + kSloWindowTicks;
     stepRule(fn, f, AlertKind::FastBurn, config_.fast, f.fast, at);
     stepRule(fn, f, AlertKind::SlowBurn, config_.slow, f.slow, at);
 }
@@ -193,10 +198,10 @@ void SloHealthCore::stepRule(std::int32_t fn, FnHealth &f, AlertKind kind,
     };
 
     if (!state.firing) {
-        // minSamples gates firing only: a rule may not page off a handful
+        // kMinSamples gates firing only: a rule may not page off a handful
         // of requests, but once firing it clears on quiet windows too.
         bool can_fire = std::size_t(rule.windows) <= f.closed.size() &&
-                        finished >= config_.minSamples;
+                        finished >= kMinSamples;
         if (can_fire && burn >= rule.threshold) {
             state.firing = true;
             state.clearStreak = 0;
@@ -205,7 +210,7 @@ void SloHealthCore::stepRule(std::int32_t fn, FnHealth &f, AlertKind kind,
         return;
     }
     if (burn < rule.threshold) {
-        if (++state.clearStreak >= config_.clearWindows) {
+        if (++state.clearStreak >= kClearWindows) {
             state.firing = false;
             state.clearStreak = 0;
             emit(AlertEdge::Cleared);
@@ -220,15 +225,15 @@ void SloHealthCore::stepRule(std::int32_t fn, FnHealth &f, AlertKind kind,
 WindowRow &SloMonitor::openState(std::int32_t fn)
 {
     // A default row starts window 0 at tick 0: every registered function
-    // closes exactly floor(now / windowTicks) windows after advanceTo(now),
-    // the invariant the sharded merge cursor depends on.
+    // closes exactly floor(now / kSloWindowTicks) windows after
+    // advanceTo(now), the invariant the sharded merge cursor depends on.
     return open_[fn];
 }
 
 void SloMonitor::rollTo(std::int32_t fn, sim::Tick t)
 {
     WindowRow &open = openState(fn);
-    sim::Tick w = config_.windowTicks;
+    sim::Tick w = kSloWindowTicks;
     while (open.start + w <= t) {
         sim::Tick next = open.start + w;
         closeWindow(fn, open);
@@ -296,16 +301,15 @@ void SloHealthMerge::absorb(std::size_t cell, const SloMonitor &monitor)
     sim::simAssert(cell < cursor_.size(), "absorb from unknown cell ", cell);
 
     // Pull this cell's newly closed windows into the pending merge rows.
-    // Every cell closes window k at start k*windowTicks (origin 0), so a
-    // closed-row index doubles as the cluster window index.
+    // Every cell closes window k at start k*kSloWindowTicks (origin 0), so
+    // a closed-row index doubles as the cluster window index.
     std::size_t cell_closed = cursor_[cell];
     for (std::int32_t fn : monitor.functions()) {
         const std::vector<WindowRow> &rows = monitor.closed(fn);
         registerFunction(fn, monitor.sloOf(fn));
         std::vector<WindowRow> &pend = pending_[fn];
         for (std::size_t i = cursor_[cell]; i < rows.size(); ++i) {
-            std::size_t window =
-                std::size_t(rows[i].start / config_.windowTicks);
+            std::size_t window = std::size_t(rows[i].start / kSloWindowTicks);
             if (window < evaluated_) {
                 continue;
             }
@@ -315,7 +319,7 @@ void SloHealthMerge::absorb(std::size_t cell, const SloMonitor &monitor)
                 pend.resize(slot + 1);
                 for (std::size_t s = old; s < pend.size(); ++s) {
                     pend[s].start =
-                        sim::Tick(evaluated_ + s) * config_.windowTicks;
+                        sim::Tick(evaluated_ + s) * kSloWindowTicks;
                 }
             }
             pend[slot].add(rows[i]);
@@ -338,7 +342,7 @@ void SloHealthMerge::absorb(std::size_t cell, const SloMonitor &monitor)
                 row = pend.front();
                 pend.erase(pend.begin());
             } else {
-                row.start = sim::Tick(evaluated_) * config_.windowTicks;
+                row.start = sim::Tick(evaluated_) * kSloWindowTicks;
             }
             closeWindow(fn, row);
         }

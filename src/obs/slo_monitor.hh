@@ -14,7 +14,7 @@
  * divided by the error budget, evaluated over a short span with a high
  * threshold (fast — pages on acute overload within seconds) and a long
  * span with a low threshold (slow — catches sustained budget bleed).
- * Both rules carry hysteresis: an alert clears only after clearWindows
+ * Both rules carry hysteresis: an alert clears only after kClearWindows
  * consecutive below-threshold windows.
  *
  * Determinism doctrine (matching tracing in PR 4): the monitor schedules
@@ -48,29 +48,26 @@ struct BurnRule
     int windows = 1;
 };
 
+/** Monitor window length (sim ticks); windows align to tick 0. */
+inline constexpr sim::Tick kSloWindowTicks = sim::kTicksPerSec;
+
 /** SLO monitor knobs (part of ObsOptions; disabled by default). */
 struct SloMonitorConfig
 {
     bool enabled = false;
-    /** Window length (sim ticks); windows align to tick 0. */
-    sim::Tick windowTicks = sim::kTicksPerSec;
     /** Allowed violation fraction (burn rate 1.0 = exactly this). */
     double errorBudget = 0.01;
     /** Fast rule: high threshold over a short span (acute overload). */
     BurnRule fast{14.4, 2};
     /** Slow rule: low threshold over a long span (sustained bleed). */
     BurnRule slow{6.0, 12};
-    /** Consecutive below-threshold windows required to clear an alert. */
-    int clearWindows = 2;
-    /** Minimum finished requests in a rule's span before it may fire
-     *  (idle functions never page). */
-    std::int64_t minSamples = 20;
 };
 
 /** Attainment counters and attribution sums of one closed window. */
 struct WindowRow
 {
-    /** Window start tick (window covers [start, start + windowTicks)). */
+    /** Window start tick; the window covers
+     *  [start, start + kSloWindowTicks). */
     sim::Tick start = 0;
     std::int64_t completions = 0;
     /** Completions whose end-to-end latency exceeded the SLO. */

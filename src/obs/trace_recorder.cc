@@ -320,7 +320,7 @@ FlightRecorder::configure(const FlightConfig &config)
 {
     TraceConfig tc;
     tc.sampleRate = config.enabled ? 1.0 : 0.0;
-    tc.capacity = config.capacity;
+    tc.capacity = kFlightCapacity;
     ring_.configure(tc);
     trigger_ = FlightTrigger::None;
     triggerAt_ = 0;

@@ -174,13 +174,14 @@ enum class FlightTrigger : std::uint8_t
 
 const char *flightTriggerName(FlightTrigger trigger);
 
-/** Flight-recorder knobs (part of ObsOptions; disabled by default). */
+/** Flight-recorder ring capacity in span records — the "last N seconds"
+ *  of evidence. At 48 B/record it holds 16k spans in ~768 KiB. */
+inline constexpr std::size_t kFlightCapacity = 1 << 14;
+
+/** Flight-recorder switch (part of ObsOptions; disabled by default). */
 struct FlightConfig
 {
     bool enabled = false;
-    /** Ring capacity in span records — the "last N seconds" of evidence.
-     *  At 48 B/record the default holds 16k spans in ~768 KiB. */
-    std::size_t capacity = 1 << 14;
 };
 
 /**

@@ -79,7 +79,7 @@ CircuitBreaker::record(sim::Tick now, bool failure)
     if (state_ == BreakerState::HalfOpen) {
         if (failure) {
             transitionTo(BreakerState::Open, now);
-        } else if (++halfOpenOk_ >= config_.halfOpenSuccesses) {
+        } else if (++halfOpenOk_ >= kHalfOpenSuccesses) {
             transitionTo(BreakerState::Closed, now);
         }
     } else if (state_ == BreakerState::Closed &&

@@ -38,9 +38,10 @@ struct BreakerConfig
     sim::Tick openDuration = 2 * sim::kTicksPerSec;
     /** Fraction of requests admitted as probes while half-open. */
     double probeFraction = 0.1;
-    /** Consecutive probe successes required to close again. */
-    int halfOpenSuccesses = 5;
 };
+
+/** Consecutive probe successes required to close a half-open breaker. */
+inline constexpr int kHalfOpenSuccesses = 5;
 
 /**
  * Deterministic circuit breaker. Outcomes of *admitted* requests

@@ -26,10 +26,8 @@ namespace infless::overload {
  */
 struct AdmissionConfig
 {
+    /** Admit while the predicted sojourn fits the effective SLO. */
     bool enabled = false;
-    /** Admit while predicted sojourn <= slackFactor x (effective SLO).
-     *  Values > 1 admit optimistically, < 1 shed conservatively. */
-    double slackFactor = 1.0;
 };
 
 /** Bounded per-instance queues. */

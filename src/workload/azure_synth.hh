@@ -7,8 +7,8 @@
  * (Fig. 10): *sporadic* (long idle gaps, rare activity), *periodic*
  * (diurnal long-term periodicity, LTP) and *bursty* (diurnal base plus
  * short-term bursts, STB). That trace is not redistributable, so this
- * synthesizer emits rate series with the same statistical structure under
- * controlled parameters.
+ * synthesizer emits rate series with the same statistical structure; the
+ * shape constants are in azure_synth.cc.
  */
 
 #ifndef INFLESS_WORKLOAD_AZURE_SYNTH_HH
@@ -36,42 +36,12 @@ const char *tracePatternName(TracePattern p);
 inline constexpr TracePattern kAllPatterns[] = {
     TracePattern::Sporadic, TracePattern::Periodic, TracePattern::Bursty};
 
-/** Synthesizer knobs. */
-struct AzureSynthParams
-{
-    TracePattern pattern = TracePattern::Periodic;
-    /** Target time-average RPS. */
-    double meanRps = 10.0;
-    /** Trace length in days (the paper's trace covers 7). */
-    double days = 7.0;
-    /** Rate bin width. */
-    sim::Tick binWidth = sim::kTicksPerMin;
-    /** Random seed. */
-    std::uint64_t seed = 42;
-
-    /** Diurnal swing of the periodic component, as a fraction of mean. */
-    double diurnalAmplitude = 0.6;
-    /** Mean bursts per day (bursty pattern). */
-    double burstsPerDay = 10.0;
-    /** Mean burst amplitude as a multiple of the base rate. */
-    double burstAmplitude = 4.0;
-    /** Mean burst duration in minutes. */
-    double burstMinutes = 6.0;
-    /** Mean idle gap between sporadic activity episodes, minutes. */
-    double sporadicOffMinutes = 45.0;
-    /** Mean length of a sporadic activity episode, minutes. */
-    double sporadicOnMinutes = 6.0;
-};
-
 /**
- * Synthesize one trace.
+ * Synthesize one trace of @p days days at one-minute bins.
  *
- * The output's time-average rate matches params.meanRps to within
+ * The output's time-average rate matches @p mean_rps to within
  * stochastic noise, so different patterns compare at equal offered load.
  */
-RateSeries synthesizeTrace(const AzureSynthParams &params);
-
-/** Convenience: synthesize with defaults for a pattern. */
 RateSeries synthesizeTrace(TracePattern pattern, double mean_rps,
                            double days, std::uint64_t seed);
 

@@ -14,7 +14,6 @@
 namespace {
 
 using infless::baselines::BatchOtp;
-using infless::baselines::BatchOtpOptions;
 using infless::baselines::BatchRs;
 using infless::core::FunctionSpec;
 using infless::sim::kTicksPerMin;
@@ -27,6 +26,16 @@ resnetSpec()
 {
     return FunctionSpec{"resnet", "ResNet-50", msToTicks(200), 32};
 }
+
+/** BATCH without its OTP buffer layer: same policy, no ingress delay. */
+class BatchWithoutOtp : public BatchOtp
+{
+  public:
+    using BatchOtp::BatchOtp;
+
+  protected:
+    infless::sim::Tick ingressDelay() const override { return 0; }
+};
 
 TEST(BatchOtpTest, BatchesRequests)
 {
@@ -53,18 +62,13 @@ TEST(BatchOtpTest, UniformScalingUsesOneConfiguration)
 
 TEST(BatchOtpTest, OtpDelayInflatesLatency)
 {
-    BatchOtpOptions slow;
-    slow.otpDelay = 50 * infless::sim::kTicksPerMs;
-    BatchOtpOptions fast;
-    fast.otpDelay = 0;
-    auto median_latency = [](BatchOtpOptions opts) {
-        BatchOtp p(4, {}, opts);
+    auto median_latency = [](auto &&p) {
         auto fn = p.deploy(resnetSpec());
         p.injectTrace(fn, uniformArrivals(60.0, 30 * kTicksPerSec));
         p.run(40 * kTicksPerSec);
         return p.totalMetrics().latency().percentile(50);
     };
-    EXPECT_GT(median_latency(slow), median_latency(fast));
+    EXPECT_GT(median_latency(BatchOtp(4)), median_latency(BatchWithoutOtp(4)));
 }
 
 TEST(BatchOtpTest, ConfigComesFromMenu)
@@ -73,9 +77,8 @@ TEST(BatchOtpTest, ConfigComesFromMenu)
     auto fn = p.deploy(resnetSpec());
     p.injectTrace(fn, uniformArrivals(100.0, 30 * kTicksPerSec));
     p.run(40 * kTicksPerSec);
-    BatchOtpOptions defaults;
     std::set<std::int64_t> menu_cpus, menu_gpus;
-    for (const auto &res : defaults.configMenu) {
+    for (const auto &res : BatchOtp::kConfigMenu) {
         menu_cpus.insert(res.cpuMillicores);
         menu_gpus.insert(res.gpuSmPercent);
     }
@@ -107,18 +110,15 @@ TEST(BatchOtpTest, IngressDelayCountsAgainstTheSlo)
     // The OTP layer is unaware of its own added delay: a chunk of the
     // latency budget is consumed before the platform even sees the
     // request, so p99 sits closer to the SLO than INFless's.
-    auto median_queue = [](infless::sim::Tick delay) {
-        BatchOtpOptions opts;
-        opts.otpDelay = delay;
-        BatchOtp p(4, {}, opts);
+    auto median_queue = [](auto &&p) {
         auto fn = p.deploy(resnetSpec());
         p.injectTrace(fn, uniformArrivals(80.0, kTicksPerMin));
         p.run(kTicksPerMin + 10 * kTicksPerSec);
         return p.totalMetrics().queueTime().percentile(50);
     };
-    auto delayed = median_queue(30 * infless::sim::kTicksPerMs);
-    auto immediate = median_queue(0);
-    EXPECT_GE(delayed, immediate + 20 * infless::sim::kTicksPerMs);
+    auto delayed = median_queue(BatchOtp(4));
+    auto immediate = median_queue(BatchWithoutOtp(4));
+    EXPECT_GE(delayed, immediate + BatchOtp::kOtpDelay * 2 / 3);
 }
 
 TEST(BatchRsTest, NameAndPlacementDiffer)

@@ -10,7 +10,6 @@
 
 namespace {
 
-using infless::cluster::ColdStartParams;
 using infless::cluster::ContainerRuntime;
 using infless::sim::msToTicks;
 
@@ -21,7 +20,7 @@ TEST(ContainerRuntimeTest, ColdStartGrowsWithModelSize)
     auto large = rt.coldStartTicks(400);
     EXPECT_GT(large, small);
     // The marginal cost is the per-MB load time.
-    EXPECT_EQ(large - small, 390 * rt.params().loadPerMb);
+    EXPECT_EQ(large - small, 390 * infless::cluster::kLoadPerMb);
 }
 
 TEST(ContainerRuntimeTest, ColdStartIsSecondsScaleForBigModels)
@@ -38,28 +37,6 @@ TEST(ContainerRuntimeTest, WarmStartIsNegligible)
     ContainerRuntime rt;
     EXPECT_LT(rt.warmStartTicks(), msToTicks(10));
     EXPECT_LT(rt.warmStartTicks() * 100, rt.coldStartTicks(1));
-}
-
-TEST(ContainerRuntimeTest, AcceleratedStartupIsMuchFaster)
-{
-    // SOCK/Catalyzer-style startup (3.5): an order of magnitude below
-    // the stock path, leaving the model load as the main cost.
-    ContainerRuntime stock;
-    ContainerRuntime fast(infless::cluster::acceleratedColdStartParams());
-    EXPECT_LT(fast.coldStartTicks(98) * 3, stock.coldStartTicks(98));
-    EXPECT_LT(fast.coldStartTicks(98), msToTicks(500));
-    // Still far from free for big models (the weights must load).
-    EXPECT_GT(fast.coldStartTicks(391), msToTicks(1000));
-}
-
-TEST(ContainerRuntimeTest, CustomParamsHonored)
-{
-    ColdStartParams params;
-    params.containerCreate = msToTicks(100);
-    params.libraryInit = msToTicks(50);
-    params.loadPerMb = msToTicks(2);
-    ContainerRuntime rt(params);
-    EXPECT_EQ(rt.coldStartTicks(10), msToTicks(100 + 50 + 20));
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "coldstart/evaluator.hh"
@@ -22,7 +23,6 @@ namespace {
 using infless::coldstart::evaluatePolicy;
 using infless::coldstart::FixedKeepAlive;
 using infless::coldstart::HybridHistogramPolicy;
-using infless::coldstart::LsthParams;
 using infless::coldstart::LsthPolicy;
 using infless::coldstart::PolicyEvaluation;
 using infless::sim::kTicksPerHour;
@@ -84,12 +84,13 @@ TEST(EvaluatorTest, ArrivalBeforePrewarmIsColdButFree)
 {
     // A policy with a large pre-warm window: a quick follow-up arrives
     // before the image reloads -> cold start, but no warm time wasted.
-    infless::coldstart::HhpParams params;
-    params.minSamples = 1;
-    HybridHistogramPolicy policy(params);
-    // Teach it a 30-minute gap, then arrive after 1 minute.
-    ArrivalTrace trace(std::vector<Tick>{
-        0, 30 * kTicksPerMin, 60 * kTicksPerMin, 61 * kTicksPerMin});
+    HybridHistogramPolicy policy;
+    // Teach it a 20-minute gap, then arrive after 1 minute.
+    std::vector<Tick> arrivals;
+    for (int i = 0; i <= 12; ++i)
+        arrivals.push_back(static_cast<Tick>(i) * 20 * kTicksPerMin);
+    arrivals.push_back(arrivals.back() + kTicksPerMin);
+    ArrivalTrace trace(std::move(arrivals));
     PolicyEvaluation eval = evaluatePolicy(policy, trace);
     EXPECT_GE(eval.coldStarts, 2);
 }
@@ -151,9 +152,7 @@ TEST(EvaluatorTest, GammaSweepStaysReasonable)
     // All gamma settings must produce valid evaluations; the paper finds
     // gamma = 0.5 the best waste tradeoff.
     for (double gamma : {0.3, 0.5, 0.7}) {
-        LsthParams params;
-        params.gamma = gamma;
-        LsthPolicy policy(params);
+        LsthPolicy policy(gamma);
         auto eval = evalOn(policy, TracePattern::Periodic, 5);
         EXPECT_GT(eval.invocations, 100);
         EXPECT_GE(eval.coldStartRate(), 0.0);

@@ -14,10 +14,8 @@
 namespace {
 
 using infless::coldstart::FixedKeepAlive;
-using infless::coldstart::HhpParams;
 using infless::coldstart::HybridHistogramPolicy;
 using infless::coldstart::KeepAliveDecision;
-using infless::coldstart::LsthParams;
 using infless::coldstart::LsthPolicy;
 using infless::sim::kTicksPerHour;
 using infless::sim::kTicksPerMin;
@@ -80,13 +78,11 @@ TEST(HhpTest, WindowsFromHeadTailAppliesMargins)
 
 TEST(HhpTest, OverflowHeavyHistogramFallsBack)
 {
-    HhpParams params;
-    params.range = 10 * kTicksPerMin; // tiny range so most gaps overflow
-    params.minSamples = 5;
-    HybridHistogramPolicy policy(params);
+    HybridHistogramPolicy policy;
+    // Every gap is past the 4 h range, so each one overflows.
     for (int i = 0; i <= 20; ++i)
-        policy.recordInvocation(static_cast<Tick>(i) * kTicksPerHour);
-    auto d = policy.decide(20 * kTicksPerHour);
+        policy.recordInvocation(static_cast<Tick>(i) * 5 * kTicksPerHour);
+    auto d = policy.decide(20 * 5 * kTicksPerHour);
     // Unrepresentative -> conservative always-warm.
     EXPECT_EQ(d.prewarmWindow, 0);
     EXPECT_EQ(d.keepAliveWindow, infless::coldstart::kFallbackKeepAlive);
@@ -94,20 +90,17 @@ TEST(HhpTest, OverflowHeavyHistogramFallsBack)
 
 TEST(LsthTest, GammaZeroFollowsShortHistogram)
 {
-    LsthParams params;
-    params.gamma = 0.0;
-    LsthPolicy lsth(params);
-    HhpParams hp;
-    hp.trackedDuration = LsthPolicy::kShortDuration;
-    HybridHistogramPolicy short_only(hp);
-    // Feed both the same regular invocations within the short horizon.
+    LsthPolicy lsth(0.0);
+    HybridHistogramPolicy hhp;
+    // Feed both the same regular invocations within the short horizon,
+    // so HHP's 4 h window holds exactly what LSTH's short one does.
     for (int i = 0; i <= 30; ++i) {
         Tick t = static_cast<Tick>(i) * kTicksPerMin;
         lsth.recordInvocation(t);
-        short_only.recordInvocation(t);
+        hhp.recordInvocation(t);
     }
     auto a = lsth.decide(30 * kTicksPerMin);
-    auto b = short_only.decide(30 * kTicksPerMin);
+    auto b = hhp.decide(30 * kTicksPerMin);
     EXPECT_EQ(a.prewarmWindow, b.prewarmWindow);
     EXPECT_EQ(a.keepAliveWindow, b.keepAliveWindow);
 }
@@ -130,10 +123,7 @@ TEST(LsthTest, BlendsLongAndShortHorizons)
         return t;
     };
     auto with_gamma = [&](double gamma) {
-        LsthParams params;
-        params.gamma = gamma;
-        params.minSamples = 5;
-        LsthPolicy policy(params);
+        LsthPolicy policy(gamma);
         Tick t = feed(policy);
         return policy.decide(t);
     };
@@ -159,9 +149,7 @@ TEST(LsthTest, FallsBackWhenBothHistogramsCold)
 
 TEST(LsthTest, UsesLongOnlyWhenShortIsEmpty)
 {
-    LsthParams params;
-    params.minSamples = 5;
-    LsthPolicy policy(params);
+    LsthPolicy policy;
     // All activity more than an hour ago.
     Tick t = 0;
     for (int i = 0; i < 20; ++i) {
@@ -177,16 +165,12 @@ TEST(LsthTest, UsesLongOnlyWhenShortIsEmpty)
 
 TEST(LsthTest, InvalidGammaRejected)
 {
-    LsthParams params;
-    params.gamma = 1.5;
-    EXPECT_THROW(LsthPolicy{params}, infless::sim::PanicError);
+    EXPECT_THROW(LsthPolicy{1.5}, infless::sim::PanicError);
 }
 
 TEST(LsthTest, NameIncludesGamma)
 {
-    LsthParams params;
-    params.gamma = 0.3;
-    EXPECT_EQ(LsthPolicy(params).name(), "lsth(gamma=0.3)");
+    EXPECT_EQ(LsthPolicy(0.3).name(), "lsth(gamma=0.3)");
 }
 
 TEST(PolicyFactoryTest, FactoriesProduceFreshInstances)

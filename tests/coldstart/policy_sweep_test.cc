@@ -50,11 +50,10 @@ makePolicy(PolicyKind kind)
       case PolicyKind::Lsth03:
       case PolicyKind::Lsth05:
       case PolicyKind::Lsth07: {
-          infless::coldstart::LsthParams params;
-          params.gamma = kind == PolicyKind::Lsth03   ? 0.3
+          double gamma = kind == PolicyKind::Lsth03   ? 0.3
                          : kind == PolicyKind::Lsth05 ? 0.5
                                                       : 0.7;
-          return std::make_unique<infless::coldstart::LsthPolicy>(params);
+          return std::make_unique<infless::coldstart::LsthPolicy>(gamma);
       }
     }
     return nullptr;

@@ -136,7 +136,6 @@ TEST(PlatformFaultTest, RetryExhaustionCountsExactlyOneDrop)
 {
     PlatformOptions opts;
     opts.retry.maxAttempts = 2; // one retry per request
-    opts.retry.initialBackoff = msToTicks(10);
     Platform p(2, opts);
     auto fn = p.deploy(resnetSpec());
     p.injectTrace(fn, uniformArrivals(60.0, 20 * kTicksPerSec));
@@ -300,13 +299,13 @@ TEST(PlatformDomainTest, GrayServerIsDetectedEjectedAndReadmitted)
                                                0) == 1.0)
         ++opts.seed;
     opts.health.enabled = true;
-    opts.health.probation = 20 * kTicksPerSec;
 
     Platform p(6, opts);
     EXPECT_EQ(p.grayMultiplier(0), 4.0);
     auto fn = p.deploy(resnetSpec());
-    p.injectTrace(fn, uniformArrivals(80.0, 90 * kTicksPerSec));
-    p.run(100 * kTicksPerSec);
+    // Long enough for the 60 s probation to expire mid-run.
+    p.injectTrace(fn, uniformArrivals(80.0, 150 * kTicksPerSec));
+    p.run(160 * kTicksPerSec);
 
     const auto &m = p.totalMetrics();
     // The health engine spotted the silent slowdown and quarantined the
@@ -388,7 +387,7 @@ TEST(PlatformDomainTest, OutageAlertAttributesColdAndQueueNotExec)
         // (cold starts at t=0 bleed into the first windows) and the
         // outage.
         if (row.start >= 10 * kTicksPerSec &&
-            row.start + p.sloMonitor().config().windowTicks <=
+            row.start + infless::obs::kSloWindowTicks <=
                 opts.faults.domainOutageAt) {
             pre_cq += row.coldSum + row.queueSum;
             pre_exec += row.execSum;

@@ -66,23 +66,29 @@ runBurst(Platform &p, double rps = 2000.0,
 
 TEST(PlatformOverloadTest, ZeroOverloadConfigIsBitIdentical)
 {
+    // Admission sheds once a predicted sojourn passes the SLO, so both
+    // runs serve the burst under an SLO no prediction reaches.
+    auto run = [](Platform &p) {
+        auto fn = p.deploy(resnetSpec(infless::sim::kTicksPerHour));
+        p.injectTrace(fn, uniformArrivals(2000.0, 20 * kTicksPerSec));
+        p.run(30 * kTicksPerSec);
+    };
+
     // Reference: the seed platform's defaults (overload absent).
     Platform plain(2);
-    runBurst(plain);
+    run(plain);
 
     // Inert settings: every subsystem switched on but tuned so it can
-    // never fire — unreachable thresholds, unbounded slack, the legacy
-    // queue bound. The simulation must not notice the control plane
-    // exists.
+    // never fire — unreachable thresholds, the legacy queue bound. The
+    // simulation must not notice the control plane exists.
     PlatformOptions opts;
     opts.overload.admission.enabled = true;
-    opts.overload.admission.slackFactor = 1e12;
     opts.overload.breaker.enabled = true;
     opts.overload.breaker.openThreshold = 1.5; // rate <= 1: unreachable
     opts.overload.brownout.enabled = true;
     opts.overload.brownout.enterThreshold = 1.5;
     Platform inert(2, std::move(opts));
-    runBurst(inert);
+    run(inert);
 
     EXPECT_EQ(metricTuple(plain), metricTuple(inert));
     auto snap = inert.overloadSnapshot(0);

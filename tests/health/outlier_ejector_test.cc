@@ -13,8 +13,9 @@
 namespace {
 
 using infless::cluster::ServerId;
-using infless::health::HealthConfig;
 using infless::health::kHealthEvalPeriod;
+using infless::health::kMinSamples;
+using infless::health::kProbation;
 using infless::health::OutlierEjector;
 using infless::health::ServerHealth;
 using infless::sim::kTicksPerSec;
@@ -22,16 +23,10 @@ using infless::sim::Tick;
 
 constexpr auto kAnyone = [](ServerId) { return true; };
 
-HealthConfig
-testConfig()
-{
-    HealthConfig cfg;
-    cfg.enabled = true;
-    cfg.minSamples = 10;
-    cfg.maxEjectFraction = 0.25;
-    cfg.probation = 60 * kTicksPerSec;
-    return cfg;
-}
+/** Smallest fleet with one ejection slot: floor(0.2 * 5) = 1. Server 3
+ *  is the suspect, the others its healthy peers. */
+constexpr std::size_t kFleet = 5;
+constexpr ServerId kHealthyPeers[] = {0, 1, 2, 4};
 
 /** Feed @p n exec samples with a fixed actual/base ratio. */
 void
@@ -46,7 +41,7 @@ feed(OutlierEjector &ej, ServerId id, int n, double ratio)
 
 TEST(OutlierEjectorTest, HealthyFleetEjectsNobody)
 {
-    OutlierEjector ej(testConfig());
+    OutlierEjector ej;
     ej.ensureServers(8);
     for (ServerId s = 0; s < 8; ++s)
         feed(ej, s, 20, 1.0);
@@ -59,7 +54,7 @@ TEST(OutlierEjectorTest, HealthyFleetEjectsNobody)
 
 TEST(OutlierEjectorTest, SlowOutlierEjectedAgainstFleetMedian)
 {
-    OutlierEjector ej(testConfig());
+    OutlierEjector ej;
     ej.ensureServers(8);
     for (ServerId s = 0; s < 7; ++s)
         feed(ej, s, 20, 1.0);
@@ -76,30 +71,29 @@ TEST(OutlierEjectorTest, SlowOutlierEjectedAgainstFleetMedian)
 
 TEST(OutlierEjectorTest, MinSamplesGateBlocksEarlyJudgment)
 {
-    OutlierEjector ej(testConfig());
-    ej.ensureServers(4);
-    for (ServerId s = 0; s < 3; ++s)
+    OutlierEjector ej;
+    ej.ensureServers(kFleet);
+    for (ServerId s : kHealthyPeers)
         feed(ej, s, 20, 1.0);
-    // Only 5 samples (< minSamples 10): too little evidence, however
-    // bad the ratio looks.
-    for (int i = 0; i < 5; ++i)
+    // One sample short of kMinSamples: too little evidence, however bad
+    // the ratio looks.
+    for (int i = 0; i < kMinSamples - 1; ++i)
         ej.recordExec(3, 1000, 8000);
-    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, 4);
+    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, kFleet);
     EXPECT_TRUE(acts.eject.empty());
 
     // More evidence arrives: now it is judged and ejected.
-    for (int i = 0; i < 10; ++i)
-        ej.recordExec(3, 1000, 8000);
-    acts = ej.evaluate(10 * kTicksPerSec, kAnyone, 4);
+    ej.recordExec(3, 1000, 8000);
+    acts = ej.evaluate(10 * kTicksPerSec, kAnyone, kFleet);
     ASSERT_EQ(acts.eject.size(), 1u);
     EXPECT_EQ(acts.eject[0], 3);
 }
 
 TEST(OutlierEjectorTest, FailingServerEjectedBySuccessRate)
 {
-    OutlierEjector ej(testConfig());
-    ej.ensureServers(4);
-    for (ServerId s = 0; s < 3; ++s)
+    OutlierEjector ej;
+    ej.ensureServers(kFleet);
+    for (ServerId s : kHealthyPeers)
         feed(ej, s, 20, 1.0);
     // Server 3 serves at normal speed but fails most of its work.
     for (int i = 0; i < 20; ++i) {
@@ -109,60 +103,59 @@ TEST(OutlierEjectorTest, FailingServerEjectedBySuccessRate)
         else
             ej.recordFailure(3);
     }
-    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, 4);
+    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, kFleet);
     ASSERT_EQ(acts.eject.size(), 1u);
     EXPECT_EQ(acts.eject[0], 3);
 }
 
 TEST(OutlierEjectorTest, GuardCapsEjectedFraction)
 {
-    // 8 live servers, maxEjectFraction 0.25 -> at most 2 quarantined,
+    // 10 live servers, kMaxEjectFraction 0.2 -> at most 2 quarantined,
     // even with 3 servers all far past the threshold. (A bad *majority*
     // is a different defense: it drags the median up and nobody is an
     // outlier anymore.)
-    OutlierEjector ej(testConfig());
-    ej.ensureServers(8);
-    for (ServerId s = 0; s < 5; ++s)
+    OutlierEjector ej;
+    ej.ensureServers(10);
+    for (ServerId s = 0; s < 7; ++s)
         feed(ej, s, 20, 1.0);
-    for (ServerId s = 5; s < 8; ++s)
+    for (ServerId s = 7; s < 10; ++s)
         feed(ej, s, 20, 5.0 + s); // distinct badness, worst last
 
-    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, 8);
+    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, 10);
     ASSERT_EQ(acts.eject.size(), 2u);
     EXPECT_EQ(ej.ejectedCount(), 2u);
     // Worst-first: the highest EMA/median ratios go first.
-    EXPECT_EQ(acts.eject[0], 7);
-    EXPECT_EQ(acts.eject[1], 6);
+    EXPECT_EQ(acts.eject[0], 9);
+    EXPECT_EQ(acts.eject[1], 8);
 
     // Still capped on later evaluations while the first two sit in
     // quarantine.
-    for (ServerId s = 0; s < 4; ++s)
+    for (ServerId s = 0; s < 6; ++s)
         feed(ej, s, 20, 1.0);
-    feed(ej, 4, 20, 9.0);
-    acts = ej.evaluate(10 * kTicksPerSec, kAnyone, 8);
+    feed(ej, 6, 20, 9.0);
+    acts = ej.evaluate(10 * kTicksPerSec, kAnyone, 10);
     EXPECT_TRUE(acts.eject.empty());
     EXPECT_EQ(ej.ejectedCount(), 2u);
 }
 
 TEST(OutlierEjectorTest, ProbationReadmitsWithFreshStats)
 {
-    HealthConfig cfg = testConfig();
-    OutlierEjector ej(cfg);
-    ej.ensureServers(4);
-    for (ServerId s = 0; s < 3; ++s)
+    OutlierEjector ej;
+    ej.ensureServers(kFleet);
+    for (ServerId s : kHealthyPeers)
         feed(ej, s, 20, 1.0);
     feed(ej, 3, 20, 6.0);
-    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, 4);
+    auto acts = ej.evaluate(5 * kTicksPerSec, kAnyone, kFleet);
     ASSERT_EQ(acts.eject.size(), 1u);
 
     // Before probation expires: still ejected.
-    acts = ej.evaluate(5 * kTicksPerSec + cfg.probation - 1, kAnyone, 4);
+    acts = ej.evaluate(5 * kTicksPerSec + kProbation - 1, kAnyone, kFleet);
     EXPECT_TRUE(acts.readmit.empty());
     EXPECT_EQ(ej.state(3), ServerHealth::Ejected);
 
     // Probation over: re-admitted with a clean slate (EMA back to the
     // unobserved default), so the old bad history cannot re-eject it.
-    acts = ej.evaluate(5 * kTicksPerSec + cfg.probation, kAnyone, 4);
+    acts = ej.evaluate(5 * kTicksPerSec + kProbation, kAnyone, kFleet);
     ASSERT_EQ(acts.readmit.size(), 1u);
     EXPECT_EQ(acts.readmit[0], 3);
     EXPECT_EQ(ej.state(3), ServerHealth::Healthy);
@@ -171,44 +164,42 @@ TEST(OutlierEjectorTest, ProbationReadmitsWithFreshStats)
     EXPECT_EQ(ej.ejectedCount(), 0u);
 
     // Still degraded? It re-ejects on evidence accumulated anew.
-    for (ServerId s = 0; s < 3; ++s)
+    for (ServerId s : kHealthyPeers)
         feed(ej, s, 20, 1.0);
     feed(ej, 3, 20, 6.0);
-    acts = ej.evaluate(5 * kTicksPerSec + cfg.probation +
+    acts = ej.evaluate(5 * kTicksPerSec + kProbation +
                            kHealthEvalPeriod,
-                       kAnyone, 4);
+                       kAnyone, kFleet);
     ASSERT_EQ(acts.eject.size(), 1u);
     EXPECT_EQ(ej.ejections(), 2);
 }
 
 TEST(OutlierEjectorTest, IneligibleServersAreNeverEjected)
 {
-    OutlierEjector ej(testConfig());
-    ej.ensureServers(4);
-    for (ServerId s = 0; s < 3; ++s)
+    OutlierEjector ej;
+    ej.ensureServers(kFleet);
+    for (ServerId s : kHealthyPeers)
         feed(ej, s, 20, 1.0);
     feed(ej, 3, 20, 6.0);
     // Server 3 is down (crashed): already out of the pool, ejecting it
     // would double-punish and burn the guard budget.
     auto acts = ej.evaluate(
-        5 * kTicksPerSec, [](ServerId id) { return id != 3; }, 4);
+        5 * kTicksPerSec, [](ServerId id) { return id != 3; }, kFleet);
     EXPECT_TRUE(acts.eject.empty());
 }
 
 TEST(OutlierEjectorTest, DeterministicAcrossRuns)
 {
     auto run = [] {
-        HealthConfig cfg = testConfig();
-        cfg.maxEjectFraction = 0.4; // floor(0.4 * 6) = 2 slots
-        OutlierEjector ej(cfg);
-        ej.ensureServers(6);
-        for (ServerId s = 0; s < 6; ++s)
+        OutlierEjector ej; // floor(0.2 * 10) = 2 slots
+        ej.ensureServers(10);
+        for (ServerId s = 0; s < 10; ++s)
             feed(ej, s, 20, s == 2 ? 5.0 : 1.0);
-        auto a = ej.evaluate(5 * kTicksPerSec, kAnyone, 6);
-        for (ServerId s = 0; s < 6; ++s)
+        auto a = ej.evaluate(5 * kTicksPerSec, kAnyone, 10);
+        for (ServerId s = 0; s < 10; ++s)
             if (s != 2)
                 feed(ej, s, 20, s == 4 ? 7.0 : 1.0);
-        auto b = ej.evaluate(10 * kTicksPerSec, kAnyone, 6);
+        auto b = ej.evaluate(10 * kTicksPerSec, kAnyone, 10);
         std::vector<ServerId> out = a.eject;
         out.insert(out.end(), b.eject.begin(), b.eject.end());
         return out;

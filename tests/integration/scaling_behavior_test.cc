@@ -17,7 +17,6 @@ namespace {
 
 using infless::core::FunctionSpec;
 using infless::core::Platform;
-using infless::core::PlatformOptions;
 using infless::sim::kTicksPerMin;
 using infless::sim::kTicksPerSec;
 using infless::sim::msToTicks;
@@ -90,28 +89,6 @@ TEST(ScalingBehaviorTest, NoFunctionStarvesUnderClusterPressure)
     }
     EXPECT_GT(least, 0);
     EXPECT_GT(least * 20, most); // within 20x of each other
-}
-
-TEST(ScalingBehaviorTest, AcceleratedColdStartsCutRampViolations)
-{
-    auto ramp_violations = [](infless::cluster::ColdStartParams params) {
-        PlatformOptions opts;
-        opts.coldStart = params;
-        Platform p(4, opts);
-        auto fn =
-            p.deploy(FunctionSpec{"r", "ResNet-50", msToTicks(200), 32});
-        p.injectTrace(fn, infless::workload::uniformArrivals(
-                              80.0, 20 * kTicksPerSec));
-        p.run(30 * kTicksPerSec);
-        return p.totalMetrics().sloViolationRate() +
-               static_cast<double>(p.totalMetrics().drops());
-    };
-    double stock = ramp_violations(infless::cluster::ColdStartParams{});
-    double fast = ramp_violations(
-        infless::cluster::acceleratedColdStartParams());
-    // SOCK/Catalyzer-style startup shrinks the cold window, so the ramp
-    // hurts less (3.5's suggestion for spikes LSTH cannot pre-warm).
-    EXPECT_LT(fast, stock);
 }
 
 TEST(ScalingBehaviorTest, DrainingInstancesKeepServingDuringHandover)

@@ -17,15 +17,15 @@ namespace {
 using infless::obs::FlightConfig;
 using infless::obs::FlightRecorder;
 using infless::obs::FlightTrigger;
+using infless::obs::kFlightCapacity;
 using infless::obs::SpanKind;
 using infless::sim::Tick;
 
 FlightRecorder
-makeRecorder(std::size_t capacity = 8)
+makeRecorder()
 {
     FlightConfig cfg;
     cfg.enabled = true;
-    cfg.capacity = capacity;
     FlightRecorder recorder;
     recorder.configure(cfg);
     return recorder;
@@ -99,15 +99,17 @@ TEST(FlightRecorderTest, FirstTriggerFreezesTheDump)
 
 TEST(FlightRecorderTest, RingBoundsTheEvidence)
 {
-    FlightRecorder recorder = makeRecorder(/*capacity=*/4);
-    for (std::int64_t r = 0; r < 10; ++r)
+    FlightRecorder recorder = makeRecorder();
+    const auto total = static_cast<std::int64_t>(kFlightCapacity) + 6;
+    for (std::int64_t r = 0; r < total; ++r)
         recordExec(recorder, r, 100 * r);
-    recorder.trigger(FlightTrigger::SloFastBurn, 1000);
-    // Last 4 spans (requests 6..9) + marker, oldest first.
-    ASSERT_EQ(recorder.dump().size(), 5u);
+    recorder.trigger(FlightTrigger::SloFastBurn, 100 * total);
+    // Last kFlightCapacity spans (requests 6..total-1) + marker, oldest
+    // first.
+    ASSERT_EQ(recorder.dump().size(), kFlightCapacity + 1);
     EXPECT_EQ(recorder.dump().front().request, 6);
-    EXPECT_EQ(recorder.dump()[3].request, 9);
-    EXPECT_EQ(recorder.recorded(), 10u);
+    EXPECT_EQ(recorder.dump()[kFlightCapacity - 1].request, total - 1);
+    EXPECT_EQ(recorder.recorded(), static_cast<std::uint64_t>(total));
 }
 
 TEST(FlightRecorderTest, ClusterEventsLandInTheRing)

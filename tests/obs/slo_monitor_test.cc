@@ -15,6 +15,7 @@ namespace {
 
 using infless::obs::AlertEdge;
 using infless::obs::AlertKind;
+using infless::obs::kSloWindowTicks;
 using infless::obs::SloAlert;
 using infless::obs::SloHealthMerge;
 using infless::obs::SloMonitor;
@@ -26,21 +27,19 @@ using infless::sim::Tick;
 
 constexpr std::int32_t kFn = 0;
 constexpr Tick kSlo = 100 * kTicksPerMs;
-constexpr Tick kWindow = kTicksPerSec;
+constexpr Tick kWindow = kSloWindowTicks;
 
-/** Tight test configuration: 1s windows, 10% budget, fast = burn 5 over
- *  2 windows, slow = burn 2 over 4 windows, 10-sample floor. */
+/** Tight test configuration: 10% budget, fast = burn 5 over 2 windows,
+ *  slow = burn 2 over 4 windows (1 s windows, 20-sample floor and a
+ *  2-window clear streak are fixed). */
 SloMonitorConfig
 testConfig()
 {
     SloMonitorConfig cfg;
     cfg.enabled = true;
-    cfg.windowTicks = kWindow;
     cfg.errorBudget = 0.1;
     cfg.fast = {5.0, 2};
     cfg.slow = {2.0, 4};
-    cfg.clearWindows = 2;
-    cfg.minSamples = 10;
     return cfg;
 }
 

@@ -17,6 +17,7 @@ using infless::overload::BreakerConfig;
 using infless::overload::BreakerState;
 using infless::overload::breakerStateName;
 using infless::overload::CircuitBreaker;
+using infless::overload::kHalfOpenSuccesses;
 using infless::sim::kTicksPerSec;
 using infless::sim::Tick;
 
@@ -31,7 +32,6 @@ testConfig()
     cfg.minSamples = 10;
     cfg.openDuration = kTicksPerSec;
     cfg.probeFraction = 1.0; // every request is a probe while half-open
-    cfg.halfOpenSuccesses = 3;
     return cfg;
 }
 
@@ -102,10 +102,11 @@ TEST(CircuitBreakerTest, ProbeSuccessesClose)
     Tick t = b.openedAt() + kTicksPerSec;
     EXPECT_TRUE(b.allow(t, 0));
     ASSERT_EQ(b.state(), BreakerState::HalfOpen);
-    // Only the last of the three probe successes is a transition.
-    EXPECT_FALSE(b.record(t, false));
-    EXPECT_FALSE(b.record(t + 1, false));
-    EXPECT_TRUE(b.record(t + 2, false));
+    // Only the last of the kHalfOpenSuccesses probe successes is a
+    // transition.
+    for (int i = 0; i < kHalfOpenSuccesses - 1; ++i)
+        EXPECT_FALSE(b.record(t + i, false));
+    EXPECT_TRUE(b.record(t + kHalfOpenSuccesses - 1, false));
     EXPECT_EQ(b.state(), BreakerState::Closed);
 }
 
@@ -165,7 +166,7 @@ TEST(CircuitBreakerTest, RecoveredWindowStaysClosed)
     feed(b, 0, 10, true);
     Tick t = b.openedAt() + kTicksPerSec;
     EXPECT_TRUE(b.allow(t, 0));
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < kHalfOpenSuccesses; ++i)
         b.record(t + i, false);
     ASSERT_EQ(b.state(), BreakerState::Closed);
     // The pre-open failure window was reset on close: healthy traffic
@@ -195,14 +196,14 @@ TEST(CircuitBreakerTest, FailedProbeCycleDoesNotWedge)
     // Still shedding through the second cooldown.
     EXPECT_FALSE(b.allow(t + kTicksPerSec - 1, 1));
 
-    // Second recovery attempt succeeds: halfOpenSuccesses clean probes
+    // Second recovery attempt succeeds: kHalfOpenSuccesses clean probes
     // close it for good.
     Tick t2 = t + kTicksPerSec;
     EXPECT_TRUE(b.allow(t2, 2));
     ASSERT_EQ(b.state(), BreakerState::HalfOpen);
-    EXPECT_FALSE(b.record(t2, false));
-    EXPECT_FALSE(b.record(t2 + 1, false));
-    EXPECT_TRUE(b.record(t2 + 2, false));
+    for (int i = 0; i < kHalfOpenSuccesses - 1; ++i)
+        EXPECT_FALSE(b.record(t2 + i, false));
+    EXPECT_TRUE(b.record(t2 + kHalfOpenSuccesses - 1, false));
     EXPECT_EQ(b.state(), BreakerState::Closed);
     // And it admits traffic again.
     EXPECT_TRUE(b.allow(t2 + 10, 3));

@@ -15,7 +15,6 @@ namespace {
 
 using infless::sim::kTicksPerHour;
 using infless::sim::kTicksPerMin;
-using infless::workload::AzureSynthParams;
 using infless::workload::RateSeries;
 using infless::workload::synthesizeTrace;
 using infless::workload::TracePattern;
@@ -125,20 +124,6 @@ TEST(AzureSynthTest, DeterministicPerSeed)
     EXPECT_EQ(a.rps, b.rps);
     RateSeries c = synthesizeTrace(TracePattern::Bursty, 10.0, 1.0, 100);
     EXPECT_NE(a.rps, c.rps);
-}
-
-TEST(AzureSynthTest, CustomParamsRespected)
-{
-    AzureSynthParams params;
-    params.pattern = TracePattern::Periodic;
-    params.meanRps = 4.0;
-    params.days = 0.5;
-    params.diurnalAmplitude = 0.0; // flat
-    params.seed = 3;
-    RateSeries s = synthesizeTrace(params);
-    EXPECT_NEAR(s.meanRps(), 4.0, 1e-9);
-    // With zero amplitude the series is nearly flat (only log-noise).
-    EXPECT_LT(s.peakRps() / s.meanRps(), 1.3);
 }
 
 } // namespace
