@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for scale-in drain planning.
+ * Unit tests for scale-in drain planning and the per-tick scale-out
+ * claim.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@ namespace {
 
 using infless::core::chooseDrains;
 using infless::core::InstanceRateInfo;
+using infless::core::scaleOutClaim;
 
 TEST(ChooseDrainsTest, NoDrainWhenLoadIsHealthy)
 {
@@ -72,6 +74,36 @@ TEST(ChooseDrainsTest, MismatchedAritiesPanic)
 TEST(ChooseDrainsTest, EmptyInstancesYieldNoDrains)
 {
     EXPECT_TRUE(chooseDrains({}, {}, 5.0, 0.8).empty());
+}
+
+TEST(ScaleOutClaimTest, UnprioritizedClaimsAQuarterOfTheMeasuredRate)
+{
+    // 0.25 x 400 = 100 is above the 50 RPS floor and below the residual.
+    EXPECT_DOUBLE_EQ(scaleOutClaim(400.0, 1000.0, false), 100.0);
+}
+
+TEST(ScaleOutClaimTest, UnprioritizedClaimNeverFallsBelowTheFloor)
+{
+    // 0.25 x 100 = 25 is under the floor: a quiet function still grows
+    // by 50 RPS a tick.
+    EXPECT_DOUBLE_EQ(scaleOutClaim(100.0, 1000.0, false), 50.0);
+    EXPECT_DOUBLE_EQ(scaleOutClaim(0.0, 1000.0, false), 50.0);
+}
+
+TEST(ScaleOutClaimTest, UnprioritizedClaimIsCappedByTheResidual)
+{
+    // Both the quarter slice (100) and the floor (50) exceed the
+    // residual: never claim more than is missing.
+    EXPECT_DOUBLE_EQ(scaleOutClaim(400.0, 30.0, false), 30.0);
+    EXPECT_DOUBLE_EQ(scaleOutClaim(400.0, 80.0, false), 80.0);
+}
+
+TEST(ScaleOutClaimTest, PrioritizedClaimsTheWholeResidual)
+{
+    // Brownout asks for scale-out at full speed: no slice, no floor.
+    EXPECT_DOUBLE_EQ(scaleOutClaim(400.0, 1000.0, true), 1000.0);
+    EXPECT_DOUBLE_EQ(scaleOutClaim(400.0, 30.0, true), 30.0);
+    EXPECT_DOUBLE_EQ(scaleOutClaim(0.0, 1000.0, true), 1000.0);
 }
 
 } // namespace
