@@ -4,19 +4,11 @@
 
 namespace infless::core {
 
-BatchQueue::BatchQueue(int batch_size, sim::Tick max_wait,
-                       std::size_t depth_cap)
-    : batchSize_(batch_size), maxWait_(max_wait), depthCap_(depth_cap)
+BatchQueue::BatchQueue(int batch_size, sim::Tick max_wait)
+    : batchSize_(batch_size), maxWait_(max_wait)
 {
     sim::simAssert(batch_size >= 1, "batch size must be >= 1");
     sim::simAssert(max_wait >= 0, "max wait must be >= 0");
-}
-
-void
-BatchQueue::setMaxWait(sim::Tick max_wait)
-{
-    sim::simAssert(max_wait >= 0, "max wait must be >= 0");
-    maxWait_ = max_wait;
 }
 
 bool

@@ -34,33 +34,16 @@ class BatchQueue
      * @param batch_size Batch the queue aggregates toward.
      * @param max_wait Longest a head request may wait before the partial
      *        batch must be submitted (t_slo - t_exec).
-     * @param depth_cap Queue depth bound in requests; 0 keeps the legacy
-     *        bound of one full pending batch.
      */
-    BatchQueue(int batch_size, sim::Tick max_wait,
-               std::size_t depth_cap = 0);
+    BatchQueue(int batch_size, sim::Tick max_wait);
 
     int batchSize() const { return batchSize_; }
-
-    /** Effective depth bound (configured cap or one full batch). */
-    std::size_t depthCap() const
-    {
-        return depthCap_ != 0 ? depthCap_
-                              : static_cast<std::size_t>(batchSize_);
-    }
-
-    /**
-     * Re-aim the submission deadline (brownout relaxing/restoring the
-     * batching slack of a live instance). Applies to the current head
-     * as well: callers must re-arm their timeout.
-     */
-    void setMaxWait(sim::Tick max_wait);
 
     /**
      * Try to enqueue a request.
      *
-     * @return false when the queue is at its depth cap and the request
-     *         must be dropped, evicted into, or re-routed.
+     * @return false when the queue already holds a full batch and the
+     *         request must be dropped, evicted into, or re-routed.
      */
     bool push(RequestIndex request, sim::Tick now);
 
@@ -75,7 +58,7 @@ class BatchQueue
     }
 
     /** Whether another request can still enter. */
-    bool hasRoom() const { return size() < depthCap(); }
+    bool hasRoom() const { return !hasFullBatch(); }
 
     /**
      * Deadline by which the head request forces submission
@@ -112,7 +95,6 @@ class BatchQueue
 
     int batchSize_;
     sim::Tick maxWait_;
-    std::size_t depthCap_;
     std::deque<Entry> entries_;
 };
 

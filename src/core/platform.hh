@@ -83,7 +83,7 @@ struct PlatformOptions
      */
     obs::ObsOptions obs;
     /**
-     * Overload control plane: deadline-aware admission, bounded queues,
+     * Overload control plane: deadline-aware admission, queue eviction,
      * circuit breakers and brownout (all off by default; the disabled
      * config is bit-identical to not having the subsystem).
      */
@@ -620,9 +620,6 @@ class Platform
 
     // Overload control plane --------------------------------------------------
 
-    /** SLO stretched by the brownout multiplier while the brownout
-     *  pressure window is hot (see BrownoutController::relaxing). */
-    sim::Tick effectiveSlo(const FunctionState &f) const;
     /** True while any non-draining live instance is still cold-starting
      *  (drops during provisioning bypass the breaker). */
     bool coldCapacityPending(const FunctionState &f) const;
@@ -687,8 +684,8 @@ class Platform
     /** Surface the breaker's state change just made to metrics and the
      *  tracer. */
     void noteBreakerEdge(FunctionId fn);
-    /** Surface the brownout enter/exit just made and re-aim live queue
-     *  deadlines. */
+    /** Surface the brownout enter/exit just made to metrics and the
+     *  tracer. */
     void noteBrownoutEdge(FunctionId fn);
     double aggregateRUp(const FunctionState &fn) const;
     std::size_t usageKeyFor(FunctionState &fn,

@@ -346,11 +346,8 @@ Platform::continueReconfigure(FunctionId fn, double measured)
 std::vector<LaunchPlan>
 Platform::planScaleOut(FunctionState &f, double residual_rps)
 {
-    // Always plan against the nominal SLO, even under brownout: configs
-    // picked for the degraded envelope would keep violating the nominal
-    // SLO long after brownout exits (instances linger until the next
-    // reconfig). Brownout instead relaxes queue max-wait, which the
-    // exit path re-aims instantly.
+    // Brownout changes how much residual a tick claims
+    // (scaleOutClaim), never the SLO the configs are planned against.
     SpreadContext spread = spreadContextFor(f);
     return scheduler_.schedule(*f.model, residual_rps, f.spec.sloTicks,
                                f.spec.maxBatch, cluster_,

@@ -124,14 +124,13 @@ Platform::launchInstance(FunctionId fn, const LaunchPlan &plan,
         }
     }
     sim::Tick max_wait =
-        std::max<sim::Tick>(0, effectiveSlo(f) - plan.execPredicted);
+        std::max<sim::Tick>(0, f.spec.sloTicks - plan.execPredicted);
 
     std::size_t idx = instances_.size();
     instances_.push_back(InstanceRuntime{
         cluster::Instance(nextInstanceId_++, f.spec.name, plan.config,
                           plan.server, now, cold),
-        BatchQueue(plan.config.batchSize, max_wait,
-                   opts_.overload.queue.depthCap),
+        BatchQueue(plan.config.batchSize, max_wait),
         plan.bounds, plan.execPredicted});
     InstanceRuntime &rt = instances_.back();
     rt.targetRate = plan.bounds.up;

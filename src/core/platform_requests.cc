@@ -297,16 +297,12 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
                                   exec_time);
     }
 
-    // Health feedback is judged against the *effective* SLO and only
-    // on the serving path (queue + exec): while brownout holds the
-    // degraded envelope, completions inside it must count as
-    // successes or the breaker can never close, and a cold-start
-    // wait is a provisioning event (admission's domain), not
-    // evidence that warm servers are overloaded. Reported metrics
-    // above stay pinned to the nominal SLO and full latency.
-    sim::Tick health_slo = effectiveSlo(f);
+    // Health feedback is judged on the serving path only (queue +
+    // exec): a cold-start wait is a provisioning event (admission's
+    // domain), not evidence that warm servers are overloaded. Reported
+    // metrics above stay pinned to the full latency.
     sim::Tick serving = parts.total() - parts.coldStart;
-    bool violated = health_slo > 0 && serving > health_slo;
+    bool violated = f.spec.sloTicks > 0 && serving > f.spec.sloTicks;
     if (f.breaker.record(sim_.now(), violated))
         noteBreakerEdge(record.function);
     if (f.brownout.record(sim_.now(), violated))
@@ -469,15 +465,6 @@ Platform::failoverRequest(FunctionId fn, RequestIndex request)
 // Overload control plane
 // ---------------------------------------------------------------------------
 
-sim::Tick
-Platform::effectiveSlo(const FunctionState &f) const
-{
-    if (!f.brownout.relaxing(sim_.now()))
-        return f.spec.sloTicks;
-    return static_cast<sim::Tick>(static_cast<double>(f.spec.sloTicks) *
-                                  f.brownout.sloMultiplier());
-}
-
 bool
 Platform::coldCapacityPending(const FunctionState &f) const
 {
@@ -512,7 +499,7 @@ Platform::admitStatic(FunctionId fn, RequestIndex request,
     if (!scan.anyRoom)
         return true;
     FunctionState &f = functionState(fn);
-    if (scan.admitBest <= effectiveSlo(f))
+    if (scan.admitBest <= f.spec.sloTicks)
         return true;
     shedRequest(f, request, sim_.now(), ShedCause::Admission);
     // A capacity-driven shed is also a scale-out signal: without this,
@@ -664,16 +651,6 @@ Platform::noteBrownoutEdge(FunctionId fn)
     emitFunctionEvent(active ? obs::SpanKind::BrownoutEnter
                              : obs::SpanKind::BrownoutExit,
                       fn, now);
-    // Re-aim live queue deadlines at the new effective SLO so the
-    // batching slack relaxes (and later restores) without waiting for
-    // fleet turnover.
-    for (std::size_t idx : f.live) {
-        InstanceRuntime &rt = instances_[idx];
-        rt.queue.setMaxWait(std::max<sim::Tick>(
-            0, effectiveSlo(f) - rt.execPredicted));
-        if (!rt.queue.empty())
-            armTimeout(idx);
-    }
 }
 
 } // namespace infless::core

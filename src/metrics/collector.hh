@@ -102,7 +102,7 @@ class RunMetrics
     /** A circuit breaker closed again after successful probes. */
     void recordBreakerClose();
 
-    /** A function entered brownout (degraded-SLO) mode. */
+    /** A function entered brownout mode. */
     void recordBrownoutEntry();
 
     /** A function left brownout mode. */

@@ -54,12 +54,12 @@ const char *alertEdgeName(AlertEdge edge)
 
 // SloHealthCore --------------------------------------------------------------
 
+static_assert(kSloErrorBudget > 0.0, "SLO error budget must be positive");
+static_assert(kFastBurnRule.windows > 0 && kSlowBurnRule.windows > 0,
+              "burn rules must span at least one window");
+
 void SloHealthCore::configure(const SloMonitorConfig &config)
 {
-    sim::simAssert(config.errorBudget > 0.0,
-                   "SLO error budget must be positive");
-    sim::simAssert(config.fast.windows > 0 && config.slow.windows > 0,
-                   "burn rules must span at least one window");
     config_ = config;
 }
 
@@ -141,11 +141,11 @@ void SloHealthCore::closeWindow(std::int32_t fn, const WindowRow &row)
     stored.burn =
         stored.finished() > 0
             ? (double(stored.violations + stored.drops) /
-               double(stored.finished())) / config_.errorBudget
+               double(stored.finished())) / kSloErrorBudget
             : 0.0;
     sim::Tick at = stored.start + kSloWindowTicks;
-    stepRule(fn, f, AlertKind::FastBurn, config_.fast, f.fast, at);
-    stepRule(fn, f, AlertKind::SlowBurn, config_.slow, f.slow, at);
+    stepRule(fn, f, AlertKind::FastBurn, kFastBurnRule, f.fast, at);
+    stepRule(fn, f, AlertKind::SlowBurn, kSlowBurnRule, f.slow, at);
 }
 
 void SloHealthCore::stepRule(std::int32_t fn, FnHealth &f, AlertKind kind,
@@ -171,7 +171,7 @@ void SloHealthCore::stepRule(std::int32_t fn, FnHealth &f, AlertKind kind,
         exec += w.execSum;
     }
     double burn =
-        finished > 0 ? (double(bad) / double(finished)) / config_.errorBudget
+        finished > 0 ? (double(bad) / double(finished)) / kSloErrorBudget
                      : 0.0;
     state.lastBurn = burn;
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Brownout controller: under sustained overload, trade latency for
- * throughput within a degraded-SLO envelope and prioritize scale-out.
+ * Brownout controller: under sustained overload, prioritize scale-out
+ * (full-residual claims) until the pressure clears.
  */
 
 #ifndef INFLESS_OVERLOAD_BROWNOUT_HH
@@ -12,26 +12,23 @@
 
 namespace infless::overload {
 
+/** Sliding window over which overload pressure is measured. */
+inline constexpr sim::Tick kBrownoutWindow = 5 * sim::kTicksPerSec;
+inline constexpr int kBrownoutWindowBuckets = 10;
+/** Pressure fraction (drops + sheds + violations over all outcomes)
+ *  at/above which brownout engages. */
+inline constexpr double kBrownoutEnterThreshold = 0.15;
 /** Pressure fraction at/below which brownout may disengage. */
 inline constexpr double kBrownoutExitThreshold = 0.05;
+/** Minimum outcomes in the window before entering. */
+inline constexpr int kBrownoutMinSamples = 50;
+/** Minimum time browned-out before the exit test applies (hysteresis
+ *  against flapping). */
+inline constexpr sim::Tick kBrownoutMinHold = 10 * sim::kTicksPerSec;
 
 struct BrownoutConfig
 {
     bool enabled = false;
-    /** Sliding window over which overload pressure is measured. */
-    sim::Tick window = 5 * sim::kTicksPerSec;
-    int windowBuckets = 10;
-    /** Pressure fraction (drops + sheds + violations over all
-     *  outcomes) at/above which brownout engages. */
-    double enterThreshold = 0.15;
-    /** Minimum outcomes in the window before entering. */
-    int minSamples = 50;
-    /** Minimum time browned-out before the exit test applies
-     *  (hysteresis against flapping). */
-    sim::Tick minHold = 10 * sim::kTicksPerSec;
-    /** Admitted requests may run this multiple of the nominal SLO
-     *  while browned out (relaxed batching slack). */
-    double degradedSloMultiplier = 2.0;
 };
 
 /**
@@ -47,7 +44,8 @@ class BrownoutController
     BrownoutController() : BrownoutController(BrownoutConfig{}) {}
 
     explicit BrownoutController(const BrownoutConfig &config)
-        : config_(config), window_(config.window, config.windowBuckets)
+        : enabled_(config.enabled),
+          window_(kBrownoutWindow, kBrownoutWindowBuckets)
     {
     }
 
@@ -55,7 +53,7 @@ class BrownoutController
      *  true when it entered or left brownout. */
     bool record(sim::Tick now, bool overloaded)
     {
-        if (!config_.enabled)
+        if (!enabled_)
             return false;
         window_.record(now, overloaded);
         return update(now);
@@ -65,18 +63,18 @@ class BrownoutController
      *  true when it entered or left brownout. */
     bool update(sim::Tick now)
     {
-        if (!config_.enabled)
+        if (!enabled_)
             return false;
         if (!active_) {
-            if (window_.samples(now) >= config_.minSamples &&
-                window_.failureRate(now) >= config_.enterThreshold) {
+            if (window_.samples(now) >= kBrownoutMinSamples &&
+                window_.failureRate(now) >= kBrownoutEnterThreshold) {
                 active_ = true;
                 enteredAt_ = now;
                 return true;
             }
             return false;
         }
-        if (now - enteredAt_ >= config_.minHold &&
+        if (now - enteredAt_ >= kBrownoutMinHold &&
             window_.failureRate(now) <= kBrownoutExitThreshold) {
             active_ = false;
             return true;
@@ -86,25 +84,8 @@ class BrownoutController
 
     bool active() const { return active_; }
 
-    /** Whether the deadline stretch applies right now: browned out AND
-     *  the pressure window is still hot. During the tail of the hold
-     *  (pressure gone, hold not yet expired) batching reverts to the
-     *  nominal deadline, otherwise every timeout-driven batch in the
-     *  lull would violate the nominal SLO for no throughput gain. */
-    bool relaxing(sim::Tick now) const
-    {
-        return active_ &&
-               window_.failureRate(now) > kBrownoutExitThreshold;
-    }
-
-    /** Current SLO stretch: degraded multiplier while active, else 1. */
-    double sloMultiplier() const
-    {
-        return active_ ? config_.degradedSloMultiplier : 1.0;
-    }
-
   private:
-    BrownoutConfig config_;
+    bool enabled_;
     RollingRate window_;
     bool active_ = false;
     sim::Tick enteredAt_ = 0;

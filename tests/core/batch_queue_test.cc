@@ -112,31 +112,23 @@ TEST(BatchQueueTest, InvalidConstructionPanics)
     EXPECT_THROW(BatchQueue(4, -1), infless::sim::PanicError);
 }
 
-TEST(BatchQueueTest, DepthCapOverridesLegacyBound)
+TEST(BatchQueueTest, ZeroDepthCapKeepsLegacyBound)
 {
-    BatchQueue q(4, msToTicks(100), 6);
-    EXPECT_EQ(q.depthCap(), 6u);
-    for (int i = 0; i < 6; ++i)
+    // The queue holds at most one pending batch (§3.2, Fig. 6a
+    // over-submission): the fifth request is refused until a batch
+    // leaves.
+    BatchQueue q(4, msToTicks(100));
+    for (int i = 0; i < 4; ++i)
         EXPECT_TRUE(q.push(i, i));
     EXPECT_FALSE(q.hasRoom());
-    EXPECT_FALSE(q.push(6, 6));
-    // A full batch is still released from the deeper queue.
+    EXPECT_FALSE(q.push(4, 4));
     EXPECT_EQ(q.takeBatch().size(), 4u);
     EXPECT_TRUE(q.hasRoom());
 }
 
-TEST(BatchQueueTest, ZeroDepthCapKeepsLegacyBound)
-{
-    BatchQueue q(4, msToTicks(100), 0);
-    EXPECT_EQ(q.depthCap(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(q.push(i, i));
-    EXPECT_FALSE(q.push(4, 4));
-}
-
 TEST(BatchQueueTest, EvictOldestPopsHeadInFifoOrder)
 {
-    BatchQueue q(4, msToTicks(100), 8);
+    BatchQueue q(4, msToTicks(100));
     q.push(7, 0);
     q.push(8, 10);
     q.push(9, 20);
@@ -158,7 +150,7 @@ TEST(BatchQueueTest, ZeroSlackHeadExpiresAtEnqueueTick)
     // SLO slack of exactly zero at enqueue: the head's deadline is its
     // own arrival tick, forcing immediate submission rather than a
     // negative or never deadline.
-    BatchQueue q(4, 0, 8);
+    BatchQueue q(4, 0);
     q.push(1, msToTicks(5));
     EXPECT_EQ(q.headDeadline(), msToTicks(5));
     EXPECT_EQ(q.takeBatch().size(), 1u);
@@ -169,24 +161,13 @@ TEST(BatchQueueTest, EvictionAtDeadlineTickPromotesNextHead)
     // Eviction racing the head's timeout in the same tick: evicting the
     // expired head must leave the next request's (later) deadline, not
     // the stale one.
-    BatchQueue q(4, msToTicks(100), 8);
+    BatchQueue q(4, msToTicks(100));
     q.push(1, 0);
     q.push(2, msToTicks(60));
     ASSERT_EQ(q.headDeadline(), msToTicks(100));
     EXPECT_EQ(q.evictOldest(), 1);
     EXPECT_EQ(q.headDeadline(), msToTicks(160));
     EXPECT_EQ(q.headArrival(), msToTicks(60));
-}
-
-TEST(BatchQueueTest, SetMaxWaitReaimsCurrentHead)
-{
-    BatchQueue q(4, msToTicks(100));
-    q.push(1, msToTicks(10));
-    ASSERT_EQ(q.headDeadline(), msToTicks(110));
-    q.setMaxWait(msToTicks(200));
-    EXPECT_EQ(q.headDeadline(), msToTicks(210));
-    q.setMaxWait(0);
-    EXPECT_EQ(q.headDeadline(), msToTicks(10));
 }
 
 } // namespace

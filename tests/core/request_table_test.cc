@@ -181,7 +181,6 @@ TEST(PlatformRequestTableTest, RecordsTrackInFlightThroughChaos)
     // doomed heads for eviction.
     opts.overload = OverloadConfig::fullStack();
     opts.overload.admission.enabled = false;
-    opts.overload.queue.depthCap = 4;
 
     Platform p(6, std::move(opts));
     FunctionSpec spec;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/platform.hh"
@@ -371,23 +372,35 @@ TEST(ShardedPlatform, CellSeedsDiverge)
     EXPECT_NE(platform.cell(0).options().seed, opts.seed);
 }
 
-std::vector<double>
+/** The fingerprint of a 4-cell run of two functions, each at half of
+ *  brownout's sample floor (kBrownoutMinSamples outcomes per
+ *  kBrownoutWindow), plus its brownout entries. */
+std::pair<std::vector<double>, std::int64_t>
 multiCellFingerprint(const PlatformOptions &opts)
 {
+    constexpr double kRps =
+        0.5 * infless::overload::kBrownoutMinSamples /
+        infless::sim::ticksToSec(infless::overload::kBrownoutWindow);
     CellOptions cells;
     cells.cells = 4;
     ShardedPlatform platform(16, opts, cells);
-    driveWorkload(platform);
-    return fingerprint(platform.totalMetrics(), kRunEnd);
+    auto fn0 = platform.deploy(spec("resnet", "ResNet-50"));
+    auto fn1 = platform.deploy(spec("mobilenet", "MobileNet"));
+    platform.injectTrace(fn0, uniformArrivals(kRps, 20 * kTicksPerSec));
+    platform.injectRateSeries(fn1, constantRate(kRps, 20 * kTicksPerSec));
+    platform.run(kRunEnd);
+    return {fingerprint(platform.totalMetrics(), kRunEnd),
+            platform.totalMetrics().brownoutEntries()};
 }
 
 TEST(ShardedPlatform, ZeroOverloadConfigIsBitIdenticalMultiCell)
 {
     // The flat-platform inertness pin, repeated across cells: per-cell
     // control-plane state (breakers, brownout) must not leak into any
-    // cell's event stream when tuned unreachable. Admission keeps no
-    // state and cannot be tuned inert at this workload's SLO, so the
-    // flat pin covers it.
+    // cell's event stream while it cannot fire — the breaker tuned
+    // unreachable, brownout fed too few outcomes to engage.
+    // Admission keeps no state and cannot be made inert at this
+    // workload's SLO, so the flat pin covers it.
     PlatformOptions plain;
     plain.seed = 7;
 
@@ -395,8 +408,9 @@ TEST(ShardedPlatform, ZeroOverloadConfigIsBitIdenticalMultiCell)
     inert.overload.breaker.enabled = true;
     inert.overload.breaker.openThreshold = 1.5;
     inert.overload.brownout.enabled = true;
-    inert.overload.brownout.enterThreshold = 1.5;
-    EXPECT_EQ(multiCellFingerprint(plain), multiCellFingerprint(inert));
+    auto [inert_fp, inert_entries] = multiCellFingerprint(inert);
+    EXPECT_EQ(multiCellFingerprint(plain).first, inert_fp);
+    EXPECT_EQ(inert_entries, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ namespace {
 using infless::obs::AlertEdge;
 using infless::obs::AlertKind;
 using infless::obs::kSloWindowTicks;
+using infless::obs::kSlowBurnRule;
 using infless::obs::SloAlert;
 using infless::obs::SloHealthMerge;
 using infless::obs::SloMonitor;
@@ -29,17 +30,14 @@ constexpr std::int32_t kFn = 0;
 constexpr Tick kSlo = 100 * kTicksPerMs;
 constexpr Tick kWindow = kSloWindowTicks;
 
-/** Tight test configuration: 10% budget, fast = burn 5 over 2 windows,
- *  slow = burn 2 over 4 windows (1 s windows, 20-sample floor and a
- *  2-window clear streak are fixed). */
+/** An enabled monitor. The rules are fixed: 1% budget, fast = burn
+ *  14.4 over 2 windows, slow = burn 6 over 12 windows (1 s windows,
+ *  20-sample floor, 2-window clear streak). */
 SloMonitorConfig
 testConfig()
 {
     SloMonitorConfig cfg;
     cfg.enabled = true;
-    cfg.errorBudget = 0.1;
-    cfg.fast = {5.0, 2};
-    cfg.slow = {2.0, 4};
     return cfg;
 }
 
@@ -52,15 +50,9 @@ makeMonitor(SloMonitorConfig cfg = testConfig())
     return monitor;
 }
 
-/** testConfig with the slow rule out of reach, for tests exercising the
- *  fast rule's edges in isolation. */
-SloMonitorConfig
-fastOnlyConfig()
-{
-    SloMonitorConfig cfg = testConfig();
-    cfg.slow.threshold = 1e9;
-    return cfg;
-}
+/** The fast rule's edge tests below run at most 7 windows, fewer than
+ *  the slow rule spans, so the slow rule cannot fire in them. */
+static_assert(kSlowBurnRule.windows > 7);
 
 /** Fill window @p window with @p good in-SLO and @p bad violating
  *  completions (fixed attribution split: 10/20/5 ms + exec). */
@@ -126,8 +118,8 @@ TEST(SloMonitorTest, BurnRateIsViolationFractionOverBudget)
     const WindowRow &row = monitor.closed(kFn)[0];
     EXPECT_EQ(row.completions, 10);
     EXPECT_EQ(row.violations, 2);
-    // (2 bad / 10 finished) / 0.1 budget = 2x burn.
-    EXPECT_DOUBLE_EQ(row.burn, 2.0);
+    // (2 bad / 10 finished) / 0.01 budget = 20x burn.
+    EXPECT_DOUBLE_EQ(row.burn, 20.0);
 }
 
 TEST(SloMonitorTest, LatencyExactlyAtSloIsNotAViolation)
@@ -147,7 +139,7 @@ TEST(SloMonitorTest, DropsBurnBudgetLikeViolations)
     const WindowRow &row = monitor.closed(kFn)[0];
     EXPECT_EQ(row.drops, 10);
     EXPECT_EQ(row.finished(), 10);
-    EXPECT_DOUBLE_EQ(row.burn, 10.0);
+    EXPECT_DOUBLE_EQ(row.burn, 100.0);
 }
 
 TEST(SloMonitorTest, AttributionSumsAccumulatePerWindow)
@@ -165,7 +157,7 @@ TEST(SloMonitorTest, AttributionSumsAccumulatePerWindow)
 TEST(SloMonitorTest, FastBurnFiresOnceItsSpanHasClosed)
 {
     SloMonitor monitor = makeMonitor();
-    // Window 0 alone burns at 5x but the fast rule spans 2 windows: no
+    // Window 0 alone burns at 50x but the fast rule spans 2 windows: no
     // alert until window 1 closes.
     feedWindow(monitor, kFn, 0, 5, 5);
     monitor.advanceTo(kWindow);
@@ -179,7 +171,7 @@ TEST(SloMonitorTest, FastBurnFiresOnceItsSpanHasClosed)
     EXPECT_EQ(alert.kind, AlertKind::FastBurn);
     EXPECT_EQ(alert.edge, AlertEdge::Firing);
     EXPECT_EQ(alert.at, 2 * kWindow);
-    EXPECT_DOUBLE_EQ(alert.burnRate, 5.0);
+    EXPECT_DOUBLE_EQ(alert.burnRate, 50.0);
     // Attribution means ride along as the "why": per-completion averages
     // over the rule's span.
     EXPECT_DOUBLE_EQ(alert.meanCold, 10.0 * kTicksPerMs);
@@ -200,17 +192,18 @@ TEST(SloMonitorTest, MinSamplesGatesFiring)
     monitor.advanceTo(6 * kWindow);
     EXPECT_EQ(monitor.alertsFired(), 0);
     EXPECT_TRUE(monitor.alerts().empty());
-    // The burn rate itself is still tracked (10x) — only paging is gated.
-    EXPECT_DOUBLE_EQ(monitor.burnRate(kFn, AlertKind::FastBurn), 10.0);
+    // The burn rate itself is still tracked (100x) — only paging is
+    // gated.
+    EXPECT_DOUBLE_EQ(monitor.burnRate(kFn, AlertKind::FastBurn), 100.0);
 }
 
 TEST(SloMonitorTest, AlertClearsAfterConsecutiveQuietWindows)
 {
-    SloMonitor monitor = makeMonitor(fastOnlyConfig());
-    feedWindow(monitor, kFn, 0, 5, 5);
-    feedWindow(monitor, kFn, 1, 5, 5);
-    // One quiet window halves the pooled burn (2.5 < 5) but hysteresis
-    // needs two in a row.
+    SloMonitor monitor = makeMonitor();
+    feedWindow(monitor, kFn, 0, 8, 2);
+    feedWindow(monitor, kFn, 1, 8, 2);
+    // One quiet window halves the pooled burn (10 < 14.4) but
+    // hysteresis needs two in a row.
     feedWindow(monitor, kFn, 2, 10, 0);
     monitor.advanceTo(3 * kWindow);
     ASSERT_EQ(monitor.alerts().size(), 1u);
@@ -228,12 +221,12 @@ TEST(SloMonitorTest, AlertClearsAfterConsecutiveQuietWindows)
 
 TEST(SloMonitorTest, HotWindowResetsTheClearStreak)
 {
-    SloMonitor monitor = makeMonitor(fastOnlyConfig());
-    feedWindow(monitor, kFn, 0, 5, 5);
-    feedWindow(monitor, kFn, 1, 5, 5); // fires at 2s
+    SloMonitor monitor = makeMonitor();
+    feedWindow(monitor, kFn, 0, 8, 2);
+    feedWindow(monitor, kFn, 1, 8, 2); // fires at 2s
     feedWindow(monitor, kFn, 2, 10, 0); // streak 1
     feedWindow(monitor, kFn, 3, 0, 10); // back over threshold: reset
-    feedWindow(monitor, kFn, 4, 10, 0); // pooled with w3 still 5x: reset
+    feedWindow(monitor, kFn, 4, 10, 0); // pooled with w3 still 50x: reset
     feedWindow(monitor, kFn, 5, 10, 0); // streak 1
     monitor.advanceTo(6 * kWindow);
     EXPECT_TRUE(monitor.firing(kFn, AlertKind::FastBurn));
@@ -247,15 +240,19 @@ TEST(SloMonitorTest, HotWindowResetsTheClearStreak)
 TEST(SloMonitorTest, SlowBurnCatchesSustainedBleedTheFastRuleMisses)
 {
     SloMonitor monitor = makeMonitor();
-    // 30% violations: burn 3 — under the fast threshold (5) but over the
-    // slow one (2) once its 4-window span has closed.
-    for (int w = 0; w < 4; ++w)
-        feedWindow(monitor, kFn, w, 7, 3);
-    monitor.advanceTo(4 * kWindow);
+    // 10% violations: burn 10 — under the fast threshold (14.4) but
+    // over the slow one (6) once its 12-window span has closed.
+    constexpr int kSpan = kSlowBurnRule.windows;
+    for (int w = 0; w < kSpan - 1; ++w)
+        feedWindow(monitor, kFn, w, 9, 1);
+    monitor.advanceTo((kSpan - 1) * kWindow);
+    EXPECT_TRUE(monitor.alerts().empty());
+    feedWindow(monitor, kFn, kSpan - 1, 9, 1);
+    monitor.advanceTo(kSpan * kWindow);
     ASSERT_EQ(monitor.alerts().size(), 1u);
     EXPECT_EQ(monitor.alerts()[0].kind, AlertKind::SlowBurn);
-    EXPECT_EQ(monitor.alerts()[0].at, 4 * kWindow);
-    EXPECT_DOUBLE_EQ(monitor.alerts()[0].burnRate, 3.0);
+    EXPECT_EQ(monitor.alerts()[0].at, kSpan * kWindow);
+    EXPECT_DOUBLE_EQ(monitor.alerts()[0].burnRate, 10.0);
     EXPECT_FALSE(monitor.firing(kFn, AlertKind::FastBurn));
 }
 
@@ -283,12 +280,12 @@ TEST(SloMonitorTest, UnregisteredFunctionTrafficIsIgnored)
 
 TEST(SloMonitorTest, AlertCallbackSeesEveryEdge)
 {
-    SloMonitor monitor = makeMonitor(fastOnlyConfig());
+    SloMonitor monitor = makeMonitor();
     std::vector<SloAlert> seen;
     monitor.setAlertCallback(
         [&seen](const SloAlert &alert) { seen.push_back(alert); });
-    feedWindow(monitor, kFn, 0, 5, 5);
-    feedWindow(monitor, kFn, 1, 5, 5);
+    feedWindow(monitor, kFn, 0, 8, 2);
+    feedWindow(monitor, kFn, 1, 8, 2);
     feedWindow(monitor, kFn, 2, 10, 0);
     feedWindow(monitor, kFn, 3, 10, 0);
     monitor.advanceTo(4 * kWindow);
@@ -384,8 +381,9 @@ TEST(SloHealthMergeTest, StragglerCellDefersEvaluation)
 TEST(SloHealthMergeTest, ColdCellsDiluteTheClusterBurn)
 {
     // One hot cell at 100% violations, one cold cell with 9x the clean
-    // traffic: the cluster burn is 1.0 and never pages, while the hot
-    // cell alone would. The cluster budget is what the rules protect.
+    // traffic: the cluster burn is 10 (under the fast rule's 14.4) and
+    // never pages, while the hot cell alone would. The cluster budget
+    // is what the rules protect.
     SloMonitorConfig cfg = testConfig();
     SloMonitor hot, cold;
     for (SloMonitor *m : {&hot, &cold}) {
@@ -406,7 +404,7 @@ TEST(SloHealthMergeTest, ColdCellsDiluteTheClusterBurn)
     merge.absorb(0, hot);
     merge.absorb(1, cold);
     EXPECT_EQ(merge.alertsFired(), 0);
-    EXPECT_DOUBLE_EQ(merge.burnRate(kFn, AlertKind::FastBurn), 1.0);
+    EXPECT_DOUBLE_EQ(merge.burnRate(kFn, AlertKind::FastBurn), 10.0);
 }
 
 TEST(SloHealthMergeTest, FunctionsAbsentFromACellStillMerge)
