@@ -4,7 +4,8 @@
  * expected lifecycle spans and fault instants, sampling rate 0 and
  * profiling leave every simulation output bit-identical, and the
  * overhead profiler populates under load. A golden digest pins the
- * whole span stream, flight dump and alert log of a full-stack run.
+ * whole span stream, flight dump and alert log of a full-stack run;
+ * another pins the telemetry export of a run that moves every counter.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +14,18 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/platform.hh"
 #include "obs/prof_scope.hh"
 #include "obs/slo_monitor.hh"
+#include "obs/telemetry.hh"
 #include "obs/trace_recorder.hh"
 #include "workload/generators.hh"
+#include "workload/trace.hh"
 
 namespace {
 
@@ -345,6 +350,14 @@ struct Fnv1a
         }
     }
     void mixInt(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+    void
+    mixText(const std::string &text)
+    {
+        for (unsigned char c : text) {
+            h ^= c;
+            h *= 0x100000001b3ULL;
+        }
+    }
     void mixDouble(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
     void
     mixSpans(const std::vector<SpanRecord> &spans)
@@ -423,6 +436,72 @@ TEST(PlatformObsTest, SpanStreamGoldenDigest)
     EXPECT_TRUE(flight.triggered());
     EXPECT_FALSE(alerts.empty());
     EXPECT_EQ(fnv.h, 0xb4810eb9075d6144ULL);
+}
+
+TEST(PlatformObsTest, TelemetryGoldenDigest)
+{
+    // Every run counter the telemetry export carries, on a flat fleet
+    // that exercises all of them: the full overload stack past capacity,
+    // seeded crashes and aborted cold starts, a scripted zone outage,
+    // gray servers found by the health ejector, and a periodic function
+    // that LSTH learns to pre-warm. Both export formats pinned byte for
+    // byte.
+    PlatformOptions opts;
+    opts.overload = OverloadConfig::fullStack();
+    opts.seed = 7;
+    opts.faults.serverMtbfSec = 15.0;
+    opts.faults.serverMttrSec = 5.0;
+    opts.faults.startupFailureProb = 0.1;
+    opts.faults.crashHorizon = 20 * kTicksPerSec;
+    opts.topology.zones = 2;
+    opts.topology.rackSize = 3;
+    opts.faults.domainOutageAt = 10 * kTicksPerSec;
+    opts.faults.domainOutageTarget = 0;
+    opts.faults.domainOutageMttrSec = 5.0;
+    opts.health.enabled = true;
+    Platform p(6, std::move(opts));
+    p.setGrayMultiplier(3, 4.0);
+
+    auto burst = p.deploy(resnetSpec());
+    p.injectTrace(burst, uniformArrivals(2000.0, 20 * kTicksPerSec));
+    FunctionSpec steady_spec = resnetSpec();
+    steady_spec.name = "steady";
+    auto steady = p.deploy(steady_spec);
+    p.injectTrace(steady, uniformArrivals(80.0, 150 * kTicksPerSec));
+    auto pulsed = p.deploy(FunctionSpec{"pulsed", "MobileNet",
+                                        msToTicks(200), 32});
+    std::vector<Tick> pulses;
+    for (int i = 1; i <= 12; ++i)
+        pulses.push_back(static_cast<Tick>(i) * 5 * kTicksPerMin);
+    p.injectTrace(pulsed, infless::workload::ArrivalTrace(pulses));
+    p.run(61 * kTicksPerMin);
+
+    // The fixture reaches every exported counter.
+    const auto &m = p.totalMetrics();
+    std::vector<std::int64_t> counts = {
+        m.arrivals(), m.completions(), m.drops(), m.sloViolations(),
+        m.coldLaunches(), m.warmLaunches(), m.batches(),
+        m.serverCrashes(), m.serverRecoveries(), m.startupFailures(),
+        m.retries(), m.failovers(), m.lostBatchRequests(),
+        static_cast<std::int64_t>(m.execCacheHits()),
+        static_cast<std::int64_t>(m.execCacheMisses()), m.sheds(),
+        m.breakerSheds(), m.queueEvictions(), m.breakerOpens(),
+        m.breakerCloses(), m.brownoutEntries(), m.brownoutExits(),
+        m.healthEjections(), m.healthReadmissions(), m.grayDetections(),
+        m.domainOutages()};
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        EXPECT_GT(counts[i], 0) << "counter #" << i;
+
+    infless::obs::TelemetryRegistry telemetry;
+    telemetry.setRun("telemetry_golden", 7, 3660.0);
+    telemetry.addRunMetrics(m);
+    std::ostringstream json, prom;
+    telemetry.writeJson(json);
+    telemetry.writePrometheus(prom);
+    Fnv1a fnv;
+    fnv.mixText(json.str());
+    fnv.mixText(prom.str());
+    EXPECT_EQ(fnv.h, 0x70ed6f8249dca247ULL);
 }
 
 } // namespace
