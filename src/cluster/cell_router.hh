@@ -33,7 +33,7 @@ namespace infless::cluster {
  *
  * weightedAvail is the cell's free capacity in the paper's beta-weighted
  * scalar (Eq. 2); queueDepth counts requests waiting in the cell's
- * instance queues; dropPressure counts drops and load-sheds since the
+ * instance queues; dropPressure counts drops (sheds included) since the
  * previous barrier and steers the in-home-set choice away from a cell
  * that is rejecting work. scaleOutMisses[fn] counts the scale-out
  * attempts for function fn since the previous barrier in which the

@@ -656,4 +656,40 @@ TEST(ShardedPlatform, MultiCellGoldenDigest)
     EXPECT_EQ(bitDigest(skewedTrafficRun()), 0x5c68a1661a24d54fULL);
 }
 
+TEST(ShardedPlatform, DropPressureCountsEachRejectionOnce)
+{
+    // Admission sheds most of a burst far past cell 0's capacity. A shed
+    // is a drop, so the router's drop pressure for a window is the
+    // cell's drop count over it, each rejection counted once.
+    PlatformOptions opts;
+    opts.seed = 5;
+    opts.overload.admission.enabled = true;
+    CellOptions cells;
+    cells.cells = 4;
+    ShardedPlatform platform(8, opts, cells);
+    auto fn = platform.deploy(spec("resnet", "ResNet-50"));
+    platform.injectTrace(fn, uniformArrivals(4000.0, kTicksPerSec));
+
+    const Platform &cell = platform.cell(0);
+    platform.run(msToTicks(250));
+    std::int64_t drops_before = cell.totalMetrics().drops();
+    std::int64_t sheds_before = cell.totalMetrics().sheds();
+    platform.run(msToTicks(500));
+    // Re-entering run() at the same tick refreshes the router at the
+    // 500 ms barrier and advances nothing.
+    platform.run(msToTicks(500));
+
+    std::int64_t drops = cell.totalMetrics().drops() - drops_before;
+    std::int64_t sheds = cell.totalMetrics().sheds() - sheds_before;
+    EXPECT_GT(sheds, 0);
+    EXPECT_EQ(sheds, drops); // every rejection in the window is a shed
+
+    const auto &router = platform.router();
+    double load = static_cast<double>(
+        cell.queuedRequests() + router.routedSinceRefresh(0) + drops);
+    double avail = cell.cluster().totalAvailable().weighted(
+        infless::cluster::kDefaultBeta);
+    EXPECT_DOUBLE_EQ(router.score(0), load / avail);
+}
+
 } // namespace
