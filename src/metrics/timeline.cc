@@ -87,23 +87,4 @@ TimelineSampler::writeCsv(std::ostream &os) const
     }
 }
 
-void
-TimelineSampler::writeJson(std::ostream &os) const
-{
-    os << "{\n  \"time_sec\": [";
-    for (std::size_t i = 0; i < times_.size(); ++i)
-        os << (i ? ", " : "") << sim::ticksToSec(times_[i]);
-    os << "],\n  \"series\": {";
-    bool first = true;
-    for (const auto &name : names_) {
-        os << (first ? "\n" : ",\n") << "    \"" << name << "\": [";
-        const std::vector<double> &vals = values_.at(name);
-        for (std::size_t i = 0; i < vals.size(); ++i)
-            os << (i ? ", " : "") << vals[i];
-        os << "]";
-        first = false;
-    }
-    os << "\n  }\n}\n";
-}
-
 } // namespace infless::metrics

@@ -79,12 +79,6 @@ class TimelineSampler
      */
     void writeCsv(std::ostream &os) const;
 
-    /**
-     * Write all series as one JSON document:
-     * `{"time_sec": [...], "series": {"name": [...], ...}}`.
-     */
-    void writeJson(std::ostream &os) const;
-
     /** Stop sampling (also happens on destruction). */
     void stop();
 

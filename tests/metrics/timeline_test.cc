@@ -70,31 +70,6 @@ TEST(TimelineTest, CsvOutput)
     EXPECT_EQ(os.str(), "time_sec,value\n1,0.5\n2,1\n");
 }
 
-TEST(TimelineTest, JsonOutput)
-{
-    Simulation sim;
-    TimelineSampler sampler(sim, kTicksPerSec);
-    double v = 0.0;
-    sampler.track("value", [&] { return v += 0.5; });
-    sampler.track("flat", [] { return 2.0; });
-    sim.runUntil(2 * kTicksPerSec);
-    std::ostringstream os;
-    sampler.writeJson(os);
-    EXPECT_EQ(os.str(), "{\n  \"time_sec\": [1, 2],\n  \"series\": {\n"
-                        "    \"value\": [0.5, 1],\n"
-                        "    \"flat\": [2, 2]\n  }\n}\n");
-}
-
-TEST(TimelineTest, JsonOutputEmptySampler)
-{
-    Simulation sim;
-    TimelineSampler sampler(sim, kTicksPerSec);
-    std::ostringstream os;
-    sampler.writeJson(os);
-    EXPECT_EQ(os.str(), "{\n  \"time_sec\": [],\n  \"series\": {"
-                        "\n  }\n}\n");
-}
-
 TEST(TimelineTest, CounterSeriesStoresDeltas)
 {
     Simulation sim;
