@@ -124,8 +124,8 @@ runPoint(const SweepConfig &cfg, SystemKind kind, double mtbf_sec,
     }
 
     point.result = runScenario(*platform, workloads, cfg.grace);
-    point.consistent = point.result.completions + point.result.drops ==
-                       point.result.arrivals;
+    const metrics::RunMetrics &m = point.result.metrics;
+    point.consistent = m.completions() + m.drops() == m.arrivals();
     point.sloAlerts = platform->sloMonitor().alertsFired();
 
     if (sampler) {
@@ -173,13 +173,14 @@ writeBenchJson(const SweepConfig &cfg,
             << ", \"availability\": " << r.availability
             << ", \"slo_attainment\": " << p.sloAttainment()
             << ", \"completed_rps\": " << r.completedRps
-            << ", \"arrivals\": " << r.arrivals
-            << ", \"completions\": " << r.completions
-            << ", \"drops\": " << r.drops
-            << ", \"crashes\": " << r.crashes
-            << ", \"retry_count\": " << r.retries
-            << ", \"failovers\": " << r.failovers
-            << ", \"lost_batch_requests\": " << r.lostBatchRequests
+            << ", \"arrivals\": " << r.metrics.arrivals()
+            << ", \"completions\": " << r.metrics.completions()
+            << ", \"drops\": " << r.metrics.drops()
+            << ", \"crashes\": " << r.metrics.serverCrashes()
+            << ", \"retry_count\": " << r.metrics.retries()
+            << ", \"failovers\": " << r.metrics.failovers()
+            << ", \"lost_batch_requests\": "
+            << r.metrics.lostBatchRequests()
             << ", \"mean_restore_sec\": " << r.meanRestoreSec
             << ", \"slo_alerts\": " << p.sloAlerts
             << ", \"truncated\": " << (r.truncated ? "true" : "false")
@@ -264,15 +265,16 @@ main(int argc, char **argv)
     bool all_consistent = true;
     for (const SweepPoint &p : points) {
         all_consistent = all_consistent && p.consistent;
+        const metrics::RunMetrics &m = p.result.metrics;
         table.addRow({systemName(p.kind), mtbfLabel(p.mtbfSec),
                       p.retriesOn ? "on" : "off",
                       fmtPercent(p.result.availability),
                       fmtPercent(p.sloAttainment()),
-                      std::to_string(p.result.crashes),
-                      std::to_string(p.result.retries),
-                      std::to_string(p.result.failovers),
-                      std::to_string(p.result.lostBatchRequests),
-                      std::to_string(p.result.drops),
+                      std::to_string(m.serverCrashes()),
+                      std::to_string(m.retries()),
+                      std::to_string(m.failovers()),
+                      std::to_string(m.lostBatchRequests()),
+                      std::to_string(m.drops()),
                       p.consistent ? "yes" : "NO"});
     }
     table.print(std::cout);

@@ -76,10 +76,6 @@ struct SweepPoint
     bool consistent = false;
     bool guardOk = true; ///< quarantine never exceeded the fleet cap
     std::int64_t sloAlerts = 0;
-    std::int64_t ejections = 0;
-    std::int64_t readmissions = 0;
-    std::int64_t grayDetections = 0;
-    std::int64_t domainOutages = 0;
     std::size_t grayServers = 0;
     std::size_t quarantinedEnd = 0;
 
@@ -205,14 +201,9 @@ runPoint(const SweepConfig &cfg, Mode mode, bool outage,
 
     point.result = runScenario(*platform, workloads, cfg.grace);
     guard_probe->stop();
-    point.consistent = point.result.completions + point.result.drops ==
-                       point.result.arrivals;
-    point.sloAlerts = platform->sloMonitor().alertsFired();
     const auto &m = platform->totalMetrics();
-    point.ejections = m.healthEjections();
-    point.readmissions = m.healthReadmissions();
-    point.grayDetections = m.grayDetections();
-    point.domainOutages = m.domainOutages();
+    point.consistent = m.completions() + m.drops() == m.arrivals();
+    point.sloAlerts = platform->sloMonitor().alertsFired();
     point.quarantinedEnd = platform->quarantinedServers();
     max_quarantined = std::max(
         max_quarantined,
@@ -271,14 +262,14 @@ writeBenchJson(const SweepConfig &cfg,
             << ", \"slo_attainment\": " << p.sloAttainment()
             << ", \"completed_rps\": " << r.completedRps
             << ", \"slo_goodput\": " << p.sloGoodput()
-            << ", \"arrivals\": " << r.arrivals
-            << ", \"completions\": " << r.completions
-            << ", \"drops\": " << r.drops
-            << ", \"crashes\": " << r.crashes
-            << ", \"domain_outages\": " << p.domainOutages
-            << ", \"ejections\": " << p.ejections
-            << ", \"readmissions\": " << p.readmissions
-            << ", \"gray_detections\": " << p.grayDetections
+            << ", \"arrivals\": " << r.metrics.arrivals()
+            << ", \"completions\": " << r.metrics.completions()
+            << ", \"drops\": " << r.metrics.drops()
+            << ", \"crashes\": " << r.metrics.serverCrashes()
+            << ", \"domain_outages\": " << r.metrics.domainOutages()
+            << ", \"ejections\": " << r.metrics.healthEjections()
+            << ", \"readmissions\": " << r.metrics.healthReadmissions()
+            << ", \"gray_detections\": " << r.metrics.grayDetections()
             << ", \"quarantined_end\": " << p.quarantinedEnd
             << ", \"slo_alerts\": " << p.sloAlerts
             << ", \"guard_ok\": " << (p.guardOk ? "true" : "false")
@@ -384,10 +375,10 @@ main(int argc, char **argv)
                       fmtPercent(p.result.availability),
                       fmtPercent(p.sloAttainment()),
                       fmt(p.sloGoodput(), 1),
-                      std::to_string(p.ejections),
-                      std::to_string(p.readmissions),
-                      std::to_string(p.grayDetections),
-                      std::to_string(p.result.drops),
+                      std::to_string(p.result.metrics.healthEjections()),
+                      std::to_string(p.result.metrics.healthReadmissions()),
+                      std::to_string(p.result.metrics.grayDetections()),
+                      std::to_string(p.result.metrics.drops()),
                       p.guardOk ? "ok" : "EXCEEDED",
                       p.consistent ? "yes" : "NO"});
     }

@@ -145,34 +145,11 @@ runScenario(core::Platform &platform,
     result.throughputPerResource = m.throughputPerResource(
         platform.endTime(), cluster::kDefaultBeta);
     result.sloViolationRate = m.sloViolationRate();
-    result.coldLaunchRate = m.coldLaunchRate();
-    result.meanBatchFill = m.meanBatchFill();
     result.meanFragmentRatio = platform.meanFragmentRatio();
-    result.meanCpus = m.meanCpuCores(platform.endTime());
-    result.meanGpus = m.meanGpuDevices(platform.endTime());
-    result.completions = m.completions();
-    result.drops = m.drops();
-    result.launches = m.launches();
-    result.arrivals = m.arrivals();
-    result.crashes = m.serverCrashes();
-    result.retries = m.retries();
-    result.failovers = m.failovers();
-    result.lostBatchRequests = m.lostBatchRequests();
-    result.startupFailures = m.startupFailures();
-    result.sheds = m.sheds();
-    result.breakerSheds = m.breakerSheds();
-    result.queueEvictions = m.queueEvictions();
-    result.breakerOpens = m.breakerOpens();
-    result.breakerCloses = m.breakerCloses();
-    result.brownoutEntries = m.brownoutEntries();
-    result.brownoutExits = m.brownoutExits();
     result.availability = platform.clusterAvailability();
     result.meanRestoreSec = sim::ticksToSec(m.meanRestoreTicks());
     result.truncated = platform.simulation().events().truncated();
-    result.execCacheHits =
-        static_cast<std::int64_t>(m.execCacheHits());
-    result.execCacheMisses =
-        static_cast<std::int64_t>(m.execCacheMisses());
+    result.metrics = m;
 
     if (telemetryEnabled())
         writeTelemetryFiles(buildTelemetry(platform, platform.name()));

@@ -75,42 +75,15 @@ struct ScenarioResult
     double completedRps = 0.0;
     double throughputPerResource = 0.0;
     double sloViolationRate = 0.0;
-    double coldLaunchRate = 0.0;
-    double meanBatchFill = 0.0;
     double meanFragmentRatio = 0.0;
-    double meanCpus = 0.0;
-    double meanGpus = 0.0;
-    std::int64_t completions = 0;
-    std::int64_t drops = 0;
-    std::int64_t launches = 0;
-
-    // Failure accounting (all zero when no fault profile is active) -------
-    std::int64_t arrivals = 0;
-    std::int64_t crashes = 0;
-    std::int64_t retries = 0;
-    std::int64_t failovers = 0;
-    std::int64_t lostBatchRequests = 0;
-    std::int64_t startupFailures = 0;
     /** Fraction of aggregate server-uptime over the run. */
     double availability = 1.0;
     /** Mean crash-to-recovery time, seconds (0 if no recovery). */
     double meanRestoreSec = 0.0;
-
-    // Overload control (all zero when the defenses are disabled) ----------
-    std::int64_t sheds = 0;
-    std::int64_t breakerSheds = 0;
-    std::int64_t queueEvictions = 0;
-    std::int64_t breakerOpens = 0;
-    std::int64_t breakerCloses = 0;
-    std::int64_t brownoutEntries = 0;
-    std::int64_t brownoutExits = 0;
-
-    // Run health -----------------------------------------------------------
     /** Whether the event engine hit its safety cap (results suspect). */
     bool truncated = false;
-    /** Latency-memo effectiveness of the batch-pricing hot path. */
-    std::int64_t execCacheHits = 0;
-    std::int64_t execCacheMisses = 0;
+    /** The run's aggregate metrics: every counter and distribution. */
+    metrics::RunMetrics metrics;
 };
 
 /**

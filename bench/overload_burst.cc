@@ -181,8 +181,7 @@ runAndScore(SweepPoint &point, core::Platform &platform,
     point.goodputRps =
         static_cast<double>(m.completions() - m.sloViolations()) / run_sec;
     point.p99Ms = sim::ticksToSec(m.latency().percentile(99.0)) * 1e3;
-    point.consistent = point.result.completions + point.result.drops ==
-                       point.result.arrivals;
+    point.consistent = m.completions() + m.drops() == m.arrivals();
 }
 
 SweepPoint
@@ -417,14 +416,14 @@ writeRow(std::ofstream &out, const SweepPoint &p, const char *defense)
         << ", \"goodput_rps\": " << p.goodputRps
         << ", \"p99_ms\": " << p.p99Ms
         << ", \"slo_violation_rate\": " << r.sloViolationRate
-        << ", \"arrivals\": " << r.arrivals
-        << ", \"completions\": " << r.completions
-        << ", \"drops\": " << r.drops
-        << ", \"sheds\": " << r.sheds
-        << ", \"breaker_sheds\": " << r.breakerSheds
-        << ", \"queue_evictions\": " << r.queueEvictions
-        << ", \"breaker_opens\": " << r.breakerOpens
-        << ", \"brownout_entries\": " << r.brownoutEntries
+        << ", \"arrivals\": " << r.metrics.arrivals()
+        << ", \"completions\": " << r.metrics.completions()
+        << ", \"drops\": " << r.metrics.drops()
+        << ", \"sheds\": " << r.metrics.sheds()
+        << ", \"breaker_sheds\": " << r.metrics.breakerSheds()
+        << ", \"queue_evictions\": " << r.metrics.queueEvictions()
+        << ", \"breaker_opens\": " << r.metrics.breakerOpens()
+        << ", \"brownout_entries\": " << r.metrics.brownoutEntries()
         << ", \"truncated\": " << (r.truncated ? "true" : "false")
         << ", \"consistent\": " << (p.consistent ? "true" : "false")
         << "}";
@@ -578,7 +577,8 @@ main(int argc, char **argv)
              fmt(p.result.offeredRps, 0), fmt(p.goodputRps, 0),
              fmt(p.p99Ms, 1),
              fmtPercent(p.result.sloViolationRate),
-             std::to_string(p.result.sheds + p.result.breakerSheds),
+             std::to_string(p.result.metrics.sheds() +
+                            p.result.metrics.breakerSheds()),
              p.consistent ? "yes" : "NO"});
     }
     all_consistent =
@@ -612,12 +612,13 @@ main(int argc, char **argv)
               << "): undefended " << fmt(gate.noneErr, 0)
               << " RPS vs static " << fmt(gate.staticErr, 0) << " RPS\n";
 
+    const metrics::RunMetrics &demo_m = demo.result.metrics;
     std::cout << "  demo at " << fmt(demo.multiplier, 1) << "x knee on "
               << kDemoServers << " servers: goodput "
               << fmt(demo.goodputRps, 0) << " RPS, p99 "
               << fmt(demo.p99Ms, 1) << " ms; breaker opened "
-              << demo.result.breakerOpens << " times, brownout engaged "
-              << demo.result.brownoutEntries << " times\n";
+              << demo_m.breakerOpens() << " times, brownout engaged "
+              << demo_m.brownoutEntries() << " times\n";
 
     std::cout << "  SLO health demo at " << fmt(cfg.errorMultiplier, 1)
               << "x knee: fast-burn "
@@ -645,10 +646,10 @@ main(int argc, char **argv)
                      "(completions + drops != arrivals)\n";
         return 1;
     }
-    if (demo.result.breakerOpens < 1 || demo.result.brownoutEntries < 1) {
+    if (demo_m.breakerOpens() < 1 || demo_m.brownoutEntries() < 1) {
         std::cerr << "ERROR: demo transition gate failed (breaker opens: "
-                  << demo.result.breakerOpens << ", brownout entries: "
-                  << demo.result.brownoutEntries << ")\n";
+                  << demo_m.breakerOpens() << ", brownout entries: "
+                  << demo_m.brownoutEntries() << ")\n";
         return 1;
     }
     if (!slo_demo.fastFired || slo_demo.dumpSpans == 0 ||
