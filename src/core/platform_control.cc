@@ -50,7 +50,7 @@ Platform::healthTick()
         health_->evaluate(now, eligible, cluster_.size());
     for (cluster::ServerId id : acts.readmit) {
         cluster_.liftQuarantine(id);
-        total_.recordHealthReadmission();
+        total_.add(metrics::Counter::HealthReadmissions);
         emitClusterEvent(obs::SpanKind::HealthReadmission, id, now);
     }
     for (cluster::ServerId id : acts.eject) {
@@ -58,12 +58,11 @@ Platform::healthTick()
         // Drain-first: what the server hosts finishes or re-routes; only
         // new placements are refused.
         drainServer(id);
-        total_.recordHealthEjection();
-        if (grayMultiplier(id) > 1.0) {
-            // Ground-truth check for the detection-quality counter: the
-            // ejector itself never sees this.
-            total_.recordGrayDetection();
-        }
+        total_.add(metrics::Counter::HealthEjections);
+        // Ground-truth check for the detection-quality counter: the
+        // ejector itself never sees this.
+        if (grayMultiplier(id) > 1.0)
+            total_.add(metrics::Counter::GrayDetections);
         emitClusterEvent(obs::SpanKind::HealthEjection, id, now);
     }
 }

@@ -118,8 +118,7 @@ Platform::launchInstance(FunctionId fn, const LaunchPlan &plan,
         int aborted = 0;
         while (aborted < 8 && faults_->startupFails()) {
             startup += runtime_.coldStartTicks(f.model->sizeMb);
-            f.metrics.recordStartupFailure();
-            total_.recordStartupFailure();
+            tally(f, metrics::Counter::StartupFailures);
             ++aborted;
         }
     }
@@ -143,8 +142,8 @@ Platform::launchInstance(FunctionId fn, const LaunchPlan &plan,
 
     f.live.push_back(idx);
     f.allocated += plan.config.resources;
-    f.metrics.recordLaunch(cold);
-    total_.recordLaunch(cold);
+    tally(f, cold ? metrics::Counter::ColdLaunches
+                  : metrics::Counter::WarmLaunches);
     f.metrics.recordAllocation(now, f.allocated);
     f.metrics.recordInstanceCount(now, static_cast<int>(f.live.size()));
     total_.recordInstanceCount(now, liveInstanceCount());
@@ -212,8 +211,8 @@ Platform::killInstance(std::size_t idx)
     releaseInstance(idx);
 
     if (!inflight.empty()) {
-        f.metrics.recordLostBatch(static_cast<int>(inflight.size()));
-        total_.recordLostBatch(static_cast<int>(inflight.size()));
+        tally(f, metrics::Counter::LostBatchRequests,
+              static_cast<std::int64_t>(inflight.size()));
     }
     for (RequestIndex request : inflight)
         failoverRequest(fn, request);

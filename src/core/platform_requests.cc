@@ -28,8 +28,8 @@ Platform::onArrival(FunctionId fn)
     RequestIndex request = requests_.add(record);
 
     if (f.chain != kNoChain && f.stage == 0) {
-        chains_[static_cast<std::size_t>(f.chain)].metrics.recordArrival(
-            now);
+        chains_[static_cast<std::size_t>(f.chain)].metrics.add(
+            metrics::Counter::Arrivals);
     }
     ingestRequest(fn, request);
 }
@@ -39,8 +39,7 @@ Platform::ingestRequest(FunctionId fn, RequestIndex request)
 {
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
-    f.metrics.recordArrival(now);
-    total_.recordArrival(now);
+    tally(f, metrics::Counter::Arrivals);
     f.rate.record(now);
     f.policy->recordInvocation(now);
     f.lastInvocation = now;
@@ -331,8 +330,7 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
         // A crash-lost request made it through a re-dispatch: that is a
         // successful failover.
         record.retried = false;
-        f.metrics.recordFailover();
-        total_.recordFailover();
+        tally(f, metrics::Counter::Failovers);
     }
 
     if (record.chain == kNoChain) {
@@ -406,8 +404,7 @@ void
 Platform::dropRequestInternal(FunctionState &f, RequestIndex request,
                               sim::Tick now, bool feed_health)
 {
-    f.metrics.recordDrop(now);
-    total_.recordDrop(now);
+    tally(f, metrics::Counter::Drops);
     const RequestRecord &record = requests_[request];
     if (feed_health) {
         // A drop of an admitted request is a failure signal; sheds come
@@ -429,8 +426,8 @@ Platform::dropRequestInternal(FunctionState &f, RequestIndex request,
     emitSpan(obs::SpanKind::Drop, request, record.function, -1, -1, now,
              0);
     if (record.chain != kNoChain) {
-        chains_[static_cast<std::size_t>(record.chain)].metrics.recordDrop(
-            now);
+        chains_[static_cast<std::size_t>(record.chain)].metrics.add(
+            metrics::Counter::Drops);
     }
     // Every drop, shed, eviction and exhausted failover ends here.
     requests_.retire(request);
@@ -449,8 +446,7 @@ Platform::failoverRequest(FunctionId fn, RequestIndex request)
     }
     ++rec.retries;
     rec.retried = true;
-    f.metrics.recordRetry(now);
-    total_.recordRetry(now);
+    tally(f, metrics::Counter::Retries);
     emitSpan(obs::SpanKind::Retry, request, fn, -1, -1, now, 0);
     // Backoff, then re-enter the ordinary routing path (which may itself
     // trigger a reactive scale-out onto the surviving servers).
@@ -515,16 +511,8 @@ Platform::shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
                       ShedCause cause)
 {
     const RequestRecord &record = requests_[request];
-    switch (cause) {
-      case ShedCause::Breaker:
-        f.metrics.recordBreakerShed(now);
-        total_.recordBreakerShed(now);
-        break;
-      case ShedCause::Admission:
-        f.metrics.recordShed(now);
-        total_.recordShed(now);
-        break;
-    }
+    tally(f, cause == ShedCause::Breaker ? metrics::Counter::BreakerSheds
+                                         : metrics::Counter::Sheds);
     // Shedding is itself overload pressure: it keeps brownout engaged
     // while the admission gate is working hard.
     if (f.brownout.record(now, true))
@@ -564,8 +552,7 @@ Platform::tryEvictInto(FunctionId fn, RequestIndex request)
 
     InstanceRuntime &rt = instances_[victim_idx];
     RequestIndex victim = rt.queue.evictOldest();
-    f.metrics.recordQueueEviction();
-    total_.recordQueueEviction();
+    tally(f, metrics::Counter::QueueEvictions);
     dropRequest(f, victim, now);
     bool pushed = rt.queue.push(request, now);
     sim::simAssert(pushed, "push failed after eviction");
@@ -615,13 +602,10 @@ Platform::noteBreakerEdge(FunctionId fn)
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
     overload::BreakerState to = f.breaker.state();
-    if (to == overload::BreakerState::Open) {
-        f.metrics.recordBreakerOpen();
-        total_.recordBreakerOpen();
-    } else if (to == overload::BreakerState::Closed) {
-        f.metrics.recordBreakerClose();
-        total_.recordBreakerClose();
-    }
+    if (to == overload::BreakerState::Open)
+        tally(f, metrics::Counter::BreakerOpens);
+    else if (to == overload::BreakerState::Closed)
+        tally(f, metrics::Counter::BreakerCloses);
     obs::SpanKind kind =
         to == overload::BreakerState::Open
             ? obs::SpanKind::BreakerOpen
@@ -641,13 +625,8 @@ Platform::noteBrownoutEdge(FunctionId fn)
     sim::Tick now = sim_.now();
     FunctionState &f = functionState(fn);
     bool active = f.brownout.active();
-    if (active) {
-        f.metrics.recordBrownoutEntry();
-        total_.recordBrownoutEntry();
-    } else {
-        f.metrics.recordBrownoutExit();
-        total_.recordBrownoutExit();
-    }
+    tally(f, active ? metrics::Counter::BrownoutEntries
+                    : metrics::Counter::BrownoutExits);
     emitFunctionEvent(active ? obs::SpanKind::BrownoutEnter
                              : obs::SpanKind::BrownoutExit,
                       fn, now);

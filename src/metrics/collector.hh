@@ -11,9 +11,9 @@
 #ifndef INFLESS_METRICS_COLLECTOR_HH
 #define INFLESS_METRICS_COLLECTOR_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "cluster/resources.hh"
 #include "metrics/stats.hh"
@@ -35,26 +35,130 @@ struct LatencyBreakdown
 };
 
 /**
+ * The run counters, in telemetry export order: one slot each in
+ * RunMetrics' counter table and one row each in kCounterRows. Drops
+ * include sheds.
+ */
+enum class Counter : std::uint8_t
+{
+    Arrivals,
+    Completions,
+    Drops,
+    SloViolations,
+    ColdLaunches,
+    WarmLaunches,
+    Batches,
+    ServerCrashes,
+    ServerRecoveries,
+    StartupFailures,
+    Retries,
+    Failovers,
+    LostBatchRequests,
+    ExecCacheHits,
+    ExecCacheMisses,
+    Sheds,
+    BreakerSheds,
+    QueueEvictions,
+    BreakerOpens,
+    BreakerCloses,
+    BrownoutEntries,
+    BrownoutExits,
+    HealthEjections,
+    HealthReadmissions,
+    GrayDetections,
+    DomainOutages,
+};
+
+inline constexpr std::size_t kCounterCount =
+    static_cast<std::size_t>(Counter::DomainOutages) + 1;
+
+/** Telemetry name and help text of one counter. */
+struct CounterRow
+{
+    Counter counter;
+    const char *name;
+    const char *help;
+};
+
+inline constexpr std::array<CounterRow, kCounterCount> kCounterRows = {{
+    {Counter::Arrivals, "arrivals_total", "Requests that entered the system"},
+    {Counter::Completions, "completions_total", "Requests completed"},
+    {Counter::Drops, "drops_total", "Requests dropped"},
+    {Counter::SloViolations, "slo_violations_total",
+     "Completions that missed their SLO"},
+    {Counter::ColdLaunches, "cold_launches_total",
+     "Instance launches paying a cold start"},
+    {Counter::WarmLaunches, "warm_launches_total",
+     "Instance launches from the pre-warmed pool"},
+    {Counter::Batches, "batches_total", "Batches executed"},
+    {Counter::ServerCrashes, "server_crashes_total",
+     "Injected server crashes"},
+    {Counter::ServerRecoveries, "server_recoveries_total",
+     "Crashed servers restored"},
+    {Counter::StartupFailures, "startup_failures_total",
+     "Aborted cold-start attempts"},
+    {Counter::Retries, "retries_total", "Crash-lost requests re-dispatched"},
+    {Counter::Failovers, "failovers_total", "Retried requests that completed"},
+    {Counter::LostBatchRequests, "lost_batch_requests_total",
+     "Requests mid-batch on crash-killed instances"},
+    {Counter::ExecCacheHits, "exec_cache_hits_total",
+     "Latency-cache pricings served from the memo"},
+    {Counter::ExecCacheMisses, "exec_cache_misses_total",
+     "Latency-cache pricings computed from the surface"},
+    {Counter::Sheds, "sheds_total",
+     "Requests shed by deadline-aware admission control"},
+    {Counter::BreakerSheds, "breaker_sheds_total",
+     "Requests shed by an open circuit breaker"},
+    {Counter::QueueEvictions, "queue_evictions_total",
+     "Queued requests evicted to seat fresher arrivals"},
+    {Counter::BreakerOpens, "breaker_opens_total",
+     "Circuit breaker open transitions"},
+    {Counter::BreakerCloses, "breaker_closes_total",
+     "Circuit breaker close transitions"},
+    {Counter::BrownoutEntries, "brownout_entries_total",
+     "Functions entering degraded (brownout) mode"},
+    {Counter::BrownoutExits, "brownout_exits_total",
+     "Functions leaving degraded (brownout) mode"},
+    {Counter::HealthEjections, "health_ejections_total",
+     "Servers quarantined by the outlier ejector"},
+    {Counter::HealthReadmissions, "health_readmissions_total",
+     "Quarantined servers re-admitted after probation"},
+    {Counter::GrayDetections, "gray_detections_total",
+     "Ejected servers that were ground-truth gray failures"},
+    {Counter::DomainOutages, "domain_outages_total",
+     "Correlated failure-domain outages injected"},
+}};
+
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kCounterRows.size(); ++i)
+            if (static_cast<std::size_t>(kCounterRows[i].counter) != i)
+                return false;
+        return true;
+    }(),
+    "kCounterRows must list every Counter once, in enum order");
+
+/**
  * Aggregated counters and distributions for one run (or one function).
  */
 class RunMetrics
 {
   public:
-    RunMetrics();
+    /** Add @p n to counter @p c. */
+    void add(Counter c, std::int64_t n = 1)
+    {
+        counts_[static_cast<std::size_t>(c)] += n;
+    }
 
-    /** A request entered the system. */
-    void recordArrival(sim::Tick now);
+    /** Current value of counter @p c. */
+    std::int64_t count(Counter c) const
+    {
+        return counts_[static_cast<std::size_t>(c)];
+    }
 
     /** A request finished; @p slo of 0 disables violation accounting. */
     void recordCompletion(sim::Tick now, const LatencyBreakdown &parts,
                           sim::Tick slo);
-
-    /** A request was dropped (queue overrun). */
-    void recordDrop(sim::Tick now);
-
-    /** An instance launch happened; @p cold tells whether it paid a cold
-     *  start. */
-    void recordLaunch(bool cold);
 
     /** A batch of @p fill requests started executing. */
     void recordBatch(int fill);
@@ -65,61 +169,8 @@ class RunMetrics
     /** The live instance count changed. */
     void recordInstanceCount(sim::Tick now, int count);
 
-    // Failure accounting (fault injection) --------------------------------
-
-    /** A server crashed. */
-    void recordServerCrash(sim::Tick now);
-
     /** A crashed server recovered after @p restore_ticks of downtime. */
     void recordServerRecovery(sim::Tick restore_ticks);
-
-    /** A cold-start attempt aborted and restarted. */
-    void recordStartupFailure();
-
-    /** A lost request was re-dispatched (one retry attempt). */
-    void recordRetry(sim::Tick now);
-
-    /** A retried request completed (successful failover). */
-    void recordFailover();
-
-    /** @p requests were mid-batch on an instance killed by a crash. */
-    void recordLostBatch(int requests);
-
-    // Overload control plane ----------------------------------------------
-
-    /** Admission control shed a request at ingress (fail-fast). */
-    void recordShed(sim::Tick now);
-
-    /** An open/half-open circuit breaker shed a request at ingress. */
-    void recordBreakerShed(sim::Tick now);
-
-    /** The oldest queued request was evicted for a newcomer. */
-    void recordQueueEviction();
-
-    /** A circuit breaker tripped open. */
-    void recordBreakerOpen();
-
-    /** A circuit breaker closed again after successful probes. */
-    void recordBreakerClose();
-
-    /** A function entered brownout mode. */
-    void recordBrownoutEntry();
-
-    /** A function left brownout mode. */
-    void recordBrownoutExit();
-
-    // Health / failure domains --------------------------------------------
-
-    /** The outlier ejector quarantined a degraded server. */
-    void recordHealthEjection();
-    /** A quarantined server finished probation and was re-admitted. */
-    void recordHealthReadmission();
-    /** An ejected server turned out to be ground-truth gray. */
-    void recordGrayDetection();
-    /** A correlated failure-domain outage hit. */
-    void recordDomainOutage();
-
-    // Latency-surface cache (simulation engine) ---------------------------
 
     /** Snapshot the exec-model memo's hit/miss counters (absolute values;
      *  re-recording overwrites, so repeated run() calls stay correct). */
@@ -127,38 +178,83 @@ class RunMetrics
 
     // Raw counters -------------------------------------------------------
 
-    std::int64_t arrivals() const { return arrivals_; }
-    std::int64_t completions() const { return completions_; }
-    std::int64_t drops() const { return drops_; }
-    std::int64_t sloViolations() const { return sloViolations_; }
-    std::int64_t coldLaunches() const { return coldLaunches_; }
-    std::int64_t warmLaunches() const { return warmLaunches_; }
-    std::int64_t launches() const { return coldLaunches_ + warmLaunches_; }
-    std::int64_t batches() const { return batches_; }
-    std::int64_t serverCrashes() const { return serverCrashes_; }
-    std::int64_t serverRecoveries() const { return serverRecoveries_; }
-    std::int64_t startupFailures() const { return startupFailures_; }
-    std::int64_t retries() const { return retries_; }
-    std::int64_t failovers() const { return failovers_; }
-    std::int64_t lostBatchRequests() const { return lostBatch_; }
-    std::int64_t sheds() const { return sheds_; }
-    std::int64_t breakerSheds() const { return breakerSheds_; }
-    std::int64_t queueEvictions() const { return queueEvictions_; }
-    std::int64_t breakerOpens() const { return breakerOpens_; }
-    std::int64_t breakerCloses() const { return breakerCloses_; }
-    std::int64_t brownoutEntries() const { return brownoutEntries_; }
-    std::int64_t brownoutExits() const { return brownoutExits_; }
+    std::int64_t arrivals() const { return count(Counter::Arrivals); }
+    std::int64_t completions() const { return count(Counter::Completions); }
+    std::int64_t drops() const { return count(Counter::Drops); }
+    std::int64_t sloViolations() const
+    {
+        return count(Counter::SloViolations);
+    }
+    std::int64_t coldLaunches() const { return count(Counter::ColdLaunches); }
+    std::int64_t warmLaunches() const { return count(Counter::WarmLaunches); }
+    std::int64_t launches() const { return coldLaunches() + warmLaunches(); }
+    std::int64_t batches() const { return count(Counter::Batches); }
+    std::int64_t serverCrashes() const
+    {
+        return count(Counter::ServerCrashes);
+    }
+    std::int64_t serverRecoveries() const
+    {
+        return count(Counter::ServerRecoveries);
+    }
+    std::int64_t startupFailures() const
+    {
+        return count(Counter::StartupFailures);
+    }
+    std::int64_t retries() const { return count(Counter::Retries); }
+    std::int64_t failovers() const { return count(Counter::Failovers); }
+    std::int64_t lostBatchRequests() const
+    {
+        return count(Counter::LostBatchRequests);
+    }
+    std::int64_t sheds() const { return count(Counter::Sheds); }
+    std::int64_t breakerSheds() const { return count(Counter::BreakerSheds); }
+    std::int64_t queueEvictions() const
+    {
+        return count(Counter::QueueEvictions);
+    }
+    std::int64_t breakerOpens() const { return count(Counter::BreakerOpens); }
+    std::int64_t breakerCloses() const
+    {
+        return count(Counter::BreakerCloses);
+    }
+    std::int64_t brownoutEntries() const
+    {
+        return count(Counter::BrownoutEntries);
+    }
+    std::int64_t brownoutExits() const
+    {
+        return count(Counter::BrownoutExits);
+    }
     /** Always 0: nothing sheds on a concurrency limit any more. Kept
      *  only because benchmark/infless_bench.cc folds it into its output
      *  digest and its `overload.sheds` metric; it goes when that file
      *  stops reading it. */
     std::int64_t limiterSheds() const { return 0; }
-    std::int64_t healthEjections() const { return healthEjections_; }
-    std::int64_t healthReadmissions() const { return healthReadmissions_; }
-    std::int64_t grayDetections() const { return grayDetections_; }
-    std::int64_t domainOutages() const { return domainOutages_; }
-    std::uint64_t execCacheHits() const { return execCacheHits_; }
-    std::uint64_t execCacheMisses() const { return execCacheMisses_; }
+    std::int64_t healthEjections() const
+    {
+        return count(Counter::HealthEjections);
+    }
+    std::int64_t healthReadmissions() const
+    {
+        return count(Counter::HealthReadmissions);
+    }
+    std::int64_t grayDetections() const
+    {
+        return count(Counter::GrayDetections);
+    }
+    std::int64_t domainOutages() const
+    {
+        return count(Counter::DomainOutages);
+    }
+    std::uint64_t execCacheHits() const
+    {
+        return static_cast<std::uint64_t>(count(Counter::ExecCacheHits));
+    }
+    std::uint64_t execCacheMisses() const
+    {
+        return static_cast<std::uint64_t>(count(Counter::ExecCacheMisses));
+    }
 
     /** Fraction of exec-model pricings served from the memo. */
     double execCacheHitRate() const;
@@ -212,46 +308,18 @@ class RunMetrics
      */
     double throughputPerResource(sim::Tick duration, double beta) const;
 
-    /** Merge counters of another collector (per-function -> total). */
-    void mergeCounters(const RunMetrics &other);
-
     /**
-     * Absorb a sibling cell's shard completely: counters, histograms,
-     * the time-weighted resource/instance signals (summed — cells
-     * partition the fleet) and the exec-cache tallies. Both shards'
+     * Absorb a sibling cell's shard completely: every counter, the
+     * sums, the histograms and the time-weighted resource/instance
+     * signals (summed — cells partition the fleet). Both shards'
      * signals are closed at @p now, the common end of the run.
      */
     void mergeShard(const RunMetrics &other, sim::Tick now);
 
   private:
-    std::int64_t arrivals_ = 0;
-    std::int64_t completions_ = 0;
-    std::int64_t drops_ = 0;
-    std::int64_t sloViolations_ = 0;
-    std::int64_t coldLaunches_ = 0;
-    std::int64_t warmLaunches_ = 0;
-    std::int64_t batches_ = 0;
+    std::array<std::int64_t, kCounterCount> counts_{};
     std::int64_t batchFillSum_ = 0;
-    std::int64_t serverCrashes_ = 0;
-    std::int64_t serverRecoveries_ = 0;
-    std::int64_t startupFailures_ = 0;
-    std::int64_t retries_ = 0;
-    std::int64_t failovers_ = 0;
-    std::int64_t lostBatch_ = 0;
-    std::int64_t sheds_ = 0;
-    std::int64_t breakerSheds_ = 0;
-    std::int64_t queueEvictions_ = 0;
-    std::int64_t breakerOpens_ = 0;
-    std::int64_t breakerCloses_ = 0;
-    std::int64_t brownoutEntries_ = 0;
-    std::int64_t brownoutExits_ = 0;
-    std::int64_t healthEjections_ = 0;
-    std::int64_t healthReadmissions_ = 0;
-    std::int64_t grayDetections_ = 0;
-    std::int64_t domainOutages_ = 0;
     sim::Tick restoreTicksSum_ = 0;
-    std::uint64_t execCacheHits_ = 0;
-    std::uint64_t execCacheMisses_ = 0;
 
     LatencyHistogram latency_;
     LatencyHistogram queueTime_;

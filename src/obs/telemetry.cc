@@ -111,73 +111,9 @@ TelemetryRegistry::latencyHistogram(const std::string &name,
 void
 TelemetryRegistry::addRunMetrics(const metrics::RunMetrics &m)
 {
-    counter("arrivals_total", static_cast<double>(m.arrivals()),
-            "Requests that entered the system");
-    counter("completions_total", static_cast<double>(m.completions()),
-            "Requests completed");
-    counter("drops_total", static_cast<double>(m.drops()),
-            "Requests dropped");
-    counter("slo_violations_total",
-            static_cast<double>(m.sloViolations()),
-            "Completions that missed their SLO");
-    counter("cold_launches_total", static_cast<double>(m.coldLaunches()),
-            "Instance launches paying a cold start");
-    counter("warm_launches_total", static_cast<double>(m.warmLaunches()),
-            "Instance launches from the pre-warmed pool");
-    counter("batches_total", static_cast<double>(m.batches()),
-            "Batches executed");
-    counter("server_crashes_total",
-            static_cast<double>(m.serverCrashes()),
-            "Injected server crashes");
-    counter("server_recoveries_total",
-            static_cast<double>(m.serverRecoveries()),
-            "Crashed servers restored");
-    counter("startup_failures_total",
-            static_cast<double>(m.startupFailures()),
-            "Aborted cold-start attempts");
-    counter("retries_total", static_cast<double>(m.retries()),
-            "Crash-lost requests re-dispatched");
-    counter("failovers_total", static_cast<double>(m.failovers()),
-            "Retried requests that completed");
-    counter("lost_batch_requests_total",
-            static_cast<double>(m.lostBatchRequests()),
-            "Requests mid-batch on crash-killed instances");
-    counter("exec_cache_hits_total",
-            static_cast<double>(m.execCacheHits()),
-            "Latency-cache pricings served from the memo");
-    counter("exec_cache_misses_total",
-            static_cast<double>(m.execCacheMisses()),
-            "Latency-cache pricings computed from the surface");
-    counter("sheds_total", static_cast<double>(m.sheds()),
-            "Requests shed by deadline-aware admission control");
-    counter("breaker_sheds_total", static_cast<double>(m.breakerSheds()),
-            "Requests shed by an open circuit breaker");
-    counter("queue_evictions_total",
-            static_cast<double>(m.queueEvictions()),
-            "Queued requests evicted to seat fresher arrivals");
-    counter("breaker_opens_total", static_cast<double>(m.breakerOpens()),
-            "Circuit breaker open transitions");
-    counter("breaker_closes_total",
-            static_cast<double>(m.breakerCloses()),
-            "Circuit breaker close transitions");
-    counter("brownout_entries_total",
-            static_cast<double>(m.brownoutEntries()),
-            "Functions entering degraded (brownout) mode");
-    counter("brownout_exits_total",
-            static_cast<double>(m.brownoutExits()),
-            "Functions leaving degraded (brownout) mode");
-    counter("health_ejections_total",
-            static_cast<double>(m.healthEjections()),
-            "Servers quarantined by the outlier ejector");
-    counter("health_readmissions_total",
-            static_cast<double>(m.healthReadmissions()),
-            "Quarantined servers re-admitted after probation");
-    counter("gray_detections_total",
-            static_cast<double>(m.grayDetections()),
-            "Ejected servers that were ground-truth gray failures");
-    counter("domain_outages_total",
-            static_cast<double>(m.domainOutages()),
-            "Correlated failure-domain outages injected");
+    for (const metrics::CounterRow &row : metrics::kCounterRows)
+        counter(row.name, static_cast<double>(m.count(row.counter)),
+                row.help);
 
     gauge("slo_violation_rate", m.sloViolationRate(),
           "Fraction of requests violating the SLO (drops included)");

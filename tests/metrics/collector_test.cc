@@ -11,6 +11,7 @@
 namespace {
 
 using infless::cluster::Resources;
+using infless::metrics::Counter;
 using infless::metrics::LatencyBreakdown;
 using infless::metrics::RunMetrics;
 using infless::sim::kTicksPerMs;
@@ -19,8 +20,7 @@ using infless::sim::kTicksPerSec;
 TEST(RunMetricsTest, CompletionAndViolationCounting)
 {
     RunMetrics m;
-    m.recordArrival(0);
-    m.recordArrival(0);
+    m.add(Counter::Arrivals, 2);
     LatencyBreakdown ok{0, 10 * kTicksPerMs, 20 * kTicksPerMs};
     LatencyBreakdown late{0, 150 * kTicksPerMs, 100 * kTicksPerMs};
     m.recordCompletion(1, ok, 200 * kTicksPerMs);
@@ -35,7 +35,7 @@ TEST(RunMetricsTest, DropsCountAsViolations)
     RunMetrics m;
     LatencyBreakdown ok{0, 1, 1};
     m.recordCompletion(1, ok, kTicksPerSec);
-    m.recordDrop(2);
+    m.add(Counter::Drops);
     EXPECT_DOUBLE_EQ(m.sloViolationRate(), 0.5);
 }
 
@@ -50,10 +50,8 @@ TEST(RunMetricsTest, ZeroSloDisablesViolationAccounting)
 TEST(RunMetricsTest, ColdLaunchRate)
 {
     RunMetrics m;
-    m.recordLaunch(true);
-    m.recordLaunch(false);
-    m.recordLaunch(false);
-    m.recordLaunch(false);
+    m.add(Counter::ColdLaunches);
+    m.add(Counter::WarmLaunches, 3);
     EXPECT_EQ(m.launches(), 4);
     EXPECT_DOUBLE_EQ(m.coldLaunchRate(), 0.25);
 }
@@ -107,13 +105,13 @@ TEST(RunMetricsTest, ThroughputPerResource)
 TEST(RunMetricsTest, MergeCountersAggregates)
 {
     RunMetrics a, b;
-    a.recordArrival(0);
+    a.add(Counter::Arrivals);
     a.recordCompletion(1, LatencyBreakdown{0, 1, 1}, 0);
-    b.recordArrival(0);
-    b.recordDrop(1);
-    b.recordLaunch(true);
+    b.add(Counter::Arrivals);
+    b.add(Counter::Drops);
+    b.add(Counter::ColdLaunches);
     b.recordBatch(4);
-    a.mergeCounters(b);
+    a.mergeShard(b, 1);
     EXPECT_EQ(a.arrivals(), 2);
     EXPECT_EQ(a.completions(), 1);
     EXPECT_EQ(a.drops(), 1);

@@ -24,18 +24,16 @@ metrics::RunMetrics
 sampleMetrics()
 {
     metrics::RunMetrics m;
-    for (int i = 0; i < 10; ++i)
-        m.recordArrival(i * sim::kTicksPerSec);
+    m.add(metrics::Counter::Arrivals, 10);
     for (int i = 0; i < 8; ++i) {
         metrics::LatencyBreakdown parts{0, 2 * sim::kTicksPerMs,
                                         30 * sim::kTicksPerMs};
         m.recordCompletion((i + 1) * sim::kTicksPerSec, parts,
                            200 * sim::kTicksPerMs);
     }
-    m.recordDrop(5 * sim::kTicksPerSec);
-    m.recordDrop(6 * sim::kTicksPerSec);
-    m.recordLaunch(true);
-    m.recordLaunch(false);
+    m.add(metrics::Counter::Drops, 2);
+    m.add(metrics::Counter::ColdLaunches);
+    m.add(metrics::Counter::WarmLaunches);
     m.recordBatch(4);
     m.recordExecCache(90, 10);
     return m;
