@@ -203,6 +203,40 @@ TEST(PlatformFaultTest, LostBatchRequestsAreFailedOver)
     EXPECT_LE(m.failovers(), m.retries());
 }
 
+TEST(PlatformFaultTest, CrashMidBatchFailsOverTheRunningBatch)
+{
+    Platform p(2);
+    auto fn = p.deploy(resnetSpec());
+    p.injectTrace(fn, uniformArrivals(60.0, kTicksPerMin));
+
+    // Step past the cold start until some instance is executing a batch,
+    // then crash its server: the running batch is the one at stake.
+    ServerId victim = infless::cluster::kNoServer;
+    Tick now = 0;
+    while (victim == infless::cluster::kNoServer &&
+           now < 30 * kTicksPerSec) {
+        now += msToTicks(1);
+        p.run(now);
+        for (const auto &s : p.instanceSnapshots(fn)) {
+            if (s.state == InstanceState::Busy) {
+                victim = s.server;
+                break;
+            }
+        }
+    }
+    ASSERT_NE(victim, infless::cluster::kNoServer);
+    p.injectServerCrash(victim);
+    EXPECT_GT(p.totalMetrics().lostBatchRequests(), 0);
+
+    p.run(now + 20 * kTicksPerSec);
+    p.injectServerRecovery(victim);
+    p.run(kTicksPerMin + 30 * kTicksPerSec);
+
+    const auto &m = p.totalMetrics();
+    EXPECT_GT(m.lostBatchRequests(), 0);
+    EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
+}
+
 TEST(PlatformFaultTest, ZeroRateProfileIsBitIdentical)
 {
     // The regression guarantee: a fault profile with every rate zero (and
