@@ -31,6 +31,7 @@ void
 Cluster::fileCapacity(const Server &s)
 {
     byCapacity_[s.capacity()].push_back(s.id());
+    capacity_ += s.capacity();
 }
 
 std::vector<Resources>
@@ -74,24 +75,6 @@ Cluster::server(ServerId id) const
     sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < servers_.size(),
                    "bad server id ", id);
     return servers_[static_cast<std::size_t>(id)];
-}
-
-Resources
-Cluster::totalCapacity() const
-{
-    Resources total;
-    for (const auto &s : servers_)
-        total += s.capacity();
-    return total;
-}
-
-Resources
-Cluster::totalAvailable() const
-{
-    Resources total;
-    for (const auto &s : servers_)
-        total += s.available();
-    return total;
 }
 
 double

@@ -66,11 +66,13 @@ class Cluster
      */
     const CapacityIndex &capacityIndex() const { return index_; }
 
-    /** Sum of all capacities. */
-    Resources totalCapacity() const;
+    /** Sum of all capacities, down and quarantined servers included.
+     *  O(1): summed once at construction. */
+    Resources totalCapacity() const { return capacity_; }
 
-    /** Sum of all unallocated resources. */
-    Resources totalAvailable() const;
+    /** Sum of all unallocated resources, down and quarantined servers
+     *  included. O(1): capacity less the running allocation total. */
+    Resources totalAvailable() const { return capacity_ - allocated_; }
 
     /** Sum of all allocated resources. O(1): a running total kept by
      *  allocate() and release(). */
@@ -178,11 +180,14 @@ class Cluster
         return !s.isDown() && !s.isQuarantined();
     }
 
-    /** Account a new member in byCapacity_ (ids arrive ascending). */
+    /** Account a new member in byCapacity_ (ids arrive ascending) and
+     *  in the capacity total. */
     void fileCapacity(const Server &s);
 
     std::vector<Server> servers_;
     CapacityIndex index_;
+    /** Exact sum of capacities. */
+    Resources capacity_;
     /** Exact sum of allocations. */
     Resources allocated_;
     /** Ids of servers with at least one allocation, ascending. */

@@ -449,8 +449,9 @@ class Platform
         sim::EventId expiryEvent = sim::kNoEvent;
         std::size_t usageKey = 0;
         FunctionId fn = kNoFunction;
-        /** Requests of the batch currently executing (failed over when a
-         *  crash kills the instance mid-batch). */
+        /** Requests of the batch currently executing, and the only copy
+         *  of it (failed over when a crash kills the instance mid-batch).
+         *  Its buffer is reused from batch to batch. */
         std::vector<RequestIndex> inFlight{};
         /** Bumped when the instance is crash-killed: the non-cancellable
          *  batch-completion event compares it and dead-letters itself. */
@@ -564,8 +565,9 @@ class Platform
     void routeRequest(FunctionId fn, RequestIndex request);
     void tryStartBatch(std::size_t idx);
     void startBatch(std::size_t idx);
-    void onBatchComplete(std::size_t idx, std::vector<RequestIndex> batch,
-                         sim::Tick started, sim::Tick exec_time);
+    /** Complete the batch in inFlight, then reuse its buffer. */
+    void onBatchComplete(std::size_t idx, sim::Tick started,
+                         sim::Tick exec_time);
     void onWarm(std::size_t idx);
     /** Auto-scaling engine period. */
     static constexpr sim::Tick kScalerPeriod = sim::kTicksPerSec;

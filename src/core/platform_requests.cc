@@ -70,8 +70,9 @@ Platform::scanLive(const FunctionState &f, bool admission) const
         if (!rt.queue.hasRoom())
             continue;
         if (admission) {
-            // Predicted sojourn: cold-start remainder + batches queued
-            // ahead + its own batch. Draining instances still serve
+            // Predicted sojourn: cold-start remainder + the running
+            // batch + its own batch (a queue with room holds less than
+            // one batch, so none waits ahead). Draining instances serve
             // queued work (routing falls back to them during
             // make-before-break reconfigs), so they count as capacity
             // here; excluding them sheds a full reconfig wave.
@@ -80,11 +81,8 @@ Platform::scanLive(const FunctionState &f, bool admission) const
                 rt.warmAt == sim::kTickNever
                     ? std::max<sim::Tick>(0, rt.warmExpectedAt - now)
                     : 0;
-            auto per_batch = static_cast<sim::Tick>(
-                std::max(1, rt.queue.batchSize()));
             sim::Tick batches_ahead =
-                static_cast<sim::Tick>(rt.queue.size()) / per_batch +
-                (rt.inst.state() == cluster::InstanceState::Busy ? 1 : 0);
+                rt.inst.state() == cluster::InstanceState::Busy ? 1 : 0;
             scan.admitBest =
                 std::min(scan.admitBest,
                          ready + (batches_ahead + 1) * rt.execPredicted);
@@ -177,8 +175,10 @@ Platform::startBatch(std::size_t idx)
     InstanceRuntime &rt = instances_[idx];
     FunctionState &f = functionState(rt.fn);
 
-    std::vector<RequestIndex> batch = rt.queue.takeBatch();
-    int fill = static_cast<int>(batch.size());
+    // The batch goes straight into inFlight, whose buffer every batch
+    // of this instance reuses.
+    rt.queue.takeBatch(rt.inFlight);
+    int fill = static_cast<int>(rt.inFlight.size());
     sim::Tick exec_time = execCache_.trueTicks(
         exec_, *f.model, fill, rt.inst.config().resources);
     // Health scoring judges actual exec against this healthy baseline
@@ -201,7 +201,6 @@ Platform::startBatch(std::size_t idx)
     // formation — waiting for fill or the head deadline.
     rt.batchAvailAt = rt.idleSince == sim::kTickNever ? now : rt.idleSince;
     rt.idleSince = sim::kTickNever;
-    rt.inFlight.assign(batch.begin(), batch.end());
     f.metrics.recordBatch(fill);
     total_.recordBatch(fill);
     f.usage[rt.usageKey].requestsServed += fill;
@@ -213,12 +212,11 @@ Platform::startBatch(std::size_t idx)
     // The completion event is on the non-cancellable fast path; the epoch
     // guard dead-letters it when a crash kills the instance mid-batch.
     std::uint32_t epoch = rt.liveEpoch;
-    auto completion =
-        [this, idx, epoch, batch = std::move(batch), now, exec_time] {
-            if (instances_[idx].liveEpoch != epoch)
-                return; // instance crashed while the batch was running
-            onBatchComplete(idx, batch, now, exec_time);
-        };
+    auto completion = [this, idx, epoch, now, exec_time] {
+        if (instances_[idx].liveEpoch != epoch)
+            return; // instance crashed while the batch was running
+        onBatchComplete(idx, now, exec_time);
+    };
     // The busiest closure of a drain: it must stay on the event queue's
     // allocation-free inline path.
     static_assert(
@@ -228,14 +226,18 @@ Platform::startBatch(std::size_t idx)
 }
 
 void
-Platform::onBatchComplete(std::size_t idx, std::vector<RequestIndex> batch,
-                          sim::Tick started, sim::Tick exec_time)
+Platform::onBatchComplete(std::size_t idx, sim::Tick started,
+                          sim::Tick exec_time)
 {
-    instances_[idx].inst.finishBatch(sim_.now());
-    instances_[idx].inFlight.clear();
-    instances_[idx].idleSince = sim_.now();
+    InstanceRuntime &done = instances_[idx];
+    done.inst.finishBatch(sim_.now());
+    done.idleSince = sim_.now();
     if (health_)
-        health_->recordSuccess(instances_[idx].inst.serverId());
+        health_->recordSuccess(done.inst.serverId());
+    // Complete the batch from a local: completing a request can launch
+    // instances and reallocate instances_, inFlight with it.
+    std::vector<RequestIndex> batch = std::move(done.inFlight);
+    done.inFlight.clear();
     for (RequestIndex request : batch)
         completeRequest(idx, request, started, exec_time);
 
@@ -243,6 +245,11 @@ Platform::onBatchComplete(std::size_t idx, std::vector<RequestIndex> batch,
     // replacement instances and reallocate instances_ underneath any
     // reference taken before the loop.
     InstanceRuntime &rt = instances_[idx];
+    // Hand the buffer back for the next batch. A completion routes only
+    // to other functions (a chain's next stage), so none started here.
+    sim::simAssert(rt.inFlight.empty(), "batch started during completion");
+    batch.clear();
+    rt.inFlight.swap(batch);
     if (rt.reapAsap) {
         // Forced hand-over: re-route whatever queued behind this batch
         // and free the resources for the replacement fleet.
