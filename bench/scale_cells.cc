@@ -20,6 +20,14 @@
  * 1.5x of flat, SLO-goodput no lower than flat, and wall time no longer
  * than flat. `--smoke` runs the 10k point only, shortened for CI, so
  * there the gate is evaluated at 10k; `gate_servers` names the point.
+ *
+ * A flat-only many-tenant series follows: 100k servers under a fixed
+ * 6,400 rps in total, split evenly over 64, 1,000 and 10,000 functions
+ * (20 s of load, 5 s drain). Load and fleet stay put while the number
+ * of tenants, and with it the variety of placed configs, grows, so the
+ * series shows whether the cost of a placement decision depends on the
+ * tenant count. `--smoke` shrinks it to 10k servers, 400 rps and 8 and
+ * 64 functions over 5 s.
  */
 
 #include <algorithm>
@@ -229,6 +237,18 @@ main(int argc, char **argv)
         scales.push_back({100'000, 16, 64, 100.0, 20 * sim::kTicksPerSec});
     }
 
+    struct TenantSeries
+    {
+        std::size_t servers;
+        double totalRps;
+        std::vector<std::size_t> functions;
+        sim::Tick duration;
+    };
+    TenantSeries tenants =
+        smoke ? TenantSeries{10'000, 400.0, {8, 64}, 5 * sim::kTicksPerSec}
+              : TenantSeries{100'000, 6'400.0, {64, 1'000, 10'000},
+                             20 * sim::kTicksPerSec};
+
     std::vector<PointResult> points;
     bool arrivals_match = true;
     double speedup_10k = 0.0;
@@ -268,6 +288,18 @@ main(int argc, char **argv)
     }
     auto boolean = [](bool b) { return b ? "true" : "false"; };
 
+    std::cout << "  many tenants, flat, " << fmt(tenants.totalRps, 0)
+              << " rps in total:\n";
+    std::vector<PointResult> tenant_points;
+    for (std::size_t functions : tenants.functions) {
+        ScaleWorkload w = buildWorkload(
+            functions, tenants.totalRps / static_cast<double>(functions),
+            tenants.duration, tenants.servers);
+        tenant_points.push_back(runPoint(tenants.servers, 1, w));
+        std::cout << "  " << functions << " functions:";
+        printPoint(tenant_points.back());
+    }
+
     // The >= 3x bar only binds where the cells can actually run in
     // parallel; a 1-2 core box measures barrier overhead, not scaling.
     bool gate_pass =
@@ -297,6 +329,11 @@ main(int argc, char **argv)
         << "  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i)
         emitPoint(out, points[i], i + 1 == points.size());
+    out << "  ],\n"
+        << "  \"many_tenant_total_rps\": " << tenants.totalRps << ",\n"
+        << "  \"many_tenant\": [\n";
+    for (std::size_t i = 0; i < tenant_points.size(); ++i)
+        emitPoint(out, tenant_points[i], i + 1 == tenant_points.size());
     out << "  ]\n}\n";
     std::cout << "  (results written to BENCH_scale.json)\n";
 

@@ -1,14 +1,56 @@
 #include "cluster/capacity_index.hh"
 
+#include <algorithm>
+#include <functional>
+#include <set>
+
 #include "sim/logging.hh"
 
 namespace infless::cluster {
+
+void
+CapacityIndex::Members::push(ServerId id)
+{
+    heap.push_back(id);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    ++count;
+}
+
+template <typename Live>
+void
+CapacityIndex::Members::erase(Live &&live)
+{
+    --count;
+    while (!heap.empty() && !live(heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        heap.pop_back();
+    }
+    if (heap.size() > 2 * count + 1) {
+        // Keep one entry per live id. Ascending order is a valid
+        // min-heap, so no re-heapify is needed.
+        std::erase_if(heap, [&](ServerId id) { return !live(id); });
+        std::sort(heap.begin(), heap.end());
+        heap.erase(std::unique(heap.begin(), heap.end()), heap.end());
+    }
+}
+
+void
+CapacityIndex::setTag(ServerId id, std::uint64_t tag)
+{
+    auto i = static_cast<std::size_t>(id);
+    if (i >= tagOf_.size())
+        tagOf_.resize(i + 1, 0);
+    tagOf_[i] = tag;
+}
 
 void
 CapacityIndex::rebuild(const std::vector<Server> &servers)
 {
     classes_.clear();
     serverCount_ = 0;
+    tagOf_.assign(servers.size(), 0);
+    // Ids arrive ascending, so every push appends to a valid heap in
+    // O(1): the rebuild is O(servers) with no per-server allocation.
     for (const auto &s : servers) {
         if (!s.isDown() && !s.isQuarantined())
             insert(s.id(), s.available());
@@ -18,54 +60,57 @@ CapacityIndex::rebuild(const std::vector<Server> &servers)
 void
 CapacityIndex::insert(ServerId id, const Resources &avail)
 {
-    ClassEntry &entry = classes_[avail];
-    entry.members.insert(id);
+    sim::simAssert(id >= 0 && tagOf(id) == 0,
+                   "capacity index out of sync for server ", id);
+    auto [it, created] = classes_.try_emplace(avail);
+    ClassEntry &entry = it->second;
+    if (created)
+        entry.tag = nextTag_++;
+    setTag(id, entry.tag);
+    entry.members.push(id);
     if (domainsEnabled())
-        entry.byDomain[domainOf(id)].insert(id);
+        entry.byDomain[domainOf(id)].push(id);
     ++serverCount_;
 }
 
 void
-CapacityIndex::eraseDomainMember(ClassEntry &entry, ServerId id)
+CapacityIndex::eraseDomainMember(ClassEntry &entry, ServerId id,
+                                 DomainId rack)
 {
     if (!domainsEnabled())
         return;
-    auto bucket = entry.byDomain.find(domainOf(id));
-    sim::simAssert(bucket != entry.byDomain.end() &&
-                       bucket->second.erase(id) == 1,
+    auto bucket = entry.byDomain.find(rack);
+    sim::simAssert(bucket != entry.byDomain.end(),
                    "domain bucket out of sync for server ", id);
-    if (bucket->second.empty())
+    bucket->second.erase([&](ServerId m) {
+        return tagOf(m) == entry.tag && domainOf(m) == rack;
+    });
+    if (bucket->second.count == 0)
         entry.byDomain.erase(bucket);
-}
-
-void
-CapacityIndex::update(ServerId id, const Resources &before,
-                      const Resources &after)
-{
-    auto it = classes_.find(before);
-    sim::simAssert(it != classes_.end() && it->second.members.count(id),
-                   "capacity index out of sync for server ", id);
-    it->second.members.erase(id);
-    eraseDomainMember(it->second, id);
-    if (it->second.members.empty())
-        classes_.erase(it);
-    ClassEntry &entry = classes_[after];
-    entry.members.insert(id);
-    if (domainsEnabled())
-        entry.byDomain[domainOf(id)].insert(id);
 }
 
 void
 CapacityIndex::remove(ServerId id, const Resources &avail)
 {
     auto it = classes_.find(avail);
-    sim::simAssert(it != classes_.end() && it->second.members.count(id),
+    sim::simAssert(it != classes_.end() && tagOf(id) == it->second.tag,
                    "capacity index out of sync for server ", id);
-    it->second.members.erase(id);
-    eraseDomainMember(it->second, id);
-    if (it->second.members.empty())
+    ClassEntry &entry = it->second;
+    setTag(id, 0);
+    entry.members.erase(
+        [&](ServerId m) { return tagOf(m) == entry.tag; });
+    eraseDomainMember(entry, id, domainOf(id));
+    if (entry.members.count == 0)
         classes_.erase(it);
     --serverCount_;
+}
+
+void
+CapacityIndex::update(ServerId id, const Resources &before,
+                      const Resources &after)
+{
+    remove(id, before);
+    insert(id, after);
 }
 
 void
@@ -84,16 +129,14 @@ CapacityIndex::assignDomain(ServerId id, DomainId rack,
     if (static_cast<std::size_t>(id) >= rackOf_.size())
         rackOf_.resize(static_cast<std::size_t>(id) + 1, kNoDomain);
 
+    DomainId old_rack = domainOf(id);
+    rackOf_[static_cast<std::size_t>(id)] = rack;
     if (filed_avail != nullptr) {
         auto it = classes_.find(*filed_avail);
-        sim::simAssert(it != classes_.end() &&
-                           it->second.members.count(id),
+        sim::simAssert(it != classes_.end() && tagOf(id) == it->second.tag,
                        "capacity index out of sync for server ", id);
-        eraseDomainMember(it->second, id);
-        rackOf_[static_cast<std::size_t>(id)] = rack;
-        it->second.byDomain[rack].insert(id);
-    } else {
-        rackOf_[static_cast<std::size_t>(id)] = rack;
+        eraseDomainMember(it->second, id, old_rack);
+        it->second.byDomain[rack].push(id);
     }
 }
 
@@ -104,7 +147,7 @@ CapacityIndex::firstFit(const Resources &req) const
     for (const auto &[avail, entry] : classes_) {
         if (!req.fitsIn(avail))
             continue;
-        ServerId min_id = *entry.members.begin();
+        ServerId min_id = entry.members.min();
         if (best == kNoServer || min_id < best)
             best = min_id;
     }
@@ -119,12 +162,8 @@ CapacityIndex::bestFit(const Resources &req, double beta) const
     for (const auto &[avail, entry] : classes_) {
         if (!req.fitsIn(avail))
             continue;
-        if (entry.cachedBeta != beta) {
-            entry.cachedWeighted = avail.weighted(beta);
-            entry.cachedBeta = beta;
-        }
-        double weighted = entry.cachedWeighted;
-        ServerId min_id = *entry.members.begin();
+        double weighted = entry.weighted(avail, beta);
+        ServerId min_id = entry.members.min();
         // Mirror a linear id-order scan with a strict `<` improvement
         // test: smallest weighted availability wins, ties go to the
         // lowest id.
@@ -140,11 +179,28 @@ CapacityIndex::bestFit(const Resources &req, double beta) const
 bool
 CapacityIndex::consistentWith(const std::vector<Server> &servers) const
 {
+    // The live entries of a heap, deduplicated; false if the top is not
+    // the smallest of them or their number is not the recorded count.
+    auto liveSet = [](const Members &m, auto &&live,
+                      std::set<ServerId> &out) {
+        out.clear();
+        for (ServerId id : m.heap) {
+            if (live(id))
+                out.insert(id);
+        }
+        return !out.empty() && out.size() == m.count &&
+               m.heap.front() == *out.begin() &&
+               std::is_heap(m.heap.begin(), m.heap.end(), std::greater<>{});
+    };
+
     std::size_t filed = 0;
+    std::set<ServerId> members;
+    std::set<ServerId> bucket;
     for (const auto &[avail, entry] : classes_) {
-        if (entry.members.empty())
+        auto inClass = [&](ServerId id) { return tagOf(id) == entry.tag; };
+        if (entry.tag == 0 || !liveSet(entry.members, inClass, members))
             return false;
-        for (ServerId id : entry.members) {
+        for (ServerId id : members) {
             if (id < 0 || static_cast<std::size_t>(id) >= servers.size())
                 return false;
             const Server &s = servers[static_cast<std::size_t>(id)];
@@ -157,27 +213,29 @@ CapacityIndex::consistentWith(const std::vector<Server> &servers) const
         // and every member must sit in the bucket of its assigned rack.
         if (domainsEnabled()) {
             std::size_t bucketed = 0;
-            for (const auto &[rack, members] : entry.byDomain) {
-                if (members.empty())
+            for (const auto &[rack, m] : entry.byDomain) {
+                auto inBucket = [&](ServerId id) {
+                    return inClass(id) && domainOf(id) == rack;
+                };
+                if (!liveSet(m, inBucket, bucket))
                     return false;
-                for (ServerId id : members) {
-                    if (!entry.members.count(id) || domainOf(id) != rack)
-                        return false;
-                    ++bucketed;
-                }
+                bucketed += bucket.size();
             }
-            if (bucketed != entry.members.size())
+            if (bucketed != members.size())
                 return false;
         } else if (!entry.byDomain.empty()) {
             return false;
         }
     }
     // Down and quarantined servers are unfiled: classes partition the
-    // *up, admitted* servers only.
+    // *up, admitted* servers only, and only filed servers carry a tag.
     std::size_t up = 0;
-    for (const auto &s : servers)
+    std::size_t tagged = 0;
+    for (const auto &s : servers) {
         up += (s.isDown() || s.isQuarantined()) ? 0 : 1;
-    return filed == up && serverCount_ == up;
+        tagged += tagOf(s.id()) != 0 ? 1 : 0;
+    }
+    return filed == up && tagged == up && serverCount_ == up;
 }
 
 } // namespace infless::cluster

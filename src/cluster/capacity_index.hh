@@ -8,17 +8,21 @@
  * equivalence classes keyed by that vector (a fresh homogeneous
  * 2,000-server cluster has exactly *one* class), letting placement loops
  * evaluate each candidate once per class instead of once per server.
- * Updates on allocate/release move one id between two classes —
- * O(log classes + log members).
+ *
+ * A class holds its members as a min-heap of ids with lazy deletion: a
+ * per-server tag names the class that currently holds the id, and heap
+ * entries whose id carries another tag are stale. Allocate/release move
+ * one id between two classes in O(log classes + log members) amortized,
+ * with no per-server node allocation; a rebuild is O(servers).
  */
 
 #ifndef INFLESS_CLUSTER_CAPACITY_INDEX_HH
 #define INFLESS_CLUSTER_CAPACITY_INDEX_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "cluster/resources.hh"
@@ -79,7 +83,17 @@ class CapacityIndex
     ServerId bestFit(const Resources &req, double beta) const;
 
     /**
-     * Visit every class as f(avail, weightedAvail, minId, count).
+     * Visit every class whose key covers @p req in CPU and GPU, as
+     * f(avail, weightedAvail, minId, count) -> bool.
+     *
+     * Classes are visited CPU level by CPU level (ascending cpu, from
+     * req.cpu up); within a level the scan seeks to gpu >= req.gpu and
+     * walks upward in (gpu, memory) order, so weightedAvail never
+     * decreases along a level. Returning false skips the rest of the
+     * current level. Memory is not filtered: callers still check
+     * req.fitsIn(avail). A class that does not cover req's CPU and GPU
+     * cannot fit it, so with f always returning true every fitting class
+     * is visited.
      *
      * @p weightedAvail is avail.weighted(beta), cached per class until
      * the class key changes (class entries are immutable once created,
@@ -88,15 +102,30 @@ class CapacityIndex
      */
     template <typename F>
     void
-    forEachClass(double beta, F &&f) const
+    forEachCoveringClass(const Resources &req, double beta, F &&f) const
     {
-        for (const auto &[avail, entry] : classes_) {
-            if (entry.cachedBeta != beta) {
-                entry.cachedWeighted = avail.weighted(beta);
-                entry.cachedBeta = beta;
+        constexpr std::int64_t kMin =
+            std::numeric_limits<std::int64_t>::min();
+        constexpr std::int64_t kMax =
+            std::numeric_limits<std::int64_t>::max();
+        auto it = classes_.lower_bound(
+            Resources{req.cpuMillicores, req.gpuSmPercent, kMin});
+        while (it != classes_.end()) {
+            const std::int64_t cpu = it->first.cpuMillicores;
+            if (it->first.gpuSmPercent < req.gpuSmPercent) {
+                it = classes_.lower_bound(
+                    Resources{cpu, req.gpuSmPercent, kMin});
+                continue;
             }
-            f(avail, entry.cachedWeighted, *entry.members.begin(),
-              entry.members.size());
+            for (; it != classes_.end() && it->first.cpuMillicores == cpu;
+                 ++it) {
+                const ClassEntry &entry = it->second;
+                if (!f(it->first, entry.weighted(it->first, beta),
+                       entry.members.min(), entry.members.count)) {
+                    it = classes_.upper_bound(Resources{cpu, kMax, kMax});
+                    break;
+                }
+            }
         }
     }
 
@@ -107,7 +136,7 @@ class CapacityIndex
      * bucketing: from then on every class additionally partitions its
      * members by rack, and forEachClassDomain() becomes meaningful.
      * Clusters that never assign a domain pay nothing — the per-class
-     * bucket maps stay empty and forEachClass() is untouched.
+     * bucket maps stay empty and forEachCoveringClass() is untouched.
      *
      * @param filed_avail The server's current availability if it is
      *        presently filed in the index (so its bucket can move), or
@@ -142,13 +171,9 @@ class CapacityIndex
     forEachClassDomain(double beta, F &&f) const
     {
         for (const auto &[avail, entry] : classes_) {
-            if (entry.cachedBeta != beta) {
-                entry.cachedWeighted = avail.weighted(beta);
-                entry.cachedBeta = beta;
-            }
+            double weighted = entry.weighted(avail, beta);
             for (const auto &[rack, members] : entry.byDomain)
-                f(avail, entry.cachedWeighted, rack, *members.begin(),
-                  members.size());
+                f(avail, weighted, rack, members.min(), members.count);
         }
     }
 
@@ -160,25 +185,77 @@ class CapacityIndex
     bool consistentWith(const std::vector<Server> &servers) const;
 
   private:
+    /**
+     * A set of server ids as a min-heap with lazy deletion. Which
+     * entries are live is decided by the owner (through the per-server
+     * tags), so the heap may hold stale ids and duplicates of a live
+     * one; every operation leaves a live id on top.
+     */
+    struct Members
+    {
+        /** Min-heap of ids (std::greater order). */
+        std::vector<ServerId> heap;
+        /** Live members. */
+        std::size_t count = 0;
+
+        /** Lowest live id. */
+        ServerId min() const { return heap.front(); }
+
+        void push(ServerId id);
+
+        /**
+         * Account one member gone whose tag already says so: pop stale
+         * tops, and compact once stale entries outnumber live ones.
+         */
+        template <typename Live> void erase(Live &&live);
+    };
+
     struct ClassEntry
     {
-        std::set<ServerId> members;
+        /** Unique per class instance; servers filed here carry it. */
+        std::uint64_t tag = 0;
+        Members members;
         /** Per-rack partition of members; empty unless domainsEnabled(). */
-        std::map<DomainId, std::set<ServerId>> byDomain;
+        std::map<DomainId, Members> byDomain;
         /** Lazy weighted-availability cache (key never changes). */
         mutable double cachedWeighted = 0.0;
         mutable double cachedBeta =
             std::numeric_limits<double>::quiet_NaN();
+
+        double
+        weighted(const Resources &avail, double beta) const
+        {
+            if (cachedBeta != beta) {
+                cachedWeighted = avail.weighted(beta);
+                cachedBeta = beta;
+            }
+            return cachedWeighted;
+        }
     };
 
     void insert(ServerId id, const Resources &avail);
 
-    /** Drop @p id from its domain bucket inside @p entry (no-op when
-     *  domains are disabled). */
-    void eraseDomainMember(ClassEntry &entry, ServerId id);
+    /** Drop @p id from its rack bucket inside @p entry, whose tag it no
+     *  longer carries or whose rack it has left (no-op when domains are
+     *  disabled). */
+    void eraseDomainMember(ClassEntry &entry, ServerId id, DomainId rack);
+
+    /** Tag of the class holding @p id; 0 when unfiled. */
+    std::uint64_t
+    tagOf(ServerId id) const
+    {
+        auto i = static_cast<std::size_t>(id);
+        return i < tagOf_.size() ? tagOf_[i] : 0;
+    }
+
+    void setTag(ServerId id, std::uint64_t tag);
 
     std::map<Resources, ClassEntry, ResourcesLess> classes_;
     std::size_t serverCount_ = 0;
+    /** Per server id: the tag of the class holding it, 0 when unfiled. */
+    std::vector<std::uint64_t> tagOf_;
+    /** Next class tag to hand out; 0 is reserved for "unfiled". */
+    std::uint64_t nextTag_ = 1;
     /** Rack domain per server id; empty == domains disabled. */
     std::vector<DomainId> rackOf_;
 };

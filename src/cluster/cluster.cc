@@ -99,7 +99,8 @@ Cluster::allocate(ServerId id, const Resources &req)
     index_.update(id, before, s.available());
     allocated_ += req;
     if (s.allocationCount() == 1)
-        active_.insert(id);
+        active_.insert(
+            std::lower_bound(active_.begin(), active_.end(), id), id);
     return true;
 }
 
@@ -110,8 +111,12 @@ Cluster::release(ServerId id, const Resources &req)
     Resources before = s.available();
     s.release(req);
     allocated_ -= req;
-    if (s.allocationCount() == 0)
-        active_.erase(id);
+    if (s.allocationCount() == 0) {
+        auto it = std::lower_bound(active_.begin(), active_.end(), id);
+        sim::simAssert(it != active_.end() && *it == id,
+                       "active set out of sync for server ", id);
+        active_.erase(it);
+    }
     // Down and quarantined servers are unfiled from the index; their
     // availability is re-filed wholesale when they rejoin the pool.
     if (filed(s))

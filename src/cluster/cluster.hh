@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "cluster/capacity_index.hh"
@@ -190,8 +189,8 @@ class Cluster
     Resources capacity_;
     /** Exact sum of allocations. */
     Resources allocated_;
-    /** Ids of servers with at least one allocation, ascending. */
-    std::set<ServerId> active_;
+    /** Ids of servers with at least one allocation, sorted ascending. */
+    std::vector<ServerId> active_;
     /** Server ids per capacity, ascending. */
     std::map<Resources, std::vector<ServerId>, ResourcesLess> byCapacity_;
     /** Per-server failure domain; empty until the first assignment. */

@@ -311,15 +311,6 @@ Platform::instanceSnapshots(FunctionId fn) const
     return snapshots;
 }
 
-int
-Platform::liveInstanceCount() const
-{
-    int total = 0;
-    for (const auto &f : functions_)
-        total += static_cast<int>(f.live.size());
-    return total;
-}
-
 std::int64_t
 Platform::queuedRequests() const
 {

@@ -218,8 +218,8 @@ class Platform
     /** Snapshots of a function's live instances (observability). */
     std::vector<InstanceSnapshot> instanceSnapshots(FunctionId fn) const;
 
-    /** Total live instances across functions. */
-    int liveInstanceCount() const;
+    /** Total live instances across functions. O(1): a running count. */
+    int liveInstanceCount() const { return liveInstances_; }
 
     /** Requests waiting in batch queues across all live instances
      *  (the load-digest component a cell router sees). */
@@ -727,6 +727,9 @@ class Platform
     std::vector<FunctionState> functions_;
     std::vector<ChainState> chains_;
     std::vector<InstanceRuntime> instances_;
+    /** Sum of every function's live.size(), kept by launchInstance()
+     *  and releaseInstance(). */
+    int liveInstances_ = 0;
     /** Records of requests not yet completed or dropped. */
     RequestTable requests_;
     std::vector<TraceFeed> feeds_;

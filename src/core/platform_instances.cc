@@ -141,6 +141,7 @@ Platform::launchInstance(FunctionId fn, const LaunchPlan &plan,
     f.usage[rt.usageKey].launches += 1;
 
     f.live.push_back(idx);
+    ++liveInstances_;
     f.allocated += plan.config.resources;
     tally(f, cold ? metrics::Counter::ColdLaunches
                   : metrics::Counter::WarmLaunches);
@@ -163,7 +164,7 @@ Platform::releaseInstance(std::size_t idx)
     cancelTimer(rt.expiryEvent);
     cluster_.release(rt.inst.serverId(), rt.inst.config().resources);
     f.allocated -= rt.inst.config().resources;
-    std::erase(f.live, idx);
+    liveInstances_ -= static_cast<int>(std::erase(f.live, idx));
 
     f.metrics.recordAllocation(now, f.allocated);
     f.metrics.recordInstanceCount(now, static_cast<int>(f.live.size()));

@@ -200,7 +200,7 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
 
     const cluster::CapacityIndex &index = cluster.capacityIndex();
     // Spread is live only when the caller asked for it AND the cluster
-    // actually has domains; otherwise the base forEachClass argmax runs
+    // actually has domains; otherwise the covering-class argmax runs
     // and the pass is bit-identical to the pre-topology scheduler.
     const bool spread_on =
         spread != nullptr && spread->weight > 0.0 && index.domainsEnabled();
@@ -295,17 +295,28 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
                             consider(e, min_id);
                         });
                 } else {
-                    index.forEachClass(
-                        cluster::kDefaultBeta,
+                    // Only classes covering req's CPU and GPU can fit,
+                    // and consider() orders on (e, id) alone, so the
+                    // visit order is free. Along one CPU level weighted
+                    // availability never falls, so e never rises: once
+                    // e < cand_e nothing later in the level can win or
+                    // tie. The spread path above keeps its full scan,
+                    // since the rack penalty divides e and breaks that
+                    // order.
+                    index.forEachCoveringClass(
+                        req, cluster::kDefaultBeta,
                         [&](const cluster::Resources &avail,
                             double weighted_avail,
                             cluster::ServerId min_id, std::size_t) {
                             if (!req.fitsIn(avail))
-                                return;
+                                return true;
                             double e = efficiencyFromAvail(
                                 entry.cand, entry.weightedCost,
                                 weighted_avail, norm, residual_rps);
+                            if (e < cand_e)
+                                return false;
                             consider(e, min_id);
+                            return true;
                         });
                 }
                 if (cand_e > best_e) {

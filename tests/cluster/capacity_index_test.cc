@@ -1,13 +1,18 @@
 /**
  * @file
  * Tests for the server capacity index: class splitting/merging under
- * allocate/release and the firstFit/bestFit probes against linear scans.
+ * allocate/release, the firstFit/bestFit probes against linear scans,
+ * and the lazily-deleted class membership against a std::set model.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "cluster/capacity_index.hh"
 #include "cluster/cluster.hh"
@@ -17,9 +22,12 @@ namespace {
 
 using infless::cluster::CapacityIndex;
 using infless::cluster::Cluster;
+using infless::cluster::DomainId;
+using infless::cluster::FailureDomain;
 using infless::cluster::kDefaultBeta;
 using infless::cluster::kNoServer;
 using infless::cluster::Resources;
+using infless::cluster::ResourcesLess;
 using infless::cluster::ServerId;
 using infless::sim::Rng;
 
@@ -255,16 +263,18 @@ TEST(CapacityIndexTest, RebuildMatchesIncrementalState)
               c.capacityIndex().bestFit(probe, kDefaultBeta));
 }
 
-TEST(CapacityIndexTest, ForEachClassReportsMinIdAndCount)
+TEST(CapacityIndexTest, ForEachCoveringClassReportsMinIdAndCount)
 {
     Cluster c(5);
     ASSERT_TRUE(c.allocate(2, Resources{1000, 0, 1024}));
 
+    // A zero request is covered by every class.
     std::size_t classes = 0;
     std::size_t servers = 0;
-    c.capacityIndex().forEachClass(
-        kDefaultBeta, [&](const Resources &avail, double weighted,
-                          ServerId min_id, std::size_t count) {
+    c.capacityIndex().forEachCoveringClass(
+        Resources{}, kDefaultBeta,
+        [&](const Resources &avail, double weighted, ServerId min_id,
+            std::size_t count) {
             EXPECT_EQ(weighted, avail.weighted(kDefaultBeta));
             if (count == 4)
                 EXPECT_EQ(min_id, 0); // untouched servers: 0,1,3,4
@@ -272,9 +282,221 @@ TEST(CapacityIndexTest, ForEachClassReportsMinIdAndCount)
                 EXPECT_EQ(min_id, 2);
             ++classes;
             servers += count;
+            return true;
         });
     EXPECT_EQ(classes, 2u);
     EXPECT_EQ(servers, 5u);
+
+    // Only the untouched class still has all of its CPU.
+    Resources full_cpu{c.server(0).capacity().cpuMillicores, 0, 0};
+    classes = 0;
+    c.capacityIndex().forEachCoveringClass(
+        full_cpu, kDefaultBeta,
+        [&](const Resources &, double, ServerId min_id, std::size_t) {
+            EXPECT_EQ(min_id, 0);
+            ++classes;
+            return true;
+        });
+    EXPECT_EQ(classes, 1u);
+}
+
+/** Reference membership: the filed servers of each class, by key. */
+using ClassSets = std::map<Resources, std::set<ServerId>, ResourcesLess>;
+
+ClassSets
+referenceClasses(const Cluster &c)
+{
+    ClassSets ref;
+    for (const auto &s : c.servers()) {
+        if (!s.isDown() && !s.isQuarantined())
+            ref[s.available()].insert(s.id());
+    }
+    return ref;
+}
+
+/**
+ * Every class's min id and count (and, with domains on, every rack
+ * bucket's) against a std::set model rebuilt from the servers, plus the
+ * index's own consistency check.
+ */
+::testing::AssertionResult
+matchesReference(const Cluster &c)
+{
+    const CapacityIndex &index = c.capacityIndex();
+    ClassSets ref = referenceClasses(c);
+    std::string error;
+    std::size_t visited = 0;
+    // A zero request is covered by every class.
+    index.forEachCoveringClass(
+        Resources{}, kDefaultBeta,
+        [&](const Resources &avail, double, ServerId min_id,
+            std::size_t count) {
+            ++visited;
+            auto it = ref.find(avail);
+            if (it == ref.end())
+                error += " extra class " + avail.str() + ";";
+            else if (min_id != *it->second.begin() ||
+                     count != it->second.size())
+                error += " class " + avail.str() + " min " +
+                         std::to_string(min_id) + " count " +
+                         std::to_string(count) + ";";
+            return true;
+        });
+    if (visited != ref.size() || index.classCount() != ref.size())
+        error += " " + std::to_string(visited) + " classes visited, " +
+                 std::to_string(ref.size()) + " expected;";
+
+    if (index.domainsEnabled()) {
+        using BucketKey = std::tuple<std::int64_t, std::int64_t,
+                                     std::int64_t, DomainId>;
+        auto keyOf = [](const Resources &r, DomainId rack) {
+            return BucketKey{r.cpuMillicores, r.gpuSmPercent, r.memoryMb,
+                             rack};
+        };
+        std::map<BucketKey, std::set<ServerId>> buckets;
+        for (const auto &[avail, members] : ref) {
+            for (ServerId id : members)
+                buckets[keyOf(avail, index.domainOf(id))].insert(id);
+        }
+        std::size_t seen = 0;
+        index.forEachClassDomain(
+            kDefaultBeta, [&](const Resources &avail, double,
+                              DomainId rack, ServerId min_id,
+                              std::size_t count) {
+                ++seen;
+                auto it = buckets.find(keyOf(avail, rack));
+                if (it == buckets.end() ||
+                    min_id != *it->second.begin() ||
+                    count != it->second.size())
+                    error += " bucket " + avail.str() + " rack " +
+                             std::to_string(rack) + ";";
+            });
+        if (seen != buckets.size())
+            error += " bucket count;";
+    }
+    if (!index.consistentWith(c.servers()))
+        error += " consistentWith failed;";
+    if (!error.empty())
+        return ::testing::AssertionFailure() << error;
+    return ::testing::AssertionSuccess();
+}
+
+TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
+{
+    // Seeded allocate/release, down/up, quarantine/lift and domain
+    // moves on a heterogeneous fleet. Partway through the fleet is
+    // copied and the same sequence continues on both copies; one server
+    // leaves and rejoins the same populous class hundreds of times so
+    // stale heap entries pile up and get compacted.
+    std::vector<Resources> caps;
+    for (int i = 0; i < 40; ++i)
+        caps.push_back(i % 5 == 4 ? Resources{32'000, 0, 262'144}
+                                  : Resources{16'000, 200, 131'072});
+    Cluster original(caps);
+    std::vector<Cluster *> fleets = {&original};
+    Cluster copy = original; // replaced at the copy step below
+    const auto n = static_cast<std::int64_t>(caps.size());
+    ASSERT_EQ(n, 40);
+
+    struct Alloc
+    {
+        ServerId server;
+        Resources res;
+    };
+    std::vector<Alloc> live;
+    Rng rng(2024);
+    // Servers 36-38 stay out of the random moves, so the untouched GPU
+    // class always holds ids below 38.
+    auto pickServer = [&] {
+        return static_cast<ServerId>(rng.uniformInt(0, n - 5));
+    };
+    const int steps = 3000;
+    std::size_t max_classes = 0;
+    for (int step = 0; step < steps; ++step) {
+        if (step == steps / 2) {
+            copy = original;
+            fleets.push_back(&copy);
+        }
+        double move = rng.uniform();
+        if (step >= 1000 && step < 1600) {
+            // The rejoin phase: server 38 (never the minimum of the
+            // untouched GPU class, nor of its rack bucket) leaves and
+            // rejoins that class on every cycle.
+            if (step == 1000) {
+                for (Cluster *c : fleets) {
+                    c->setServerDomain(37, FailureDomain{1, 3});
+                    c->setServerDomain(38, FailureDomain{1, 3});
+                }
+            }
+            Resources req{500, 5, 256};
+            for (Cluster *c : fleets) {
+                if (step % 2 == 0)
+                    ASSERT_TRUE(c->allocate(38, req)) << "step " << step;
+                else
+                    c->release(38, req);
+            }
+        } else if (move < 0.50) {
+            ServerId id = pickServer();
+            Resources req{rng.uniformInt(1, 8) * 500,
+                          rng.uniformInt(0, 1) * rng.uniformInt(0, 8) * 5,
+                          rng.uniformInt(1, 16) * 1024};
+            bool ok = fleets[0]->allocate(id, req);
+            for (std::size_t f = 1; f < fleets.size(); ++f)
+                ASSERT_EQ(fleets[f]->allocate(id, req), ok);
+            if (ok)
+                live.push_back({id, req});
+        } else if (move < 0.68) {
+            if (!live.empty()) {
+                std::size_t pick = static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(live.size()) - 1));
+                for (Cluster *c : fleets)
+                    c->release(live[pick].server, live[pick].res);
+                live[pick] = live.back();
+                live.pop_back();
+            }
+        } else if (move < 0.77) {
+            // Recover a down server, or crash an up one a third of the
+            // time, so most of the fleet stays up.
+            ServerId id = pickServer();
+            bool crash = rng.uniform() < 0.33;
+            for (Cluster *c : fleets) {
+                if (c->serverDown(id))
+                    c->setServerUp(id);
+                else if (crash)
+                    c->setServerDown(id);
+            }
+        } else if (move < 0.86) {
+            ServerId id = pickServer();
+            bool eject = rng.uniform() < 0.33;
+            for (Cluster *c : fleets) {
+                if (c->serverQuarantined(id))
+                    c->liftQuarantine(id);
+                else if (eject)
+                    c->quarantineServer(id);
+            }
+        } else if (step > 200) {
+            // Domains switch on mid-run, then servers change racks.
+            ServerId id = pickServer();
+            auto rack = static_cast<DomainId>(rng.uniformInt(0, 5));
+            for (Cluster *c : fleets)
+                c->setServerDomain(id, FailureDomain{rack / 2, rack});
+        }
+        for (Cluster *c : fleets)
+            ASSERT_TRUE(matchesReference(*c)) << "step " << step;
+        max_classes =
+            std::max(max_classes, original.capacityIndex().classCount());
+    }
+    ASSERT_EQ(fleets.size(), 2u);
+    EXPECT_GE(max_classes, 20u);
+    ASSERT_FALSE(live.empty());
+    EXPECT_TRUE(copy.capacityIndex().domainsEnabled());
+
+    // The copies share no state: emptying one leaves the other intact.
+    for (const Alloc &a : live)
+        copy.release(a.server, a.res);
+    EXPECT_TRUE(matchesReference(copy));
+    EXPECT_TRUE(matchesReference(original));
+    EXPECT_NE(copy.totalAllocated(), original.totalAllocated());
 }
 
 } // namespace

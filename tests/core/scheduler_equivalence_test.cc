@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,140 @@ TEST_F(EquivalenceFixture, LargeHomogeneousClusterSingleClass)
                                      for_naive);
     expectIdenticalPlans(fast, naive, "homogeneous-256");
     EXPECT_FALSE(fast.empty());
+}
+
+/**
+ * Occupancy in 500-millicore and 5-SM steps: a fifth of the servers
+ * untouched, about a third drained of nearly all CPU but left with GPU,
+ * the rest anywhere. Memory takes three values, so most classes hold a
+ * few servers: hundreds of classes spread over many CPU levels.
+ */
+void
+fineGrainedOccupancy(Cluster &c, Rng &rng)
+{
+    for (cluster::ServerId id = 0;
+         id < static_cast<cluster::ServerId>(c.size()); ++id) {
+        const Resources cap = c.server(id).capacity();
+        double kind = rng.uniform();
+        Resources req;
+        if (kind < 0.2) {
+            continue;
+        } else if (kind < 0.55) {
+            req = Resources{cap.cpuMillicores - rng.uniformInt(0, 3) * 500,
+                            rng.uniformInt(0, 20) * 5,
+                            rng.uniformInt(0, 2) * 32 * 1024};
+        } else {
+            req = Resources{rng.uniformInt(0, 32) * 500,
+                            rng.uniformInt(0, 40) * 5,
+                            rng.uniformInt(0, 2) * 32 * 1024};
+        }
+        if (!req.isZero() && c.server(id).canFit(req)) {
+            ASSERT_TRUE(c.allocate(id, req));
+        }
+    }
+    ASSERT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+}
+
+TEST_F(EquivalenceFixture, ManyClassesOverManyCpuLevels)
+{
+    // The covering scan skips whole CPU levels and the tails of levels;
+    // on fleets with hundreds of classes it must still match the naive
+    // scan bit for bit under every ablation flag.
+    SchedulerConfig largest_batch;
+    largest_batch.largestBatchFirst = true;
+    SchedulerConfig throughput_only;
+    throughput_only.throughputOnly = true;
+    SchedulerConfig uncapped;
+    uncapped.uncappedEfficiency = true;
+    SchedulerConfig no_floor;
+    no_floor.noFragmentFloor = true;
+    SchedulerConfig paper_literal = largest_batch;
+    paper_literal.uncappedEfficiency = true;
+    paper_literal.noFragmentFloor = true;
+    const std::vector<SchedulerConfig> configs = {
+        SchedulerConfig{}, largest_batch, throughput_only,
+        uncapped,          no_floor,      paper_literal};
+
+    Rng rng(8901);
+    const std::vector<const char *> names = {"ResNet-50", "MobileNet",
+                                             "VGGNet", "LSTM-2365"};
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        GreedyScheduler sched(cop, configs[k]);
+        for (int i = 0; i < 3; ++i) {
+            auto servers = rng.uniformInt(500, 2000);
+            Cluster base(static_cast<std::size_t>(servers));
+            fineGrainedOccupancy(base, rng);
+            std::set<std::int64_t> cpu_levels;
+            base.capacityIndex().forEachCoveringClass(
+                Resources{}, cluster::kDefaultBeta,
+                [&](const Resources &avail, double, cluster::ServerId,
+                    std::size_t) {
+                    cpu_levels.insert(avail.cpuMillicores);
+                    return true;
+                });
+            EXPECT_GE(base.capacityIndex().classCount(), 200u);
+            EXPECT_GE(cpu_levels.size(), 25u);
+
+            const auto &model = zoo.get(
+                names[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(names.size()) - 1))]);
+            auto slo = msToTicks(100 + 100 * rng.uniformInt(0, 3));
+            double rps = rng.uniform(500.0, 6000.0);
+            int max_batch = 1 << rng.uniformInt(0, 5);
+
+            Cluster for_fast = base;
+            Cluster for_naive = base;
+            auto fast =
+                sched.schedule(model, rps, slo, max_batch, for_fast);
+            auto naive = sched.scheduleNaive(model, rps, slo, max_batch,
+                                             for_naive);
+            std::string context =
+                std::string(model.name) + " rps=" + std::to_string(rps) +
+                " servers=" + std::to_string(servers) +
+                " config=" + std::to_string(k) +
+                " case=" + std::to_string(i);
+            expectIdenticalPlans(fast, naive, context);
+            EXPECT_FALSE(fast.empty()) << context;
+            EXPECT_EQ(for_fast.totalAllocated(),
+                      for_naive.totalAllocated())
+                << context;
+        }
+    }
+}
+
+TEST_F(EquivalenceFixture, FloorBandTieAcrossCpuLevelsGoesToLowestId)
+{
+    // One candidate: b=1, 1 core, 10 SMs. Server 5 is left with exactly
+    // that (CPU level 1000), server 2 with 1.5 cores and 10 SMs (CPU
+    // level 1500). Both lie in the fragment-floor band, so their e is
+    // equal, and the lower id on the higher level must win even though
+    // the lower level is scanned first.
+    SchedulerConfig cfg;
+    cfg.cpuChoices = {1000};
+    cfg.gpuChoices = {10};
+    GreedyScheduler sched(cop, cfg);
+    const auto &model = zoo.get("ResNet-50");
+    const Resources cap = cluster::testbedServerCapacity();
+
+    Cluster base(8);
+    ASSERT_TRUE(base.allocate(
+        5, Resources{cap.cpuMillicores - 1000, cap.gpuSmPercent - 10, 0}));
+    ASSERT_TRUE(base.allocate(
+        2, Resources{cap.cpuMillicores - 1500, cap.gpuSmPercent - 10, 0}));
+    const double cost = Resources{1000, 10, 0}.weighted(cluster::kDefaultBeta);
+    for (cluster::ServerId id : {2, 5}) {
+        double w = base.server(id).available().weighted(cluster::kDefaultBeta);
+        ASSERT_LE(1.0 - cost / w, 0.05) << "server " << id;
+    }
+
+    Cluster for_fast = base;
+    Cluster for_naive = base;
+    auto fast = sched.schedule(model, 1.0, msToTicks(500), 1, for_fast);
+    auto naive =
+        sched.scheduleNaive(model, 1.0, msToTicks(500), 1, for_naive);
+    expectIdenticalPlans(fast, naive, "floor-band tie");
+    ASSERT_EQ(fast.size(), 1u);
+    EXPECT_EQ(fast[0].server, 2);
 }
 
 } // namespace
