@@ -68,25 +68,7 @@ CapacityIndex::insert(ServerId id, const Resources &avail)
         entry.tag = nextTag_++;
     setTag(id, entry.tag);
     entry.members.push(id);
-    if (domainsEnabled())
-        entry.byDomain[domainOf(id)].push(id);
     ++serverCount_;
-}
-
-void
-CapacityIndex::eraseDomainMember(ClassEntry &entry, ServerId id,
-                                 DomainId rack)
-{
-    if (!domainsEnabled())
-        return;
-    auto bucket = entry.byDomain.find(rack);
-    sim::simAssert(bucket != entry.byDomain.end(),
-                   "domain bucket out of sync for server ", id);
-    bucket->second.erase([&](ServerId m) {
-        return tagOf(m) == entry.tag && domainOf(m) == rack;
-    });
-    if (bucket->second.count == 0)
-        entry.byDomain.erase(bucket);
 }
 
 void
@@ -99,7 +81,6 @@ CapacityIndex::remove(ServerId id, const Resources &avail)
     setTag(id, 0);
     entry.members.erase(
         [&](ServerId m) { return tagOf(m) == entry.tag; });
-    eraseDomainMember(entry, id, domainOf(id));
     if (entry.members.count == 0)
         classes_.erase(it);
     --serverCount_;
@@ -111,33 +92,6 @@ CapacityIndex::update(ServerId id, const Resources &before,
 {
     remove(id, before);
     insert(id, after);
-}
-
-void
-CapacityIndex::assignDomain(ServerId id, DomainId rack,
-                            const Resources *filed_avail)
-{
-    sim::simAssert(id >= 0, "bad server id ", id);
-    if (!domainsEnabled()) {
-        // First assignment: backfill every filed member into the
-        // kNoDomain bucket so the bucket partition is complete before
-        // any per-server moves happen.
-        rackOf_.assign(static_cast<std::size_t>(id) + 1, kNoDomain);
-        for (auto &[avail, entry] : classes_)
-            entry.byDomain[kNoDomain] = entry.members;
-    }
-    if (static_cast<std::size_t>(id) >= rackOf_.size())
-        rackOf_.resize(static_cast<std::size_t>(id) + 1, kNoDomain);
-
-    DomainId old_rack = domainOf(id);
-    rackOf_[static_cast<std::size_t>(id)] = rack;
-    if (filed_avail != nullptr) {
-        auto it = classes_.find(*filed_avail);
-        sim::simAssert(it != classes_.end() && tagOf(id) == it->second.tag,
-                       "capacity index out of sync for server ", id);
-        eraseDomainMember(it->second, id, old_rack);
-        it->second.byDomain[rack].push(id);
-    }
 }
 
 ServerId
@@ -179,26 +133,20 @@ CapacityIndex::bestFit(const Resources &req, double beta) const
 bool
 CapacityIndex::consistentWith(const std::vector<Server> &servers) const
 {
-    // The live entries of a heap, deduplicated; false if the top is not
-    // the smallest of them or their number is not the recorded count.
-    auto liveSet = [](const Members &m, auto &&live,
-                      std::set<ServerId> &out) {
-        out.clear();
-        for (ServerId id : m.heap) {
-            if (live(id))
-                out.insert(id);
-        }
-        return !out.empty() && out.size() == m.count &&
-               m.heap.front() == *out.begin() &&
-               std::is_heap(m.heap.begin(), m.heap.end(), std::greater<>{});
-    };
-
     std::size_t filed = 0;
     std::set<ServerId> members;
-    std::set<ServerId> bucket;
     for (const auto &[avail, entry] : classes_) {
-        auto inClass = [&](ServerId id) { return tagOf(id) == entry.tag; };
-        if (entry.tag == 0 || !liveSet(entry.members, inClass, members))
+        // The live heap entries, deduplicated: there must be `count` of
+        // them, the smallest on top of a valid min-heap.
+        const Members &m = entry.members;
+        members.clear();
+        for (ServerId id : m.heap) {
+            if (tagOf(id) == entry.tag)
+                members.insert(id);
+        }
+        if (entry.tag == 0 || members.empty() ||
+            members.size() != m.count || m.min() != *members.begin() ||
+            !std::is_heap(m.heap.begin(), m.heap.end(), std::greater<>{}))
             return false;
         for (ServerId id : members) {
             if (id < 0 || static_cast<std::size_t>(id) >= servers.size())
@@ -208,23 +156,6 @@ CapacityIndex::consistentWith(const std::vector<Server> &servers) const
                 !(s.available() == avail))
                 return false;
             ++filed;
-        }
-        // With domains on, the rack buckets must partition the members
-        // and every member must sit in the bucket of its assigned rack.
-        if (domainsEnabled()) {
-            std::size_t bucketed = 0;
-            for (const auto &[rack, m] : entry.byDomain) {
-                auto inBucket = [&](ServerId id) {
-                    return inClass(id) && domainOf(id) == rack;
-                };
-                if (!liveSet(m, inBucket, bucket))
-                    return false;
-                bucketed += bucket.size();
-            }
-            if (bucketed != members.size())
-                return false;
-        } else if (!entry.byDomain.empty()) {
-            return false;
         }
     }
     // Down and quarantined servers are unfiled: classes partition the

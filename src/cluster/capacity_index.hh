@@ -14,6 +14,10 @@
  * entries whose id carries another tag are stale. Allocate/release move
  * one id between two classes in O(log classes + log members) amortized,
  * with no per-server node allocation; a rebuild is O(servers).
+ *
+ * Failure domains are not indexed: a server's rack does not change its
+ * class. Spread placement, whose penalty depends on the rack, scans the
+ * servers instead (GreedyScheduler::schedule).
  */
 
 #ifndef INFLESS_CLUSTER_CAPACITY_INDEX_HH
@@ -27,7 +31,6 @@
 
 #include "cluster/resources.hh"
 #include "cluster/server.hh"
-#include "cluster/topology.hh"
 
 namespace infless::cluster {
 
@@ -129,54 +132,6 @@ class CapacityIndex
         }
     }
 
-    // Failure domains -------------------------------------------------------
-
-    /**
-     * Record the rack domain of a server. The first call enables domain
-     * bucketing: from then on every class additionally partitions its
-     * members by rack, and forEachClassDomain() becomes meaningful.
-     * Clusters that never assign a domain pay nothing — the per-class
-     * bucket maps stay empty and forEachCoveringClass() is untouched.
-     *
-     * @param filed_avail The server's current availability if it is
-     *        presently filed in the index (so its bucket can move), or
-     *        nullptr if it is unfiled (down/quarantined).
-     */
-    void assignDomain(ServerId id, DomainId rack,
-                      const Resources *filed_avail);
-
-    /** Whether any domain was ever assigned. */
-    bool domainsEnabled() const { return !rackOf_.empty(); }
-
-    /** Rack domain of a server (kNoDomain when unassigned). */
-    DomainId
-    domainOf(ServerId id) const
-    {
-        if (id < 0 || static_cast<std::size_t>(id) >= rackOf_.size())
-            return kNoDomain;
-        return rackOf_[static_cast<std::size_t>(id)];
-    }
-
-    /**
-     * Visit every (class, rack-domain) bucket as
-     * f(avail, weightedAvail, rack, minId, count).
-     *
-     * Buckets iterate in (class key, rack id) order — deterministic.
-     * Servers without an assigned domain appear under kNoDomain. Only
-     * valid once domainsEnabled(); the spread-aware scheduler path is
-     * the sole caller.
-     */
-    template <typename F>
-    void
-    forEachClassDomain(double beta, F &&f) const
-    {
-        for (const auto &[avail, entry] : classes_) {
-            double weighted = entry.weighted(avail, beta);
-            for (const auto &[rack, members] : entry.byDomain)
-                f(avail, weighted, rack, members.min(), members.count);
-        }
-    }
-
     /**
      * Exhaustive invariant check against the source of truth: classes
      * partition the servers and every member's availability matches its
@@ -215,8 +170,6 @@ class CapacityIndex
         /** Unique per class instance; servers filed here carry it. */
         std::uint64_t tag = 0;
         Members members;
-        /** Per-rack partition of members; empty unless domainsEnabled(). */
-        std::map<DomainId, Members> byDomain;
         /** Lazy weighted-availability cache (key never changes). */
         mutable double cachedWeighted = 0.0;
         mutable double cachedBeta =
@@ -235,11 +188,6 @@ class CapacityIndex
 
     void insert(ServerId id, const Resources &avail);
 
-    /** Drop @p id from its rack bucket inside @p entry, whose tag it no
-     *  longer carries or whose rack it has left (no-op when domains are
-     *  disabled). */
-    void eraseDomainMember(ClassEntry &entry, ServerId id, DomainId rack);
-
     /** Tag of the class holding @p id; 0 when unfiled. */
     std::uint64_t
     tagOf(ServerId id) const
@@ -256,8 +204,6 @@ class CapacityIndex
     std::vector<std::uint64_t> tagOf_;
     /** Next class tag to hand out; 0 is reserved for "unfiled". */
     std::uint64_t nextTag_ = 1;
-    /** Rack domain per server id; empty == domains disabled. */
-    std::vector<DomainId> rackOf_;
 };
 
 } // namespace infless::cluster

@@ -150,12 +150,11 @@ Cluster::setServerUp(ServerId id)
 void
 Cluster::setServerDomain(ServerId id, const FailureDomain &domain)
 {
-    Server &s = serverMut(id);
+    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < servers_.size(),
+                   "bad server id ", id);
     if (domains_.size() < servers_.size())
         domains_.resize(servers_.size());
     domains_[static_cast<std::size_t>(id)] = domain;
-    Resources avail = s.available();
-    index_.assignDomain(id, domain.rack, filed(s) ? &avail : nullptr);
 }
 
 FailureDomain

@@ -117,10 +117,9 @@ class Cluster
     // Failure domains -------------------------------------------------------
 
     /**
-     * Assign the (zone, rack) a server physically lives in. The rack is
-     * forwarded to the capacity index so domain-bucketed placement
-     * queries (forEachClassDomain) see it. Domains are a property of the
-     * *machine*, keyed off its global id by the caller.
+     * Assign the (zone, rack) a server physically lives in. A plain
+     * store: the capacity index does not see domains. Domains are a
+     * property of the *machine*, keyed off its global id by the caller.
      */
     void setServerDomain(ServerId id, const FailureDomain &domain);
 

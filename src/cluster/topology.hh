@@ -42,8 +42,9 @@ struct FailureDomain
 };
 
 /**
- * Deterministic fleet topology. Disabled by default (zones == 0): no
- * server gets a domain and every topology-aware code path is inert.
+ * Deterministic fleet topology. Disabled by default (zones == 0) and
+ * whenever any dimension is 0: no server gets a domain and every
+ * topology-aware code path is inert.
  *
  * Servers are laid out in contiguous blocks of @p rackSize, assigned to
  * racks round-robin: rack(s) = (s / rackSize) mod (zones * racksPerZone).
@@ -52,14 +53,18 @@ struct FailureDomain
  */
 struct TopologyConfig
 {
-    /** Number of zones; 0 disables the topology entirely. */
+    /** Number of zones; 0 (the default) disables the topology. */
     std::size_t zones = 0;
     /** Racks per zone. */
     std::size_t racksPerZone = 1;
     /** Servers per contiguous rack block. */
     std::size_t rackSize = 8;
 
-    bool enabled() const { return zones > 0; }
+    bool
+    enabled() const
+    {
+        return zones > 0 && racksPerZone > 0 && rackSize > 0;
+    }
 
     /** Total rack domains (the granularity of correlated outages). */
     std::size_t rackDomains() const { return zones * racksPerZone; }
@@ -70,8 +75,7 @@ struct TopologyConfig
     {
         if (!enabled() || global_id < 0)
             return kNoDomain;
-        auto block = static_cast<std::size_t>(global_id) /
-                     (rackSize == 0 ? 1 : rackSize);
+        auto block = static_cast<std::size_t>(global_id) / rackSize;
         return static_cast<DomainId>(block % rackDomains());
     }
 

@@ -700,8 +700,9 @@ class Platform
     /** Domain occupancy of @p fn's non-draining live instances — the
      *  anti-affinity spread score input (inert at weight 0). */
     SpreadContext spreadContextFor(const FunctionState &fn) const;
-    /** &ctx when spread scoring is active, else nullptr (bit-identical
-     *  disabled path: scheduler never sees a context). */
+    /** &ctx when spread scoring is active (spreadWeight > 0 on a fleet
+     *  with failure domains), else nullptr: the scheduler never sees a
+     *  context and takes its covering-class argmax. */
     SpreadContext *spreadArg(SpreadContext &ctx) const;
 
     /** One injected trace, read by its replay cursor. */

@@ -357,8 +357,7 @@ SpreadContext
 Platform::spreadContextFor(const FunctionState &f) const
 {
     SpreadContext ctx;
-    ctx.weight = opts_.scheduler.spreadWeight;
-    if (ctx.weight <= 0.0)
+    if (spreadArg(ctx) == nullptr)
         return ctx;
     for (std::size_t idx : f.live) {
         const InstanceRuntime &rt = instances_[idx];
@@ -372,7 +371,11 @@ Platform::spreadContextFor(const FunctionState &f) const
 SpreadContext *
 Platform::spreadArg(SpreadContext &ctx) const
 {
-    return ctx.weight > 0.0 ? &ctx : nullptr;
+    // Without domains every penalty is 1.0: skip the scheduler's
+    // per-server spread scan.
+    return opts_.topology.enabled() && opts_.scheduler.spreadWeight > 0.0
+               ? &ctx
+               : nullptr;
 }
 
 void

@@ -199,11 +199,8 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
     std::size_t cut = pool.size(); // by_gate[0, cut) is admissible
 
     const cluster::CapacityIndex &index = cluster.capacityIndex();
-    // Spread is live only when the caller asked for it AND the cluster
-    // actually has domains; otherwise the covering-class argmax runs
-    // and the pass is bit-identical to the pre-topology scheduler.
-    const bool spread_on =
-        spread != nullptr && spread->weight > 0.0 && index.domainsEnabled();
+    const double weight = config_.spreadWeight;
+    const bool spread_on = spread != nullptr && weight > 0.0;
 
     while (residual_rps > 1e-9) {
         while (cut > 0 && pool[by_gate[cut - 1]].gateKey > residual_rps) {
@@ -276,33 +273,26 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
                     }
                 };
                 if (spread_on) {
-                    // Domain-bucketed argmax: servers in one (class,
-                    // rack) bucket share availability AND penalty, so
-                    // one evaluation per bucket reproduces the naive
-                    // per-server scan exactly.
-                    index.forEachClassDomain(
-                        cluster::kDefaultBeta,
-                        [&](const cluster::Resources &avail,
-                            double weighted_avail, cluster::DomainId,
-                            cluster::ServerId min_id, std::size_t) {
-                            if (!req.fitsIn(avail))
-                                return;
-                            double e = efficiencyFromAvail(
-                                entry.cand, entry.weightedCost,
-                                weighted_avail, norm, residual_rps);
-                            e /= spread->penalty(
-                                cluster.serverDomain(min_id));
-                            consider(e, min_id);
-                        });
+                    // The rack penalty differs between servers of one
+                    // class, so spread evaluates every server. Spread
+                    // runs only on fleets with failure domains, all of
+                    // them small (DESIGN.md §4).
+                    for (const cluster::Server &server : cluster.servers()) {
+                        double e = efficiency(entry.cand, server, norm,
+                                              residual_rps);
+                        if (e < 0.0)
+                            continue;
+                        e /= spread->penalty(
+                            cluster.serverDomain(server.id()), weight);
+                        consider(e, server.id());
+                    }
                 } else {
                     // Only classes covering req's CPU and GPU can fit,
                     // and consider() orders on (e, id) alone, so the
                     // visit order is free. Along one CPU level weighted
                     // availability never falls, so e never rises: once
                     // e < cand_e nothing later in the level can win or
-                    // tie. The spread path above keeps its full scan,
-                    // since the rack penalty divides e and breaks that
-                    // order.
+                    // tie.
                     index.forEachCoveringClass(
                         req, cluster::kDefaultBeta,
                         [&](const cluster::Resources &avail,
@@ -420,9 +410,8 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
                                              cluster::kDefaultBeta));
             }
             // argmax e_ij over candidates x servers.
-            const bool spread_on = spread != nullptr &&
-                                   spread->weight > 0.0 &&
-                                   cluster.capacityIndex().domainsEnabled();
+            const bool spread_on =
+                spread != nullptr && config_.spreadWeight > 0.0;
             double best_e = -1.0;
             for (const auto &cand : candidates) {
                 for (const auto &server : cluster.servers()) {
@@ -430,7 +419,8 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
                         efficiency(cand, server, norm, residual_rps);
                     if (spread_on && e >= 0.0)
                         e /= spread->penalty(
-                            cluster.serverDomain(server.id()));
+                            cluster.serverDomain(server.id()),
+                            config_.spreadWeight);
                     if (e > best_e) {
                         best_e = e;
                         best_cand = &cand;
@@ -453,7 +443,7 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
         plan.bounds = best_cand->bounds;
         plans.push_back(plan);
 
-        if (spread != nullptr && spread->weight > 0.0)
+        if (spread != nullptr && config_.spreadWeight > 0.0)
             spread->add(cluster.serverDomain(best_server));
         residual_rps -= best_cand->bounds.up;
     }

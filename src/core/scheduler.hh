@@ -76,8 +76,6 @@ struct SchedulerConfig
  */
 struct SpreadContext
 {
-    /** Penalty weight (from SchedulerConfig::spreadWeight). */
-    double weight = 0.0;
     /** Existing instances per zone, indexed by zone id. */
     std::vector<int> zoneCount;
     /** Existing instances per rack, indexed by global rack id. */
@@ -97,9 +95,12 @@ struct SpreadContext
         ++rackCount[static_cast<std::size_t>(domain.rack)];
     }
 
-    /** The divisor applied to e_ij for a server in @p domain. */
+    /**
+     * The divisor applied to e_ij for a server in @p domain, at
+     * SchedulerConfig::spreadWeight @p weight.
+     */
     double
-    penalty(const cluster::FailureDomain &domain) const
+    penalty(const cluster::FailureDomain &domain, double weight) const
     {
         if (!domain.assigned())
             return 1.0;
@@ -205,7 +206,8 @@ class GreedyScheduler
      * a memoized weighted cost and are gated against the shrinking
      * residual by a pre-sorted r_low threshold cut, and the argmax over
      * e_ij is evaluated once per capacity-index class instead of once per
-     * server. Guaranteed to produce a LaunchPlan sequence bit-identical
+     * server (spread scoring, whose penalty differs within a class,
+     * evaluates every server). Guaranteed to produce a LaunchPlan sequence bit-identical
      * to scheduleNaive() (the equivalence is pinned by
      * tests/core/scheduler_equivalence_test.cc).
      *
@@ -216,7 +218,9 @@ class GreedyScheduler
      * @param max_batch Function-level batch cap.
      * @param spread Optional anti-affinity state; null (or zero weight,
      *        or a cluster without domains) reproduces the base metric
-     *        bit-for-bit. Mutated: placements made by this call are
+     *        bit-for-bit. Pass null when the cluster has no domains:
+     *        the penalty is then 1.0 everywhere and the per-server scan
+     *        buys nothing. Mutated: placements made by this call are
      *        counted so the pass spreads its own launches.
      * @return The launch plans; may cover less than the residual when the
      *         cluster runs out of room.

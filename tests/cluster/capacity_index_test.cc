@@ -12,7 +12,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 
 #include "cluster/capacity_index.hh"
 #include "cluster/cluster.hh"
@@ -315,9 +314,8 @@ referenceClasses(const Cluster &c)
 }
 
 /**
- * Every class's min id and count (and, with domains on, every rack
- * bucket's) against a std::set model rebuilt from the servers, plus the
- * index's own consistency check.
+ * Every class's min id and count against a std::set model rebuilt from
+ * the servers, plus the index's own consistency check.
  */
 ::testing::AssertionResult
 matchesReference(const Cluster &c)
@@ -346,34 +344,6 @@ matchesReference(const Cluster &c)
         error += " " + std::to_string(visited) + " classes visited, " +
                  std::to_string(ref.size()) + " expected;";
 
-    if (index.domainsEnabled()) {
-        using BucketKey = std::tuple<std::int64_t, std::int64_t,
-                                     std::int64_t, DomainId>;
-        auto keyOf = [](const Resources &r, DomainId rack) {
-            return BucketKey{r.cpuMillicores, r.gpuSmPercent, r.memoryMb,
-                             rack};
-        };
-        std::map<BucketKey, std::set<ServerId>> buckets;
-        for (const auto &[avail, members] : ref) {
-            for (ServerId id : members)
-                buckets[keyOf(avail, index.domainOf(id))].insert(id);
-        }
-        std::size_t seen = 0;
-        index.forEachClassDomain(
-            kDefaultBeta, [&](const Resources &avail, double,
-                              DomainId rack, ServerId min_id,
-                              std::size_t count) {
-                ++seen;
-                auto it = buckets.find(keyOf(avail, rack));
-                if (it == buckets.end() ||
-                    min_id != *it->second.begin() ||
-                    count != it->second.size())
-                    error += " bucket " + avail.str() + " rack " +
-                             std::to_string(rack) + ";";
-            });
-        if (seen != buckets.size())
-            error += " bucket count;";
-    }
     if (!index.consistentWith(c.servers()))
         error += " consistentWith failed;";
     if (!error.empty())
@@ -420,8 +390,8 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
         double move = rng.uniform();
         if (step >= 1000 && step < 1600) {
             // The rejoin phase: server 38 (never the minimum of the
-            // untouched GPU class, nor of its rack bucket) leaves and
-            // rejoins that class on every cycle.
+            // untouched GPU class) leaves and rejoins that class on
+            // every cycle.
             if (step == 1000) {
                 for (Cluster *c : fleets) {
                     c->setServerDomain(37, FailureDomain{1, 3});
@@ -475,7 +445,8 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
                     c->quarantineServer(id);
             }
         } else if (step > 200) {
-            // Domains switch on mid-run, then servers change racks.
+            // Domains are assigned mid-run, then servers change racks:
+            // the index must not notice.
             ServerId id = pickServer();
             auto rack = static_cast<DomainId>(rng.uniformInt(0, 5));
             for (Cluster *c : fleets)
@@ -489,7 +460,7 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
     ASSERT_EQ(fleets.size(), 2u);
     EXPECT_GE(max_classes, 20u);
     ASSERT_FALSE(live.empty());
-    EXPECT_TRUE(copy.capacityIndex().domainsEnabled());
+    EXPECT_EQ(copy.serverDomain(38), (FailureDomain{1, 3}));
 
     // The copies share no state: emptying one leaves the other intact.
     for (const Alloc &a : live)

@@ -21,11 +21,20 @@ using infless::cluster::TopologyConfig;
 
 TEST(TopologyTest, DisabledAssignsNothing)
 {
-    TopologyConfig off;
-    EXPECT_FALSE(off.enabled());
-    EXPECT_EQ(off.rackOf(0), kNoDomain);
-    EXPECT_EQ(off.domainOf(5).zone, kNoDomain);
-    EXPECT_FALSE(off.domainOf(5).assigned());
+    // The default (no zones), and any other zero dimension.
+    TopologyConfig zero_racks;
+    zero_racks.zones = 3;
+    zero_racks.racksPerZone = 0;
+    TopologyConfig zero_size;
+    zero_size.zones = 3;
+    zero_size.rackSize = 0;
+    for (const TopologyConfig &off : {TopologyConfig{}, zero_racks,
+                                      zero_size}) {
+        EXPECT_FALSE(off.enabled());
+        EXPECT_EQ(off.rackOf(0), kNoDomain);
+        EXPECT_EQ(off.domainOf(5).zone, kNoDomain);
+        EXPECT_FALSE(off.domainOf(5).assigned());
+    }
 }
 
 TEST(TopologyTest, ContiguousBlocksRoundRobinAcrossRacks)

@@ -297,6 +297,31 @@ TEST(PlatformDomainTest, ScriptedOutageCrashesAndRepairsWholeZone)
     EXPECT_GT(m.completions(), 0);
 }
 
+TEST(PlatformDomainTest, ZeroRackTopologyIsDisabled)
+{
+    // Any zero dimension disables the topology: no server gets a
+    // domain, and spread scoring on top of it changes nothing.
+    auto run = [](PlatformOptions opts) {
+        Platform p(4, std::move(opts));
+        auto fn = p.deploy(resnetSpec());
+        p.injectTrace(fn, uniformArrivals(80.0, 20 * kTicksPerSec));
+        p.run(30 * kTicksPerSec);
+        for (ServerId s = 0; s < 4; ++s)
+            EXPECT_FALSE(p.cluster().serverDomain(s).assigned());
+        const auto &m = p.totalMetrics();
+        EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
+        return std::tuple(m.arrivals(), m.completions(), m.drops(),
+                          m.launches(), m.latency().mean(),
+                          p.meanFragmentRatio());
+    };
+
+    PlatformOptions zero_racks;
+    zero_racks.topology.zones = 3;
+    zero_racks.topology.racksPerZone = 0;
+    zero_racks.scheduler.spreadWeight = 0.5;
+    EXPECT_EQ(run(zero_racks), run(PlatformOptions{}));
+}
+
 TEST(PlatformDomainTest, SetGrayMultiplierRejectsUnknownServersAndSpeedups)
 {
     Platform p(4);

@@ -175,14 +175,19 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
     // Failure-domain anti-affinity: with domains assigned and a live
     // SpreadContext, the fast path must still match the reference
     // bit-for-bit — including the context mutations (each placement
-    // feeds back into the next placement's penalty).
+    // feeds back into the next placement's penalty). Cases from 40 on
+    // also take servers down or quarantine them, and on odd cases
+    // assign domains after occupancy and outages, the order
+    // ShardedPlatform uses.
     SchedulerConfig cfg;
     cfg.spreadWeight = 0.5;
     GreedyScheduler sched(cop, cfg);
     Rng rng(7890);
     const std::vector<const char *> names = {"ResNet-50", "MobileNet",
                                              "VGGNet"};
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < 80; ++i) {
+        const bool unfiled = i >= 40;
+        const bool late_domains = unfiled && i % 2 == 1;
         const auto &model = zoo.get(
             names[static_cast<std::size_t>(rng.uniformInt(0, 2))]);
         auto slo = msToTicks(100 + 100 * rng.uniformInt(0, 4));
@@ -195,13 +200,28 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
         topo.rackSize = static_cast<std::int32_t>(rng.uniformInt(1, 3));
 
         Cluster base(static_cast<std::size_t>(servers));
-        for (cluster::ServerId s = 0;
-             s < static_cast<cluster::ServerId>(servers); ++s)
-            base.setServerDomain(s, topo.domainOf(s));
+        auto setDomains = [&] {
+            for (cluster::ServerId s = 0;
+                 s < static_cast<cluster::ServerId>(servers); ++s)
+                base.setServerDomain(s, topo.domainOf(s));
+        };
+        if (!late_domains)
+            setDomains();
         randomOccupancy(base, rng, 0.3);
+        if (unfiled) {
+            for (cluster::ServerId s = 0;
+                 s < static_cast<cluster::ServerId>(servers); ++s) {
+                double r = rng.uniform();
+                if (r < 0.15)
+                    base.setServerDown(s);
+                else if (r < 0.3)
+                    base.quarantineServer(s);
+            }
+        }
+        if (late_domains)
+            setDomains();
 
         infless::core::SpreadContext spread;
-        spread.weight = cfg.spreadWeight;
         // Pre-existing replicas bias some domains before this pass.
         for (int k = 0; k < rng.uniformInt(0, 6); ++k)
             spread.add(topo.domainOf(static_cast<cluster::ServerId>(
@@ -218,7 +238,9 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
         std::string context = std::string(model.name) +
                               " rps=" + std::to_string(rps) +
                               " servers=" + std::to_string(servers) +
-                              " spread case=" + std::to_string(i);
+                              " spread case=" + std::to_string(i) +
+                              (unfiled ? " unfiled" : "") +
+                              (late_domains ? " late-domains" : "");
         expectIdenticalPlans(fast, naive, context);
         EXPECT_EQ(fast_ctx.zoneCount, naive_ctx.zoneCount) << context;
         EXPECT_EQ(fast_ctx.rackCount, naive_ctx.rackCount) << context;
