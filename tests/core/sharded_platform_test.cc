@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -654,6 +655,87 @@ TEST(ShardedPlatform, MultiCellGoldenDigest)
     // gave 0x94bbd48f6408799a and 0x1cab0b91a08a563b).
     EXPECT_EQ(bitDigest(chaosRun(1)), 0x8c89a4b1e79cb99bULL);
     EXPECT_EQ(bitDigest(skewedTrafficRun()), 0x5c68a1661a24d54fULL);
+}
+
+/** @p trace with every arrival moved @p by ticks later. */
+infless::workload::ArrivalTrace
+shifted(const infless::workload::ArrivalTrace &trace, Tick by)
+{
+    std::vector<Tick> ticks = trace.arrivals();
+    for (Tick &t : ticks)
+        t += by;
+    return infless::workload::ArrivalTrace(std::move(ticks));
+}
+
+/** Arrivals that tie across feeds, on window boundaries and between
+ *  two feeds of one function, routed over home sets that spill. */
+struct RoutingOrderRun
+{
+    std::vector<double> fp;
+    std::vector<std::int64_t> routed;
+    std::size_t widestHome = 0;
+};
+
+RoutingOrderRun
+routingOrderRun()
+{
+    // One server per cell: three heavy functions overflow their home
+    // cells, so routing draws among several cells per function.
+    PlatformOptions opts;
+    opts.seed = 29;
+    CellOptions cells;
+    cells.cells = 4;
+    ShardedPlatform platform(4, opts, cells);
+    const Tick first = 3 * kTicksPerSec;
+    std::vector<infless::core::FunctionId> heavy;
+    for (const char *model : {"Bert-v1", "ResNet-50", "VGGNet"}) {
+        heavy.push_back(platform.deploy(spec(model, model)));
+        // 1 ms apart in every feed: the three tie on every tick, and
+        // every 250 ms window boundary carries an arrival.
+        platform.injectTrace(heavy.back(), uniformArrivals(1'000.0, first));
+    }
+    // Two feeds of one function, 2.5 ms and 4 ms apart: they
+    // interleave and tie every 20 ms.
+    auto light = platform.deploy(spec("mobilenet", "MobileNet"));
+    platform.injectTrace(light, uniformArrivals(400.0, first));
+    platform.injectTrace(light, uniformArrivals(250.0, first));
+    const Tick mid = msToTicks(1'500);
+    platform.run(mid);
+
+    // A second feed of a heavy function, injected between runs: it
+    // starts on the cursor and ties with every live heavy feed.
+    platform.injectTrace(
+        heavy[0], shifted(uniformArrivals(1'000.0, 2 * kTicksPerSec),
+                          mid - msToTicks(1)));
+    const Tick end = 5 * kTicksPerSec;
+    platform.run(end);
+
+    RoutingOrderRun out;
+    out.fp = fingerprint(platform.totalMetrics(), end);
+    for (std::size_t fn = 0; fn < platform.functionCount(); ++fn) {
+        auto ffp = fingerprint(
+            platform.functionMetrics(static_cast<int>(fn)), end);
+        out.fp.insert(out.fp.end(), ffp.begin(), ffp.end());
+        out.widestHome =
+            std::max(out.widestHome, platform.router().homeSize(fn));
+    }
+    out.fp.push_back(static_cast<double>(platform.eventsExecuted()));
+    out.fp.push_back(static_cast<double>(platform.schedulerDecisions()));
+    for (std::size_t c = 0; c < platform.cellCount(); ++c)
+        out.routed.push_back(platform.routedTo(c));
+    return out;
+}
+
+TEST(ShardedPlatform, RoutingOrderGoldenDigest)
+{
+    // Routing draws depend on arrival order once a home set holds more
+    // than one cell, so this pins the order the barrier routes in:
+    // ticks ascending, ties in feed-injection order.
+    RoutingOrderRun run = routingOrderRun();
+    EXPECT_GE(run.widestHome, 2u);
+    EXPECT_EQ(run.routed,
+              (std::vector<std::int64_t>{4227, 2430, 3834, 2453}));
+    EXPECT_EQ(bitDigest(run.fp), 0x9f3defe6d4394f48ULL);
 }
 
 TEST(ShardedPlatform, DropPressureCountsEachRejectionOnce)
