@@ -61,6 +61,8 @@ IdleTimeHistogram::addSample(sim::Tick gap, sim::Tick now)
     for (Window &win : windows_) {
         ++win.bins[bin];
         ++win.total;
+        if (win.oldest == sim::kTickNever)
+            win.oldest = now;
     }
 }
 
@@ -70,13 +72,11 @@ IdleTimeHistogram::evict(sim::Tick now)
     for (std::size_t w = 0; w < windows_.size(); ++w) {
         Window &win = windows_[w];
         sim::Tick cutoff = now - win.horizon;
-        while (!log_.done(w)) {
-            sim::TickLog::Record sample = log_.peek(w);
-            if (sample.tick >= cutoff)
-                break;
+        while (win.oldest < cutoff) {
+            sim::TickLog::Record sample = log_.take(w);
             --win.bins[sample.tag];
             --win.total;
-            log_.take(w);
+            win.oldest = log_.done(w) ? sim::kTickNever : log_.peek(w).tick;
         }
     }
 }

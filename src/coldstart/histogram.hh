@@ -94,6 +94,9 @@ class IdleTimeHistogram
         sim::Tick horizon;
         std::vector<std::int64_t> bins;
         std::int64_t total = 0;
+        /** Tick of the next sample this window's cursor reads;
+         *  kTickNever once it has read every sample. */
+        sim::Tick oldest = sim::kTickNever;
     };
 
     const Window &at(std::size_t w) const;

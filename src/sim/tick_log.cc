@@ -113,25 +113,24 @@ TickLog::append(std::span<const Tick> ticks)
 }
 
 TickLog::Record
-TickLog::decode(const Cursor &at, Cursor &next) const
+TickLog::decode(Cursor &at) const
 {
-    next = at;
-    const Chunk *chunk = chunks_[next.chunk - base_].get();
-    if (next.offset == chunk->used) {
+    const Chunk *chunk = chunks_[at.chunk - base_].get();
+    if (at.offset == chunk->used) {
         // Parked at the end of a chunk that later pushes did not fit in.
-        ++next.chunk;
-        next.offset = 0;
-        chunk = chunks_[next.chunk - base_].get();
+        ++at.chunk;
+        at.offset = 0;
+        chunk = chunks_[at.chunk - base_].get();
     }
-    const std::uint8_t *p = chunk->bytes + next.offset;
+    const std::uint8_t *p = chunk->bytes + at.offset;
     std::uint64_t delta = getVarint(p);
     std::uint64_t word = tagged_ ? getVarint(p) : 0;
-    auto tick = static_cast<std::uint64_t>(next.last);
+    auto tick = static_cast<std::uint64_t>(at.last);
     tick = (word & 1) ? tick - delta : tick + delta;
-    next.last = static_cast<Tick>(tick);
-    next.offset = static_cast<std::uint32_t>(p - chunk->bytes);
-    ++next.read;
-    return Record{next.last, static_cast<std::uint32_t>(word >> 1)};
+    at.last = static_cast<Tick>(tick);
+    at.offset = static_cast<std::uint32_t>(p - chunk->bytes);
+    ++at.read;
+    return Record{at.last, static_cast<std::uint32_t>(word >> 1)};
 }
 
 TickLog::Record
@@ -140,9 +139,7 @@ TickLog::take(std::size_t c)
     simAssert(!done(c), "tick log cursor ", c, " read past the end");
     Cursor &cur = cursors_[c];
     std::uint64_t from = cur.chunk;
-    Cursor next;
-    Record rec = decode(cur, next);
-    cur = next;
+    Record rec = decode(cur);
     if (cur.chunk != from || cur.read == pushed_)
         release();
     return rec;

@@ -71,8 +71,8 @@ class TickLog
     /** Cursor @p c's next record, left unread. Requires !done(c). */
     Record peek(std::size_t c) const
     {
-        Cursor next;
-        return decode(cursors_[c], next);
+        Cursor next = cursors_[c];
+        return decode(next);
     }
 
     /** Read and return cursor @p c's next record. Requires !done(c). */
@@ -110,8 +110,8 @@ class TickLog
 
     /** The last chunk, or a new one when it has under @p bytes free. */
     Chunk &tailWithRoom(std::size_t bytes);
-    /** Decode the record at @p at into @p next's position. */
-    Record decode(const Cursor &at, Cursor &next) const;
+    /** Decode the record at @p at and advance @p at past it. */
+    Record decode(Cursor &at) const;
     /** Free the chunks every cursor has read past. */
     void release();
 

@@ -285,4 +285,35 @@ TEST(HistogramDifferential, UnorderedWindowsAndFineBinsMatchReference)
     }
 }
 
+TEST(HistogramDifferential, BackwardsStepsAndExactCutoffsMatchReference)
+{
+    // A sample stamped exactly now - window stays in that window; one
+    // tick later it goes. Samples pushed with an earlier stamp than the
+    // last, into a drained window and into one still holding samples,
+    // leave in push order.
+    const Tick hour = kTicksPerHour;
+    const Tick minute = kTicksPerMin;
+    Pair pair({hour, 2 * hour}, minute, 4 * hour);
+    pair.recordInvocation(10 * minute);
+    pair.recordInvocation(20 * minute);
+    pair.query(20 * minute + hour);
+    pair.query(20 * minute + hour + 1); // the 1 h window drains
+    pair.addSample(minute, 15 * minute); // back, into the drained window
+    pair.query(15 * minute + hour);
+    pair.addSample(3 * minute, 5 * minute); // back, behind a held sample
+    pair.addSample(2 * hour, 30 * minute);
+    pair.query(5 * minute + hour);
+    pair.query(10 * minute); // the query clock itself steps back
+    pair.query(15 * minute + hour + 1);
+    pair.query(20 * minute + 2 * hour);
+    pair.query(20 * minute + 2 * hour + 1);
+    pair.query(30 * minute + hour);
+    pair.query(30 * minute + hour + 1);
+    pair.recordInvocation(15 * minute); // before the last one: no sample
+    pair.recordInvocation(40 * minute);
+    pair.query(40 * minute + hour);
+    pair.query(30 * minute + 2 * hour + 1);
+    pair.query(40 * minute + 2 * hour + 1);
+}
+
 } // namespace
