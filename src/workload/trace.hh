@@ -34,7 +34,8 @@ struct RateSeries
         return binWidth * static_cast<sim::Tick>(rps.size());
     }
 
-    /** Rate at an absolute time (0 outside the series). */
+    /** Rate at an absolute time (0 outside the series). Panics unless
+     *  binWidth > 0. */
     double rpsAt(sim::Tick t) const;
 
     /** Time-average rate. */
@@ -60,7 +61,9 @@ class ArrivalTrace
     explicit ArrivalTrace(std::vector<sim::Tick> arrivals);
 
     /**
-     * Materialize a rate series as a Poisson arrival process.
+     * Materialize a rate series as a Poisson arrival process. Panics
+     * unless binWidth > 0 and every rate is finite; a negative rate draws
+     * no arrivals.
      */
     static ArrivalTrace fromRateSeries(const RateSeries &series,
                                        sim::Rng &rng);
