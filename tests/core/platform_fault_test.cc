@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/instance.hh"
 #include "core/platform.hh"
 #include "faults/domain_outage.hh"
 #include "faults/retry_policy.hh"
 #include "obs/slo_monitor.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "workload/generators.hh"
 
 namespace {
@@ -130,6 +133,134 @@ TEST(PlatformFaultTest, RecoveryRestoresCapacity)
     EXPECT_GT(m.completions(), 0);
     EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
     EXPECT_GT(p.liveInstanceCount(), 0);
+}
+
+/**
+ * The availability formula as it stood when every server carried a
+ * crash-start slot: completed downtime plus, per server in id order, the
+ * open outage up to the horizon. Fed the same crash/recovery script as
+ * the platform.
+ */
+class ReferenceAvailability
+{
+  public:
+    explicit ReferenceAvailability(std::size_t servers)
+        : downSince_(servers, infless::sim::kTickNever)
+    {
+    }
+
+    void
+    crash(ServerId id, Tick now)
+    {
+        Tick &since = downSince_[static_cast<std::size_t>(id)];
+        if (since == infless::sim::kTickNever)
+            since = now;
+    }
+
+    void
+    recover(ServerId id, Tick now)
+    {
+        Tick &since = downSince_[static_cast<std::size_t>(id)];
+        if (since != infless::sim::kTickNever) {
+            accum_ += now - since;
+            since = infless::sim::kTickNever;
+        }
+    }
+
+    double
+    at(Tick until) const
+    {
+        if (until <= 0)
+            return 1.0;
+        Tick down = accum_;
+        for (Tick since : downSince_) {
+            if (since != infless::sim::kTickNever && since < until)
+                down += until - since;
+        }
+        double total = static_cast<double>(until) *
+                       static_cast<double>(downSince_.size());
+        return 1.0 - static_cast<double>(down) / total;
+    }
+
+  private:
+    std::vector<Tick> downSince_;
+    Tick accum_ = 0;
+};
+
+TEST(PlatformFaultTest, AvailabilityMatchesPerServerFormulaOnAScript)
+{
+    constexpr std::size_t kServers = 6;
+    Platform p(kServers);
+    p.deploy(resnetSpec());
+    ReferenceAvailability ref(kServers);
+    EXPECT_EQ(p.clusterAvailability(), 1.0);
+
+    enum class Op { Crash, Recover };
+    struct Step
+    {
+        Tick at;
+        Op op;
+        ServerId server;
+    };
+    const std::vector<Step> script = {
+        {kTicksPerSec, Op::Crash, 2},
+        {kTicksPerSec, Op::Crash, 2},       // double crash: no-op
+        {2 * kTicksPerSec, Op::Recover, 4}, // recovery with no crash
+        {3 * kTicksPerSec, Op::Crash, 0},
+        {3 * kTicksPerSec, Op::Crash, 5},
+        {4 * kTicksPerSec, Op::Recover, 2},
+        {4 * kTicksPerSec, Op::Recover, 2}, // double recovery: no-op
+        {5 * kTicksPerSec, Op::Crash, 2},   // second outage of server 2
+        {6 * kTicksPerSec, Op::Recover, 0},
+    };
+    for (const Step &step : script) {
+        p.run(step.at);
+        if (step.op == Op::Crash) {
+            p.injectServerCrash(step.server);
+            ref.crash(step.server, step.at);
+        } else {
+            p.injectServerRecovery(step.server);
+            ref.recover(step.server, step.at);
+        }
+        EXPECT_EQ(p.clusterAvailability(), ref.at(step.at));
+    }
+    // Servers 2 and 5 are still down at the horizon.
+    const Tick horizon = 8 * kTicksPerSec;
+    p.run(horizon);
+    EXPECT_EQ(p.cluster().downServers(), 2u);
+    EXPECT_EQ(p.clusterAvailability(), ref.at(horizon));
+    EXPECT_LT(p.clusterAvailability(), 1.0);
+}
+
+TEST(PlatformFaultTest, AvailabilityMatchesPerServerFormulaOnRandomScripts)
+{
+    constexpr std::size_t kServers = 8;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Platform p(kServers);
+        p.deploy(resnetSpec());
+        ReferenceAvailability ref(kServers);
+        infless::sim::Rng rng(seed);
+        Tick now = 0;
+        for (int step = 0; step < 60; ++step) {
+            // Several operations may share a tick.
+            now += rng.uniformInt(0, 2) * msToTicks(250);
+            p.run(now);
+            auto id = static_cast<ServerId>(
+                rng.uniformInt(0, static_cast<std::int64_t>(kServers) - 1));
+            if (rng.bernoulli(0.5)) {
+                p.injectServerCrash(id);
+                ref.crash(id, now);
+            } else {
+                p.injectServerRecovery(id);
+                ref.recover(id, now);
+            }
+            EXPECT_EQ(p.clusterAvailability(), ref.at(now))
+                << "seed " << seed << " step " << step;
+        }
+        p.run(now + kTicksPerSec);
+        EXPECT_EQ(p.clusterAvailability(), ref.at(now + kTicksPerSec))
+            << "seed " << seed;
+    }
 }
 
 TEST(PlatformFaultTest, RetryExhaustionCountsExactlyOneDrop)

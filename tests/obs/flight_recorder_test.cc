@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mini_json.hh"
 #include "obs/trace_recorder.hh"
@@ -97,6 +98,35 @@ TEST(FlightRecorderTest, FirstTriggerFreezesTheDump)
     EXPECT_EQ(recorder.recorded(), 3u);
 }
 
+TEST(FlightRecorderTest, SpansAfterTheFreezeAreOnlyCounted)
+{
+    FlightRecorder recorder = makeRecorder();
+    recordExec(recorder, 0, 100);
+    recorder.clusterEvent(SpanKind::ServerCrash, /*server=*/1, 150);
+    recorder.trigger(FlightTrigger::ServerCrash, 150);
+    const std::vector<infless::obs::SpanRecord> frozen = recorder.dump();
+    std::ostringstream before;
+    recorder.writeChromeTrace(before);
+
+    // More than a ring's worth, so a ring still being written would
+    // have wrapped past everything the dump was taken from.
+    const auto after = static_cast<std::int64_t>(kFlightCapacity) + 3;
+    for (std::int64_t r = 1; r <= after; ++r)
+        recordExec(recorder, r, 200 + r);
+    recorder.clusterEvent(SpanKind::ServerRecovery, /*server=*/1, 900);
+
+    ASSERT_EQ(recorder.dump().size(), frozen.size());
+    for (std::size_t i = 0; i < frozen.size(); ++i) {
+        EXPECT_EQ(recorder.dump()[i].kind, frozen[i].kind);
+        EXPECT_EQ(recorder.dump()[i].request, frozen[i].request);
+        EXPECT_EQ(recorder.dump()[i].start, frozen[i].start);
+    }
+    EXPECT_EQ(recorder.recorded(), static_cast<std::uint64_t>(2 + after + 1));
+    std::ostringstream later;
+    recorder.writeChromeTrace(later);
+    EXPECT_EQ(later.str(), before.str());
+}
+
 TEST(FlightRecorderTest, RingBoundsTheEvidence)
 {
     FlightRecorder recorder = makeRecorder();
@@ -160,6 +190,8 @@ TEST(FlightRecorderTest, ReconfigureResetsTriggerState)
     recordExec(recorder, 0, 100);
     recorder.trigger(FlightTrigger::Manual, 200);
     ASSERT_TRUE(recorder.triggered());
+    recordExec(recorder, 1, 300);
+    ASSERT_EQ(recorder.recorded(), 2u);
 
     FlightConfig cfg;
     cfg.enabled = true;
