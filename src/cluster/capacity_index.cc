@@ -35,7 +35,7 @@ CapacityIndex::Members::erase(Live &&live)
 }
 
 void
-CapacityIndex::setTag(ServerId id, std::uint64_t tag)
+CapacityIndex::setTag(ServerId id, std::uint32_t tag)
 {
     auto i = static_cast<std::size_t>(id);
     if (i >= tagOf_.size())
@@ -64,8 +64,10 @@ CapacityIndex::insert(ServerId id, const Resources &avail)
                    "capacity index out of sync for server ", id);
     auto [it, created] = classes_.try_emplace(avail);
     ClassEntry &entry = it->second;
-    if (created)
+    if (created) {
+        sim::simAssert(nextTag_ != 0, "capacity index class tags exhausted");
         entry.tag = nextTag_++;
+    }
     setTag(id, entry.tag);
     entry.members.push(id);
     ++serverCount_;

@@ -168,7 +168,7 @@ class CapacityIndex
     struct ClassEntry
     {
         /** Unique per class instance; servers filed here carry it. */
-        std::uint64_t tag = 0;
+        std::uint32_t tag = 0;
         Members members;
         /** Lazy weighted-availability cache (key never changes). */
         mutable double cachedWeighted = 0.0;
@@ -189,21 +189,23 @@ class CapacityIndex
     void insert(ServerId id, const Resources &avail);
 
     /** Tag of the class holding @p id; 0 when unfiled. */
-    std::uint64_t
+    std::uint32_t
     tagOf(ServerId id) const
     {
         auto i = static_cast<std::size_t>(id);
         return i < tagOf_.size() ? tagOf_[i] : 0;
     }
 
-    void setTag(ServerId id, std::uint64_t tag);
+    void setTag(ServerId id, std::uint32_t tag);
 
     std::map<Resources, ClassEntry, ResourcesLess> classes_;
     std::size_t serverCount_ = 0;
-    /** Per server id: the tag of the class holding it, 0 when unfiled. */
-    std::vector<std::uint64_t> tagOf_;
-    /** Next class tag to hand out; 0 is reserved for "unfiled". */
-    std::uint64_t nextTag_ = 1;
+    /** Per server id: the tag of the class holding it, 0 when unfiled.
+     *  32 bits: one per server, so its width is paid fleet-wide. */
+    std::vector<std::uint32_t> tagOf_;
+    /** Next class tag to hand out; 0 is reserved for "unfiled". Panics
+     *  rather than wrap onto a live tag. */
+    std::uint32_t nextTag_ = 1;
 };
 
 } // namespace infless::cluster

@@ -7,7 +7,6 @@
 #define INFLESS_CLUSTER_SERVER_HH
 
 #include <cstdint>
-#include <limits>
 
 #include "cluster/resources.hh"
 
@@ -31,43 +30,35 @@ class Server
     /** Default-constructed servers mirror the paper's testbed node. */
     Server();
 
+    /** Panics if a component of @p capacity is negative or exceeds
+     *  INT32_MAX. */
     Server(ServerId id, const Resources &capacity);
 
     ServerId id() const { return id_; }
 
     /** Total capacity. */
-    const Resources &capacity() const { return capacity_; }
+    Resources capacity() const { return capacity_.widen(); }
 
     /** Currently unallocated resources. */
-    const Resources &available() const { return available_; }
+    Resources available() const { return available_.widen(); }
 
-    /**
-     * available().weighted(beta), cached between allocations.
-     *
-     * The scheduler evaluates every (candidate, server) pair against the
-     * same availability; the cache turns the repeated weighted() into a
-     * load. Invalidated by allocate()/release(), recomputed when @p beta
-     * differs from the cached one.
-     */
+    /** available().weighted(beta): the scheduler's per-server e_ij
+     *  input. */
     double
     weightedAvailable(double beta) const
     {
-        if (weightedBeta_ != beta) {
-            weightedCache_ = available_.weighted(beta);
-            weightedBeta_ = beta;
-        }
-        return weightedCache_;
+        return available().weighted(beta);
     }
 
     /** Currently allocated resources. */
-    Resources allocated() const { return capacity_ - available_; }
+    Resources allocated() const { return capacity() - available(); }
 
     /** Whether @p req fits in the unallocated remainder (false while the
      *  server is down or quarantined: neither hosts anything new). */
     bool
     canFit(const Resources &req) const
     {
-        return !down_ && !quarantined_ && req.fitsIn(available_);
+        return !down_ && !quarantined_ && req.fitsIn(available());
     }
 
     // Failure state ---------------------------------------------------------
@@ -102,7 +93,8 @@ class Server
     void markAdmitted() { quarantined_ = false; }
 
     /**
-     * Reserve @p req.
+     * Reserve @p req. Panics if a component of @p req exceeds
+     * INT32_MAX.
      *
      * @return false (and change nothing) if it does not fit.
      */
@@ -133,22 +125,34 @@ class Server
     }
 
   private:
-    /** Drop the weighted-availability cache (availability changed). */
-    void
-    invalidateWeighted()
+    /**
+     * A Resources held in 32-bit components. A fleet holds one Server
+     * per machine, so the two vectors dominate its memory; no real
+     * machine has more than INT32_MAX millicores, SM percent or MiB.
+     */
+    struct Compact
     {
-        weightedBeta_ = std::numeric_limits<double>::quiet_NaN();
-    }
+        std::int32_t cpuMillicores = 0;
+        std::int32_t gpuSmPercent = 0;
+        std::int32_t memoryMb = 0;
+
+        /** Narrow @p r; panics unless every component is in
+         *  [0, INT32_MAX]. */
+        static Compact narrow(const Resources &r);
+
+        Resources
+        widen() const
+        {
+            return Resources{cpuMillicores, gpuSmPercent, memoryMb};
+        }
+    };
 
     ServerId id_ = kNoServer;
-    Resources capacity_;
-    Resources available_;
+    Compact capacity_;
+    Compact available_;
     int allocationCount_ = 0;
     bool down_ = false;
     bool quarantined_ = false;
-    /** NaN == "no cached value" (never compares equal to any beta). */
-    mutable double weightedBeta_ = std::numeric_limits<double>::quiet_NaN();
-    mutable double weightedCache_ = 0.0;
 };
 
 /** The paper's testbed node: 16 cores, 128 GiB, 2x RTX 2080Ti. */

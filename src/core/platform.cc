@@ -45,8 +45,6 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
     // goes through the predictor, so ground truth is intact.
     predictor_.setDistortion(opts_.faults.profileErrorFactor);
 
-    serverDownSince_.assign(cluster_.size(), sim::kTickNever);
-
     if (opts_.topology.enabled()) {
         // Flat platform: local ids ARE global ids. ShardedPlatform
         // re-assigns with true global ids right after construction.
@@ -421,7 +419,7 @@ Platform::injectServerCrash(cluster::ServerId id)
         return; // double crash: already down
     sim::Tick now = sim_.now();
     cluster_.setServerDown(id);
-    serverDownSince_[static_cast<std::size_t>(id)] = now;
+    serverDownSince_.emplace(id, now);
     total_.add(metrics::Counter::ServerCrashes);
     emitClusterEvent(obs::SpanKind::ServerCrash, id, now);
     // A crash is an anomaly: freeze the flight dump (after the crash
@@ -440,11 +438,11 @@ Platform::injectServerRecovery(cluster::ServerId id)
     sim::Tick now = sim_.now();
     cluster_.setServerUp(id);
     emitClusterEvent(obs::SpanKind::ServerRecovery, id, now);
-    sim::Tick &since = serverDownSince_[static_cast<std::size_t>(id)];
-    if (since != sim::kTickNever) {
-        serverDownAccum_ += now - since;
-        total_.recordServerRecovery(now - since);
-        since = sim::kTickNever;
+    auto it = serverDownSince_.find(id);
+    if (it != serverDownSince_.end()) {
+        serverDownAccum_ += now - it->second;
+        total_.recordServerRecovery(now - it->second);
+        serverDownSince_.erase(it);
     }
 }
 
@@ -454,9 +452,11 @@ Platform::clusterAvailability() const
     sim::Tick until = std::max(endTime_, sim_.now());
     if (until <= 0)
         return 1.0;
+    // Integer ticks: the sum is exact in any order, so only the servers
+    // down right now are visited.
     sim::Tick down = serverDownAccum_;
-    for (sim::Tick since : serverDownSince_) {
-        if (since != sim::kTickNever && since < until)
+    for (const auto &[id, since] : serverDownSince_) {
+        if (since < until)
             down += until - since;
     }
     double total = static_cast<double>(until) *

@@ -753,8 +753,9 @@ class Platform
 
     /** Fault injector (null when the profile is disabled). */
     std::unique_ptr<faults::FaultInjector> faults_;
-    /** Crash start per server; kTickNever while up. */
-    std::vector<sim::Tick> serverDownSince_;
+    /** Crash start of each server that is down now, by id. Up servers
+     *  hold no entry, so the fleet pays nothing for this while healthy. */
+    std::map<cluster::ServerId, sim::Tick> serverDownSince_;
     /** Completed downtime summed over all servers. */
     sim::Tick serverDownAccum_ = 0;
 

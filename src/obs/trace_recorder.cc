@@ -325,6 +325,7 @@ FlightRecorder::configure(const FlightConfig &config)
     trigger_ = FlightTrigger::None;
     triggerAt_ = 0;
     triggerCount_ = 0;
+    afterFreeze_ = 0;
     dump_.clear();
 }
 

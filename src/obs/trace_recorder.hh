@@ -193,10 +193,10 @@ struct FlightConfig
  * allocation, and no up-front sampling guess is needed. When an anomaly
  * trigger arrives (SLO burn alert, breaker open, server crash) the
  * current ring is copied into a frozen dump — the seconds leading up to
- * the incident — and later triggers only bump a counter, so the dump
- * always shows the FIRST incident, not the last. Like its host recorder
- * it never touches simulated time: enabling it is bit-identical in every
- * simulation output.
+ * the incident — and later triggers and spans only bump counters, so
+ * the dump always shows the FIRST incident, not the last. Like its host
+ * recorder it never touches simulated time: enabling it is bit-identical
+ * in every simulation output.
  */
 class FlightRecorder
 {
@@ -204,20 +204,31 @@ class FlightRecorder
     void configure(const FlightConfig &config);
     bool enabled() const { return ring_.enabled(); }
 
-    /** Record one span (caller checks enabled()). */
+    /** Record one span (caller checks enabled()). Once the dump is
+     *  frozen nothing reads the ring again, so the span is only
+     *  counted. */
     void
     record(SpanKind kind, std::int64_t request, std::int32_t function,
            std::int32_t server, std::int64_t instance, sim::Tick start,
            sim::Tick duration)
     {
+        if (triggered()) {
+            ++afterFreeze_;
+            return;
+        }
         ring_.record(kind, request, function, server, instance, start,
                      duration);
     }
 
-    /** Record a cluster-level instant event. */
+    /** Record a cluster-level instant event (counted only, once
+     *  frozen). */
     void
     clusterEvent(SpanKind kind, std::int32_t server, sim::Tick at)
     {
+        if (triggered()) {
+            ++afterFreeze_;
+            return;
+        }
         ring_.clusterEvent(kind, server, at);
     }
 
@@ -241,7 +252,11 @@ class FlightRecorder
     const std::vector<SpanRecord> &dump() const { return dump_; }
 
     /** Spans recorded over the recorder's lifetime. */
-    std::uint64_t recorded() const { return ring_.recorded(); }
+    std::uint64_t
+    recorded() const
+    {
+        return ring_.recorded() + afterFreeze_;
+    }
 
     /** Write the frozen dump (or, untriggered, the live ring) as Chrome
      *  trace-event JSON. */
@@ -254,6 +269,8 @@ class FlightRecorder
     FlightTrigger trigger_ = FlightTrigger::None;
     sim::Tick triggerAt_ = 0;
     std::uint64_t triggerCount_ = 0;
+    /** Spans recorded after the freeze (counted, not stored). */
+    std::uint64_t afterFreeze_ = 0;
     std::vector<SpanRecord> dump_;
 };
 

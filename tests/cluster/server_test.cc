@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "cluster/server.hh"
 #include "sim/logging.hh"
 
@@ -82,6 +85,61 @@ TEST(ServerTest, ZeroSizedAllocationPanics)
 {
     Server s;
     EXPECT_THROW(s.allocate(Resources{}), PanicError);
+}
+
+// One Server per machine: its size is the fleet's per-server floor.
+static_assert(sizeof(Server) <= 40);
+
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
+TEST(ServerTest, CapacityAboveInt32Panics)
+{
+    EXPECT_THROW(Server(0, Resources{kInt32Max + 1, 0, 0}), PanicError);
+    EXPECT_THROW(Server(0, Resources{0, kInt32Max + 1, 0}), PanicError);
+    EXPECT_THROW(Server(0, Resources{0, 0, kInt32Max + 1}), PanicError);
+    EXPECT_THROW(Server(0, Resources{-1, 0, 0}), PanicError);
+}
+
+TEST(ServerTest, Int32MaxCapacityRoundTrips)
+{
+    Resources cap{kInt32Max, kInt32Max, kInt32Max};
+    Server s(0, cap);
+    EXPECT_EQ(s.capacity(), cap);
+    ASSERT_TRUE(s.allocate(cap));
+    EXPECT_TRUE(s.available().isZero());
+    s.release(cap);
+    EXPECT_EQ(s.available(), cap);
+}
+
+TEST(ServerTest, AllocateAboveInt32Panics)
+{
+    Server s(0, Resources{4000, 100, 8192});
+    EXPECT_THROW(s.allocate(Resources{kInt32Max + 1, 0, 0}), PanicError);
+    EXPECT_THROW(s.allocate(Resources{0, kInt32Max + 1, 0}), PanicError);
+    EXPECT_THROW(s.allocate(Resources{0, 0, kInt32Max + 1}), PanicError);
+    EXPECT_EQ(s.available(), s.capacity());
+    EXPECT_EQ(s.allocationCount(), 0);
+}
+
+TEST(ServerTest, ReleaseAboveInt32Panics)
+{
+    Server s(0, Resources{4000, 100, 8192});
+    ASSERT_TRUE(s.allocate(Resources{1000, 10, 1024}));
+    EXPECT_THROW(s.release(Resources{kInt32Max + 1, 0, 0}), PanicError);
+    EXPECT_THROW(s.release(Resources{0, kInt32Max + 1, 0}), PanicError);
+    EXPECT_THROW(s.release(Resources{0, 0, kInt32Max + 1}), PanicError);
+    EXPECT_EQ(s.available(), (Resources{3000, 90, 7168}));
+    EXPECT_EQ(s.allocationCount(), 1);
+}
+
+TEST(ServerTest, WeightedAvailableIsAvailableWeighted)
+{
+    Server s(0, Resources{16'000, 200, 131'072});
+    const double beta = infless::cluster::kDefaultBeta;
+    EXPECT_EQ(s.weightedAvailable(beta), s.available().weighted(beta));
+    ASSERT_TRUE(s.allocate(Resources{1500, 30, 2048}));
+    EXPECT_EQ(s.weightedAvailable(beta), s.available().weighted(beta));
+    EXPECT_EQ(s.weightedAvailable(0.5), s.available().weighted(0.5));
 }
 
 TEST(ServerTest, MultipleAllocationsAccumulate)
