@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/platform.hh"
+#include "core/sharded_platform.hh"
 #include "obs/prof_scope.hh"
 #include "obs/slo_monitor.hh"
 #include "obs/telemetry.hh"
@@ -29,9 +30,13 @@
 
 namespace {
 
+using infless::core::CellOptions;
 using infless::core::FunctionSpec;
 using infless::core::Platform;
 using infless::core::PlatformOptions;
+using infless::core::ShardedPlatform;
+using infless::metrics::LatencyHistogram;
+using infless::metrics::RunMetrics;
 using infless::obs::AlertEdge;
 using infless::obs::FlightTrigger;
 using infless::obs::Phase;
@@ -502,6 +507,66 @@ TEST(PlatformObsTest, TelemetryGoldenDigest)
     fnv.mixText(json.str());
     fnv.mixText(prom.str());
     EXPECT_EQ(fnv.h, 0x70ed6f8249dca247ULL);
+}
+
+TEST(PlatformObsTest, IdleFunctionExportGoldenDigest)
+{
+    // A 4-cell fleet with one function that never receives a request
+    // and one busy function that home-cell routing keeps out of some
+    // cells. Pins both export formats of every per-cell and merged
+    // per-function metrics set, and every histogram bucket's edge and
+    // count, so an idle function exports the same empty 233-bucket
+    // histograms however its storage is held.
+    PlatformOptions opts;
+    opts.seed = 13;
+    CellOptions cells;
+    cells.cells = 4;
+    ShardedPlatform p(16, opts, cells);
+    auto busy = p.deploy(resnetSpec());
+    FunctionSpec idle_spec = resnetSpec();
+    idle_spec.name = "idle";
+    auto idle = p.deploy(idle_spec);
+    p.injectTrace(busy, uniformArrivals(60.0, 10 * kTicksPerSec));
+    const Tick end = 15 * kTicksPerSec;
+    p.run(end);
+
+    EXPECT_EQ(p.functionMetrics(idle).arrivals(), 0);
+    EXPECT_GT(p.functionMetrics(busy).completions(), 0);
+    EXPECT_EQ(p.functionMetrics(idle).latency().bucketCount(), 233u);
+
+    Fnv1a fnv;
+    int empty_busy_cells = 0;
+    auto mix_metrics = [&](const RunMetrics &m) {
+        infless::obs::TelemetryRegistry telemetry;
+        telemetry.setRun("idle_export", 13, infless::sim::ticksToSec(end));
+        telemetry.addRunMetrics(m);
+        std::ostringstream json, prom;
+        telemetry.writeJson(json);
+        telemetry.writePrometheus(prom);
+        fnv.mixText(json.str());
+        fnv.mixText(prom.str());
+        for (const LatencyHistogram *h :
+             {&m.latency(), &m.queueTime(), &m.execTime(), &m.coldTime(),
+              &m.batchTime()}) {
+            fnv.mix(h->bucketCount());
+            for (std::size_t b = 0; b < h->bucketCount(); ++b) {
+                fnv.mixInt(h->bucketUpperBound(b));
+                fnv.mixInt(h->bucketSamples(b));
+            }
+        }
+    };
+    for (std::size_t c = 0; c < p.cellCount(); ++c) {
+        const Platform &cell = p.cell(c);
+        mix_metrics(cell.functionMetrics(idle));
+        mix_metrics(cell.functionMetrics(busy));
+        mix_metrics(cell.totalMetrics());
+        empty_busy_cells += cell.functionMetrics(busy).completions() == 0;
+    }
+    mix_metrics(p.functionMetrics(idle));
+    mix_metrics(p.functionMetrics(busy));
+    mix_metrics(p.totalMetrics());
+    EXPECT_GT(empty_busy_cells, 0);
+    EXPECT_EQ(fnv.h, 0xb8e1424ee9fd205cULL);
 }
 
 } // namespace
