@@ -17,13 +17,12 @@ IdleTimeHistogram::IdleTimeHistogram(std::vector<sim::Tick> windows,
     sim::simAssert(bin_width > 0 && range > 0,
                    "histogram parameters must be positive");
     // One overflow bin past the range.
-    auto bins = static_cast<std::size_t>(range / bin_width) + 2;
-    sim::simAssert(bins - 1 <= std::numeric_limits<std::uint16_t>::max(),
-                   "histogram bin count must fit in uint16: ", bins);
+    binCount_ = static_cast<std::size_t>(range / bin_width) + 2;
+    sim::simAssert(binCount_ - 1 <= std::numeric_limits<std::uint16_t>::max(),
+                   "histogram bin count must fit in uint16: ", binCount_);
     for (sim::Tick horizon : windows) {
         sim::simAssert(horizon > 0, "histogram parameters must be positive");
-        windows_.push_back(
-            Window{horizon, std::vector<std::int64_t>(bins, 0), 0});
+        windows_.push_back(Window{horizon, {}, 0});
     }
 }
 
@@ -40,8 +39,7 @@ IdleTimeHistogram::binOf(sim::Tick gap) const
     if (gap < 0)
         gap = 0;
     auto bin = static_cast<std::size_t>(gap / binWidth_);
-    return static_cast<std::uint16_t>(
-        std::min(bin, windows_.front().bins.size() - 1));
+    return static_cast<std::uint16_t>(std::min(bin, binCount_ - 1));
 }
 
 void
@@ -59,6 +57,8 @@ IdleTimeHistogram::addSample(sim::Tick gap, sim::Tick now)
     std::uint16_t bin = binOf(gap);
     log_.push(now, bin);
     for (Window &win : windows_) {
+        if (win.bins.empty())
+            win.bins.assign(binCount_, 0);
         ++win.bins[bin];
         ++win.total;
         if (win.oldest == sim::kTickNever)

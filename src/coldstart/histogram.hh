@@ -28,7 +28,9 @@ namespace infless::coldstart {
  * Each window reads the log through its own cursor, which stops at its
  * oldest retained sample, and keeps its own bin counts, so every query
  * answers exactly what a separate single-window histogram would. Log
- * chunks every window has passed are freed.
+ * chunks every window has passed are freed, and a window's bins are
+ * allocated on its first sample, so a function never invoked holds no
+ * histogram storage.
  */
 class IdleTimeHistogram
 {
@@ -92,6 +94,7 @@ class IdleTimeHistogram
     struct Window
     {
         sim::Tick horizon;
+        /** Empty until the first sample; then binCount_ entries. */
         std::vector<std::int64_t> bins;
         std::int64_t total = 0;
         /** Tick of the next sample this window's cursor reads;
@@ -105,6 +108,8 @@ class IdleTimeHistogram
 
     sim::Tick binWidth_;
     sim::Tick range_;
+    /** Bins per window, the overflow bin included. */
+    std::size_t binCount_;
     sim::Tick lastInvocation_ = -1;
     std::vector<Window> windows_;
     /** The shared sample log; cursor w is window w's oldest sample. */

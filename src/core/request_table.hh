@@ -8,13 +8,14 @@
  * record is retired exactly once, at its request's terminal point
  * (completion, or the drop that every shed, eviction and exhausted
  * failover ends in). Once every record of a chunk has retired, the chunk
- * leaves the index, so memory follows in-flight work rather than run
- * length.
+ * is freed and leaves the index, so memory follows in-flight work rather
+ * than run length.
  */
 
 #ifndef INFLESS_CORE_REQUEST_TABLE_HH
 #define INFLESS_CORE_REQUEST_TABLE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -33,17 +34,20 @@ namespace infless::core {
 class RequestTable
 {
   public:
-    /** Records per chunk. */
-    static constexpr std::size_t kChunkRecords = 4096;
-    /** Fully retired chunks kept for reuse instead of freed. */
-    static constexpr std::size_t kMaxFreeChunks = 2;
+    /**
+     * Records per chunk: 256 × 72 B = 18 KiB. A cell holds a few dozen
+     * requests in flight, so a few chunks cover it, and a chunk is under
+     * glibc's 128 KiB mmap threshold, so malloc's arena hands a freed
+     * chunk's memory to the next one.
+     */
+    static constexpr std::size_t kChunkRecords = 256;
 
     /** Store @p record under the next id; returns that id. */
     RequestIndex add(const RequestRecord &record)
     {
         std::size_t slot = static_cast<std::size_t>(next_) % kChunkRecords;
         if (slot == 0)
-            chunks_.push_back(takeChunk());
+            chunks_.push_back(std::make_unique<Chunk>());
         RequestRecord &stored = chunks_.back()->records[slot];
         stored = record;
         stored.retired = false;
@@ -59,10 +63,10 @@ class RequestTable
 
     /**
      * Mark @p id's request settled. Panics on a second retire. When this
-     * retires the last record of a chunk, the chunk goes to the free pool
-     * (or is freed) and its index entry becomes null. A chunk can only be
-     * fully retired once all its ids were issued, so the chunk being
-     * filled is never released.
+     * retires the last record of a chunk, the chunk is freed and its
+     * index entry becomes null. A chunk can only be fully retired once
+     * all its ids were issued, so the chunk being filled is never
+     * released.
      */
     void retire(RequestIndex id)
     {
@@ -70,16 +74,22 @@ class RequestTable
         --live_;
         std::unique_ptr<Chunk> &chunk =
             chunks_[static_cast<std::size_t>(id) / kChunkRecords];
-        if (++chunk->retired < kChunkRecords)
-            return;
-        if (freeChunks_.size() < kMaxFreeChunks)
-            freeChunks_.push_back(std::move(chunk));
-        else
+        if (++chunk->retired == kChunkRecords)
             chunk.reset();
     }
 
     /** Records added and not yet retired. */
     std::int64_t live() const { return live_; }
+
+    /** Bytes of record storage held: every chunk not yet freed. */
+    std::size_t heldBytes() const
+    {
+        auto held = std::count_if(
+            chunks_.begin(), chunks_.end(),
+            [](const auto &chunk) { return chunk != nullptr; });
+        return static_cast<std::size_t>(held) * kChunkRecords *
+               sizeof(RequestRecord);
+    }
 
   private:
     struct Chunk
@@ -87,16 +97,6 @@ class RequestTable
         std::array<RequestRecord, kChunkRecords> records;
         std::size_t retired = 0;
     };
-
-    std::unique_ptr<Chunk> takeChunk()
-    {
-        if (freeChunks_.empty())
-            return std::make_unique<Chunk>();
-        std::unique_ptr<Chunk> chunk = std::move(freeChunks_.back());
-        freeChunks_.pop_back();
-        chunk->retired = 0;
-        return chunk;
-    }
 
     RequestRecord &liveRecord(RequestIndex id, const char *what)
     {
@@ -113,7 +113,6 @@ class RequestTable
 
     /** Indexed by id / kChunkRecords; null once a chunk fully retired. */
     std::vector<std::unique_ptr<Chunk>> chunks_;
-    std::vector<std::unique_ptr<Chunk>> freeChunks_;
     RequestIndex next_ = 0;
     std::int64_t live_ = 0;
 };

@@ -12,9 +12,7 @@ LatencyHistogram::LatencyHistogram(double growth, sim::Tick max_value)
 {
     sim::simAssert(growth > 1.0, "growth factor must exceed 1");
     sim::simAssert(max_value > 0, "max value must be positive");
-    std::size_t buckets =
-        bucketOf(max_value) + 2; // +1 index headroom, +1 overflow
-    buckets_.assign(buckets, 0);
+    bucketCount_ = bucketOf(max_value) + 2; // +1 index headroom, +1 overflow
 }
 
 std::size_t
@@ -39,7 +37,9 @@ void
 LatencyHistogram::record(sim::Tick value)
 {
     value = std::clamp<sim::Tick>(value, 0, maxValue_);
-    std::size_t bucket = std::min(bucketOf(value), buckets_.size() - 1);
+    std::size_t bucket = std::min(bucketOf(value), bucketCount_ - 1);
+    if (buckets_.empty())
+        buckets_.assign(bucketCount_, 0);
     ++buckets_[bucket];
     ++count_;
     sum_ += static_cast<double>(value);
@@ -67,7 +67,7 @@ LatencyHistogram::percentile(double p) const
         std::ceil(p / 100.0 * static_cast<double>(count_)));
     target = std::max<std::int64_t>(1, target);
     std::int64_t seen = 0;
-    for (std::size_t bucket = 0; bucket < buckets_.size(); ++bucket) {
+    for (std::size_t bucket = 0; bucket < bucketCount_; ++bucket) {
         seen += buckets_[bucket];
         if (seen >= target)
             return std::min(bucketUpperEdge(bucket), max_);
@@ -80,13 +80,12 @@ LatencyHistogram::fractionAbove(sim::Tick threshold) const
 {
     if (count_ == 0)
         return 0.0;
-    std::size_t cutoff = std::min(bucketOf(threshold), buckets_.size() - 1);
+    std::size_t cutoff = std::min(bucketOf(threshold), bucketCount_ - 1);
     // Buckets strictly above the threshold's bucket definitely exceed it;
     // the threshold's own bucket is ambiguous and counted conservatively
     // as "not above" only if the threshold is its upper edge.
     std::int64_t above = 0;
-    for (std::size_t bucket = cutoff + 1; bucket < buckets_.size();
-         ++bucket) {
+    for (std::size_t bucket = cutoff + 1; bucket < bucketCount_; ++bucket) {
         above += buckets_[bucket];
     }
     return static_cast<double>(above) / static_cast<double>(count_);
@@ -101,10 +100,14 @@ LatencyHistogram::merge(const LatencyHistogram &other)
                    "merging histograms with mismatched growth factors");
     sim::simAssert(maxValue_ == other.maxValue_,
                    "merging histograms with mismatched max values");
-    sim::simAssert(buckets_.size() == other.buckets_.size(),
+    sim::simAssert(bucketCount_ == other.bucketCount_,
                    "merging incompatible histograms");
-    for (std::size_t bucket = 0; bucket < buckets_.size(); ++bucket)
-        buckets_[bucket] += other.buckets_[bucket];
+    if (buckets_.empty()) {
+        buckets_ = other.buckets_;
+    } else if (!other.buckets_.empty()) {
+        for (std::size_t bucket = 0; bucket < bucketCount_; ++bucket)
+            buckets_[bucket] += other.buckets_[bucket];
+    }
     if (other.count_ > 0) {
         if (count_ == 0) {
             min_ = other.min_;

@@ -19,6 +19,8 @@ namespace infless::metrics {
  *
  * Buckets grow geometrically, giving a bounded relative quantile error
  * (~5%) over a microsecond-to-hour range with a few hundred buckets.
+ * Bucket storage is allocated by the first record() or non-empty
+ * merge(), so a histogram that never sees a sample holds no heap.
  */
 class LatencyHistogram
 {
@@ -55,12 +57,12 @@ class LatencyHistogram
     double sum() const { return sum_; }
 
     /** Number of buckets (the last one is the overflow bucket). */
-    std::size_t bucketCount() const { return buckets_.size(); }
+    std::size_t bucketCount() const { return bucketCount_; }
 
     /** Samples recorded into bucket @p bucket. */
     std::int64_t bucketSamples(std::size_t bucket) const
     {
-        return buckets_[bucket];
+        return buckets_.empty() ? 0 : buckets_[bucket];
     }
 
     /** Inclusive upper bound of bucket @p bucket (its `le` edge). */
@@ -76,6 +78,8 @@ class LatencyHistogram
     double growth_;
     double logGrowth_;
     sim::Tick maxValue_;
+    std::size_t bucketCount_;
+    /** Empty until the first sample; then bucketCount_ entries. */
     std::vector<std::int64_t> buckets_;
     std::int64_t count_ = 0;
     double sum_ = 0.0;

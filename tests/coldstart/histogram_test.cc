@@ -147,6 +147,62 @@ TEST(HistogramTest, LogHoldsOnlyWhatTheSlowestWindowKeeps)
     EXPECT_EQ(h.logSize(), h.count(1));
 }
 
+TEST(HistogramTest, QueriesAcrossFirstSampleAndFullEviction)
+{
+    // A window's bins appear on its first sample. Every query reads the
+    // same before that, after it, and once eviction empties the windows.
+    IdleTimeHistogram h({kTicksPerHour, 4 * kTicksPerHour});
+    auto expect_empty = [&h](std::size_t w) {
+        EXPECT_EQ(h.count(w), 0u);
+        EXPECT_DOUBLE_EQ(h.overflowFraction(w), 0.0);
+        for (double p : {0.0, 50.0, 100.0}) {
+            EXPECT_EQ(h.percentile(p, w), 0);
+            EXPECT_EQ(h.percentileLower(p, w), 0);
+        }
+    };
+    expect_empty(0);
+    expect_empty(1);
+    h.evict(10 * kTicksPerHour);
+    expect_empty(0);
+    expect_empty(1);
+    EXPECT_EQ(h.logSize(), 0u);
+    EXPECT_EQ(h.heldBytes(), 0u);
+    EXPECT_EQ(h.window(1), 4 * kTicksPerHour);
+    EXPECT_THROW(h.percentile(101), infless::sim::PanicError);
+
+    // A 2.5-minute gap lands in the [2, 3) minute bin of both windows.
+    h.addSample(5 * kTicksPerMin / 2, 11 * kTicksPerHour);
+    for (std::size_t w : {0u, 1u}) {
+        EXPECT_EQ(h.count(w), 1u);
+        EXPECT_DOUBLE_EQ(h.overflowFraction(w), 0.0);
+        for (double p : {0.0, 50.0, 100.0}) {
+            EXPECT_EQ(h.percentile(p, w), 3 * kTicksPerMin);
+            EXPECT_EQ(h.percentileLower(p, w), 2 * kTicksPerMin);
+        }
+    }
+    h.addSample(5 * kTicksPerHour, 11 * kTicksPerHour + 1); // overflow
+    EXPECT_DOUBLE_EQ(h.overflowFraction(1), 0.5);
+    EXPECT_EQ(h.percentile(100, 1), 4 * kTicksPerHour);
+    EXPECT_EQ(h.percentileLower(100, 1), 4 * kTicksPerHour);
+    EXPECT_EQ(h.logSize(), 2u);
+
+    // The 1 h window empties first, then the 4 h one.
+    h.evict(12 * kTicksPerHour + 2);
+    expect_empty(0);
+    EXPECT_EQ(h.count(1), 2u);
+    h.evict(16 * kTicksPerHour);
+    expect_empty(0);
+    expect_empty(1);
+    EXPECT_EQ(h.logSize(), 0u);
+    EXPECT_EQ(h.heldBytes(), 0u);
+
+    // A sample after the full eviction reads as the first one did.
+    h.addSample(5 * kTicksPerMin / 2, 16 * kTicksPerHour);
+    EXPECT_EQ(h.count(1), 1u);
+    EXPECT_EQ(h.percentile(50, 1), 3 * kTicksPerMin);
+    EXPECT_EQ(h.percentileLower(50, 0), 2 * kTicksPerMin);
+}
+
 TEST(HistogramTest, BinCountMustFitUint16)
 {
     // Bins 0..65535 (the last is the overflow bin) still fit.

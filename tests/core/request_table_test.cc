@@ -1,7 +1,8 @@
 /**
  * @file
  * The request table: arrival-order ids that are never reused, retire
- * exactly once, chunk recycling, and — on a full platform under crashes,
+ * exactly once, chunks freed once fully retired so held memory follows
+ * in-flight work, and — on a full platform under crashes,
  * a zone outage, sheds, evictions, failovers and a 3-stage chain — one
  * live record per in-flight request at every scaler tick.
  */
@@ -9,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <random>
 #include <set>
@@ -37,6 +40,8 @@ using infless::sim::PanicError;
 using infless::workload::uniformArrivals;
 
 constexpr auto kChunk = static_cast<RequestIndex>(RequestTable::kChunkRecords);
+constexpr std::size_t kChunkBytes =
+    RequestTable::kChunkRecords * sizeof(RequestRecord);
 
 RequestRecord
 recordFor(RequestIndex id)
@@ -103,17 +108,18 @@ TEST(RequestTableTest, ReadingRetiredIdPanicsEvenAfterRecycle)
     EXPECT_EQ(table[kChunk + 5].arrival, (kChunk + 5) * 3);
 }
 
-TEST(RequestTableTest, FullyRetiredChunksAreReused)
+TEST(RequestTableTest, FullyRetiredChunksAreFreed)
 {
     RequestTable table;
     for (RequestIndex i = 0; i < kChunk; ++i)
         table.add(recordFor(i));
-    const RequestRecord *first = &table[0];
+    EXPECT_EQ(table.heldBytes(), kChunkBytes);
     for (RequestIndex i = 0; i < kChunk; ++i)
         table.retire(i);
-    // The next id opens a new chunk, which comes from the free pool.
+    EXPECT_EQ(table.heldBytes(), 0u);
+    // The next id opens a new chunk with a live record in it.
     RequestIndex next = table.add(recordFor(kChunk));
-    EXPECT_EQ(&table[next], first);
+    EXPECT_EQ(table.heldBytes(), kChunkBytes);
     EXPECT_EQ(table[next].arrival, kChunk * 3);
     EXPECT_FALSE(table[next].retired);
 }
@@ -158,6 +164,38 @@ TEST(RequestTableTest, LiveMatchesAModelUnderRandomChurn)
         ASSERT_EQ(table[id].arrival, id * 3);
     for (RequestIndex id : model)
         table.retire(id);
+    EXPECT_EQ(table.live(), 0);
+}
+
+TEST(RequestTableMemoryTest, HeldBytesFollowInFlightWork)
+{
+    // 100k requests, about 200 in flight, and one straggler (id 0) that
+    // retires only at the end: the table holds the straggler's chunk
+    // plus the chunks the in-flight window spans, however many ids were
+    // issued.
+    RequestTable table;
+    RequestIndex straggler = table.add(recordFor(0));
+    std::deque<RequestIndex> in_flight;
+    std::size_t peak = 0;
+    for (RequestIndex i = 1; i < 100'000; ++i) {
+        in_flight.push_back(table.add(recordFor(i)));
+        if (in_flight.size() > 200) {
+            table.retire(in_flight.front());
+            in_flight.pop_front();
+        }
+        peak = std::max(peak, table.heldBytes());
+    }
+    EXPECT_LE(peak, 3 * kChunkBytes);
+    // A chunk is small enough to come from malloc's arena rather than
+    // its own mapping (glibc's default mmap threshold is 128 KiB).
+    EXPECT_LT(kChunkBytes, 128u * 1024);
+
+    // The straggler's chunk and the tail chunk, which is still filling.
+    for (RequestIndex id : in_flight)
+        table.retire(id);
+    EXPECT_EQ(table.heldBytes(), 2 * kChunkBytes);
+    table.retire(straggler);
+    EXPECT_EQ(table.heldBytes(), kChunkBytes);
     EXPECT_EQ(table.live(), 0);
 }
 

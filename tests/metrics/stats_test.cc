@@ -118,6 +118,73 @@ TEST(LatencyHistogramTest, MergeRejectsMismatchedParameters)
     EXPECT_THROW(a.merge(other_max), infless::sim::PanicError);
 }
 
+TEST(LatencyHistogramTest, MergeRejectsMismatchedParametersWhenBothEmpty)
+{
+    // Neither side holds bucket storage yet; the parameters still decide.
+    LatencyHistogram a(1.1, kTicksPerSec);
+    LatencyHistogram other_growth(1.2, kTicksPerSec);
+    EXPECT_THROW(a.merge(other_growth), infless::sim::PanicError);
+    LatencyHistogram other_max(1.1, 2 * kTicksPerSec);
+    EXPECT_THROW(a.merge(other_max), infless::sim::PanicError);
+    EXPECT_EQ(a.count(), 0);
+}
+
+TEST(LatencyHistogramTest, NeverRecordedKeepsBucketLayout)
+{
+    // Bucket storage appears on the first sample, but the layout an
+    // exporter iterates is there from construction.
+    LatencyHistogram empty;
+    LatencyHistogram recorded;
+    recorded.record(7 * kTicksPerMs);
+    ASSERT_EQ(empty.bucketCount(), recorded.bucketCount());
+    EXPECT_EQ(empty.bucketCount(), 233u);
+    for (std::size_t b = 0; b < empty.bucketCount(); ++b) {
+        EXPECT_EQ(empty.bucketUpperBound(b), recorded.bucketUpperBound(b));
+        EXPECT_EQ(empty.bucketSamples(b), 0);
+    }
+    for (double p : {0.0, 50.0, 99.0, 100.0})
+        EXPECT_EQ(empty.percentile(p), 0);
+    for (Tick threshold : {Tick{0}, kTicksPerMs, infless::sim::kTicksPerHour})
+        EXPECT_DOUBLE_EQ(empty.fractionAbove(threshold), 0.0);
+    EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(empty.sum(), 0.0);
+}
+
+TEST(LatencyHistogramTest, MergeMatchesOneHistogramForEveryEmptyPairing)
+{
+    // Merging equals recording both sides' samples into one histogram,
+    // whichever side has never seen a sample.
+    const std::vector<Tick> some = {0, 3 * kTicksPerMs, 40 * kTicksPerMs,
+                                    2 * infless::sim::kTicksPerHour};
+    const std::vector<Tick> others = {kTicksPerMs, 40 * kTicksPerMs,
+                                      900 * kTicksPerMs};
+    const std::vector<Tick> none;
+    for (const auto *left : {&none, &some}) {
+        for (const auto *right : {&none, &others}) {
+            LatencyHistogram a, b, expected;
+            for (Tick v : *left) {
+                a.record(v);
+                expected.record(v);
+            }
+            for (Tick v : *right) {
+                b.record(v);
+                expected.record(v);
+            }
+            a.merge(b);
+            SCOPED_TRACE(testing::Message()
+                         << left->size() << " into " << right->size());
+            EXPECT_EQ(a.count(), expected.count());
+            EXPECT_DOUBLE_EQ(a.sum(), expected.sum());
+            EXPECT_EQ(a.min(), expected.min());
+            EXPECT_EQ(a.max(), expected.max());
+            ASSERT_EQ(a.bucketCount(), expected.bucketCount());
+            for (std::size_t k = 0; k < a.bucketCount(); ++k)
+                EXPECT_EQ(a.bucketSamples(k), expected.bucketSamples(k))
+                    << "bucket " << k;
+        }
+    }
+}
+
 TEST(LatencyHistogramTest, BucketAccessorsAreConsistent)
 {
     LatencyHistogram h;
