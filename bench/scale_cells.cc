@@ -25,8 +25,10 @@
  * right after the ShardedPlatform is constructed (servers, cells and
  * controllers, no functions) and `heap_bytes` once every function is
  * deployed and its trace injected. Both are mallinfo2() in-use bytes,
- * after minus before. fleet_heap_bytes / servers is the per-server cost,
- * and the sharded/flat heap_bytes ratio tracks the cells memory gate.
+ * after minus before. A server gets its record on first touch, so
+ * fleet_heap_bytes is per-platform state that does not grow with the
+ * fleet; dividing it by servers gives no per-server cost. The
+ * sharded/flat heap_bytes ratio tracks the cells memory gate.
  *
  * A flat-only many-tenant series follows: 100k servers under a fixed
  * 6,400 rps in total, split evenly over 64, 1,000 and 10,000 functions

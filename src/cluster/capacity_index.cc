@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <set>
 
+#include "cluster/cluster.hh"
 #include "sim/logging.hh"
 
 namespace infless::cluster {
@@ -37,24 +39,78 @@ CapacityIndex::Members::erase(Live &&live)
 void
 CapacityIndex::setTag(ServerId id, std::uint32_t tag)
 {
-    auto i = static_cast<std::size_t>(id);
-    if (i >= tagOf_.size())
-        tagOf_.resize(i + 1, 0);
-    tagOf_[i] = tag;
+    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < tagOf_.size(),
+                   "capacity index: server ", id, " is not materialized");
+    tagOf_[static_cast<std::size_t>(id)] = tag;
 }
 
 void
-CapacityIndex::rebuild(const std::vector<Server> &servers)
+CapacityIndex::rebuild(const std::vector<Server> &prefix,
+                       const std::vector<CapacityRun> &runs)
 {
     classes_.clear();
     serverCount_ = 0;
-    tagOf_.assign(servers.size(), 0);
+    tagOf_.assign(prefix.size(), 0);
     // Ids arrive ascending, so every push appends to a valid heap in
-    // O(1): the rebuild is O(servers) with no per-server allocation.
-    for (const auto &s : servers) {
+    // O(1): no per-server allocation.
+    for (const auto &s : prefix) {
         if (!s.isDown() && !s.isQuarantined())
             insert(s.id(), s.available());
     }
+    const auto frontier = static_cast<ServerId>(prefix.size());
+    for (const CapacityRun &run : runs) {
+        IdRange tail{std::max(run.first, frontier), run.end};
+        if (tail.first >= tail.end)
+            continue;
+        Members &m = classFor(run.capacity).members;
+        m.pristine.push_back(tail);
+        m.pristineCount += static_cast<std::size_t>(tail.end - tail.first);
+        serverCount_ += static_cast<std::size_t>(tail.end - tail.first);
+    }
+    // Runs arrive ascending; keep each class's lowest range at the back.
+    for (auto &[avail, entry] : classes_)
+        std::reverse(entry.members.pristine.begin(),
+                     entry.members.pristine.end());
+}
+
+void
+CapacityIndex::materialize(ServerId first, ServerId end,
+                           const Resources &capacity)
+{
+    auto it = classes_.find(capacity);
+    sim::simAssert(first == static_cast<ServerId>(tagOf_.size()) &&
+                       first < end && it != classes_.end() &&
+                       !it->second.members.pristine.empty() &&
+                       it->second.members.pristine.back().first == first &&
+                       end <= it->second.members.pristine.back().end,
+                   "capacity index: ids ", first, "..", end,
+                   " are not the pristine front of class ", capacity);
+    ClassEntry &entry = it->second;
+    Members &m = entry.members;
+    IdRange &lowest = m.pristine.back();
+    lowest.first = end;
+    if (lowest.first == lowest.end)
+        m.pristine.pop_back();
+    const auto n = static_cast<std::size_t>(end - first);
+    m.pristineCount -= n;
+    // The new ids lie above every id in the heap and arrive ascending,
+    // so appending them keeps it a valid min-heap.
+    tagOf_.resize(static_cast<std::size_t>(end), entry.tag);
+    for (ServerId id = first; id < end; ++id)
+        m.heap.push_back(id);
+    m.count += n;
+}
+
+CapacityIndex::ClassEntry &
+CapacityIndex::classFor(const Resources &avail)
+{
+    auto [it, created] = classes_.try_emplace(avail);
+    ClassEntry &entry = it->second;
+    if (created) {
+        sim::simAssert(nextTag_ != 0, "capacity index class tags exhausted");
+        entry.tag = nextTag_++;
+    }
+    return entry;
 }
 
 void
@@ -62,12 +118,7 @@ CapacityIndex::insert(ServerId id, const Resources &avail)
 {
     sim::simAssert(id >= 0 && tagOf(id) == 0,
                    "capacity index out of sync for server ", id);
-    auto [it, created] = classes_.try_emplace(avail);
-    ClassEntry &entry = it->second;
-    if (created) {
-        sim::simAssert(nextTag_ != 0, "capacity index class tags exhausted");
-        entry.tag = nextTag_++;
-    }
+    ClassEntry &entry = classFor(avail);
     setTag(id, entry.tag);
     entry.members.push(id);
     ++serverCount_;
@@ -83,7 +134,7 @@ CapacityIndex::remove(ServerId id, const Resources &avail)
     setTag(id, 0);
     entry.members.erase(
         [&](ServerId m) { return tagOf(m) == entry.tag; });
-    if (entry.members.count == 0)
+    if (entry.members.size() == 0)
         classes_.erase(it);
     --serverCount_;
 }
@@ -133,8 +184,9 @@ CapacityIndex::bestFit(const Resources &req, double beta) const
 }
 
 bool
-CapacityIndex::consistentWith(const std::vector<Server> &servers) const
+CapacityIndex::consistentWith(const Cluster &cluster) const
 {
+    const auto frontier = static_cast<ServerId>(tagOf_.size());
     std::size_t filed = 0;
     std::set<ServerId> members;
     for (const auto &[avail, entry] : classes_) {
@@ -143,32 +195,62 @@ CapacityIndex::consistentWith(const std::vector<Server> &servers) const
         const Members &m = entry.members;
         members.clear();
         for (ServerId id : m.heap) {
+            if (id < 0 || id >= frontier)
+                return false;
             if (tagOf(id) == entry.tag)
                 members.insert(id);
         }
-        if (entry.tag == 0 || members.empty() ||
-            members.size() != m.count || m.min() != *members.begin() ||
+        if (entry.tag == 0 || m.size() == 0 || members.size() != m.count ||
+            (m.count > 0 && m.min() != *members.begin()) ||
             !std::is_heap(m.heap.begin(), m.heap.end(), std::greater<>{}))
             return false;
-        for (ServerId id : members) {
-            if (id < 0 || static_cast<std::size_t>(id) >= servers.size())
+        // Pristine ranges: disjoint, highest first, past the frontier.
+        std::size_t pristine = 0;
+        ServerId above = std::numeric_limits<ServerId>::max();
+        for (const IdRange &r : m.pristine) {
+            if (r.first < frontier || r.first >= r.end || r.end > above)
                 return false;
-            const Server &s = servers[static_cast<std::size_t>(id)];
-            if (s.isDown() || s.isQuarantined() ||
-                !(s.available() == avail))
-                return false;
-            ++filed;
+            above = r.first;
+            pristine += static_cast<std::size_t>(r.end - r.first);
         }
+        if (pristine != m.pristineCount ||
+            (m.count == 0 && m.min() != m.pristine.back().first))
+            return false;
+        filed += m.size();
     }
-    // Down and quarantined servers are unfiled: classes partition the
-    // *up, admitted* servers only, and only filed servers carry a tag.
+
+    // Every up, admitted server is in the class keyed by its
+    // availability: a materialized one through its tag, a pristine one
+    // through a range. Down and quarantined servers are unfiled, and
+    // only filed materialized servers carry a tag.
+    bool ok = true;
     std::size_t up = 0;
-    std::size_t tagged = 0;
-    for (const auto &s : servers) {
-        up += (s.isDown() || s.isQuarantined()) ? 0 : 1;
-        tagged += tagOf(s.id()) != 0 ? 1 : 0;
-    }
-    return filed == up && tagged == up && serverCount_ == up;
+    cluster.forEachServer([&](const Server &s) {
+        const bool in_pool = !s.isDown() && !s.isQuarantined();
+        up += in_pool ? 1 : 0;
+        auto it = classes_.find(s.available());
+        if (s.id() < frontier) {
+            ok = ok && (in_pool ? it != classes_.end() &&
+                                      tagOf(s.id()) == it->second.tag
+                                : tagOf(s.id()) == 0);
+            return;
+        }
+        if (!in_pool || s.isActive() || it == classes_.end()) {
+            ok = false;
+            return;
+        }
+        const auto &ranges = it->second.members.pristine;
+        // Ranges are highest first: find the last one starting at or
+        // below the id.
+        auto r = std::lower_bound(
+            ranges.begin(), ranges.end(), s.id(),
+            [](const IdRange &range, ServerId id) {
+                return range.first > id;
+            });
+        ok = ok && r != ranges.end() && s.id() < r->end;
+    });
+    return ok && filed == up && serverCount_ == up &&
+           frontier == static_cast<ServerId>(cluster.materialized());
 }
 
 } // namespace infless::cluster

@@ -9,11 +9,19 @@
  * 2,000-server cluster has exactly *one* class), letting placement loops
  * evaluate each candidate once per class instead of once per server.
  *
- * A class holds its members as a min-heap of ids with lazy deletion: a
- * per-server tag names the class that currently holds the id, and heap
- * entries whose id carries another tag are stale. Allocate/release move
- * one id between two classes in O(log classes + log members) amortized,
- * with no per-server node allocation; a rebuild is O(servers).
+ * A class holds its materialized members as a min-heap of ids with lazy
+ * deletion: a per-server tag names the class that currently holds the id,
+ * and heap entries whose id carries another tag are stale. Allocate/
+ * release move one id between two classes in O(log classes + log
+ * members) amortized, with no per-server node allocation.
+ *
+ * Servers at or past the owning Cluster's materialization frontier are
+ * pristine (available == capacity, up, admitted) and carry no tag: each
+ * capacity run's untouched tail is filed as an implicit id range inside
+ * the class keyed by that capacity. A class's count and minimum include
+ * its ranges, and every range lies above every materialized id, so the
+ * lowest-id tie-break is unchanged. A rebuild is O(materialized servers
+ * + runs).
  *
  * Failure domains are not indexed: a server's rack does not change its
  * class. Spread placement, whose penalty depends on the rack, scans the
@@ -34,6 +42,16 @@
 
 namespace infless::cluster {
 
+class Cluster;
+
+/** Consecutive server ids [first, end) built with one capacity. */
+struct CapacityRun
+{
+    ServerId first = 0;
+    ServerId end = 0;
+    Resources capacity;
+};
+
 /**
  * Groups the servers of one Cluster by available-resource vector.
  *
@@ -47,8 +65,23 @@ class CapacityIndex
   public:
     CapacityIndex() = default;
 
-    /** Rebuild from scratch (constructor / wholesale reset). */
-    void rebuild(const std::vector<Server> &servers);
+    /**
+     * Rebuild from scratch (constructor / wholesale reset): file the
+     * materialized @p prefix (ids 0 .. prefix.size() - 1) server by
+     * server, and the part of every run at or past the prefix as one
+     * implicit range. @p runs are ascending and cover the fleet.
+     */
+    void rebuild(const std::vector<Server> &prefix,
+                 const std::vector<CapacityRun> &runs);
+
+    /**
+     * Turn the pristine ids [first, end) of the class keyed by
+     * @p capacity into materialized members. @p first must be the
+     * frontier and the lowest id of that class's lowest range, and
+     * [first, end) must lie inside that range.
+     */
+    void materialize(ServerId first, ServerId end,
+                     const Resources &capacity);
 
     /**
      * Move @p id from the class keyed by @p before to the one keyed by
@@ -124,7 +157,7 @@ class CapacityIndex
                  ++it) {
                 const ClassEntry &entry = it->second;
                 if (!f(it->first, entry.weighted(it->first, beta),
-                       entry.members.min(), entry.members.count)) {
+                       entry.members.min(), entry.members.size())) {
                     it = classes_.upper_bound(Resources{cpu, kMax, kMax});
                     break;
                 }
@@ -134,27 +167,48 @@ class CapacityIndex
 
     /**
      * Exhaustive invariant check against the source of truth: classes
-     * partition the servers and every member's availability matches its
-     * class key. For tests.
+     * partition the up, admitted servers of @p cluster and every
+     * member's availability matches its class key. For tests.
      */
-    bool consistentWith(const std::vector<Server> &servers) const;
+    bool consistentWith(const Cluster &cluster) const;
 
   private:
+    /** Server ids [first, end). */
+    struct IdRange
+    {
+        ServerId first = 0;
+        ServerId end = 0;
+    };
+
     /**
-     * A set of server ids as a min-heap with lazy deletion. Which
+     * A set of server ids: materialized ones as a min-heap with lazy
+     * deletion, pristine ones as id ranges past the frontier. Which heap
      * entries are live is decided by the owner (through the per-server
      * tags), so the heap may hold stale ids and duplicates of a live
      * one; every operation leaves a live id on top.
      */
     struct Members
     {
-        /** Min-heap of ids (std::greater order). */
+        /** Min-heap of materialized ids (std::greater order). */
         std::vector<ServerId> heap;
-        /** Live members. */
+        /** Live materialized members. */
         std::size_t count = 0;
+        /** Pristine ranges, highest first, so the lowest is at the
+         *  back. */
+        std::vector<IdRange> pristine;
+        /** Ids in the pristine ranges. */
+        std::size_t pristineCount = 0;
 
-        /** Lowest live id. */
-        ServerId min() const { return heap.front(); }
+        /** Lowest live id: pristine ids lie above every materialized
+         *  one. */
+        ServerId
+        min() const
+        {
+            return count > 0 ? heap.front() : pristine.back().first;
+        }
+
+        /** Live members, materialized and pristine. */
+        std::size_t size() const { return count + pristineCount; }
 
         void push(ServerId id);
 
@@ -188,7 +242,11 @@ class CapacityIndex
 
     void insert(ServerId id, const Resources &avail);
 
-    /** Tag of the class holding @p id; 0 when unfiled. */
+    /** The class keyed by @p avail, created (with a fresh tag) if
+     *  absent. */
+    ClassEntry &classFor(const Resources &avail);
+
+    /** Tag of the class holding @p id; 0 when unfiled or pristine. */
     std::uint32_t
     tagOf(ServerId id) const
     {
@@ -196,12 +254,13 @@ class CapacityIndex
         return i < tagOf_.size() ? tagOf_[i] : 0;
     }
 
+    /** Tag materialized server @p id; panics past the frontier. */
     void setTag(ServerId id, std::uint32_t tag);
 
     std::map<Resources, ClassEntry, ResourcesLess> classes_;
     std::size_t serverCount_ = 0;
-    /** Per server id: the tag of the class holding it, 0 when unfiled.
-     *  32 bits: one per server, so its width is paid fleet-wide. */
+    /** Per materialized server id: the tag of the class holding it, 0
+     *  when unfiled. Its size is the materialization frontier. */
     std::vector<std::uint32_t> tagOf_;
     /** Next class tag to hand out; 0 is reserved for "unfiled". Panics
      *  rather than wrap onto a live tag. */

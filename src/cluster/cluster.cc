@@ -1,6 +1,9 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
 
 #include "sim/logging.hh"
 
@@ -9,72 +12,103 @@ namespace infless::cluster {
 Cluster::Cluster(std::size_t num_servers, const Resources &capacity)
 {
     sim::simAssert(num_servers > 0, "cluster needs at least one server");
-    servers_.reserve(num_servers);
-    for (std::size_t i = 0; i < num_servers; ++i)
-        fileCapacity(
-            servers_.emplace_back(static_cast<ServerId>(i), capacity));
-    index_.rebuild(servers_);
+    appendRun(num_servers, capacity);
+    index_.rebuild(servers_, runs_);
 }
 
 Cluster::Cluster(const std::vector<Resources> &capacities)
 {
     sim::simAssert(!capacities.empty(),
                    "cluster needs at least one server");
-    servers_.reserve(capacities.size());
-    for (std::size_t i = 0; i < capacities.size(); ++i)
-        fileCapacity(
-            servers_.emplace_back(static_cast<ServerId>(i), capacities[i]));
-    index_.rebuild(servers_);
+    for (const Resources &capacity : capacities)
+        appendRun(1, capacity);
+    index_.rebuild(servers_, runs_);
 }
 
 void
-Cluster::fileCapacity(const Server &s)
+Cluster::appendRun(std::size_t count, const Resources &capacity)
 {
-    byCapacity_[s.capacity()].push_back(s.id());
-    capacity_ += s.capacity();
-}
-
-std::vector<Resources>
-Cluster::capacities() const
-{
-    std::vector<Resources> result;
-    result.reserve(servers_.size());
-    for (const auto &s : servers_)
-        result.push_back(s.capacity());
-    return result;
+    const ServerId first = runs_.empty() ? 0 : runs_.back().end;
+    sim::simAssert(count <= static_cast<std::size_t>(
+                                std::numeric_limits<ServerId>::max() -
+                                first),
+                   "cluster larger than the server id range");
+    const auto end = first + static_cast<ServerId>(count);
+    if (!runs_.empty() && runs_.back().capacity == capacity) {
+        runs_.back().end = end;
+    } else {
+        // A record's range check, made once per run instead of once per
+        // server: it panics on a component outside [0, INT32_MAX].
+        static_cast<void>(Server(first, capacity));
+        runs_.push_back(CapacityRun{first, end, capacity});
+    }
+    const auto n = static_cast<std::int64_t>(count);
+    capacity_ += Resources{capacity.cpuMillicores * n,
+                           capacity.gpuSmPercent * n, capacity.memoryMb * n};
 }
 
 std::vector<Resources>
 Cluster::probeCapacities(std::size_t per_capacity) const
 {
-    std::vector<ServerId> ids;
-    for (const auto &[capacity, members] : byCapacity_) {
-        std::size_t n = std::min(per_capacity, members.size());
-        ids.insert(ids.end(), members.begin(),
-                   members.begin() + static_cast<std::ptrdiff_t>(n));
-    }
-    std::sort(ids.begin(), ids.end());
+    // Runs are in id order, so taking each capacity's first ids run by
+    // run yields them merged in id order.
+    std::map<Resources, std::size_t, ResourcesLess> taken;
     std::vector<Resources> result;
-    result.reserve(ids.size());
-    for (ServerId id : ids)
-        result.push_back(servers_[static_cast<std::size_t>(id)].capacity());
+    for (const CapacityRun &run : runs_) {
+        std::size_t &n = taken[run.capacity];
+        const auto k = std::min(
+            per_capacity - n, static_cast<std::size_t>(run.end - run.first));
+        result.insert(result.end(), k, run.capacity);
+        n += k;
+    }
     return result;
+}
+
+std::vector<CapacityRun>::const_iterator
+Cluster::runOf(ServerId id) const
+{
+    return std::upper_bound(
+        runs_.begin(), runs_.end(), id,
+        [](ServerId v, const CapacityRun &run) { return v < run.end; });
+}
+
+void
+Cluster::checkId(ServerId id) const
+{
+    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < size(),
+                   "bad server id ", id);
+}
+
+const Server *
+Cluster::record(ServerId id) const
+{
+    checkId(id);
+    auto i = static_cast<std::size_t>(id);
+    return i < servers_.size() ? &servers_[i] : nullptr;
 }
 
 Server &
 Cluster::serverMut(ServerId id)
 {
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < servers_.size(),
-                   "bad server id ", id);
+    if (record(id) == nullptr) {
+        // Materialize every server up to and including id, run by run.
+        auto next = static_cast<ServerId>(servers_.size());
+        for (auto run = runOf(next); next <= id; ++run) {
+            const ServerId end = std::min(run->end, id + 1);
+            index_.materialize(next, end, run->capacity);
+            for (; next < end; ++next)
+                servers_.emplace_back(next, run->capacity);
+        }
+    }
     return servers_[static_cast<std::size_t>(id)];
 }
 
-const Server &
+Server
 Cluster::server(ServerId id) const
 {
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < servers_.size(),
-                   "bad server id ", id);
-    return servers_[static_cast<std::size_t>(id)];
+    if (const Server *s = record(id))
+        return *s;
+    return Server(id, runOf(id)->capacity);
 }
 
 double
@@ -137,9 +171,10 @@ Cluster::setServerDown(ServerId id)
 void
 Cluster::setServerUp(ServerId id)
 {
-    Server &s = serverMut(id);
-    if (!s.isDown())
+    // A pristine server is up: nothing to do, nothing to materialize.
+    if (!serverDown(id))
         return;
+    Server &s = serverMut(id);
     s.markUp();
     // Re-file only if nothing else keeps the server out of the pool: a
     // quarantined server recovering from a crash stays quarantined.
@@ -150,18 +185,16 @@ Cluster::setServerUp(ServerId id)
 void
 Cluster::setServerDomain(ServerId id, const FailureDomain &domain)
 {
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < servers_.size(),
-                   "bad server id ", id);
-    if (domains_.size() < servers_.size())
-        domains_.resize(servers_.size());
+    checkId(id);
+    if (domains_.size() < size())
+        domains_.resize(size());
     domains_[static_cast<std::size_t>(id)] = domain;
 }
 
 FailureDomain
 Cluster::serverDomain(ServerId id) const
 {
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < servers_.size(),
-                   "bad server id ", id);
+    checkId(id);
     if (static_cast<std::size_t>(id) >= domains_.size())
         return FailureDomain{};
     return domains_[static_cast<std::size_t>(id)];
@@ -181,9 +214,9 @@ Cluster::quarantineServer(ServerId id)
 void
 Cluster::liftQuarantine(ServerId id)
 {
-    Server &s = serverMut(id);
-    if (!s.isQuarantined())
+    if (!serverQuarantined(id))
         return;
+    Server &s = serverMut(id);
     s.markAdmitted();
     if (filed(s))
         index_.add(id, s.available());

@@ -7,7 +7,6 @@
 #define INFLESS_CLUSTER_CLUSTER_HH
 
 #include <cstddef>
-#include <map>
 #include <vector>
 
 #include "cluster/capacity_index.hh"
@@ -22,6 +21,14 @@ namespace infless::cluster {
  *
  * Both the 8-node local testbed and the 2,000-node simulation of the paper
  * are instances of this class with different sizes.
+ *
+ * Only servers below a materialization frontier have a Server record.
+ * Every id at or past it is pristine: available equals capacity, nothing
+ * is allocated, and it is up and admitted. Capacities come from a list of
+ * runs of consecutive ids (one run for a homogeneous fleet). The first
+ * mutator that changes a server at or past the frontier materializes
+ * every server up to it, so memory is O(runs + highest touched id) and
+ * every query answers as if the whole fleet had records.
  */
 class Cluster
 {
@@ -37,26 +44,47 @@ class Cluster
 
     /**
      * Build a heterogeneous cluster (e.g. a mix of GPU and CPU-only
-     * machines).
+     * machines). Consecutive equal capacities share one run.
      */
     explicit Cluster(const std::vector<Resources> &capacities);
 
-    /** Per-server capacities, in server-id order. */
-    std::vector<Resources> capacities() const;
-
     /**
-     * A compact stand-in for capacities() when probing placements on an
-     * empty copy of the fleet: for every distinct capacity, the
+     * A compact stand-in for the fleet when probing placements on an
+     * empty copy of it: for every distinct capacity, the
      * @p per_capacity lowest-id servers of that capacity, merged in
-     * id order. O(classes x per_capacity), independent of fleet size.
+     * id order. O(runs x log classes + result), read from the runs.
      */
     std::vector<Resources> probeCapacities(std::size_t per_capacity) const;
 
-    std::size_t size() const { return servers_.size(); }
+    std::size_t
+    size() const
+    {
+        return static_cast<std::size_t>(runs_.back().end);
+    }
 
-    const Server &server(ServerId id) const;
+    /** Servers with a record: ids below the materialization frontier. */
+    std::size_t materialized() const { return servers_.size(); }
 
-    const std::vector<Server> &servers() const { return servers_; }
+    /** The server's state; a pristine server's is built on the fly. */
+    Server server(ServerId id) const;
+
+    /**
+     * Visit every server in id order as f(const Server &): the
+     * materialized records, then a pristine value for each id past the
+     * frontier. O(servers) time, no allocation.
+     */
+    template <typename F>
+    void
+    forEachServer(F &&f) const
+    {
+        for (const Server &s : servers_)
+            f(s);
+        auto id = static_cast<ServerId>(servers_.size());
+        for (auto run = runOf(id); run != runs_.end(); ++run) {
+            for (; id < run->end; ++id)
+                f(Server(id, run->capacity));
+        }
+    }
 
     /**
      * The capacity index over the fleet. Kept in sync by allocate() and
@@ -109,9 +137,14 @@ class Cluster
     void setServerUp(ServerId id);
 
     /** Whether the server is currently down. */
-    bool serverDown(ServerId id) const { return server(id).isDown(); }
+    bool
+    serverDown(ServerId id) const
+    {
+        const Server *s = record(id);
+        return s != nullptr && s->isDown();
+    }
 
-    /** Number of servers currently down. */
+    /** Number of servers currently down. O(materialized servers). */
     std::size_t downServers() const;
 
     // Failure domains -------------------------------------------------------
@@ -144,10 +177,12 @@ class Cluster
     bool
     serverQuarantined(ServerId id) const
     {
-        return server(id).isQuarantined();
+        const Server *s = record(id);
+        return s != nullptr && s->isQuarantined();
     }
 
-    /** Number of servers currently quarantined. */
+    /** Number of servers currently quarantined. O(materialized
+     *  servers). */
     std::size_t quarantinedServers() const;
 
     /**
@@ -169,7 +204,18 @@ class Cluster
     ServerId bestFit(const Resources &req, double beta) const;
 
   private:
+    /** Panics on an id outside the fleet. */
+    void checkId(ServerId id) const;
+
+    /** The record of server @p id, or null while it is pristine.
+     *  Panics on an id outside the fleet. */
+    const Server *record(ServerId id) const;
+
+    /** The record of server @p id, materializing through it. */
     Server &serverMut(ServerId id);
+
+    /** The run holding @p id; runs_.end() past the fleet. */
+    std::vector<CapacityRun>::const_iterator runOf(ServerId id) const;
 
     /** Whether the server is filed in the capacity index. */
     static bool
@@ -178,10 +224,15 @@ class Cluster
         return !s.isDown() && !s.isQuarantined();
     }
 
-    /** Account a new member in byCapacity_ (ids arrive ascending) and
-     *  in the capacity total. */
-    void fileCapacity(const Server &s);
+    /** Append @p count servers of @p capacity as a run (or grow the
+     *  last run when it has that capacity) and add them to the
+     *  capacity total. */
+    void appendRun(std::size_t count, const Resources &capacity);
 
+    /** Capacity runs, ascending and covering ids 0 .. size() - 1;
+     *  adjacent runs differ in capacity. */
+    std::vector<CapacityRun> runs_;
+    /** Records of the materialized servers, ids 0 .. frontier - 1. */
     std::vector<Server> servers_;
     CapacityIndex index_;
     /** Exact sum of capacities. */
@@ -190,8 +241,6 @@ class Cluster
     Resources allocated_;
     /** Ids of servers with at least one allocation, sorted ascending. */
     std::vector<ServerId> active_;
-    /** Server ids per capacity, ascending. */
-    std::map<Resources, std::vector<ServerId>, ResourcesLess> byCapacity_;
     /** Per-server failure domain; empty until the first assignment. */
     std::vector<FailureDomain> domains_;
 };

@@ -415,7 +415,7 @@ Platform::auditConservation(std::string *diagnostic) const
 void
 Platform::injectServerCrash(cluster::ServerId id)
 {
-    if (cluster_.server(id).isDown())
+    if (cluster_.serverDown(id))
         return; // double crash: already down
     sim::Tick now = sim_.now();
     cluster_.setServerDown(id);
@@ -433,7 +433,7 @@ Platform::injectServerCrash(cluster::ServerId id)
 void
 Platform::injectServerRecovery(cluster::ServerId id)
 {
-    if (!cluster_.server(id).isDown())
+    if (!cluster_.serverDown(id))
         return; // never crashed, or recovered already
     sim::Tick now = sim_.now();
     cluster_.setServerUp(id);

@@ -277,15 +277,15 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
                     // class, so spread evaluates every server. Spread
                     // runs only on fleets with failure domains, all of
                     // them small (DESIGN.md §4).
-                    for (const cluster::Server &server : cluster.servers()) {
+                    cluster.forEachServer([&](const cluster::Server &server) {
                         double e = efficiency(entry.cand, server, norm,
                                               residual_rps);
                         if (e < 0.0)
-                            continue;
+                            return;
                         e /= spread->penalty(
                             cluster.serverDomain(server.id()), weight);
                         consider(e, server.id());
-                    }
+                    });
                 } else {
                     // Only classes covering req's CPU and GPU can fit,
                     // and consider() orders on (e, id) alone, so the
@@ -414,7 +414,7 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
                 spread != nullptr && config_.spreadWeight > 0.0;
             double best_e = -1.0;
             for (const auto &cand : candidates) {
-                for (const auto &server : cluster.servers()) {
+                cluster.forEachServer([&](const cluster::Server &server) {
                     double e =
                         efficiency(cand, server, norm, residual_rps);
                     if (spread_on && e >= 0.0)
@@ -426,7 +426,7 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
                         best_cand = &cand;
                         best_server = server.id();
                     }
-                }
+                });
             }
         }
         if (!best_cand)

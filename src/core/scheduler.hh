@@ -233,7 +233,7 @@ class GreedyScheduler
 
     /**
      * The plans schedule() would make on an empty copy of @p fleet
-     * (Cluster(fleet.capacities())), without building that copy: the
+     * (a Cluster of the same capacities), without building that copy: the
      * probe runs on the lowest-id `cap` live servers of each capacity
      * (Cluster::probeCapacities). A pass that places fewer than `cap`
      * plans touches fewer than `cap` servers and breaks ties toward the

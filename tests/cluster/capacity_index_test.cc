@@ -12,6 +12,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "cluster/capacity_index.hh"
 #include "cluster/cluster.hh"
@@ -20,6 +22,7 @@
 namespace {
 
 using infless::cluster::CapacityIndex;
+using infless::cluster::CapacityRun;
 using infless::cluster::Cluster;
 using infless::cluster::DomainId;
 using infless::cluster::FailureDomain;
@@ -27,6 +30,7 @@ using infless::cluster::kDefaultBeta;
 using infless::cluster::kNoServer;
 using infless::cluster::Resources;
 using infless::cluster::ResourcesLess;
+using infless::cluster::Server;
 using infless::cluster::ServerId;
 using infless::sim::Rng;
 
@@ -34,11 +38,12 @@ using infless::sim::Rng;
 ServerId
 naiveFirstFit(const Cluster &c, const Resources &req)
 {
-    for (const auto &s : c.servers()) {
-        if (s.canFit(req))
-            return s.id();
-    }
-    return kNoServer;
+    ServerId target = kNoServer;
+    c.forEachServer([&](const Server &s) {
+        if (target == kNoServer && s.canFit(req))
+            target = s.id();
+    });
+    return target;
 }
 
 /** Reference best-fit: smallest weighted availability, id order. */
@@ -47,15 +52,15 @@ naiveBestFit(const Cluster &c, const Resources &req, double beta)
 {
     ServerId target = kNoServer;
     double best_avail = std::numeric_limits<double>::max();
-    for (const auto &s : c.servers()) {
+    c.forEachServer([&](const Server &s) {
         if (!s.canFit(req))
-            continue;
+            return;
         double avail = s.available().weighted(beta);
         if (avail < best_avail) {
             best_avail = avail;
             target = s.id();
         }
-    }
+    });
     return target;
 }
 
@@ -64,7 +69,7 @@ TEST(CapacityIndexTest, FreshHomogeneousClusterHasOneClass)
     Cluster c(2000);
     EXPECT_EQ(c.capacityIndex().classCount(), 1u);
     EXPECT_EQ(c.capacityIndex().serverCount(), 2000u);
-    EXPECT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+    EXPECT_TRUE(c.capacityIndex().consistentWith(c));
 }
 
 TEST(CapacityIndexTest, AllocateSplitsClassReleaseMerges)
@@ -74,7 +79,7 @@ TEST(CapacityIndexTest, AllocateSplitsClassReleaseMerges)
 
     ASSERT_TRUE(c.allocate(3, req));
     EXPECT_EQ(c.capacityIndex().classCount(), 2u);
-    EXPECT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+    EXPECT_TRUE(c.capacityIndex().consistentWith(c));
 
     // A second server with the same allocation joins the split class.
     ASSERT_TRUE(c.allocate(5, req));
@@ -89,7 +94,7 @@ TEST(CapacityIndexTest, AllocateSplitsClassReleaseMerges)
     c.release(5, req);
     c.release(6, Resources{500, 0, 512});
     EXPECT_EQ(c.capacityIndex().classCount(), 1u);
-    EXPECT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+    EXPECT_TRUE(c.capacityIndex().consistentWith(c));
 }
 
 TEST(CapacityIndexTest, HeterogeneousClusterClassesByCapacity)
@@ -130,7 +135,7 @@ TEST(CapacityIndexTest, FirstFitMatchesLinearScan)
             live[pick] = live.back();
             live.pop_back();
         }
-        ASSERT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+        ASSERT_TRUE(c.capacityIndex().consistentWith(c));
     }
 }
 
@@ -218,7 +223,7 @@ TEST(CapacityIndexTest, StaysConsistentUnderServerChurn)
             live[pick] = live.back();
             live.pop_back();
         }
-        ASSERT_TRUE(c.capacityIndex().consistentWith(c.servers()))
+        ASSERT_TRUE(c.capacityIndex().consistentWith(c))
             << "step " << step;
         ASSERT_EQ(c.downServers(),
                   static_cast<std::size_t>(
@@ -250,10 +255,19 @@ TEST(CapacityIndexTest, RebuildMatchesIncrementalState)
     ASSERT_TRUE(c.allocate(0, Resources{1000, 10, 512}));
     ASSERT_TRUE(c.allocate(4, Resources{2000, 0, 4096}));
 
+    // The materialized records (ids 0-4) server by server, and the rest
+    // of the one run as a pristine range.
+    ASSERT_EQ(c.materialized(), 5u);
+    std::vector<Server> prefix;
+    c.forEachServer([&](const Server &s) {
+        if (s.id() < 5)
+            prefix.push_back(s);
+    });
     CapacityIndex fresh;
-    fresh.rebuild(c.servers());
+    fresh.rebuild(prefix, {CapacityRun{0, 6, c.server(0).capacity()}});
     EXPECT_EQ(fresh.classCount(), c.capacityIndex().classCount());
-    EXPECT_TRUE(fresh.consistentWith(c.servers()));
+    EXPECT_EQ(fresh.serverCount(), 6u);
+    EXPECT_TRUE(fresh.consistentWith(c));
 
     // Both indexes answer probes identically.
     Resources probe{12'000, 150, 1024};
@@ -306,10 +320,10 @@ ClassSets
 referenceClasses(const Cluster &c)
 {
     ClassSets ref;
-    for (const auto &s : c.servers()) {
+    c.forEachServer([&](const Server &s) {
         if (!s.isDown() && !s.isQuarantined())
             ref[s.available()].insert(s.id());
-    }
+    });
     return ref;
 }
 
@@ -344,8 +358,62 @@ matchesReference(const Cluster &c)
         error += " " + std::to_string(visited) + " classes visited, " +
                  std::to_string(ref.size()) + " expected;";
 
-    if (!index.consistentWith(c.servers()))
+    if (!index.consistentWith(c))
         error += " consistentWith failed;";
+    if (!error.empty())
+        return ::testing::AssertionFailure() << error;
+    return ::testing::AssertionSuccess();
+}
+
+/** Every class as (key, min id, count), in key order. */
+std::vector<std::tuple<Resources, ServerId, std::size_t>>
+classList(const Cluster &c)
+{
+    std::vector<std::tuple<Resources, ServerId, std::size_t>> out;
+    c.capacityIndex().forEachCoveringClass(
+        Resources{}, kDefaultBeta,
+        [&](const Resources &avail, double, ServerId min_id,
+            std::size_t count) {
+            out.emplace_back(avail, min_id, count);
+            return true;
+        });
+    return out;
+}
+
+/**
+ * @p lazy answers every query exactly as @p full, a cluster in the same
+ * state with a record for every server: class keys, minima and counts,
+ * both probes, the totals and the fragment ratio (bit for bit).
+ */
+::testing::AssertionResult
+sameAnswers(const Cluster &lazy, const Cluster &full)
+{
+    static const Resources kProbes[] = {
+        {500, 5, 256},         {4'000, 50, 8'192},
+        {16'000, 200, 131'072}, {32'000, 0, 262'144},
+        {20'000, 0, 1'024},    {}};
+    std::string error;
+    if (classList(lazy) != classList(full))
+        error += " classes differ;";
+    if (lazy.capacityIndex().serverCount() !=
+        full.capacityIndex().serverCount())
+        error += " filed counts differ;";
+    for (const Resources &req : kProbes) {
+        if (lazy.firstFit(req) != full.firstFit(req) ||
+            lazy.bestFit(req, kDefaultBeta) != full.bestFit(req, kDefaultBeta))
+            error += " probes differ for " + req.str() + ";";
+    }
+    if (lazy.totalAllocated() != full.totalAllocated() ||
+        lazy.totalAvailable() != full.totalAvailable() ||
+        lazy.totalCapacity() != full.totalCapacity() ||
+        lazy.activeServers() != full.activeServers() ||
+        lazy.downServers() != full.downServers() ||
+        lazy.quarantinedServers() != full.quarantinedServers())
+        error += " totals differ;";
+    for (double beta : {kDefaultBeta, 0.001, 1.0}) {
+        if (lazy.fragmentRatio(beta) != full.fragmentRatio(beta))
+            error += " fragment ratio differs;";
+    }
     if (!error.empty())
         return ::testing::AssertionFailure() << error;
     return ::testing::AssertionSuccess();
@@ -358,15 +426,35 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
     // copied and the same sequence continues on both copies; one server
     // leaves and rejoins the same populous class hundreds of times so
     // stale heap entries pile up and get compacted.
+    //
+    // The random moves stay on ids 0-35 of a 340-server fleet, so most
+    // of it is never touched. Its tail is three more capacity runs (the
+    // GPU class holds two of them). Scripted steps assign domains on the
+    // untouched tail, make a first touch far past the frontier and
+    // release that server back to pristine, and crash and quarantine the
+    // never-touched top id. A reference with a record for every server
+    // takes the same moves, and after every step each lazy fleet must
+    // answer every query as it does.
+    const Resources gpu{16'000, 200, 131'072};
+    const Resources cpu{32'000, 0, 262'144};
     std::vector<Resources> caps;
     for (int i = 0; i < 40; ++i)
-        caps.push_back(i % 5 == 4 ? Resources{32'000, 0, 262'144}
-                                  : Resources{16'000, 200, 131'072});
+        caps.push_back(i % 5 == 4 ? cpu : gpu);
+    caps.insert(caps.end(), 150, gpu);
+    caps.insert(caps.end(), 50, cpu);
+    const Resources small{8'000, 100, 65'536};
+    caps.insert(caps.end(), 100, small);
+    const ServerId top = 339;
+    ASSERT_EQ(caps.size(), 340u);
     Cluster original(caps);
-    std::vector<Cluster *> fleets = {&original};
+    Cluster full(caps);
+    // Quarantining the top id and lifting it again builds every record.
+    full.quarantineServer(top);
+    full.liftQuarantine(top);
+    ASSERT_EQ(original.materialized(), 0u);
+    ASSERT_EQ(full.materialized(), caps.size());
+    std::vector<Cluster *> fleets = {&original, &full};
     Cluster copy = original; // replaced at the copy step below
-    const auto n = static_cast<std::int64_t>(caps.size());
-    ASSERT_EQ(n, 40);
 
     struct Alloc
     {
@@ -378,14 +466,44 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
     // Servers 36-38 stay out of the random moves, so the untouched GPU
     // class always holds ids below 38.
     auto pickServer = [&] {
-        return static_cast<ServerId>(rng.uniformInt(0, n - 5));
+        return static_cast<ServerId>(rng.uniformInt(0, 35));
     };
+    const Resources far_req{1000, 10, 2048};
     const int steps = 3000;
     std::size_t max_classes = 0;
     for (int step = 0; step < steps; ++step) {
         if (step == steps / 2) {
             copy = original;
             fleets.push_back(&copy);
+        }
+        // Scripted moves on the untouched tail.
+        if (step == 100) {
+            for (Cluster *c : fleets) {
+                for (ServerId id : {60, 200, top})
+                    c->setServerDomain(id, FailureDomain{2, 5});
+            }
+            ASSERT_LE(original.materialized(), 40u);
+        } else if (step == 2000) {
+            ASSERT_LE(original.materialized(), 40u);
+            for (Cluster *c : fleets)
+                ASSERT_TRUE(c->allocate(250, far_req));
+            ASSERT_EQ(copy.materialized(), 251u);
+        } else if (step == 2200) {
+            for (Cluster *c : fleets)
+                c->release(250, far_req);
+        } else if (step == 2600) {
+            for (Cluster *c : fleets)
+                c->setServerDown(top);
+            ASSERT_EQ(original.materialized(), caps.size());
+        } else if (step == 2700) {
+            for (Cluster *c : fleets)
+                c->quarantineServer(top);
+        } else if (step == 2800) {
+            for (Cluster *c : fleets)
+                c->setServerUp(top);
+        } else if (step == 2900) {
+            for (Cluster *c : fleets)
+                c->liftQuarantine(top);
         }
         double move = rng.uniform();
         if (step >= 1000 && step < 1600) {
@@ -452,15 +570,20 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
             for (Cluster *c : fleets)
                 c->setServerDomain(id, FailureDomain{rack / 2, rack});
         }
-        for (Cluster *c : fleets)
+        for (Cluster *c : fleets) {
             ASSERT_TRUE(matchesReference(*c)) << "step " << step;
+            ASSERT_TRUE(sameAnswers(*c, full)) << "step " << step;
+        }
         max_classes =
             std::max(max_classes, original.capacityIndex().classCount());
     }
-    ASSERT_EQ(fleets.size(), 2u);
+    ASSERT_EQ(fleets.size(), 3u);
     EXPECT_GE(max_classes, 20u);
     ASSERT_FALSE(live.empty());
     EXPECT_EQ(copy.serverDomain(38), (FailureDomain{1, 3}));
+    EXPECT_EQ(copy.serverDomain(200), (FailureDomain{2, 5}));
+    EXPECT_EQ(copy.server(250).capacity(), small);
+    EXPECT_FALSE(copy.server(250).isActive());
 
     // The copies share no state: emptying one leaves the other intact.
     for (const Alloc &a : live)

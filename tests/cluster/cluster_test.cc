@@ -5,14 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <cstdint>
+#include <vector>
+
 #include "cluster/cluster.hh"
 #include "sim/logging.hh"
 
 namespace {
 
 using infless::cluster::Cluster;
+using infless::cluster::FailureDomain;
 using infless::cluster::kNoServer;
 using infless::cluster::Resources;
+using infless::cluster::Server;
+using infless::cluster::ServerId;
 using infless::sim::FatalError;
 using infless::sim::PanicError;
 
@@ -79,6 +87,80 @@ TEST(ClusterTest, BadServerIdPanics)
     Cluster c(2);
     EXPECT_THROW(c.server(2), PanicError);
     EXPECT_THROW(c.server(-1), PanicError);
+    EXPECT_THROW(c.allocate(2, Resources{1, 0, 0}), PanicError);
+    EXPECT_THROW(c.setServerDown(2), PanicError);
+    EXPECT_THROW(c.setServerUp(-1), PanicError);
+    EXPECT_THROW(c.setServerDomain(2, {}), PanicError);
+    EXPECT_EQ(c.materialized(), 0u);
+}
+
+TEST(ClusterTest, OutOfRangeCapacityPanicsAtConstruction)
+{
+    const Resources too_big{std::int64_t{1} << 31, 0, 0};
+    EXPECT_THROW(Cluster(1000, too_big), PanicError);
+    EXPECT_THROW(Cluster(1000, Resources{-1, 0, 0}), PanicError);
+    EXPECT_THROW(
+        Cluster(std::vector<Resources>{Resources{1000, 0, 0}, too_big}),
+        PanicError);
+}
+
+TEST(ClusterTest, ServersMaterializeOnFirstChange)
+{
+    Cluster c(1000, Resources{1000, 10, 1024});
+    // Queries and no-op mutators leave every server pristine.
+    EXPECT_EQ(c.server(999).available(), (Resources{1000, 10, 1024}));
+    EXPECT_FALSE(c.serverDown(999));
+    c.setServerUp(999);
+    c.liftQuarantine(999);
+    c.setServerDomain(999, {1, 2});
+    EXPECT_EQ(c.firstFit(Resources{1, 0, 0}), 0);
+    EXPECT_EQ(c.materialized(), 0u);
+
+    // A change materializes every server up to it.
+    ASSERT_TRUE(c.allocate(600, Resources{1000, 10, 1024}));
+    EXPECT_EQ(c.materialized(), 601u);
+    EXPECT_EQ(c.firstFit(Resources{1000, 0, 0}), 0);
+    c.quarantineServer(0);
+    c.setServerDown(1);
+    EXPECT_EQ(c.firstFit(Resources{1000, 0, 0}), 2);
+    // A pristine id keeps its place in the lowest-id tie-break.
+    for (ServerId id = 2; id < 600; ++id)
+        ASSERT_TRUE(c.allocate(id, Resources{1000, 0, 0}));
+    EXPECT_EQ(c.firstFit(Resources{1000, 0, 0}), 601);
+    EXPECT_EQ(c.materialized(), 601u);
+    EXPECT_EQ(c.downServers(), 1u);
+    EXPECT_EQ(c.quarantinedServers(), 1u);
+    EXPECT_EQ(c.serverDomain(999), (FailureDomain{1, 2}));
+}
+
+/** Heap bytes in use: small chunks plus mmapped blocks. */
+std::size_t
+heapInUse()
+{
+    struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerAllocator = true;
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
+
+TEST(ClusterMemoryTest, HundredThousandServersHoldUnderSixteenKiB)
+{
+    if (kSanitizerAllocator)
+        GTEST_SKIP() << "the sanitizer's allocator does not report "
+                        "through mallinfo2";
+    const std::size_t before = heapInUse();
+    Cluster c(100'000);
+    const std::size_t held = heapInUse() - before;
+    EXPECT_EQ(c.size(), 100'000u);
+    EXPECT_LT(held, 16u * 1024) << held << " bytes";
+
+    // Touching the top id builds every record: the reading moves.
+    c.setServerDown(99'999);
+    EXPECT_GT(heapInUse() - before, 100'000u * sizeof(Server));
 }
 
 } // namespace

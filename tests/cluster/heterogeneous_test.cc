@@ -21,6 +21,7 @@ namespace {
 
 using infless::cluster::Cluster;
 using infless::cluster::Resources;
+using infless::cluster::Server;
 using infless::core::GreedyScheduler;
 using infless::core::Platform;
 using infless::sim::kTicksPerMin;
@@ -46,8 +47,10 @@ TEST(HeterogeneousClusterTest, CapacitiesPreservedPerServer)
     EXPECT_EQ(c.server(0).capacity().gpuSmPercent, 200);
     EXPECT_EQ(c.server(2).capacity().gpuSmPercent, 0);
     EXPECT_EQ(c.server(2).capacity().cpuMillicores, 32'000);
-    auto caps = c.capacities();
+    std::vector<Resources> caps;
+    c.forEachServer([&](const Server &s) { caps.push_back(s.capacity()); });
     ASSERT_EQ(caps.size(), 4u);
+    EXPECT_EQ(caps[1].gpuSmPercent, 200);
     EXPECT_EQ(caps[3].cpuMillicores, 32'000);
 }
 

@@ -7,7 +7,9 @@
  * to date by every mutation instead of by walking the fleet. Seeded
  * random sequences of allocate, release, down/up and quarantine/lift on
  * heterogeneous fleets check, after every step, that each answer equals
- * the rescan exactly (fragmentRatio bit for bit).
+ * the rescan exactly (fragmentRatio bit for bit), and equals that of a
+ * reference with a record for every server. Mostly untouched fleets
+ * keep most servers pristine, past the materialization frontier.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@ namespace cluster = infless::cluster;
 
 using cluster::Cluster;
 using cluster::Resources;
+using cluster::Server;
 using cluster::ServerId;
 using infless::sim::Rng;
 
@@ -34,8 +37,7 @@ Resources
 rescanAllocated(const Cluster &c)
 {
     Resources total;
-    for (const auto &s : c.servers())
-        total += s.allocated();
+    c.forEachServer([&](const Server &s) { total += s.allocated(); });
     return total;
 }
 
@@ -44,8 +46,7 @@ Resources
 rescanAvailable(const Cluster &c)
 {
     Resources total;
-    for (const auto &s : c.servers())
-        total += s.available();
+    c.forEachServer([&](const Server &s) { total += s.available(); });
     return total;
 }
 
@@ -53,8 +54,7 @@ Resources
 rescanCapacity(const Cluster &c)
 {
     Resources total;
-    for (const auto &s : c.servers())
-        total += s.capacity();
+    c.forEachServer([&](const Server &s) { total += s.capacity(); });
     return total;
 }
 
@@ -63,12 +63,12 @@ rescanFragmentRatio(const Cluster &c, double beta)
 {
     double sum = 0.0;
     std::size_t active = 0;
-    for (const auto &s : c.servers()) {
+    c.forEachServer([&](const Server &s) {
         if (!s.isActive())
-            continue;
+            return;
         sum += s.fragmentRatio(beta);
         ++active;
-    }
+    });
     return active == 0 ? 0.0 : sum / static_cast<double>(active);
 }
 
@@ -76,8 +76,7 @@ std::size_t
 rescanActive(const Cluster &c)
 {
     std::size_t n = 0;
-    for (const auto &s : c.servers())
-        n += s.isActive() ? 1 : 0;
+    c.forEachServer([&](const Server &s) { n += s.isActive() ? 1 : 0; });
     return n;
 }
 
@@ -87,10 +86,10 @@ rescanProbeCapacities(const Cluster &c, std::size_t per_capacity)
 {
     std::map<Resources, std::size_t, cluster::ResourcesLess> taken;
     std::vector<Resources> out;
-    for (const auto &s : c.servers()) {
+    c.forEachServer([&](const Server &s) {
         if (taken[s.capacity()]++ < per_capacity)
             out.push_back(s.capacity());
-    }
+    });
     return out;
 }
 
@@ -111,7 +110,7 @@ expectMatchesRescan(const Cluster &c, const std::string &context)
         EXPECT_EQ(c.probeCapacities(cap), rescanProbeCapacities(c, cap))
             << "per_capacity " << cap;
     }
-    EXPECT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+    EXPECT_TRUE(c.capacityIndex().consistentWith(c));
 }
 
 /** A small pool of machine shapes so classes repeat. */
@@ -127,6 +126,95 @@ randomCapacity(Rng &rng)
     return kShapes[rng.uniformInt(0, 3)];
 }
 
+/** @p c answers as @p full, the same state with every record built. */
+void
+expectMatchesMaterialized(const Cluster &c, const Cluster &full,
+                          const std::string &context)
+{
+    SCOPED_TRACE(context);
+    EXPECT_EQ(c.totalAllocated(), full.totalAllocated());
+    EXPECT_EQ(c.totalAvailable(), full.totalAvailable());
+    EXPECT_EQ(c.totalCapacity(), full.totalCapacity());
+    for (double beta : {cluster::kDefaultBeta, 0.001, 1.0})
+        EXPECT_EQ(c.fragmentRatio(beta), full.fragmentRatio(beta));
+    EXPECT_EQ(c.activeServers(), full.activeServers());
+    EXPECT_EQ(c.downServers(), full.downServers());
+    EXPECT_EQ(c.quarantinedServers(), full.quarantinedServers());
+    EXPECT_EQ(c.capacityIndex().classCount(),
+              full.capacityIndex().classCount());
+    for (const Resources &req :
+         {Resources{500, 10, 1024}, Resources{4'000, 50, 16 * 1024},
+          Resources{16'000, 200, 128 * 1024}, Resources{32'000, 0, 1024}}) {
+        EXPECT_EQ(c.firstFit(req), full.firstFit(req)) << req;
+        EXPECT_EQ(c.bestFit(req, cluster::kDefaultBeta),
+                  full.bestFit(req, cluster::kDefaultBeta))
+            << req;
+    }
+}
+
+/**
+ * 400 seeded steps of allocate, release, down/up and quarantine/lift on
+ * ids drawn by @p pick. After every step each answer must equal the
+ * rescan, and those of a reference that has a record for every server
+ * and takes the same moves.
+ */
+template <typename Pick>
+void
+churn(const std::vector<Resources> &caps, Rng &rng, Pick &&pick,
+      const std::string &name)
+{
+    Cluster c(caps);
+    Cluster full(caps);
+    // Quarantining the top id and lifting it again builds every record.
+    const auto top = static_cast<ServerId>(caps.size() - 1);
+    full.quarantineServer(top);
+    full.liftQuarantine(top);
+    // Live allocations, so releases return exactly what was taken.
+    std::vector<std::pair<ServerId, Resources>> held;
+    expectMatchesRescan(c, name + " start");
+
+    for (int step = 0; step < 400; ++step) {
+        const ServerId id = pick(step);
+        const bool down = c.serverDown(id);
+        const bool quarantined = c.serverQuarantined(id);
+        int op = static_cast<int>(rng.uniformInt(0, 7));
+        if (op <= 3) {
+            Resources req{rng.uniformInt(1, 8) * 500,
+                          rng.uniformInt(0, 5) * 10,
+                          rng.uniformInt(1, 16) * 1024};
+            bool ok = c.allocate(id, req);
+            ASSERT_EQ(full.allocate(id, req), ok);
+            if (ok)
+                held.push_back({id, req});
+        } else if (op <= 5 && !held.empty()) {
+            auto k = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(held.size()) - 1));
+            c.release(held[k].first, held[k].second);
+            full.release(held[k].first, held[k].second);
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
+        } else if (op == 6) {
+            for (Cluster *f : {&c, &full}) {
+                if (down)
+                    f->setServerUp(id);
+                else
+                    f->setServerDown(id);
+            }
+        } else if (op == 7) {
+            for (Cluster *f : {&c, &full}) {
+                if (quarantined)
+                    f->liftQuarantine(id);
+                else
+                    f->quarantineServer(id);
+            }
+        }
+        std::string context = name + " step " + std::to_string(step);
+        expectMatchesRescan(c, context);
+        expectMatchesMaterialized(c, full, context);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
 TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
 {
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -135,43 +223,51 @@ TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
         auto n = static_cast<std::size_t>(rng.uniformInt(2, 24));
         for (std::size_t i = 0; i < n; ++i)
             caps.push_back(randomCapacity(rng));
-        Cluster c(caps);
-        // Live allocations, so releases return exactly what was taken.
-        std::vector<std::pair<ServerId, Resources>> held;
-        expectMatchesRescan(c, "seed " + std::to_string(seed) + " start");
+        churn(caps, rng,
+              [&](int) {
+                  return static_cast<ServerId>(rng.uniformInt(
+                      0, static_cast<std::int64_t>(n) - 1));
+              },
+              "seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            return;
+    }
 
-        for (int step = 0; step < 400; ++step) {
-            auto id = static_cast<ServerId>(
-                rng.uniformInt(0, static_cast<std::int64_t>(c.size()) - 1));
-            const cluster::Server &s = c.server(id);
-            int op = static_cast<int>(rng.uniformInt(0, 7));
-            if (op <= 3) {
-                Resources req{rng.uniformInt(1, 8) * 500,
-                              rng.uniformInt(0, 5) * 10,
-                              rng.uniformInt(1, 16) * 1024};
-                if (c.allocate(id, req))
-                    held.push_back({id, req});
-            } else if (op <= 5 && !held.empty()) {
-                auto k = static_cast<std::size_t>(rng.uniformInt(
-                    0, static_cast<std::int64_t>(held.size()) - 1));
-                c.release(held[k].first, held[k].second);
-                held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
-            } else if (op == 6) {
-                if (s.isDown())
-                    c.setServerUp(id);
-                else
-                    c.setServerDown(id);
-            } else if (op == 7) {
-                if (s.isQuarantined())
-                    c.liftQuarantine(id);
-                else
-                    c.quarantineServer(id);
-            }
-            expectMatchesRescan(c, "seed " + std::to_string(seed) +
-                                       " step " + std::to_string(step));
-            if (::testing::Test::HasFailure())
-                return;
+    // Mostly untouched fleets: two to five capacity runs of up to 150
+    // servers each. Nine moves in ten land on the six lowest ids; the
+    // rest are first touches anywhere below the top id, often far past
+    // the frontier. Domains are assigned up front on the untouched
+    // fleet, and the never-touched top id is crashed at step 300 and
+    // quarantined at step 301.
+    for (std::uint64_t seed = 25; seed <= 36; ++seed) {
+        Rng rng(seed);
+        std::vector<Resources> caps;
+        for (auto runs = rng.uniformInt(2, 5); runs > 0; --runs)
+            caps.insert(caps.end(),
+                        static_cast<std::size_t>(rng.uniformInt(1, 150)),
+                        randomCapacity(rng));
+        const auto top = static_cast<ServerId>(caps.size() - 1);
+        {
+            Cluster c(caps);
+            for (ServerId id = 0; id <= top; id += 7)
+                c.setServerDomain(id, cluster::FailureDomain{id % 3, id});
+            EXPECT_EQ(c.materialized(), 0u);
+            EXPECT_EQ(c.serverDomain(top - top % 7),
+                      (cluster::FailureDomain{(top - top % 7) % 3,
+                                              top - top % 7}));
         }
+        churn(caps, rng,
+              [&](int step) {
+                  if (step == 300 || step == 301)
+                      return top;
+                  if (rng.uniform() < 0.9 || top == 0)
+                      return static_cast<ServerId>(
+                          rng.uniformInt(0, std::min<ServerId>(5, top)));
+                  return static_cast<ServerId>(rng.uniformInt(0, top - 1));
+              },
+              "seed " + std::to_string(seed));
+        if (::testing::Test::HasFailure())
+            return;
     }
 }
 

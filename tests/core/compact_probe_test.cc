@@ -8,7 +8,7 @@
  * heterogeneous capacity mixes (zero-capacity slots included), zoo
  * models, SLOs and rates from 1 rps to saturation, it must
  * return the same (config, bounds, execPredicted) sequence as schedule()
- * on Cluster(fleet.capacities()).
+ * on an empty cluster of every server's capacity.
  */
 
 #include <gtest/gtest.h>
@@ -83,7 +83,11 @@ struct CompactProbeFixture : ::testing::Test
               const infless::models::ModelInfo &model, double rps,
               infless::sim::Tick slo, int max_batch, const Cluster &fleet)
     {
-        Cluster scratch(fleet.capacities());
+        std::vector<Resources> caps;
+        fleet.forEachServer([&](const cluster::Server &s) {
+            caps.push_back(s.capacity());
+        });
+        Cluster scratch(caps);
         return sched.schedule(model, rps, slo, max_batch, scratch);
     }
 

@@ -70,7 +70,78 @@ randomOccupancy(Cluster &c, Rng &rng, double fill_probability)
             ASSERT_TRUE(c.allocate(id, req));
         }
     }
-    ASSERT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+    ASSERT_TRUE(c.capacityIndex().consistentWith(c));
+}
+
+/** A copy of @p c with a record for every server. */
+Cluster
+fullyMaterialized(Cluster c)
+{
+    // Quarantining the top id materializes every server; lifting it
+    // again restores the state.
+    const auto top = static_cast<cluster::ServerId>(c.size() - 1);
+    const bool quarantined = c.serverQuarantined(top);
+    c.quarantineServer(top);
+    if (!quarantined)
+        c.liftQuarantine(top);
+    return c;
+}
+
+/**
+ * A fleet of two to four capacity runs of up to 200 servers, most of
+ * them never touched: some of ids 0-3 carry an allocation, one server
+ * anywhere (often far past the frontier) is allocated and half the time
+ * released back to pristine, and the never-touched top id is crashed or
+ * quarantined half the time.
+ */
+Cluster
+mostlyUntouchedFleet(Rng &rng)
+{
+    static const Resources kShapes[] = {cluster::testbedServerCapacity(),
+                                        {8'000, 100, 64 * 1024},
+                                        {32'000, 0, 256 * 1024}};
+    std::vector<Resources> caps;
+    for (auto runs = rng.uniformInt(2, 4); runs > 0; --runs)
+        caps.insert(caps.end(),
+                    static_cast<std::size_t>(rng.uniformInt(1, 200)),
+                    kShapes[rng.uniformInt(0, 2)]);
+    Cluster c(caps);
+    const auto top = static_cast<cluster::ServerId>(caps.size() - 1);
+    auto request = [&] {
+        return Resources{rng.uniformInt(1, 7) * 1000,
+                         rng.uniformInt(0, 8) * 10,
+                         rng.uniformInt(1, 32) * 1024};
+    };
+    for (cluster::ServerId id = 0; id <= std::min(top - 1, 3); ++id) {
+        if (rng.uniform() < 0.5)
+            c.allocate(id, request());
+    }
+    const auto far =
+        static_cast<cluster::ServerId>(rng.uniformInt(0, top - 1));
+    const Resources req = request();
+    if (c.allocate(far, req) && rng.uniform() < 0.5)
+        c.release(far, req);
+    const double r = rng.uniform();
+    if (r < 0.25)
+        c.setServerDown(top);
+    else if (r < 0.5)
+        c.quarantineServer(top);
+    return c;
+}
+
+/** @p lazy and @p full, the same state with every record built, answer
+ *  alike: totals, fragment ratio (bit for bit) and classes. */
+void
+expectSameState(const Cluster &lazy, const Cluster &full,
+                const std::string &context)
+{
+    EXPECT_EQ(lazy.totalAllocated(), full.totalAllocated()) << context;
+    EXPECT_EQ(lazy.activeServers(), full.activeServers()) << context;
+    EXPECT_EQ(lazy.fragmentRatio(), full.fragmentRatio()) << context;
+    EXPECT_EQ(lazy.capacityIndex().classCount(),
+              full.capacityIndex().classCount())
+        << context;
+    EXPECT_TRUE(lazy.capacityIndex().consistentWith(lazy)) << context;
 }
 
 struct EquivalenceFixture : ::testing::Test
@@ -121,8 +192,39 @@ struct EquivalenceFixture : ::testing::Test
             EXPECT_EQ(for_fast.totalAllocated(),
                       for_naive.totalAllocated())
                 << context;
-            EXPECT_TRUE(for_fast.capacityIndex().consistentWith(
-                for_fast.servers()))
+            EXPECT_TRUE(for_fast.capacityIndex().consistentWith(for_fast))
+                << context;
+        }
+        // Mostly untouched fleets: the fast path on the lazy fleet must
+        // also match the fast path on a copy with every record built.
+        for (int i = 0; i < cases / 2; ++i) {
+            const auto &model = zoo.get(
+                names[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(names.size()) - 1))]);
+            auto slo = msToTicks(
+                slos_ms[static_cast<std::size_t>(rng.uniformInt(0, 3))]);
+            double rps = rng.uniform(0.5, 3000.0);
+            int max_batch = 1 << rng.uniformInt(0, 5);
+            Cluster base = mostlyUntouchedFleet(rng);
+
+            Cluster for_fast = base;
+            Cluster for_naive = base;
+            Cluster for_full = fullyMaterialized(base);
+            auto fast =
+                sched.schedule(model, rps, slo, max_batch, for_fast);
+            auto naive = sched.scheduleNaive(model, rps, slo, max_batch,
+                                             for_naive);
+            auto full =
+                sched.schedule(model, rps, slo, max_batch, for_full);
+            std::string context =
+                std::string(model.name) + " rps=" + std::to_string(rps) +
+                " servers=" + std::to_string(base.size()) +
+                " materialized=" + std::to_string(base.materialized()) +
+                " untouched case=" + std::to_string(i);
+            expectIdenticalPlans(fast, naive, context);
+            expectIdenticalPlans(fast, full, context + " full");
+            expectSameState(for_fast, for_full, context);
+            EXPECT_EQ(for_naive.totalAllocated(), for_full.totalAllocated())
                 << context;
         }
     }
@@ -178,7 +280,8 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
     // feeds back into the next placement's penalty). Cases from 40 on
     // also take servers down or quarantine them, and on odd cases
     // assign domains after occupancy and outages, the order
-    // ShardedPlatform uses.
+    // ShardedPlatform uses. The last 30 cases run on mostly untouched
+    // fleets.
     SchedulerConfig cfg;
     cfg.spreadWeight = 0.5;
     GreedyScheduler sched(cop, cfg);
@@ -247,6 +350,48 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
         EXPECT_EQ(for_fast.totalAllocated(), for_naive.totalAllocated())
             << context;
     }
+
+    // Domains assigned on mostly untouched fleets: the spread scan
+    // visits pristine servers by value, and must match the naive scan
+    // and the fast path on a copy with every record built.
+    for (int i = 0; i < 30; ++i) {
+        const auto &model = zoo.get(
+            names[static_cast<std::size_t>(rng.uniformInt(0, 2))]);
+        auto slo = msToTicks(100 + 100 * rng.uniformInt(0, 4));
+        double rps = rng.uniform(0.5, 2000.0);
+        Cluster base = mostlyUntouchedFleet(rng);
+        cluster::TopologyConfig topo;
+        topo.zones = static_cast<std::int32_t>(rng.uniformInt(2, 4));
+        topo.racksPerZone = static_cast<std::int32_t>(rng.uniformInt(1, 2));
+        topo.rackSize = static_cast<std::int32_t>(rng.uniformInt(1, 3));
+        const std::size_t materialized = base.materialized();
+        for (cluster::ServerId s = 0;
+             s < static_cast<cluster::ServerId>(base.size()); ++s)
+            base.setServerDomain(s, topo.domainOf(s));
+        EXPECT_EQ(base.materialized(), materialized);
+
+        Cluster for_fast = base;
+        Cluster for_naive = base;
+        Cluster for_full = fullyMaterialized(base);
+        infless::core::SpreadContext fast_ctx;
+        infless::core::SpreadContext naive_ctx;
+        infless::core::SpreadContext full_ctx;
+        auto fast =
+            sched.schedule(model, rps, slo, 32, for_fast, &fast_ctx);
+        auto naive = sched.scheduleNaive(model, rps, slo, 32, for_naive,
+                                         &naive_ctx);
+        auto full =
+            sched.schedule(model, rps, slo, 32, for_full, &full_ctx);
+        std::string context = std::string(model.name) +
+                              " rps=" + std::to_string(rps) +
+                              " servers=" + std::to_string(base.size()) +
+                              " untouched spread case=" + std::to_string(i);
+        expectIdenticalPlans(fast, naive, context);
+        expectIdenticalPlans(fast, full, context + " full");
+        EXPECT_EQ(fast_ctx.rackCount, naive_ctx.rackCount) << context;
+        EXPECT_EQ(fast_ctx.rackCount, full_ctx.rackCount) << context;
+        expectSameState(for_fast, for_full, context);
+    }
 }
 
 TEST_F(EquivalenceFixture, LargeHomogeneousClusterSingleClass)
@@ -295,7 +440,7 @@ fineGrainedOccupancy(Cluster &c, Rng &rng)
             ASSERT_TRUE(c.allocate(id, req));
         }
     }
-    ASSERT_TRUE(c.capacityIndex().consistentWith(c.servers()));
+    ASSERT_TRUE(c.capacityIndex().consistentWith(c));
 }
 
 TEST_F(EquivalenceFixture, ManyClassesOverManyCpuLevels)

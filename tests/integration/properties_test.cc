@@ -98,10 +98,11 @@ TEST_P(PlatformProperties, InvariantsHoldThroughoutARun)
 
     // No server ever exceeded capacity (release() panics otherwise, so
     // this is a belt-and-braces check on availability bounds).
-    for (const auto &server : platform->cluster().servers()) {
-        EXPECT_TRUE(server.available().fitsIn(server.capacity()));
-        EXPECT_TRUE(server.allocated().fitsIn(server.capacity()));
-    }
+    platform->cluster().forEachServer(
+        [](const infless::cluster::Server &server) {
+            EXPECT_TRUE(server.available().fitsIn(server.capacity()));
+            EXPECT_TRUE(server.allocated().fitsIn(server.capacity()));
+        });
 
     // Latency decomposition: per-part means sum to the total mean.
     if (m.completions() > 0) {
