@@ -5,7 +5,7 @@
  * The bench sweeps (load ladders, MTBF grids, system line-ups) evaluate
  * many mutually independent grid points, each of which constructs its own
  * Platform and runs a fully seeded simulation. ParallelSweep::map runs
- * those points on a pool of workers and stores every result at the index
+ * those points on a sim::WorkerPool and stores every result at the index
  * of its input item, so the output vector is byte-identical to a serial
  * loop regardless of thread count or scheduling order.
  *
@@ -19,15 +19,11 @@
 #define INFLESS_BENCH_COMMON_PARALLEL_SWEEP_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
+
+#include "sim/worker_pool.hh"
 
 namespace infless::bench {
 
@@ -35,25 +31,14 @@ class ParallelSweep
 {
   public:
     /**
-     * Worker count used when map() is called with threads == 0: the
-     * INFLESS_SWEEP_THREADS environment variable clamped to
-     * hardware_concurrency, otherwise hardware_concurrency itself (at
-     * least 1 either way). An env value that fails to parse as a
-     * positive integer — "0", "-3", "abc", "8x" — falls back to 1
-     * rather than silently oversubscribing or crashing.
+     * Worker count used when map() is called with threads == 0:
+     * sim::WorkerPool::defaultThreads() read from the
+     * INFLESS_SWEEP_THREADS environment variable.
      */
-    static std::size_t defaultThreads()
+    static std::size_t
+    defaultThreads()
     {
-        unsigned hw_raw = std::thread::hardware_concurrency();
-        std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
-        if (const char *env = std::getenv("INFLESS_SWEEP_THREADS")) {
-            char *end = nullptr;
-            long n = std::strtol(env, &end, 10);
-            if (end == env || *end != '\0' || n <= 0)
-                return 1;
-            return std::min(static_cast<std::size_t>(n), hw);
-        }
-        return hw;
+        return sim::WorkerPool::defaultThreads("INFLESS_SWEEP_THREADS");
     }
 
     /**
@@ -62,58 +47,22 @@ class ParallelSweep
      *
      * @p threads of 0 picks defaultThreads(); 1 runs serially on the
      * calling thread. The first exception thrown by any invocation is
-     * rethrown on the caller after all workers join.
+     * rethrown on the caller after all invocations finished.
      */
     template <typename Item, typename Fn>
     static auto map(const std::vector<Item> &items, Fn &&fn,
                     std::size_t threads = 0)
         -> std::vector<std::decay_t<decltype(fn(items.front()))>>
     {
-        using Result = std::decay_t<decltype(fn(items.front()))>;
-        std::vector<Result> results(items.size());
+        std::vector<std::decay_t<decltype(fn(items.front()))>> results(
+            items.size());
         if (items.empty())
             return results;
-
         if (threads == 0)
             threads = defaultThreads();
-        threads = std::min(threads, items.size());
-
-        if (threads <= 1) {
-            for (std::size_t i = 0; i < items.size(); ++i)
-                results[i] = fn(items[i]);
-            return results;
-        }
-
-        std::atomic<std::size_t> next{0};
-        std::atomic<bool> failed{false};
-        std::exception_ptr error;
-        std::mutex error_mutex;
-
-        auto worker = [&] {
-            while (!failed.load(std::memory_order_relaxed)) {
-                std::size_t i = next.fetch_add(1);
-                if (i >= items.size())
-                    return;
-                try {
-                    results[i] = fn(items[i]);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!error)
-                        error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                    return;
-                }
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t)
-            pool.emplace_back(worker);
-        for (auto &thread : pool)
-            thread.join();
-        if (error)
-            std::rethrow_exception(error);
+        sim::WorkerPool pool(std::min(threads, items.size()));
+        pool.parallelFor(items.size(),
+                         [&](std::size_t i) { results[i] = fn(items[i]); });
         return results;
     }
 };

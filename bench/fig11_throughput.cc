@@ -63,12 +63,15 @@ main()
                          scenario.name);
         TextTable table({"system", "max RPS", "vs OpenFaaS+"});
         double openfaas = 0.0;
+        double full = 0.0;
         for (SystemKind kind : kMainSystems) {
             double rps =
                 measureMaxRps(kind, scenario.models, scenario.slo, 8, {},
                               scenario.offeredPerFn);
             if (kind == SystemKind::OpenFaas)
                 openfaas = rps;
+            if (kind == SystemKind::Infless)
+                full = rps;
             table.addRow({systemName(kind), fmt(rps, 0),
                           openfaas > 0 ? fmt(rps / openfaas, 2) + "x"
                                        : "-"});
@@ -76,8 +79,9 @@ main()
         table.print(std::cout);
 
         // Component ablation (paper: BB costs the most, then OP, then
-        // RS; OSVT drops 45.6%/35.4%/21.9%, Q&A 60%/34.3%/7%).
-        double full = ablatedMaxRps(scenario, 0.10, false, 32);
+        // RS; OSVT drops 45.6%/35.4%/21.9%, Q&A 60%/34.3%/7%). The full
+        // variant is the INFless row above: the same platform, defaults
+        // and sweep.
         double no_bb = ablatedMaxRps(scenario, 0.10, false, 1);
         double op15 = ablatedMaxRps(scenario, 0.50, false, 32);
         double op2 = ablatedMaxRps(scenario, 1.00, false, 32);

@@ -45,32 +45,13 @@ CapacityIndex::setTag(ServerId id, std::uint32_t tag)
 }
 
 void
-CapacityIndex::rebuild(const std::vector<Server> &prefix,
-                       const std::vector<CapacityRun> &runs)
+CapacityIndex::rebuild(std::size_t servers, const Resources &capacity)
 {
     classes_.clear();
-    serverCount_ = 0;
-    tagOf_.assign(prefix.size(), 0);
-    // Ids arrive ascending, so every push appends to a valid heap in
-    // O(1): no per-server allocation.
-    for (const auto &s : prefix) {
-        if (!s.isDown() && !s.isQuarantined())
-            insert(s.id(), s.available());
-    }
-    const auto frontier = static_cast<ServerId>(prefix.size());
-    for (const CapacityRun &run : runs) {
-        IdRange tail{std::max(run.first, frontier), run.end};
-        if (tail.first >= tail.end)
-            continue;
-        Members &m = classFor(run.capacity).members;
-        m.pristine.push_back(tail);
-        m.pristineCount += static_cast<std::size_t>(tail.end - tail.first);
-        serverCount_ += static_cast<std::size_t>(tail.end - tail.first);
-    }
-    // Runs arrive ascending; keep each class's lowest range at the back.
-    for (auto &[avail, entry] : classes_)
-        std::reverse(entry.members.pristine.begin(),
-                     entry.members.pristine.end());
+    tagOf_.clear();
+    classFor(capacity).members.pristine =
+        IdRange{0, static_cast<ServerId>(servers)};
+    serverCount_ = servers;
 }
 
 void
@@ -80,25 +61,19 @@ CapacityIndex::materialize(ServerId first, ServerId end,
     auto it = classes_.find(capacity);
     sim::simAssert(first == static_cast<ServerId>(tagOf_.size()) &&
                        first < end && it != classes_.end() &&
-                       !it->second.members.pristine.empty() &&
-                       it->second.members.pristine.back().first == first &&
-                       end <= it->second.members.pristine.back().end,
+                       it->second.members.pristine.first == first &&
+                       end <= it->second.members.pristine.end,
                    "capacity index: ids ", first, "..", end,
                    " are not the pristine front of class ", capacity);
     ClassEntry &entry = it->second;
     Members &m = entry.members;
-    IdRange &lowest = m.pristine.back();
-    lowest.first = end;
-    if (lowest.first == lowest.end)
-        m.pristine.pop_back();
-    const auto n = static_cast<std::size_t>(end - first);
-    m.pristineCount -= n;
+    m.pristine.first = end;
     // The new ids lie above every id in the heap and arrive ascending,
     // so appending them keeps it a valid min-heap.
     tagOf_.resize(static_cast<std::size_t>(end), entry.tag);
     for (ServerId id = first; id < end; ++id)
         m.heap.push_back(id);
-    m.count += n;
+    m.count += static_cast<std::size_t>(end - first);
 }
 
 CapacityIndex::ClassEntry &
@@ -190,9 +165,16 @@ CapacityIndex::consistentWith(const Cluster &cluster) const
     std::size_t filed = 0;
     std::set<ServerId> members;
     for (const auto &[avail, entry] : classes_) {
+        const Members &m = entry.members;
+        // The pristine range: empty, or the frontier to the fleet's end.
+        const IdRange &r = m.pristine;
+        if (r.first > r.end ||
+            (r.first < r.end &&
+             (r.first != frontier ||
+              r.end != static_cast<ServerId>(cluster.size()))))
+            return false;
         // The live heap entries, deduplicated: there must be `count` of
         // them, the smallest on top of a valid min-heap.
-        const Members &m = entry.members;
         members.clear();
         for (ServerId id : m.heap) {
             if (id < 0 || id >= frontier)
@@ -204,24 +186,12 @@ CapacityIndex::consistentWith(const Cluster &cluster) const
             (m.count > 0 && m.min() != *members.begin()) ||
             !std::is_heap(m.heap.begin(), m.heap.end(), std::greater<>{}))
             return false;
-        // Pristine ranges: disjoint, highest first, past the frontier.
-        std::size_t pristine = 0;
-        ServerId above = std::numeric_limits<ServerId>::max();
-        for (const IdRange &r : m.pristine) {
-            if (r.first < frontier || r.first >= r.end || r.end > above)
-                return false;
-            above = r.first;
-            pristine += static_cast<std::size_t>(r.end - r.first);
-        }
-        if (pristine != m.pristineCount ||
-            (m.count == 0 && m.min() != m.pristine.back().first))
-            return false;
         filed += m.size();
     }
 
     // Every up, admitted server is in the class keyed by its
     // availability: a materialized one through its tag, a pristine one
-    // through a range. Down and quarantined servers are unfiled, and
+    // through the range. Down and quarantined servers are unfiled, and
     // only filed materialized servers carry a tag.
     bool ok = true;
     std::size_t up = 0;
@@ -239,15 +209,8 @@ CapacityIndex::consistentWith(const Cluster &cluster) const
             ok = false;
             return;
         }
-        const auto &ranges = it->second.members.pristine;
-        // Ranges are highest first: find the last one starting at or
-        // below the id.
-        auto r = std::lower_bound(
-            ranges.begin(), ranges.end(), s.id(),
-            [](const IdRange &range, ServerId id) {
-                return range.first > id;
-            });
-        ok = ok && r != ranges.end() && s.id() < r->end;
+        const IdRange &r = it->second.members.pristine;
+        ok = ok && r.first <= s.id() && s.id() < r.end;
     });
     return ok && filed == up && serverCount_ == up &&
            frontier == static_cast<ServerId>(cluster.materialized());

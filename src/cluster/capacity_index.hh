@@ -16,12 +16,12 @@
  * members) amortized, with no per-server node allocation.
  *
  * Servers at or past the owning Cluster's materialization frontier are
- * pristine (available == capacity, up, admitted) and carry no tag: each
- * capacity run's untouched tail is filed as an implicit id range inside
- * the class keyed by that capacity. A class's count and minimum include
- * its ranges, and every range lies above every materialized id, so the
- * lowest-id tie-break is unchanged. A rebuild is O(materialized servers
- * + runs).
+ * pristine (available == capacity, up, admitted) and carry no tag: they
+ * are filed as one implicit id range, from the frontier to the end of the
+ * fleet, inside the class keyed by the fleet's capacity. That class's
+ * count and minimum include the range, and the range lies above every
+ * materialized id, so the lowest-id tie-break is unchanged, and a fresh
+ * fleet of any size is one class holding one range.
  *
  * Failure domains are not indexed: a server's rack does not change its
  * class. Spread placement, whose penalty depends on the rack, scans the
@@ -44,14 +44,6 @@ namespace infless::cluster {
 
 class Cluster;
 
-/** Consecutive server ids [first, end) built with one capacity. */
-struct CapacityRun
-{
-    ServerId first = 0;
-    ServerId end = 0;
-    Resources capacity;
-};
-
 /**
  * Groups the servers of one Cluster by available-resource vector.
  *
@@ -66,19 +58,15 @@ class CapacityIndex
     CapacityIndex() = default;
 
     /**
-     * Rebuild from scratch (constructor / wholesale reset): file the
-     * materialized @p prefix (ids 0 .. prefix.size() - 1) server by
-     * server, and the part of every run at or past the prefix as one
-     * implicit range. @p runs are ascending and cover the fleet.
+     * Rebuild from scratch as a fleet of @p servers pristine servers of
+     * @p capacity: one class holding one implicit range.
      */
-    void rebuild(const std::vector<Server> &prefix,
-                 const std::vector<CapacityRun> &runs);
+    void rebuild(std::size_t servers, const Resources &capacity);
 
     /**
      * Turn the pristine ids [first, end) of the class keyed by
      * @p capacity into materialized members. @p first must be the
-     * frontier and the lowest id of that class's lowest range, and
-     * [first, end) must lie inside that range.
+     * frontier, and [first, end) must lie inside that class's range.
      */
     void materialize(ServerId first, ServerId end,
                      const Resources &capacity);
@@ -182,10 +170,10 @@ class CapacityIndex
 
     /**
      * A set of server ids: materialized ones as a min-heap with lazy
-     * deletion, pristine ones as id ranges past the frontier. Which heap
-     * entries are live is decided by the owner (through the per-server
-     * tags), so the heap may hold stale ids and duplicates of a live
-     * one; every operation leaves a live id on top.
+     * deletion, pristine ones as an id range past the frontier. Which
+     * heap entries are live is decided by the owner (through the
+     * per-server tags), so the heap may hold stale ids and duplicates of
+     * a live one; every operation leaves a live id on top.
      */
     struct Members
     {
@@ -193,22 +181,25 @@ class CapacityIndex
         std::vector<ServerId> heap;
         /** Live materialized members. */
         std::size_t count = 0;
-        /** Pristine ranges, highest first, so the lowest is at the
-         *  back. */
-        std::vector<IdRange> pristine;
-        /** Ids in the pristine ranges. */
-        std::size_t pristineCount = 0;
+        /** Pristine ids; empty except in the class keyed by the fleet's
+         *  capacity. */
+        IdRange pristine;
 
         /** Lowest live id: pristine ids lie above every materialized
          *  one. */
         ServerId
         min() const
         {
-            return count > 0 ? heap.front() : pristine.back().first;
+            return count > 0 ? heap.front() : pristine.first;
         }
 
         /** Live members, materialized and pristine. */
-        std::size_t size() const { return count + pristineCount; }
+        std::size_t
+        size() const
+        {
+            return count +
+                   static_cast<std::size_t>(pristine.end - pristine.first);
+        }
 
         void push(ServerId id);
 

@@ -3,73 +3,25 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 
 #include "sim/logging.hh"
 
 namespace infless::cluster {
 
 Cluster::Cluster(std::size_t num_servers, const Resources &capacity)
+    : size_(num_servers), serverCapacity_(capacity)
 {
     sim::simAssert(num_servers > 0, "cluster needs at least one server");
-    appendRun(num_servers, capacity);
-    index_.rebuild(servers_, runs_);
-}
-
-Cluster::Cluster(const std::vector<Resources> &capacities)
-{
-    sim::simAssert(!capacities.empty(),
-                   "cluster needs at least one server");
-    for (const Resources &capacity : capacities)
-        appendRun(1, capacity);
-    index_.rebuild(servers_, runs_);
-}
-
-void
-Cluster::appendRun(std::size_t count, const Resources &capacity)
-{
-    const ServerId first = runs_.empty() ? 0 : runs_.back().end;
-    sim::simAssert(count <= static_cast<std::size_t>(
-                                std::numeric_limits<ServerId>::max() -
-                                first),
+    sim::simAssert(num_servers <= static_cast<std::size_t>(
+                                      std::numeric_limits<ServerId>::max()),
                    "cluster larger than the server id range");
-    const auto end = first + static_cast<ServerId>(count);
-    if (!runs_.empty() && runs_.back().capacity == capacity) {
-        runs_.back().end = end;
-    } else {
-        // A record's range check, made once per run instead of once per
-        // server: it panics on a component outside [0, INT32_MAX].
-        static_cast<void>(Server(first, capacity));
-        runs_.push_back(CapacityRun{first, end, capacity});
-    }
-    const auto n = static_cast<std::int64_t>(count);
-    capacity_ += Resources{capacity.cpuMillicores * n,
-                           capacity.gpuSmPercent * n, capacity.memoryMb * n};
-}
-
-std::vector<Resources>
-Cluster::probeCapacities(std::size_t per_capacity) const
-{
-    // Runs are in id order, so taking each capacity's first ids run by
-    // run yields them merged in id order.
-    std::map<Resources, std::size_t, ResourcesLess> taken;
-    std::vector<Resources> result;
-    for (const CapacityRun &run : runs_) {
-        std::size_t &n = taken[run.capacity];
-        const auto k = std::min(
-            per_capacity - n, static_cast<std::size_t>(run.end - run.first));
-        result.insert(result.end(), k, run.capacity);
-        n += k;
-    }
-    return result;
-}
-
-std::vector<CapacityRun>::const_iterator
-Cluster::runOf(ServerId id) const
-{
-    return std::upper_bound(
-        runs_.begin(), runs_.end(), id,
-        [](ServerId v, const CapacityRun &run) { return v < run.end; });
+    // A record's range check, made once for the fleet instead of once
+    // per server: it panics on a component outside [0, INT32_MAX].
+    static_cast<void>(Server(0, capacity));
+    const auto n = static_cast<std::int64_t>(num_servers);
+    capacity_ = Resources{capacity.cpuMillicores * n,
+                          capacity.gpuSmPercent * n, capacity.memoryMb * n};
+    index_.rebuild(num_servers, capacity);
 }
 
 void
@@ -91,14 +43,11 @@ Server &
 Cluster::serverMut(ServerId id)
 {
     if (record(id) == nullptr) {
-        // Materialize every server up to and including id, run by run.
+        // Materialize every server up to and including id.
         auto next = static_cast<ServerId>(servers_.size());
-        for (auto run = runOf(next); next <= id; ++run) {
-            const ServerId end = std::min(run->end, id + 1);
-            index_.materialize(next, end, run->capacity);
-            for (; next < end; ++next)
-                servers_.emplace_back(next, run->capacity);
-        }
+        index_.materialize(next, id + 1, serverCapacity_);
+        for (; next <= id; ++next)
+            servers_.emplace_back(next, serverCapacity_);
     }
     return servers_[static_cast<std::size_t>(id)];
 }
@@ -108,7 +57,7 @@ Cluster::server(ServerId id) const
 {
     if (const Server *s = record(id))
         return *s;
-    return Server(id, runOf(id)->capacity);
+    return Server(id, serverCapacity_);
 }
 
 double

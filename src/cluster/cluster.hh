@@ -17,24 +17,24 @@
 namespace infless::cluster {
 
 /**
- * The set of machines the scheduler places instances on.
+ * The set of machines the scheduler places instances on: a number of
+ * servers of one capacity.
  *
  * Both the 8-node local testbed and the 2,000-node simulation of the paper
  * are instances of this class with different sizes.
  *
  * Only servers below a materialization frontier have a Server record.
  * Every id at or past it is pristine: available equals capacity, nothing
- * is allocated, and it is up and admitted. Capacities come from a list of
- * runs of consecutive ids (one run for a homogeneous fleet). The first
- * mutator that changes a server at or past the frontier materializes
- * every server up to it, so memory is O(runs + highest touched id) and
- * every query answers as if the whole fleet had records.
+ * is allocated, and it is up and admitted. The first mutator that changes
+ * a server at or past the frontier materializes every server up to it,
+ * so memory is O(highest touched id) and every query answers as if the
+ * whole fleet had records.
  */
 class Cluster
 {
   public:
     /**
-     * Build a homogeneous cluster.
+     * Build a cluster. O(1): no server has a record yet.
      *
      * @param num_servers Number of machines.
      * @param capacity Per-machine capacity; defaults to the paper testbed.
@@ -42,25 +42,7 @@ class Cluster
     explicit Cluster(std::size_t num_servers,
                      const Resources &capacity = testbedServerCapacity());
 
-    /**
-     * Build a heterogeneous cluster (e.g. a mix of GPU and CPU-only
-     * machines). Consecutive equal capacities share one run.
-     */
-    explicit Cluster(const std::vector<Resources> &capacities);
-
-    /**
-     * A compact stand-in for the fleet when probing placements on an
-     * empty copy of it: for every distinct capacity, the
-     * @p per_capacity lowest-id servers of that capacity, merged in
-     * id order. O(runs x log classes + result), read from the runs.
-     */
-    std::vector<Resources> probeCapacities(std::size_t per_capacity) const;
-
-    std::size_t
-    size() const
-    {
-        return static_cast<std::size_t>(runs_.back().end);
-    }
+    std::size_t size() const { return size_; }
 
     /** Servers with a record: ids below the materialization frontier. */
     std::size_t materialized() const { return servers_.size(); }
@@ -79,11 +61,9 @@ class Cluster
     {
         for (const Server &s : servers_)
             f(s);
-        auto id = static_cast<ServerId>(servers_.size());
-        for (auto run = runOf(id); run != runs_.end(); ++run) {
-            for (; id < run->end; ++id)
-                f(Server(id, run->capacity));
-        }
+        for (auto id = static_cast<ServerId>(servers_.size());
+             static_cast<std::size_t>(id) < size_; ++id)
+            f(Server(id, serverCapacity_));
     }
 
     /**
@@ -214,9 +194,6 @@ class Cluster
     /** The record of server @p id, materializing through it. */
     Server &serverMut(ServerId id);
 
-    /** The run holding @p id; runs_.end() past the fleet. */
-    std::vector<CapacityRun>::const_iterator runOf(ServerId id) const;
-
     /** Whether the server is filed in the capacity index. */
     static bool
     filed(const Server &s)
@@ -224,14 +201,10 @@ class Cluster
         return !s.isDown() && !s.isQuarantined();
     }
 
-    /** Append @p count servers of @p capacity as a run (or grow the
-     *  last run when it has that capacity) and add them to the
-     *  capacity total. */
-    void appendRun(std::size_t count, const Resources &capacity);
-
-    /** Capacity runs, ascending and covering ids 0 .. size() - 1;
-     *  adjacent runs differ in capacity. */
-    std::vector<CapacityRun> runs_;
+    /** Number of servers. */
+    std::size_t size_;
+    /** Every server's capacity. */
+    Resources serverCapacity_;
     /** Records of the materialized servers, ids 0 .. frontier - 1. */
     std::vector<Server> servers_;
     CapacityIndex index_;

@@ -151,7 +151,7 @@ class Platform
     explicit Platform(std::size_t num_servers, PlatformOptions opts = {});
 
     /**
-     * Run on an explicit (possibly heterogeneous) machine fleet.
+     * Run on an explicit machine fleet (e.g. CPU-only servers).
      */
     explicit Platform(cluster::Cluster machines, PlatformOptions opts = {});
     virtual ~Platform();

@@ -239,10 +239,11 @@ Platform::maybeReconfigure(FunctionId fn, double measured)
 
     // What would Algorithm 1 provision for the measured rate on an empty
     // cluster? (The old fleet may occupy most of the machines, so the
-    // ideal is evaluated on an empty copy.)
-    auto ideal = scheduler_.scheduleOnEmpty(*f.model, measured,
-                                            f.spec.sloTicks,
-                                            f.spec.maxBatch, cluster_);
+    // ideal is evaluated on an empty copy. Building one is O(1); only the
+    // servers it places on get records.)
+    cluster::Cluster empty(cluster_.size(), cluster_.server(0).capacity());
+    auto ideal = scheduler_.schedule(*f.model, measured, f.spec.sloTicks,
+                                     f.spec.maxBatch, empty);
     double ideal_cost = 0.0;
     double ideal_up = 0.0;
     for (const auto &plan : ideal) {

@@ -338,23 +338,6 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
 }
 
 std::vector<LaunchPlan>
-GreedyScheduler::scheduleOnEmpty(const models::ModelInfo &model,
-                                 double residual_rps, sim::Tick slo,
-                                 int max_batch,
-                                 const cluster::Cluster &fleet) const
-{
-    std::vector<LaunchPlan> plans;
-    for (std::size_t cap = 32;; cap *= 2) {
-        std::vector<cluster::Resources> caps = fleet.probeCapacities(cap);
-        cluster::Cluster scratch(caps);
-        plans = schedule(model, residual_rps, slo, max_batch, scratch);
-        if (plans.size() < cap || caps.size() == fleet.size())
-            break;
-    }
-    return plans;
-}
-
-std::vector<LaunchPlan>
 GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
                                double residual_rps, sim::Tick slo,
                                int max_batch,

@@ -232,23 +232,6 @@ class GreedyScheduler
                                      SpreadContext *spread = nullptr) const;
 
     /**
-     * The plans schedule() would make on an empty copy of @p fleet
-     * (a Cluster of the same capacities), without building that copy: the
-     * probe runs on the lowest-id `cap` live servers of each capacity
-     * (Cluster::probeCapacities). A pass that places fewer than `cap`
-     * plans touches fewer than `cap` servers and breaks ties toward the
-     * lowest id, so it sees the same availability classes as the full
-     * copy and makes the same (config, bounds, execPredicted) sequence.
-     * Otherwise `cap` doubles until that holds or the compact fleet is
-     * the whole fleet. Server ids in the result index the compact fleet.
-     */
-    std::vector<LaunchPlan> scheduleOnEmpty(const models::ModelInfo &model,
-                                            double residual_rps,
-                                            sim::Tick slo, int max_batch,
-                                            const cluster::Cluster &fleet)
-        const;
-
-    /**
      * Reference implementation of schedule(): rebuilds the candidate pool
      * and scans every server for every placement, O(placements x batches
      * x configs x servers). Kept as the oracle for the equivalence test

@@ -4,11 +4,11 @@
  *
  * The sharded platform advances its cells in lockstep windows: at every
  * window barrier the same fixed set of independent cell engines must each
- * run to the window end. ParallelSweep spawns a fresh pool per map() call,
- * which is fine for a handful of sweep points but too expensive for the
- * hundreds of barriers of one simulation run; WorkerPool keeps its
- * workers alive across parallelFor() calls and hands out indices through
- * one atomic counter.
+ * run to the window end. Spawning threads per barrier would be too
+ * expensive for the hundreds of barriers of one simulation run, so
+ * WorkerPool keeps its workers alive across parallelFor() calls and hands
+ * out indices through one atomic counter. The bench sweeps use one pool
+ * per sweep.
  *
  * Determinism contract: parallelFor(n, body) invokes body(i) exactly once
  * for every i in [0, n) and returns only after all invocations finished.
@@ -21,6 +21,7 @@
 #ifndef INFLESS_SIM_WORKER_POOL_HH
 #define INFLESS_SIM_WORKER_POOL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -38,16 +39,16 @@ class WorkerPool
   public:
     /**
      * Pool size used when the constructor gets threads == 0: the
-     * INFLESS_CELL_THREADS environment variable clamped to
-     * hardware_concurrency (falling back to 1 when it parses to zero or
-     * garbage), otherwise hardware_concurrency itself.
+     * @p env_var environment variable clamped to hardware_concurrency
+     * (falling back to 1 when it does not parse as a positive integer:
+     * "0", "-3", "abc", "8x"), otherwise hardware_concurrency itself.
      */
     static std::size_t
-    defaultThreads()
+    defaultThreads(const char *env_var = "INFLESS_CELL_THREADS")
     {
         unsigned hw_raw = std::thread::hardware_concurrency();
         std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
-        if (const char *env = std::getenv("INFLESS_CELL_THREADS")) {
+        if (const char *env = std::getenv(env_var)) {
             char *end = nullptr;
             long n = std::strtol(env, &end, 10);
             if (end == env || *end != '\0' || n <= 0)

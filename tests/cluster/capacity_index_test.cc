@@ -22,7 +22,6 @@
 namespace {
 
 using infless::cluster::CapacityIndex;
-using infless::cluster::CapacityRun;
 using infless::cluster::Cluster;
 using infless::cluster::DomainId;
 using infless::cluster::FailureDomain;
@@ -95,15 +94,6 @@ TEST(CapacityIndexTest, AllocateSplitsClassReleaseMerges)
     c.release(6, Resources{500, 0, 512});
     EXPECT_EQ(c.capacityIndex().classCount(), 1u);
     EXPECT_TRUE(c.capacityIndex().consistentWith(c));
-}
-
-TEST(CapacityIndexTest, HeterogeneousClusterClassesByCapacity)
-{
-    std::vector<Resources> caps = {Resources{16'000, 200, 131'072},
-                                   Resources{16'000, 200, 131'072},
-                                   Resources{32'000, 0, 262'144}};
-    Cluster c(caps);
-    EXPECT_EQ(c.capacityIndex().classCount(), 2u);
 }
 
 TEST(CapacityIndexTest, FirstFitMatchesLinearScan)
@@ -247,33 +237,6 @@ TEST(CapacityIndexTest, BestFitPrefersLowestIdOnWeightedTie)
     EXPECT_EQ(c.capacityIndex().classCount(), 3u);
     ServerId id = c.bestFit(Resources{1000, 10, 512}, kDefaultBeta);
     EXPECT_EQ(id, 0); // all weighted-equal; linear scan returns server 0
-}
-
-TEST(CapacityIndexTest, RebuildMatchesIncrementalState)
-{
-    Cluster c(6);
-    ASSERT_TRUE(c.allocate(0, Resources{1000, 10, 512}));
-    ASSERT_TRUE(c.allocate(4, Resources{2000, 0, 4096}));
-
-    // The materialized records (ids 0-4) server by server, and the rest
-    // of the one run as a pristine range.
-    ASSERT_EQ(c.materialized(), 5u);
-    std::vector<Server> prefix;
-    c.forEachServer([&](const Server &s) {
-        if (s.id() < 5)
-            prefix.push_back(s);
-    });
-    CapacityIndex fresh;
-    fresh.rebuild(prefix, {CapacityRun{0, 6, c.server(0).capacity()}});
-    EXPECT_EQ(fresh.classCount(), c.capacityIndex().classCount());
-    EXPECT_EQ(fresh.serverCount(), 6u);
-    EXPECT_TRUE(fresh.consistentWith(c));
-
-    // Both indexes answer probes identically.
-    Resources probe{12'000, 150, 1024};
-    EXPECT_EQ(fresh.firstFit(probe), c.capacityIndex().firstFit(probe));
-    EXPECT_EQ(fresh.bestFit(probe, kDefaultBeta),
-              c.capacityIndex().bestFit(probe, kDefaultBeta));
 }
 
 TEST(CapacityIndexTest, ForEachCoveringClassReportsMinIdAndCount)
@@ -422,37 +385,28 @@ sameAnswers(const Cluster &lazy, const Cluster &full)
 TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
 {
     // Seeded allocate/release, down/up, quarantine/lift and domain
-    // moves on a heterogeneous fleet. Partway through the fleet is
-    // copied and the same sequence continues on both copies; one server
-    // leaves and rejoins the same populous class hundreds of times so
-    // stale heap entries pile up and get compacted.
+    // moves. Partway through the fleet is copied and the same sequence
+    // continues on both copies; one server leaves and rejoins the same
+    // populous class hundreds of times so stale heap entries pile up
+    // and get compacted.
     //
     // The random moves stay on ids 0-35 of a 340-server fleet, so most
-    // of it is never touched. Its tail is three more capacity runs (the
-    // GPU class holds two of them). Scripted steps assign domains on the
+    // of it is never touched. Scripted steps assign domains on the
     // untouched tail, make a first touch far past the frontier and
     // release that server back to pristine, and crash and quarantine the
     // never-touched top id. A reference with a record for every server
     // takes the same moves, and after every step each lazy fleet must
     // answer every query as it does.
-    const Resources gpu{16'000, 200, 131'072};
-    const Resources cpu{32'000, 0, 262'144};
-    std::vector<Resources> caps;
-    for (int i = 0; i < 40; ++i)
-        caps.push_back(i % 5 == 4 ? cpu : gpu);
-    caps.insert(caps.end(), 150, gpu);
-    caps.insert(caps.end(), 50, cpu);
-    const Resources small{8'000, 100, 65'536};
-    caps.insert(caps.end(), 100, small);
+    const Resources capacity{16'000, 200, 131'072};
+    const std::size_t servers = 340;
     const ServerId top = 339;
-    ASSERT_EQ(caps.size(), 340u);
-    Cluster original(caps);
-    Cluster full(caps);
+    Cluster original(servers, capacity);
+    Cluster full(servers, capacity);
     // Quarantining the top id and lifting it again builds every record.
     full.quarantineServer(top);
     full.liftQuarantine(top);
     ASSERT_EQ(original.materialized(), 0u);
-    ASSERT_EQ(full.materialized(), caps.size());
+    ASSERT_EQ(full.materialized(), servers);
     std::vector<Cluster *> fleets = {&original, &full};
     Cluster copy = original; // replaced at the copy step below
 
@@ -463,7 +417,7 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
     };
     std::vector<Alloc> live;
     Rng rng(2024);
-    // Servers 36-38 stay out of the random moves, so the untouched GPU
+    // Servers 36-38 stay out of the random moves, so the untouched
     // class always holds ids below 38.
     auto pickServer = [&] {
         return static_cast<ServerId>(rng.uniformInt(0, 35));
@@ -494,7 +448,7 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
         } else if (step == 2600) {
             for (Cluster *c : fleets)
                 c->setServerDown(top);
-            ASSERT_EQ(original.materialized(), caps.size());
+            ASSERT_EQ(original.materialized(), servers);
         } else if (step == 2700) {
             for (Cluster *c : fleets)
                 c->quarantineServer(top);
@@ -508,8 +462,8 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
         double move = rng.uniform();
         if (step >= 1000 && step < 1600) {
             // The rejoin phase: server 38 (never the minimum of the
-            // untouched GPU class) leaves and rejoins that class on
-            // every cycle.
+            // untouched class) leaves and rejoins that class on every
+            // cycle.
             if (step == 1000) {
                 for (Cluster *c : fleets) {
                     c->setServerDomain(37, FailureDomain{1, 3});
@@ -582,7 +536,7 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
     ASSERT_FALSE(live.empty());
     EXPECT_EQ(copy.serverDomain(38), (FailureDomain{1, 3}));
     EXPECT_EQ(copy.serverDomain(200), (FailureDomain{2, 5}));
-    EXPECT_EQ(copy.server(250).capacity(), small);
+    EXPECT_EQ(copy.server(250).capacity(), capacity);
     EXPECT_FALSE(copy.server(250).isActive());
 
     // The copies share no state: emptying one leaves the other intact.

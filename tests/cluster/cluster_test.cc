@@ -8,7 +8,6 @@
 #include <malloc.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "cluster/cluster.hh"
 #include "sim/logging.hh"
@@ -99,9 +98,8 @@ TEST(ClusterTest, OutOfRangeCapacityPanicsAtConstruction)
     const Resources too_big{std::int64_t{1} << 31, 0, 0};
     EXPECT_THROW(Cluster(1000, too_big), PanicError);
     EXPECT_THROW(Cluster(1000, Resources{-1, 0, 0}), PanicError);
-    EXPECT_THROW(
-        Cluster(std::vector<Resources>{Resources{1000, 0, 0}, too_big}),
-        PanicError);
+    EXPECT_THROW(Cluster(2, Resources{1000, 0, too_big.cpuMillicores}),
+                 PanicError);
 }
 
 TEST(ClusterTest, ServersMaterializeOnFirstChange)

@@ -2,12 +2,12 @@
  * @file
  * The Cluster's running totals must agree with a full rescan.
  *
- * totalAllocated(), totalAvailable(), totalCapacity(), fragmentRatio(),
- * activeServers() and probeCapacities() are answered from state kept up
- * to date by every mutation instead of by walking the fleet. Seeded
- * random sequences of allocate, release, down/up and quarantine/lift on
- * heterogeneous fleets check, after every step, that each answer equals
- * the rescan exactly (fragmentRatio bit for bit), and equals that of a
+ * totalAllocated(), totalAvailable(), totalCapacity(), fragmentRatio()
+ * and activeServers() are answered from state kept up to date by every
+ * mutation instead of by walking the fleet. Seeded random sequences of
+ * allocate, release, down/up and quarantine/lift on fleets of one random
+ * machine shape each check, after every step, that each answer equals the
+ * rescan exactly (fragmentRatio bit for bit), and equals that of a
  * reference with a record for every server. Mostly untouched fleets
  * keep most servers pristine, past the materialization frontier.
  */
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,19 +79,6 @@ rescanActive(const Cluster &c)
     return n;
 }
 
-/** The first @p per_capacity servers of each capacity, id order. */
-std::vector<Resources>
-rescanProbeCapacities(const Cluster &c, std::size_t per_capacity)
-{
-    std::map<Resources, std::size_t, cluster::ResourcesLess> taken;
-    std::vector<Resources> out;
-    c.forEachServer([&](const Server &s) {
-        if (taken[s.capacity()]++ < per_capacity)
-            out.push_back(s.capacity());
-    });
-    return out;
-}
-
 void
 expectMatchesRescan(const Cluster &c, const std::string &context)
 {
@@ -106,14 +92,10 @@ expectMatchesRescan(const Cluster &c, const std::string &context)
             << "beta " << beta;
     }
     EXPECT_EQ(c.activeServers(), rescanActive(c));
-    for (std::size_t cap : {1u, 2u, 5u}) {
-        EXPECT_EQ(c.probeCapacities(cap), rescanProbeCapacities(c, cap))
-            << "per_capacity " << cap;
-    }
     EXPECT_TRUE(c.capacityIndex().consistentWith(c));
 }
 
-/** A small pool of machine shapes so classes repeat. */
+/** One of a small pool of machine shapes. */
 Resources
 randomCapacity(Rng &rng)
 {
@@ -154,19 +136,19 @@ expectMatchesMaterialized(const Cluster &c, const Cluster &full,
 
 /**
  * 400 seeded steps of allocate, release, down/up and quarantine/lift on
- * ids drawn by @p pick. After every step each answer must equal the
- * rescan, and those of a reference that has a record for every server
- * and takes the same moves.
+ * ids drawn by @p pick, on @p servers servers of @p capacity. After
+ * every step each answer must equal the rescan, and those of a reference
+ * that has a record for every server and takes the same moves.
  */
 template <typename Pick>
 void
-churn(const std::vector<Resources> &caps, Rng &rng, Pick &&pick,
-      const std::string &name)
+churn(std::size_t servers, const Resources &capacity, Rng &rng,
+      Pick &&pick, const std::string &name)
 {
-    Cluster c(caps);
-    Cluster full(caps);
+    Cluster c(servers, capacity);
+    Cluster full(servers, capacity);
     // Quarantining the top id and lifting it again builds every record.
-    const auto top = static_cast<ServerId>(caps.size() - 1);
+    const auto top = static_cast<ServerId>(servers - 1);
     full.quarantineServer(top);
     full.liftQuarantine(top);
     // Live allocations, so releases return exactly what was taken.
@@ -219,11 +201,8 @@ TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
 {
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         Rng rng(seed);
-        std::vector<Resources> caps;
         auto n = static_cast<std::size_t>(rng.uniformInt(2, 24));
-        for (std::size_t i = 0; i < n; ++i)
-            caps.push_back(randomCapacity(rng));
-        churn(caps, rng,
+        churn(n, randomCapacity(rng), rng,
               [&](int) {
                   return static_cast<ServerId>(rng.uniformInt(
                       0, static_cast<std::int64_t>(n) - 1));
@@ -233,22 +212,18 @@ TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
             return;
     }
 
-    // Mostly untouched fleets: two to five capacity runs of up to 150
-    // servers each. Nine moves in ten land on the six lowest ids; the
-    // rest are first touches anywhere below the top id, often far past
-    // the frontier. Domains are assigned up front on the untouched
-    // fleet, and the never-touched top id is crashed at step 300 and
-    // quarantined at step 301.
+    // Mostly untouched fleets of 2 to 750 servers. Nine moves in ten land
+    // on the six lowest ids; the rest are first touches anywhere below
+    // the top id, often far past the frontier. Domains are assigned up
+    // front on the untouched fleet, and the never-touched top id is
+    // crashed at step 300 and quarantined at step 301.
     for (std::uint64_t seed = 25; seed <= 36; ++seed) {
         Rng rng(seed);
-        std::vector<Resources> caps;
-        for (auto runs = rng.uniformInt(2, 5); runs > 0; --runs)
-            caps.insert(caps.end(),
-                        static_cast<std::size_t>(rng.uniformInt(1, 150)),
-                        randomCapacity(rng));
-        const auto top = static_cast<ServerId>(caps.size() - 1);
+        auto n = static_cast<std::size_t>(rng.uniformInt(2, 750));
+        const Resources capacity = randomCapacity(rng);
+        const auto top = static_cast<ServerId>(n - 1);
         {
-            Cluster c(caps);
+            Cluster c(n, capacity);
             for (ServerId id = 0; id <= top; id += 7)
                 c.setServerDomain(id, cluster::FailureDomain{id % 3, id});
             EXPECT_EQ(c.materialized(), 0u);
@@ -256,7 +231,7 @@ TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
                       (cluster::FailureDomain{(top - top % 7) % 3,
                                               top - top % 7}));
         }
-        churn(caps, rng,
+        churn(n, capacity, rng,
               [&](int step) {
                   if (step == 300 || step == 301)
                       return top;
@@ -291,17 +266,6 @@ TEST(ClusterRunningTotals, ActiveSetFollowsAllocationCount)
     c.release(0, a);
     EXPECT_EQ(c.totalAllocated(), Resources{});
     EXPECT_DOUBLE_EQ(c.fragmentRatio(), 0.0);
-}
-
-TEST(ClusterRunningTotals, ProbeCapacitiesKeepsIdOrder)
-{
-    const Resources big{16'000, 200, 131'072};
-    const Resources small{4'000, 50, 16'384};
-    Cluster c(std::vector<Resources>{small, big, big, small, big, small});
-    EXPECT_EQ(c.probeCapacities(1), (std::vector<Resources>{small, big}));
-    EXPECT_EQ(c.probeCapacities(2),
-              (std::vector<Resources>{small, big, big, small}));
-    EXPECT_EQ(c.probeCapacities(9).size(), c.size());
 }
 
 } // namespace

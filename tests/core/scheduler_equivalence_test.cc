@@ -88,10 +88,10 @@ fullyMaterialized(Cluster c)
 }
 
 /**
- * A fleet of two to four capacity runs of up to 200 servers, most of
- * them never touched: some of ids 0-3 carry an allocation, one server
- * anywhere (often far past the frontier) is allocated and half the time
- * released back to pristine, and the never-touched top id is crashed or
+ * A fleet of 2 to 800 servers of one random shape, most of them never
+ * touched: some of ids 0-3 carry an allocation, one server anywhere
+ * (often far past the frontier) is allocated and half the time released
+ * back to pristine, and the never-touched top id is crashed or
  * quarantined half the time.
  */
 Cluster
@@ -100,13 +100,9 @@ mostlyUntouchedFleet(Rng &rng)
     static const Resources kShapes[] = {cluster::testbedServerCapacity(),
                                         {8'000, 100, 64 * 1024},
                                         {32'000, 0, 256 * 1024}};
-    std::vector<Resources> caps;
-    for (auto runs = rng.uniformInt(2, 4); runs > 0; --runs)
-        caps.insert(caps.end(),
-                    static_cast<std::size_t>(rng.uniformInt(1, 200)),
-                    kShapes[rng.uniformInt(0, 2)]);
-    Cluster c(caps);
-    const auto top = static_cast<cluster::ServerId>(caps.size() - 1);
+    auto servers = static_cast<std::size_t>(rng.uniformInt(2, 800));
+    Cluster c(servers, kShapes[rng.uniformInt(0, 2)]);
+    const auto top = static_cast<cluster::ServerId>(servers - 1);
     auto request = [&] {
         return Resources{rng.uniformInt(1, 7) * 1000,
                          rng.uniformInt(0, 8) * 10,
