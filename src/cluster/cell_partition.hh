@@ -5,17 +5,15 @@
  * A cell is a set of server ids that one Platform instance owns
  * exclusively: its own CapacityIndex, event queue and metrics shard.
  * Cells are contiguous near-equal slices fixed for the whole run
- * (cells=1 covers exactly the flat cluster), so global id g lives in
- * the slice containing it under local id g - slice.begin.
+ * (cells=1 covers exactly the flat cluster). Each cell numbers its
+ * servers from 0.
  */
 
 #ifndef INFLESS_CLUSTER_CELL_PARTITION_HH
 #define INFLESS_CLUSTER_CELL_PARTITION_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace infless::cluster {
@@ -65,23 +63,6 @@ partitionServers(std::size_t num_servers, std::size_t cells)
         at += len;
     }
     return slices;
-}
-
-/**
- * Where global server @p global lives in a partitionServers() layout:
- * (cell, local id), found by binary search over the slice ends. Throws
- * std::out_of_range for an id past the last slice.
- */
-inline std::pair<std::size_t, std::size_t>
-locateServer(const std::vector<CellSlice> &slices, std::size_t global)
-{
-    auto it = std::partition_point(
-        slices.begin(), slices.end(),
-        [global](const CellSlice &s) { return s.end <= global; });
-    if (it == slices.end())
-        throw std::out_of_range("locateServer: id past the last slice");
-    return {static_cast<std::size_t>(it - slices.begin()),
-            global - it->begin};
 }
 
 } // namespace infless::cluster

@@ -6,7 +6,8 @@
  * zone loses cooling — and placement that ignores the topology stacks a
  * function's instances into one blast radius. TopologyConfig assigns
  * every server a (zone, rack) FailureDomain as a pure function of its
- * *global* id, so every cell of a sharded fleet agrees on it.
+ * id. Only a flat platform takes a topology: each cell of a multi-cell
+ * ShardedPlatform numbers its servers from 0.
  */
 
 #ifndef INFLESS_CLUSTER_TOPOLOGY_HH
@@ -69,7 +70,7 @@ struct TopologyConfig
     /** Total rack domains (the granularity of correlated outages). */
     std::size_t rackDomains() const { return zones * racksPerZone; }
 
-    /** Rack of a server, keyed by its GLOBAL id. */
+    /** Rack of a server, keyed by its id. */
     DomainId
     rackOf(ServerId global_id) const
     {
@@ -88,7 +89,7 @@ struct TopologyConfig
         return rack / static_cast<DomainId>(racksPerZone);
     }
 
-    /** Full (zone, rack) of a server, keyed by its GLOBAL id. */
+    /** Full (zone, rack) of a server, keyed by its id. */
     FailureDomain
     domainOf(ServerId global_id) const
     {

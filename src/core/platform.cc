@@ -46,8 +46,6 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
     predictor_.setDistortion(opts_.faults.profileErrorFactor);
 
     if (opts_.topology.enabled()) {
-        // Flat platform: local ids ARE global ids. ShardedPlatform
-        // re-assigns with true global ids right after construction.
         for (std::size_t s = 0; s < cluster_.size(); ++s) {
             auto id = static_cast<cluster::ServerId>(s);
             cluster_.setServerDomain(id, opts_.topology.domainOf(id));
@@ -246,6 +244,7 @@ Platform::scheduleNextArrival(std::size_t feed_idx)
 void
 Platform::run(sim::Tick until)
 {
+    sim::simAssert(until >= sim_.now(), "run() must move time forward");
     endTime_ = until;
     sim_.runUntil(until);
     // Close every SLO window the run passed (purely observational: the
@@ -467,7 +466,13 @@ Platform::clusterAvailability() const
 void
 Platform::injectDomainOutage(cluster::DomainId zone)
 {
-    noteDomainOutage(zone, sim_.now());
+    sim::Tick now = sim_.now();
+    total_.add(metrics::Counter::DomainOutages);
+    // Cluster instants carry a server id; a domain instant carries the
+    // zone id there instead (the kind disambiguates in the trace).
+    emitClusterEvent(obs::SpanKind::DomainOutage, zone, now);
+    // After the span so the frozen dump contains the outage marker.
+    flight_.trigger(obs::FlightTrigger::DomainOutage, now);
     // injectServerCrash is idempotent.
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
         auto id = static_cast<cluster::ServerId>(s);
@@ -479,38 +484,12 @@ Platform::injectDomainOutage(cluster::DomainId zone)
 void
 Platform::injectDomainRepair(cluster::DomainId zone)
 {
-    noteDomainRepair(zone, sim_.now());
+    emitClusterEvent(obs::SpanKind::DomainRepair, zone, sim_.now());
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
         auto id = static_cast<cluster::ServerId>(s);
         if (cluster_.serverDomain(id).zone == zone)
             injectServerRecovery(id);
     }
-}
-
-void
-Platform::noteDomainOutage(cluster::DomainId zone, sim::Tick at)
-{
-    total_.add(metrics::Counter::DomainOutages);
-    // Cluster instants carry a server id; a domain instant carries the
-    // zone id there instead (the kind disambiguates in the trace).
-    emitClusterEvent(obs::SpanKind::DomainOutage, zone, at);
-    // After the span so the frozen dump contains the outage marker.
-    flight_.trigger(obs::FlightTrigger::DomainOutage, at);
-}
-
-void
-Platform::noteDomainRepair(cluster::DomainId zone, sim::Tick at)
-{
-    emitClusterEvent(obs::SpanKind::DomainRepair, zone, at);
-}
-
-void
-Platform::assignServerDomain(cluster::ServerId local_id,
-                             cluster::ServerId global_id)
-{
-    if (!opts_.topology.enabled())
-        return;
-    cluster_.setServerDomain(local_id, opts_.topology.domainOf(global_id));
 }
 
 double

@@ -90,8 +90,8 @@ struct PlatformOptions
     overload::OverloadConfig overload;
     /**
      * Failure-domain topology (zone/rack per server; disabled by
-     * default). Assignment is a pure function of the GLOBAL server id,
-     * so every cell of a sharded fleet agrees on it. Enabling the
+     * default). Assignment is a pure function of the server id; a
+     * multi-cell ShardedPlatform rejects it. Enabling the
      * topology alone changes no placement — only spreadWeight > 0 or
      * domain-outage faults consume it.
      */
@@ -186,7 +186,8 @@ class Platform
     void injectChainRateSeries(ChainId chain,
                                const workload::RateSeries &series);
 
-    /** Run the simulation up to an absolute tick. */
+    /** Run the simulation up to an absolute tick; panics if @p until
+     *  lies before the clock. */
     void run(sim::Tick until);
 
     // Introspection --------------------------------------------------------
@@ -313,8 +314,9 @@ class Platform
      * Crash every server of @p zone at once (a correlated
      * failure-domain outage): one DomainOutage trace instant + flight
      * trigger, then the ordinary injectServerCrash path per member.
-     * Usable directly from tests; the seeded domain-outage fault stream
-     * lands here too.
+     * The seeded domain-outage fault stream lands here; tests may call
+     * it directly. Zones span the whole fleet, which is why a
+     * multi-cell ShardedPlatform rejects a topology.
      */
     void injectDomainOutage(cluster::DomainId zone);
 
@@ -326,33 +328,13 @@ class Platform
     void injectDomainRepair(cluster::DomainId zone);
 
     /**
-     * Account a domain outage (counter + DomainOutage cluster instant at
-     * @p at + flight trigger) WITHOUT crashing anyone. ShardedPlatform
-     * notes the outage on one cell and delivers the member crashes as
-     * per-server fault commands at the barrier.
-     */
-    void noteDomainOutage(cluster::DomainId zone, sim::Tick at);
-
-    /** Account a domain repair (DomainRepair cluster instant at @p at). */
-    void noteDomainRepair(cluster::DomainId zone, sim::Tick at);
-
-    /**
-     * (Re)assign the failure domain of local server @p local_id from a
-     * GLOBAL fleet id. The flat constructor already did this with
-     * local == global; ShardedPlatform re-assigns with true global ids
-     * after construction.
-     */
-    void assignServerDomain(cluster::ServerId local_id,
-                            cluster::ServerId global_id);
-
-    /**
-     * Ground-truth gray exec-time multiplier of local server @p id
-     * (1.0 = healthy). Derived from the root seed and the GLOBAL id at
-     * construction; ShardedPlatform overrides per cell.
+     * Ground-truth gray exec-time multiplier of server @p id (1.0 =
+     * healthy), derived at construction from the seed and the server
+     * id.
      */
     double grayMultiplier(cluster::ServerId id) const;
 
-    /** Override a server's gray multiplier (sharding / tests); panics
+    /** Override a server's gray multiplier (a test hook); panics
      *  unless 0 <= @p id < cluster().size() and @p mult >= 1. */
     void setGrayMultiplier(cluster::ServerId id, double mult);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "cluster/cell_partition.hh"
 #include "sim/logging.hh"
 
 namespace infless::core {
@@ -44,55 +45,35 @@ takeHead(sim::TickLog &ticks)
 
 ShardedPlatform::ShardedPlatform(std::size_t num_servers,
                                  PlatformOptions opts, CellOptions cell_opts)
-    : numServers_(num_servers), cellOpts_(cell_opts),
-      slices_(cluster::partitionServers(num_servers, cell_opts.cells)),
+    : cellOpts_(cell_opts),
       workloadRng_(sim::hashCombine(opts.seed, kWorkloadSeedKey))
 {
     sim::simAssert(cellOpts_.windowTicks > 0, "window must be positive");
     // partitionServers clamps cells > servers to one server per cell;
     // everything below sizes off the slices, not the request.
-    std::size_t cells = slices_.size();
+    std::vector<cluster::CellSlice> slices =
+        cluster::partitionServers(num_servers, cell_opts.cells);
+    std::size_t cells = slices.size();
+    if (cells > 1) {
+        // Each cell numbers its servers from 0, so an option keyed by
+        // server id would mean a different server in every cell.
+        sim::simAssert(!opts.faults.domainOutagesEnabled(),
+                       "a multi-cell platform takes no domain outages");
+        sim::simAssert(!opts.faults.grayEnabled(),
+                       "a multi-cell platform takes no gray servers");
+        sim::simAssert(!opts.topology.enabled(),
+                       "a multi-cell platform takes no topology");
+    }
     cells_.reserve(cells);
     for (std::size_t c = 0; c < cells; ++c) {
         PlatformOptions cell_opts_c = opts;
         // The single-cell platform keeps the caller's seed untouched so
         // cells=1 reproduces a flat Platform bit for bit.
-        if (cells > 1) {
+        if (cells > 1)
             cell_opts_c.seed =
                 sim::hashCombine(opts.seed, kCellSeedKey + c);
-            // Correlated outages are a FLEET property: the root stream
-            // below drives them; a per-cell stream would sample local
-            // zones with per-cell seeds and splinter the schedule.
-            cell_opts_c.faults.domainOutageMtbfSec = 0.0;
-            cell_opts_c.faults.domainOutageAt = sim::kTickNever;
-        }
         cells_.push_back(std::make_unique<Platform>(
-            slices_[c].size(), std::move(cell_opts_c)));
-    }
-    topology_ = opts.topology;
-    if (!delegated() &&
-        (opts.topology.enabled() || opts.faults.grayEnabled())) {
-        // Each cell self-assigned domains and gray multipliers from its
-        // LOCAL ids and per-cell seed; both are global-id properties, so
-        // re-derive them from the root view.
-        for (std::size_t c = 0; c < cells; ++c) {
-            for (std::size_t g = slices_[c].begin; g < slices_[c].end;
-                 ++g) {
-                auto global = static_cast<cluster::ServerId>(g);
-                auto local =
-                    static_cast<cluster::ServerId>(g - slices_[c].begin);
-                cells_[c]->assignServerDomain(local, global);
-                if (opts.faults.grayEnabled())
-                    cells_[c]->setGrayMultiplier(
-                        local, faults::grayExecMultiplier(
-                                   opts.faults, opts.seed, global));
-            }
-        }
-    }
-    if (!delegated() && opts.faults.domainOutagesEnabled()) {
-        domainStream_ = std::make_unique<faults::DomainOutageStream>(
-            opts.faults, opts.seed, opts.topology.zones);
-        pendingOutage_ = domainStream_->next();
+            slices[c].size(), std::move(cell_opts_c)));
     }
     router_ = std::make_unique<cluster::CellRouter>(
         cells, sim::hashCombine(opts.seed, kRouterSeedKey));
@@ -105,8 +86,6 @@ ShardedPlatform::ShardedPlatform(std::size_t num_servers,
                                   : sim::WorkerPool::defaultThreads();
         pool_ = std::make_unique<sim::WorkerPool>(
             std::min(threads, cells));
-        mergedSlo_.configure(opts.obs.slo);
-        mergedSlo_.setCellCount(cells);
     }
 }
 
@@ -120,8 +99,6 @@ ShardedPlatform::deploy(const FunctionSpec &spec)
         FunctionId other = cells_[c]->deploy(spec);
         sim::simAssert(other == fn, "cells disagree on function id");
     }
-    if (!delegated())
-        mergedSlo_.registerFunction(fn, spec.sloTicks);
     return fn;
 }
 
@@ -162,66 +139,22 @@ ShardedPlatform::run(sim::Tick until)
     sim::simAssert(until >= cursor_, "run() must move time forward");
     do {
         sim::Tick w_end = std::min(cursor_ + cellOpts_.windowTicks, until);
-        barrier(w_end, until);
+        // Barrier work runs serially, in cell order: the determinism
+        // anchor.
+        refreshRouter();
+        routeArrivals(w_end, until);
         pool_->parallelFor(cells_.size(), [this, w_end](std::size_t c) {
             injectRouted(c);
             cells_[c]->run(w_end);
         });
-        // Serial in cell order — the same determinism anchor as the
-        // barrier — and after every window (including the last) so the
-        // cluster health view is complete when run() returns.
-        absorbSloHealth();
         cursor_ = w_end;
     } while (cursor_ < until);
     mergedDirty_ = true;
 }
 
-void
-ShardedPlatform::scheduleServerCrash(cluster::ServerId id, sim::Tick at)
-{
-    checkServer(id);
-    if (delegated()) {
-        Platform *p = cells_[0].get();
-        p->simulation().at(std::max(at, p->simulation().now()),
-                           [p, id] { p->injectServerCrash(id); });
-        return;
-    }
-    faultCommands_.push_back(FaultCommand{id, at, true});
-}
-
-void
-ShardedPlatform::scheduleServerRecovery(cluster::ServerId id, sim::Tick at)
-{
-    checkServer(id);
-    if (delegated()) {
-        Platform *p = cells_[0].get();
-        p->simulation().at(std::max(at, p->simulation().now()),
-                           [p, id] { p->injectServerRecovery(id); });
-        return;
-    }
-    faultCommands_.push_back(FaultCommand{id, at, false});
-}
-
-void
-ShardedPlatform::checkServer(cluster::ServerId id) const
-{
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < numServers_,
-                   "bad global server id ", id);
-}
-
-
 // ---------------------------------------------------------------------------
 // Barrier work (serial, cell order — the determinism anchor)
 // ---------------------------------------------------------------------------
-
-void
-ShardedPlatform::barrier(sim::Tick window_end, sim::Tick until)
-{
-    refreshRouter();
-    expandDomainOutages(cursor_);
-    applyFaultCommands(cursor_);
-    routeArrivals(window_end, until);
-}
 
 void
 ShardedPlatform::refreshRouter()
@@ -317,62 +250,6 @@ ShardedPlatform::injectRouted(std::size_t c)
     }
 }
 
-void
-ShardedPlatform::absorbSloHealth()
-{
-    if (!mergedSlo_.enabled())
-        return;
-    for (std::size_t c = 0; c < cells_.size(); ++c)
-        mergedSlo_.absorb(c, cells_[c]->sloMonitor());
-}
-
-void
-ShardedPlatform::expandDomainOutages(sim::Tick barrier_tick)
-{
-    if (!domainStream_)
-        return;
-    while (pendingOutage_.valid() && pendingOutage_.at <= barrier_tick) {
-        const faults::DomainOutageEvent ev = pendingOutage_;
-        // One note per outage — counter, DomainOutage trace instant and
-        // flight trigger land on cell 0 (the merged metrics sum cells,
-        // so noting everywhere would multiply the count). The member
-        // crashes ride the regular command path so the owning cells
-        // tear down instances exactly like any injected crash.
-        cells_[0]->noteDomainOutage(ev.zone, ev.at);
-        cells_[0]->noteDomainRepair(ev.zone, ev.repairAt);
-        for (std::size_t g = 0; g < numServers_; ++g) {
-            auto id = static_cast<cluster::ServerId>(g);
-            if (topology_.domainOf(id).zone != ev.zone)
-                continue;
-            faultCommands_.push_back(FaultCommand{id, ev.at, true});
-            faultCommands_.push_back(
-                FaultCommand{id, ev.repairAt, false});
-        }
-        pendingOutage_ = domainStream_->next();
-    }
-}
-
-void
-ShardedPlatform::applyFaultCommands(sim::Tick barrier_tick)
-{
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < faultCommands_.size(); ++i) {
-        const FaultCommand &cmd = faultCommands_[i];
-        if (cmd.at > barrier_tick) {
-            faultCommands_[keep++] = cmd;
-            continue;
-        }
-        auto [cell, local] = cluster::locateServer(
-            slices_, static_cast<std::size_t>(cmd.server));
-        auto id = static_cast<cluster::ServerId>(local);
-        if (cmd.down)
-            cells_[cell]->injectServerCrash(id);
-        else
-            cells_[cell]->injectServerRecovery(id);
-    }
-    faultCommands_.resize(keep);
-}
-
 // ---------------------------------------------------------------------------
 // Merged introspection
 // ---------------------------------------------------------------------------
@@ -410,54 +287,6 @@ ShardedPlatform::functionMetrics(FunctionId fn) const
     if (mergedDirty_)
         rebuildMerged();
     return mergedFn_[static_cast<std::size_t>(fn)];
-}
-
-const obs::SloHealthCore &
-ShardedPlatform::sloHealth() const
-{
-    if (delegated())
-        return cells_[0]->sloMonitor();
-    return mergedSlo_;
-}
-
-const obs::FlightRecorder &
-ShardedPlatform::flightRecorder() const
-{
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < cells_.size(); ++c) {
-        const obs::FlightRecorder &fr = cells_[c]->flightRecorder();
-        const obs::FlightRecorder &cur = cells_[best]->flightRecorder();
-        if (fr.triggered() &&
-            (!cur.triggered() || fr.triggerAt() < cur.triggerAt()))
-            best = c;
-    }
-    return cells_[best]->flightRecorder();
-}
-
-OverloadSnapshot
-ShardedPlatform::overloadSnapshot(FunctionId fn) const
-{
-    if (delegated())
-        return cells_[0]->overloadSnapshot(fn);
-    auto severity = [](overload::BreakerState s) {
-        switch (s) {
-          case overload::BreakerState::Open:
-            return 2;
-          case overload::BreakerState::HalfOpen:
-            return 1;
-          case overload::BreakerState::Closed:
-            break;
-        }
-        return 0;
-    };
-    OverloadSnapshot snap;
-    for (const auto &cell : cells_) {
-        OverloadSnapshot s = cell->overloadSnapshot(fn);
-        if (severity(s.breakerState) > severity(snap.breakerState))
-            snap.breakerState = s.breakerState;
-        snap.brownoutActive = snap.brownoutActive || s.brownoutActive;
-    }
-    return snap;
 }
 
 std::uint64_t

@@ -11,17 +11,21 @@
  * home cells (cluster::CellRouter), so one cell's scheduler batches and
  * scales a function until that cell runs out of room for it.
  *
- * Time synchronization is conservative: cells advance in lockstep
- * windows, and everything that crosses a cell boundary — router digest
- * refreshes, newly routed arrivals, queued crash/recovery commands — is
- * exchanged only at the window barriers. Within a window each cell
+ * Only two things cross a cell boundary: routed arrivals and the
+ * router's per-cell digests. Both are exchanged at the barriers of
+ * lockstep windows. Every other subsystem (crashes, startup failures,
+ * health ejection, the SLO monitor, the flight recorder, tracing and the
+ * overload stack) runs inside each cell exactly as it would in an
+ * independent Platform over that slice. Within a window each cell
  * touches nothing but its own state, so the cells run concurrently on a
  * WorkerPool and the run is byte-identical for every thread count. The
  * barrier routes a window's arrivals into per-cell buffers; each cell
  * injects its own buffers on its worker before running the window.
  *
  * The partition is static: each cell owns the same contiguous slice of
- * global server ids for the whole run.
+ * servers for the whole run. A multi-cell platform rejects at
+ * construction every option whose meaning depends on global server ids:
+ * a topology, correlated domain outages and gray servers.
  *
  * Determinism contract:
  *  - cells=1 delegates every call to the inner flat Platform (traces
@@ -40,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cell_partition.hh"
 #include "cluster/cell_router.hh"
 #include "core/platform.hh"
 #include "sim/tick_log.hh"
@@ -104,64 +107,28 @@ class ShardedPlatform
      * Advance the whole cluster to an absolute tick.
      *
      * Multi-cell: loops lockstep windows — refresh router digests (which
-     * may grow home sets), apply queued fault commands, route the
-     * window's arrivals to home cells, then, on the worker pool, have
-     * every cell inject its routed arrivals and run to the window end.
+     * may grow home sets), route the window's arrivals to home cells,
+     * then, on the worker pool, have every cell inject its routed
+     * arrivals and run to the window end.
      */
     void run(sim::Tick until);
-
-    // Fault control plane --------------------------------------------------
-
-    /**
-     * Queue a crash of global server @p id at tick @p at; applied at
-     * the first window barrier at or after @p at (conservative sync —
-     * never mid-window). Commands beyond the current run() horizon
-     * stay queued for the next run(). Panics unless @p id is a server
-     * of the fleet.
-     */
-    void scheduleServerCrash(cluster::ServerId id, sim::Tick at);
-
-    /** Queue a recovery of global server @p id at tick @p at (same id
-     *  check as scheduleServerCrash). */
-    void scheduleServerRecovery(cluster::ServerId id, sim::Tick at);
 
     // Introspection --------------------------------------------------------
 
     std::size_t cellCount() const { return cells_.size(); }
+    /** Cell @p i's platform; its SLO monitor, flight recorder, tracer
+     *  and overload state cover that cell only. */
     const Platform &cell(std::size_t i) const { return *cells_[i]; }
     const cluster::CellRouter &router() const { return *router_; }
 
     sim::Tick endTime() const { return endTime_; }
     std::size_t functionCount() const { return cells_[0]->functionCount(); }
 
-    /**
-     * Cross-cell SLO health: cluster windows merged serially in cell
-     * order after every lockstep window, so burn rates, alerts and
-     * attribution describe fleet-wide budget and are byte-identical at
-     * every worker-thread count. cells=1 delegates to the flat monitor.
-     */
-    const obs::SloHealthCore &sloHealth() const;
-
-    /**
-     * The flight recorder whose dump best explains the run: the
-     * earliest-triggered cell's (ties to the lowest cell index), or
-     * cell 0's when nothing triggered.
-     */
-    const obs::FlightRecorder &flightRecorder() const;
-
     /** Aggregate metrics over all cells (cells=1: the flat metrics). */
     const metrics::RunMetrics &totalMetrics() const;
 
     /** Merged metrics of one function across cells. */
     const metrics::RunMetrics &functionMetrics(FunctionId fn) const;
-
-    /**
-     * Cross-cell overload state of one function: the breaker state
-     * reports the most severe cell and brownout is active if any cell
-     * is degraded.
-     * cells=1 delegates to the flat platform's snapshot.
-     */
-    OverloadSnapshot overloadSnapshot(FunctionId fn) const;
 
     /** Events executed across every cell's engine. */
     std::uint64_t eventsExecuted() const;
@@ -193,35 +160,16 @@ class ShardedPlatform
         sim::Tick head = sim::kTickNever;
     };
 
-    /** A queued cross-cell fault command. */
-    struct FaultCommand
-    {
-        cluster::ServerId server;
-        sim::Tick at;
-        bool down;
-    };
-
     bool delegated() const { return cells_.size() == 1; }
 
-    /** Panic unless @p id names a server of this fleet. */
-    void checkServer(cluster::ServerId id) const;
-
-    /** Serial barrier work: digests, fault commands, routing. */
-    void barrier(sim::Tick window_end, sim::Tick until);
+    /** Serial barrier work: digests, then routing. */
     void refreshRouter();
     void routeArrivals(sim::Tick window_end, sim::Tick until);
     /** Inject and clear cell @p c's routed buffers (its worker only). */
     void injectRouted(std::size_t c);
-    void applyFaultCommands(sim::Tick barrier_tick);
-    /** Expand due correlated outages into per-server fault commands. */
-    void expandDomainOutages(sim::Tick barrier_tick);
-    /** Serially absorb every cell's newly closed SLO windows. */
-    void absorbSloHealth();
     void rebuildMerged() const;
 
-    std::size_t numServers_ = 0;
     CellOptions cellOpts_;
-    std::vector<cluster::CellSlice> slices_;
     std::vector<std::unique_ptr<Platform>> cells_;
     std::unique_ptr<cluster::CellRouter> router_;
     std::unique_ptr<sim::WorkerPool> pool_;
@@ -229,17 +177,6 @@ class ShardedPlatform
     sim::Rng workloadRng_;
 
     std::vector<PendingFeed> pending_;
-    std::vector<FaultCommand> faultCommands_;
-    /** Fleet topology, for expanding zone outages to member servers. */
-    cluster::TopologyConfig topology_;
-    /**
-     * Root-seeded correlated-outage schedule (multi-cell only). The
-     * per-cell injectors have their domain-outage fields cleared, so the
-     * fleet sees exactly ONE schedule — identical to the flat platform's
-     * — however many cells partition it.
-     */
-    std::unique_ptr<faults::DomainOutageStream> domainStream_;
-    faults::DomainOutageEvent pendingOutage_;
     /** Router digests, one per cell, refilled at every barrier. */
     std::vector<cluster::CellDigest> digests_;
     /** Drop baseline per cell for the digest's pressure delta. */
@@ -254,9 +191,6 @@ class ShardedPlatform
 
     sim::Tick cursor_ = 0;
     sim::Tick endTime_ = 0;
-
-    /** Cluster-level SLO window merge (multi-cell only). */
-    obs::SloHealthMerge mergedSlo_;
 
     /** Lazily rebuilt cross-cell merges (multi-cell only). */
     mutable metrics::RunMetrics merged_;

@@ -8,13 +8,11 @@
  *  - **Domain outages**: every server in one zone crashes at once (PDU
  *    trip, cooling loss, switch failure) and the zone repairs together.
  *    The outage *schedule* is a pure function of (profile, seed), drawn
- *    from its own RNG substream by DomainOutageStream — so the flat
- *    platform and the sharded platform (which expands outages into
- *    per-cell fault commands at window barriers) produce the identical
- *    schedule, and per-server crash streams are never perturbed.
+ *    from its own RNG substream by DomainOutageStream, so per-server
+ *    crash streams are never perturbed.
  *  - **Gray failures**: a seeded subset of servers serves every batch
  *    slower by a lasting multiplier, without ever crashing. Membership
- *    is a pure function of (profile, seed, global server id): no events
+ *    is a pure function of (profile, seed, server id): no events
  *    are scheduled and no stream is consumed, mirroring the
  *    mispredicted-profile fault (FaultProfile::profileErrorFactor).
  */
@@ -58,8 +56,7 @@ class DomainOutageStream
   public:
     /**
      * @param profile Fault surface (domain-outage fields).
-     * @param seed Run seed — the ROOT seed, not a per-cell derivation,
-     *        so every sharding of the same run sees the same schedule.
+     * @param seed Run seed.
      * @param num_zones Topology zone count (victim sample space).
      */
     DomainOutageStream(const FaultProfile &profile, std::uint64_t seed,
@@ -87,9 +84,8 @@ class DomainOutageStream
 /**
  * Gray-failure membership and severity for one server: the lasting
  * exec-time multiplier (1.0 for healthy servers). Pure function of
- * (profile, seed, global id) — schedules nothing, draws from no shared
- * stream — so enabling it perturbs no other stochastic component, and
- * every cell of a sharded fleet agrees on it.
+ * (profile, seed, server id) — schedules nothing, draws from no shared
+ * stream — so enabling it perturbs no other stochastic component.
  */
 double grayExecMultiplier(const FaultProfile &profile, std::uint64_t seed,
                           cluster::ServerId global_id);

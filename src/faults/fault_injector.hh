@@ -87,7 +87,7 @@ struct FaultProfile
 
     /**
      * Gray-failure mode: each server is gray with this probability
-     * (seeded by global id) and then serves EVERY batch grayFactor
+     * (seeded by server id) and then serves EVERY batch grayFactor
      * slower, for the whole run. Like profileErrorFactor it needs no
      * event: membership is a pure function of the seed, drawn from no
      * shared stream,

@@ -21,9 +21,8 @@
  * no events and draws no randomness, so an enabled monitor leaves every
  * simulation output bit-identical to a disabled one, and the disabled
  * config is bit-identical to not having the subsystem. Under a sharded
- * control plane each cell owns a monitor; SloHealthMerge absorbs closed
- * windows serially in cell order at window barriers, so the cluster view
- * is byte-identical at every worker-thread count.
+ * control plane each cell owns a monitor over its own traffic; nothing
+ * merges them.
  */
 
 #ifndef INFLESS_OBS_SLO_MONITOR_HH
@@ -83,9 +82,6 @@ struct WindowRow
 
     /** Finished requests (burn-rate denominator). */
     std::int64_t finished() const { return completions + drops; }
-
-    /** Sum a sibling shard's window into this one (counters + sums). */
-    void add(const WindowRow &other);
 };
 
 /** Which rule an alert belongs to. */
@@ -124,10 +120,12 @@ struct SloAlert
 };
 
 /**
- * Shared guts of the flat monitor and the cross-cell merge: per-function
- * closed-window history, rule state, and the alert log.
+ * Per-platform (or per-cell) SLO monitor: feeds completions and drops
+ * into the open window of each function, closes windows as the sim
+ * clock passes their ends, and keeps per-function closed-window
+ * history, rule state and the alert log.
  */
-class SloHealthCore
+class SloMonitor
 {
   public:
     using AlertCallback = std::function<void(const SloAlert &)>;
@@ -140,6 +138,20 @@ class SloHealthCore
 
     /** Invoked synchronously on every alert edge (flight-dump hook). */
     void setAlertCallback(AlertCallback callback);
+
+    /**
+     * Record one completion. @p queue excludes @p batch (the four
+     * components plus nothing else sum to @p total).
+     */
+    void recordCompletion(std::int32_t fn, sim::Tick at, sim::Tick total,
+                          sim::Tick cold, sim::Tick queue, sim::Tick batch,
+                          sim::Tick exec);
+
+    /** Record one drop (burns budget like a violation). */
+    void recordDrop(std::int32_t fn, sim::Tick at);
+
+    /** Close every window ending at or before @p now (all functions). */
+    void advanceTo(sim::Tick now);
 
     // Queries ---------------------------------------------------------------
 
@@ -164,7 +176,7 @@ class SloHealthCore
     /** The SLO @p fn registered with. */
     sim::Tick sloOf(std::int32_t fn) const;
 
-  protected:
+  private:
     /** Hysteresis state of one rule. */
     struct RuleState
     {
@@ -181,82 +193,23 @@ class SloHealthCore
         RuleState slow;
     };
 
-    /** Append a closed window and evaluate both rules at its end. */
-    void closeWindow(std::int32_t fn, const WindowRow &row);
-
-    FnHealth &health(std::int32_t fn);
-    const FnHealth &health(std::int32_t fn) const;
-
-    /** Deterministic iteration: function ids ascend. */
-    std::map<std::int32_t, FnHealth> fns_;
-    SloMonitorConfig config_;
-
-  private:
-    void stepRule(std::int32_t fn, FnHealth &f, AlertKind kind,
-                  const BurnRule &rule, RuleState &state, sim::Tick at);
-
-    std::vector<SloAlert> alerts_;
-    std::int64_t fired_ = 0;
-    AlertCallback callback_;
-};
-
-/**
- * Per-platform (or per-cell) SLO monitor: feeds completions and drops
- * into the open window of each function and closes windows as the sim
- * clock passes their ends.
- */
-class SloMonitor : public SloHealthCore
-{
-  public:
-    /**
-     * Record one completion. @p queue excludes @p batch (the four
-     * components plus nothing else sum to @p total).
-     */
-    void recordCompletion(std::int32_t fn, sim::Tick at, sim::Tick total,
-                          sim::Tick cold, sim::Tick queue, sim::Tick batch,
-                          sim::Tick exec);
-
-    /** Record one drop (burns budget like a violation). */
-    void recordDrop(std::int32_t fn, sim::Tick at);
-
-    /** Close every window ending at or before @p now (all functions). */
-    void advanceTo(sim::Tick now);
-
-  private:
     /** Close windows of one function until its open window contains
      *  @p t (or starts after the last closed end when rolling idle). */
     void rollTo(std::int32_t fn, sim::Tick t);
     /** The open window of @p fn. */
     WindowRow &openState(std::int32_t fn);
+    /** Append a closed window and evaluate both rules at its end. */
+    void closeWindow(std::int32_t fn, const WindowRow &row);
+    void stepRule(std::int32_t fn, FnHealth &f, AlertKind kind,
+                  const BurnRule &rule, RuleState &state, sim::Tick at);
 
+    /** Deterministic iteration: function ids ascend. */
+    std::map<std::int32_t, FnHealth> fns_;
     std::map<std::int32_t, WindowRow> open_;
-};
-
-/**
- * Cluster-level merge of per-cell monitors (ShardedPlatform). absorb()
- * runs serially in cell order at window barriers; a cluster window is
- * evaluated once every cell has closed it, so alerts reflect fleet-wide
- * burn (a hot cell diluted by cold ones may not page — by design, the
- * cluster budget is what the rules protect).
- */
-class SloHealthMerge : public SloHealthCore
-{
-  public:
-    /** Fix the number of contributing cells (before any absorb). */
-    void setCellCount(std::size_t cells);
-
-    /** Pull cell @p cell's newly closed windows; evaluates any cluster
-     *  windows all cells have now closed. */
-    void absorb(std::size_t cell, const SloMonitor &monitor);
-
-  private:
-    /** Windows absorbed per cell (uniform across functions). */
-    std::vector<std::size_t> cursor_;
-    /** Partially merged rows for windows not yet closed by every cell,
-     *  indexed [fn][window - evaluated_]. */
-    std::map<std::int32_t, std::vector<WindowRow>> pending_;
-    /** Cluster windows already finalized (uniform across functions). */
-    std::size_t evaluated_ = 0;
+    SloMonitorConfig config_;
+    std::vector<SloAlert> alerts_;
+    std::int64_t fired_ = 0;
+    AlertCallback callback_;
 };
 
 } // namespace infless::obs

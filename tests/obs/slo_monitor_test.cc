@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the SLO health engine: window anchoring, burn-rate
  * math, the multi-window alert rules with hysteresis, attribution
- * accounting, the histogram evidence ring, and the cross-cell merge.
+ * accounting and the histogram evidence ring.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@ using infless::obs::AlertKind;
 using infless::obs::kSloWindowTicks;
 using infless::obs::kSlowBurnRule;
 using infless::obs::SloAlert;
-using infless::obs::SloHealthMerge;
 using infless::obs::SloMonitor;
 using infless::obs::SloMonitorConfig;
 using infless::obs::WindowRow;
@@ -293,162 +292,6 @@ TEST(SloMonitorTest, AlertCallbackSeesEveryEdge)
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[0].edge, AlertEdge::Firing);
     EXPECT_EQ(seen[1].edge, AlertEdge::Cleared);
-}
-
-// Cross-cell merge -----------------------------------------------------------
-
-TEST(SloHealthMergeTest, MergedWindowsEqualAFlatMonitorFedEverything)
-{
-    SloMonitorConfig cfg = testConfig();
-    SloMonitor cell0, cell1, flat;
-    for (SloMonitor *m : {&cell0, &cell1, &flat}) {
-        m->configure(cfg);
-        m->registerFunction(kFn, kSlo);
-    }
-    // Asymmetric per-cell traffic, including a window where one cell is
-    // completely idle.
-    int good0[] = {4, 0, 6, 2}, bad0[] = {1, 0, 4, 0};
-    int good1[] = {6, 9, 0, 3}, bad1[] = {2, 1, 0, 5};
-    for (int w = 0; w < 4; ++w) {
-        feedWindow(cell0, kFn, w, good0[w], bad0[w]);
-        feedWindow(cell1, kFn, w, good1[w], bad1[w], /*drops=*/w);
-        feedWindow(flat, kFn, w, good0[w] + good1[w], bad0[w] + bad1[w],
-                   w);
-    }
-    cell0.advanceTo(4 * kWindow);
-    cell1.advanceTo(4 * kWindow);
-    flat.advanceTo(4 * kWindow);
-
-    SloHealthMerge merge;
-    merge.configure(cfg);
-    merge.setCellCount(2);
-    merge.absorb(0, cell0);
-    merge.absorb(1, cell1);
-
-    const auto &got = merge.closed(kFn);
-    const auto &want = flat.closed(kFn);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t w = 0; w < want.size(); ++w) {
-        EXPECT_EQ(got[w].start, want[w].start);
-        EXPECT_EQ(got[w].completions, want[w].completions);
-        EXPECT_EQ(got[w].violations, want[w].violations);
-        EXPECT_EQ(got[w].drops, want[w].drops);
-        EXPECT_DOUBLE_EQ(got[w].coldSum, want[w].coldSum);
-        EXPECT_DOUBLE_EQ(got[w].queueSum, want[w].queueSum);
-        EXPECT_DOUBLE_EQ(got[w].batchSum, want[w].batchSum);
-        EXPECT_DOUBLE_EQ(got[w].execSum, want[w].execSum);
-        EXPECT_DOUBLE_EQ(got[w].burn, want[w].burn);
-    }
-    // And the alert stream is identical: the merge evaluates the same
-    // rules over the same pooled rows.
-    ASSERT_EQ(merge.alerts().size(), flat.alerts().size());
-    for (std::size_t i = 0; i < flat.alerts().size(); ++i) {
-        EXPECT_EQ(merge.alerts()[i].kind, flat.alerts()[i].kind);
-        EXPECT_EQ(merge.alerts()[i].edge, flat.alerts()[i].edge);
-        EXPECT_EQ(merge.alerts()[i].at, flat.alerts()[i].at);
-        EXPECT_DOUBLE_EQ(merge.alerts()[i].burnRate,
-                         flat.alerts()[i].burnRate);
-    }
-    EXPECT_EQ(merge.sloOf(kFn), kSlo);
-}
-
-TEST(SloHealthMergeTest, StragglerCellDefersEvaluation)
-{
-    SloMonitorConfig cfg = testConfig();
-    SloMonitor cell0, cell1;
-    for (SloMonitor *m : {&cell0, &cell1}) {
-        m->configure(cfg);
-        m->registerFunction(kFn, kSlo);
-    }
-    cell0.advanceTo(3 * kWindow);
-    cell1.advanceTo(1 * kWindow);
-
-    SloHealthMerge merge;
-    merge.configure(cfg);
-    merge.setCellCount(2);
-    merge.absorb(0, cell0);
-    // Cell 1 has not been absorbed yet: nothing is evaluated.
-    EXPECT_TRUE(merge.closed(kFn).empty());
-    merge.absorb(1, cell1);
-    // Only the window both cells have closed is finalized.
-    EXPECT_EQ(merge.closed(kFn).size(), 1u);
-
-    cell1.advanceTo(3 * kWindow);
-    merge.absorb(1, cell1);
-    EXPECT_EQ(merge.closed(kFn).size(), 3u);
-}
-
-TEST(SloHealthMergeTest, ColdCellsDiluteTheClusterBurn)
-{
-    // One hot cell at 100% violations, one cold cell with 9x the clean
-    // traffic: the cluster burn is 10 (under the fast rule's 14.4) and
-    // never pages, while the hot cell alone would. The cluster budget
-    // is what the rules protect.
-    SloMonitorConfig cfg = testConfig();
-    SloMonitor hot, cold;
-    for (SloMonitor *m : {&hot, &cold}) {
-        m->configure(cfg);
-        m->registerFunction(kFn, kSlo);
-    }
-    for (int w = 0; w < 4; ++w) {
-        feedWindow(hot, kFn, w, 0, 10);
-        feedWindow(cold, kFn, w, 90, 0);
-    }
-    hot.advanceTo(4 * kWindow);
-    cold.advanceTo(4 * kWindow);
-    EXPECT_GT(hot.alertsFired(), 0);
-
-    SloHealthMerge merge;
-    merge.configure(cfg);
-    merge.setCellCount(2);
-    merge.absorb(0, hot);
-    merge.absorb(1, cold);
-    EXPECT_EQ(merge.alertsFired(), 0);
-    EXPECT_DOUBLE_EQ(merge.burnRate(kFn, AlertKind::FastBurn), 10.0);
-}
-
-TEST(SloHealthMergeTest, FunctionsAbsentFromACellStillMerge)
-{
-    SloMonitorConfig cfg = testConfig();
-    SloMonitor cell0, cell1;
-    cell0.configure(cfg);
-    cell1.configure(cfg);
-    cell0.registerFunction(7, kSlo);
-    cell1.registerFunction(8, kSlo);
-    feedWindow(cell0, 7, 0, 3, 1);
-    cell0.advanceTo(2 * kWindow);
-    cell1.advanceTo(2 * kWindow);
-
-    SloHealthMerge merge;
-    merge.configure(cfg);
-    merge.setCellCount(2);
-    merge.absorb(0, cell0);
-    merge.absorb(1, cell1);
-    EXPECT_EQ(merge.functions(), (std::vector<std::int32_t>{7, 8}));
-    ASSERT_EQ(merge.closed(7).size(), 2u);
-    EXPECT_EQ(merge.closed(7)[0].completions, 4);
-    EXPECT_EQ(merge.closed(7)[0].violations, 1);
-    ASSERT_EQ(merge.closed(8).size(), 2u);
-    EXPECT_EQ(merge.closed(8)[0].finished(), 0);
-}
-
-TEST(SloHealthMergeTest, RepeatedAbsorbIsIdempotent)
-{
-    SloMonitorConfig cfg = testConfig();
-    SloMonitor cell0;
-    cell0.configure(cfg);
-    cell0.registerFunction(kFn, kSlo);
-    feedWindow(cell0, kFn, 0, 4, 2);
-    cell0.advanceTo(kWindow);
-
-    SloHealthMerge merge;
-    merge.configure(cfg);
-    merge.setCellCount(1);
-    merge.absorb(0, cell0);
-    merge.absorb(0, cell0); // no new windows: must not double-count
-    ASSERT_EQ(merge.closed(kFn).size(), 1u);
-    EXPECT_EQ(merge.closed(kFn)[0].completions, 6);
-    EXPECT_EQ(merge.closed(kFn)[0].violations, 2);
 }
 
 } // namespace
