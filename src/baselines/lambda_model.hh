@@ -31,9 +31,6 @@ namespace infless::baselines {
 class LambdaModel
 {
   public:
-    LambdaModel() = default;
-    explicit LambdaModel(const models::ExecParams &exec) : exec_(exec) {}
-
     /** MB of function memory buying one vCPU worth of quota. */
     static constexpr double kMbPerVcpu = 1769.0;
 
@@ -80,14 +77,6 @@ class LambdaModel
      */
     double overProvisionRatio(const models::ModelInfo &model, sim::Tick slo,
                               int batch = 1) const;
-
-    const models::ExecModel &execModel() const { return exec_; }
-
-    /** Hit/miss counters of the invocation-latency memo. */
-    const models::LatencyCacheStats &cacheStats() const
-    {
-        return cache_.stats();
-    }
 
   private:
     models::ExecModel exec_;

@@ -38,12 +38,10 @@ instanceStateName(InstanceState s)
     return "?";
 }
 
-Instance::Instance(InstanceId id, std::string function,
-                   InstanceConfig config, ServerId server, sim::Tick created,
-                   bool cold)
-    : id_(id), function_(std::move(function)), config_(std::move(config)),
-      server_(server), cold_(cold), created_(created), lastActive_(created),
-      stateSince_(created)
+Instance::Instance(InstanceId id, InstanceConfig config, ServerId server,
+                   sim::Tick created, bool cold)
+    : id_(id), config_(std::move(config)), server_(server), cold_(cold),
+      created_(created), lastActive_(created)
 {
     sim::simAssert(config_.batchSize >= 1, "batchSize must be >= 1");
 }
@@ -54,20 +52,17 @@ Instance::becomeWarm(sim::Tick now)
     sim::simAssert(state_ == InstanceState::ColdStarting,
                    "becomeWarm from state ", instanceStateName(state_));
     state_ = InstanceState::Idle;
-    stateSince_ = now;
     lastActive_ = now;
 }
 
 void
-Instance::startBatch(sim::Tick now, int batch_fill)
+Instance::startBatch(int batch_fill)
 {
     sim::simAssert(state_ == InstanceState::Idle,
                    "startBatch from state ", instanceStateName(state_));
     sim::simAssert(batch_fill >= 1 && batch_fill <= config_.batchSize,
                    "batch fill ", batch_fill, " out of range for ", config_);
-    idleTicksAccum_ += now - stateSince_;
     state_ = InstanceState::Busy;
-    stateSince_ = now;
     ++batchesExecuted_;
     requestsServed_ += batch_fill;
 }
@@ -77,53 +72,25 @@ Instance::finishBatch(sim::Tick now)
 {
     sim::simAssert(state_ == InstanceState::Busy,
                    "finishBatch from state ", instanceStateName(state_));
-    busyTicks_ += now - stateSince_;
     state_ = InstanceState::Idle;
-    stateSince_ = now;
     lastActive_ = now;
 }
 
 void
-Instance::reap(sim::Tick now)
+Instance::reap()
 {
     sim::simAssert(state_ == InstanceState::Idle ||
                        state_ == InstanceState::ColdStarting,
                    "reap from state ", instanceStateName(state_));
-    if (state_ == InstanceState::Idle)
-        idleTicksAccum_ += now - stateSince_;
     state_ = InstanceState::Reaped;
-    stateSince_ = now;
-    reapedAt_ = now;
 }
 
 void
-Instance::crash(sim::Tick now)
+Instance::crash()
 {
     sim::simAssert(state_ != InstanceState::Reaped,
                    "crash of an already-reaped instance ", id_);
-    if (state_ == InstanceState::Idle)
-        idleTicksAccum_ += now - stateSince_;
-    else if (state_ == InstanceState::Busy)
-        busyTicks_ += now - stateSince_;
     state_ = InstanceState::Reaped;
-    stateSince_ = now;
-    reapedAt_ = now;
-}
-
-sim::Tick
-Instance::idleTicks(sim::Tick now) const
-{
-    sim::Tick total = idleTicksAccum_;
-    if (state_ == InstanceState::Idle)
-        total += now - stateSince_;
-    return total;
-}
-
-sim::Tick
-Instance::lifetime(sim::Tick now) const
-{
-    sim::Tick end = (state_ == InstanceState::Reaped) ? reapedAt_ : now;
-    return end - created_;
 }
 
 } // namespace infless::cluster

@@ -62,11 +62,10 @@ const char *instanceStateName(InstanceState s);
 class Instance
 {
   public:
-    Instance(InstanceId id, std::string function, InstanceConfig config,
-             ServerId server, sim::Tick created, bool cold);
+    Instance(InstanceId id, InstanceConfig config, ServerId server,
+             sim::Tick created, bool cold);
 
     InstanceId id() const { return id_; }
-    const std::string &function() const { return function_; }
     const InstanceConfig &config() const { return config_; }
     ServerId serverId() const { return server_; }
     InstanceState state() const { return state_; }
@@ -79,21 +78,20 @@ class Instance
     void becomeWarm(sim::Tick now);
 
     /** Transition Idle -> Busy when a batch starts executing. */
-    void startBatch(sim::Tick now, int batch_fill);
+    void startBatch(int batch_fill);
 
     /** Transition Busy -> Idle when the running batch completes. */
     void finishBatch(sim::Tick now);
 
     /** Transition (Idle|ColdStarting) -> Reaped on scale-in / keep-alive
      *  expiry. */
-    void reap(sim::Tick now);
+    void reap();
 
     /**
      * Transition any live state -> Reaped when the hosting server
-     * crashes. Unlike reap(), a Busy instance may die mid-batch; the
-     * partial busy time is still accounted.
+     * crashes. Unlike reap(), a Busy instance may die mid-batch.
      */
-    void crash(sim::Tick now);
+    void crash();
 
     /** Last time the instance finished work (or became warm). */
     sim::Tick lastActive() const { return lastActive_; }
@@ -104,18 +102,8 @@ class Instance
     /** Requests served so far (sum of batch fills). */
     std::int64_t requestsServed() const { return requestsServed_; }
 
-    /** Total ticks spent Busy. */
-    sim::Tick busyTicks() const { return busyTicks_; }
-
-    /** Total ticks spent Idle (warm but unused), up to @p now. */
-    sim::Tick idleTicks(sim::Tick now) const;
-
-    /** Lifetime from creation until reap (or @p now if still alive). */
-    sim::Tick lifetime(sim::Tick now) const;
-
   private:
     InstanceId id_;
-    std::string function_;
     InstanceConfig config_;
     ServerId server_;
     InstanceState state_ = InstanceState::ColdStarting;
@@ -123,10 +111,6 @@ class Instance
 
     sim::Tick created_;
     sim::Tick lastActive_;
-    sim::Tick stateSince_;
-    sim::Tick reapedAt_ = sim::kTickNever;
-    sim::Tick busyTicks_ = 0;
-    sim::Tick idleTicksAccum_ = 0;
 
     std::int64_t batchesExecuted_ = 0;
     std::int64_t requestsServed_ = 0;

@@ -1,6 +1,6 @@
 #include "cluster/resources.hh"
 
-#include <sstream>
+#include <ostream>
 
 #include "sim/logging.hh"
 
@@ -23,14 +23,6 @@ Resources::operator-=(const Resources &o)
     memoryMb -= o.memoryMb;
     sim::simAssert(isValid(), "resource subtraction went negative: ", *this);
     return *this;
-}
-
-std::string
-Resources::str() const
-{
-    std::ostringstream os;
-    os << *this;
-    return os.str();
 }
 
 std::ostream &

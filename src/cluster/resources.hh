@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 
 namespace infless::cluster {
 
@@ -81,9 +80,6 @@ struct Resources
         return a -= b;
     }
     bool operator==(const Resources &o) const = default;
-
-    /** Render as "cpu=2000mc gpu=10% mem=4096MB". */
-    std::string str() const;
 };
 
 /** Strict weak order on resource vectors: (cpu, gpu, memory)
@@ -101,8 +97,9 @@ struct ResourcesLess
     }
 };
 
-/** Stream the str() rendering without building a string, so assertion
- *  messages can take a Resources and format it only on failure. */
+/** Render as "cpu=2000mc gpu=10% mem=4096MB" without building a string,
+ *  so assertion messages can take a Resources and format it only on
+ *  failure. */
 std::ostream &operator<<(std::ostream &os, const Resources &r);
 
 /**

@@ -56,8 +56,6 @@ class HybridHistogramPolicy : public KeepAlivePolicy
     KeepAliveDecision decide(sim::Tick now) const override;
     std::string name() const override { return "hhp"; }
 
-    const IdleTimeHistogram &histogram() const { return hist_; }
-
     static PolicyFactory factory();
 
     /**

@@ -82,7 +82,6 @@ class IdleTimeHistogram
 
     /** Retention horizon of window @p w. */
     sim::Tick window(std::size_t w = 0) const;
-    sim::Tick range() const { return range_; }
 
     /** Samples held in the shared log (those the slowest window keeps). */
     std::size_t logSize() const;

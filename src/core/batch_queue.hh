@@ -39,8 +39,6 @@ class BatchQueue
      */
     BatchQueue(int batch_size, sim::Tick max_wait);
 
-    int batchSize() const { return static_cast<int>(slots_.size()); }
-
     /**
      * Try to enqueue a request.
      *
@@ -99,8 +97,8 @@ class BatchQueue
     Entry popFront();
 
     sim::Tick maxWait_;
-    /** batchSize() slots; the live entries are size_ slots from head_,
-     *  wrapping at the end. */
+    /** One slot per batch member; the live entries are size_ slots
+     *  from head_, wrapping at the end. */
     std::vector<Entry> slots_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

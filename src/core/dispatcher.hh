@@ -35,8 +35,6 @@ class RateEstimator
     /** Arrivals per second over the trailing window. */
     double rps(sim::Tick now) const;
 
-    sim::Tick window() const { return window_; }
-
   private:
     sim::Tick window_;
     sim::Tick firstArrival_ = -1;

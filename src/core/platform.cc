@@ -166,12 +166,6 @@ Platform::chainStages(ChainId chain) const
 }
 
 void
-Platform::injectChainTrace(ChainId chain, workload::ArrivalTrace trace)
-{
-    injectTrace(chainStages(chain).front(), std::move(trace));
-}
-
-void
 Platform::injectChainRateSeries(ChainId chain,
                                 const workload::RateSeries &series)
 {

@@ -179,9 +179,6 @@ class Platform
     void injectRateSeries(FunctionId fn,
                           const workload::RateSeries &series);
 
-    /** Inject arrivals at the head stage of a chain. */
-    void injectChainTrace(ChainId chain, workload::ArrivalTrace trace);
-
     /** Materialize and inject a rate series at a chain's head stage. */
     void injectChainRateSeries(ChainId chain,
                                const workload::RateSeries &series);
@@ -195,7 +192,6 @@ class Platform
     sim::Simulation &simulation() { return sim_; }
     const sim::Simulation &simulation() const { return sim_; }
     const cluster::Cluster &cluster() const { return cluster_; }
-    const models::ModelZoo &zoo() const { return zoo_; }
     const PlatformOptions &options() const { return opts_; }
 
     /** Aggregate metrics over all functions. */
@@ -522,7 +518,6 @@ class Platform
     // Shared internals for subclasses ---------------------------------------
 
     const profiler::CopPredictor &predictor() const { return predictor_; }
-    const models::ExecModel &execModel() const { return exec_; }
     const GreedyScheduler &scheduler() const { return scheduler_; }
     cluster::Cluster &mutableCluster() { return cluster_; }
     FunctionState &functionState(FunctionId fn);

@@ -127,8 +127,8 @@ Platform::launchInstance(FunctionId fn, const LaunchPlan &plan,
 
     std::size_t idx = instances_.size();
     instances_.push_back(InstanceRuntime{
-        cluster::Instance(nextInstanceId_++, f.spec.name, plan.config,
-                          plan.server, now, cold),
+        cluster::Instance(nextInstanceId_++, plan.config, plan.server, now,
+                          cold),
         BatchQueue(plan.config.batchSize, max_wait),
         plan.bounds, plan.execPredicted});
     InstanceRuntime &rt = instances_.back();
@@ -183,7 +183,7 @@ Platform::reapInstance(std::size_t idx)
     // but guard anyway) count as drops.
     for (RequestIndex request : rt.queue.drain())
         dropRequest(f, request, now);
-    rt.inst.reap(now);
+    rt.inst.reap();
     releaseInstance(idx);
 
     if (f.live.empty())
@@ -193,7 +193,6 @@ Platform::reapInstance(std::size_t idx)
 void
 Platform::killInstance(std::size_t idx)
 {
-    sim::Tick now = sim_.now();
     InstanceRuntime &rt = instances_[idx];
     FunctionId fn = rt.fn;
     FunctionState &f = functionState(fn);
@@ -204,7 +203,7 @@ Platform::killInstance(std::size_t idx)
     std::vector<RequestIndex> inflight = std::move(rt.inFlight);
     rt.inFlight.clear();
 
-    rt.inst.crash(now);
+    rt.inst.crash();
     // A lost in-flight batch is a serving failure of this server; an
     // idle instance dying with the machine is not evidence either way.
     if (health_ && !inflight.empty())

@@ -195,7 +195,7 @@ Platform::startBatch(std::size_t idx)
     if (health_)
         health_->recordExec(rt.inst.serverId(), base_exec, exec_time);
 
-    rt.inst.startBatch(now, fill);
+    rt.inst.startBatch(fill);
     // Latency attribution: snapshot when the executor became available
     // to this batch (it last went idle); the gap up to `now` is batch
     // formation — waiting for fill or the head deadline.

@@ -140,8 +140,6 @@ class GreedyScheduler
     GreedyScheduler(const profiler::CopPredictor &predictor,
                     SchedulerConfig config = {});
 
-    const SchedulerConfig &config() const { return config_; }
-
     /**
      * Attach a wall-clock overhead profiler: schedule()/scheduleNaive()
      * record under Phase::Schedule and the candidate-pool enumeration

@@ -269,6 +269,20 @@ ShardedPlatform::rebuildMerged() const
     mergedDirty_ = false;
 }
 
+const Platform &
+ShardedPlatform::cell(std::size_t i) const
+{
+    sim::simAssert(i < cells_.size(), "bad cell index ", i);
+    return *cells_[i];
+}
+
+std::int64_t
+ShardedPlatform::routedTo(std::size_t i) const
+{
+    sim::simAssert(i < routedTotal_.size(), "bad cell index ", i);
+    return routedTotal_[i];
+}
+
 const metrics::RunMetrics &
 ShardedPlatform::totalMetrics() const
 {
@@ -304,15 +318,6 @@ ShardedPlatform::schedulerDecisions() const
     std::uint64_t total = 0;
     for (const auto &cell : cells_)
         total += cell->schedulerDecisions();
-    return total;
-}
-
-std::int64_t
-ShardedPlatform::queuedRequests() const
-{
-    std::int64_t total = 0;
-    for (const auto &cell : cells_)
-        total += cell->queuedRequests();
     return total;
 }
 

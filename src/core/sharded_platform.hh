@@ -118,10 +118,9 @@ class ShardedPlatform
     std::size_t cellCount() const { return cells_.size(); }
     /** Cell @p i's platform; its SLO monitor, flight recorder, tracer
      *  and overload state cover that cell only. */
-    const Platform &cell(std::size_t i) const { return *cells_[i]; }
+    const Platform &cell(std::size_t i) const;
     const cluster::CellRouter &router() const { return *router_; }
 
-    sim::Tick endTime() const { return endTime_; }
     std::size_t functionCount() const { return cells_[0]->functionCount(); }
 
     /** Aggregate metrics over all cells (cells=1: the flat metrics). */
@@ -136,9 +135,6 @@ class ShardedPlatform
     /** Scheduling passes run across every cell's scheduler. */
     std::uint64_t schedulerDecisions() const;
 
-    /** Requests waiting in batch queues across all cells. */
-    std::int64_t queuedRequests() const;
-
     /** Admitted-but-unsettled requests across all cells. */
     std::int64_t inFlightRequests() const;
 
@@ -146,7 +142,7 @@ class ShardedPlatform
     int liveInstanceCount() const;
 
     /** Requests routed to cell @p i over the whole run. */
-    std::int64_t routedTo(std::size_t i) const { return routedTotal_[i]; }
+    std::int64_t routedTo(std::size_t i) const;
 
   private:
     /** One injected trace awaiting routing (multi-cell only), read by

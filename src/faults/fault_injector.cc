@@ -72,7 +72,6 @@ FaultInjector::scheduleCrash(std::size_t server)
 void
 FaultInjector::crashServer(std::size_t server)
 {
-    ++crashes_;
     auto id = static_cast<cluster::ServerId>(server);
     if (hooks_.serverCrash)
         hooks_.serverCrash(id);
@@ -84,7 +83,6 @@ FaultInjector::crashServer(std::size_t server)
                  sim::ticksToSec(sim_.now()), "s, repair in ",
                  sim::ticksToSec(repair), "s");
     sim_.afterFixed(repair, [this, server, id] {
-        ++recoveries_;
         sim::logInfo("fault: server ", id, " recovered at t=",
                      sim::ticksToSec(sim_.now()), "s");
         if (hooks_.serverRecover)

@@ -160,17 +160,11 @@ class FaultInjector
     /** Install hooks and schedule the initial per-server crash events. */
     void start(Hooks hooks);
 
-    const FaultProfile &profile() const { return profile_; }
-
-    bool enabled() const { return profile_.enabled(); }
-
     /** Draw: does this cold-start attempt abort? */
     bool startupFails();
 
     // Accounting -----------------------------------------------------------
 
-    std::int64_t crashesScheduled() const { return crashes_; }
-    std::int64_t recoveriesScheduled() const { return recoveries_; }
     std::int64_t startupFailureDraws() const { return startupFailures_; }
     std::int64_t domainOutagesScheduled() const { return domainOutages_; }
     std::int64_t domainRepairsScheduled() const { return domainRepairs_; }
@@ -196,8 +190,6 @@ class FaultInjector
     /** Domain-outage schedule; null when disabled. */
     std::unique_ptr<DomainOutageStream> domainStream_;
 
-    std::int64_t crashes_ = 0;
-    std::int64_t recoveries_ = 0;
     std::int64_t startupFailures_ = 0;
     std::int64_t domainOutages_ = 0;
     std::int64_t domainRepairs_ = 0;

@@ -75,22 +75,6 @@ LatencyHistogram::percentile(double p) const
     return max_;
 }
 
-double
-LatencyHistogram::fractionAbove(sim::Tick threshold) const
-{
-    if (count_ == 0)
-        return 0.0;
-    std::size_t cutoff = std::min(bucketOf(threshold), bucketCount_ - 1);
-    // Buckets strictly above the threshold's bucket definitely exceed it;
-    // the threshold's own bucket is ambiguous and counted conservatively
-    // as "not above" only if the threshold is its upper edge.
-    std::int64_t above = 0;
-    for (std::size_t bucket = cutoff + 1; bucket < bucketCount_; ++bucket) {
-        above += buckets_[bucket];
-    }
-    return static_cast<double>(above) / static_cast<double>(count_);
-}
-
 void
 LatencyHistogram::merge(const LatencyHistogram &other)
 {

@@ -45,9 +45,6 @@ class LatencyHistogram
      */
     sim::Tick percentile(double p) const;
 
-    /** Fraction of samples strictly greater than @p threshold. */
-    double fractionAbove(sim::Tick threshold) const;
-
     /** Merge another histogram with identical parameters. */
     void merge(const LatencyHistogram &other);
 
@@ -102,9 +99,6 @@ class TimeWeightedMean
 
     /** Last recorded value. */
     double current() const { return value_; }
-
-    /** Integral of the signal so far (up to the last update). */
-    double integral() const { return integral_; }
 
     /** Integral up to @p now including the running segment. */
     double integralUntil(sim::Tick now) const;

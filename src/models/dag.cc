@@ -38,14 +38,6 @@ Dag::node(NodeId id) const
     return nodes_[static_cast<std::size_t>(id)];
 }
 
-const std::vector<NodeId> &
-Dag::successors(NodeId id) const
-{
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < size(),
-                   "bad node id ", id);
-    return succ_[static_cast<std::size_t>(id)];
-}
-
 std::vector<NodeId>
 Dag::topoOrder() const
 {

@@ -54,9 +54,6 @@ class Dag
     const OpNode &node(NodeId id) const;
     const std::vector<OpNode> &nodes() const { return nodes_; }
 
-    /** Successors of a node. */
-    const std::vector<NodeId> &successors(NodeId id) const;
-
     /**
      * Topological order of all nodes; panics if the graph has a cycle.
      * Served from the cache after finalize().
@@ -138,8 +135,6 @@ class DagBuilder
         dag_.finalize();
         return std::move(dag_);
     }
-
-    Dag &dag() { return dag_; }
 
   private:
     Dag dag_;

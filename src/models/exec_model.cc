@@ -55,13 +55,6 @@ ExecModel::opMicros(const OpNode &op, int batch,
            batch_gflops / throughput * 1e6;
 }
 
-sim::Tick
-ExecModel::opTicks(const OpNode &op, int batch,
-                   const cluster::Resources &res) const
-{
-    return static_cast<sim::Tick>(std::llround(opMicros(op, batch, res)));
-}
-
 double
 ExecModel::composedMicros(const Dag &dag, int batch,
                           const cluster::Resources &res) const

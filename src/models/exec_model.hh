@@ -88,10 +88,6 @@ class ExecModel
     double opMicros(const OpNode &op, int batch,
                     const cluster::Resources &res) const;
 
-    /** opMicros() rounded to ticks. */
-    sim::Tick opTicks(const OpNode &op, int batch,
-                      const cluster::Resources &res) const;
-
     /**
      * COP composition over a graph with exact operator times: longest
      * path (chain = sum, branches = max), plus batch dispatch overhead.

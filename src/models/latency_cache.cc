@@ -99,15 +99,4 @@ LatencyCache::trueTicks(const ExecModel &exec, const ModelInfo &model,
     return static_cast<sim::Tick>(ticks);
 }
 
-double
-LatencyCache::composedMicros(const ExecModel &exec, const ModelInfo &model,
-                             int batch, const cluster::Resources &res)
-{
-    // Distinct key stream from trueTicks is unnecessary: a cache instance
-    // memoizes one function only (see file header), enforced by usage.
-    return memo(model.noiseKey, res.cpuMillicores, res.gpuSmPercent,
-                batch,
-                [&] { return exec.composedMicros(model.dag, batch, res); });
-}
-
 } // namespace infless::models

@@ -2,13 +2,14 @@
  * @file
  * Memoized latency surface.
  *
- * ExecModel::trueTicks / composedMicros and COP raw predictions are pure
- * functions of (model, batch, cpu millicores, gpu SM percent) — memory
- * never enters the surface — and resource configurations are drawn from a
- * small discrete menu. The simulator prices the same few hundred points
- * millions of times per run, so each consumer (Platform's ground-truth
- * charging, CopPredictor's composition, the Lambda baseline) keeps a
- * LatencyCache in front of the computation:
+ * ExecModel::trueTicks and COP raw predictions are pure functions of
+ * (model, batch, cpu millicores, gpu SM percent) — memory never enters
+ * the surface — and resource configurations are drawn from a small
+ * discrete menu. The simulator prices the same few hundred points
+ * millions of times per run, so each consumer keeps a LatencyCache in
+ * front of the computation: Platform's ground-truth charging and the
+ * Lambda baseline through trueTicks(), CopPredictor's raw predictions
+ * through memo():
  *
  *  - an open-addressing hash table maps the quantized configuration
  *    (model key, cpu, gpu) to a cache line — no per-lookup allocation,
@@ -86,10 +87,6 @@ class LatencyCache
     /** Cached ExecModel::trueTicks (ground-truth batch pricing). */
     sim::Tick trueTicks(const ExecModel &exec, const ModelInfo &model,
                         int batch, const cluster::Resources &res);
-
-    /** Cached ExecModel::composedMicros over a model's graph. */
-    double composedMicros(const ExecModel &exec, const ModelInfo &model,
-                          int batch, const cluster::Resources &res);
 
     const LatencyCacheStats &stats() const { return stats_; }
 

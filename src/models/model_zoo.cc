@@ -292,16 +292,6 @@ makeModel(std::string name, double size_mb, double gflops,
 
 } // namespace
 
-std::vector<int>
-ModelInfo::batchSizesDescending() const
-{
-    std::vector<int> sizes;
-    for (int b = 1; b <= maxBatch; b *= 2)
-        sizes.push_back(b);
-    std::reverse(sizes.begin(), sizes.end());
-    return sizes;
-}
-
 ModelZoo::ModelZoo()
 {
     // Table 1, largest first.

@@ -38,9 +38,6 @@ struct ModelInfo
     Dag dag;
     /** Stable key seeding the deterministic ground-truth deviation. */
     std::uint64_t noiseKey = 0;
-
-    /** Feasible batchsizes {1, 2, 4, ..., maxBatch}, descending. */
-    std::vector<int> batchSizesDescending() const;
 };
 
 /**

@@ -47,15 +47,4 @@ opTraits(OpKind kind)
     return kTraits[idx];
 }
 
-OpKind
-opKindFromName(const std::string &name)
-{
-    for (int i = 0; i < kNumOpKinds; ++i) {
-        auto kind = static_cast<OpKind>(i);
-        if (name == opTraits(kind).name)
-            return kind;
-    }
-    sim::panic("unknown operator name: ", name);
-}
-
 } // namespace infless::models

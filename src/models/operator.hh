@@ -14,7 +14,6 @@
 #define INFLESS_MODELS_OPERATOR_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/time.hh"
 
@@ -87,9 +86,6 @@ opName(OpKind kind)
 {
     return opTraits(kind).name;
 }
-
-/** Parse an operator name back to its kind; panics on unknown names. */
-OpKind opKindFromName(const std::string &name);
 
 /**
  * One operator call inside a model graph.

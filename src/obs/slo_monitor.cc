@@ -21,24 +21,6 @@ const std::vector<WindowRow> &emptyRows()
 
 } // namespace
 
-const char *alertKindName(AlertKind kind)
-{
-    switch (kind) {
-    case AlertKind::FastBurn: return "fast_burn";
-    case AlertKind::SlowBurn: return "slow_burn";
-    }
-    return "unknown";
-}
-
-const char *alertEdgeName(AlertEdge edge)
-{
-    switch (edge) {
-    case AlertEdge::Firing: return "firing";
-    case AlertEdge::Cleared: return "cleared";
-    }
-    return "unknown";
-}
-
 static_assert(kSloErrorBudget > 0.0, "SLO error budget must be positive");
 static_assert(kFastBurnRule.windows > 0 && kSlowBurnRule.windows > 0,
               "burn rules must span at least one window");

@@ -98,9 +98,6 @@ enum class AlertEdge : std::uint8_t
     Cleared
 };
 
-const char *alertKindName(AlertKind kind);
-const char *alertEdgeName(AlertEdge edge);
-
 /** One structured alert event (a rule edge at a window close). */
 struct SloAlert
 {

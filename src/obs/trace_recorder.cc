@@ -61,28 +61,6 @@ spanKindName(SpanKind kind)
     return "?";
 }
 
-const char *
-flightTriggerName(FlightTrigger trigger)
-{
-    switch (trigger) {
-      case FlightTrigger::None:
-        return "none";
-      case FlightTrigger::SloFastBurn:
-        return "slo_fast_burn";
-      case FlightTrigger::SloSlowBurn:
-        return "slo_slow_burn";
-      case FlightTrigger::BreakerOpen:
-        return "breaker_open";
-      case FlightTrigger::ServerCrash:
-        return "server_crash";
-      case FlightTrigger::Manual:
-        return "manual";
-      case FlightTrigger::DomainOutage:
-        return "domain_outage";
-    }
-    return "?";
-}
-
 void
 TraceRecorder::configure(const TraceConfig &config)
 {

@@ -172,8 +172,6 @@ enum class FlightTrigger : std::uint8_t
     DomainOutage  ///< a correlated failure-domain outage hit
 };
 
-const char *flightTriggerName(FlightTrigger trigger);
-
 /** Flight-recorder ring capacity in span records — the "last N seconds"
  *  of evidence. At 48 B/record it holds 16k spans in ~768 KiB. */
 inline constexpr std::size_t kFlightCapacity = 1 << 14;

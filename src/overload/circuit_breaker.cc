@@ -6,20 +6,6 @@
 
 namespace infless::overload {
 
-const char *
-breakerStateName(BreakerState state)
-{
-    switch (state) {
-      case BreakerState::Closed:
-        return "closed";
-      case BreakerState::Open:
-        return "open";
-      case BreakerState::HalfOpen:
-        return "half_open";
-    }
-    return "?";
-}
-
 CircuitBreaker::CircuitBreaker(const BreakerConfig &config)
     : config_(config), window_(config.window, config.windowBuckets)
 {

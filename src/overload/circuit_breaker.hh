@@ -22,8 +22,6 @@ enum class BreakerState : std::uint8_t
     HalfOpen ///< Sampled probes admitted; the rest shed.
 };
 
-const char *breakerStateName(BreakerState state);
-
 struct BreakerConfig
 {
     bool enabled = false;

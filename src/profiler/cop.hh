@@ -47,8 +47,6 @@ class CopPredictor
      */
     CopPredictor(OpProfileDb &db, CopOptions options = {});
 
-    const CopOptions &options() const { return options_; }
-
     /**
      * Raw composed estimate (no safety offset), in microseconds.
      */

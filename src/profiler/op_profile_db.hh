@@ -107,8 +107,6 @@ class OpProfileDb
     /** The execution surface this database profiles. */
     const models::ExecModel &truth() const { return truth_; }
 
-    const ProfileGrid &grid() const { return grid_; }
-
   private:
     struct Key
     {

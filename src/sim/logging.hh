@@ -155,13 +155,6 @@ fatal(const Parts &...parts)
     throw FatalError(os.str());
 }
 
-/** Current logging threshold. */
-inline LogLevel
-logLevel()
-{
-    return detail::logThreshold();
-}
-
 /** Override the logging threshold; returns the previous one. */
 inline LogLevel
 setLogLevel(LogLevel level)

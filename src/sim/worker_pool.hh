@@ -67,7 +67,6 @@ class WorkerPool
     {
         if (threads == 0)
             threads = defaultThreads();
-        threads_ = threads;
         for (std::size_t t = 0; t + 1 < threads; ++t)
             workers_.emplace_back([this] { workerLoop(); });
     }
@@ -85,9 +84,6 @@ class WorkerPool
 
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
-
-    /** Configured worker count (including the calling thread). */
-    std::size_t threads() const { return threads_; }
 
     /**
      * Run body(i) for every i in [0, n), possibly concurrently, and
@@ -166,7 +162,6 @@ class WorkerPool
         }
     }
 
-    std::size_t threads_ = 1;
     std::vector<std::thread> workers_;
     std::mutex mutex_;
     std::condition_variable workCv_;

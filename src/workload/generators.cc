@@ -21,23 +21,6 @@ constantRate(double rps, sim::Tick duration, sim::Tick bin_width)
 }
 
 ArrivalTrace
-poissonArrivals(double rps, sim::Tick duration, sim::Rng &rng)
-{
-    std::vector<sim::Tick> arrivals;
-    if (rps > 0.0) {
-        double t_sec = 0.0;
-        double horizon_sec = sim::ticksToSec(duration);
-        for (;;) {
-            t_sec += rng.exponential(rps);
-            if (t_sec >= horizon_sec)
-                break;
-            arrivals.push_back(sim::secToTicks(t_sec));
-        }
-    }
-    return ArrivalTrace(std::move(arrivals));
-}
-
-ArrivalTrace
 uniformArrivals(double rps, sim::Tick duration)
 {
     std::vector<sim::Tick> arrivals;

@@ -1,12 +1,11 @@
 /**
  * @file
- * Basic workload generators: constant rates and Poisson arrivals.
+ * Basic workload generators: constant rates and evenly spaced arrivals.
  */
 
 #ifndef INFLESS_WORKLOAD_GENERATORS_HH
 #define INFLESS_WORKLOAD_GENERATORS_HH
 
-#include "sim/rng.hh"
 #include "sim/time.hh"
 #include "workload/trace.hh"
 
@@ -17,11 +16,6 @@ namespace infless::workload {
  */
 RateSeries constantRate(double rps, sim::Tick duration,
                         sim::Tick bin_width = sim::kTicksPerMin);
-
-/**
- * Homogeneous Poisson arrivals at @p rps over @p duration.
- */
-ArrivalTrace poissonArrivals(double rps, sim::Tick duration, sim::Rng &rng);
 
 /**
  * Deterministic evenly spaced arrivals (useful in unit tests).

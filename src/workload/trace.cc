@@ -154,16 +154,4 @@ ArrivalTrace::fromRateSeries(const RateSeries &series, sim::Rng &rng)
     return ArrivalTrace(std::move(arrivals));
 }
 
-std::vector<sim::Tick>
-ArrivalTrace::idleGaps() const
-{
-    std::vector<sim::Tick> gaps;
-    if (arrivals_.size() < 2)
-        return gaps;
-    gaps.reserve(arrivals_.size() - 1);
-    for (std::size_t i = 1; i < arrivals_.size(); ++i)
-        gaps.push_back(arrivals_[i] - arrivals_[i - 1]);
-    return gaps;
-}
-
 } // namespace infless::workload

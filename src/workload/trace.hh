@@ -78,12 +78,6 @@ class ArrivalTrace
         return arrivals_.empty() ? 0 : arrivals_.back();
     }
 
-    /**
-     * Idle gaps between consecutive arrivals — the input of the keep-alive
-     * histogram policies.
-     */
-    std::vector<sim::Tick> idleGaps() const;
-
   private:
     std::vector<sim::Tick> arrivals_;
 };

@@ -24,43 +24,6 @@ splitCsvRow(const std::string &line)
 
 } // namespace
 
-void
-writeAzureCsv(std::ostream &os, const TraceSet &traces)
-{
-    std::size_t minutes = 0;
-    for (const auto &[name, series] : traces) {
-        sim::simAssert(series.binWidth == sim::kTicksPerMin,
-                       "Azure CSV requires 1-minute bins (", name, ")");
-        minutes = std::max(minutes, series.rps.size());
-    }
-
-    os << "function";
-    for (std::size_t minute = 1; minute <= minutes; ++minute)
-        os << ',' << minute;
-    os << '\n';
-
-    for (const auto &[name, series] : traces) {
-        os << name;
-        for (std::size_t minute = 0; minute < minutes; ++minute) {
-            double rps =
-                minute < series.rps.size() ? series.rps[minute] : 0.0;
-            os << ',' << static_cast<long long>(std::llround(rps * 60.0));
-        }
-        os << '\n';
-    }
-}
-
-void
-writeAzureCsv(const std::string &path, const TraceSet &traces)
-{
-    std::ofstream os(path);
-    if (!os)
-        sim::fatal("cannot open trace file for writing: ", path);
-    writeAzureCsv(os, traces);
-    if (!os)
-        sim::fatal("error while writing trace file: ", path);
-}
-
 TraceSet
 readAzureCsv(std::istream &is)
 {

@@ -1,11 +1,10 @@
 /**
  * @file
- * Trace file I/O.
+ * Trace file input.
  *
  * The Azure Functions dataset the paper uses ships as CSV files of
- * per-function, per-minute invocation counts. This module reads and
- * writes that format so real traces can drive the platform and synthetic
- * ones can be exported for inspection.
+ * per-function, per-minute invocation counts. This module reads that
+ * format so real traces can drive the platform.
  *
  * Format: one header row, then one row per function:
  *
@@ -26,17 +25,6 @@ namespace infless::workload {
 
 /** Named per-function rate series, as loaded from one trace file. */
 using TraceSet = std::map<std::string, RateSeries>;
-
-/**
- * Write a trace set as Azure-style per-minute invocation counts.
- *
- * Rates are converted to counts per minute (rounded); all series must
- * share the 1-minute bin width.
- */
-void writeAzureCsv(std::ostream &os, const TraceSet &traces);
-
-/** Convenience overload writing to a file; fatal on I/O failure. */
-void writeAzureCsv(const std::string &path, const TraceSet &traces);
 
 /**
  * Parse Azure-style per-minute invocation counts into rate series

@@ -309,11 +309,12 @@ matchesReference(const Cluster &c)
             ++visited;
             auto it = ref.find(avail);
             if (it == ref.end())
-                error += " extra class " + avail.str() + ";";
+                error +=
+                    " extra class " + ::testing::PrintToString(avail) + ";";
             else if (min_id != *it->second.begin() ||
                      count != it->second.size())
-                error += " class " + avail.str() + " min " +
-                         std::to_string(min_id) + " count " +
+                error += " class " + ::testing::PrintToString(avail) +
+                         " min " + std::to_string(min_id) + " count " +
                          std::to_string(count) + ";";
             return true;
         });
@@ -364,7 +365,8 @@ sameAnswers(const Cluster &lazy, const Cluster &full)
     for (const Resources &req : kProbes) {
         if (lazy.firstFit(req) != full.firstFit(req) ||
             lazy.bestFit(req, kDefaultBeta) != full.bestFit(req, kDefaultBeta))
-            error += " probes differ for " + req.str() + ";";
+            error +=
+                " probes differ for " + ::testing::PrintToString(req) + ";";
     }
     if (lazy.totalAllocated() != full.totalAllocated() ||
         lazy.totalAvailable() != full.totalAvailable() ||

@@ -19,8 +19,8 @@ using infless::sim::PanicError;
 Instance
 makeInstance(int batch = 4)
 {
-    return Instance(1, "fn", InstanceConfig{batch, Resources{2000, 10, 512}},
-                    0, 100, true);
+    return Instance(1, InstanceConfig{batch, Resources{2000, 10, 512}}, 0,
+                    100, true);
 }
 
 TEST(InstanceTest, StartsColdStarting)
@@ -36,11 +36,11 @@ TEST(InstanceTest, HappyPathLifecycle)
     Instance i = makeInstance();
     i.becomeWarm(200);
     EXPECT_EQ(i.state(), InstanceState::Idle);
-    i.startBatch(300, 4);
+    i.startBatch(4);
     EXPECT_EQ(i.state(), InstanceState::Busy);
     i.finishBatch(350);
     EXPECT_EQ(i.state(), InstanceState::Idle);
-    i.reap(400);
+    i.reap();
     EXPECT_EQ(i.state(), InstanceState::Reaped);
 }
 
@@ -48,52 +48,31 @@ TEST(InstanceTest, AccountingTracksBatchesAndRequests)
 {
     Instance i = makeInstance();
     i.becomeWarm(200);
-    i.startBatch(300, 4);
+    i.startBatch(4);
     i.finishBatch(350);
-    i.startBatch(360, 2);
+    i.startBatch(2);
     i.finishBatch(420);
     EXPECT_EQ(i.batchesExecuted(), 2);
     EXPECT_EQ(i.requestsServed(), 6);
-    EXPECT_EQ(i.busyTicks(), 50 + 60);
-}
-
-TEST(InstanceTest, IdleTicksAccumulateAcrossPhases)
-{
-    Instance i = makeInstance();
-    i.becomeWarm(200);
-    i.startBatch(260, 1); // 60 idle
-    i.finishBatch(300);
-    EXPECT_EQ(i.idleTicks(340), 60 + 40); // plus running idle segment
-    i.reap(350);
-    EXPECT_EQ(i.idleTicks(1000), 60 + 50); // frozen after reap
-}
-
-TEST(InstanceTest, LifetimeEndsAtReap)
-{
-    Instance i = makeInstance();
-    i.becomeWarm(150);
-    EXPECT_EQ(i.lifetime(500), 400);
-    i.reap(600);
-    EXPECT_EQ(i.lifetime(9999), 500);
 }
 
 TEST(InstanceTest, BatchFillMustRespectConfig)
 {
     Instance i = makeInstance(4);
     i.becomeWarm(200);
-    EXPECT_THROW(i.startBatch(210, 0), PanicError);
-    EXPECT_THROW(i.startBatch(210, 5), PanicError);
-    EXPECT_NO_THROW(i.startBatch(210, 4));
+    EXPECT_THROW(i.startBatch(0), PanicError);
+    EXPECT_THROW(i.startBatch(5), PanicError);
+    EXPECT_NO_THROW(i.startBatch(4));
 }
 
 TEST(InstanceTest, IllegalTransitionsPanic)
 {
     Instance i = makeInstance();
-    EXPECT_THROW(i.startBatch(110, 1), PanicError); // not warm yet
+    EXPECT_THROW(i.startBatch(1), PanicError); // not warm yet
     i.becomeWarm(200);
     EXPECT_THROW(i.becomeWarm(210), PanicError); // double warm
-    i.startBatch(220, 1);
-    EXPECT_THROW(i.reap(230), PanicError); // reap while busy
+    i.startBatch(1);
+    EXPECT_THROW(i.reap(), PanicError); // reap while busy
     i.finishBatch(240);
     EXPECT_THROW(i.finishBatch(250), PanicError); // double finish
 }
@@ -101,7 +80,7 @@ TEST(InstanceTest, IllegalTransitionsPanic)
 TEST(InstanceTest, ReapFromColdStartingAllowed)
 {
     Instance i = makeInstance();
-    EXPECT_NO_THROW(i.reap(150));
+    EXPECT_NO_THROW(i.reap());
     EXPECT_EQ(i.state(), InstanceState::Reaped);
 }
 
@@ -114,7 +93,7 @@ TEST(InstanceTest, ConfigStrFormats)
 TEST(InstanceTest, BatchSizeBelowOneRejected)
 {
     EXPECT_THROW(
-        Instance(1, "fn", InstanceConfig{0, Resources{1, 0, 0}}, 0, 0, true),
+        Instance(1, InstanceConfig{0, Resources{1, 0, 0}}, 0, 0, true),
         PanicError);
 }
 

@@ -41,7 +41,8 @@ TEST(ResourcesTest, SubtractionBelowZeroPanics)
 {
     Resources a{100, 0, 0};
     Resources b{200, 0, 0};
-    // The message is formatted only on failure, with str()'s rendering.
+    // The message is formatted only on failure, with operator<<'s
+    // rendering.
     try {
         a -= b;
         FAIL() << "subtraction below zero did not panic";
@@ -73,12 +74,6 @@ TEST(ResourcesTest, DefaultBetaReflectsFlopsRatio)
     // One CPU core is worth far less than one GPU.
     EXPECT_GT(kDefaultBeta, 0.0);
     EXPECT_LT(kDefaultBeta, 0.01);
-}
-
-TEST(ResourcesTest, StrIsHumanReadable)
-{
-    Resources r{2000, 10, 4096};
-    EXPECT_EQ(r.str(), "cpu=2000mc gpu=10% mem=4096MB");
 }
 
 } // namespace

@@ -81,7 +81,8 @@ TEST(ChainTest, RequestsFlowThroughEveryStage)
 {
     Platform p(8);
     auto chain = p.deployChain(osvtChain());
-    p.injectChainTrace(chain, uniformArrivals(40.0, kTicksPerMin));
+    p.injectTrace(p.chainStages(chain).front(),
+                  uniformArrivals(40.0, kTicksPerMin));
     p.run(kTicksPerMin + 15 * kTicksPerSec);
 
     const auto &cm = p.chainMetrics(chain);
@@ -100,7 +101,8 @@ TEST(ChainTest, EndToEndLatencyCoversAllStages)
 {
     Platform p(8);
     auto chain = p.deployChain(osvtChain());
-    p.injectChainTrace(chain, uniformArrivals(40.0, kTicksPerMin));
+    p.injectTrace(p.chainStages(chain).front(),
+                  uniformArrivals(40.0, kTicksPerMin));
     p.run(kTicksPerMin + 15 * kTicksPerSec);
 
     const auto &cm = p.chainMetrics(chain);
@@ -120,7 +122,8 @@ TEST(ChainTest, MeetsEndToEndSloUnderSteadyLoad)
 {
     Platform p(8);
     auto chain = p.deployChain(osvtChain(msToTicks(500)));
-    p.injectChainTrace(chain, uniformArrivals(60.0, 2 * kTicksPerMin));
+    p.injectTrace(p.chainStages(chain).front(),
+                  uniformArrivals(60.0, 2 * kTicksPerMin));
     p.run(2 * kTicksPerMin + 15 * kTicksPerSec);
     EXPECT_LT(p.chainMetrics(chain).sloViolationRate(), 0.12);
 }
@@ -133,7 +136,8 @@ TEST(ChainTest, SingleStageChainBehavesLikeAFunction)
     spec.models = {"ResNet-50"};
     spec.sloTicks = msToTicks(200);
     auto chain = p.deployChain(spec);
-    p.injectChainTrace(chain, uniformArrivals(30.0, 30 * kTicksPerSec));
+    p.injectTrace(p.chainStages(chain).front(),
+                  uniformArrivals(30.0, 30 * kTicksPerSec));
     p.run(40 * kTicksPerSec);
     const auto &cm = p.chainMetrics(chain);
     auto fn = p.chainStages(chain)[0];
@@ -155,7 +159,8 @@ TEST(ChainTest, ChainsAndFunctionsCoexist)
     auto chain = p.deployChain(osvtChain());
     infless::core::FunctionSpec solo{"solo", "MNIST", msToTicks(50), 32};
     auto fn = p.deploy(solo);
-    p.injectChainTrace(chain, uniformArrivals(30.0, kTicksPerMin));
+    p.injectTrace(p.chainStages(chain).front(),
+                  uniformArrivals(30.0, kTicksPerMin));
     p.injectTrace(fn, uniformArrivals(20.0, kTicksPerMin));
     p.run(kTicksPerMin + 15 * kTicksPerSec);
     EXPECT_GT(p.chainMetrics(chain).completions(), 0);

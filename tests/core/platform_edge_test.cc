@@ -81,7 +81,8 @@ TEST(PlatformEdgeTest, ChainsWorkOnBaselinePlatformsToo)
     spec.models = {"MobileNet", "ResNet-50"};
     spec.sloTicks = msToTicks(500);
     auto chain = p.deployChain(spec);
-    p.injectChainTrace(chain, uniformArrivals(30.0, kTicksPerMin));
+    p.injectTrace(p.chainStages(chain).front(),
+                  uniformArrivals(30.0, kTicksPerMin));
     p.run(kTicksPerMin + 15 * kTicksPerSec);
     const auto &cm = p.chainMetrics(chain);
     EXPECT_GT(cm.completions(), 0);

@@ -232,7 +232,8 @@ TEST(PlatformRequestTableTest, RecordsTrackInFlightThroughChaos)
     chain.sloTicks = msToTicks(400);
     auto ch = p.deployChain(chain);
     p.injectTrace(fn, uniformArrivals(1500.0, 40 * kTicksPerSec));
-    p.injectChainTrace(ch, uniformArrivals(40.0, 40 * kTicksPerSec));
+    p.injectTrace(p.chainStages(ch).front(),
+                  uniformArrivals(40.0, 40 * kTicksPerSec));
 
     int audits = 0;
     std::vector<std::string> failures;

@@ -596,6 +596,17 @@ TEST(ShardedPlatform, RunBeforeTheClockPanics)
     }
 }
 
+TEST(ShardedPlatform, CellAccessorsRejectOutOfRangeIndex)
+{
+    CellOptions cells;
+    cells.cells = 2;
+    ShardedPlatform platform(8, {}, cells);
+    EXPECT_NO_THROW(platform.cell(1));
+    EXPECT_EQ(platform.routedTo(1), 0);
+    EXPECT_THROW(platform.cell(2), infless::sim::PanicError);
+    EXPECT_THROW(platform.routedTo(2), infless::sim::PanicError);
+}
+
 /** FNV-1a over the bit patterns of @p values. */
 std::uint64_t
 bitDigest(const std::vector<double> &values)

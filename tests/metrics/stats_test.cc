@@ -63,17 +63,6 @@ TEST(LatencyHistogramTest, PercentileBoundedByObservedMax)
     EXPECT_LE(h.percentile(100), 123);
 }
 
-TEST(LatencyHistogramTest, FractionAboveThreshold)
-{
-    LatencyHistogram h;
-    for (int i = 0; i < 90; ++i)
-        h.record(10 * kTicksPerMs);
-    for (int i = 0; i < 10; ++i)
-        h.record(1000 * kTicksPerMs);
-    double above = h.fractionAbove(100 * kTicksPerMs);
-    EXPECT_NEAR(above, 0.10, 0.02);
-}
-
 TEST(LatencyHistogramTest, NegativeSamplesClampToZero)
 {
     LatencyHistogram h;
@@ -144,8 +133,6 @@ TEST(LatencyHistogramTest, NeverRecordedKeepsBucketLayout)
     }
     for (double p : {0.0, 50.0, 99.0, 100.0})
         EXPECT_EQ(empty.percentile(p), 0);
-    for (Tick threshold : {Tick{0}, kTicksPerMs, infless::sim::kTicksPerHour})
-        EXPECT_DOUBLE_EQ(empty.fractionAbove(threshold), 0.0);
     EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
     EXPECT_DOUBLE_EQ(empty.sum(), 0.0);
 }
@@ -203,22 +190,6 @@ TEST(LatencyHistogramTest, BucketAccessorsAreConsistent)
     EXPECT_DOUBLE_EQ(h.sum(), 50.0 * kTicksPerMs);
     // Every sample sits in a bucket whose upper edge covers it.
     EXPECT_GE(h.bucketUpperBound(h.bucketCount() - 1), h.max());
-}
-
-TEST(LatencyHistogramTest, FractionAboveEdges)
-{
-    LatencyHistogram empty;
-    EXPECT_DOUBLE_EQ(empty.fractionAbove(0), 0.0);
-
-    LatencyHistogram h;
-    h.record(0);
-    h.record(5 * kTicksPerMs);
-    // A zero sample is never above a zero threshold; the 5ms one is.
-    EXPECT_DOUBLE_EQ(h.fractionAbove(0), 0.5);
-    // Nothing exceeds the representable range.
-    EXPECT_DOUBLE_EQ(h.fractionAbove(infless::sim::kTicksPerHour), 0.0);
-    // A threshold above every sample reports zero.
-    EXPECT_DOUBLE_EQ(h.fractionAbove(10 * kTicksPerMs), 0.0);
 }
 
 TEST(LatencyHistogramTest, QuantilesStayWithinRelativeBucketError)

@@ -123,15 +123,6 @@ TEST(ModelZooTest, ChainModelsHaveZeroOverlap)
                      0.0);
 }
 
-TEST(ModelZooTest, BatchSizesDescendingFromMax)
-{
-    const auto &info = ModelZoo::shared().get("ResNet-50");
-    auto sizes = info.batchSizesDescending();
-    ASSERT_EQ(sizes.size(), 6u);
-    EXPECT_EQ(sizes.front(), 32);
-    EXPECT_EQ(sizes.back(), 1);
-}
-
 TEST(ModelZooTest, NoiseKeysAreDistinct)
 {
     const auto &zoo = ModelZoo::shared();

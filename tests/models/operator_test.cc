@@ -5,19 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "models/operator.hh"
-#include "sim/logging.hh"
 
 namespace {
 
 using infless::models::kNumOpKinds;
 using infless::models::OpKind;
-using infless::models::opKindFromName;
 using infless::models::opName;
 using infless::models::opTraits;
-using infless::sim::PanicError;
 
 TEST(OperatorTest, EveryKindHasConsistentTraits)
 {
@@ -32,19 +27,6 @@ TEST(OperatorTest, EveryKindHasConsistentTraits)
         EXPECT_GE(t.cpuOverhead, 0);
         EXPECT_GE(t.gpuOverhead, 0);
     }
-}
-
-TEST(OperatorTest, NamesRoundTrip)
-{
-    for (int i = 0; i < kNumOpKinds; ++i) {
-        auto kind = static_cast<OpKind>(i);
-        EXPECT_EQ(opKindFromName(opName(kind)), kind);
-    }
-}
-
-TEST(OperatorTest, UnknownNamePanics)
-{
-    EXPECT_THROW(opKindFromName("NotAnOp"), PanicError);
 }
 
 TEST(OperatorTest, DenseMathIsGpuFriendly)

@@ -15,7 +15,6 @@ namespace {
 
 using infless::overload::BreakerConfig;
 using infless::overload::BreakerState;
-using infless::overload::breakerStateName;
 using infless::overload::CircuitBreaker;
 using infless::overload::kHalfOpenSuccesses;
 using infless::sim::kTicksPerSec;
@@ -207,13 +206,6 @@ TEST(CircuitBreakerTest, FailedProbeCycleDoesNotWedge)
     EXPECT_EQ(b.state(), BreakerState::Closed);
     // And it admits traffic again.
     EXPECT_TRUE(b.allow(t2 + 10, 3));
-}
-
-TEST(CircuitBreakerTest, StateNames)
-{
-    EXPECT_STREQ(breakerStateName(BreakerState::Closed), "closed");
-    EXPECT_STREQ(breakerStateName(BreakerState::Open), "open");
-    EXPECT_STREQ(breakerStateName(BreakerState::HalfOpen), "half_open");
 }
 
 } // namespace

@@ -5,17 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/rng.hh"
 #include "workload/generators.hh"
 
 namespace {
 
 using infless::sim::kTicksPerMin;
 using infless::sim::kTicksPerSec;
-using infless::sim::Rng;
 using infless::sim::Tick;
 using infless::workload::constantRate;
-using infless::workload::poissonArrivals;
 using infless::workload::uniformArrivals;
 
 TEST(GeneratorsTest, ConstantRateFillsAllBins)
@@ -32,30 +29,8 @@ TEST(GeneratorsTest, ConstantRateRoundsBinsUp)
     EXPECT_EQ(s.rps.size(), 2u);
 }
 
-TEST(GeneratorsTest, PoissonCountConcentratesAroundMean)
-{
-    Rng rng(11);
-    auto trace = poissonArrivals(100.0, 60 * kTicksPerSec, rng);
-    EXPECT_NEAR(static_cast<double>(trace.size()), 6000.0, 300.0);
-}
-
-TEST(GeneratorsTest, PoissonGapsAreExponential)
-{
-    Rng rng(13);
-    auto trace = poissonArrivals(50.0, 600 * kTicksPerSec, rng);
-    auto gaps = trace.idleGaps();
-    double sum = 0.0;
-    for (Tick g : gaps)
-        sum += static_cast<double>(g);
-    double mean_gap_sec =
-        sum / static_cast<double>(gaps.size()) / kTicksPerSec;
-    EXPECT_NEAR(mean_gap_sec, 1.0 / 50.0, 0.002);
-}
-
 TEST(GeneratorsTest, ZeroRateIsEmpty)
 {
-    Rng rng(1);
-    EXPECT_TRUE(poissonArrivals(0.0, kTicksPerMin, rng).empty());
     EXPECT_TRUE(uniformArrivals(0.0, kTicksPerMin).empty());
 }
 
@@ -63,9 +38,9 @@ TEST(GeneratorsTest, UniformArrivalsAreEvenlySpaced)
 {
     auto trace = uniformArrivals(10.0, 2 * kTicksPerSec);
     ASSERT_EQ(trace.size(), 19u); // gap 100ms, starting at 100ms
-    auto gaps = trace.idleGaps();
-    for (Tick g : gaps)
-        EXPECT_EQ(g, kTicksPerSec / 10);
+    const auto &arrivals = trace.arrivals();
+    for (std::size_t i = 1; i < arrivals.size(); ++i)
+        EXPECT_EQ(arrivals[i] - arrivals[i - 1], kTicksPerSec / 10);
 }
 
 TEST(GeneratorsTest, UniformArrivalsStayInsideHorizon)

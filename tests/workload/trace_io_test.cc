@@ -1,75 +1,68 @@
 /**
  * @file
- * Tests for Azure-style trace CSV reading and writing.
+ * Tests for Azure-style trace CSV reading.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/logging.hh"
-
-#include "workload/azure_synth.hh"
 #include "workload/trace_io.hh"
 
 namespace {
 
 using infless::sim::FatalError;
 using infless::sim::kTicksPerMin;
-using infless::workload::RateSeries;
 using infless::workload::readAzureCsv;
 using infless::workload::TraceSet;
-using infless::workload::writeAzureCsv;
 
-RateSeries
-minuteSeries(std::vector<double> rps)
+TEST(TraceIoTest, CountsPerMinuteBecomeRps)
 {
-    RateSeries series;
-    series.binWidth = kTicksPerMin;
-    series.rps = std::move(rps);
-    return series;
-}
-
-TEST(TraceIoTest, RoundTripPreservesCounts)
-{
-    TraceSet out;
-    out["fn-a"] = minuteSeries({1.0, 2.0, 0.5});
-    out["fn-b"] = minuteSeries({0.0, 10.0, 3.0});
-    std::stringstream buffer;
-    writeAzureCsv(buffer, out);
+    std::stringstream buffer("function,1,2,3\n"
+                             "fn-a,60,120,30\n"
+                             "fn-b,0,600,180\n");
     TraceSet in = readAzureCsv(buffer);
 
     ASSERT_EQ(in.size(), 2u);
     ASSERT_EQ(in["fn-a"].rps.size(), 3u);
-    // Counts are integral per minute: 1.0 RPS -> 60/min -> 1.0 RPS back.
+    EXPECT_EQ(in["fn-a"].binWidth, kTicksPerMin);
     EXPECT_DOUBLE_EQ(in["fn-a"].rps[0], 1.0);
     EXPECT_DOUBLE_EQ(in["fn-a"].rps[1], 2.0);
+    EXPECT_DOUBLE_EQ(in["fn-a"].rps[2], 0.5);
+    EXPECT_DOUBLE_EQ(in["fn-b"].rps[0], 0.0);
     EXPECT_DOUBLE_EQ(in["fn-b"].rps[1], 10.0);
+    EXPECT_DOUBLE_EQ(in["fn-b"].rps[2], 3.0);
 }
 
-TEST(TraceIoTest, ShorterSeriesPadWithZeros)
+TEST(TraceIoTest, ZeroPaddedRowsKeepEveryMinute)
 {
-    TraceSet out;
-    out["long"] = minuteSeries({1.0, 1.0, 1.0, 1.0});
-    out["short"] = minuteSeries({2.0});
-    std::stringstream buffer;
-    writeAzureCsv(buffer, out);
+    // A series shorter than the file carries zero counts to the end.
+    std::stringstream buffer("function,1,2,3,4\n"
+                             "long,60,60,60,60\n"
+                             "short,120,0,0,0\n");
     TraceSet in = readAzureCsv(buffer);
     ASSERT_EQ(in["short"].rps.size(), 4u);
     EXPECT_DOUBLE_EQ(in["short"].rps[0], 2.0);
+    EXPECT_DOUBLE_EQ(in["short"].rps[1], 0.0);
     EXPECT_DOUBLE_EQ(in["short"].rps[3], 0.0);
 }
 
-TEST(TraceIoTest, HeaderFormat)
+TEST(TraceIoTest, EachRowBecomesItsOwnNamedSeries)
 {
-    TraceSet out;
-    out["f"] = minuteSeries({1.0, 2.0});
-    std::stringstream buffer;
-    writeAzureCsv(buffer, out);
-    std::string header;
-    std::getline(buffer, header);
-    EXPECT_EQ(header, "function,1,2");
+    // Rows map to series by name whatever their order, and one row's
+    // counts never leak into another's.
+    std::stringstream buffer("function,1,2\n"
+                             "periodic,300,0\n"
+                             "bursty,0,6000\n"
+                             "sporadic,6,6\n");
+    TraceSet in = readAzureCsv(buffer);
+    ASSERT_EQ(in.size(), 3u);
+    EXPECT_EQ(in["periodic"].rps, (std::vector<double>{5.0, 0.0}));
+    EXPECT_EQ(in["bursty"].rps, (std::vector<double>{0.0, 100.0}));
+    EXPECT_EQ(in["sporadic"].rps, (std::vector<double>{0.1, 0.1}));
 }
 
 TEST(TraceIoTest, EmptyInputYieldsEmptySet)
@@ -105,36 +98,9 @@ TEST(TraceIoTest, NegativeCountsAreFatal)
     EXPECT_THROW(readAzureCsv(buffer), FatalError);
 }
 
-TEST(TraceIoTest, NonMinuteBinsAreRejectedOnWrite)
-{
-    TraceSet out;
-    RateSeries bad;
-    bad.binWidth = kTicksPerMin / 2;
-    bad.rps = {1.0};
-    out["bad"] = bad;
-    std::stringstream buffer;
-    EXPECT_THROW(writeAzureCsv(buffer, out), infless::sim::PanicError);
-}
-
 TEST(TraceIoTest, MissingFileIsFatal)
 {
     EXPECT_THROW(readAzureCsv("/nonexistent/dir/trace.csv"), FatalError);
-}
-
-TEST(TraceIoTest, SynthesizedTraceSurvivesRoundTrip)
-{
-    TraceSet out;
-    out["periodic"] = infless::workload::synthesizeTrace(
-        infless::workload::TracePattern::Periodic, 5.0, 0.1, 3);
-    std::stringstream buffer;
-    writeAzureCsv(buffer, out);
-    TraceSet in = readAzureCsv(buffer);
-    ASSERT_EQ(in["periodic"].rps.size(), out["periodic"].rps.size());
-    // Counts quantize to whole invocations per minute: within 1/60 RPS.
-    for (std::size_t i = 0; i < in["periodic"].rps.size(); ++i) {
-        EXPECT_NEAR(in["periodic"].rps[i], out["periodic"].rps[i],
-                    1.0 / 60.0 + 1e-9);
-    }
 }
 
 } // namespace

@@ -154,19 +154,6 @@ TEST(ArrivalTraceTest, UnsortedConstructionPanics)
                  infless::sim::PanicError);
 }
 
-TEST(ArrivalTraceTest, IdleGapsAreConsecutiveDifferences)
-{
-    ArrivalTrace trace(std::vector<Tick>{10, 30, 35, 100});
-    auto gaps = trace.idleGaps();
-    EXPECT_EQ(gaps, (std::vector<Tick>{20, 5, 65}));
-}
-
-TEST(ArrivalTraceTest, IdleGapsOfShortTraces)
-{
-    EXPECT_TRUE(ArrivalTrace().idleGaps().empty());
-    EXPECT_TRUE(ArrivalTrace(std::vector<Tick>{5}).idleGaps().empty());
-}
-
 TEST(ArrivalTraceTest, DeterministicUnderSameSeed)
 {
     RateSeries s;
