@@ -31,23 +31,13 @@ class ParallelSweep
 {
   public:
     /**
-     * Worker count used when map() is called with threads == 0:
-     * sim::WorkerPool::defaultThreads() read from the
-     * INFLESS_SWEEP_THREADS environment variable.
-     */
-    static std::size_t
-    defaultThreads()
-    {
-        return sim::WorkerPool::defaultThreads("INFLESS_SWEEP_THREADS");
-    }
-
-    /**
      * Apply @p fn to every element of @p items, possibly concurrently,
      * and return the results in input order.
      *
-     * @p threads of 0 picks defaultThreads(); 1 runs serially on the
-     * calling thread. The first exception thrown by any invocation is
-     * rethrown on the caller after all invocations finished.
+     * @p threads of 0 picks sim::WorkerPool::defaultThreads(); 1 runs
+     * serially on the calling thread. The first exception thrown by any
+     * invocation is rethrown on the caller after all invocations
+     * finished.
      */
     template <typename Item, typename Fn>
     static auto map(const std::vector<Item> &items, Fn &&fn,
@@ -59,7 +49,7 @@ class ParallelSweep
         if (items.empty())
             return results;
         if (threads == 0)
-            threads = defaultThreads();
+            threads = sim::WorkerPool::defaultThreads();
         sim::WorkerPool pool(std::min(threads, items.size()));
         pool.parallelFor(items.size(),
                          [&](std::size_t i) { results[i] = fn(items[i]); });

@@ -53,9 +53,7 @@ class BatchOtp : public core::Platform
     std::vector<core::LaunchPlan> planScaleOut(FunctionState &fn,
                                                double residual_rps) override;
     sim::Tick ingressDelay() const override { return kOtpDelay; }
-    bool activeScaleIn() const override { return false; }
-    bool packRouting() const override { return true; }
-    bool reconfigures() const override { return false; }
+    bool uniformScaling() const override { return true; }
 
     /** Whether placement uses the e_ij best-fit rule (BATCH+RS). */
     virtual bool bestFitPlacement() const { return false; }

@@ -35,9 +35,7 @@ class OpenFaasPlus : public core::Platform
     std::vector<core::LaunchPlan> planScaleOut(FunctionState &fn,
                                                double residual_rps) override;
     bool oneToOne() const override { return true; }
-    bool activeScaleIn() const override { return false; }
-    bool packRouting() const override { return true; }
-    bool reconfigures() const override { return false; }
+    bool uniformScaling() const override { return true; }
 };
 
 } // namespace infless::baselines

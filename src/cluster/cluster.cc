@@ -132,24 +132,6 @@ Cluster::setServerUp(ServerId id)
 }
 
 void
-Cluster::setServerDomain(ServerId id, const FailureDomain &domain)
-{
-    checkId(id);
-    if (domains_.size() < size())
-        domains_.resize(size());
-    domains_[static_cast<std::size_t>(id)] = domain;
-}
-
-FailureDomain
-Cluster::serverDomain(ServerId id) const
-{
-    checkId(id);
-    if (static_cast<std::size_t>(id) >= domains_.size())
-        return FailureDomain{};
-    return domains_[static_cast<std::size_t>(id)];
-}
-
-void
 Cluster::quarantineServer(ServerId id)
 {
     Server &s = serverMut(id);

@@ -12,7 +12,6 @@
 #include "cluster/capacity_index.hh"
 #include "cluster/resources.hh"
 #include "cluster/server.hh"
-#include "cluster/topology.hh"
 
 namespace infless::cluster {
 
@@ -127,18 +126,6 @@ class Cluster
     /** Number of servers currently down. O(materialized servers). */
     std::size_t downServers() const;
 
-    // Failure domains -------------------------------------------------------
-
-    /**
-     * Assign the (zone, rack) a server physically lives in. A plain
-     * store: the capacity index does not see domains. Domains are a
-     * property of the *machine*, keyed off its global id by the caller.
-     */
-    void setServerDomain(ServerId id, const FailureDomain &domain);
-
-    /** Domain of a server (unassigned ⇒ kNoDomain fields). */
-    FailureDomain serverDomain(ServerId id) const;
-
     // Health state (outlier ejection) ---------------------------------------
 
     /**
@@ -214,8 +201,6 @@ class Cluster
     Resources allocated_;
     /** Ids of servers with at least one allocation, sorted ascending. */
     std::vector<ServerId> active_;
-    /** Per-server failure domain; empty until the first assignment. */
-    std::vector<FailureDomain> domains_;
 };
 
 } // namespace infless::cluster

@@ -14,8 +14,6 @@ testbedServerCapacity()
     return Resources{16'000, 200, 128 * 1024};
 }
 
-Server::Server() : Server(kNoServer, testbedServerCapacity()) {}
-
 Server::Compact
 Server::Compact::narrow(const Resources &r)
 {

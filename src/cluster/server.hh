@@ -21,15 +21,13 @@ constexpr ServerId kNoServer = -1;
 /**
  * Tracks capacity, current allocation and fragmentation of one machine.
  *
- * The testbed machine of the paper (Table 2) is the default: 16 physical
- * cores, 128 GiB RAM and two RTX 2080Ti GPUs (200% SM).
+ * The testbed machine of the paper (Table 2), testbedServerCapacity(), is
+ * Cluster's default: 16 physical cores, 128 GiB RAM and two RTX 2080Ti
+ * GPUs (200% SM).
  */
 class Server
 {
   public:
-    /** Default-constructed servers mirror the paper's testbed node. */
-    Server();
-
     /** Panics if a component of @p capacity is negative or exceeds
      *  INT32_MAX. */
     Server(ServerId id, const Resources &capacity);

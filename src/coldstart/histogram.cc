@@ -96,22 +96,6 @@ IdleTimeHistogram::count(std::size_t w) const
     return static_cast<std::size_t>(at(w).total);
 }
 
-sim::Tick
-IdleTimeHistogram::window(std::size_t w) const
-{
-    return at(w).horizon;
-}
-
-double
-IdleTimeHistogram::overflowFraction(std::size_t w) const
-{
-    const Window &win = at(w);
-    if (win.total == 0)
-        return 0.0;
-    return static_cast<double>(win.bins.back()) /
-           static_cast<double>(win.total);
-}
-
 std::size_t
 IdleTimeHistogram::percentileBin(const Window &win, double p) const
 {

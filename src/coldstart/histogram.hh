@@ -62,9 +62,6 @@ class IdleTimeHistogram
     /** Number of samples window @p w retains. */
     std::size_t count(std::size_t w = 0) const;
 
-    /** Fraction of window @p w's samples in the overflow bin. */
-    double overflowFraction(std::size_t w = 0) const;
-
     /**
      * Idle-time percentile of window @p w in ticks (p in [0, 100]),
      * reported as the *upper* edge of the containing bin — conservative
@@ -79,9 +76,6 @@ class IdleTimeHistogram
      * earlier).
      */
     sim::Tick percentileLower(double p, std::size_t w = 0) const;
-
-    /** Retention horizon of window @p w. */
-    sim::Tick window(std::size_t w = 0) const;
 
     /** Samples held in the shared log (those the slowest window keeps). */
     std::size_t logSize() const;

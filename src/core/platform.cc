@@ -45,12 +45,6 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
     // goes through the predictor, so ground truth is intact.
     predictor_.setDistortion(opts_.faults.profileErrorFactor);
 
-    if (opts_.topology.enabled()) {
-        for (std::size_t s = 0; s < cluster_.size(); ++s) {
-            auto id = static_cast<cluster::ServerId>(s);
-            cluster_.setServerDomain(id, opts_.topology.domainOf(id));
-        }
-    }
     sim::simAssert(opts_.faults.grayFraction >= 0.0 &&
                        opts_.faults.grayFraction <= 1.0,
                    "gray fraction out of [0,1]");
@@ -71,9 +65,11 @@ Platform::Platform(cluster::Cluster machines, PlatformOptions opts)
             sim_.every(health::kHealthEvalPeriod, [this] { healthTick(); });
     }
     if (opts_.faults.enabled()) {
+        // A disabled topology has no zones, so domain outages on it are
+        // rejected instead of crashing nothing.
         faults_ = std::make_unique<faults::FaultInjector>(
             sim_, opts_.faults, opts_.seed, cluster_.size(),
-            opts_.topology.zones);
+            opts_.topology.enabled() ? opts_.topology.zones : 0);
         faults_->start(faults::FaultInjector::Hooks{
             [this](cluster::ServerId id) { injectServerCrash(id); },
             [this](cluster::ServerId id) { injectServerRecovery(id); },
@@ -470,7 +466,7 @@ Platform::injectDomainOutage(cluster::DomainId zone)
     // injectServerCrash is idempotent.
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
         auto id = static_cast<cluster::ServerId>(s);
-        if (cluster_.serverDomain(id).zone == zone)
+        if (opts_.topology.domainOf(id).zone == zone)
             injectServerCrash(id);
     }
 }
@@ -481,7 +477,7 @@ Platform::injectDomainRepair(cluster::DomainId zone)
     emitClusterEvent(obs::SpanKind::DomainRepair, zone, sim_.now());
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
         auto id = static_cast<cluster::ServerId>(s);
-        if (cluster_.serverDomain(id).zone == zone)
+        if (opts_.topology.domainOf(id).zone == zone)
             injectServerRecovery(id);
     }
 }

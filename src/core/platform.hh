@@ -499,21 +499,17 @@ class Platform
     /** Extra ingress latency before dispatch (the OTP buffer layer). */
     virtual sim::Tick ingressDelay() const { return 0; }
 
-    /** Whether the scaler actively drains excess instances (INFless). */
-    virtual bool activeScaleIn() const { return true; }
-
-    /** Pack requests onto the lowest-index instances instead of
-     *  target-rate weighted spreading (baselines). */
-    virtual bool packRouting() const { return false; }
-
     /**
-     * Whether the auto-scaling engine periodically re-derives the optimal
-     * batch-resource decisions for the measured rate and performs a
-     * rolling (make-before-break) fleet replacement when the current
-     * instances are far from optimal (5 in Fig. 4). The uniform-scaling
-     * baselines never reconfigure running instances.
+     * Uniform scaling (the baselines). INFless actively drains excess
+     * instances, spreads requests by target rate, and periodically
+     * re-derives the optimal batch-resource decisions for the measured
+     * rate, performing a rolling (make-before-break) fleet replacement
+     * when the current instances are far from optimal (5 in Fig. 4). A
+     * uniform-scaling platform does none of the three: it never scales
+     * in, packs requests onto the lowest-index instances, and never
+     * reconfigures running instances.
      */
-    virtual bool reconfigures() const { return true; }
+    virtual bool uniformScaling() const { return false; }
 
     // Shared internals for subclasses ---------------------------------------
 

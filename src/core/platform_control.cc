@@ -180,10 +180,10 @@ Platform::scalerTick()
                 ++f.scaleOutMisses;
                 // Nothing fits next to the current fleet: replacing it
                 // with better configurations may be the only way to grow.
-                if (reconfigures())
+                if (!uniformScaling())
                     maybeReconfigure(static_cast<FunctionId>(fi), measured);
             }
-        } else if (assess.action == Action::ScaleIn && activeScaleIn()) {
+        } else if (assess.action == Action::ScaleIn && !uniformScaling()) {
             auto drains =
                 chooseDrains(infos, costs, measured, kAlpha);
             for (std::size_t local : drains) {
@@ -199,7 +199,7 @@ Platform::scalerTick()
                     armExpiry(mapping[local]);
                 }
             }
-        } else if (assess.action == Action::Hold && reconfigures()) {
+        } else if (assess.action == Action::Hold && !uniformScaling()) {
             maybeReconfigure(static_cast<FunctionId>(fi), measured);
         }
         refreshTargets(f);
@@ -357,14 +357,14 @@ Platform::planScaleOut(FunctionState &f, double residual_rps)
 SpreadContext
 Platform::spreadContextFor(const FunctionState &f) const
 {
-    SpreadContext ctx;
+    SpreadContext ctx{opts_.topology};
     if (spreadArg(ctx) == nullptr)
         return ctx;
     for (std::size_t idx : f.live) {
         const InstanceRuntime &rt = instances_[idx];
         if (rt.draining)
             continue;
-        ctx.add(cluster_.serverDomain(rt.inst.serverId()));
+        ctx.add(rt.inst.serverId());
     }
     return ctx;
 }

@@ -62,7 +62,7 @@ Platform::LiveScan
 Platform::scanLive(const FunctionState &f, bool admission) const
 {
     sim::Tick now = sim_.now();
-    bool pack = packRouting();
+    bool pack = uniformScaling();
     bool one_to_one = oneToOne();
     LiveScan scan;
     for (std::size_t idx : f.live) {

@@ -282,8 +282,7 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
                                               residual_rps);
                         if (e < 0.0)
                             return;
-                        e /= spread->penalty(
-                            cluster.serverDomain(server.id()), weight);
+                        e /= spread->penalty(server.id(), weight);
                         consider(e, server.id());
                     });
                 } else {
@@ -331,7 +330,7 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
         plans.push_back(plan);
 
         if (spread_on)
-            spread->add(cluster.serverDomain(best_server));
+            spread->add(best_server);
         residual_rps -= best_entry->cand.bounds.up;
     }
     return plans;
@@ -401,9 +400,8 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
                     double e =
                         efficiency(cand, server, norm, residual_rps);
                     if (spread_on && e >= 0.0)
-                        e /= spread->penalty(
-                            cluster.serverDomain(server.id()),
-                            config_.spreadWeight);
+                        e /= spread->penalty(server.id(),
+                                             config_.spreadWeight);
                     if (e > best_e) {
                         best_e = e;
                         best_cand = &cand;
@@ -427,7 +425,7 @@ GreedyScheduler::scheduleNaive(const models::ModelInfo &model,
         plans.push_back(plan);
 
         if (spread != nullptr && config_.spreadWeight > 0.0)
-            spread->add(cluster.serverDomain(best_server));
+            spread->add(best_server);
         residual_rps -= best_cand->bounds.up;
     }
     return plans;

@@ -22,6 +22,7 @@
 
 #include "cluster/cluster.hh"
 #include "cluster/instance.hh"
+#include "cluster/topology.hh"
 #include "core/rps_bounds.hh"
 #include "models/model_zoo.hh"
 #include "obs/prof_scope.hh"
@@ -58,8 +59,8 @@ struct SchedulerConfig
     bool noFragmentFloor = false;
 
     /**
-     * Soft anti-affinity spread weight. When positive (and the cluster
-     * has failure domains assigned), every candidate placement's e_ij is
+     * Soft anti-affinity spread weight. When positive (and the spread
+     * context's topology is enabled), every candidate placement's e_ij is
      * divided by 1 + spreadWeight * (instances the function already has
      * in that zone + in that rack), so new instances prefer untouched
      * domains — without ever refusing a placement the base metric would
@@ -70,21 +71,32 @@ struct SchedulerConfig
 };
 
 /**
- * Anti-affinity state for one function's placement pass: how many of
- * its instances already live in each zone/rack. The scheduler updates
- * the counts as it places, so one pass spreads its own launches too.
+ * Anti-affinity state for one function's placement pass: the topology
+ * that maps a server to its (zone, rack), and how many of the
+ * function's instances already live in each zone/rack. The scheduler
+ * updates the counts as it places, so one pass spreads its own launches
+ * too.
  */
 struct SpreadContext
 {
+    SpreadContext() = default;
+    explicit SpreadContext(const cluster::TopologyConfig &topo)
+        : topology(topo)
+    {
+    }
+
+    /** Failure domain of every server, keyed by its id. */
+    cluster::TopologyConfig topology;
     /** Existing instances per zone, indexed by zone id. */
     std::vector<int> zoneCount;
     /** Existing instances per rack, indexed by global rack id. */
     std::vector<int> rackCount;
 
-    /** Count one placement in @p domain. */
+    /** Count one placement on @p server. */
     void
-    add(const cluster::FailureDomain &domain)
+    add(cluster::ServerId server)
     {
+        cluster::FailureDomain domain = topology.domainOf(server);
         if (!domain.assigned())
             return;
         if (zoneCount.size() <= static_cast<std::size_t>(domain.zone))
@@ -96,12 +108,13 @@ struct SpreadContext
     }
 
     /**
-     * The divisor applied to e_ij for a server in @p domain, at
+     * The divisor applied to e_ij for @p server, at
      * SchedulerConfig::spreadWeight @p weight.
      */
     double
-    penalty(const cluster::FailureDomain &domain, double weight) const
+    penalty(cluster::ServerId server, double weight) const
     {
+        cluster::FailureDomain domain = topology.domainOf(server);
         if (!domain.assigned())
             return 1.0;
         int zone = static_cast<std::size_t>(domain.zone) < zoneCount.size()

@@ -64,9 +64,8 @@ struct CellOptions
      * within one backoff period.
      */
     sim::Tick windowTicks = 250 * sim::kTicksPerMs;
-    /** Worker threads for the per-cell engines; 0 = WorkerPool default
-     *  (INFLESS_CELL_THREADS, else hardware concurrency), clamped to
-     *  the cell count. */
+    /** Worker threads for the per-cell engines; 0 = hardware
+     *  concurrency. Clamped to the cell count. */
     std::size_t threads = 0;
 };
 

@@ -79,12 +79,7 @@ FaultInjector::crashServer(std::size_t server)
     double repair_sec =
         serverRng_[server].exponential(1.0 / profile_.serverMttrSec);
     sim::Tick repair = std::max<sim::Tick>(1, sim::secToTicks(repair_sec));
-    sim::logInfo("fault: server ", id, " crashed at t=",
-                 sim::ticksToSec(sim_.now()), "s, repair in ",
-                 sim::ticksToSec(repair), "s");
     sim_.afterFixed(repair, [this, server, id] {
-        sim::logInfo("fault: server ", id, " recovered at t=",
-                     sim::ticksToSec(sim_.now()), "s");
         if (hooks_.serverRecover)
             hooks_.serverRecover(id);
         scheduleCrash(server);
@@ -101,15 +96,10 @@ FaultInjector::scheduleNextDomainOutage()
     sim::Tick repair_at = std::max(ev.repairAt, at + 1);
     sim_.atFixed(at, [this, ev, repair_at] {
         ++domainOutages_;
-        sim::logInfo("fault: zone ", ev.zone, " outage at t=",
-                     sim::ticksToSec(sim_.now()), "s, repair at t=",
-                     sim::ticksToSec(repair_at), "s");
         if (hooks_.domainOutage)
             hooks_.domainOutage(ev.zone);
         sim_.atFixed(repair_at, [this, ev] {
             ++domainRepairs_;
-            sim::logInfo("fault: zone ", ev.zone, " repaired at t=",
-                         sim::ticksToSec(sim_.now()), "s");
             if (hooks_.domainRepair)
                 hooks_.domainRepair(ev.zone);
             // Outages are sequential: the next gap starts at repair.

@@ -30,14 +30,6 @@ Dag::addEdge(NodeId from, NodeId to)
     topo_.clear();
 }
 
-const OpNode &
-Dag::node(NodeId id) const
-{
-    sim::simAssert(id >= 0 && static_cast<std::size_t>(id) < size(),
-                   "bad node id ", id);
-    return nodes_[static_cast<std::size_t>(id)];
-}
-
 std::vector<NodeId>
 Dag::topoOrder() const
 {

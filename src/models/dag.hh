@@ -51,7 +51,6 @@ class Dag
     std::size_t size() const { return nodes_.size(); }
     bool empty() const { return nodes_.empty(); }
 
-    const OpNode &node(NodeId id) const;
     const std::vector<OpNode> &nodes() const { return nodes_; }
 
     /**

@@ -1,6 +1,6 @@
 #include "models/model_zoo.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -330,14 +330,6 @@ ModelZoo::get(const std::string &name) const
             return m;
     }
     sim::fatal("unknown model: ", name);
-}
-
-bool
-ModelZoo::has(const std::string &name) const
-{
-    const std::string &key = (name == "DSSM-2389") ? "DSSM-2365" : name;
-    return std::any_of(models_.begin(), models_.end(),
-                       [&](const ModelInfo &m) { return m.name == key; });
 }
 
 const ModelZoo &

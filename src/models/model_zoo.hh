@@ -49,11 +49,8 @@ class ModelZoo
     /** Builds all 11 models. */
     ModelZoo();
 
-    /** Look a model up by name; panics if unknown. */
+    /** Look a model up by name; fatal() if unknown. */
     const ModelInfo &get(const std::string &name) const;
-
-    /** True if @p name is a known model. */
-    bool has(const std::string &name) const;
 
     /** All models, largest first (Table 1 order). */
     const std::vector<ModelInfo> &all() const { return models_; }

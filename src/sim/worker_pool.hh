@@ -25,7 +25,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -37,25 +36,12 @@ namespace infless::sim {
 class WorkerPool
 {
   public:
-    /**
-     * Pool size used when the constructor gets threads == 0: the
-     * @p env_var environment variable clamped to hardware_concurrency
-     * (falling back to 1 when it does not parse as a positive integer:
-     * "0", "-3", "abc", "8x"), otherwise hardware_concurrency itself.
-     */
+    /** Pool size used when the constructor gets threads == 0: the
+     *  hardware concurrency, at least 1. */
     static std::size_t
-    defaultThreads(const char *env_var = "INFLESS_CELL_THREADS")
+    defaultThreads()
     {
-        unsigned hw_raw = std::thread::hardware_concurrency();
-        std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
-        if (const char *env = std::getenv(env_var)) {
-            char *end = nullptr;
-            long n = std::strtol(env, &end, 10);
-            if (end == env || *end != '\0' || n <= 0)
-                return 1;
-            return std::min(static_cast<std::size_t>(n), hw);
-        }
-        return hw;
+        return std::max(1u, std::thread::hardware_concurrency());
     }
 
     /**

@@ -14,9 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -103,56 +101,27 @@ TEST(ParallelSweepTest, PropagatesTheFirstException)
                  std::runtime_error);
 }
 
-class SweepThreadsEnv : public ::testing::Test
+TEST(ParallelSweepTest, ZeroThreadsStaysWithinHardwareConcurrency)
 {
-  protected:
-    void SetUp() override
-    {
-        const char *cur = std::getenv("INFLESS_SWEEP_THREADS");
-        saved_ = cur ? cur : "";
-        had_ = cur != nullptr;
-    }
-    void TearDown() override
-    {
-        if (had_)
-            setenv("INFLESS_SWEEP_THREADS", saved_.c_str(), 1);
-        else
-            unsetenv("INFLESS_SWEEP_THREADS");
-    }
-
-    static std::size_t hardware()
-    {
-        unsigned hw = std::thread::hardware_concurrency();
-        return hw == 0 ? 1 : hw;
-    }
-
-  private:
-    std::string saved_;
-    bool had_ = false;
-};
-
-TEST_F(SweepThreadsEnv, DefaultThreadsClampsEnvToHardware)
-{
-    // A fleet-sized request cannot oversubscribe the local box.
-    setenv("INFLESS_SWEEP_THREADS", "100000", 1);
-    EXPECT_EQ(ParallelSweep::defaultThreads(), hardware());
-    setenv("INFLESS_SWEEP_THREADS", "1", 1);
-    EXPECT_EQ(ParallelSweep::defaultThreads(), 1u);
-}
-
-TEST_F(SweepThreadsEnv, DefaultThreadsFallsBackToOneOnGarbage)
-{
-    for (const char *bad : {"0", "-3", "abc", "8x", ""}) {
-        setenv("INFLESS_SWEEP_THREADS", bad, 1);
-        EXPECT_EQ(ParallelSweep::defaultThreads(), 1u)
-            << "env value \"" << bad << "\"";
-    }
-}
-
-TEST_F(SweepThreadsEnv, DefaultThreadsUsesHardwareWhenUnset)
-{
-    unsetenv("INFLESS_SWEEP_THREADS");
-    EXPECT_EQ(ParallelSweep::defaultThreads(), hardware());
+    // threads == 0 sizes the pool by the hardware, never above it.
+    std::atomic<int> concurrent{0};
+    std::atomic<int> peak{0};
+    std::vector<int> items(64, 0);
+    ParallelSweep::map(
+        items,
+        [&](int) {
+            int now = ++concurrent;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            --concurrent;
+            return 0;
+        },
+        0);
+    unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(static_cast<unsigned>(peak.load()), hw == 0 ? 1u : hw);
 }
 
 TEST(KneeFromGoodputsTest, ReplaysSerialEarlyExit)

@@ -23,8 +23,6 @@ namespace {
 
 using infless::cluster::CapacityIndex;
 using infless::cluster::Cluster;
-using infless::cluster::DomainId;
-using infless::cluster::FailureDomain;
 using infless::cluster::kDefaultBeta;
 using infless::cluster::kNoServer;
 using infless::cluster::Resources;
@@ -386,19 +384,18 @@ sameAnswers(const Cluster &lazy, const Cluster &full)
 
 TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
 {
-    // Seeded allocate/release, down/up, quarantine/lift and domain
-    // moves. Partway through the fleet is copied and the same sequence
+    // Seeded allocate/release, down/up and quarantine/lift moves.
+    // Partway through the fleet is copied and the same sequence
     // continues on both copies; one server leaves and rejoins the same
     // populous class hundreds of times so stale heap entries pile up
     // and get compacted.
     //
     // The random moves stay on ids 0-35 of a 340-server fleet, so most
-    // of it is never touched. Scripted steps assign domains on the
-    // untouched tail, make a first touch far past the frontier and
-    // release that server back to pristine, and crash and quarantine the
-    // never-touched top id. A reference with a record for every server
-    // takes the same moves, and after every step each lazy fleet must
-    // answer every query as it does.
+    // of it is never touched. Scripted steps make a first touch far past
+    // the frontier and release that server back to pristine, and crash
+    // and quarantine the never-touched top id. A reference with a record
+    // for every server takes the same moves, and after every step each
+    // lazy fleet must answer every query as it does.
     const Resources capacity{16'000, 200, 131'072};
     const std::size_t servers = 340;
     const ServerId top = 339;
@@ -433,13 +430,7 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
             fleets.push_back(&copy);
         }
         // Scripted moves on the untouched tail.
-        if (step == 100) {
-            for (Cluster *c : fleets) {
-                for (ServerId id : {60, 200, top})
-                    c->setServerDomain(id, FailureDomain{2, 5});
-            }
-            ASSERT_LE(original.materialized(), 40u);
-        } else if (step == 2000) {
+        if (step == 2000) {
             ASSERT_LE(original.materialized(), 40u);
             for (Cluster *c : fleets)
                 ASSERT_TRUE(c->allocate(250, far_req));
@@ -466,12 +457,6 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
             // The rejoin phase: server 38 (never the minimum of the
             // untouched class) leaves and rejoins that class on every
             // cycle.
-            if (step == 1000) {
-                for (Cluster *c : fleets) {
-                    c->setServerDomain(37, FailureDomain{1, 3});
-                    c->setServerDomain(38, FailureDomain{1, 3});
-                }
-            }
             Resources req{500, 5, 256};
             for (Cluster *c : fleets) {
                 if (step % 2 == 0)
@@ -518,13 +503,6 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
                 else if (eject)
                     c->quarantineServer(id);
             }
-        } else if (step > 200) {
-            // Domains are assigned mid-run, then servers change racks:
-            // the index must not notice.
-            ServerId id = pickServer();
-            auto rack = static_cast<DomainId>(rng.uniformInt(0, 5));
-            for (Cluster *c : fleets)
-                c->setServerDomain(id, FailureDomain{rack / 2, rack});
         }
         for (Cluster *c : fleets) {
             ASSERT_TRUE(matchesReference(*c)) << "step " << step;
@@ -536,8 +514,6 @@ TEST(CapacityIndexTest, MembershipMatchesSetModelUnderChurn)
     ASSERT_EQ(fleets.size(), 3u);
     EXPECT_GE(max_classes, 20u);
     ASSERT_FALSE(live.empty());
-    EXPECT_EQ(copy.serverDomain(38), (FailureDomain{1, 3}));
-    EXPECT_EQ(copy.serverDomain(200), (FailureDomain{2, 5}));
     EXPECT_EQ(copy.server(250).capacity(), capacity);
     EXPECT_FALSE(copy.server(250).isActive());
 

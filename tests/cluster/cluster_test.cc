@@ -15,7 +15,6 @@
 namespace {
 
 using infless::cluster::Cluster;
-using infless::cluster::FailureDomain;
 using infless::cluster::kNoServer;
 using infless::cluster::Resources;
 using infless::cluster::Server;
@@ -89,7 +88,6 @@ TEST(ClusterTest, BadServerIdPanics)
     EXPECT_THROW(c.allocate(2, Resources{1, 0, 0}), PanicError);
     EXPECT_THROW(c.setServerDown(2), PanicError);
     EXPECT_THROW(c.setServerUp(-1), PanicError);
-    EXPECT_THROW(c.setServerDomain(2, {}), PanicError);
     EXPECT_EQ(c.materialized(), 0u);
 }
 
@@ -110,7 +108,6 @@ TEST(ClusterTest, ServersMaterializeOnFirstChange)
     EXPECT_FALSE(c.serverDown(999));
     c.setServerUp(999);
     c.liftQuarantine(999);
-    c.setServerDomain(999, {1, 2});
     EXPECT_EQ(c.firstFit(Resources{1, 0, 0}), 0);
     EXPECT_EQ(c.materialized(), 0u);
 
@@ -128,7 +125,6 @@ TEST(ClusterTest, ServersMaterializeOnFirstChange)
     EXPECT_EQ(c.materialized(), 601u);
     EXPECT_EQ(c.downServers(), 1u);
     EXPECT_EQ(c.quarantinedServers(), 1u);
-    EXPECT_EQ(c.serverDomain(999), (FailureDomain{1, 2}));
 }
 
 /** Heap bytes in use: small chunks plus mmapped blocks. */

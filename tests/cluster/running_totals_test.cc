@@ -214,23 +214,13 @@ TEST(ClusterRunningTotals, AgreeWithRescanUnderRandomChurn)
 
     // Mostly untouched fleets of 2 to 750 servers. Nine moves in ten land
     // on the six lowest ids; the rest are first touches anywhere below
-    // the top id, often far past the frontier. Domains are assigned up
-    // front on the untouched fleet, and the never-touched top id is
-    // crashed at step 300 and quarantined at step 301.
+    // the top id, often far past the frontier. The never-touched top id
+    // is crashed at step 300 and quarantined at step 301.
     for (std::uint64_t seed = 25; seed <= 36; ++seed) {
         Rng rng(seed);
         auto n = static_cast<std::size_t>(rng.uniformInt(2, 750));
         const Resources capacity = randomCapacity(rng);
         const auto top = static_cast<ServerId>(n - 1);
-        {
-            Cluster c(n, capacity);
-            for (ServerId id = 0; id <= top; id += 7)
-                c.setServerDomain(id, cluster::FailureDomain{id % 3, id});
-            EXPECT_EQ(c.materialized(), 0u);
-            EXPECT_EQ(c.serverDomain(top - top % 7),
-                      (cluster::FailureDomain{(top - top % 7) % 3,
-                                              top - top % 7}));
-        }
         churn(n, capacity, rng,
               [&](int step) {
                   if (step == 300 || step == 301)

@@ -20,8 +20,8 @@ using infless::sim::PanicError;
 
 TEST(ServerTest, DefaultMirrorsTestbedNode)
 {
-    Server s;
-    EXPECT_EQ(s.capacity(), testbedServerCapacity());
+    // Cluster's default capacity: the paper's testbed node.
+    Server s(0, testbedServerCapacity());
     EXPECT_EQ(s.capacity().cpuMillicores, 16'000);
     EXPECT_EQ(s.capacity().gpuSmPercent, 200);
     EXPECT_EQ(s.available(), s.capacity());
@@ -83,7 +83,7 @@ TEST(ServerTest, FragmentRatioTracksWeightedAvailability)
 
 TEST(ServerTest, ZeroSizedAllocationPanics)
 {
-    Server s;
+    Server s(0, testbedServerCapacity());
     EXPECT_THROW(s.allocate(Resources{}), PanicError);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the failure-domain topology: pure-function domain
  * assignment, wrap-around rack layout, and the cluster-side quarantine
- * and domain bookkeeping the health engine builds on.
+ * bookkeeping the health engine builds on.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 namespace {
 
 using infless::cluster::Cluster;
-using infless::cluster::DomainId;
 using infless::cluster::FailureDomain;
 using infless::cluster::kNoDomain;
 using infless::cluster::ServerId;
@@ -65,27 +64,10 @@ TEST(TopologyTest, AssignmentIsAPureFunctionOfGlobalId)
     TopologyConfig topo;
     topo.zones = 4;
     topo.rackSize = 2;
-    // Same id, same domain, however often asked — this is what lets the
-    // assignment survive cell migrations unchanged.
+    // Same id, same domain, however often asked.
     for (ServerId s = 0; s < 32; ++s)
         EXPECT_EQ(topo.domainOf(s), topo.domainOf(s));
     EXPECT_EQ(topo.domainOf(-1).zone, kNoDomain);
-}
-
-TEST(TopologyClusterTest, DomainsStoredAndDefaultUnassigned)
-{
-    Cluster cluster(4);
-    EXPECT_FALSE(cluster.serverDomain(0).assigned());
-
-    TopologyConfig topo;
-    topo.zones = 2;
-    topo.rackSize = 2;
-    for (std::size_t s = 0; s < cluster.size(); ++s)
-        cluster.setServerDomain(static_cast<ServerId>(s),
-                                topo.domainOf(static_cast<ServerId>(s)));
-    EXPECT_EQ(cluster.serverDomain(0).zone, 0);
-    EXPECT_EQ(cluster.serverDomain(2).zone, 1);
-    EXPECT_EQ(cluster.serverDomain(3).rack, 1);
 }
 
 TEST(TopologyClusterTest, QuarantineRemovesFromPlacementOnly)

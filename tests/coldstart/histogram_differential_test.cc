@@ -63,14 +63,6 @@ class ReferenceHistogram
 
     std::size_t count() const { return samples_.size(); }
 
-    double overflowFraction() const
-    {
-        if (total_ == 0)
-            return 0.0;
-        return static_cast<double>(bins_.back()) /
-               static_cast<double>(total_);
-    }
-
     Tick percentile(double p) const
     {
         if (total_ == 0)
@@ -165,8 +157,6 @@ struct Pair
             ReferenceHistogram &ref = refs[w];
             ref.evict(now);
             ASSERT_EQ(multi.count(w), ref.count()) << "window " << w;
-            ASSERT_EQ(multi.overflowFraction(w), ref.overflowFraction())
-                << "window " << w;
             for (double p : {0.0, 1.0, 5.0, 25.0, 50.0, 75.0, 99.0, 100.0}) {
                 ASSERT_EQ(multi.percentile(p, w), ref.percentile(p))
                     << "window " << w << " p" << p;

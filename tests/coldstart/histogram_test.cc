@@ -21,7 +21,6 @@ TEST(HistogramTest, EmptyHistogramReportsZero)
     IdleTimeHistogram h({kTicksPerHour});
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.percentile(50), 0);
-    EXPECT_DOUBLE_EQ(h.overflowFraction(), 0.0);
 }
 
 TEST(HistogramTest, RecordInvocationDerivesGaps)
@@ -80,8 +79,10 @@ TEST(HistogramTest, OverflowSamplesLandInOverflowBin)
                         4 * kTicksPerHour);
     h.addSample(10 * kTicksPerHour, 0); // beyond the 4h range
     h.addSample(kTicksPerMin, 1);
-    EXPECT_NEAR(h.overflowFraction(), 0.5, 1e-12);
-    // The overflow reports as the range cap.
+    // Half the samples fit the range; the overflow half reports as the
+    // range cap.
+    EXPECT_EQ(h.percentile(50), 2 * kTicksPerMin);
+    EXPECT_EQ(h.percentile(51), 4 * kTicksPerHour);
     EXPECT_EQ(h.percentile(100), 4 * kTicksPerHour);
 }
 
@@ -117,7 +118,6 @@ TEST(HistogramTest, WindowsEvictIndependently)
     // Windows listed out of order: the log must trim behind the slowest
     // (24 h) whatever its position.
     IdleTimeHistogram h({24 * kTicksPerHour, kTicksPerHour});
-    EXPECT_EQ(h.window(1), kTicksPerHour);
     h.addSample(kTicksPerMin, 0);
     h.addSample(30 * kTicksPerMin, 90 * kTicksPerMin);
     h.evict(2 * kTicksPerHour);
@@ -154,7 +154,6 @@ TEST(HistogramTest, QueriesAcrossFirstSampleAndFullEviction)
     IdleTimeHistogram h({kTicksPerHour, 4 * kTicksPerHour});
     auto expect_empty = [&h](std::size_t w) {
         EXPECT_EQ(h.count(w), 0u);
-        EXPECT_DOUBLE_EQ(h.overflowFraction(w), 0.0);
         for (double p : {0.0, 50.0, 100.0}) {
             EXPECT_EQ(h.percentile(p, w), 0);
             EXPECT_EQ(h.percentileLower(p, w), 0);
@@ -167,21 +166,19 @@ TEST(HistogramTest, QueriesAcrossFirstSampleAndFullEviction)
     expect_empty(1);
     EXPECT_EQ(h.logSize(), 0u);
     EXPECT_EQ(h.heldBytes(), 0u);
-    EXPECT_EQ(h.window(1), 4 * kTicksPerHour);
     EXPECT_THROW(h.percentile(101), infless::sim::PanicError);
 
     // A 2.5-minute gap lands in the [2, 3) minute bin of both windows.
     h.addSample(5 * kTicksPerMin / 2, 11 * kTicksPerHour);
     for (std::size_t w : {0u, 1u}) {
         EXPECT_EQ(h.count(w), 1u);
-        EXPECT_DOUBLE_EQ(h.overflowFraction(w), 0.0);
         for (double p : {0.0, 50.0, 100.0}) {
             EXPECT_EQ(h.percentile(p, w), 3 * kTicksPerMin);
             EXPECT_EQ(h.percentileLower(p, w), 2 * kTicksPerMin);
         }
     }
     h.addSample(5 * kTicksPerHour, 11 * kTicksPerHour + 1); // overflow
-    EXPECT_DOUBLE_EQ(h.overflowFraction(1), 0.5);
+    EXPECT_EQ(h.percentile(50, 1), 3 * kTicksPerMin);
     EXPECT_EQ(h.percentile(100, 1), 4 * kTicksPerHour);
     EXPECT_EQ(h.percentileLower(100, 1), 4 * kTicksPerHour);
     EXPECT_EQ(h.logSize(), 2u);

@@ -437,8 +437,6 @@ TEST(PlatformDomainTest, ZeroRackTopologyIsDisabled)
         auto fn = p.deploy(resnetSpec());
         p.injectTrace(fn, uniformArrivals(80.0, 20 * kTicksPerSec));
         p.run(30 * kTicksPerSec);
-        for (ServerId s = 0; s < 4; ++s)
-            EXPECT_FALSE(p.cluster().serverDomain(s).assigned());
         const auto &m = p.totalMetrics();
         EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
         return std::tuple(m.arrivals(), m.completions(), m.drops(),
@@ -451,6 +449,22 @@ TEST(PlatformDomainTest, ZeroRackTopologyIsDisabled)
     zero_racks.topology.racksPerZone = 0;
     zero_racks.scheduler.spreadWeight = 0.5;
     EXPECT_EQ(run(zero_racks), run(PlatformOptions{}));
+}
+
+TEST(PlatformDomainTest, OutageOnDisabledTopologyIsRejected)
+{
+    // Zones without racks of any size: the topology is disabled, so a
+    // zone outage would crash no server. The platform refuses it
+    // instead of counting an outage that has no effect.
+    PlatformOptions opts;
+    opts.topology.zones = 2;
+    opts.topology.rackSize = 0;
+    opts.faults.domainOutageAt = kTicksPerSec;
+    EXPECT_THROW(Platform(4, opts), infless::sim::PanicError);
+
+    opts.faults.domainOutageAt = infless::sim::kTickNever;
+    opts.faults.domainOutageMtbfSec = 60.0;
+    EXPECT_THROW(Platform(4, opts), infless::sim::PanicError);
 }
 
 TEST(PlatformDomainTest, SetGrayMultiplierRejectsUnknownServersAndSpeedups)

@@ -270,14 +270,12 @@ TEST_F(EquivalenceFixture, PaperLiteralAlgorithmOne)
 
 TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
 {
-    // Failure-domain anti-affinity: with domains assigned and a live
+    // Failure-domain anti-affinity: with a topology and a live
     // SpreadContext, the fast path must still match the reference
     // bit-for-bit — including the context mutations (each placement
     // feeds back into the next placement's penalty). Cases from 40 on
-    // also take servers down or quarantine them, and on odd cases
-    // assign domains after occupancy and outages, the order
-    // ShardedPlatform uses. The last 30 cases run on mostly untouched
-    // fleets.
+    // also take servers down or quarantine them. The last 30 cases run
+    // on mostly untouched fleets.
     SchedulerConfig cfg;
     cfg.spreadWeight = 0.5;
     GreedyScheduler sched(cop, cfg);
@@ -286,7 +284,6 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
                                              "VGGNet"};
     for (int i = 0; i < 80; ++i) {
         const bool unfiled = i >= 40;
-        const bool late_domains = unfiled && i % 2 == 1;
         const auto &model = zoo.get(
             names[static_cast<std::size_t>(rng.uniformInt(0, 2))]);
         auto slo = msToTicks(100 + 100 * rng.uniformInt(0, 4));
@@ -299,13 +296,6 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
         topo.rackSize = static_cast<std::int32_t>(rng.uniformInt(1, 3));
 
         Cluster base(static_cast<std::size_t>(servers));
-        auto setDomains = [&] {
-            for (cluster::ServerId s = 0;
-                 s < static_cast<cluster::ServerId>(servers); ++s)
-                base.setServerDomain(s, topo.domainOf(s));
-        };
-        if (!late_domains)
-            setDomains();
         randomOccupancy(base, rng, 0.3);
         if (unfiled) {
             for (cluster::ServerId s = 0;
@@ -317,14 +307,12 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
                     base.quarantineServer(s);
             }
         }
-        if (late_domains)
-            setDomains();
 
-        infless::core::SpreadContext spread;
+        infless::core::SpreadContext spread{topo};
         // Pre-existing replicas bias some domains before this pass.
         for (int k = 0; k < rng.uniformInt(0, 6); ++k)
-            spread.add(topo.domainOf(static_cast<cluster::ServerId>(
-                rng.uniformInt(0, servers - 1))));
+            spread.add(static_cast<cluster::ServerId>(
+                rng.uniformInt(0, servers - 1)));
 
         Cluster for_fast = base;
         Cluster for_naive = base;
@@ -338,8 +326,7 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
                               " rps=" + std::to_string(rps) +
                               " servers=" + std::to_string(servers) +
                               " spread case=" + std::to_string(i) +
-                              (unfiled ? " unfiled" : "") +
-                              (late_domains ? " late-domains" : "");
+                              (unfiled ? " unfiled" : "");
         expectIdenticalPlans(fast, naive, context);
         EXPECT_EQ(fast_ctx.zoneCount, naive_ctx.zoneCount) << context;
         EXPECT_EQ(fast_ctx.rackCount, naive_ctx.rackCount) << context;
@@ -347,9 +334,9 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
             << context;
     }
 
-    // Domains assigned on mostly untouched fleets: the spread scan
-    // visits pristine servers by value, and must match the naive scan
-    // and the fast path on a copy with every record built.
+    // Spread on mostly untouched fleets: the spread scan visits
+    // pristine servers by value, and must match the naive scan and the
+    // fast path on a copy with every record built.
     for (int i = 0; i < 30; ++i) {
         const auto &model = zoo.get(
             names[static_cast<std::size_t>(rng.uniformInt(0, 2))]);
@@ -360,18 +347,13 @@ TEST_F(EquivalenceFixture, SpreadScoringMatchesNaive)
         topo.zones = static_cast<std::int32_t>(rng.uniformInt(2, 4));
         topo.racksPerZone = static_cast<std::int32_t>(rng.uniformInt(1, 2));
         topo.rackSize = static_cast<std::int32_t>(rng.uniformInt(1, 3));
-        const std::size_t materialized = base.materialized();
-        for (cluster::ServerId s = 0;
-             s < static_cast<cluster::ServerId>(base.size()); ++s)
-            base.setServerDomain(s, topo.domainOf(s));
-        EXPECT_EQ(base.materialized(), materialized);
 
         Cluster for_fast = base;
         Cluster for_naive = base;
         Cluster for_full = fullyMaterialized(base);
-        infless::core::SpreadContext fast_ctx;
-        infless::core::SpreadContext naive_ctx;
-        infless::core::SpreadContext full_ctx;
+        infless::core::SpreadContext fast_ctx{topo};
+        infless::core::SpreadContext naive_ctx{topo};
+        infless::core::SpreadContext full_ctx{topo};
         auto fast =
             sched.schedule(model, rps, slo, 32, for_fast, &fast_ctx);
         auto naive = sched.scheduleNaive(model, rps, slo, 32, for_naive,

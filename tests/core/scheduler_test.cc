@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for Algorithm 1: AvailableConfig feasibility, the e_ij metric,
- * and greedy placement.
+ * greedy placement, and the failure-domain spread context.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/cluster.hh"
+#include "cluster/topology.hh"
 #include "core/scheduler.hh"
 #include "models/exec_model.hh"
 #include "models/model_zoo.hh"
@@ -26,6 +29,7 @@ using infless::core::execFeasible;
 using infless::core::GreedyScheduler;
 using infless::core::LaunchPlan;
 using infless::core::SchedulerConfig;
+using infless::core::SpreadContext;
 using infless::core::uniformSchedule;
 using infless::models::ExecModel;
 using infless::models::ModelZoo;
@@ -224,6 +228,32 @@ TEST_F(SchedulerFixture, UniformScheduleBestFitPacksTighter)
         uniformSchedule(config, 50.0, cluster, true, 0.003, 1024);
     ASSERT_EQ(plans.size(), 1u);
     EXPECT_EQ(plans[0].server, 2);
+}
+
+TEST(SpreadContextTest, DomainsComeFromTheTopology)
+{
+    // Without a topology no server has a domain: nothing is counted and
+    // every penalty is 1.
+    SpreadContext off;
+    off.add(0);
+    EXPECT_TRUE(off.zoneCount.empty());
+    EXPECT_TRUE(off.rackCount.empty());
+    EXPECT_DOUBLE_EQ(off.penalty(0, 0.5), 1.0);
+
+    // Two zones of one rack each: servers {0, 1} in zone 0, {2, 3} in
+    // zone 1, and server 4 wraps back onto zone 0.
+    cluster::TopologyConfig topo;
+    topo.zones = 2;
+    topo.rackSize = 2;
+    SpreadContext ctx{topo};
+    ctx.add(0);
+    ctx.add(3);
+    ctx.add(2);
+    EXPECT_EQ(ctx.zoneCount, (std::vector<int>{1, 2}));
+    EXPECT_EQ(ctx.rackCount, (std::vector<int>{1, 2}));
+    EXPECT_DOUBLE_EQ(ctx.penalty(1, 0.5), 2.0);
+    EXPECT_DOUBLE_EQ(ctx.penalty(4, 0.5), 2.0);
+    EXPECT_DOUBLE_EQ(ctx.penalty(2, 0.5), 3.0);
 }
 
 } // namespace

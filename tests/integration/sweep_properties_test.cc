@@ -48,8 +48,11 @@ TEST_P(RpsBoundsSweep, BoundsAreOrderedAndScaleWithBatch)
     auto [slo_ms, exec_ms, batch] = GetParam();
     Tick slo = msToTicks(slo_ms);
     Tick exec = msToTicks(exec_ms);
-    if (!execFeasible(exec, slo, batch))
-        GTEST_SKIP() << "infeasible corner";
+    if (!execFeasible(exec, slo, batch)) {
+        // An infeasible corner has no bounds: rpsBounds refuses it.
+        EXPECT_THROW(rpsBounds(exec, slo, batch), infless::sim::PanicError);
+        return;
+    }
 
     auto bounds = rpsBounds(exec, slo, batch);
     EXPECT_LE(bounds.low, bounds.up);

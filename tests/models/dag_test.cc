@@ -157,7 +157,7 @@ TEST(DagTest, ScaleGflopsToTarget)
     Dag dag = b.build();
     dag.scaleGflopsTo(10.0);
     EXPECT_NEAR(dag.totalGflops(), 10.0, 1e-12);
-    EXPECT_NEAR(dag.node(0).gflopsPerSample, 2.5, 1e-12);
+    EXPECT_NEAR(dag.nodes()[0].gflopsPerSample, 2.5, 1e-12);
 }
 
 TEST(DagTest, ScaleZeroGraphPanics)

@@ -27,21 +27,19 @@ TEST(ModelZooTest, ContainsAllElevenModels)
     for (const char *name :
          {"Bert-v1", "ResNet-50", "VGGNet", "LSTM-2365", "ResNet-20", "SSD",
           "DSSM-2365", "DeepSpeech", "MobileNet", "TextCNN-69", "MNIST"}) {
-        EXPECT_TRUE(zoo.has(name)) << name;
+        EXPECT_EQ(zoo.get(name).name, name);
     }
 }
 
 TEST(ModelZooTest, Dssm2389AliasResolves)
 {
     const auto &zoo = ModelZoo::shared();
-    EXPECT_TRUE(zoo.has("DSSM-2389"));
     EXPECT_EQ(zoo.get("DSSM-2389").name, "DSSM-2365");
 }
 
 TEST(ModelZooTest, UnknownModelIsFatal)
 {
     EXPECT_THROW(ModelZoo::shared().get("AlexNet"), FatalError);
-    EXPECT_FALSE(ModelZoo::shared().has("AlexNet"));
 }
 
 TEST(ModelZooTest, Table1SizesAndGflops)
@@ -143,9 +141,9 @@ TEST(ModelZooTest, ApplicationBundles)
     auto qa = ModelZoo::qaRobotModels();
     EXPECT_EQ(qa.size(), 3u);
     for (const auto &name : osvt)
-        EXPECT_TRUE(ModelZoo::shared().has(name)) << name;
+        EXPECT_NO_THROW(ModelZoo::shared().get(name)) << name;
     for (const auto &name : qa)
-        EXPECT_TRUE(ModelZoo::shared().has(name)) << name;
+        EXPECT_NO_THROW(ModelZoo::shared().get(name)) << name;
 }
 
 TEST(ModelZooTest, ModelsSortedLargestFirst)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the panic/fatal helpers and the leveled logger.
+ * Unit tests for the panic/fatal/warn helpers.
  */
 
 #include <gtest/gtest.h>
@@ -15,39 +15,27 @@ namespace {
 
 using infless::sim::fatal;
 using infless::sim::FatalError;
-using infless::sim::logDebug;
-using infless::sim::logError;
-using infless::sim::logInfo;
-using infless::sim::LogLevel;
-using infless::sim::logWarn;
 using infless::sim::panic;
 using infless::sim::PanicError;
-using infless::sim::setLogLevel;
 using infless::sim::setWarnHandler;
 using infless::sim::simAssert;
 using infless::sim::warn;
 
-/** RAII capture of the log sink + a pinned threshold. */
-class LogCapture
+/** RAII capture of the warning sink. */
+class WarnCapture
 {
   public:
-    explicit LogCapture(LogLevel level)
-        : prevLevel_(setLogLevel(level)),
-          prevHandler_(setWarnHandler(
+    WarnCapture()
+        : prevHandler_(setWarnHandler(
               [this](const std::string &msg) { lines.push_back(msg); }))
     {
     }
 
-    ~LogCapture()
-    {
-        setWarnHandler(prevHandler_);
-        setLogLevel(prevLevel_);
-    }
+    ~WarnCapture() { setWarnHandler(prevHandler_); }
 
     std::vector<std::string> lines;
 
   private:
-    LogLevel prevLevel_;
     std::function<void(const std::string &)> prevHandler_;
 };
 
@@ -91,54 +79,35 @@ TEST(LoggingTest, FatalIsARuntimeError)
     EXPECT_THROW(fatal("x"), std::runtime_error);
 }
 
-TEST(LoggingTest, DefaultThresholdPassesWarnSuppressesInfo)
+TEST(LoggingTest, WarnReachesTheHandlerWithItsPrefix)
 {
-    LogCapture capture(LogLevel::Warn);
-    logError("e");
-    logWarn("w");
+    WarnCapture capture;
     warn("legacy ", 7);
-    logInfo("i");
-    logDebug("d");
-    EXPECT_EQ(capture.lines,
-              (std::vector<std::string>{"error: e", "warn: w",
-                                        "warn: legacy 7"}));
+    EXPECT_EQ(capture.lines, (std::vector<std::string>{"warn: legacy 7"}));
 }
 
-TEST(LoggingTest, ErrorThresholdSuppressesWarnings)
+TEST(LoggingTest, SetWarnHandlerReturnsPrevious)
 {
-    LogCapture capture(LogLevel::Error);
-    logError("only this");
-    logWarn("not this");
-    warn("nor this");
-    EXPECT_EQ(capture.lines,
-              (std::vector<std::string>{"error: only this"}));
-}
-
-TEST(LoggingTest, DebugThresholdPassesEverything)
-{
-    LogCapture capture(LogLevel::Debug);
-    logError("e");
-    logWarn("w");
-    logInfo("i");
-    logDebug("d");
-    EXPECT_EQ(capture.lines,
-              (std::vector<std::string>{"error: e", "warn: w", "info: i",
-                                        "debug: d"}));
-}
-
-TEST(LoggingTest, SetLogLevelReturnsPrevious)
-{
-    LogLevel original = setLogLevel(LogLevel::Debug);
-    EXPECT_EQ(setLogLevel(LogLevel::Info), LogLevel::Debug);
-    EXPECT_EQ(setLogLevel(original), LogLevel::Info);
+    std::vector<std::string> first;
+    std::vector<std::string> second;
+    auto original = setWarnHandler(
+        [&](const std::string &msg) { first.push_back(msg); });
+    auto previous = setWarnHandler(
+        [&](const std::string &msg) { second.push_back(msg); });
+    // The returned handler is the one installed before.
+    previous("direct");
+    warn("routed");
+    setWarnHandler(original);
+    EXPECT_EQ(first, (std::vector<std::string>{"direct"}));
+    EXPECT_EQ(second, (std::vector<std::string>{"warn: routed"}));
 }
 
 TEST(LoggingTest, MessagesFormatMultipleParts)
 {
-    LogCapture capture(LogLevel::Info);
-    logInfo("fault: server ", 3, " crashed at t=", 1.5, "s");
+    WarnCapture capture;
+    warn("fault: server ", 3, " crashed at t=", 1.5, "s");
     ASSERT_EQ(capture.lines.size(), 1u);
-    EXPECT_EQ(capture.lines[0], "info: fault: server 3 crashed at t=1.5s");
+    EXPECT_EQ(capture.lines[0], "warn: fault: server 3 crashed at t=1.5s");
 }
 
 } // namespace

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace infless::sim {
@@ -85,32 +85,10 @@ TEST(WorkerPool, FirstExceptionRethrownOnCaller)
     EXPECT_EQ(count.load(), 8);
 }
 
-TEST(WorkerPool, DefaultThreadsClampsEnvToHardware)
+TEST(WorkerPool, DefaultThreadsIsHardwareConcurrency)
 {
-    const char *saved = std::getenv("INFLESS_CELL_THREADS");
-    std::string restore = saved ? saved : "";
-
-    unsigned hw_raw = std::thread::hardware_concurrency();
-    std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
-
-    setenv("INFLESS_CELL_THREADS", "100000", 1);
-    EXPECT_EQ(WorkerPool::defaultThreads(), hw);
-    setenv("INFLESS_CELL_THREADS", "1", 1);
-    EXPECT_EQ(WorkerPool::defaultThreads(), 1u);
-    setenv("INFLESS_CELL_THREADS", "0", 1);
-    EXPECT_EQ(WorkerPool::defaultThreads(), 1u);
-    setenv("INFLESS_CELL_THREADS", "garbage", 1);
-    EXPECT_EQ(WorkerPool::defaultThreads(), 1u);
-    setenv("INFLESS_CELL_THREADS", "-4", 1);
-    EXPECT_EQ(WorkerPool::defaultThreads(), 1u);
-    setenv("INFLESS_CELL_THREADS", "8x", 1);
-    EXPECT_EQ(WorkerPool::defaultThreads(), 1u);
-
-    if (saved)
-        setenv("INFLESS_CELL_THREADS", restore.c_str(), 1);
-    else
-        unsetenv("INFLESS_CELL_THREADS");
-    EXPECT_GE(WorkerPool::defaultThreads(), 1u);
+    unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_EQ(WorkerPool::defaultThreads(), hw == 0 ? 1u : hw);
 }
 
 } // namespace
