@@ -818,6 +818,81 @@ TEST(ShardedPlatform, RoutingOrderGoldenDigest)
     EXPECT_EQ(bitDigest(run.fp), 0x9f3defe6d4394f48ULL);
 }
 
+/** Eight light functions over 16 roomy cells, so no home set spills;
+ *  one function has two interleaving feeds. */
+struct SingleHomeRun
+{
+    std::vector<double> fp;
+    std::vector<std::int64_t> routed;
+    /** routedSinceRefresh per cell after the interior run(). */
+    std::vector<std::int64_t> lastWindow;
+    std::size_t widestHome = 0;
+};
+
+SingleHomeRun
+singleHomeRun()
+{
+    PlatformOptions opts;
+    opts.seed = 73;
+    CellOptions cells;
+    cells.cells = 16;
+    cells.threads = 4;
+    ShardedPlatform platform(64, opts, cells);
+    const char *models[] = {"ResNet-50", "MobileNet", "Bert-v1",
+                            "ResNet-20", "MNIST",     "SSD",
+                            "DSSM-2365", "LSTM-2365"};
+    const Tick load = 10 * kTicksPerSec;
+    for (std::size_t i = 0; i < 8; ++i) {
+        auto fn = platform.deploy(spec(models[i], models[i]));
+        double rps = 10.0 + 5.0 * static_cast<double>(i);
+        if (i % 2 == 0)
+            platform.injectTrace(fn, uniformArrivals(rps, load));
+        else
+            platform.injectRateSeries(fn, constantRate(rps, load));
+    }
+    // A second feed of function 0, 3 ms off the first.
+    platform.injectTrace(
+        0, shifted(uniformArrivals(25.0, load - msToTicks(3)), msToTicks(3)));
+    // An interior run() ending off a window boundary.
+    platform.run(msToTicks(4'100));
+
+    SingleHomeRun out;
+    for (std::size_t c = 0; c < platform.cellCount(); ++c)
+        out.lastWindow.push_back(platform.router().routedSinceRefresh(c));
+    const Tick end = 15 * kTicksPerSec;
+    platform.run(end);
+
+    out.fp = fingerprint(platform.totalMetrics(), end);
+    for (std::size_t fn = 0; fn < platform.functionCount(); ++fn) {
+        auto ffp = fingerprint(
+            platform.functionMetrics(static_cast<int>(fn)), end);
+        out.fp.insert(out.fp.end(), ffp.begin(), ffp.end());
+        out.widestHome =
+            std::max(out.widestHome, platform.router().homeSize(fn));
+    }
+    out.fp.push_back(static_cast<double>(platform.eventsExecuted()));
+    out.fp.push_back(static_cast<double>(platform.schedulerDecisions()));
+    for (std::size_t c = 0; c < platform.cellCount(); ++c)
+        out.routed.push_back(platform.routedTo(c));
+    return out;
+}
+
+TEST(ShardedPlatform, SingleHomeRoutingGoldenDigest)
+{
+    // Every function keeps a one-cell home set for the whole run, so
+    // routing never draws: this pins what the barrier routes when no
+    // feed has a choice of cell.
+    SingleHomeRun run = singleHomeRun();
+    EXPECT_EQ(run.widestHome, 1u);
+    EXPECT_EQ(run.routed,
+              (std::vector<std::int64_t>{0, 385, 217, 0, 633, 0, 0, 547, 519,
+                                         0, 0, 300, 0, 0, 0, 399}));
+    EXPECT_EQ(run.lastWindow,
+              (std::vector<std::int64_t>{0, 3, 1, 0, 7, 0, 0, 8, 4, 0, 0, 3,
+                                         0, 0, 0, 5}));
+    EXPECT_EQ(bitDigest(run.fp), 0xe8c822373e662c47ULL);
+}
+
 TEST(ShardedPlatform, DropPressureCountsEachRejectionOnce)
 {
     // Admission sheds most of a burst far past cell 0's capacity. A shed
