@@ -125,4 +125,15 @@ CellRouter::route(std::size_t fn)
     return pick;
 }
 
+std::size_t
+CellRouter::routeBulk(std::size_t fn, std::int64_t n)
+{
+    ensureFunction(fn);
+    if (homeSize_[fn] != 1)
+        throw std::invalid_argument("CellRouter::routeBulk: home set spilled");
+    std::size_t home = ranking_[fn * digests_.size()];
+    routed_[home] += n;
+    return home;
+}
+
 } // namespace infless::cluster

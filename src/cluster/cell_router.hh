@@ -88,6 +88,14 @@ class CellRouter
      */
     std::size_t route(std::size_t fn);
 
+    /**
+     * Route @p n requests of @p fn at once and return their cell. Only
+     * for a one-cell home set, where it equals @p n calls of route():
+     * it draws nothing and, once @p fn is ranked, allocates nothing.
+     * Throws std::invalid_argument when the home set is wider.
+     */
+    std::size_t routeBulk(std::size_t fn, std::int64_t n);
+
     /** Size of @p fn's home set (1 until it first spills). */
     std::size_t homeSize(std::size_t fn) const;
 

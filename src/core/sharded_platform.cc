@@ -1,6 +1,7 @@
 #include "core/sharded_platform.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "cluster/cell_partition.hh"
@@ -39,6 +40,15 @@ sim::Tick
 takeHead(sim::TickLog &ticks)
 {
     return ticks.done(0) ? sim::kTickNever : ticks.take(0).tick;
+}
+
+/** Whether an arrival at @p tick falls in the window ending at @p end,
+ *  which is @p closed or half-open. A spent feed's kTickNever never
+ *  does. */
+bool
+inWindow(sim::Tick tick, sim::Tick end, bool closed)
+{
+    return tick < end || (closed && tick == end);
 }
 
 } // namespace
@@ -143,7 +153,18 @@ ShardedPlatform::run(sim::Tick until)
         // anchor.
         refreshRouter();
         routeArrivals(w_end, until);
-        pool_->parallelFor(cells_.size(), [this, w_end](std::size_t c) {
+        // Busiest cell first, so the longest window is not the last one
+        // a worker claims. Each body still touches only its own cell.
+        order_.resize(cells_.size());
+        std::iota(order_.begin(), order_.end(), std::size_t{0});
+        std::sort(order_.begin(), order_.end(),
+                  [this](std::size_t a, std::size_t b) {
+                      std::int64_t ra = router_->routedSinceRefresh(a);
+                      std::int64_t rb = router_->routedSinceRefresh(b);
+                      return ra != rb ? ra > rb : a < b;
+                  });
+        pool_->parallelFor(order_.size(), [this, w_end](std::size_t i) {
+            std::size_t c = order_[i];
             injectRouted(c);
             cells_[c]->run(w_end);
         });
@@ -199,30 +220,17 @@ ShardedPlatform::routeArrivals(sim::Tick window_end, sim::Tick until)
     // One buffer per (function, cell), function-major so deploying more
     // functions only appends; cleared buffers keep their capacity. Sized
     // here, before the workers drain them.
-    std::size_t cells = cells_.size();
-    routedBuf_.resize(functionCount() * cells);
-    // Each feed is sorted, so a k-way merge of the feed heads yields the
-    // global arrival order. Ties pop in feed-injection order because the
-    // feed index is the second key.
-    feedHeap_.clear();
-    for (std::size_t f = 0; f < pending_.size(); ++f)
-        feedHeap_.emplace_back(pending_[f].head, f);
-    for (std::size_t i = feedHeap_.size() / 2; i-- > 0;)
-        siftDown(feedHeap_, i);
-    while (!feedHeap_.empty()) {
-        auto [tick, f] = feedHeap_.front();
-        if (tick > window_end || (tick == window_end && !final_window))
-            break;
-        PendingFeed &feed = pending_[f];
-        auto fn = static_cast<std::size_t>(feed.fn);
-        std::size_t cell = router_->route(fn);
-        routedBuf_[fn * cells + cell].push_back(tick);
-        ++routedTotal_[cell];
-        // A spent feed's kTickNever sinks below every window end.
-        feed.head = takeHead(feed.ticks);
-        feedHeap_.front().first = feed.head;
-        siftDown(feedHeap_, 0);
-    }
+    routedBuf_.resize(functionCount() * cells_.size());
+    bool single_home =
+        std::all_of(pending_.begin(), pending_.end(),
+                    [this](const PendingFeed &feed) {
+                        return router_->homeSize(
+                                   static_cast<std::size_t>(feed.fn)) == 1;
+                    });
+    if (single_home)
+        routeWholeFeeds(window_end, final_window);
+    else
+        mergeFeeds(window_end, final_window);
     // Spent feeds are dead weight; drop them front-compacted so feed
     // order (the tie-break) is preserved.
     std::size_t keep = 0;
@@ -234,6 +242,67 @@ ShardedPlatform::routeArrivals(sim::Tick window_end, sim::Tick until)
         ++keep;
     }
     pending_.resize(keep);
+}
+
+void
+ShardedPlatform::routeWholeFeeds(sim::Tick window_end, bool closed)
+{
+    // Every home set is one cell, so route() draws nothing and each
+    // arrival's cell does not depend on the order the others are routed
+    // in: the router's counts only add up. A feed's window slice goes
+    // to its home cell whole.
+    std::size_t cells = cells_.size();
+    for (PendingFeed &feed : pending_) {
+        slice_.clear();
+        while (inWindow(feed.head, window_end, closed)) {
+            slice_.push_back(feed.head);
+            feed.head = takeHead(feed.ticks);
+        }
+        if (slice_.empty())
+            continue;
+        auto fn = static_cast<std::size_t>(feed.fn);
+        auto n = static_cast<std::int64_t>(slice_.size());
+        std::size_t cell = router_->routeBulk(fn, n);
+        routedTotal_[cell] += n;
+        std::vector<sim::Tick> &buf = routedBuf_[fn * cells + cell];
+        if (buf.empty()) {
+            buf.swap(slice_);
+        } else {
+            // A second feed of the function: ticks carry nothing but
+            // their value, so merging the two sorted runs gives the
+            // k-way merge's buffer exactly.
+            auto mid = buf.insert(buf.end(), slice_.begin(), slice_.end());
+            std::inplace_merge(buf.begin(), mid, buf.end());
+        }
+    }
+}
+
+void
+ShardedPlatform::mergeFeeds(sim::Tick window_end, bool closed)
+{
+    // Each feed is sorted, so a k-way merge of the feed heads yields the
+    // global arrival order, which po2 draws depend on. Ties pop in
+    // feed-injection order because the feed index is the second key.
+    std::size_t cells = cells_.size();
+    feedHeap_.clear();
+    for (std::size_t f = 0; f < pending_.size(); ++f)
+        feedHeap_.emplace_back(pending_[f].head, f);
+    for (std::size_t i = feedHeap_.size() / 2; i-- > 0;)
+        siftDown(feedHeap_, i);
+    while (!feedHeap_.empty()) {
+        auto [tick, f] = feedHeap_.front();
+        if (!inWindow(tick, window_end, closed))
+            break;
+        PendingFeed &feed = pending_[f];
+        auto fn = static_cast<std::size_t>(feed.fn);
+        std::size_t cell = router_->route(fn);
+        routedBuf_[fn * cells + cell].push_back(tick);
+        ++routedTotal_[cell];
+        // A spent feed's kTickNever sinks below every window end.
+        feed.head = takeHead(feed.ticks);
+        feedHeap_.front().first = feed.head;
+        siftDown(feedHeap_, 0);
+    }
 }
 
 void

@@ -107,8 +107,8 @@ class ShardedPlatform
      *
      * Multi-cell: loops lockstep windows — refresh router digests (which
      * may grow home sets), route the window's arrivals to home cells,
-     * then, on the worker pool, have every cell inject its routed
-     * arrivals and run to the window end.
+     * then, on the worker pool and busiest cell first, have every cell
+     * inject its routed arrivals and run to the window end.
      */
     void run(sim::Tick until);
 
@@ -160,6 +160,11 @@ class ShardedPlatform
     /** Serial barrier work: digests, then routing. */
     void refreshRouter();
     void routeArrivals(sim::Tick window_end, sim::Tick until);
+    /** Routing when every pending feed's function has a one-cell home
+     *  set: each feed's window slice moves to its home whole. */
+    void routeWholeFeeds(sim::Tick window_end, bool closed);
+    /** Routing otherwise: a k-way merge of the feeds in arrival order. */
+    void mergeFeeds(sim::Tick window_end, bool closed);
     /** Inject and clear cell @p c's routed buffers (its worker only). */
     void injectRouted(std::size_t c);
     void rebuildMerged() const;
@@ -179,10 +184,20 @@ class ShardedPlatform
     /** Scale-out-miss baseline per (function, cell), function-major. */
     std::vector<std::int64_t> lastMisses_;
     std::vector<std::int64_t> routedTotal_;
-    /** Min-heap of (head, pending feed index), rebuilt per barrier. */
+    /** Min-heap of (head, pending feed index), rebuilt at a barrier
+     *  where some pending feed's function has a home set of several
+     *  cells; single-home windows never touch it. */
     std::vector<std::pair<sim::Tick, std::size_t>> feedHeap_;
-    /** Routed ticks per (function, cell), function-major, reused. */
+    /** Routed ticks per (function, cell), function-major, reused. A
+     *  single-home window fills each from whole feed slices, merging
+     *  when one function has several feeds. */
     std::vector<std::vector<sim::Tick>> routedBuf_;
+    /** One feed's window slice on the single-home path; swapped into
+     *  an empty routedBuf_ entry, so capacities circulate. */
+    std::vector<sim::Tick> slice_;
+    /** Cells by this window's routed arrivals, descending, ties to the
+     *  lower index: the order workers claim them in. */
+    std::vector<std::size_t> order_;
 
     sim::Tick cursor_ = 0;
     sim::Tick endTime_ = 0;

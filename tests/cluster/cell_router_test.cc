@@ -311,6 +311,38 @@ TEST(CellRouter, SaturatedCellsStillRoute)
         EXPECT_LT(router.route(0), 2u);
 }
 
+TEST(CellRouter, BulkRouteMatchesRepeatedRoute)
+{
+    std::vector<CellDigest> digests = uniformDigests(8, 100.0);
+    CellRouter one(8, 91);
+    CellRouter bulk(8, 91);
+    one.refresh(digests);
+    bulk.refresh(digests);
+    for (std::size_t fn = 0; fn < 6; ++fn) {
+        auto n = static_cast<std::int64_t>(3 * fn + 1);
+        std::size_t cell = 0;
+        for (std::int64_t i = 0; i < n; ++i)
+            cell = one.route(fn);
+        EXPECT_EQ(bulk.routeBulk(fn, n), cell);
+    }
+    for (std::size_t c = 0; c < 8; ++c)
+        EXPECT_EQ(bulk.routedSinceRefresh(c), one.routedSinceRefresh(c));
+
+    // A bulk-routed function is registered like a routed one: its home
+    // set grows on misses, and then bulk routing is refused.
+    std::vector<CellDigest> missing = digests;
+    for (CellDigest &d : missing)
+        d.scaleOutMisses.assign(6, 1);
+    one.refresh(missing);
+    bulk.refresh(missing);
+    for (std::size_t fn = 0; fn < 6; ++fn)
+        EXPECT_EQ(bulk.homeSize(fn), 2u);
+    EXPECT_THROW(bulk.routeBulk(0, 1), std::invalid_argument);
+    // Bulk routing drew nothing, so the po2 draws that follow agree.
+    for (int i = 0; i < 50; ++i)
+        EXPECT_EQ(bulk.route(i % 6), one.route(i % 6));
+}
+
 TEST(CellRouter, RejectsMismatchedRefresh)
 {
     CellRouter router(3, 1);

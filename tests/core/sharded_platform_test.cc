@@ -893,6 +893,58 @@ TEST(ShardedPlatform, SingleHomeRoutingGoldenDigest)
     EXPECT_EQ(bitDigest(run.fp), 0xe8c822373e662c47ULL);
 }
 
+/** Four functions over 4 cells, the one homed on the highest-index
+ *  cell far hotter than the rest, so the busiest cell is claimed
+ *  first rather than last. */
+std::vector<double>
+skewedCellsRun(std::size_t threads)
+{
+    PlatformOptions opts;
+    opts.seed = 17;
+    CellOptions cells;
+    cells.cells = 4;
+    cells.threads = threads;
+    ShardedPlatform platform(16, opts, cells);
+    const std::size_t last = platform.cellCount() - 1;
+    std::vector<infless::core::FunctionId> fns;
+    std::size_t hot = 4;
+    for (const char *model : {"ResNet-50", "MobileNet", "SSD", "MNIST"}) {
+        fns.push_back(platform.deploy(spec(model, model)));
+        if (hot == 4 && platform.router().rankedCell(fns.back(), 0) == last)
+            hot = fns.size() - 1;
+    }
+    EXPECT_LT(hot, 4u) << "no function is homed on the last cell";
+    const Tick load = 10 * kTicksPerSec;
+    for (std::size_t i = 0; i < fns.size(); ++i)
+        platform.injectTrace(fns[i],
+                             uniformArrivals(i == hot ? 150.0 : 10.0, load));
+    platform.run(5 * kTicksPerSec);
+    for (std::size_t c = 0; c < last; ++c)
+        EXPECT_GT(platform.router().routedSinceRefresh(last),
+                  platform.router().routedSinceRefresh(c));
+    const Tick end = 15 * kTicksPerSec;
+    platform.run(end);
+
+    auto fp = fingerprint(platform.totalMetrics(), end);
+    for (std::size_t c = 0; c < platform.cellCount(); ++c) {
+        auto cfp = fingerprint(platform.cell(c).totalMetrics(), end);
+        fp.insert(fp.end(), cfp.begin(), cfp.end());
+        fp.push_back(static_cast<double>(platform.routedTo(c)));
+    }
+    fp.push_back(static_cast<double>(platform.eventsExecuted()));
+    fp.push_back(static_cast<double>(platform.schedulerDecisions()));
+    return fp;
+}
+
+TEST(ShardedPlatform, SkewedCellsByteIdenticalAcrossThreadCounts)
+{
+    // Workers claim the busiest cell first; the claim order must not
+    // reach any output.
+    auto serial = skewedCellsRun(1);
+    EXPECT_EQ(serial, skewedCellsRun(3));
+    EXPECT_EQ(serial, skewedCellsRun(4));
+}
+
 TEST(ShardedPlatform, DropPressureCountsEachRejectionOnce)
 {
     // Admission sheds most of a burst far past cell 0's capacity. A shed
