@@ -748,24 +748,24 @@ shifted(const infless::workload::ArrivalTrace &trace, Tick by)
 }
 
 /** Arrivals that tie across feeds, on window boundaries and between
- *  two feeds of one function, routed over home sets that spill. */
-struct RoutingOrderRun
+ *  two feeds of one function, routed over 4 cells. */
+struct FeedOrderRun
 {
     std::vector<double> fp;
     std::vector<std::int64_t> routed;
     std::size_t widestHome = 0;
 };
 
-RoutingOrderRun
-routingOrderRun()
+FeedOrderRun
+feedOrderRun(std::size_t servers)
 {
-    // One server per cell: three heavy functions overflow their home
-    // cells, so routing draws among several cells per function.
+    // Three heavy functions: on one server per cell they overflow their
+    // home cells, so routing draws among several cells per function.
     PlatformOptions opts;
     opts.seed = 29;
     CellOptions cells;
     cells.cells = 4;
-    ShardedPlatform platform(4, opts, cells);
+    ShardedPlatform platform(servers, opts, cells);
     const Tick first = 3 * kTicksPerSec;
     std::vector<infless::core::FunctionId> heavy;
     for (const char *model : {"Bert-v1", "ResNet-50", "VGGNet"}) {
@@ -790,7 +790,7 @@ routingOrderRun()
     const Tick end = 5 * kTicksPerSec;
     platform.run(end);
 
-    RoutingOrderRun out;
+    FeedOrderRun out;
     out.fp = fingerprint(platform.totalMetrics(), end);
     for (std::size_t fn = 0; fn < platform.functionCount(); ++fn) {
         auto ffp = fingerprint(
@@ -811,11 +811,23 @@ TEST(ShardedPlatform, RoutingOrderGoldenDigest)
     // Routing draws depend on arrival order once a home set holds more
     // than one cell, so this pins the order the barrier routes in:
     // ticks ascending, ties in feed-injection order.
-    RoutingOrderRun run = routingOrderRun();
+    FeedOrderRun run = feedOrderRun(4);
     EXPECT_GE(run.widestHome, 2u);
     EXPECT_EQ(run.routed,
               (std::vector<std::int64_t>{4227, 2430, 3834, 2453}));
     EXPECT_EQ(bitDigest(run.fp), 0x9f3defe6d4394f48ULL);
+}
+
+TEST(ShardedPlatform, FeedOrderGoldenDigest)
+{
+    // The same tied and interleaved feeds on 16 servers per cell, where
+    // every function stays in one cell: pins what the barrier hands each
+    // cell when feeds tie on window boundaries, interleave within one
+    // function and join between runs.
+    FeedOrderRun run = feedOrderRun(64);
+    EXPECT_EQ(run.routed,
+              (std::vector<std::int64_t>{2999, 0, 7997, 1948}));
+    EXPECT_EQ(bitDigest(run.fp), 0xe7e14657449b3734ULL);
 }
 
 /** Eight light functions over 16 roomy cells, so no home set spills;
