@@ -6,15 +6,19 @@
  * exclusively: its own CapacityIndex, event queue and metrics shard.
  * Cells are contiguous near-equal slices fixed for the whole run
  * (cells=1 covers exactly the flat cluster). Each cell numbers its
- * servers from 0.
+ * servers from 0. Each function has one fixed home cell, which receives
+ * all of its traffic.
  */
 
 #ifndef INFLESS_CLUSTER_CELL_PARTITION_HH
 #define INFLESS_CLUSTER_CELL_PARTITION_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
+
+#include "sim/rng.hh"
 
 namespace infless::cluster {
 
@@ -63,6 +67,32 @@ partitionServers(std::size_t num_servers, std::size_t cells)
         at += len;
     }
     return slices;
+}
+
+/**
+ * The home cell of function @p fn among @p cells: the top of its
+ * rendezvous (highest-random-weight) order, in which cell c weighs
+ * hashCombine(hashCombine(seed, fn), c); ties go to the lower index.
+ * A pure function of (seed, fn, cells), so a function's home is stable
+ * for a seed and independent of every other function. @p cells == 0
+ * throws std::invalid_argument.
+ */
+inline std::size_t
+homeCell(std::uint64_t seed, std::size_t fn, std::size_t cells)
+{
+    if (cells == 0)
+        throw std::invalid_argument("homeCell: cells must be > 0");
+    std::uint64_t fn_key = sim::hashCombine(seed, fn);
+    std::size_t home = 0;
+    std::uint64_t top = sim::hashCombine(fn_key, 0);
+    for (std::size_t c = 1; c < cells; ++c) {
+        std::uint64_t weight = sim::hashCombine(fn_key, c);
+        if (weight > top) {
+            top = weight;
+            home = c;
+        }
+    }
+    return home;
 }
 
 } // namespace infless::cluster

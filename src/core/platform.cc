@@ -299,16 +299,6 @@ Platform::instanceSnapshots(FunctionId fn) const
 }
 
 std::int64_t
-Platform::queuedRequests() const
-{
-    std::int64_t total = 0;
-    for (const auto &f : functions_)
-        for (std::size_t idx : f.live)
-            total += static_cast<std::int64_t>(instances_[idx].queue.size());
-    return total;
-}
-
-std::int64_t
 Platform::inFlightRequests() const
 {
     std::int64_t total = 0;
@@ -330,12 +320,6 @@ Platform::heldArrivalBytes() const
     for (const TraceFeed &feed : feeds_)
         total += feed.ticks.heldBytes();
     return total;
-}
-
-std::int64_t
-Platform::scaleOutMisses(FunctionId fn) const
-{
-    return const_cast<Platform *>(this)->functionState(fn).scaleOutMisses;
 }
 
 std::int64_t

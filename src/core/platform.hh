@@ -218,10 +218,6 @@ class Platform
     /** Total live instances across functions. O(1): a running count. */
     int liveInstanceCount() const { return liveInstances_; }
 
-    /** Requests waiting in batch queues across all live instances
-     *  (the load-digest component a cell router sees). */
-    std::int64_t queuedRequests() const;
-
     /**
      * Requests admitted but not yet settled: live queues, executing
      * batches, retry backoffs and the ingress delay stage. Zero once a
@@ -248,13 +244,6 @@ class Platform
     {
         return scheduler_.decisions();
     }
-
-    /**
-     * Scale-out attempts for @p fn (scaler tick or reactive) in which
-     * the scheduler found room for nothing — the cell-router's signal
-     * that this platform is out of capacity for the function.
-     */
-    std::int64_t scaleOutMisses(FunctionId fn) const;
 
     /** Instances ever launched. */
     std::int64_t totalLaunches() const;
@@ -458,8 +447,6 @@ class Platform
         sim::Tick reconfigHold = 0;
         /** Current fleet generation. */
         std::int64_t generation = 0;
-        /** Scale-out attempts in which the scheduler placed nothing. */
-        std::int64_t scaleOutMisses = 0;
         metrics::RunMetrics metrics;
         cluster::Resources allocated;
         std::vector<ConfigUsage> usage;

@@ -32,9 +32,7 @@ Platform::maybeReactiveScaleOut(FunctionId fn)
     auto plans = planScaleOut(f, residual);
     for (const auto &plan : plans)
         launchInstance(fn, plan, false);
-    if (plans.empty())
-        ++f.scaleOutMisses;
-    else
+    if (!plans.empty())
         refreshTargets(f);
     return true;
 }
@@ -176,13 +174,10 @@ Platform::scalerTick()
             auto plans = planScaleOut(f, claim);
             for (const auto &plan : plans)
                 launchInstance(static_cast<FunctionId>(fi), plan, false);
-            if (plans.empty()) {
-                ++f.scaleOutMisses;
-                // Nothing fits next to the current fleet: replacing it
-                // with better configurations may be the only way to grow.
-                if (!uniformScaling())
-                    maybeReconfigure(static_cast<FunctionId>(fi), measured);
-            }
+            // Nothing fits next to the current fleet: replacing it with
+            // better configurations may be the only way to grow.
+            if (plans.empty() && !uniformScaling())
+                maybeReconfigure(static_cast<FunctionId>(fi), measured);
         } else if (assess.action == Action::ScaleIn && !uniformScaling()) {
             auto drains =
                 chooseDrains(infos, costs, measured, kAlpha);

@@ -7,20 +7,22 @@
  * 100k servers that queue is the bottleneck. ShardedPlatform splits the
  * fleet into independent *cells* — each a full Platform over a
  * contiguous server slice with its own CapacityIndex, EventQueue and
- * metrics shard — fronted by a router that sends each function to its
- * home cells (cluster::CellRouter), so one cell's scheduler batches and
- * scales a function until that cell runs out of room for it.
+ * metrics shard. Every function has one fixed home cell
+ * (cluster::homeCell), which receives all of its arrivals, so that
+ * cell's scheduler alone batches and scales it. A function hotter than
+ * its home cell is shed or dropped there like on a flat platform that
+ * size.
  *
- * Only two things cross a cell boundary: routed arrivals and the
- * router's per-cell digests. Both are exchanged at the barriers of
- * lockstep windows. Every other subsystem (crashes, startup failures,
- * health ejection, the SLO monitor, the flight recorder, tracing and the
- * overload stack) runs inside each cell exactly as it would in an
- * independent Platform over that slice. Within a window each cell
- * touches nothing but its own state, so the cells run concurrently on a
- * WorkerPool and the run is byte-identical for every thread count. The
- * barrier routes a window's arrivals into per-cell buffers; each cell
- * injects its own buffers on its worker before running the window.
+ * Only routed arrivals cross a cell boundary, handed over at the
+ * barriers of lockstep windows. Every other subsystem (crashes, startup
+ * failures, health ejection, the SLO monitor, the flight recorder,
+ * tracing and the overload stack) runs inside each cell exactly as it
+ * would in an independent Platform over that slice. Within a window each
+ * cell touches nothing but its own state, so the cells run concurrently
+ * on a WorkerPool and the run is byte-identical for every thread count.
+ * The barrier moves each feed's window slice into its function's routed
+ * buffer; each cell injects its own functions' buffers on its worker
+ * before running the window.
  *
  * The partition is static: each cell owns the same contiguous slice of
  * servers for the whole run. A multi-cell platform rejects at
@@ -32,8 +34,8 @@
  *    injected upfront, one run) and is bit-identical to using Platform
  *    directly.
  *  - multi-cell runs depend only on (seed, cells, windowTicks, call
- *    sequence): all barrier work runs serially in cell order and the
- *    router draws from its own RNG stream.
+ *    sequence): routing draws nothing and all barrier work runs
+ *    serially.
  */
 
 #ifndef INFLESS_CORE_SHARDED_PLATFORM_HH
@@ -41,10 +43,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "cluster/cell_router.hh"
 #include "core/platform.hh"
 #include "sim/tick_log.hh"
 #include "sim/worker_pool.hh"
@@ -57,11 +57,10 @@ struct CellOptions
     /** Number of cells; 1 = delegate to a single flat Platform. */
     std::size_t cells = 1;
     /**
-     * Lockstep window length = digest refresh epoch. Shorter windows
-     * give the router a fresher view at the cost of more barriers; the
-     * default matches the 250 ms reactive scale-out backoff in
-     * Platform::maybeReactiveScaleOut, so spillover signals propagate
-     * within one backoff period.
+     * Lockstep window length: how far the cells run between barriers,
+     * and so the slice of arrivals each barrier routes. Routing is
+     * static, so the window changes no output, only how often the cells
+     * synchronize.
      */
     sim::Tick windowTicks = 250 * sim::kTicksPerMs;
     /** Worker threads for the per-cell engines; 0 = hardware
@@ -94,7 +93,8 @@ class ShardedPlatform
     /**
      * Inject a pre-materialized arrival trace. With one cell this goes
      * straight to the flat platform; with several the arrivals are
-     * routed window by window as the run reaches them.
+     * routed to @p fn's home cell window by window as the run reaches
+     * them. Panics on an id deploy() did not return.
      */
     void injectTrace(FunctionId fn, workload::ArrivalTrace trace);
 
@@ -105,10 +105,10 @@ class ShardedPlatform
     /**
      * Advance the whole cluster to an absolute tick.
      *
-     * Multi-cell: loops lockstep windows — refresh router digests (which
-     * may grow home sets), route the window's arrivals to home cells,
-     * then, on the worker pool and busiest cell first, have every cell
-     * inject its routed arrivals and run to the window end.
+     * Multi-cell: loops lockstep windows — route the window's arrivals
+     * to home cells, then, on the worker pool and busiest cell first,
+     * have every cell inject its routed arrivals and run to the window
+     * end.
      */
     void run(sim::Tick until);
 
@@ -118,14 +118,21 @@ class ShardedPlatform
     /** Cell @p i's platform; its SLO monitor, flight recorder, tracer
      *  and overload state cover that cell only. */
     const Platform &cell(std::size_t i) const;
-    const cluster::CellRouter &router() const { return *router_; }
+    /** The cell that receives every arrival of @p fn, fixed at deploy()
+     *  (0 with one cell). Panics on an id deploy() did not return. */
+    std::size_t homeCell(FunctionId fn) const
+    {
+        std::size_t idx = functionIndex(fn);
+        return delegated() ? 0 : homes_[idx];
+    }
 
     std::size_t functionCount() const { return cells_[0]->functionCount(); }
 
     /** Aggregate metrics over all cells (cells=1: the flat metrics). */
     const metrics::RunMetrics &totalMetrics() const;
 
-    /** Merged metrics of one function across cells. */
+    /** Merged metrics of one function across cells. Panics on an id
+     *  deploy() did not return. */
     const metrics::RunMetrics &functionMetrics(FunctionId fn) const;
 
     /** Events executed across every cell's engine. */
@@ -157,43 +164,35 @@ class ShardedPlatform
 
     bool delegated() const { return cells_.size() == 1; }
 
-    /** Serial barrier work: digests, then routing. */
-    void refreshRouter();
+    /** @p fn as an index; panics on an id deploy() did not return. */
+    std::size_t functionIndex(FunctionId fn) const;
+    /** Serial barrier work: move each feed's window slice to its
+     *  function's routed buffer. */
     void routeArrivals(sim::Tick window_end, sim::Tick until);
-    /** Routing when every pending feed's function has a one-cell home
-     *  set: each feed's window slice moves to its home whole. */
-    void routeWholeFeeds(sim::Tick window_end, bool closed);
-    /** Routing otherwise: a k-way merge of the feeds in arrival order. */
-    void mergeFeeds(sim::Tick window_end, bool closed);
     /** Inject and clear cell @p c's routed buffers (its worker only). */
     void injectRouted(std::size_t c);
     void rebuildMerged() const;
 
     CellOptions cellOpts_;
     std::vector<std::unique_ptr<Platform>> cells_;
-    std::unique_ptr<cluster::CellRouter> router_;
     std::unique_ptr<sim::WorkerPool> pool_;
     /** Workload materialization stream (multi-cell injectRateSeries). */
     sim::Rng workloadRng_;
+    /** Seed of the rendezvous weights behind every home cell. */
+    std::uint64_t homeSeed_;
+    /** Home cell per function, fixed at deploy() (multi-cell only). */
+    std::vector<std::size_t> homes_;
 
     std::vector<PendingFeed> pending_;
-    /** Router digests, one per cell, refilled at every barrier. */
-    std::vector<cluster::CellDigest> digests_;
-    /** Drop baseline per cell for the digest's pressure delta. */
-    std::vector<std::int64_t> lastDropStat_;
-    /** Scale-out-miss baseline per (function, cell), function-major. */
-    std::vector<std::int64_t> lastMisses_;
     std::vector<std::int64_t> routedTotal_;
-    /** Min-heap of (head, pending feed index), rebuilt at a barrier
-     *  where some pending feed's function has a home set of several
-     *  cells; single-home windows never touch it. */
-    std::vector<std::pair<sim::Tick, std::size_t>> feedHeap_;
-    /** Routed ticks per (function, cell), function-major, reused. A
-     *  single-home window fills each from whole feed slices, merging
-     *  when one function has several feeds. */
+    /** Arrivals routed to each cell at the current barrier. */
+    std::vector<std::int64_t> windowRouted_;
+    /** Routed ticks per function (multi-cell only), reused across
+     *  windows: filled from whole feed slices, merged when one function
+     *  has several feeds, and drained by the home cell's worker. */
     std::vector<std::vector<sim::Tick>> routedBuf_;
-    /** One feed's window slice on the single-home path; swapped into
-     *  an empty routedBuf_ entry, so capacities circulate. */
+    /** One feed's window slice; swapped into an empty routedBuf_
+     *  entry, so capacities circulate. */
     std::vector<sim::Tick> slice_;
     /** Cells by this window's routed arrivals, descending, ties to the
      *  lower index: the order workers claim them in. */

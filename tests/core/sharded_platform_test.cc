@@ -244,10 +244,8 @@ TEST(ShardedPlatform, HomeCellOwnsFunctionWhenRoomy)
     ShardedPlatform platform(16, opts, cells);
     driveWorkload(platform);
     for (int fn = 0; fn < 2; ++fn) {
-        // Light load never exhausts a cell, so the home set stays one
-        // cell and that cell sees every arrival of the function.
-        std::size_t home = platform.router().rankedCell(fn, 0);
-        EXPECT_EQ(platform.router().homeSize(fn), 1u);
+        // The home cell sees every arrival of the function.
+        std::size_t home = platform.homeCell(fn);
         EXPECT_GT(platform.cell(home).functionMetrics(fn).arrivals(), 0);
         for (std::size_t c = 0; c < platform.cellCount(); ++c) {
             if (c != home) {
@@ -257,42 +255,6 @@ TEST(ShardedPlatform, HomeCellOwnsFunctionWhenRoomy)
         }
     }
     EXPECT_EQ(routedSum(platform), platform.totalMetrics().arrivals());
-}
-
-TEST(ShardedPlatform, SpillsPastHomeOnScaleOutMiss)
-{
-    // One server per cell and three heavy functions far past what one
-    // server holds: home cells run out of room and report misses.
-    PlatformOptions opts;
-    opts.seed = 43;
-    CellOptions cells;
-    cells.cells = 4;
-    ShardedPlatform platform(4, opts, cells);
-    const char *models[] = {"Bert-v1", "ResNet-50", "VGGNet"};
-    for (const char *model : models) {
-        auto fn = platform.deploy(spec(model, model));
-        platform.injectTrace(fn, uniformArrivals(2'000.0, 10 * kTicksPerSec));
-    }
-    platform.run(15 * kTicksPerSec);
-
-    std::int64_t misses = 0;
-    bool spilled = false;
-    for (int fn = 0; fn < 3; ++fn) {
-        for (std::size_t c = 0; c < platform.cellCount(); ++c)
-            misses += platform.cell(c).scaleOutMisses(fn);
-        if (platform.router().homeSize(fn) < 2)
-            continue;
-        std::size_t next = platform.router().rankedCell(fn, 1);
-        spilled = spilled ||
-                  platform.cell(next).functionMetrics(fn).arrivals() > 0;
-    }
-    EXPECT_GT(misses, 0);
-    EXPECT_TRUE(spilled) << "no function reached its next-ranked cell";
-
-    const RunMetrics &m = platform.totalMetrics();
-    EXPECT_EQ(routedSum(platform), m.arrivals());
-    EXPECT_EQ(m.completions() + m.drops() + platform.inFlightRequests(),
-              m.arrivals());
 }
 
 TEST(ShardedPlatform, CellsReleaseReplayedArrivals)
@@ -607,6 +569,36 @@ TEST(ShardedPlatform, CellAccessorsRejectOutOfRangeIndex)
     EXPECT_THROW(platform.routedTo(2), infless::sim::PanicError);
 }
 
+TEST(ShardedPlatform, MultiCellRejectsUnknownFunctionIds)
+{
+    // A flat Platform panics on an id deploy() never returned; so does a
+    // multi-cell one, before the id can index any per-function state.
+    CellOptions cells;
+    cells.cells = 2;
+    ShardedPlatform platform(8, {}, cells);
+    auto fn = platform.deploy(spec("resnet", "ResNet-50"));
+    using infless::sim::PanicError;
+    EXPECT_THROW(platform.functionMetrics(7), PanicError);
+    EXPECT_THROW(platform.injectTrace(5, uniformArrivals(10.0, kTicksPerSec)),
+                 PanicError);
+    EXPECT_THROW(platform.injectTrace(-1, uniformArrivals(10.0, kTicksPerSec)),
+                 PanicError);
+    EXPECT_THROW(
+        platform.injectRateSeries(fn + 1, constantRate(10.0, kTicksPerSec)),
+        PanicError);
+    EXPECT_THROW(platform.homeCell(fn + 1), PanicError);
+
+    // The rejected feeds left nothing behind: only the deployed
+    // function's arrivals are routed.
+    auto trace = uniformArrivals(10.0, kTicksPerSec);
+    auto n = static_cast<std::int64_t>(trace.arrivals().size());
+    platform.injectTrace(fn, trace);
+    platform.run(2 * kTicksPerSec);
+    EXPECT_GT(n, 0);
+    EXPECT_EQ(routedSum(platform), n);
+    EXPECT_EQ(platform.functionMetrics(fn).arrivals(), n);
+}
+
 /** FNV-1a over the bit patterns of @p values. */
 std::uint64_t
 bitDigest(const std::vector<double> &values)
@@ -727,9 +719,9 @@ perCellChaosRun(std::size_t threads)
 TEST(ShardedPlatform, PerCellChaosGoldenDigest)
 {
     // Crashes, startup failures, health, SLO, flight, tracing and
-    // overload all run inside each cell; only arrivals and router
-    // digests cross a cell boundary. Byte-identical at every
-    // worker-thread count, and pinned bit for bit.
+    // overload all run inside each cell; only routed arrivals cross a
+    // cell boundary. Byte-identical at every worker-thread count, and
+    // pinned bit for bit.
     auto serial = perCellChaosRun(1);
     EXPECT_EQ(serial, perCellChaosRun(2));
     EXPECT_EQ(serial, perCellChaosRun(4));
@@ -753,14 +745,11 @@ struct FeedOrderRun
 {
     std::vector<double> fp;
     std::vector<std::int64_t> routed;
-    std::size_t widestHome = 0;
 };
 
 FeedOrderRun
 feedOrderRun(std::size_t servers)
 {
-    // Three heavy functions: on one server per cell they overflow their
-    // home cells, so routing draws among several cells per function.
     PlatformOptions opts;
     opts.seed = 29;
     CellOptions cells;
@@ -796,26 +785,12 @@ feedOrderRun(std::size_t servers)
         auto ffp = fingerprint(
             platform.functionMetrics(static_cast<int>(fn)), end);
         out.fp.insert(out.fp.end(), ffp.begin(), ffp.end());
-        out.widestHome =
-            std::max(out.widestHome, platform.router().homeSize(fn));
     }
     out.fp.push_back(static_cast<double>(platform.eventsExecuted()));
     out.fp.push_back(static_cast<double>(platform.schedulerDecisions()));
     for (std::size_t c = 0; c < platform.cellCount(); ++c)
         out.routed.push_back(platform.routedTo(c));
     return out;
-}
-
-TEST(ShardedPlatform, RoutingOrderGoldenDigest)
-{
-    // Routing draws depend on arrival order once a home set holds more
-    // than one cell, so this pins the order the barrier routes in:
-    // ticks ascending, ties in feed-injection order.
-    FeedOrderRun run = feedOrderRun(4);
-    EXPECT_GE(run.widestHome, 2u);
-    EXPECT_EQ(run.routed,
-              (std::vector<std::int64_t>{4227, 2430, 3834, 2453}));
-    EXPECT_EQ(bitDigest(run.fp), 0x9f3defe6d4394f48ULL);
 }
 
 TEST(ShardedPlatform, FeedOrderGoldenDigest)
@@ -830,15 +805,12 @@ TEST(ShardedPlatform, FeedOrderGoldenDigest)
     EXPECT_EQ(bitDigest(run.fp), 0xe7e14657449b3734ULL);
 }
 
-/** Eight light functions over 16 roomy cells, so no home set spills;
- *  one function has two interleaving feeds. */
+/** Eight light functions over 16 roomy cells; one function has two
+ *  interleaving feeds. */
 struct SingleHomeRun
 {
     std::vector<double> fp;
     std::vector<std::int64_t> routed;
-    /** routedSinceRefresh per cell after the interior run(). */
-    std::vector<std::int64_t> lastWindow;
-    std::size_t widestHome = 0;
 };
 
 SingleHomeRun
@@ -869,8 +841,6 @@ singleHomeRun()
     platform.run(msToTicks(4'100));
 
     SingleHomeRun out;
-    for (std::size_t c = 0; c < platform.cellCount(); ++c)
-        out.lastWindow.push_back(platform.router().routedSinceRefresh(c));
     const Tick end = 15 * kTicksPerSec;
     platform.run(end);
 
@@ -879,8 +849,6 @@ singleHomeRun()
         auto ffp = fingerprint(
             platform.functionMetrics(static_cast<int>(fn)), end);
         out.fp.insert(out.fp.end(), ffp.begin(), ffp.end());
-        out.widestHome =
-            std::max(out.widestHome, platform.router().homeSize(fn));
     }
     out.fp.push_back(static_cast<double>(platform.eventsExecuted()));
     out.fp.push_back(static_cast<double>(platform.schedulerDecisions()));
@@ -895,13 +863,9 @@ TEST(ShardedPlatform, SingleHomeRoutingGoldenDigest)
     // routing never draws: this pins what the barrier routes when no
     // feed has a choice of cell.
     SingleHomeRun run = singleHomeRun();
-    EXPECT_EQ(run.widestHome, 1u);
     EXPECT_EQ(run.routed,
               (std::vector<std::int64_t>{0, 385, 217, 0, 633, 0, 0, 547, 519,
                                          0, 0, 300, 0, 0, 0, 399}));
-    EXPECT_EQ(run.lastWindow,
-              (std::vector<std::int64_t>{0, 3, 1, 0, 7, 0, 0, 8, 4, 0, 0, 3,
-                                         0, 0, 0, 5}));
     EXPECT_EQ(bitDigest(run.fp), 0xe8c822373e662c47ULL);
 }
 
@@ -922,7 +886,7 @@ skewedCellsRun(std::size_t threads)
     std::size_t hot = 4;
     for (const char *model : {"ResNet-50", "MobileNet", "SSD", "MNIST"}) {
         fns.push_back(platform.deploy(spec(model, model)));
-        if (hot == 4 && platform.router().rankedCell(fns.back(), 0) == last)
+        if (hot == 4 && platform.homeCell(fns.back()) == last)
             hot = fns.size() - 1;
     }
     EXPECT_LT(hot, 4u) << "no function is homed on the last cell";
@@ -932,8 +896,7 @@ skewedCellsRun(std::size_t threads)
                              uniformArrivals(i == hot ? 150.0 : 10.0, load));
     platform.run(5 * kTicksPerSec);
     for (std::size_t c = 0; c < last; ++c)
-        EXPECT_GT(platform.router().routedSinceRefresh(last),
-                  platform.router().routedSinceRefresh(c));
+        EXPECT_GT(platform.routedTo(last), platform.routedTo(c));
     const Tick end = 15 * kTicksPerSec;
     platform.run(end);
 
@@ -955,42 +918,6 @@ TEST(ShardedPlatform, SkewedCellsByteIdenticalAcrossThreadCounts)
     auto serial = skewedCellsRun(1);
     EXPECT_EQ(serial, skewedCellsRun(3));
     EXPECT_EQ(serial, skewedCellsRun(4));
-}
-
-TEST(ShardedPlatform, DropPressureCountsEachRejectionOnce)
-{
-    // Admission sheds most of a burst far past cell 0's capacity. A shed
-    // is a drop, so the router's drop pressure for a window is the
-    // cell's drop count over it, each rejection counted once.
-    PlatformOptions opts;
-    opts.seed = 5;
-    opts.overload.admission.enabled = true;
-    CellOptions cells;
-    cells.cells = 4;
-    ShardedPlatform platform(8, opts, cells);
-    auto fn = platform.deploy(spec("resnet", "ResNet-50"));
-    platform.injectTrace(fn, uniformArrivals(4000.0, kTicksPerSec));
-
-    const Platform &cell = platform.cell(0);
-    platform.run(msToTicks(250));
-    std::int64_t drops_before = cell.totalMetrics().drops();
-    std::int64_t sheds_before = cell.totalMetrics().sheds();
-    platform.run(msToTicks(500));
-    // Re-entering run() at the same tick refreshes the router at the
-    // 500 ms barrier and advances nothing.
-    platform.run(msToTicks(500));
-
-    std::int64_t drops = cell.totalMetrics().drops() - drops_before;
-    std::int64_t sheds = cell.totalMetrics().sheds() - sheds_before;
-    EXPECT_GT(sheds, 0);
-    EXPECT_EQ(sheds, drops); // every rejection in the window is a shed
-
-    const auto &router = platform.router();
-    double load = static_cast<double>(
-        cell.queuedRequests() + router.routedSinceRefresh(0) + drops);
-    double avail = cell.cluster().totalAvailable().weighted(
-        infless::cluster::kDefaultBeta);
-    EXPECT_DOUBLE_EQ(router.score(0), load / avail);
 }
 
 } // namespace
