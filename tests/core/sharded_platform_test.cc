@@ -859,9 +859,8 @@ singleHomeRun()
 
 TEST(ShardedPlatform, SingleHomeRoutingGoldenDigest)
 {
-    // Every function keeps a one-cell home set for the whole run, so
-    // routing never draws: this pins what the barrier routes when no
-    // feed has a choice of cell.
+    // Pins what the barrier routes to each function's home cell over
+    // 16 cells, across an interior run() ending off a window boundary.
     SingleHomeRun run = singleHomeRun();
     EXPECT_EQ(run.routed,
               (std::vector<std::int64_t>{0, 385, 217, 0, 633, 0, 0, 547, 519,
