@@ -75,8 +75,6 @@ TEST(CellPartition, HomeCellIsTheTopRendezvousWeight)
 {
     constexpr std::size_t kCells = 16;
     constexpr std::uint64_t kSeed = 1234;
-    std::vector<int> home_count(kCells, 0);
-    bool seeds_differ = false;
     for (std::size_t fn = 0; fn < 64; ++fn) {
         // Brute force: rank every cell by weight, descending, ties to
         // the lower index, and take the first.
@@ -99,16 +97,50 @@ TEST(CellPartition, HomeCellIsTheTopRendezvousWeight)
                   sorted.end())
             << "fn " << fn;
 
+        EXPECT_EQ(homeCell(kSeed, fn, kCells), order[0]) << "fn " << fn;
+    }
+}
+
+// The CellRouter suite keeps the names of the routing checks; homeCell
+// is the whole of cell routing.
+
+TEST(CellRouter, SingleCellAlwaysRoutesToZero)
+{
+    for (std::uint64_t seed : {1u, 42u, 1234u})
+        for (std::size_t fn = 0; fn < 100; ++fn)
+            EXPECT_EQ(homeCell(seed, fn, 1), 0u);
+}
+
+TEST(CellRouter, RankingIsAStablePermutationPerSeed)
+{
+    constexpr std::size_t kCells = 16;
+    constexpr std::uint64_t kSeed = 1234;
+    std::vector<int> home_count(kCells, 0);
+    bool seeds_differ = false;
+    for (std::size_t fn = 0; fn < 64; ++fn) {
         std::size_t home = homeCell(kSeed, fn, kCells);
-        EXPECT_EQ(home, order[0]) << "fn " << fn;
+        ASSERT_LT(home, kCells);
+        EXPECT_EQ(home, homeCell(kSeed, fn, kCells));
         ++home_count[home];
         seeds_differ = seeds_differ || home != homeCell(4321, fn, kCells);
-        EXPECT_EQ(homeCell(kSeed, fn, 1), 0u);
+        // Adding cell k-1 to the first k-1 moves a home only onto the
+        // new cell: the ranking of the old cells is kept.
+        for (std::size_t k = 2; k <= kCells; ++k) {
+            std::size_t now = homeCell(kSeed, fn, k);
+            std::size_t before = homeCell(kSeed, fn, k - 1);
+            EXPECT_TRUE(now == before || now == k - 1)
+                << "fn " << fn << " cells " << k;
+        }
     }
     EXPECT_TRUE(seeds_differ);
     // Homes spread over the cells rather than piling onto one.
     EXPECT_LT(*std::max_element(home_count.begin(), home_count.end()), 16);
-    EXPECT_THROW(homeCell(kSeed, 0, 0), std::invalid_argument);
+}
+
+TEST(CellRouter, RejectsMismatchedRefresh)
+{
+    EXPECT_THROW(homeCell(1, 0, 0), std::invalid_argument);
+    EXPECT_THROW(homeCell(1, 7, 0), std::invalid_argument);
 }
 
 } // namespace
