@@ -12,17 +12,21 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cluster/cell_partition.hh"
 #include "core/platform.hh"
 #include "core/sharded_platform.hh"
 #include "obs/slo_monitor.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 #include "sim/tick_log.hh"
 #include "workload/generators.hh"
+#include "workload/trace.hh"
 
 namespace {
 
@@ -917,6 +921,92 @@ TEST(ShardedPlatform, SkewedCellsByteIdenticalAcrossThreadCounts)
     auto serial = skewedCellsRun(1);
     EXPECT_EQ(serial, skewedCellsRun(3));
     EXPECT_EQ(serial, skewedCellsRun(4));
+}
+
+TEST(ShardedPlatform, EachCellIsAFlatPlatform)
+{
+    // Cell c of a multi-cell run is bit for bit a flat Platform over c's
+    // server slice, seeded hashCombine(seed, 0xCE11'0000 + c), with
+    // every function deployed and only c's home functions' traces
+    // injected upfront: nothing crosses a cell boundary at run time.
+    PlatformOptions opts;
+    opts.seed = 83;
+    opts.faults.serverMtbfSec = 60.0;
+    opts.faults.serverMttrSec = 5.0;
+    opts.faults.startupFailureProb = 0.1;
+    opts.obs.slo.enabled = true;
+    opts.overload = infless::overload::OverloadConfig::fullStack();
+    constexpr std::size_t kServers = 22; // uneven slices: 6, 6, 5, 5
+    CellOptions cells;
+    cells.cells = 4;
+    cells.threads = 2;
+    ShardedPlatform sharded(kServers, opts, cells);
+
+    const char *models[] = {"ResNet-50", "MobileNet", "Bert-v1", "SSD",
+                            "MNIST",     "VGGNet",    "ResNet-20"};
+    const Tick load = 10 * kTicksPerSec;
+    std::vector<std::pair<infless::core::FunctionId,
+                          infless::workload::ArrivalTrace>>
+        feeds;
+    infless::sim::Rng rng(opts.seed);
+    for (std::size_t i = 0; i < std::size(models); ++i) {
+        auto fn = sharded.deploy(spec(models[i], models[i]));
+        double rps = 15.0 + 10.0 * static_cast<double>(i);
+        if (i % 2 == 0)
+            feeds.emplace_back(fn, uniformArrivals(rps, load));
+        else
+            feeds.emplace_back(
+                fn, infless::workload::ArrivalTrace::fromRateSeries(
+                        constantRate(rps, load), rng));
+    }
+    // A second feed of function 0 that ties with the first every 200 ms.
+    feeds.emplace_back(0, uniformArrivals(10.0, load));
+    for (const auto &[fn, trace] : feeds)
+        sharded.injectTrace(fn, trace);
+    // An interior run() ending on an arrival, off any 250 ms boundary.
+    const Tick mid = msToTicks(4'100);
+    const Tick end = 15 * kTicksPerSec;
+    sharded.run(mid);
+    sharded.run(end);
+
+    std::vector<infless::cluster::CellSlice> slices =
+        infless::cluster::partitionServers(kServers, cells.cells);
+    ASSERT_EQ(slices.size(), sharded.cellCount());
+    std::size_t busy_cells = 0;
+    for (std::size_t c = 0; c < sharded.cellCount(); ++c) {
+        PlatformOptions cell_opts = opts;
+        cell_opts.seed =
+            infless::sim::hashCombine(opts.seed, 0xCE11'0000ULL + c);
+        Platform flat(slices[c].size(), cell_opts);
+        for (const char *model : models)
+            flat.deploy(spec(model, model));
+        for (const auto &[fn, trace] : feeds)
+            if (sharded.homeCell(fn) == c)
+                flat.injectTrace(fn, trace);
+        flat.run(mid);
+        flat.run(end);
+
+        const Platform &cell = sharded.cell(c);
+        busy_cells += cell.totalMetrics().arrivals() > 0;
+        EXPECT_EQ(fingerprint(cell.totalMetrics(), end),
+                  fingerprint(flat.totalMetrics(), end))
+            << "cell " << c;
+        for (std::size_t fn = 0; fn < std::size(models); ++fn) {
+            auto id = static_cast<infless::core::FunctionId>(fn);
+            EXPECT_EQ(fingerprint(cell.functionMetrics(id), end),
+                      fingerprint(flat.functionMetrics(id), end))
+                << "cell " << c << " fn " << fn;
+        }
+        EXPECT_EQ(cell.simulation().events().executed(),
+                  flat.simulation().events().executed())
+            << "cell " << c;
+        EXPECT_EQ(cell.schedulerDecisions(), flat.schedulerDecisions())
+            << "cell " << c;
+        EXPECT_EQ(sloDigest(cell.sloMonitor()), sloDigest(flat.sloMonitor()))
+            << "cell " << c;
+    }
+    // Non-vacuity: the functions spread over more than one cell.
+    EXPECT_GT(busy_cells, 1u);
 }
 
 } // namespace
