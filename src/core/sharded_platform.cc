@@ -16,22 +16,13 @@ constexpr std::uint64_t kCellSeedKey = 0xCE11'0000ULL;
 constexpr std::uint64_t kHomeSeedKey = 0xF00D'D1CEULL;
 constexpr std::uint64_t kWorkloadSeedKey = 0x3AFE'57A7ULL;
 
-/** Take @p ticks' next arrival, or kTickNever when it has none. */
-sim::Tick
-takeHead(sim::TickLog &ticks)
-{
-    return ticks.done(0) ? sim::kTickNever : ticks.take(0).tick;
-}
-
 } // namespace
 
 ShardedPlatform::ShardedPlatform(std::size_t num_servers,
                                  PlatformOptions opts, CellOptions cell_opts)
-    : cellOpts_(cell_opts),
-      workloadRng_(sim::hashCombine(opts.seed, kWorkloadSeedKey)),
+    : workloadRng_(sim::hashCombine(opts.seed, kWorkloadSeedKey)),
       homeSeed_(sim::hashCombine(opts.seed, kHomeSeedKey))
 {
-    sim::simAssert(cellOpts_.windowTicks > 0, "window must be positive");
     // partitionServers clamps cells > servers to one server per cell;
     // everything below sizes off the slices, not the request.
     std::vector<cluster::CellSlice> slices =
@@ -58,11 +49,10 @@ ShardedPlatform::ShardedPlatform(std::size_t num_servers,
         cells_.push_back(std::make_unique<Platform>(
             slices[c].size(), std::move(cell_opts_c)));
     }
-    routedTotal_.assign(cells, 0);
-    windowRouted_.assign(cells, 0);
     if (!delegated()) {
-        std::size_t threads = cellOpts_.threads != 0
-                                  ? cellOpts_.threads
+        injected_.assign(cells, 0);
+        std::size_t threads = cell_opts.threads != 0
+                                  ? cell_opts.threads
                                   : sim::WorkerPool::defaultThreads();
         pool_ = std::make_unique<sim::WorkerPool>(
             std::min(threads, cells));
@@ -79,11 +69,9 @@ ShardedPlatform::deploy(const FunctionSpec &spec)
         FunctionId other = cells_[c]->deploy(spec);
         sim::simAssert(other == fn, "cells disagree on function id");
     }
-    if (!delegated()) {
+    if (!delegated())
         homes_.push_back(cluster::homeCell(
             homeSeed_, static_cast<std::size_t>(fn), cells_.size()));
-        routedBuf_.emplace_back();
-    }
     return fn;
 }
 
@@ -102,11 +90,9 @@ ShardedPlatform::injectTrace(FunctionId fn, workload::ArrivalTrace trace)
         cells_[0]->injectTrace(fn, std::move(trace));
         return;
     }
-    functionIndex(fn); // validate the id
-    PendingFeed &feed =
-        pending_.emplace_back(PendingFeed{fn, sim::TickLog()});
-    feed.ticks.append(trace.arrivals());
-    feed.head = takeHead(feed.ticks);
+    std::size_t home = homes_[functionIndex(fn)];
+    injected_[home] += static_cast<std::int64_t>(trace.arrivals().size());
+    cells_[home]->injectTrace(fn, std::move(trace));
 }
 
 void
@@ -125,97 +111,27 @@ ShardedPlatform::injectRateSeries(FunctionId fn,
 void
 ShardedPlatform::run(sim::Tick until)
 {
-    endTime_ = until;
     if (delegated()) {
+        endTime_ = until;
         cells_[0]->run(until);
         return;
     }
-    sim::simAssert(until >= cursor_, "run() must move time forward");
-    do {
-        sim::Tick w_end = std::min(cursor_ + cellOpts_.windowTicks, until);
-        // Barrier work runs serially: the determinism anchor.
-        routeArrivals(w_end, until);
-        // Busiest cell first, so the longest window is not the last one
-        // a worker claims. Each body still touches only its own cell.
-        order_.resize(cells_.size());
-        std::iota(order_.begin(), order_.end(), std::size_t{0});
-        std::sort(order_.begin(), order_.end(),
-                  [this](std::size_t a, std::size_t b) {
-                      std::int64_t ra = windowRouted_[a];
-                      std::int64_t rb = windowRouted_[b];
-                      return ra != rb ? ra > rb : a < b;
-                  });
-        pool_->parallelFor(order_.size(), [this, w_end](std::size_t i) {
-            std::size_t c = order_[i];
-            injectRouted(c);
-            cells_[c]->run(w_end);
-        });
-        cursor_ = w_end;
-    } while (cursor_ < until);
+    // Checked here, so a bad call panics on the caller's thread.
+    sim::simAssert(until >= endTime_, "run() must move time forward");
+    endTime_ = until;
+    // Busiest cell first, so the longest run is not the last one a
+    // worker claims. Cells share nothing, so each body touches only its
+    // own cell.
+    std::vector<std::size_t> order(cells_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [this](std::size_t a, std::size_t b) {
+                         return injected_[a] > injected_[b];
+                     });
+    pool_->parallelFor(order.size(), [this, &order, until](std::size_t i) {
+        cells_[order[i]]->run(until);
+    });
     mergedDirty_ = true;
-}
-
-// ---------------------------------------------------------------------------
-// Barrier work (serial — the determinism anchor)
-// ---------------------------------------------------------------------------
-
-void
-ShardedPlatform::routeArrivals(sim::Tick window_end, sim::Tick until)
-{
-    // The last window of a run() is closed ([cursor, until]) because the
-    // engines execute events at exactly `until`; interior windows are
-    // half-open so a boundary arrival is injected into the window that
-    // executes it. A spent feed's kTickNever falls in no window.
-    bool closed = window_end == until;
-    std::fill(windowRouted_.begin(), windowRouted_.end(), 0);
-    for (PendingFeed &feed : pending_) {
-        slice_.clear();
-        while (feed.head < window_end ||
-               (closed && feed.head == window_end)) {
-            slice_.push_back(feed.head);
-            feed.head = takeHead(feed.ticks);
-        }
-        if (slice_.empty())
-            continue;
-        auto fn = static_cast<std::size_t>(feed.fn);
-        auto n = static_cast<std::int64_t>(slice_.size());
-        windowRouted_[homes_[fn]] += n;
-        routedTotal_[homes_[fn]] += n;
-        std::vector<sim::Tick> &buf = routedBuf_[fn];
-        if (buf.empty()) {
-            buf.swap(slice_);
-        } else {
-            // A second feed of the function: ticks carry nothing but
-            // their value, so merging the two sorted runs gives the
-            // function's arrivals in order.
-            auto mid = buf.insert(buf.end(), slice_.begin(), slice_.end());
-            std::inplace_merge(buf.begin(), mid, buf.end());
-        }
-    }
-    // Spent feeds are dead weight; drop them front-compacted so feed
-    // order is preserved.
-    std::size_t keep = 0;
-    for (std::size_t f = 0; f < pending_.size(); ++f) {
-        if (pending_[f].head == sim::kTickNever)
-            continue;
-        if (keep != f)
-            pending_[keep] = std::move(pending_[f]);
-        ++keep;
-    }
-    pending_.resize(keep);
-}
-
-void
-ShardedPlatform::injectRouted(std::size_t c)
-{
-    for (std::size_t fn = 0; fn < homes_.size(); ++fn) {
-        std::vector<sim::Tick> &ticks = routedBuf_[fn];
-        if (homes_[fn] != c || ticks.empty())
-            continue;
-        cells_[c]->injectTrace(static_cast<FunctionId>(fn),
-                               workload::ArrivalTrace(ticks));
-        ticks.clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -247,8 +163,7 @@ ShardedPlatform::cell(std::size_t i) const
 std::int64_t
 ShardedPlatform::routedTo(std::size_t i) const
 {
-    sim::simAssert(i < routedTotal_.size(), "bad cell index ", i);
-    return routedTotal_[i];
+    return cell(i).totalMetrics().arrivals();
 }
 
 const metrics::RunMetrics &

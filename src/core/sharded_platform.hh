@@ -13,16 +13,13 @@
  * its home cell is shed or dropped there like on a flat platform that
  * size.
  *
- * Only routed arrivals cross a cell boundary, handed over at the
- * barriers of lockstep windows. Every other subsystem (crashes, startup
- * failures, health ejection, the SLO monitor, the flight recorder,
- * tracing and the overload stack) runs inside each cell exactly as it
- * would in an independent Platform over that slice. Within a window each
- * cell touches nothing but its own state, so the cells run concurrently
- * on a WorkerPool and the run is byte-identical for every thread count.
- * The barrier moves each feed's window slice into its function's routed
- * buffer; each cell injects its own functions' buffers on its worker
- * before running the window.
+ * Cells share nothing at run time. ShardedPlatform hands each injected
+ * trace straight to its function's home cell, and every subsystem
+ * (crashes, startup failures, health ejection, the SLO monitor, the
+ * flight recorder, tracing and the overload stack) runs inside each cell
+ * exactly as it would in an independent Platform over that slice. So
+ * run() is one WorkerPool::parallelFor in which every cell runs to the
+ * end on its own, and the run is byte-identical for every thread count.
  *
  * The partition is static: each cell owns the same contiguous slice of
  * servers for the whole run. A multi-cell platform rejects at
@@ -33,9 +30,10 @@
  *  - cells=1 delegates every call to the inner flat Platform (traces
  *    injected upfront, one run) and is bit-identical to using Platform
  *    directly.
- *  - multi-cell runs depend only on (seed, cells, windowTicks, call
- *    sequence): routing draws nothing and all barrier work runs
- *    serially.
+ *  - cell c of a multi-cell run is bit for bit a flat Platform over its
+ *    slice, seeded off the run seed and c, with every function deployed
+ *    and only its home functions' traces injected. The run therefore
+ *    depends only on (seed, cells, call sequence).
  */
 
 #ifndef INFLESS_CORE_SHARDED_PLATFORM_HH
@@ -46,7 +44,6 @@
 #include <vector>
 
 #include "core/platform.hh"
-#include "sim/tick_log.hh"
 #include "sim/worker_pool.hh"
 
 namespace infless::core {
@@ -57,10 +54,9 @@ struct CellOptions
     /** Number of cells; 1 = delegate to a single flat Platform. */
     std::size_t cells = 1;
     /**
-     * Lockstep window length: how far the cells run between barriers,
-     * and so the slice of arrivals each barrier routes. Routing is
-     * static, so the window changes no output, only how often the cells
-     * synchronize.
+     * Inert: nothing reads it, since every cell runs to the end of each
+     * run() in one go. It stays only because the benchmark driver sets
+     * it; the benchmark-change backlog item in ROADMAP.md deletes it.
      */
     sim::Tick windowTicks = 250 * sim::kTicksPerMs;
     /** Worker threads for the per-cell engines; 0 = hardware
@@ -91,10 +87,9 @@ class ShardedPlatform
     FunctionId deploy(const FunctionSpec &spec);
 
     /**
-     * Inject a pre-materialized arrival trace. With one cell this goes
-     * straight to the flat platform; with several the arrivals are
-     * routed to @p fn's home cell window by window as the run reaches
-     * them. Panics on an id deploy() did not return.
+     * Inject a pre-materialized arrival trace into @p fn's home cell
+     * (the flat platform with one cell). Panics on an id deploy() did
+     * not return.
      */
     void injectTrace(FunctionId fn, workload::ArrivalTrace trace);
 
@@ -105,10 +100,8 @@ class ShardedPlatform
     /**
      * Advance the whole cluster to an absolute tick.
      *
-     * Multi-cell: loops lockstep windows — route the window's arrivals
-     * to home cells, then, on the worker pool and busiest cell first,
-     * have every cell inject its routed arrivals and run to the window
-     * end.
+     * Multi-cell: every cell runs to @p until on the worker pool, the
+     * cells with the most injected arrivals claimed first.
      */
     void run(sim::Tick until);
 
@@ -147,33 +140,16 @@ class ShardedPlatform
     /** Live instances across all cells. */
     int liveInstanceCount() const;
 
-    /** Requests routed to cell @p i over the whole run. */
+    /** Arrivals cell @p i has taken in so far. */
     std::int64_t routedTo(std::size_t i) const;
 
   private:
-    /** One injected trace awaiting routing (multi-cell only), read by
-     *  its routing cursor. */
-    struct PendingFeed
-    {
-        FunctionId fn;
-        sim::TickLog ticks;
-        /** Next arrival, already taken from @c ticks; kTickNever once
-         *  the feed is spent. */
-        sim::Tick head = sim::kTickNever;
-    };
-
     bool delegated() const { return cells_.size() == 1; }
 
     /** @p fn as an index; panics on an id deploy() did not return. */
     std::size_t functionIndex(FunctionId fn) const;
-    /** Serial barrier work: move each feed's window slice to its
-     *  function's routed buffer. */
-    void routeArrivals(sim::Tick window_end, sim::Tick until);
-    /** Inject and clear cell @p c's routed buffers (its worker only). */
-    void injectRouted(std::size_t c);
     void rebuildMerged() const;
 
-    CellOptions cellOpts_;
     std::vector<std::unique_ptr<Platform>> cells_;
     std::unique_ptr<sim::WorkerPool> pool_;
     /** Workload materialization stream (multi-cell injectRateSeries). */
@@ -183,22 +159,9 @@ class ShardedPlatform
     /** Home cell per function, fixed at deploy() (multi-cell only). */
     std::vector<std::size_t> homes_;
 
-    std::vector<PendingFeed> pending_;
-    std::vector<std::int64_t> routedTotal_;
-    /** Arrivals routed to each cell at the current barrier. */
-    std::vector<std::int64_t> windowRouted_;
-    /** Routed ticks per function (multi-cell only), reused across
-     *  windows: filled from whole feed slices, merged when one function
-     *  has several feeds, and drained by the home cell's worker. */
-    std::vector<std::vector<sim::Tick>> routedBuf_;
-    /** One feed's window slice; swapped into an empty routedBuf_
-     *  entry, so capacities circulate. */
-    std::vector<sim::Tick> slice_;
-    /** Cells by this window's routed arrivals, descending, ties to the
-     *  lower index: the order workers claim them in. */
-    std::vector<std::size_t> order_;
-
-    sim::Tick cursor_ = 0;
+    /** Arrivals injected into each cell: the order workers claim cells
+     *  in, most first, ties to the lower index (multi-cell only). */
+    std::vector<std::int64_t> injected_;
     sim::Tick endTime_ = 0;
 
     /** Lazily rebuilt cross-cell merges (multi-cell only). */

@@ -2,13 +2,12 @@
  * @file
  * Persistent thread pool for intra-run cell parallelism.
  *
- * The sharded platform advances its cells in lockstep windows: at every
- * window barrier the same fixed set of independent cell engines must each
- * run to the window end. Spawning threads per barrier would be too
- * expensive for the hundreds of barriers of one simulation run, so
- * WorkerPool keeps its workers alive across parallelFor() calls and hands
- * out indices through one atomic counter. The bench sweeps use one pool
- * per sweep.
+ * The sharded platform runs its independent cell engines side by side
+ * in one parallelFor per run() call, and the bench sweeps run their
+ * points the same way. WorkerPool keeps its workers alive across
+ * parallelFor() calls, so repeated runs spawn no threads, and hands out
+ * indices through one atomic counter. The bench sweeps use one pool per
+ * sweep.
  *
  * Determinism contract: parallelFor(n, body) invokes body(i) exactly once
  * for every i in [0, n) and returns only after all invocations finished.

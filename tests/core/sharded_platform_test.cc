@@ -279,21 +279,33 @@ TEST(ShardedPlatform, CellsReleaseReplayedArrivals)
     flat.run(25 * kTicksPerSec);
     EXPECT_EQ(flat.heldArrivalBytes(), 0u);
 
-    // Cells receive one trace per (window, function) and replay each
-    // within its window, so between windows they hold no arrivals at
-    // all, however long the run.
+    // A cell is a flat platform over its slice and takes its home
+    // functions' traces whole at injection, so each cell holds arrival
+    // bytes until it has replayed its traces, and none after.
     CellOptions cells;
     cells.cells = 4;
     ShardedPlatform sharded(16, opts, cells);
-    auto sfn = sharded.deploy(spec("resnet", "ResNet-50"));
-    sharded.injectTrace(sfn, uniformArrivals(200.0, 20 * kTicksPerSec));
+    const Tick load = 20 * kTicksPerSec;
+    std::vector<bool> homed(cells.cells, false);
+    for (int i = 0; std::count(homed.begin(), homed.end(), false) > 0; ++i) {
+        ASSERT_LT(i, 64) << "some cell is home to no function";
+        auto sfn = sharded.deploy(
+            spec("resnet-" + std::to_string(i), "ResNet-50"));
+        sharded.injectTrace(sfn, uniformArrivals(100.0, load));
+        homed[sharded.homeCell(sfn)] = true;
+    }
     for (Tick t = kTicksPerSec; t <= 25 * kTicksPerSec; t += kTicksPerSec) {
         sharded.run(t);
-        for (std::size_t c = 0; c < sharded.cellCount(); ++c)
-            ASSERT_EQ(sharded.cell(c).heldArrivalBytes(), 0u)
-                << "cell " << c << " at " << t;
+        for (std::size_t c = 0; c < sharded.cellCount(); ++c) {
+            if (t < load)
+                ASSERT_GT(sharded.cell(c).heldArrivalBytes(), 0u)
+                    << "cell " << c << " at " << t;
+            else
+                ASSERT_EQ(sharded.cell(c).heldArrivalBytes(), 0u)
+                    << "cell " << c << " at " << t;
+        }
     }
-    EXPECT_GT(sharded.totalMetrics().arrivals(), 3'000);
+    EXPECT_GT(sharded.totalMetrics().arrivals(), 7'000);
 }
 
 TEST(ShardedPlatform, MultiCellArrivalsMatchFlatForSameTrace)
@@ -800,8 +812,8 @@ feedOrderRun(std::size_t servers)
 TEST(ShardedPlatform, FeedOrderGoldenDigest)
 {
     // The same tied and interleaved feeds on 16 servers per cell, where
-    // every function stays in one cell: pins what the barrier hands each
-    // cell when feeds tie on window boundaries, interleave within one
+    // every function stays in one cell: pins what each cell takes in
+    // when feeds tie on 250 ms boundaries, interleave within one
     // function and join between runs.
     FeedOrderRun run = feedOrderRun(64);
     EXPECT_EQ(run.routed,
@@ -863,8 +875,8 @@ singleHomeRun()
 
 TEST(ShardedPlatform, SingleHomeRoutingGoldenDigest)
 {
-    // Pins what the barrier routes to each function's home cell over
-    // 16 cells, across an interior run() ending off a window boundary.
+    // Pins what each function's home cell takes in over 16 cells,
+    // across an interior run() ending off a 250 ms boundary.
     SingleHomeRun run = singleHomeRun();
     EXPECT_EQ(run.routed,
               (std::vector<std::int64_t>{0, 385, 217, 0, 633, 0, 0, 547, 519,
