@@ -55,8 +55,9 @@ struct CellOptions
     std::size_t cells = 1;
     /**
      * Inert: nothing reads it, since every cell runs to the end of each
-     * run() in one go. It stays only because the benchmark driver sets
-     * it; the benchmark-change backlog item in ROADMAP.md deletes it.
+     * run() in one go. It stays only because benchmark/infless_bench.cc
+     * sets it; the benchmark-change backlog item in ROADMAP.md deletes
+     * it.
      */
     sim::Tick windowTicks = 250 * sim::kTicksPerMs;
     /** Worker threads for the per-cell engines; 0 = hardware
