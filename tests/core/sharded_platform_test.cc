@@ -1019,6 +1019,16 @@ TEST(ShardedPlatform, EachCellIsAFlatPlatform)
     }
     // Non-vacuity: the functions spread over more than one cell.
     EXPECT_GT(busy_cells, 1u);
+    // Only a function's home cell records anything for it, so its
+    // platform-wide metrics are its home cell's.
+    for (std::size_t fn = 0; fn < std::size(models); ++fn) {
+        auto id = static_cast<infless::core::FunctionId>(fn);
+        EXPECT_EQ(fingerprint(sharded.functionMetrics(id), end),
+                  fingerprint(sharded.cell(sharded.homeCell(id))
+                                  .functionMetrics(id),
+                              end))
+            << "fn " << fn;
+    }
 }
 
 } // namespace
