@@ -5,7 +5,7 @@
  * The bench sweeps (load ladders, MTBF grids, system line-ups) evaluate
  * many mutually independent grid points, each of which constructs its own
  * Platform and runs a fully seeded simulation. ParallelSweep::map runs
- * those points on a sim::WorkerPool and stores every result at the index
+ * those points in one sim::parallelFor and stores every result at the index
  * of its input item, so the output vector is byte-identical to a serial
  * loop regardless of thread count or scheduling order.
  *
@@ -18,12 +18,11 @@
 #ifndef INFLESS_BENCH_COMMON_PARALLEL_SWEEP_HH
 #define INFLESS_BENCH_COMMON_PARALLEL_SWEEP_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <type_traits>
 #include <vector>
 
-#include "sim/worker_pool.hh"
+#include "sim/parallel_for.hh"
 
 namespace infless::bench {
 
@@ -34,7 +33,7 @@ class ParallelSweep
      * Apply @p fn to every element of @p items, possibly concurrently,
      * and return the results in input order.
      *
-     * @p threads of 0 picks sim::WorkerPool::defaultThreads(); 1 runs
+     * @p threads of 0 picks sim::defaultThreads(); 1 runs
      * serially on the calling thread. The first exception thrown by any
      * invocation is rethrown on the caller after all invocations
      * finished.
@@ -46,12 +45,7 @@ class ParallelSweep
     {
         std::vector<std::decay_t<decltype(fn(items.front()))>> results(
             items.size());
-        if (items.empty())
-            return results;
-        if (threads == 0)
-            threads = sim::WorkerPool::defaultThreads();
-        sim::WorkerPool pool(std::min(threads, items.size()));
-        pool.parallelFor(items.size(),
+        sim::parallelFor(items.size(), threads,
                          [&](std::size_t i) { results[i] = fn(items[i]); });
         return results;
     }

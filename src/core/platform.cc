@@ -209,6 +209,7 @@ void
 Platform::injectRateSeries(FunctionId fn,
                            const workload::RateSeries &series)
 {
+    functionState(fn); // validate the id before the fork draws
     sim::Rng rng = sim_.forkRng(static_cast<std::uint64_t>(fn) + 0x77);
     injectTrace(fn, workload::ArrivalTrace::fromRateSeries(series, rng));
 }

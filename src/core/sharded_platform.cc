@@ -6,6 +6,7 @@
 
 #include "cluster/cell_partition.hh"
 #include "sim/logging.hh"
+#include "sim/parallel_for.hh"
 
 namespace infless::core {
 
@@ -20,7 +21,8 @@ constexpr std::uint64_t kWorkloadSeedKey = 0x3AFE'57A7ULL;
 
 ShardedPlatform::ShardedPlatform(std::size_t num_servers,
                                  PlatformOptions opts, CellOptions cell_opts)
-    : workloadRng_(sim::hashCombine(opts.seed, kWorkloadSeedKey)),
+    : threads_(cell_opts.threads),
+      workloadRng_(sim::hashCombine(opts.seed, kWorkloadSeedKey)),
       homeSeed_(sim::hashCombine(opts.seed, kHomeSeedKey))
 {
     // partitionServers clamps cells > servers to one server per cell;
@@ -49,14 +51,7 @@ ShardedPlatform::ShardedPlatform(std::size_t num_servers,
         cells_.push_back(std::make_unique<Platform>(
             slices[c].size(), std::move(cell_opts_c)));
     }
-    if (!delegated()) {
-        injected_.assign(cells, 0);
-        std::size_t threads = cell_opts.threads != 0
-                                  ? cell_opts.threads
-                                  : sim::WorkerPool::defaultThreads();
-        pool_ = std::make_unique<sim::WorkerPool>(
-            std::min(threads, cells));
-    }
+    injected_.assign(cells, 0);
 }
 
 ShardedPlatform::~ShardedPlatform() = default;
@@ -69,9 +64,8 @@ ShardedPlatform::deploy(const FunctionSpec &spec)
         FunctionId other = cells_[c]->deploy(spec);
         sim::simAssert(other == fn, "cells disagree on function id");
     }
-    if (!delegated())
-        homes_.push_back(cluster::homeCell(
-            homeSeed_, static_cast<std::size_t>(fn), cells_.size()));
+    homes_.push_back(cluster::homeCell(
+        homeSeed_, static_cast<std::size_t>(fn), cells_.size()));
     return fn;
 }
 
@@ -86,11 +80,7 @@ ShardedPlatform::functionIndex(FunctionId fn) const
 void
 ShardedPlatform::injectTrace(FunctionId fn, workload::ArrivalTrace trace)
 {
-    if (delegated()) {
-        cells_[0]->injectTrace(fn, std::move(trace));
-        return;
-    }
-    std::size_t home = homes_[functionIndex(fn)];
+    std::size_t home = homeCell(fn);
     injected_[home] += static_cast<std::int64_t>(trace.arrivals().size());
     cells_[home]->injectTrace(fn, std::move(trace));
 }
@@ -99,28 +89,28 @@ void
 ShardedPlatform::injectRateSeries(FunctionId fn,
                                   const workload::RateSeries &series)
 {
-    if (delegated()) {
+    // One cell draws from its own stream, as a flat Platform does, so
+    // cells=1 stays bit-identical to it.
+    if (cells_.size() == 1) {
         cells_[0]->injectRateSeries(fn, series);
         return;
     }
+    // The id is checked before the fork, so a rejected call draws
+    // nothing.
     sim::Rng rng =
-        workloadRng_.fork(static_cast<std::uint64_t>(fn) + 0x77);
+        workloadRng_.fork(static_cast<std::uint64_t>(functionIndex(fn)) +
+                          0x77);
     injectTrace(fn, workload::ArrivalTrace::fromRateSeries(series, rng));
 }
 
 void
 ShardedPlatform::run(sim::Tick until)
 {
-    if (delegated()) {
-        endTime_ = until;
-        cells_[0]->run(until);
-        return;
-    }
     // Checked here, so a bad call panics on the caller's thread.
     sim::simAssert(until >= endTime_, "run() must move time forward");
     endTime_ = until;
     // Busiest cell first, so the longest run is not the last one a
-    // worker claims. Cells share nothing, so each body touches only its
+    // thread claims. Cells share nothing, so each body touches only its
     // own cell.
     std::vector<std::size_t> order(cells_.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -128,9 +118,10 @@ ShardedPlatform::run(sim::Tick until)
                      [this](std::size_t a, std::size_t b) {
                          return injected_[a] > injected_[b];
                      });
-    pool_->parallelFor(order.size(), [this, &order, until](std::size_t i) {
-        cells_[order[i]]->run(until);
-    });
+    sim::parallelFor(order.size(), threads_,
+                     [this, &order, until](std::size_t i) {
+                         cells_[order[i]]->run(until);
+                     });
     mergedDirty_ = true;
 }
 
@@ -142,14 +133,8 @@ void
 ShardedPlatform::rebuildMerged() const
 {
     merged_ = metrics::RunMetrics();
-    mergedFn_.assign(functionCount(), metrics::RunMetrics());
-    for (const auto &cell : cells_) {
+    for (const auto &cell : cells_)
         merged_.mergeShard(cell->totalMetrics(), endTime_);
-        for (std::size_t fn = 0; fn < mergedFn_.size(); ++fn)
-            mergedFn_[fn].mergeShard(
-                cell->functionMetrics(static_cast<FunctionId>(fn)),
-                endTime_);
-    }
     mergedDirty_ = false;
 }
 
@@ -169,8 +154,6 @@ ShardedPlatform::routedTo(std::size_t i) const
 const metrics::RunMetrics &
 ShardedPlatform::totalMetrics() const
 {
-    if (delegated())
-        return cells_[0]->totalMetrics();
     if (mergedDirty_)
         rebuildMerged();
     return merged_;
@@ -179,12 +162,7 @@ ShardedPlatform::totalMetrics() const
 const metrics::RunMetrics &
 ShardedPlatform::functionMetrics(FunctionId fn) const
 {
-    if (delegated())
-        return cells_[0]->functionMetrics(fn);
-    std::size_t idx = functionIndex(fn);
-    if (mergedDirty_)
-        rebuildMerged();
-    return mergedFn_[idx];
+    return cells_[homeCell(fn)]->functionMetrics(fn);
 }
 
 std::uint64_t

@@ -18,8 +18,10 @@
  * (crashes, startup failures, health ejection, the SLO monitor, the
  * flight recorder, tracing and the overload stack) runs inside each cell
  * exactly as it would in an independent Platform over that slice. So
- * run() is one WorkerPool::parallelFor in which every cell runs to the
- * end on its own, and the run is byte-identical for every thread count.
+ * run() is one sim::parallelFor in which every cell runs to the end on
+ * its own, and the run is byte-identical for every thread count. One
+ * cell takes the same path as any other count: its run is the inline
+ * call of that one cell.
  *
  * The partition is static: each cell owns the same contiguous slice of
  * servers for the whole run. A multi-cell platform rejects at
@@ -27,9 +29,10 @@
  * a topology, correlated domain outages and gray servers.
  *
  * Determinism contract:
- *  - cells=1 delegates every call to the inner flat Platform (traces
- *    injected upfront, one run) and is bit-identical to using Platform
- *    directly.
+ *  - cells=1 is bit-identical to using Platform directly. Only two
+ *    things set it apart from other cell counts: its one cell keeps the
+ *    caller's seed, and injectRateSeries draws from that cell's own
+ *    stream, as the flat Platform does.
  *  - cell c of a multi-cell run is bit for bit a flat Platform over its
  *    slice, seeded off the run seed and c, with every function deployed
  *    and only its home functions' traces injected. The run therefore
@@ -39,19 +42,19 @@
 #ifndef INFLESS_CORE_SHARDED_PLATFORM_HH
 #define INFLESS_CORE_SHARDED_PLATFORM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/platform.hh"
-#include "sim/worker_pool.hh"
 
 namespace infless::core {
 
 /** Sharding configuration. */
 struct CellOptions
 {
-    /** Number of cells; 1 = delegate to a single flat Platform. */
+    /** Number of cells; 1 behaves exactly like a flat Platform. */
     std::size_t cells = 1;
     /**
      * Inert: nothing reads it, since every cell runs to the end of each
@@ -60,8 +63,8 @@ struct CellOptions
      * it.
      */
     sim::Tick windowTicks = 250 * sim::kTicksPerMs;
-    /** Worker threads for the per-cell engines; 0 = hardware
-     *  concurrency. Clamped to the cell count. */
+    /** Threads each run() spreads the cells over; 0 = hardware
+     *  concurrency, 1 = serial. Clamped to the cell count. */
     std::size_t threads = 0;
 };
 
@@ -88,21 +91,21 @@ class ShardedPlatform
     FunctionId deploy(const FunctionSpec &spec);
 
     /**
-     * Inject a pre-materialized arrival trace into @p fn's home cell
-     * (the flat platform with one cell). Panics on an id deploy() did
-     * not return.
+     * Inject a pre-materialized arrival trace into @p fn's home cell.
+     * Panics on an id deploy() did not return.
      */
     void injectTrace(FunctionId fn, workload::ArrivalTrace trace);
 
-    /** Materialize and inject a rate series (Poisson arrivals). */
+    /** Materialize and inject a rate series (Poisson arrivals). Panics,
+     *  before drawing, on an id deploy() did not return. */
     void injectRateSeries(FunctionId fn,
                           const workload::RateSeries &series);
 
     /**
      * Advance the whole cluster to an absolute tick.
      *
-     * Multi-cell: every cell runs to @p until on the worker pool, the
-     * cells with the most injected arrivals claimed first.
+     * Every cell runs to @p until in one parallelFor, the cells with
+     * the most injected arrivals claimed first.
      */
     void run(sim::Tick until);
 
@@ -116,17 +119,18 @@ class ShardedPlatform
      *  (0 with one cell). Panics on an id deploy() did not return. */
     std::size_t homeCell(FunctionId fn) const
     {
-        std::size_t idx = functionIndex(fn);
-        return delegated() ? 0 : homes_[idx];
+        return homes_[functionIndex(fn)];
     }
 
     std::size_t functionCount() const { return cells_[0]->functionCount(); }
 
-    /** Aggregate metrics over all cells (cells=1: the flat metrics). */
+    /** Aggregate metrics over all cells, closed at the last run()'s
+     *  end. */
     const metrics::RunMetrics &totalMetrics() const;
 
-    /** Merged metrics of one function across cells. Panics on an id
-     *  deploy() did not return. */
+    /** Metrics of one function: its home cell's, since no other cell
+     *  records anything for it. Panics on an id deploy() did not
+     *  return. */
     const metrics::RunMetrics &functionMetrics(FunctionId fn) const;
 
     /** Events executed across every cell's engine. */
@@ -145,29 +149,27 @@ class ShardedPlatform
     std::int64_t routedTo(std::size_t i) const;
 
   private:
-    bool delegated() const { return cells_.size() == 1; }
-
     /** @p fn as an index; panics on an id deploy() did not return. */
     std::size_t functionIndex(FunctionId fn) const;
     void rebuildMerged() const;
 
     std::vector<std::unique_ptr<Platform>> cells_;
-    std::unique_ptr<sim::WorkerPool> pool_;
+    /** CellOptions::threads, handed to every run()'s parallelFor. */
+    std::size_t threads_;
     /** Workload materialization stream (multi-cell injectRateSeries). */
     sim::Rng workloadRng_;
     /** Seed of the rendezvous weights behind every home cell. */
     std::uint64_t homeSeed_;
-    /** Home cell per function, fixed at deploy() (multi-cell only). */
+    /** Home cell per function, fixed at deploy(). */
     std::vector<std::size_t> homes_;
 
-    /** Arrivals injected into each cell: the order workers claim cells
-     *  in, most first, ties to the lower index (multi-cell only). */
+    /** Arrivals injected into each cell: the order threads claim cells
+     *  in, most first, ties to the lower index. */
     std::vector<std::int64_t> injected_;
     sim::Tick endTime_ = 0;
 
-    /** Lazily rebuilt cross-cell merges (multi-cell only). */
+    /** Lazily rebuilt merge of every cell's totals. */
     mutable metrics::RunMetrics merged_;
-    mutable std::vector<metrics::RunMetrics> mergedFn_;
     mutable bool mergedDirty_ = true;
 };
 

@@ -25,6 +25,7 @@ using infless::sim::kTicksPerSec;
 using infless::sim::msToTicks;
 using infless::sim::Tick;
 using infless::workload::ArrivalTrace;
+using infless::workload::constantRate;
 using infless::workload::uniformArrivals;
 
 FunctionSpec
@@ -145,6 +146,30 @@ TEST(PlatformEdgeTest, MaxBatchOneNeverBatches)
     const auto &m = p.functionMetrics(fn);
     ASSERT_GT(m.completions(), 0);
     EXPECT_DOUBLE_EQ(m.meanBatchFill(), 1.0);
+}
+
+TEST(PlatformEdgeTest, RejectedRateSeriesDrawsNothing)
+{
+    // A rate series for an id deploy() never returned panics before it
+    // draws, so the valid injection after it gets the same arrivals as
+    // on a platform that never saw the rejected call.
+    auto arrivals = [](bool reject_first) {
+        infless::core::PlatformOptions opts;
+        opts.seed = 3;
+        Platform p(4, opts);
+        auto fn = p.deploy(resnetSpec());
+        auto series = constantRate(40.0, 10 * kTicksPerSec);
+        if (reject_first) {
+            EXPECT_THROW(p.injectRateSeries(fn + 1, series),
+                         infless::sim::PanicError);
+        }
+        p.injectRateSeries(fn, series);
+        p.run(20 * kTicksPerSec);
+        return p.totalMetrics().arrivals();
+    };
+    auto clean = arrivals(false);
+    EXPECT_GT(clean, 0);
+    EXPECT_EQ(arrivals(true), clean);
 }
 
 } // namespace

@@ -175,8 +175,8 @@ TEST(ShardedPlatform, Cells1SloHealthMatchesFlatPlatform)
     ShardedPlatform sharded(16, opts, cells);
     driveWorkload(sharded);
 
-    // cells=1 delegates: its one cell's monitor holds the flat
-    // monitor's rows and alerts.
+    // cells=1 runs one cell over the whole fleet: its monitor holds the
+    // flat monitor's rows and alerts.
     EXPECT_FALSE(flat.sloMonitor().closed(0).empty());
     EXPECT_EQ(sloDigest(flat.sloMonitor()),
               sloDigest(sharded.cell(0).sloMonitor()));
@@ -209,7 +209,7 @@ TEST(ShardedPlatform, MultiCellByteIdenticalAcrossThreadCounts)
     auto serial = multiCellRun(1);
     EXPECT_EQ(serial, multiCellRun(2));
     EXPECT_EQ(serial, multiCellRun(4));
-    EXPECT_EQ(serial, multiCellRun(0)); // pool default
+    EXPECT_EQ(serial, multiCellRun(0)); // hardware threads
 }
 
 TEST(ShardedPlatform, MultiCellConservesRequests)
@@ -448,7 +448,7 @@ TEST(ShardedPlatform, SloHealthByteIdenticalAcrossThreadCounts)
     auto serial = sloHealthRun(1);
     EXPECT_EQ(serial, sloHealthRun(2));
     EXPECT_EQ(serial, sloHealthRun(4));
-    EXPECT_EQ(serial, sloHealthRun(0)); // pool default
+    EXPECT_EQ(serial, sloHealthRun(0)); // hardware threads
 }
 
 // ---------------------------------------------------------------------------
@@ -499,7 +499,7 @@ TEST(ShardedDomains, ChaosRunByteIdenticalAcrossThreadCounts)
     auto serial = chaosRun(1);
     EXPECT_EQ(serial, chaosRun(2));
     EXPECT_EQ(serial, chaosRun(4));
-    EXPECT_EQ(serial, chaosRun(0)); // pool default
+    EXPECT_EQ(serial, chaosRun(0)); // hardware threads
 }
 
 /** The panic message of a 2-cell construction over @p opts, or "" when
@@ -613,6 +613,21 @@ TEST(ShardedPlatform, MultiCellRejectsUnknownFunctionIds)
     EXPECT_GT(n, 0);
     EXPECT_EQ(routedSum(platform), n);
     EXPECT_EQ(platform.functionMetrics(fn).arrivals(), n);
+
+    // Nor did they draw: a valid rate series gets the arrivals it gets
+    // on a platform that never saw the rejected calls.
+    ShardedPlatform clean(8, {}, cells);
+    clean.deploy(spec("resnet", "ResNet-50"));
+    clean.injectTrace(fn, trace);
+    clean.run(2 * kTicksPerSec);
+    auto series = constantRate(40.0, 10 * kTicksPerSec);
+    platform.injectRateSeries(fn, series);
+    clean.injectRateSeries(fn, series);
+    platform.run(12 * kTicksPerSec);
+    clean.run(12 * kTicksPerSec);
+    EXPECT_GT(clean.functionMetrics(fn).arrivals(), n);
+    EXPECT_EQ(fingerprint(platform.functionMetrics(fn), 12 * kTicksPerSec),
+              fingerprint(clean.functionMetrics(fn), 12 * kTicksPerSec));
 }
 
 /** FNV-1a over the bit patterns of @p values. */
@@ -741,7 +756,7 @@ TEST(ShardedPlatform, PerCellChaosGoldenDigest)
     auto serial = perCellChaosRun(1);
     EXPECT_EQ(serial, perCellChaosRun(2));
     EXPECT_EQ(serial, perCellChaosRun(4));
-    EXPECT_EQ(serial, perCellChaosRun(0)); // pool default
+    EXPECT_EQ(serial, perCellChaosRun(0)); // hardware threads
     EXPECT_EQ(bitDigest(serial), 0x277efebec8b5bcf3ULL);
 }
 
@@ -755,8 +770,8 @@ shifted(const infless::workload::ArrivalTrace &trace, Tick by)
     return infless::workload::ArrivalTrace(std::move(ticks));
 }
 
-/** Arrivals that tie across feeds, on window boundaries and between
- *  two feeds of one function, routed over 4 cells. */
+/** Arrivals that tie across feeds, on every multiple of 250 ms and
+ *  between two feeds of one function, routed over 4 cells. */
 struct FeedOrderRun
 {
     std::vector<double> fp;
@@ -776,7 +791,7 @@ feedOrderRun(std::size_t servers)
     for (const char *model : {"Bert-v1", "ResNet-50", "VGGNet"}) {
         heavy.push_back(platform.deploy(spec(model, model)));
         // 1 ms apart in every feed: the three tie on every tick, and
-        // every 250 ms window boundary carries an arrival.
+        // every multiple of 250 ms carries an arrival.
         platform.injectTrace(heavy.back(), uniformArrivals(1'000.0, first));
     }
     // Two feeds of one function, 2.5 ms and 4 ms apart: they
@@ -813,7 +828,7 @@ TEST(ShardedPlatform, FeedOrderGoldenDigest)
 {
     // The same tied and interleaved feeds on 16 servers per cell, where
     // every function stays in one cell: pins what each cell takes in
-    // when feeds tie on 250 ms boundaries, interleave within one
+    // when feeds tie on multiples of 250 ms, interleave within one
     // function and join between runs.
     FeedOrderRun run = feedOrderRun(64);
     EXPECT_EQ(run.routed,
@@ -853,7 +868,7 @@ singleHomeRun()
     // A second feed of function 0, 3 ms off the first.
     platform.injectTrace(
         0, shifted(uniformArrivals(25.0, load - msToTicks(3)), msToTicks(3)));
-    // An interior run() ending off a window boundary.
+    // An interior run() ending at 4.1 s, off any multiple of 250 ms.
     platform.run(msToTicks(4'100));
 
     SingleHomeRun out;
@@ -876,7 +891,7 @@ singleHomeRun()
 TEST(ShardedPlatform, SingleHomeRoutingGoldenDigest)
 {
     // Pins what each function's home cell takes in over 16 cells,
-    // across an interior run() ending off a 250 ms boundary.
+    // across an interior run() ending at 4.1 s.
     SingleHomeRun run = singleHomeRun();
     EXPECT_EQ(run.routed,
               (std::vector<std::int64_t>{0, 385, 217, 0, 633, 0, 0, 547, 519,
@@ -975,7 +990,7 @@ TEST(ShardedPlatform, EachCellIsAFlatPlatform)
     feeds.emplace_back(0, uniformArrivals(10.0, load));
     for (const auto &[fn, trace] : feeds)
         sharded.injectTrace(fn, trace);
-    // An interior run() ending on an arrival, off any 250 ms boundary.
+    // An interior run() ending on an arrival, at 4.1 s.
     const Tick mid = msToTicks(4'100);
     const Tick end = 15 * kTicksPerSec;
     sharded.run(mid);

@@ -1,4 +1,4 @@
-#include "sim/worker_pool.hh"
+#include "sim/parallel_for.hh"
 
 #include <gtest/gtest.h>
 
@@ -11,32 +11,30 @@
 namespace infless::sim {
 namespace {
 
-TEST(WorkerPool, RunsEveryIndexExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    WorkerPool pool(4);
     std::vector<std::atomic<int>> hits(100);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallelFor(hits.size(), 4,
+                [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(WorkerPool, SerialPoolRunsInline)
+TEST(ParallelFor, SerialPoolRunsInline)
 {
-    WorkerPool pool(1);
     std::vector<int> order;
-    pool.parallelFor(5, [&](std::size_t i) {
+    parallelFor(5, 1, [&](std::size_t i) {
         order.push_back(static_cast<int>(i));
     });
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(WorkerPool, ReusableAcrossJobs)
+TEST(ParallelFor, ReusableAcrossJobs)
 {
-    WorkerPool pool(3);
+    // 50 back-to-back calls: each starts and joins its own threads.
     for (int round = 0; round < 50; ++round) {
         std::vector<std::atomic<long>> out(17);
-        pool.parallelFor(out.size(), [&](std::size_t i) {
+        parallelFor(out.size(), 3, [&](std::size_t i) {
             out[i].store(static_cast<long>(i) * round);
         });
         for (std::size_t i = 0; i < out.size(); ++i)
@@ -44,20 +42,18 @@ TEST(WorkerPool, ReusableAcrossJobs)
     }
 }
 
-TEST(WorkerPool, EmptyJobIsNoop)
+TEST(ParallelFor, EmptyJobIsNoop)
 {
-    WorkerPool pool(4);
-    pool.parallelFor(0, [](std::size_t) { FAIL(); });
+    parallelFor(0, 4, [](std::size_t) { FAIL(); });
 }
 
-TEST(WorkerPool, ResultsIndependentOfPoolSize)
+TEST(ParallelFor, ResultsIndependentOfPoolSize)
 {
     // The determinism contract the cell engine relies on: per-index
-    // output slots make the result identical for any worker count.
+    // output slots make the result identical for any thread count.
     auto run = [](std::size_t threads) {
-        WorkerPool pool(threads);
         std::vector<std::uint64_t> out(64);
-        pool.parallelFor(out.size(), [&](std::size_t i) {
+        parallelFor(out.size(), threads, [&](std::size_t i) {
             std::uint64_t s = i;
             for (int k = 0; k < 1000; ++k)
                 s = s * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -70,25 +66,24 @@ TEST(WorkerPool, ResultsIndependentOfPoolSize)
     EXPECT_EQ(serial, run(8));
 }
 
-TEST(WorkerPool, FirstExceptionRethrownOnCaller)
+TEST(ParallelFor, FirstExceptionRethrownOnCaller)
 {
-    WorkerPool pool(4);
-    EXPECT_THROW(pool.parallelFor(32,
-                                  [](std::size_t i) {
-                                      if (i == 7)
-                                          throw std::runtime_error("boom");
-                                  }),
+    EXPECT_THROW(parallelFor(32, 4,
+                             [](std::size_t i) {
+                                 if (i == 7)
+                                     throw std::runtime_error("boom");
+                             }),
                  std::runtime_error);
-    // The pool survives a failed job.
+    // The next call runs every index.
     std::atomic<int> count{0};
-    pool.parallelFor(8, [&](std::size_t) { count.fetch_add(1); });
+    parallelFor(8, 4, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 8);
 }
 
-TEST(WorkerPool, DefaultThreadsIsHardwareConcurrency)
+TEST(ParallelFor, DefaultThreadsIsHardwareConcurrency)
 {
     unsigned hw = std::thread::hardware_concurrency();
-    EXPECT_EQ(WorkerPool::defaultThreads(), hw == 0 ? 1u : hw);
+    EXPECT_EQ(defaultThreads(), hw == 0 ? 1u : hw);
 }
 
 } // namespace
