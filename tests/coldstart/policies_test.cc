@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 #include "coldstart/fixed.hh"
 #include "coldstart/hhp.hh"
@@ -16,9 +19,11 @@ namespace {
 using infless::coldstart::FixedKeepAlive;
 using infless::coldstart::HybridHistogramPolicy;
 using infless::coldstart::KeepAliveDecision;
+using infless::coldstart::KeepAlivePolicy;
 using infless::coldstart::LsthPolicy;
 using infless::sim::kTicksPerHour;
 using infless::sim::kTicksPerMin;
+using infless::sim::kTicksPerMs;
 using infless::sim::kTicksPerSec;
 using infless::sim::Tick;
 
@@ -184,6 +189,74 @@ TEST(PolicyFactoryTest, FactoriesProduceFreshInstances)
     // p2 must not share state with p1.
     auto fixed = FixedKeepAlive::factory(5 * kTicksPerSec)();
     EXPECT_EQ(fixed->decide(0).keepAliveWindow, 5 * kTicksPerSec);
+}
+
+/** FNV-1a over 64-bit words. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    mix(std::int64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    void
+    mix(const KeepAliveDecision &d)
+    {
+        mix(d.prewarmWindow);
+        mix(d.keepAliveWindow);
+    }
+};
+
+/** Next idle gap: same-tick bursts, millisecond and minute gaps,
+ *  multi-hour idles and absences longer than a day. */
+Tick
+nextGap(infless::sim::Rng &rng)
+{
+    std::int64_t k = rng.uniformInt(0, 999);
+    if (k < 200)
+        return 0;
+    if (k < 600)
+        return rng.uniformInt(1, 200 * kTicksPerMs);
+    if (k < 980)
+        return rng.uniformInt(kTicksPerSec, 10 * kTicksPerMin);
+    if (k < 998)
+        return rng.uniformInt(kTicksPerHour, 6 * kTicksPerHour);
+    return rng.uniformInt(25 * kTicksPerHour, 80 * kTicksPerHour);
+}
+
+TEST(KeepAlivePolicies, DecisionStreamGoldenDigest)
+{
+    // Every decision of HHP and of LSTH at two blend weights, and LSTH's
+    // window counts and head and tail percentiles, after each invocation
+    // of one seeded stream.
+    LsthPolicy half(0.5);
+    LsthPolicy full(1.0);
+    HybridHistogramPolicy hhp;
+    KeepAlivePolicy *policies[] = {&half, &full, &hhp};
+    infless::sim::Rng rng(48);
+    Fnv1a fnv;
+    Tick now = 0;
+    for (int i = 0; i < 200'000; ++i) {
+        now += nextGap(rng);
+        for (KeepAlivePolicy *p : policies) {
+            p->recordInvocation(now);
+            fnv.mix(p->decide(now));
+        }
+        const auto &hist = half.histogram();
+        for (std::size_t w : {LsthPolicy::kShort, LsthPolicy::kLong}) {
+            fnv.mix(static_cast<std::int64_t>(hist.count(w)));
+            fnv.mix(hist.percentile(5.0, w));
+            fnv.mix(hist.percentileLower(5.0, w));
+            fnv.mix(hist.percentile(99.0, w));
+            fnv.mix(hist.percentileLower(99.0, w));
+        }
+    }
+    EXPECT_EQ(fnv.h, 0x69d0a621c3e6331cULL);
 }
 
 } // namespace
