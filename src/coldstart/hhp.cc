@@ -5,10 +5,7 @@
 
 namespace infless::coldstart {
 
-HybridHistogramPolicy::HybridHistogramPolicy()
-    : hist_({kTrackedDuration}, kHistogramBinWidth, kHistogramRange)
-{
-}
+HybridHistogramPolicy::HybridHistogramPolicy() : hist_({kTrackedDuration}) {}
 
 void
 HybridHistogramPolicy::recordInvocation(sim::Tick now)

@@ -19,12 +19,8 @@
 
 namespace infless::coldstart {
 
-// Histogram shape shared by HHP and LSTH ------------------------------------
+// Decision rule shared by HHP and LSTH --------------------------------------
 
-/** Histogram range; gaps beyond it overflow. */
-inline constexpr sim::Tick kHistogramRange = 4 * sim::kTicksPerHour;
-/** Histogram bin width. */
-inline constexpr sim::Tick kHistogramBinWidth = sim::kTicksPerMin;
 /** Minimum samples before a window's histogram is trusted. */
 inline constexpr std::size_t kMinSamples = 10;
 /** Head percentile driving the pre-warming window. */

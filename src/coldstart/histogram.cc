@@ -2,26 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "sim/logging.hh"
 
 namespace infless::coldstart {
 
-IdleTimeHistogram::IdleTimeHistogram(std::vector<sim::Tick> windows,
-                                     sim::Tick bin_width, sim::Tick range)
-    : binWidth_(bin_width), range_(range),
-      log_(std::max<std::size_t>(1, windows.size()), /*tagged=*/true)
+IdleTimeHistogram::IdleTimeHistogram(std::vector<sim::Tick> windows)
+    : log_(std::max<std::size_t>(1, windows.size()))
 {
     sim::simAssert(!windows.empty(), "histogram needs at least one window");
-    sim::simAssert(bin_width > 0 && range > 0,
-                   "histogram parameters must be positive");
-    // One overflow bin past the range.
-    binCount_ = static_cast<std::size_t>(range / bin_width) + 2;
-    sim::simAssert(binCount_ - 1 <= std::numeric_limits<std::uint16_t>::max(),
-                   "histogram bin count must fit in uint16: ", binCount_);
     for (sim::Tick horizon : windows) {
-        sim::simAssert(horizon > 0, "histogram parameters must be positive");
+        sim::simAssert(horizon > 0, "histogram windows must be positive");
         windows_.push_back(Window{horizon, {}, 0});
     }
 }
@@ -33,37 +24,36 @@ IdleTimeHistogram::at(std::size_t w) const
     return windows_[w];
 }
 
-std::uint16_t
-IdleTimeHistogram::binOf(sim::Tick gap) const
+std::size_t
+IdleTimeHistogram::binOf(sim::Tick gap)
 {
-    if (gap < 0)
-        gap = 0;
-    auto bin = static_cast<std::size_t>(gap / binWidth_);
-    return static_cast<std::uint16_t>(std::min(bin, binCount_ - 1));
+    // One overflow bin past the range.
+    return std::min(static_cast<std::size_t>(gap / kHistogramBinWidth),
+                    kBinCount - 1);
 }
 
 void
 IdleTimeHistogram::recordInvocation(sim::Tick now)
 {
-    if (lastInvocation_ >= 0 && now >= lastInvocation_)
-        addSample(now - lastInvocation_, now);
-    lastInvocation_ = now;
-}
-
-void
-IdleTimeHistogram::addSample(sim::Tick gap, sim::Tick now)
-{
-    evict(now);
-    std::uint16_t bin = binOf(gap);
-    log_.push(now, bin);
-    for (Window &win : windows_) {
-        if (win.bins.empty())
-            win.bins.assign(binCount_, 0);
-        ++win.bins[bin];
-        ++win.total;
-        if (win.oldest == sim::kTickNever)
-            win.oldest = now;
+    sim::simAssert(now >= lastInvocation_ && now >= 0,
+                   "invocations must be non-negative and in time order: ",
+                   now, " after ", lastInvocation_);
+    if (lastInvocation_ >= 0) {
+        evict(now);
+        std::size_t bin = binOf(now - lastInvocation_);
+        log_.push(now);
+        for (Window &win : windows_) {
+            if (win.bins.empty())
+                win.bins.assign(kBinCount, 0);
+            ++win.bins[bin];
+            ++win.total;
+            if (win.oldest == sim::kTickNever) {
+                win.oldest = now;
+                win.before = lastInvocation_;
+            }
+        }
     }
+    lastInvocation_ = now;
 }
 
 void
@@ -73,10 +63,11 @@ IdleTimeHistogram::evict(sim::Tick now)
         Window &win = windows_[w];
         sim::Tick cutoff = now - win.horizon;
         while (win.oldest < cutoff) {
-            sim::TickLog::Record sample = log_.take(w);
-            --win.bins[sample.tag];
+            sim::Tick sample = log_.take(w);
+            --win.bins[binOf(sample - win.before)];
             --win.total;
-            win.oldest = log_.done(w) ? sim::kTickNever : log_.peek(w).tick;
+            win.before = sample;
+            win.oldest = log_.done(w) ? sim::kTickNever : log_.peek(w);
         }
     }
 }
@@ -120,8 +111,8 @@ IdleTimeHistogram::percentile(double p, std::size_t w) const
         return 0;
     std::size_t bin = percentileBin(win, p);
     if (bin == win.bins.size() - 1)
-        return range_; // overflow reports as the cap
-    return static_cast<sim::Tick>(bin + 1) * binWidth_;
+        return kHistogramRange; // overflow reports as the cap
+    return static_cast<sim::Tick>(bin + 1) * kHistogramBinWidth;
 }
 
 sim::Tick
@@ -133,8 +124,8 @@ IdleTimeHistogram::percentileLower(double p, std::size_t w) const
         return 0;
     std::size_t bin = percentileBin(win, p);
     if (bin == win.bins.size() - 1)
-        return range_;
-    return static_cast<sim::Tick>(bin) * binWidth_;
+        return kHistogramRange;
+    return static_cast<sim::Tick>(bin) * kHistogramBinWidth;
 }
 
 } // namespace infless::coldstart

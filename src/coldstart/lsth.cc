@@ -8,9 +8,7 @@
 namespace infless::coldstart {
 
 LsthPolicy::LsthPolicy(double gamma)
-    : gamma_(gamma),
-      hist_({kShortDuration, kLongDuration}, kHistogramBinWidth,
-            kHistogramRange)
+    : gamma_(gamma), hist_({kShortDuration, kLongDuration})
 {
     sim::simAssert(gamma >= 0.0 && gamma <= 1.0,
                    "gamma must lie in [0, 1]");

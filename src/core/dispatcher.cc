@@ -6,11 +6,6 @@
 
 namespace infless::core {
 
-RateEstimator::RateEstimator(sim::Tick window) : window_(window)
-{
-    sim::simAssert(window > 0, "rate window must be positive");
-}
-
 void
 RateEstimator::record(sim::Tick now)
 {
@@ -22,16 +17,14 @@ RateEstimator::record(sim::Tick now)
 double
 RateEstimator::rps(sim::Tick now) const
 {
-    sim::Tick cutoff = now - window_;
+    sim::Tick cutoff = now - kWindow;
     while (!arrivals_.empty() && arrivals_.front() <= cutoff)
         arrivals_.pop_front();
     // Before a full window has elapsed since the first arrival, divide by
     // the observed span instead, so ramp-up estimates are not halved.
-    sim::Tick effective = window_;
-    if (firstArrival_ >= 0 && now - firstArrival_ < window_) {
-        effective = std::max<sim::Tick>(now - firstArrival_,
-                                        window_ / 8);
-    }
+    sim::Tick effective = kWindow;
+    if (firstArrival_ >= 0 && now - firstArrival_ < kWindow)
+        effective = std::max<sim::Tick>(now - firstArrival_, kWindow / 8);
     return static_cast<double>(arrivals_.size()) /
            sim::ticksToSec(effective);
 }

@@ -27,7 +27,8 @@ namespace infless::core {
 class RateEstimator
 {
   public:
-    explicit RateEstimator(sim::Tick window = 2 * sim::kTicksPerSec);
+    /** Trailing window the rate is measured over. */
+    static constexpr sim::Tick kWindow = 2 * sim::kTicksPerSec;
 
     /** Observe one arrival. */
     void record(sim::Tick now);
@@ -36,7 +37,6 @@ class RateEstimator
     double rps(sim::Tick now) const;
 
   private:
-    sim::Tick window_;
     sim::Tick firstArrival_ = -1;
     mutable std::deque<sim::Tick> arrivals_;
 };

@@ -84,9 +84,7 @@ FunctionId
 Platform::deploy(const FunctionSpec &spec)
 {
     sim::simAssert(spec.maxBatch >= 1, "maxBatch must be >= 1");
-    // Arrival-rate estimation window.
-    constexpr sim::Tick kRateWindow = 2 * sim::kTicksPerSec;
-    FunctionState state(kRateWindow, opts_.overload);
+    FunctionState state(opts_.overload);
     state.spec = spec;
     state.model = &zoo_.get(spec.model);
     state.spec.maxBatch = std::min(spec.maxBatch, state.model->maxBatch);
@@ -225,7 +223,7 @@ Platform::scheduleNextArrival(std::size_t feed_idx)
         freeFeeds_.push_back(feed_idx);
         return;
     }
-    sim::Tick when = feed.ticks.take(0).tick;
+    sim::Tick when = feed.ticks.take(0);
     sim_.atFixed(std::max(when, sim_.now()), [this, feed_idx] {
         onArrival(feeds_[feed_idx].fn);
         scheduleNextArrival(feed_idx);

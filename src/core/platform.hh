@@ -463,9 +463,8 @@ class Platform
          *  the conservation audit's in-flight term. */
         std::int64_t pendingIngress = 0;
 
-        FunctionState(sim::Tick rate_window,
-                      const overload::OverloadConfig &oc)
-            : rate(rate_window), breaker(oc.breaker), brownout(oc.brownout)
+        explicit FunctionState(const overload::OverloadConfig &oc)
+            : breaker(oc.breaker), brownout(oc.brownout)
         {
         }
     };

@@ -38,8 +38,7 @@ getVarint(const std::uint8_t *&p)
 
 } // namespace
 
-TickLog::TickLog(std::size_t cursors, bool tagged)
-    : cursors_(cursors), tagged_(tagged)
+TickLog::TickLog(std::size_t cursors) : cursors_(cursors)
 {
     simAssert(cursors > 0, "tick log needs at least one cursor");
 }
@@ -53,27 +52,22 @@ TickLog::tailWithRoom(std::size_t bytes)
 }
 
 void
-TickLog::push(Tick tick, std::uint32_t tag)
+TickLog::push(Tick tick)
 {
     if (pushed_ == 0) {
-        // The first record anchors every delta chain: it encodes as 0.
+        // The first tick anchors every delta chain: it encodes as 0.
         last_ = tick;
         for (Cursor &c : cursors_)
             c.last = tick;
     }
-    // Unsigned arithmetic: any two ticks are at most 2^64 - 1 apart.
-    auto from = static_cast<std::uint64_t>(last_);
-    auto to = static_cast<std::uint64_t>(tick);
-    bool back = tick < last_;
-    simAssert(tagged_ || (!back && tag == 0),
-              "untagged tick log takes non-decreasing ticks and no tag: ",
-              tick, " after ", last_);
+    simAssert(tick >= last_, "tick log takes non-decreasing ticks: ", tick,
+              " after ", last_);
 
-    Chunk &chunk = tailWithRoom(tagged_ ? 2 * kMaxVarint : kMaxVarint);
+    Chunk &chunk = tailWithRoom(kMaxVarint);
     std::uint8_t *p = chunk.bytes + chunk.used;
-    p = putVarint(p, back ? from - to : to - from);
-    if (tagged_)
-        p = putVarint(p, (static_cast<std::uint64_t>(tag) << 1) | back);
+    // Unsigned arithmetic: any two ticks are at most 2^64 - 1 apart.
+    p = putVarint(p, static_cast<std::uint64_t>(tick) -
+                         static_cast<std::uint64_t>(last_));
     chunk.used = static_cast<std::uint32_t>(p - chunk.bytes);
     last_ = tick;
     ++pushed_;
@@ -82,7 +76,6 @@ TickLog::push(Tick tick, std::uint32_t tag)
 void
 TickLog::append(std::span<const Tick> ticks)
 {
-    simAssert(!tagged_, "a tagged tick log takes records one by one");
     if (ticks.empty())
         return;
     std::size_t first = 0;
@@ -96,8 +89,8 @@ TickLog::append(std::span<const Tick> ticks)
     Tick last = last_;
     for (std::size_t i = first; i < ticks.size(); ++i) {
         Tick tick = ticks[i];
-        simAssert(tick >= last, "untagged tick log takes non-decreasing ",
-                  "ticks: ", tick, " after ", last);
+        simAssert(tick >= last, "tick log takes non-decreasing ticks: ",
+                  tick, " after ", last);
         if (p + kMaxVarint > chunk->bytes + kPayload) {
             chunk->used = static_cast<std::uint32_t>(p - chunk->bytes);
             chunk = &tailWithRoom(kMaxVarint);
@@ -112,7 +105,7 @@ TickLog::append(std::span<const Tick> ticks)
     pushed_ += ticks.size() - first;
 }
 
-TickLog::Record
+Tick
 TickLog::decode(Cursor &at) const
 {
     const Chunk *chunk = chunks_[at.chunk - base_].get();
@@ -123,26 +116,23 @@ TickLog::decode(Cursor &at) const
         chunk = chunks_[at.chunk - base_].get();
     }
     const std::uint8_t *p = chunk->bytes + at.offset;
-    std::uint64_t delta = getVarint(p);
-    std::uint64_t word = tagged_ ? getVarint(p) : 0;
-    auto tick = static_cast<std::uint64_t>(at.last);
-    tick = (word & 1) ? tick - delta : tick + delta;
-    at.last = static_cast<Tick>(tick);
+    at.last = static_cast<Tick>(static_cast<std::uint64_t>(at.last) +
+                                getVarint(p));
     at.offset = static_cast<std::uint32_t>(p - chunk->bytes);
     ++at.read;
-    return Record{at.last, static_cast<std::uint32_t>(word >> 1)};
+    return at.last;
 }
 
-TickLog::Record
+Tick
 TickLog::take(std::size_t c)
 {
     simAssert(!done(c), "tick log cursor ", c, " read past the end");
     Cursor &cur = cursors_[c];
     std::uint64_t from = cur.chunk;
-    Record rec = decode(cur);
+    Tick tick = decode(cur);
     if (cur.chunk != from || cur.read == pushed_)
         release();
-    return rec;
+    return tick;
 }
 
 void

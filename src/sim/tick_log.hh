@@ -4,10 +4,10 @@
  * read.
  *
  * Arrival feeds and the keep-alive idle-time log both hold long runs of
- * nearly sorted ticks that are only ever read front to back. Stored as
- * LEB128 varints of the gap to the previous tick, a dense stream costs
- * 1-3 bytes per tick instead of 8, and a chunk goes back to the heap as
- * soon as every reader has passed it.
+ * sorted ticks that are only ever read front to back. Stored as LEB128
+ * varints of the gap to the previous tick, a dense stream costs 1-3
+ * bytes per tick instead of 8, and a chunk goes back to the heap as soon
+ * as every reader has passed it.
  */
 
 #ifndef INFLESS_SIM_TICK_LOG_HH
@@ -24,15 +24,13 @@
 namespace infless::sim {
 
 /**
- * A log of (tick, tag) records read by a fixed set of forward-only
+ * A log of non-decreasing ticks read by a fixed set of forward-only
  * cursors.
  *
- * Each record is the varint of its tick's distance from the previous
- * record's tick, followed in a tagged log by a varint tag. An untagged
- * log takes non-decreasing ticks only; a tagged log folds a backwards
- * step into the tag's low bit, so its ticks may go back. Records never
- * straddle a chunk. A chunk every cursor has read past is freed, and once
- * every cursor has read everything the log holds no chunk at all.
+ * Each tick is stored as the varint of its distance from the previous
+ * one, and never straddles a chunk. A chunk every cursor has read past is
+ * freed, and once every cursor has read everything the log holds no
+ * chunk at all.
  */
 class TickLog
 {
@@ -40,45 +38,32 @@ class TickLog
     /** Bytes per chunk, its header included. */
     static constexpr std::size_t kChunkBytes = 4096;
 
-    struct Record
-    {
-        Tick tick = 0;
-        std::uint32_t tag = 0;
-    };
+    /** @param cursors Number of independent readers, addressed 0..n-1. */
+    explicit TickLog(std::size_t cursors = 1);
 
-    /**
-     * @param cursors Number of independent readers, addressed 0..n-1.
-     * @param tagged Whether every record carries a tag (and may step
-     *        back in time).
-     */
-    explicit TickLog(std::size_t cursors = 1, bool tagged = false);
+    /** Append @p tick. Panics when it precedes the previous tick. */
+    void push(Tick tick);
 
-    /**
-     * Append a record. Panics when an untagged log's @p tick precedes the
-     * previous one, or when an untagged log is given a nonzero @p tag.
-     */
-    void push(Tick tick, std::uint32_t tag = 0);
-
-    /** push() each of @p ticks, in order, into an untagged log. */
+    /** push() each of @p ticks, in order. */
     void append(std::span<const Tick> ticks);
 
-    /** Whether cursor @p c has read every record pushed so far. */
+    /** Whether cursor @p c has read every tick pushed so far. */
     bool done(std::size_t c) const
     {
         return cursors_[c].read == pushed_;
     }
 
-    /** Cursor @p c's next record, left unread. Requires !done(c). */
-    Record peek(std::size_t c) const
+    /** Cursor @p c's next tick, left unread. Requires !done(c). */
+    Tick peek(std::size_t c) const
     {
         Cursor next = cursors_[c];
         return decode(next);
     }
 
-    /** Read and return cursor @p c's next record. Requires !done(c). */
-    Record take(std::size_t c);
+    /** Read and return cursor @p c's next tick. Requires !done(c). */
+    Tick take(std::size_t c);
 
-    /** Records pushed that cursor @p c has not read yet. */
+    /** Ticks pushed that cursor @p c has not read yet. */
     std::uint64_t unread(std::size_t c) const
     {
         return pushed_ - cursors_[c].read;
@@ -100,18 +85,18 @@ class TickLog
 
     struct Cursor
     {
-        /** Chunk of the next record, counted from the log's first. */
+        /** Chunk of the next tick, counted from the log's first. */
         std::uint64_t chunk = 0;
         std::uint32_t offset = 0;
-        /** Tick of the last record read: the next delta's base. */
+        /** The last tick read: the next delta's base. */
         Tick last = 0;
         std::uint64_t read = 0;
     };
 
     /** The last chunk, or a new one when it has under @p bytes free. */
     Chunk &tailWithRoom(std::size_t bytes);
-    /** Decode the record at @p at and advance @p at past it. */
-    Record decode(Cursor &at) const;
+    /** Decode the tick at @p at and advance @p at past it. */
+    Tick decode(Cursor &at) const;
     /** Free the chunks every cursor has read past. */
     void release();
 
@@ -121,7 +106,6 @@ class TickLog
     std::vector<Cursor> cursors_;
     Tick last_ = 0;
     std::uint64_t pushed_ = 0;
-    bool tagged_;
 };
 
 } // namespace infless::sim

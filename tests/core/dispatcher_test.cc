@@ -25,7 +25,7 @@ using Action = ScalingAssessment::Action;
 
 TEST(RateEstimatorTest, CountsWithinWindow)
 {
-    RateEstimator est(2 * kTicksPerSec);
+    RateEstimator est;
     // 10 arrivals per second for three seconds.
     for (int i = 0; i < 30; ++i)
         est.record(i * kTicksPerSec / 10);
@@ -37,7 +37,7 @@ TEST(RateEstimatorTest, EarlyEstimateUsesObservedSpan)
 {
     // Before a full window has elapsed the estimator divides by the
     // observed span, so ramp-up rates are not underestimated.
-    RateEstimator est(2 * kTicksPerSec);
+    RateEstimator est;
     for (int i = 0; i < 10; ++i)
         est.record(i * kTicksPerSec / 10); // 10 arrivals in 1 second
     EXPECT_NEAR(est.rps(kTicksPerSec), 10.0, 0.5);
@@ -45,10 +45,10 @@ TEST(RateEstimatorTest, EarlyEstimateUsesObservedSpan)
 
 TEST(RateEstimatorTest, OldArrivalsExpire)
 {
-    RateEstimator est(kTicksPerSec);
+    RateEstimator est;
     est.record(0);
-    est.record(kTicksPerSec / 2);
-    EXPECT_DOUBLE_EQ(est.rps(kTicksPerSec), 1.0); // only the 0.5s one left
+    est.record(5 * kTicksPerSec / 2);
+    EXPECT_DOUBLE_EQ(est.rps(3 * kTicksPerSec), 0.5); // only the 2.5s one left
     EXPECT_DOUBLE_EQ(est.rps(10 * kTicksPerSec), 0.0);
 }
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -28,7 +27,7 @@ drain(TickLog &log, std::size_t c)
 {
     std::vector<Tick> out;
     while (!log.done(c))
-        out.push_back(log.take(c).tick);
+        out.push_back(log.take(c));
     return out;
 }
 
@@ -40,7 +39,7 @@ TEST(TickLogTest, RoundTripsZeroAndHugeGaps)
     for (Tick t : ticks)
         log.push(t);
     EXPECT_EQ(log.unread(0), ticks.size());
-    EXPECT_EQ(log.peek(0).tick, -5);
+    EXPECT_EQ(log.peek(0), -5);
     EXPECT_EQ(drain(log, 0), ticks);
     EXPECT_TRUE(log.done(0));
     EXPECT_THROW(log.take(0), infless::sim::PanicError);
@@ -70,34 +69,11 @@ TEST(TickLogTest, AppendMatchesPushOneByOne)
                  infless::sim::PanicError);
 }
 
-TEST(TickLogTest, TaggedRecordsMayStepBack)
-{
-    struct Sample
-    {
-        Tick tick;
-        std::uint32_t tag;
-    };
-    std::vector<Sample> samples = {{100, 0},    {100, 7},  {40, 65535},
-                                   {kBig, 1},   {0, 2},    {-kBig, 3},
-                                   {kBig, 0xffffffffu}};
-    TickLog log(1, /*tagged=*/true);
-    for (const Sample &s : samples)
-        log.push(s.tick, s.tag);
-    for (const Sample &s : samples) {
-        ASSERT_FALSE(log.done(0));
-        TickLog::Record r = log.take(0);
-        EXPECT_EQ(r.tick, s.tick);
-        EXPECT_EQ(r.tag, s.tag);
-    }
-    EXPECT_TRUE(log.done(0));
-}
-
-TEST(TickLogTest, UntaggedLogRejectsBackwardTicksAndTags)
+TEST(TickLogTest, RejectsBackwardTicks)
 {
     TickLog log;
     log.push(10);
     EXPECT_THROW(log.push(9), infless::sim::PanicError);
-    EXPECT_THROW(log.push(11, 1), infless::sim::PanicError);
     EXPECT_THROW(TickLog(0), infless::sim::PanicError);
 }
 
@@ -115,23 +91,21 @@ TEST(TickLogTest, DenseArrivalsCostAboutTwoBytes)
 TEST(TickLogTest, TwoCursorsTrimIndependently)
 {
     // The LSTH shape: cursor 0 is a 1 h window, cursor 1 a 24 h one,
-    // over a 30 rps Poisson stream of tagged samples.
-    TickLog log(2, /*tagged=*/true);
+    // over a 30 rps Poisson stream of samples.
+    TickLog log(2);
     Rng rng(5);
     std::vector<Tick> stamps;
     Tick now = 0;
     while (now < 3 * kTicksPerHour) {
         now += static_cast<Tick>(rng.exponential(30.0) * kTicksPerSec);
-        log.push(now, static_cast<std::uint32_t>(stamps.size() % 5));
+        log.push(now);
         stamps.push_back(now);
     }
     std::size_t fast = 0;
     std::size_t slow = 0;
     auto trim = [&](std::size_t c, std::size_t &read, Tick cutoff) {
-        while (!log.done(c) && log.peek(c).tick < cutoff) {
-            TickLog::Record r = log.take(c);
-            ASSERT_EQ(r.tick, stamps[read]);
-            ASSERT_EQ(r.tag, read % 5);
+        while (!log.done(c) && log.peek(c) < cutoff) {
+            ASSERT_EQ(log.take(c), stamps[read]);
             ++read;
         }
     };
@@ -172,7 +146,7 @@ TEST(TickLogTest, CursorParkedAtChunkEndReadsLaterPushes)
         log.push(t);
         pushed.push_back(t);
         ASSERT_FALSE(log.done(0));
-        seen.push_back(log.take(0).tick);
+        seen.push_back(log.take(0));
         ASSERT_TRUE(log.done(0));
     }
     EXPECT_EQ(seen, pushed);

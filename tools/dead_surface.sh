@@ -11,8 +11,10 @@
 # are weak and are not counted.
 #
 # Usage: tools/dead_surface.sh [build-dir]   (default: build-dead-surface)
-# Prints the dead functions, one per line, then their count. Exits 1 if
-# there is any.
+# Prints, for information, the functions that only test executables link
+# and their count; then the dead functions, one per line, and their
+# count. Exits 1 if there is any dead function; test-only ones are
+# allowed.
 
 set -euo pipefail
 
@@ -42,13 +44,27 @@ text_symbols() {
         grep '^infless::' | sort -u
 }
 
-mapfile -t binaries < <(
-    find "$build/bench" "$build/examples" "$build/tests" \
-        -maxdepth 1 -type f -perm -u+x
+executables() {
+    find "$@" -maxdepth 1 -type f -perm -u+x
+}
+mapfile -t programs < <(
+    executables "$build/bench" "$build/examples"
     echo "$build/infless_bench")
+mapfile -t tests < <(executables "$build/tests")
 
 defined=$(text_symbols "${archives[@]}")
-linked=$(text_symbols "${binaries[@]}")
+used=$(text_symbols "${programs[@]}")
+linked=$(text_symbols "${programs[@]}" "${tests[@]}")
+
+test_only=$(comm -12 <(echo "$defined") <(echo "$linked") |
+    comm -23 - <(echo "$used") | sed '/^$/d')
+if [ -n "$test_only" ]; then
+    echo "$test_only"
+    test_count=$(echo "$test_only" | wc -l)
+else
+    test_count=0
+fi
+echo "test-only out-of-line functions (information only): $test_count"
 
 dead=$(comm -23 <(echo "$defined") <(echo "$linked") | sed '/^$/d')
 if [ -n "$dead" ]; then
