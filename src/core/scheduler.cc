@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "sim/logging.hh"
 
@@ -67,6 +66,10 @@ GreedyScheduler::availableConfigs(const models::ModelInfo &model, int batch,
             if (!execFeasible(exec, slo, batch))
                 continue;
             RpsBounds bounds = rpsBounds(exec, slo, batch);
+            // An instance slower than 1 s per batch has r_up 0: it would
+            // never shrink the residual.
+            if (bounds.up <= 0.0)
+                continue;
             // For b > 1 the batch must saturate before the waiting
             // timeout: the residual rate has to reach r_low.
             if (batch > 1 && residual_rps < bounds.low)
@@ -119,26 +122,49 @@ GreedyScheduler::efficiency(const CandidateConfig &candidate,
         server.weightedAvailable(cluster::kDefaultBeta), norm, residual_rps);
 }
 
-namespace {
-
-/** One pooled candidate of the fast path. */
-struct PoolEntry
+const GreedyScheduler::CandidatePool &
+GreedyScheduler::poolFor(const models::ModelInfo &model, sim::Tick slo,
+                         int max_batch) const
 {
-    CandidateConfig cand;
-    /** Memoized resources.weighted(beta). */
-    double weightedCost = 0.0;
-    /** Index into the descending batch ladder (0 = largest batch). */
-    int batchOrdinal = 0;
-    /**
-     * Residual-saturation gate key: r_low for b > 1, 0 for b = 1
-     * (single-request instances never wait on saturation).
-     */
-    double gateKey = 0.0;
-    /** Cleared once the shrinking residual crosses gateKey. */
-    bool admissible = true;
-};
+    CandidatePool &pool =
+        pools_[PoolKey{model.noiseKey, slo,
+                       std::min(max_batch, model.maxBatch)}];
+    if (pool.distortion == predictor_.distortion())
+        return pool; // a fresh entry's 0 never matches: distortion > 0
 
-} // namespace
+    // The COP solve of the fast path: every predictor composition
+    // happens here, once per key. Nested inside the Schedule scope by
+    // design.
+    obs::ProfScope cop_scope(profiler_, obs::Phase::CopSolve);
+    pool.distortion = predictor_.distortion();
+    pool.entries.clear();
+    pool.minGate = std::numeric_limits<double>::infinity();
+    std::vector<int> batches = batchLadder(model, max_batch);
+    std::int64_t memory = instanceMemoryMb(model);
+    for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+        int b = batches[bi];
+        for (std::int64_t cpu : config_.cpuChoices) {
+            for (std::int64_t gpu : config_.gpuChoices) {
+                cluster::Resources res{cpu, gpu, memory};
+                sim::Tick exec = predictor_.predict(model, b, res);
+                if (!execFeasible(exec, slo, b))
+                    continue;
+                PoolEntry entry;
+                entry.cand.config = cluster::InstanceConfig{b, res};
+                entry.cand.execPredicted = exec;
+                entry.cand.bounds = rpsBounds(exec, slo, b);
+                if (entry.cand.bounds.up <= 0.0)
+                    continue; // r_up 0: would never shrink the residual
+                entry.weightedCost = res.weighted(cluster::kDefaultBeta);
+                entry.batchOrdinal = static_cast<int>(bi);
+                entry.gateKey = b > 1 ? entry.cand.bounds.low : 0.0;
+                pool.minGate = std::min(pool.minGate, entry.gateKey);
+                pool.entries.push_back(entry);
+            }
+        }
+    }
+    return pool;
+}
 
 std::vector<LaunchPlan>
 GreedyScheduler::schedule(const models::ModelInfo &model,
@@ -149,65 +175,23 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
     obs::ProfScope schedule_scope(profiler_, obs::Phase::Schedule);
     ++decisions_;
     std::vector<LaunchPlan> plans;
-    std::vector<int> batches = batchLadder(model, max_batch);
-
-    // Build the candidate pool ONCE: the feasible (b, c, g) set depends
-    // only on (model, batch, slo). The residual-saturation gate — the one
-    // residual-dependent part of AvailableConfig — is deferred to a
-    // threshold cut below. Pool order matches the naive rebuild (batches
-    // descending, then CPU-major / GPU-minor), which pins tie-breaking.
-    std::vector<PoolEntry> pool;
-    std::int64_t memory = instanceMemoryMb(model);
-    {
-        // The COP solve of the fast path: every predictor composition
-        // happens in this block (the per-placement loop below reuses the
-        // pool). Nested inside the Schedule scope by design.
-        obs::ProfScope cop_scope(profiler_, obs::Phase::CopSolve);
-        for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-            int b = batches[bi];
-            for (std::int64_t cpu : config_.cpuChoices) {
-                for (std::int64_t gpu : config_.gpuChoices) {
-                    cluster::Resources res{cpu, gpu, memory};
-                    sim::Tick exec = predictor_.predict(model, b, res);
-                    if (!execFeasible(exec, slo, b))
-                        continue;
-                    PoolEntry entry;
-                    entry.cand.config = cluster::InstanceConfig{b, res};
-                    entry.cand.execPredicted = exec;
-                    entry.cand.bounds = rpsBounds(exec, slo, b);
-                    entry.weightedCost =
-                        res.weighted(cluster::kDefaultBeta);
-                    entry.batchOrdinal = static_cast<int>(bi);
-                    entry.gateKey =
-                        b > 1 ? entry.cand.bounds.low : 0.0;
-                    pool.push_back(entry);
-                }
-            }
-        }
-    }
-    if (pool.empty())
-        return plans; // SLO unsatisfiable on the whole config grid
-
-    // Indices sorted by gate key: the residual only ever shrinks, so the
-    // admissible set is cut from the top instead of rebuilt.
-    std::vector<std::size_t> by_gate(pool.size());
-    std::iota(by_gate.begin(), by_gate.end(), std::size_t{0});
-    std::stable_sort(by_gate.begin(), by_gate.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return pool[a].gateKey < pool[b].gateKey;
-                     });
-    std::size_t cut = pool.size(); // by_gate[0, cut) is admissible
+    // An empty pool (SLO unsatisfiable on the whole config grid) has an
+    // infinite minGate, so the loop below never places.
+    const CandidatePool &pool = poolFor(model, slo, max_batch);
 
     const cluster::CapacityIndex &index = cluster.capacityIndex();
     const double weight = config_.spreadWeight;
     const bool spread_on = spread != nullptr && weight > 0.0;
 
+    // The one residual-dependent part of AvailableConfig, the r_low
+    // saturation gate for b > 1. The residual only shrinks, so an entry
+    // once gated out stays out.
+    auto admissible = [&](const PoolEntry &entry) {
+        return !(entry.gateKey > residual_rps);
+    };
+
     while (residual_rps > 1e-9) {
-        while (cut > 0 && pool[by_gate[cut - 1]].gateKey > residual_rps) {
-            pool[by_gate[cut - 1]].admissible = false;
-            --cut;
-        }
-        if (cut == 0)
+        if (pool.minGate > residual_rps)
             break; // residual too small to saturate any config
 
         // Paper-literal rule: commit to the largest batchsize with any
@@ -215,22 +199,22 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
         // first admissible entry carries the minimal ordinal.
         int ordinal_limit = std::numeric_limits<int>::max();
         if (config_.largestBatchFirst) {
-            for (const PoolEntry &entry : pool) {
-                if (entry.admissible) {
+            for (const PoolEntry &entry : pool.entries) {
+                if (admissible(entry)) {
                     ordinal_limit = entry.batchOrdinal;
                     break;
                 }
             }
         }
         auto considered = [&](const PoolEntry &entry) {
-            return entry.admissible && entry.batchOrdinal <= ordinal_limit;
+            return admissible(entry) && entry.batchOrdinal <= ordinal_limit;
         };
 
         const PoolEntry *best_entry = nullptr;
         cluster::ServerId best_server = cluster::kNoServer;
         if (config_.throughputOnly) {
             // RS ablation: max-throughput config, first-fit placement.
-            for (const PoolEntry &entry : pool) {
+            for (const PoolEntry &entry : pool.entries) {
                 if (!considered(entry))
                     continue;
                 if (best_entry &&
@@ -246,7 +230,7 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
         } else {
             // Normalize the RPS/resource numerator over the pool.
             double norm = 0.0;
-            for (const PoolEntry &entry : pool) {
+            for (const PoolEntry &entry : pool.entries) {
                 if (!considered(entry))
                     continue;
                 double usable =
@@ -258,7 +242,7 @@ GreedyScheduler::schedule(const models::ModelInfo &model,
             // strictly-greater e across candidates (earlier candidate
             // wins), lowest server id within a candidate.
             double best_e = -1.0;
-            for (const PoolEntry &entry : pool) {
+            for (const PoolEntry &entry : pool.entries) {
                 if (!considered(entry))
                     continue;
                 const cluster::Resources &req =
@@ -437,6 +421,8 @@ uniformSchedule(const CandidateConfig &config, double residual_rps,
                 std::int64_t memory_mb)
 {
     std::vector<LaunchPlan> plans;
+    if (config.bounds.up <= 0.0)
+        return plans; // the residual would never shrink
     cluster::Resources req = config.config.resources;
     req.memoryMb = memory_mb;
     while (residual_rps > 1e-9) {

@@ -18,6 +18,8 @@
 #define INFLESS_CORE_SCHEDULER_HH
 
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hh"
@@ -155,8 +157,9 @@ class GreedyScheduler
 
     /**
      * Attach a wall-clock overhead profiler: schedule()/scheduleNaive()
-     * record under Phase::Schedule and the candidate-pool enumeration
-     * under Phase::CopSolve (nested inside the schedule scope). Null or
+     * record under Phase::Schedule and each candidate-pool enumeration
+     * (a pool memo miss, or an availableConfigs() call) under
+     * Phase::CopSolve (nested inside the schedule scope). Null or
      * disabled profilers cost one branch per call.
      */
     void setProfiler(obs::OverheadProfiler *profiler)
@@ -185,8 +188,10 @@ class GreedyScheduler
 
     /**
      * AvailableConfig (Algorithm 1, lines 16-27): all (b=batch, c, g)
-     * whose predicted execution time admits the SLO and, for b > 1, whose
-     * r_low the residual rate can saturate.
+     * whose predicted execution time admits the SLO, whose r_up is
+     * positive (an instance slower than 1 s per batch serves nothing
+     * under Eq. 1's floor) and, for b > 1, whose r_low the residual rate
+     * can saturate.
      */
     std::vector<CandidateConfig>
     availableConfigs(const models::ModelInfo &model, int batch,
@@ -212,14 +217,15 @@ class GreedyScheduler
      * Algorithm 1: plan (and allocate on @p cluster) instances covering
      * @p residual_rps for one function.
      *
-     * Fast-path implementation: the feasible (b, c, g) pool is built once
-     * per call (it depends only on model, batch and SLO), candidates keep
-     * a memoized weighted cost and are gated against the shrinking
-     * residual by a pre-sorted r_low threshold cut, and the argmax over
-     * e_ij is evaluated once per capacity-index class instead of once per
-     * server (spread scoring, whose penalty differs within a class,
-     * evaluates every server). Guaranteed to produce a LaunchPlan sequence bit-identical
-     * to scheduleNaive() (the equivalence is pinned by
+     * Fast-path implementation: the feasible (b, c, g) pool depends only
+     * on (model, SLO, batch cap), so it is built once per key and then
+     * read from a memo (see pools_). Candidates keep a memoized weighted
+     * cost; one is admissible while its r_low gate does not exceed the
+     * shrinking residual. The argmax over e_ij is evaluated once per
+     * capacity-index class instead of once per server (spread scoring,
+     * whose penalty differs within a class, evaluates every server).
+     * Guaranteed to produce a LaunchPlan sequence bit-identical to
+     * scheduleNaive() (the equivalence is pinned by
      * tests/core/scheduler_equivalence_test.cc).
      *
      * Allocations are committed into the cluster as plans are made; the
@@ -256,6 +262,46 @@ class GreedyScheduler
                                               nullptr) const;
 
   private:
+    /** One pooled candidate of the fast path. */
+    struct PoolEntry
+    {
+        CandidateConfig cand;
+        /** Memoized resources.weighted(beta). */
+        double weightedCost = 0.0;
+        /** Index into the descending batch ladder (0 = largest batch). */
+        int batchOrdinal = 0;
+        /**
+         * Residual-saturation gate key: r_low for b > 1, 0 for b = 1
+         * (single-request instances never wait on saturation). The
+         * entry is admissible while !(gateKey > residual).
+         */
+        double gateKey = 0.0;
+    };
+
+    /**
+     * Every feasible (b, c, g) of one (model, SLO, batch cap), in the
+     * naive rebuild's order: batches descending, then CPU-major /
+     * GPU-minor, which pins tie-breaking. Read-only between rebuilds.
+     */
+    struct CandidatePool
+    {
+        /** CopPredictor::distortion() the pool was priced at. */
+        double distortion = 0.0;
+        std::vector<PoolEntry> entries;
+        /** Smallest gateKey; a residual below it admits nothing. */
+        double minGate = 0.0;
+    };
+
+    /** (ModelInfo::noiseKey, SLO ticks, min(max_batch, maxBatch)). */
+    using PoolKey = std::tuple<std::uint64_t, sim::Tick, int>;
+
+    /**
+     * The pool of (@p model, @p slo, @p max_batch), built on its first
+     * use and rebuilt when the predictor's distortion has changed since.
+     */
+    const CandidatePool &poolFor(const models::ModelInfo &model,
+                                 sim::Tick slo, int max_batch) const;
+
     /** Eq. 10 on precomputed scalars (fit already checked). */
     double efficiencyFromAvail(const CandidateConfig &candidate,
                                double cost, double weighted_avail,
@@ -268,11 +314,19 @@ class GreedyScheduler
     /** Scheduling passes run (schedule() is const; the count is not
      *  part of the scheduler's logical state). */
     mutable std::uint64_t decisions_ = 0;
+    /**
+     * Memo of schedule()'s candidate pools, keyed by PoolKey. A cache,
+     * not logical state, hence mutable. Unsynchronized: a scheduler is
+     * owned by one Platform (one cell of a sharded platform), so it is
+     * never called from two threads at once.
+     */
+    mutable std::map<PoolKey, CandidatePool> pools_;
 };
 
 /**
  * Uniform-scaling scheduler used by the baselines: one fixed candidate
- * list (no per-instance adaptation), first-fit placement.
+ * list (no per-instance adaptation), first-fit placement. Plans nothing
+ * for a config whose r_up is not positive.
  */
 std::vector<LaunchPlan>
 uniformSchedule(const CandidateConfig &config, double residual_rps,

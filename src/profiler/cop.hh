@@ -94,6 +94,9 @@ class CopPredictor
      */
     void setDistortion(double factor);
 
+    /** The factor last set by setDistortion() (1 = faithful). */
+    double distortion() const { return distortion_; }
+
   private:
     /**
      * A model's composition, compiled on its first memo miss: the

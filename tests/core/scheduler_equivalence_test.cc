@@ -389,6 +389,97 @@ TEST_F(EquivalenceFixture, LargeHomogeneousClusterSingleClass)
     EXPECT_FALSE(fast.empty());
 }
 
+TEST_F(EquivalenceFixture, LongLivedSchedulerMatchesNaiveAcrossKeys)
+{
+    // One scheduler serves interleaved (model, SLO, batch cap) keys over
+    // one fleet that its own plans and random releases keep changing, so
+    // most calls read a pool memoized by an earlier call. ResNet-50 at
+    // 200 ms and cap 32 has a neighbour differing in each key component
+    // alone: the model (VGGNet), the SLO (100 ms) and the cap (4). Caps
+    // 4 and 5 share a batch ladder under different keys; caps 32 and 64
+    // clamp to the same model cap.
+    GreedyScheduler sched(cop);
+    Rng rng(9012);
+    struct Key
+    {
+        const char *model;
+        int sloMs;
+        int maxBatch;
+    };
+    const std::vector<Key> keys = {
+        {"ResNet-50", 200, 32}, {"ResNet-50", 200, 64},
+        {"VGGNet", 200, 32},    {"ResNet-50", 100, 32},
+        {"ResNet-50", 200, 4},  {"ResNet-50", 200, 5},
+        {"MobileNet", 50, 8},   {"MobileNet", 50, 1},
+        {"LSTM-2365", 100, 32}};
+    Cluster fleet(40);
+    randomOccupancy(fleet, rng, 0.3);
+    std::vector<LaunchPlan> live;
+    for (int i = 0; i < 120; ++i) {
+        const Key &key = keys[static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(keys.size()) - 1))];
+        const auto &model = zoo.get(key.model);
+        double rps = rng.uniform(0.5, 400.0);
+
+        Cluster for_naive = fleet;
+        auto fast = sched.schedule(model, rps, msToTicks(key.sloMs),
+                                   key.maxBatch, fleet);
+        auto naive = sched.scheduleNaive(model, rps, msToTicks(key.sloMs),
+                                         key.maxBatch, for_naive);
+        std::string context = std::string(key.model) +
+                              " slo=" + std::to_string(key.sloMs) +
+                              " b<=" + std::to_string(key.maxBatch) +
+                              " rps=" + std::to_string(rps) +
+                              " call=" + std::to_string(i);
+        expectIdenticalPlans(fast, naive, context);
+        EXPECT_EQ(fleet.totalAllocated(), for_naive.totalAllocated())
+            << context;
+        live.insert(live.end(), fast.begin(), fast.end());
+
+        // Scale-in churn: release about a third of the live instances.
+        for (std::size_t k = 0; k < live.size();) {
+            if (rng.uniform() < 0.3) {
+                fleet.release(live[k].server, live[k].config.resources);
+                live[k] = live.back();
+                live.pop_back();
+            } else {
+                ++k;
+            }
+        }
+    }
+}
+
+TEST_F(EquivalenceFixture, DistortionChangeRebuildsPools)
+{
+    // A mispredicting profiler reprices every config. A scheduler whose
+    // pools were built at another factor must plan exactly like a fresh
+    // scheduler at the current one, when the factor rises and when it
+    // is restored.
+    GreedyScheduler memoized(cop);
+    const auto &model = zoo.get("ResNet-50");
+    const auto slo = msToTicks(200);
+    Cluster base(16);
+    std::vector<LaunchPlan> at_faithful;
+    for (double factor : {1.0, 1.5, 1.0}) {
+        cop.setDistortion(factor);
+        Cluster for_memoized = base;
+        Cluster for_fresh = base;
+        auto plans = memoized.schedule(model, 900.0, slo, 32, for_memoized);
+        GreedyScheduler fresh(cop);
+        auto expected = fresh.schedule(model, 900.0, slo, 32, for_fresh);
+        std::string context = "distortion=" + std::to_string(factor);
+        expectIdenticalPlans(plans, expected, context);
+        ASSERT_FALSE(plans.empty()) << context;
+        if (at_faithful.empty()) {
+            at_faithful = plans;
+        } else if (factor != 1.0) {
+            EXPECT_NE(plans.front().execPredicted,
+                      at_faithful.front().execPredicted)
+                << context;
+        }
+    }
+}
+
 /**
  * Occupancy in 500-millicore and 5-SM steps: a fifth of the servers
  * untouched, about a third drained of nearly all CPU but left with GPU,

@@ -10,6 +10,7 @@
 
 #include "cluster/cluster.hh"
 #include "cluster/topology.hh"
+#include "core/rps_bounds.hh"
 #include "core/scheduler.hh"
 #include "models/exec_model.hh"
 #include "models/model_zoo.hh"
@@ -228,6 +229,71 @@ TEST_F(SchedulerFixture, UniformScheduleBestFitPacksTighter)
         uniformSchedule(config, 50.0, cluster, true, 0.003, 1024);
     ASSERT_EQ(plans.size(), 1u);
     EXPECT_EQ(plans[0].server, 2);
+}
+
+/**
+ * Bert-v1 on half a core, CPU only, takes over 1 s per request, so Eq. 1
+ * floors its r_up to 0. An SLO of twice that admits the config, yet an
+ * instance that serves nothing would never shrink the residual: the
+ * greedy loop would place it until the fleet is full.
+ */
+struct ZeroThroughputFixture : SchedulerFixture
+{
+    const infless::models::ModelInfo &bert = zoo.get("Bert-v1");
+    GreedyScheduler slow{cop, slowOnly()};
+    infless::sim::Tick exec = cop.predict(
+        bert, 1, Resources{500, 0, slow.instanceMemoryMb(bert)});
+    infless::sim::Tick slo = 2 * exec;
+
+    static SchedulerConfig
+    slowOnly()
+    {
+        SchedulerConfig cfg;
+        cfg.cpuChoices = {500};
+        cfg.gpuChoices = {0};
+        return cfg;
+    }
+
+    void
+    SetUp() override
+    {
+        ASSERT_GT(exec, infless::sim::secToTicks(1.0));
+        ASSERT_TRUE(execFeasible(exec, slo, 1));
+        ASSERT_EQ(infless::core::rpsBounds(exec, slo, 1).up, 0.0);
+    }
+};
+
+TEST_F(ZeroThroughputFixture, AvailableConfigsDropsZeroThroughput)
+{
+    for (int b : {1, 2, 4})
+        EXPECT_TRUE(slow.availableConfigs(bert, b, 5.0, slo).empty())
+            << "b=" << b;
+}
+
+TEST_F(ZeroThroughputFixture, ScheduleAndNaivePlanNothing)
+{
+    Cluster fast_fleet(50);
+    Cluster naive_fleet(50);
+    EXPECT_TRUE(slow.schedule(bert, 5.0, slo, 32, fast_fleet).empty());
+    EXPECT_TRUE(
+        slow.scheduleNaive(bert, 5.0, slo, 32, naive_fleet).empty());
+    EXPECT_TRUE(fast_fleet.totalAllocated().isZero());
+    EXPECT_TRUE(naive_fleet.totalAllocated().isZero());
+}
+
+TEST_F(ZeroThroughputFixture, UniformSchedulePlansNothing)
+{
+    CandidateConfig config;
+    config.config = cluster::InstanceConfig{1, Resources{500, 0, 0}};
+    config.execPredicted = exec;
+    config.bounds = infless::core::rpsBounds(exec, slo, 1);
+    Cluster fleet(50);
+    for (bool best_fit : {false, true}) {
+        EXPECT_TRUE(uniformSchedule(config, 5.0, fleet, best_fit, 0.003,
+                                    slow.instanceMemoryMb(bert))
+                        .empty());
+    }
+    EXPECT_TRUE(fleet.totalAllocated().isZero());
 }
 
 TEST(SpreadContextTest, DomainsComeFromTheTopology)
